@@ -29,6 +29,8 @@ func TestSpanInventoryDocumented(t *testing.T) {
 	// every metric and journal event the delta paths record.
 	inventory = append(inventory, evaluate.DeltaMetricNames()...)
 	inventory = append(inventory, fabric.IncrementalObsNames()...)
+	// So do the histograms that split time-to-new-generation.
+	inventory = append(inventory, fabric.SwapObsNames()...)
 
 	for _, doc := range []string{"README.md", "docs/ARCHITECTURE.md"} {
 		body, err := os.ReadFile(doc)

@@ -2,7 +2,7 @@ package contention
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"repro/internal/xgft"
 )
@@ -15,80 +15,106 @@ import (
 // VerifyDeadlockFree checks that property constructively for an
 // arbitrary route set, so route tables loaded from files (or produced
 // by future non-minimal schemes) can be certified before simulation.
+//
+// Channel IDs are dense in [0, TotalChannels), so the graph lives in
+// flat slices indexed by the directed channel 2*wire+dir (dir 1 is
+// up): a linked adjacency list per channel in first-seen edge order,
+// a colour per channel, an explicit DFS stack. Ascending that index
+// is the (wire, down-before-up) root order a reported cycle depends
+// on.
 
-// dirChannel identifies a directed channel: wire ID plus direction.
-type dirChannel struct {
-	wire int
-	up   bool
+// cdg is a channel dependency graph under construction.
+type cdg struct {
+	head, tail []int32 // per directed channel: first and last out-edge, -1 when none
+	next, to   []int32 // per edge: the channel's next out-edge, the edge's target
+	seen       edgeSet
+	// lastFrom[b] is the source of the edge most recently added into b,
+	// -1 before the first: an exact "already have it" for the repeats a
+	// route table is made of (a destination's descent chain is the same
+	// from every source), answered without probing seen.
+	lastFrom []int32
 }
 
-// VerifyDeadlockFree builds the channel dependency graph induced by
-// the routes (an edge from channel A to channel B wherever some route
-// traverses A immediately before B) and reports an error describing a
-// cycle if one exists.
-func VerifyDeadlockFree(t *xgft.Topology, routes []xgft.Route) error {
-	adj := make(map[dirChannel][]dirChannel)
-	seenEdge := make(map[[2]dirChannel]bool)
-	for _, r := range routes {
-		var prev *dirChannel
-		r.Walk(t, func(_, _, _, wire int, up bool) {
-			cur := dirChannel{wire: wire, up: up}
-			if prev != nil {
-				e := [2]dirChannel{*prev, cur}
-				if !seenEdge[e] {
-					seenEdge[e] = true
-					adj[*prev] = append(adj[*prev], cur)
-				}
-			}
-			p := cur
-			prev = &p
-		})
+// newCDG returns an empty graph over channels directed channels.
+func newCDG(channels int) *cdg {
+	g := &cdg{head: make([]int32, channels), tail: make([]int32, channels), lastFrom: make([]int32, channels)}
+	for i := range g.head {
+		g.head[i], g.lastFrom[i] = -1, -1
 	}
-	// Iterative DFS three-coloring for cycle detection.
+	return g
+}
+
+// addEdge records that some route holds channel a while requesting b.
+func (g *cdg) addEdge(a, b int32) {
+	if g.lastFrom[b] == a {
+		return
+	}
+	g.lastFrom[b] = a
+	if !g.seen.add(uint64(a)<<32 | uint64(b)) {
+		return
+	}
+	e := int32(len(g.to))
+	g.to = append(g.to, b)
+	g.next = append(g.next, -1)
+	if g.head[a] < 0 {
+		g.head[a] = e
+	} else {
+		g.next[g.tail[a]] = e
+	}
+	g.tail[a] = e
+}
+
+// addPath records the dependencies of one route given as the directed
+// channels it traverses, in path order. Any sequence is accepted, not
+// only the up*/down* ones xgft.Route can express — which is how tests
+// hand the checker a cycle.
+func (g *cdg) addPath(path []int32) error {
+	for _, c := range path {
+		if c < 0 || int(c) >= len(g.head) {
+			return fmt.Errorf("contention: directed channel %d out of range [0,%d)", c, len(g.head))
+		}
+	}
+	for i := 1; i < len(path); i++ {
+		g.addEdge(path[i-1], path[i])
+	}
+	return nil
+}
+
+// verify reports the first dependency cycle an iterative three-colour
+// DFS meets, rooted at every channel with out-edges in ascending
+// order.
+func (g *cdg) verify() error {
 	const (
 		white = 0
 		gray  = 1
 		black = 2
 	)
-	color := make(map[dirChannel]int)
-	type frame struct {
-		node dirChannel
-		next int
-	}
-	// DFS roots in sorted order so the cycle a faulty route set is
-	// reported through does not depend on map iteration order.
-	starts := make([]dirChannel, 0, len(adj))
-	for start := range adj {
-		starts = append(starts, start)
-	}
-	sort.Slice(starts, func(i, j int) bool {
-		if starts[i].wire != starts[j].wire {
-			return starts[i].wire < starts[j].wire
-		}
-		return !starts[i].up && starts[j].up
-	})
-	for _, start := range starts {
-		if color[start] != white {
+	color := make([]uint8, len(g.head))
+	cursor := append([]int32(nil), g.head...) // per channel: next out-edge to follow
+	var stack []int32
+	for start := range g.head {
+		if g.head[start] < 0 || color[start] != white {
 			continue
 		}
-		stack := []frame{{node: start}}
 		color[start] = gray
+		stack = append(stack[:0], int32(start))
 		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.next < len(adj[f.node]) {
-				child := adj[f.node][f.next]
-				f.next++
-				switch color[child] {
-				case white:
-					color[child] = gray
-					stack = append(stack, frame{node: child})
-				case gray:
-					return fmt.Errorf("contention: channel dependency cycle through wire %d (%s) and wire %d (%s)",
-						f.node.wire, dirName(f.node.up), child.wire, dirName(child.up))
-				}
-			} else {
-				color[f.node] = black
+			node := stack[len(stack)-1]
+			e := cursor[node]
+			if e < 0 {
+				color[node] = black
 				stack = stack[:len(stack)-1]
+				continue
+			}
+			cursor[node] = g.next[e]
+			child := g.to[e]
+			switch color[child] {
+			case white:
+				color[child] = gray
+				stack = append(stack, child)
+			case gray:
+				return fmt.Errorf("contention: channel dependency cycle through wire %d (%s) and wire %d (%s)",
+					node>>1, dirName(node&1 == 1), child>>1, dirName(child&1 == 1))
 			}
 		}
 	}
@@ -100,4 +126,139 @@ func dirName(up bool) string {
 		return "up"
 	}
 	return "down"
+}
+
+// edgeSet is an open-addressed set of directed edges keyed from<<32|to
+// (stored plus one, so zero marks an empty slot).
+type edgeSet struct {
+	slots []uint64
+	n     int
+}
+
+// add inserts the edge and reports whether it was absent.
+func (s *edgeSet) add(edge uint64) bool {
+	if 2*(s.n+1) > len(s.slots) {
+		s.grow()
+	}
+	key := edge + 1
+	mask := uint64(len(s.slots) - 1)
+	for i := edgeHash(key) & mask; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = key
+			s.n++
+			return true
+		case key:
+			return false
+		}
+	}
+}
+
+func (s *edgeSet) grow() {
+	old := s.slots
+	s.slots = make([]uint64, max(1024, 2*len(old)))
+	mask := uint64(len(s.slots) - 1)
+	for _, key := range old {
+		if key == 0 {
+			continue
+		}
+		i := edgeHash(key) & mask
+		for s.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = key
+	}
+}
+
+// edgeHash spreads a key over the table (Fibonacci hashing; the high
+// bits of the product are the well-mixed ones).
+func edgeHash(key uint64) uint64 { return key * 0x9e3779b97f4a7c15 >> 32 }
+
+// Certifier accumulates the channel dependency graph of a route set
+// fed one route at a time, so a caller holding routes in another form
+// (the fabric's packed rows) certifies them without materializing
+// xgft.Route values. Feed every route with Add, then call Verify.
+type Certifier struct {
+	topo *xgft.Topology
+	g    *cdg
+	// parent[c] is the node the up channel c arrives at, one level up:
+	// the chain above a channel is a function of the channel alone, so
+	// walking a route costs a table read per level instead of
+	// Topology.Parent's divisions.
+	parent []int32
+}
+
+// NewCertifier returns an empty certifier for routes on t.
+func NewCertifier(t *xgft.Topology) (*Certifier, error) {
+	n := t.TotalChannels()
+	if n > math.MaxInt32/2 {
+		return nil, fmt.Errorf("contention: %d channels are too many to certify", n)
+	}
+	c := &Certifier{topo: t, g: newCDG(2 * n), parent: make([]int32, n)}
+	for l := 0; l < t.Height(); l++ {
+		for idx := 0; idx < t.NodesAt(l); idx++ {
+			for p := 0; p < t.W(l); p++ {
+				c.parent[t.UpChannelID(l, idx, p)] = int32(t.Parent(l, idx, p))
+			}
+		}
+	}
+	return c, nil
+}
+
+// Add records the dependencies of the route from src to dst whose
+// ascent takes up-port up[l] at level l (the descent mirrors it from
+// dst, as in xgft.Route). up is not retained. A route with an endpoint
+// or a port outside the topology is an error: its channel IDs would
+// alias other wires or fall outside [0, TotalChannels).
+func (c *Certifier) Add(src, dst int, up []int) error {
+	t := c.topo
+	if src < 0 || src >= t.Leaves() || dst < 0 || dst >= t.Leaves() {
+		return fmt.Errorf("contention: route %d->%d has an endpoint out of range [0,%d)", src, dst, t.Leaves())
+	}
+	if len(up) > t.Height() {
+		return fmt.Errorf("contention: route %d->%d climbs %d levels on a tree of height %d", src, dst, len(up), t.Height())
+	}
+	var down [xgft.MaxHeight]int32
+	prev := int32(-1)
+	a, b := src, dst // the nodes the ascent and the descent pass at level l
+	for l, p := range up {
+		if p < 0 || p >= t.W(l) {
+			return fmt.Errorf("contention: route %d->%d up-port %d at level %d out of range [0,%d)", src, dst, p, l, t.W(l))
+		}
+		ch := t.UpChannelID(l, a, p)
+		if prev >= 0 {
+			c.g.addEdge(prev, int32(2*ch+1))
+		}
+		prev = int32(2*ch + 1)
+		a = int(c.parent[ch])
+		ch = t.UpChannelID(l, b, p)
+		down[l] = int32(2 * ch)
+		b = int(c.parent[ch])
+	}
+	for l := len(up) - 1; l >= 0; l-- {
+		c.g.addEdge(prev, down[l])
+		prev = down[l]
+	}
+	return nil
+}
+
+// Verify reports an error describing a cycle if the dependencies of
+// the routes added so far contain one.
+func (c *Certifier) Verify() error { return c.g.verify() }
+
+// VerifyDeadlockFree builds the channel dependency graph induced by
+// the routes (an edge from channel A to channel B wherever some route
+// traverses A immediately before B) and reports an error describing a
+// cycle if one exists, or the first malformed route.
+func VerifyDeadlockFree(t *xgft.Topology, routes []xgft.Route) error {
+	c, err := NewCertifier(t)
+	if err != nil {
+		return err
+	}
+	for _, r := range routes {
+		if err := c.Add(r.Src, r.Dst, r.Up); err != nil {
+			return err
+		}
+	}
+	return c.Verify()
 }

@@ -49,25 +49,78 @@ func TestDeadlockFreeOnDeepTrees(t *testing.T) {
 	}
 }
 
-func TestDeadlockDetectsFabricatedCycle(t *testing.T) {
-	// Hand-build dependency edges that form a cycle by walking two
-	// fabricated "routes" that traverse channels up then down then up
-	// again is impossible through the Route API (routes are always
-	// up*/down*), so synthesize the cycle with two routes whose
-	// dependency edges chain into a loop: A->B from one route and
-	// B->A from another is also impossible for minimal routes — the
-	// checker must accept all of them. Instead verify the checker
-	// notices a cycle on a degenerate 1-switch topology where we feed
-	// it the same wire twice in both directions via two crafted
-	// routes sharing wires in opposite orders at level >= 2.
+func TestDeadlockAcceptsOppositeRoutes(t *testing.T) {
+	// A false-positive guard: two routes riding the same wires in
+	// opposite directions (0 -> 2 and 2 -> 0 through root 0) leave two
+	// disjoint dependency chains, and the checker must pass them.
 	tp := xgft.MustNew(2, []int{2, 2}, []int{1, 2})
-	// Route 1: 0 -> 2 via root 0; route 2: 2 -> 0 via root 0. Their
-	// dependency edges are disjoint chains; the graph stays acyclic
-	// and the checker must pass. This guards against false positives.
 	r1 := xgft.Route{Src: 0, Dst: 2, Up: []int{0, 0}}
 	r2 := xgft.Route{Src: 2, Dst: 0, Up: []int{0, 0}}
 	if err := VerifyDeadlockFree(tp, []xgft.Route{r1, r2}); err != nil {
 		t.Errorf("acyclic opposite routes flagged: %v", err)
+	}
+}
+
+func TestDeadlockDetectsCycle(t *testing.T) {
+	// Up*/down* routes cannot close a cycle, so the cyclic input goes in
+	// as raw directed-channel paths (2*wire+dir, dir 1 = up): three
+	// "routes" that each hold one channel while requesting the next
+	// around a ring of wires 4, 2 and 7.
+	const up4, down2, up7 = 2*4 + 1, 2 * 2, 2*7 + 1
+	g := newCDG(16)
+	for _, path := range [][]int32{{up4, down2}, {down2, up7}, {up7, up4}} {
+		if err := g.addPath(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The DFS roots at the lowest channel with out-edges (wire 2 down),
+	// walks to wire 7 up, then wire 4 up, whose edge back closes it.
+	const want = "contention: channel dependency cycle through wire 4 (up) and wire 2 (down)"
+	if err := g.verify(); err == nil || err.Error() != want {
+		t.Errorf("verify() = %v, want %q", err, want)
+	}
+	// A self-dependency is the shortest cycle.
+	g = newCDG(16)
+	if err := g.addPath([]int32{up7, up7}); err != nil {
+		t.Fatal(err)
+	}
+	const wantSelf = "contention: channel dependency cycle through wire 7 (up) and wire 7 (up)"
+	if err := g.verify(); err == nil || err.Error() != wantSelf {
+		t.Errorf("verify() = %v, want %q", err, wantSelf)
+	}
+	if err := g.addPath([]int32{3, 16}); err == nil {
+		t.Error("addPath accepted a channel outside the graph")
+	}
+}
+
+func TestDeadlockRejectsMalformedRoutes(t *testing.T) {
+	// A port digit past its radix yields a channel ID that aliases
+	// another wire or leaves [0, TotalChannels): the route must fail
+	// certification, not index out of bounds or pass.
+	tp := paperTree(t, 10)
+	for _, tc := range []struct {
+		name  string
+		route xgft.Route
+		want  string
+	}{
+		{"top-level port past the slimmed radix", xgft.Route{Src: 0, Dst: 255, Up: []int{0, 10}},
+			"contention: route 0->255 up-port 10 at level 1 out of range [0,10)"},
+		{"port far outside every wire", xgft.Route{Src: 255, Dst: 0, Up: []int{0, 1 << 20}},
+			"contention: route 255->0 up-port 1048576 at level 1 out of range [0,10)"},
+		{"negative port", xgft.Route{Src: 0, Dst: 1, Up: []int{-1}},
+			"contention: route 0->1 up-port -1 at level 0 out of range [0,1)"},
+		{"source past the leaves", xgft.Route{Src: 256, Dst: 0, Up: []int{0, 0}},
+			"contention: route 256->0 has an endpoint out of range [0,256)"},
+		{"negative destination", xgft.Route{Src: 0, Dst: -1, Up: []int{0, 0}},
+			"contention: route 0->-1 has an endpoint out of range [0,256)"},
+		{"ascent taller than the tree", xgft.Route{Src: 0, Dst: 255, Up: []int{0, 0, 0}},
+			"contention: route 0->255 climbs 3 levels on a tree of height 2"},
+	} {
+		good := xgft.Route{Src: 1, Dst: 200, Up: []int{0, 3}}
+		err := VerifyDeadlockFree(tp, []xgft.Route{good, tc.route})
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: VerifyDeadlockFree = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -20,17 +20,30 @@ type CacheKeyer interface {
 	CacheKey() string
 }
 
-// tableKey identifies one BuildTable computation. Besides the pattern
-// fingerprint it keeps the cheap exact pattern invariants (N, flow
-// count, byte total) so a 64-bit hash collision alone cannot alias two
-// different computations.
+// PatternKey is the pattern's part of a table cache key: the content
+// fingerprint plus the cheap exact invariants (N, flow count, byte
+// total), so a 64-bit hash collision alone cannot alias two different
+// computations. Computing one reads every flow twice; a caller that
+// builds many tables over one immutable pattern takes it once with
+// KeyPattern and passes it to BuildKeyed.
+type PatternKey struct {
+	n           int
+	flows       int
+	bytes       int64
+	fingerprint uint64
+}
+
+// KeyPattern computes p's cache key. The key is stale as soon as p is
+// modified.
+func KeyPattern(p *pattern.Pattern) PatternKey {
+	return PatternKey{n: p.N, flows: len(p.Flows), bytes: p.TotalBytes(), fingerprint: p.Fingerprint()}
+}
+
+// tableKey identifies one BuildTable computation.
 type tableKey struct {
 	topo    string
 	algo    string
-	n       int
-	flows   int
-	bytes   int64
-	pattern uint64
+	pattern PatternKey
 }
 
 // TableCache memoizes BuildTable results across experiment cells: the
@@ -121,21 +134,37 @@ func (c *TableCache) MemoAlgorithm(key string, build func() Algorithm) Algorithm
 // and the triple has been built before. A nil cache, a pass-through
 // cache, and a non-memoizable algorithm all fall back to BuildTable.
 func (c *TableCache) Build(t *xgft.Topology, algo Algorithm, p *pattern.Pattern) (*Table, error) {
+	keyer := c.keyer(algo)
+	if keyer == nil {
+		return BuildTable(t, algo, p)
+	}
+	return c.build(t, algo, keyer, p, KeyPattern(p))
+}
+
+// BuildKeyed is Build for a caller that already holds p's key: pk must
+// be KeyPattern(p) of the unmodified p.
+func (c *TableCache) BuildKeyed(t *xgft.Topology, algo Algorithm, p *pattern.Pattern, pk PatternKey) (*Table, error) {
+	keyer := c.keyer(algo)
+	if keyer == nil {
+		return BuildTable(t, algo, p)
+	}
+	return c.build(t, algo, keyer, p, pk)
+}
+
+// keyer returns algo's cache identity, nil when this cache does not
+// memoize it (nil or pass-through cache, non-memoizable algorithm).
+func (c *TableCache) keyer(algo Algorithm) CacheKeyer {
 	if c == nil || c.capacity <= 0 {
-		return BuildTable(t, algo, p)
+		return nil
 	}
-	keyer, ok := algo.(CacheKeyer)
-	if !ok {
-		return BuildTable(t, algo, p)
-	}
-	key := tableKey{
-		topo:    t.String(),
-		algo:    keyer.CacheKey(),
-		n:       p.N,
-		flows:   len(p.Flows),
-		bytes:   p.TotalBytes(),
-		pattern: p.Fingerprint(),
-	}
+	keyer, _ := algo.(CacheKeyer)
+	return keyer
+}
+
+// build serves a memoizable table from the cache, computing it on a
+// miss.
+func (c *TableCache) build(t *xgft.Topology, algo Algorithm, keyer CacheKeyer, p *pattern.Pattern, pk PatternKey) (*Table, error) {
+	key := tableKey{topo: t.String(), algo: keyer.CacheKey(), pattern: pk}
 	c.mu.Lock()
 	if tbl := c.entries[key]; tbl != nil {
 		c.mu.Unlock()
@@ -178,8 +207,38 @@ func (c *TableCache) Build(t *xgft.Topology, algo Algorithm, p *pattern.Pattern)
 		c.mu.Unlock()
 		close(fl.done)
 	}()
-	fl.tbl, fl.err = BuildTable(t, algo, p)
+	if col, ok := algo.(*Colored); ok {
+		fl.tbl, fl.err = c.buildOverlay(t, col, p, pk)
+	} else {
+		fl.tbl, fl.err = BuildTable(t, algo, p)
+	}
 	return fl.tbl, fl.err
+}
+
+// buildOverlay computes Colored's table as what its Route function
+// says it is — the explicit assignments, else the fallback scheme —
+// without asking the fallback for every flow again: the fallback's
+// table comes from the cache and only the assigned routes are
+// replaced and validated. The result equals BuildTable's route for
+// route.
+func (c *TableCache) buildOverlay(t *xgft.Topology, col *Colored, p *pattern.Pattern, pk PatternKey) (*Table, error) {
+	base, err := c.BuildKeyed(t, col.fallback, p, pk)
+	if err != nil {
+		return nil, err
+	}
+	tbl := &Table{Topo: t, Algo: col.Name(), Routes: append([]xgft.Route(nil), base.Routes...)}
+	for i, f := range p.Flows {
+		up, ok := col.routes[col.pairKey(f.Src, f.Dst)]
+		if !ok {
+			continue
+		}
+		r := xgft.Route{Src: f.Src, Dst: f.Dst, Up: up}
+		if err := r.Validate(t); err != nil {
+			return nil, fmt.Errorf("core: %s produced invalid route for flow %d: %w", col.Name(), i, err)
+		}
+		tbl.Routes[i] = r
+	}
+	return tbl, nil
 }
 
 // Coalesced reports how many Build calls were served by waiting on an

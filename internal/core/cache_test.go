@@ -302,3 +302,84 @@ func TestTableCacheBuildPanicUnwedges(t *testing.T) {
 		t.Fatal("retry after panic hung on the wedged in-flight entry")
 	}
 }
+
+// TestOverlayBuildMatchesBuildTable is the property the overlay build
+// rests on: a cache miss for Colored — the fallback's cached table
+// with the assigned routes laid over it — yields BuildTable's table
+// route for route, whatever the topology, the phases the optimizer was
+// given, or the pattern the table is built for (all pairs, a pattern
+// with repeated and self flows, the phases themselves).
+func TestOverlayBuildMatchesBuildTable(t *testing.T) {
+	topos := []*xgft.Topology{
+		cacheTestTopo(t),
+		xgft.MustNew(2, []int{4, 8}, []int{2, 3}),
+		xgft.MustNew(3, []int{4, 4, 4}, []int{1, 4, 2}),
+	}
+	for ti, tp := range topos {
+		n := tp.Leaves()
+		for seed := uint64(1); seed <= 4; seed++ {
+			phases := []*pattern.Pattern{
+				pattern.KeyedRandomPermutation(n, 100, seed),
+				pattern.UniformRandom(n, 3, 50, seed),
+			}
+			col := NewColored(tp, phases, ColoredConfig{Seed: seed})
+			mixed := pattern.UniformRandom(n, 2, 10, seed+7)
+			mixed.Add(3, 3, 1)
+			mixed.Flows = append(mixed.Flows, phases[0].Flows[:5]...)
+			mixed.Flows = append(mixed.Flows, mixed.Flows[:3]...)
+			for pi, p := range []*pattern.Pattern{pattern.AllToAll(n, 1), mixed, phases[1]} {
+				c := NewTableCache(4)
+				got, err := c.Build(tp, col, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := BuildTable(tp, col, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Algo != want.Algo || !got.Topo.Equal(want.Topo) || !reflect.DeepEqual(got.Routes, want.Routes) {
+					t.Fatalf("topology %d seed %d pattern %d: overlay table differs from BuildTable", ti, seed, pi)
+				}
+				// The overlay asked the cache for the fallback's table.
+				if hits, misses := c.Stats(); hits != 0 || misses != 2 || c.Len() != 2 {
+					t.Errorf("topology %d seed %d pattern %d: %d hits / %d misses / %d tables, want 0/2/2", ti, seed, pi, hits, misses, c.Len())
+				}
+			}
+		}
+	}
+}
+
+// TestBuildKeyedSharesBuildsEntries pins the once-per-caller key to
+// the per-call one: a table stored under KeyPattern(p) is the table
+// Build finds for an equal pattern, and the other way round.
+func TestBuildKeyedSharesBuildsEntries(t *testing.T) {
+	tp := cacheTestTopo(t)
+	p := pattern.AllToAll(tp.Leaves(), 1)
+	if KeyPattern(p) != KeyPattern(p.Clone()) || KeyPattern(p) == KeyPattern(pattern.AllToAll(tp.Leaves(), 2)) {
+		t.Fatal("KeyPattern is not a function of pattern content")
+	}
+	c := NewTableCache(4)
+	keyed, err := c.BuildKeyed(tp, NewDModK(tp), p, KeyPattern(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := c.Build(tp, NewDModK(tp), p.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := c.BuildKeyed(tp, NewDModK(tp), p, KeyPattern(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keyed != plain || keyed != again {
+		t.Error("Build and BuildKeyed keep separate entries for one pattern")
+	}
+	if hits, misses := c.Stats(); hits != 2 || misses != 1 {
+		t.Errorf("stats = %d hits / %d misses, want 2/1", hits, misses)
+	}
+	// A pass-through cache computes, keyed or not.
+	off := NewTableCache(0)
+	if tbl, err := off.BuildKeyed(tp, NewDModK(tp), p, KeyPattern(p)); err != nil || !reflect.DeepEqual(tbl.Routes, keyed.Routes) {
+		t.Errorf("pass-through BuildKeyed: err %v or routes differ", err)
+	}
+}

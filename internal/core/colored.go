@@ -19,7 +19,7 @@ import (
 type Colored struct {
 	topo     *xgft.Topology
 	fallback Algorithm
-	routes   map[[2]int][]int
+	routes   map[int][]int // by pairKey
 	cacheKey string
 }
 
@@ -55,7 +55,7 @@ func NewColored(t *xgft.Topology, phases []*pattern.Pattern, cfg ColoredConfig) 
 	c := &Colored{
 		topo:     t,
 		fallback: NewDModK(t),
-		routes:   make(map[[2]int][]int),
+		routes:   make(map[int][]int),
 	}
 	for _, ph := range phases {
 		c.optimizePhase(ph, cfg)
@@ -81,9 +81,13 @@ func (c *Colored) Name() string { return "colored" }
 // key encodes.
 func (c *Colored) CacheKey() string { return c.cacheKey }
 
+// pairKey indexes the assignment map by pair: one word hashes faster
+// than two, and a table build looks up every flow.
+func (c *Colored) pairKey(src, dst int) int { return src*c.topo.Leaves() + dst }
+
 // Route implements Algorithm.
 func (c *Colored) Route(src, dst int) xgft.Route {
-	if up, ok := c.routes[[2]int{src, dst}]; ok {
+	if up, ok := c.routes[c.pairKey(src, dst)]; ok {
 		return xgft.Route{Src: src, Dst: dst, Up: append([]int(nil), up...)}
 	}
 	return c.fallback.Route(src, dst)
@@ -182,7 +186,7 @@ func (c *Colored) optimizePhase(ph *pattern.Pattern, cfg ColoredConfig) {
 			continue
 		}
 		seen[key] = true
-		if prior, ok := c.routes[key]; ok {
+		if prior, ok := c.routes[c.pairKey(f.Src, f.Dst)]; ok {
 			// Fixed by an earlier phase: count its load, don't move it.
 			st.apply(f, prior, 1)
 			continue
@@ -235,7 +239,7 @@ func (c *Colored) optimizePhase(ph *pattern.Pattern, cfg ColoredConfig) {
 		}
 	}
 	for _, jb := range jobs {
-		c.routes[[2]int{jb.flow.Src, jb.flow.Dst}] = jb.cand[jb.pick]
+		c.routes[c.pairKey(jb.flow.Src, jb.flow.Dst)] = jb.cand[jb.pick]
 	}
 }
 

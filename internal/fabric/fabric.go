@@ -84,7 +84,11 @@ type Fabric struct {
 	cache *core.TableCache
 	eval  evaluate.Evaluator
 	pairs *pattern.Pattern // all-pairs probe pattern, shard fill order
-	tel   *Telemetry       // nil when telemetry is disabled
+	// pairsKey is the table-cache key of pairs. The pattern never
+	// changes, so its 65k-flow content hash is taken once here, not on
+	// every table build.
+	pairsKey core.PatternKey
+	tel      *Telemetry // nil when telemetry is disabled
 
 	m        *fabricMetrics      // nil when metrics are disabled
 	reg      *obs.Registry       // nil when metrics are disabled (LoadState instruments)
@@ -108,6 +112,8 @@ type fabricMetrics struct {
 	packedNS   *obs.Histogram // ResolveBatchPacked call latency
 	generation *obs.Gauge     // serving generation sequence
 	swaps      *obs.Counter   // generation hot-swaps installed
+	swapNS     *obs.Histogram // building a published generation, certification included
+	verifyNS   *obs.Histogram // certifying a published generation deadlock-free
 	// candIncremental counts optimizer candidates scored by delta.
 	candIncremental *obs.Counter
 }
@@ -124,6 +130,11 @@ const (
 	metricGeneration   = "fabric_generation"
 	metricSwaps        = "fabric_generation_swaps_total"
 	metricRoutesServed = "fabric_routes_served"
+	// metricSwapBuildNS and metricVerifyNS split time-to-new-generation:
+	// the whole build of each published generation, and the part of it
+	// spent certifying the route set deadlock-free.
+	metricSwapBuildNS = "fabric_swap_build_ns"
+	metricVerifyNS    = "fabric_verify_ns"
 	// metricCandIncremental counts optimizer candidates scored on the
 	// LoadState delta path rather than by a full evaluator pass.
 	metricCandIncremental = "optimize_candidates_incremental"
@@ -157,6 +168,10 @@ func SpanNames() []string {
 	return []string{spanBatchPacked, spanOptimize, spanCandidate}
 }
 
+// SwapObsNames lists the metric names that split a generation swap's
+// build time, for the documentation drift test.
+func SwapObsNames() []string { return []string{metricSwapBuildNS, metricVerifyNS} }
+
 // IncrementalObsNames lists the metric and journal-event names the
 // delta-path optimizer records, for the documentation drift test.
 func IncrementalObsNames() []string {
@@ -172,6 +187,8 @@ func newFabricMetrics(reg *obs.Registry) *fabricMetrics {
 		packedNS:   reg.Histogram(metricPackedNS, "ResolveBatchPacked whole-batch latency"),
 		generation: reg.Gauge(metricGeneration, "serving generation sequence number"),
 		swaps:      reg.Counter(metricSwaps, "generation hot-swaps installed after the initial build", 1),
+		swapNS:     reg.Histogram(metricSwapBuildNS, "building a published generation (table build or patch, packing, certification)"),
+		verifyNS:   reg.Histogram(metricVerifyNS, "certifying a published generation's route set deadlock-free"),
 		candIncremental: reg.Counter(metricCandIncremental,
 			"optimizer candidates scored incrementally against the serving LoadState", 1),
 	}
@@ -209,6 +226,7 @@ func New(cfg Config) (*Fabric, error) {
 		eval:  eval,
 		pairs: pattern.AllToAll(cfg.Topo.Leaves(), 1),
 	}
+	f.pairsKey = core.KeyPattern(f.pairs)
 	if cfg.Telemetry {
 		f.tel = newTelemetry(cfg.Topo.Leaves())
 	}
@@ -244,6 +262,8 @@ func (f *Fabric) publish(gen *Generation, reason string) {
 		if gen.stats.Seq > 0 {
 			f.m.swaps.Inc()
 		}
+		f.m.swapNS.Observe(gen.stats.BuildTime.Nanoseconds())
+		f.m.verifyNS.Observe(gen.stats.VerifyTime.Nanoseconds())
 	}
 	if f.journal != nil {
 		st := gen.stats
@@ -253,6 +273,8 @@ func (f *Fabric) publish(gen *Generation, reason string) {
 			"unreachable": st.Unreachable, "failed_wires": st.FailedWires,
 			"failed_switches": st.FailedSwitches, "cache_hit": st.CacheHit,
 			"served_prev": servedPrev,
+			"build_ns":    (st.BuildTime - st.VerifyTime).Nanoseconds(),
+			"verify_ns":   st.VerifyTime.Nanoseconds(),
 		})
 	}
 }
@@ -409,14 +431,11 @@ func (f *Fabric) ResolveBatchPackedTraced(parent trace.SpanContext, pairs [][2]i
 func (f *Fabric) buildHealthy(seq uint64) (*Generation, error) {
 	start := time.Now() //lint:allow nondeterminism generation build time is observational (journal/metrics only)
 	h0, _ := f.cache.Stats()
-	tbl, err := f.cache.Build(f.topo, f.algo, f.pairs)
+	tbl, err := f.buildTable(f.algo)
 	if err != nil {
 		return nil, err
 	}
 	h1, _ := f.cache.Stats()
-	if err := contention.VerifyDeadlockFree(f.topo, tbl.Routes); err != nil {
-		return nil, fmt.Errorf("fabric: healthy table rejected: %w", err)
-	}
 	n := f.topo.Leaves()
 	shards := make([][]uint64, n)
 	for s := range shards {
@@ -425,18 +444,57 @@ func (f *Fabric) buildHealthy(seq uint64) (*Generation, error) {
 	for i, fl := range f.pairs.Flows {
 		shards[fl.Src][fl.Dst] = packRoute(tbl.Routes[i])
 	}
-	return &Generation{
+	gen := &Generation{
 		topo:   f.topo,
 		view:   xgft.NewView(f.topo),
 		shards: shards,
 		stats: Stats{
-			Seq:       seq,
-			Algo:      f.algo.Name(),
-			Routes:    len(f.pairs.Flows),
-			CacheHit:  h1 > h0,
-			BuildTime: time.Since(start), //lint:allow nondeterminism generation build time is observational (journal/metrics only)
+			Seq:      seq,
+			Algo:     f.algo.Name(),
+			Routes:   len(f.pairs.Flows),
+			CacheHit: h1 > h0,
 		},
-	}, nil
+	}
+	if err := f.certify(gen, start); err != nil {
+		return nil, fmt.Errorf("fabric: healthy table rejected: %w", err)
+	}
+	return gen, nil
+}
+
+// buildTable returns algo's healthy all-pairs table through the cache.
+func (f *Fabric) buildTable(algo core.Algorithm) (*core.Table, error) {
+	return f.cache.BuildKeyed(f.topo, algo, f.pairs, f.pairsKey)
+}
+
+// certify is the gate every generation passes before it is published:
+// the channel-dependency graph of its entire route set is built and
+// checked acyclic. The routes are fed straight from the packed rows
+// about to be served, decoded through one reused ascent buffer. It
+// closes the generation's build clock, opened at start.
+func (f *Fabric) certify(gen *Generation, start time.Time) error {
+	verifyStart := time.Now() //lint:allow nondeterminism certification time is observational (journal/metrics only)
+	c, err := contention.NewCertifier(f.topo)
+	if err != nil {
+		return err
+	}
+	var buf [maxHeight]int
+	for s, row := range gen.shards {
+		for d, packed := range row {
+			if s == d || packed == PackedUnreachable {
+				continue
+			}
+			if err := c.Add(s, d, AppendPackedUp(packed, buf[:0])); err != nil {
+				return err
+			}
+		}
+	}
+	if err := c.Verify(); err != nil {
+		return err
+	}
+	end := time.Now() //lint:allow nondeterminism generation build time is observational (journal/metrics only)
+	gen.stats.VerifyTime = end.Sub(verifyStart)
+	gen.stats.BuildTime = end.Sub(start)
+	return nil
 }
 
 // FailLink fails the wire leaving switch (level, index) through
@@ -489,7 +547,7 @@ func (f *Fabric) reject(op, what string, err error) {
 // patch builds cur's successor under the (strictly larger) fault
 // view. Only routes that traverse a newly failed wire are recomputed;
 // untouched source shards are shared with cur. The patched route set
-// must pass VerifyDeadlockFree or the swap is refused.
+// must pass certify or the swap is refused.
 func (f *Fabric) patch(cur *Generation, view *xgft.View) (*Generation, error) {
 	start := time.Now() //lint:allow nondeterminism patch build time is observational (journal/metrics only)
 	n := f.topo.Leaves()
@@ -539,10 +597,9 @@ func (f *Fabric) patch(cur *Generation, view *xgft.View) (*Generation, error) {
 			FailedSwitches: len(view.FailedSwitches()),
 		},
 	}
-	if err := contention.VerifyDeadlockFree(f.topo, gen.Routes()); err != nil {
+	if err := f.certify(gen, start); err != nil {
 		return nil, fmt.Errorf("fabric: patched table rejected, keeping generation %d: %w", cur.stats.Seq, err)
 	}
-	gen.stats.BuildTime = time.Since(start) //lint:allow nondeterminism patch build time is observational (journal/metrics only)
 	return gen, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/contention"
 	"repro/internal/core"
@@ -305,6 +306,57 @@ func TestPackedRouteOKMatchesView(t *testing.T) {
 			if got, want := packedRouteOK(v, tp, s, d, gen.shards[s][d]), v.RouteOK(r); got != want {
 				t.Fatalf("packedRouteOK(%d,%d) = %v, RouteOK = %v for %v", s, d, got, want, r)
 			}
+		}
+	}
+}
+
+// TestCertifyReadsThePackedRows pins what the publish gate certifies:
+// the words about to be served, all of them. A generation certifies
+// exactly when its materialized route set does, and one malformed word
+// anywhere in the rows refuses the whole generation.
+func TestCertifyReadsThePackedRows(t *testing.T) {
+	f := testFabric(t, core.NewDModK)
+	if _, err := f.FailLink(1, 2, 3); err != nil {
+		t.Fatal(err)
+	}
+	gen := f.Generation()
+	if err := contention.VerifyDeadlockFree(f.topo, gen.Routes()); err != nil {
+		t.Fatal(err)
+	}
+	if gen.stats.VerifyTime <= 0 || gen.stats.VerifyTime > gen.stats.BuildTime {
+		t.Errorf("VerifyTime %v outside BuildTime %v", gen.stats.VerifyTime, gen.stats.BuildTime)
+	}
+	n := f.topo.Leaves()
+	bad := &Generation{topo: gen.topo, view: gen.view, shards: append([][]uint64(nil), gen.shards...)}
+	bad.shards[n-1] = append([]uint64(nil), gen.shards[n-1]...)
+	bad.shards[n-1][0] = 2<<levelShift | 200<<8 // top-level port 200 of 8
+	err := f.certify(bad, time.Now())
+	const want = "contention: route 63->0 up-port 200 at level 1 out of range [0,8)"
+	if err == nil || err.Error() != want {
+		t.Errorf("certify(malformed last row) = %v, want %q", err, want)
+	}
+}
+
+// TestRoutesAllocatesTwice holds Generation.Routes to its arena: the
+// route slice and one backing array for every ascent, whatever the
+// table size.
+func TestRoutesAllocatesTwice(t *testing.T) {
+	f := testFabric(t, func(tp *xgft.Topology) core.Algorithm { return core.NewRandomNCAUp(tp, 3) })
+	if _, err := f.FailSwitch(1, 0); err != nil { // some pairs unreachable
+		t.Fatal(err)
+	}
+	gen := f.Generation()
+	if allocs := testing.AllocsPerRun(10, func() { gen.Routes() }); allocs > 2 {
+		t.Errorf("Routes() allocates %v times, want 2", allocs)
+	}
+	routes := gen.Routes()
+	if len(routes) != gen.stats.Routes || gen.stats.Unreachable == 0 {
+		t.Fatalf("%d routes, stats %+v", len(routes), gen.stats)
+	}
+	for _, r := range routes {
+		want, ok := gen.Resolve(r.Src, r.Dst)
+		if !ok || !routeEqual(r, want) || cap(r.Up) != len(r.Up) {
+			t.Fatalf("Routes() has %+v (cap %d), Resolve gives %+v, %v", r, cap(r.Up), want, ok)
 		}
 	}
 }

@@ -45,6 +45,9 @@ type Stats struct {
 	// BuildTime is the wall time spent compiling, patching and
 	// verifying the generation before it was swapped in.
 	BuildTime time.Duration
+	// VerifyTime is the part of BuildTime spent certifying the
+	// generation's route set deadlock-free.
+	VerifyTime time.Duration
 }
 
 // Generation is one immutable epoch of the fabric's route store: an
@@ -230,18 +233,20 @@ func (g *Generation) ResolveBatchPacked(pairs [][2]int, out []uint64) (resolved 
 
 // Routes decodes every resolvable non-self route of the generation,
 // in (src, dst) order — the full table a subnet manager would
-// install, and the input VerifyDeadlockFree certifies.
+// install. As in ResolveBatch the ascents share one backing arena
+// (each route owns a full-capacity subrange), so the call allocates
+// twice whatever the table size.
 func (g *Generation) Routes() []xgft.Route {
-	n := g.topo.Leaves()
 	out := make([]xgft.Route, 0, g.stats.Routes)
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s == d {
+	arena := make([]int, 0, g.stats.Routes*g.topo.Height())
+	for s, row := range g.shards {
+		for d, packed := range row {
+			if s == d || packed == PackedUnreachable {
 				continue
 			}
-			if r, ok := g.Resolve(s, d); ok {
-				out = append(out, r)
-			}
+			start := len(arena)
+			arena = AppendPackedUp(packed, arena)
+			out = append(out, xgft.Route{Src: s, Dst: d, Up: arena[start:len(arena):len(arena)]})
 		}
 	}
 	return out

@@ -123,6 +123,24 @@ func TestFabricMetricsAndJournal(t *testing.T) {
 	if strings.Join(types, ",") != strings.Join(want, ",") {
 		t.Fatalf("journal types = %v, want %v", types, want)
 	}
+	// Every swap says where its build time went: the certification
+	// share and the rest sum to the event's duration, and both
+	// histograms saw each of the four published generations.
+	for _, ev := range jnl.Tail(0) {
+		if ev.Type != "generation.swap" {
+			continue
+		}
+		build, okB := ev.Fields["build_ns"].(int64)
+		verify, okV := ev.Fields["verify_ns"].(int64)
+		if !okB || !okV || verify <= 0 || build <= 0 || build+verify != ev.Dur.Nanoseconds() {
+			t.Errorf("swap event %d: build_ns=%v verify_ns=%v dur=%v", ev.Seq, ev.Fields["build_ns"], ev.Fields["verify_ns"], ev.Dur)
+		}
+	}
+	for _, name := range SwapObsNames() {
+		if got := snap[name+"_count"]; got != 4 {
+			t.Errorf("%s_count = %v, want 4 (initial + 3 swaps)", name, got)
+		}
+	}
 
 	// An optimize pass journals swap-then-decision.
 	for s := 0; s < 4; s++ {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/contention"
 	"repro/internal/core"
 	"repro/internal/evaluate"
 	"repro/internal/pattern"
@@ -224,7 +223,7 @@ func (f *Fabric) Optimize(cfg OptimizeConfig) (res OptimizeResult, err error) {
 	var bestTbl *core.Table
 	for _, cand := range f.candidates(obs, cfg.Seed) {
 		cs := f.tracer.StartChild(sp.Context(), spanCandidate)
-		tbl, err := f.cache.Build(f.topo, cand, f.pairs)
+		tbl, err := f.buildTable(cand)
 		if err != nil {
 			cs.End()
 			return res, fmt.Errorf("fabric: candidate %s: %w", cand.Name(), err)
@@ -473,7 +472,7 @@ func (f *Fabric) scoreRoutes(obs *pattern.Pattern, route func(s, d int) (xgft.Ro
 // under the given fault view: core.PatchTable (the same repair path
 // FailLink uses) reroutes the routes riding failed wires and marks
 // pairs with no surviving minimal path, which pack to the unreachable
-// sentinel. The result must pass VerifyDeadlockFree or installation
+// sentinel. The result must pass certify or installation
 // is refused.
 func (f *Fabric) genFromTable(tbl *core.Table, view *xgft.View, seq uint64, algoName string) (*Generation, error) {
 	start := time.Now() //lint:allow nondeterminism candidate build time is observational (journal/metrics only)
@@ -508,10 +507,9 @@ func (f *Fabric) genFromTable(tbl *core.Table, view *xgft.View, seq uint64, algo
 			FailedSwitches: len(view.FailedSwitches()),
 		},
 	}
-	if err := contention.VerifyDeadlockFree(f.topo, gen.Routes()); err != nil {
+	if err := f.certify(gen, start); err != nil {
 		return nil, fmt.Errorf("fabric: candidate table rejected: %w", err)
 	}
-	gen.stats.BuildTime = time.Since(start) //lint:allow nondeterminism candidate build time is observational (journal/metrics only)
 	return gen, nil
 }
 
@@ -520,7 +518,7 @@ func (f *Fabric) genFromTable(tbl *core.Table, view *xgft.View, seq uint64, algo
 // are unchanged are shared with cur, and a row is cloned
 // copy-on-write the first time one of its routes differs. The route
 // set still flows through core.PatchTable (the same repair machinery)
-// and the full VerifyDeadlockFree gate; only the packing is
+// and the full certify gate; only the packing is
 // differential. Returns the number of packed routes that changed.
 func (f *Fabric) genFromTableDelta(tbl *core.Table, view *xgft.View, cur *Generation, algoName string) (*Generation, int, error) {
 	start := time.Now() //lint:allow nondeterminism candidate build time is observational (journal/metrics only)
@@ -561,10 +559,9 @@ func (f *Fabric) genFromTableDelta(tbl *core.Table, view *xgft.View, cur *Genera
 			FailedSwitches: len(view.FailedSwitches()),
 		},
 	}
-	if err := contention.VerifyDeadlockFree(f.topo, gen.Routes()); err != nil {
+	if err := f.certify(gen, start); err != nil {
 		return nil, 0, fmt.Errorf("fabric: candidate table rejected: %w", err)
 	}
-	gen.stats.BuildTime = time.Since(start) //lint:allow nondeterminism candidate build time is observational (journal/metrics only)
 	return gen, touched, nil
 }
 

@@ -10,7 +10,9 @@
 # `baseline` runs the hot-path benchmarks (ResolveBatch and the packed
 # variant, wire encode/decode and end-to-end, evaluator cache, the
 # incremental-evaluation paths: LoadState route deltas, incremental vs
-# full Optimize, incremental vs full-rescore placement) with
+# full Optimize, incremental vs full-rescore placement, and the
+# control plane's time-to-new-generation: FailLink swap, Heal, and the
+# deadlock certification both contain) with
 # -count=5 and commits the min-of-runs ns/op per benchmark to
 # scripts/bench_baseline.json; `gate` repeats the run and fails (via
 # cmd/benchgate) when any gated benchmark regressed more than 10%
@@ -29,8 +31,8 @@ cd "$(dirname "$0")/.."
 # (internal/benchcal) that benchgate divides out. Anchored so e.g.
 # ResolveBatch does not also pull in every sized variant that may
 # appear later.
-gate_bench='^(BenchmarkResolveBatch|BenchmarkResolveBatchPackedTraced|BenchmarkResolveBatchPacked|BenchmarkResolveBatchPackedObserved|BenchmarkWireEncodeRequest|BenchmarkWireDecodeRequest|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkWireResolveEndToEnd|BenchmarkCachedScoreHit|BenchmarkCachedScoreRoutesHit|BenchmarkApplyRouteDelta|BenchmarkOptimizeIncremental|BenchmarkOptimizeFullRebuild|BenchmarkPlaceIncremental|BenchmarkPlaceFullRescore|BenchmarkCalibration)$'
-gate_pkgs='./internal/fabric ./internal/wire ./internal/evaluate ./internal/sched'
+gate_bench='^(BenchmarkResolveBatch|BenchmarkResolveBatchPackedTraced|BenchmarkResolveBatchPacked|BenchmarkResolveBatchPackedObserved|BenchmarkWireEncodeRequest|BenchmarkWireDecodeRequest|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkWireResolveEndToEnd|BenchmarkCachedScoreHit|BenchmarkCachedScoreRoutesHit|BenchmarkApplyRouteDelta|BenchmarkOptimizeIncremental|BenchmarkOptimizeFullRebuild|BenchmarkPlaceIncremental|BenchmarkPlaceFullRescore|BenchmarkFailLinkSwap|BenchmarkHeal|BenchmarkVerifyDeadlockFree|BenchmarkCalibration)$'
+gate_pkgs='./internal/fabric ./internal/wire ./internal/evaluate ./internal/sched ./internal/contention'
 
 run_gated() {
     # -benchtime=100ms gives every benchmark hundreds-to-thousands of
