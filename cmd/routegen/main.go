@@ -85,11 +85,7 @@ func run(spec, algoName, patName string, seed uint64, bytes int64, dump bool, ta
 		if err != nil {
 			return err
 		}
-		xb := contention.CrossbarBound(p)
-		slow := 1.0
-		if xb > 0 {
-			slow = float64(a.CompletionBound()) / float64(xb)
-		}
+		slow := contention.Ratio(a.CompletionBound(), a.CrossbarBound())
 		fmt.Printf("phase %d: %d flows, endpoint contention %d, network contention %d, max flows/channel %d, analytic slowdown %.2f\n",
 			pi+1, len(p.Flows), a.MaxEndpointContention(), a.MaxNetworkContention(), a.MaxFlowsPerChannel(), slow)
 		if dump {

@@ -26,9 +26,8 @@ func TestSpanInventoryDocumented(t *testing.T) {
 	}
 	// The incremental-evaluation instruments ride the same drift
 	// check: the "Incremental evaluation" docs sections must name
-	// every metric and journal event the delta paths record.
+	// every metric the placement delta path records.
 	inventory = append(inventory, evaluate.DeltaMetricNames()...)
-	inventory = append(inventory, fabric.IncrementalObsNames()...)
 	// So do the histograms that split time-to-new-generation.
 	inventory = append(inventory, fabric.SwapObsNames()...)
 

@@ -15,15 +15,37 @@ import (
 // not CI-runner speed.
 func BenchmarkCalibration(b *testing.B) { benchcal.Bench(b) }
 
-// BenchmarkVerifyDeadlockFree certifies the all-pairs d-mod-k table of
-// the paper's slimmed tree XGFT(2;16,16;1,10) — the 65 280 routes
-// every generation the fabric publishes is checked over.
-func BenchmarkVerifyDeadlockFree(b *testing.B) {
+// allPairsTable is the all-pairs d-mod-k table of the paper's slimmed
+// tree XGFT(2;16,16;1,10) — the 65 280 routes every generation the
+// fabric publishes is certified over and every Optimize candidate is
+// scored on when all pairs are observed.
+func allPairsTable(b *testing.B) (*xgft.Topology, *pattern.Pattern, *core.Table) {
+	b.Helper()
 	tp := xgft.MustNew(2, []int{16, 16}, []int{1, 10})
-	tbl, err := core.BuildTable(tp, core.NewDModK(tp), pattern.AllToAll(tp.Leaves(), 1))
+	p := pattern.AllToAll(tp.Leaves(), 1)
+	tbl, err := core.BuildTable(tp, core.NewDModK(tp), p)
 	if err != nil {
 		b.Fatal(err)
 	}
+	return tp, p, tbl
+}
+
+// BenchmarkAnalyze prices the full census (byte loads, then the flow
+// and group counts) of the all-pairs table.
+func BenchmarkAnalyze(b *testing.B) {
+	tp, p, tbl := allPairsTable(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Analyze(tp, p, tbl.Routes); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVerifyDeadlockFree certifies the all-pairs table.
+func BenchmarkVerifyDeadlockFree(b *testing.B) {
+	tp, _, tbl := allPairsTable(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

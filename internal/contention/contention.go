@@ -14,49 +14,54 @@ import (
 	"repro/internal/xgft"
 )
 
-// Analysis is the result of Analyze: per-channel byte totals, flow
-// counts and endpoint-group counts, plus per-adapter injection and
-// ejection totals.
+// Loads is the byte half of the census: what every serialized resource
+// (wire direction, injection adapter, ejection adapter) must move. It
+// is all the analytic bound of §VI-B reads, so byte-only consumers (the
+// analytic evaluator, evaluate.LoadState) stop here and skip the §IV
+// flow and group counts Analyze adds on top.
+type Loads struct {
+	UpBytes   []int64 // per channel, ascending direction
+	DownBytes []int64 // per channel, descending direction
+
+	InjectBytes []int64 // per leaf, self-flows excluded
+	EjectBytes  []int64 // per leaf
+}
+
+// Analysis is the result of Analyze: the byte loads plus per-channel
+// flow counts and endpoint-group counts, and per-adapter degrees.
 type Analysis struct {
 	Topo *xgft.Topology
+	Loads
 
-	UpBytes    []int64 // per channel, ascending direction
-	DownBytes  []int64 // per channel, descending direction
 	UpFlows    []int
 	DownFlows  []int
 	UpGroups   []int // distinct sources using the up channel
 	DownGroups []int // distinct destinations using the down channel
 
-	InjectBytes []int64 // per leaf
-	EjectBytes  []int64 // per leaf
-	OutDegree   []int
-	InDegree    []int
+	OutDegree []int // per leaf
+	InDegree  []int
 }
 
-// Analyze computes the census of a routed pattern. routes must be
-// aligned with p.Flows (as produced by core.BuildTable). Self-flows
-// are skipped.
-func Analyze(t *xgft.Topology, p *pattern.Pattern, routes []xgft.Route) (*Analysis, error) {
+// ByteLoads computes the byte census of a routed pattern — the one
+// place routed input is validated: routes must be aligned with p.Flows
+// (as produced by core.BuildTable) and match their endpoints, every
+// endpoint must be a leaf of t, and every ascent must fit the
+// topology's height and port radices. Self-flows are skipped.
+func ByteLoads(t *xgft.Topology, p *pattern.Pattern, routes []xgft.Route) (*Loads, error) {
 	if len(routes) != len(p.Flows) {
 		return nil, fmt.Errorf("contention: %d routes for %d flows", len(routes), len(p.Flows))
 	}
-	n := t.TotalChannels()
-	a := &Analysis{
-		Topo:        t,
-		UpBytes:     make([]int64, n),
-		DownBytes:   make([]int64, n),
-		UpFlows:     make([]int, n),
-		DownFlows:   make([]int, n),
-		UpGroups:    make([]int, n),
-		DownGroups:  make([]int, n),
-		InjectBytes: p.BytesOut(),
-		EjectBytes:  p.BytesIn(),
-		OutDegree:   p.OutDegree(),
-		InDegree:    p.InDegree(),
+	n, c := t.Leaves(), t.TotalChannels()
+	l := &Loads{
+		UpBytes:     make([]int64, c),
+		DownBytes:   make([]int64, c),
+		InjectBytes: make([]int64, n),
+		EjectBytes:  make([]int64, n),
 	}
-	upSeen := make(map[groupKey]bool)
-	downSeen := make(map[groupKey]bool)
 	for i, f := range p.Flows {
+		if f.Src < 0 || f.Src >= n || f.Dst < 0 || f.Dst >= n {
+			return nil, fmt.Errorf("contention: flow %d endpoints (%d,%d) out of range [0,%d)", i, f.Src, f.Dst, n)
+		}
 		if f.Src == f.Dst {
 			continue
 		}
@@ -64,50 +69,103 @@ func Analyze(t *xgft.Topology, p *pattern.Pattern, routes []xgft.Route) (*Analys
 		if r.Src != f.Src || r.Dst != f.Dst {
 			return nil, fmt.Errorf("contention: route %d endpoints (%d,%d) do not match flow (%d,%d)", i, r.Src, r.Dst, f.Src, f.Dst)
 		}
-		r.Walk(t, func(_, _, _, ch int, up bool) {
-			if up {
-				a.UpBytes[ch] += f.Bytes
-				a.UpFlows[ch]++
-				k := groupKey{ch: ch, endpoint: f.Src}
-				if !upSeen[k] {
-					upSeen[k] = true
-					a.UpGroups[ch]++
-				}
-			} else {
-				a.DownBytes[ch] += f.Bytes
-				a.DownFlows[ch]++
-				k := groupKey{ch: ch, endpoint: f.Dst}
-				if !downSeen[k] {
-					downSeen[k] = true
-					a.DownGroups[ch]++
-				}
+		if len(r.Up) > t.Height() {
+			return nil, fmt.Errorf("contention: route %d ascends %d levels in a tree of height %d", i, len(r.Up), t.Height())
+		}
+		l.InjectBytes[f.Src] += f.Bytes
+		l.EjectBytes[f.Dst] += f.Bytes
+		// The descent visits the ancestors of Dst below the NCA, so both
+		// halves climb with the same ports; a wire is numbered by its
+		// child-side node (xgft.Route.Walk's convention).
+		up, dn := f.Src, f.Dst
+		for lv, port := range r.Up {
+			if port < 0 || port >= t.W(lv) {
+				return nil, fmt.Errorf("contention: route %d up-port %d at level %d out of range [0,%d)", i, port, lv, t.W(lv))
 			}
-		})
+			l.UpBytes[t.UpChannelID(lv, up, port)] += f.Bytes
+			l.DownBytes[t.UpChannelID(lv, dn, port)] += f.Bytes
+			up, dn = t.Parent(lv, up, port), t.Parent(lv, dn, port)
+		}
 	}
+	return l, nil
+}
+
+// Analyze computes the full census of a routed pattern: ByteLoads (and
+// its validation) plus the §IV flow and endpoint-group counts.
+func Analyze(t *xgft.Topology, p *pattern.Pattern, routes []xgft.Route) (*Analysis, error) {
+	l, err := ByteLoads(t, p, routes)
+	if err != nil {
+		return nil, err
+	}
+	a := &Analysis{Topo: t, Loads: *l}
+	a.UpFlows, a.UpGroups, a.OutDegree = countGroups(t, p, routes, true)
+	a.DownFlows, a.DownGroups, a.InDegree = countGroups(t, p, routes, false)
 	return a, nil
 }
 
-type groupKey struct {
-	ch       int
-	endpoint int
+// countGroups counts, for one direction, the flows and the distinct
+// endpoint groups (sources going up, destinations coming down) on every
+// channel, plus each leaf's flow degree. Flows are visited bucketed by
+// that endpoint, so a channel has already counted the current group
+// exactly when the last endpoint stamped on it is the current one — no
+// (channel, endpoint) set is ever materialized. Input was validated by
+// ByteLoads.
+func countGroups(t *xgft.Topology, p *pattern.Pattern, routes []xgft.Route, up bool) (flows, groups, degree []int) {
+	end := func(f pattern.Flow) int {
+		if up {
+			return f.Src
+		}
+		return f.Dst
+	}
+	// Counting sort of the flow indices by endpoint: degree doubles as
+	// the bucket sizes.
+	n := t.Leaves()
+	degree = make([]int, n)
+	routed := 0
+	for _, f := range p.Flows {
+		if f.Src != f.Dst {
+			degree[end(f)]++
+			routed++
+		}
+	}
+	next := make([]int, n)
+	for e, off := 0, 0; e < n; e++ {
+		next[e] = off
+		off += degree[e]
+	}
+	order := make([]int, routed)
+	for i, f := range p.Flows {
+		if f.Src != f.Dst {
+			e := end(f)
+			order[next[e]] = i
+			next[e]++
+		}
+	}
+
+	c := t.TotalChannels()
+	flows, groups = make([]int, c), make([]int, c)
+	stamp := make([]int, c) // last endpoint seen on the channel, plus one
+	for _, i := range order {
+		e := end(p.Flows[i])
+		node := e
+		for lv, port := range routes[i].Up {
+			ch := t.UpChannelID(lv, node, port)
+			flows[ch]++
+			if stamp[ch] != e+1 {
+				stamp[ch] = e + 1
+				groups[ch]++
+			}
+			node = t.Parent(lv, node, port)
+		}
+	}
+	return flows, groups, degree
 }
 
 // MaxEndpointContention returns the paper's §IV endpoint contention:
 // the largest number of messages produced by or destined to a single
 // node.
 func (a *Analysis) MaxEndpointContention() int {
-	max := 0
-	for _, d := range a.OutDegree {
-		if d > max {
-			max = d
-		}
-	}
-	for _, d := range a.InDegree {
-		if d > max {
-			max = d
-		}
-	}
-	return max
+	return maxOf(a.OutDegree, a.InDegree)
 }
 
 // MaxNetworkContention returns the largest endpoint-group count over
@@ -115,82 +173,46 @@ func (a *Analysis) MaxEndpointContention() int {
 // value of 1 means no two independently-serialized flows ever share a
 // channel (the pattern is routed without blocking).
 func (a *Analysis) MaxNetworkContention() int {
-	max := 0
-	for _, g := range a.UpGroups {
-		if g > max {
-			max = g
-		}
-	}
-	for _, g := range a.DownGroups {
-		if g > max {
-			max = g
-		}
-	}
-	return max
+	return maxOf(a.UpGroups, a.DownGroups)
 }
 
 // MaxFlowsPerChannel returns the classic (endpoint-blind) congestion
 // figure the paper argues against using alone.
 func (a *Analysis) MaxFlowsPerChannel() int {
-	max := 0
-	for _, f := range a.UpFlows {
-		if f > max {
-			max = f
-		}
-	}
-	for _, f := range a.DownFlows {
-		if f > max {
-			max = f
-		}
-	}
-	return max
+	return maxOf(a.UpFlows, a.DownFlows)
 }
 
 // CompletionBound returns the congestion lower bound on completion
 // time in bytes: the largest byte total any single serialized
 // resource (injection adapter, wire direction, ejection adapter)
 // must move. Divide by link bandwidth for seconds.
-func (a *Analysis) CompletionBound() int64 {
-	var max int64
-	for _, b := range a.InjectBytes {
-		if b > max {
-			max = b
-		}
-	}
-	for _, b := range a.EjectBytes {
-		if b > max {
-			max = b
-		}
-	}
-	for _, b := range a.UpBytes {
-		if b > max {
-			max = b
-		}
-	}
-	for _, b := range a.DownBytes {
-		if b > max {
-			max = b
-		}
-	}
-	return max
+func (l *Loads) CompletionBound() int64 {
+	return maxOf(l.InjectBytes, l.EjectBytes, l.UpBytes, l.DownBytes)
 }
 
 // CrossbarBound returns the completion bound of the same pattern on
 // the ideal single-stage crossbar: only injection and ejection
 // serialize.
+func (l *Loads) CrossbarBound() int64 {
+	return maxOf(l.InjectBytes, l.EjectBytes)
+}
+
+// CrossbarBound is Loads.CrossbarBound from the pattern alone, for
+// callers that hold no routes.
 func CrossbarBound(p *pattern.Pattern) int64 {
-	var max int64
-	for _, b := range p.BytesOut() {
-		if b > max {
-			max = b
+	return maxOf(p.BytesOut(), p.BytesIn())
+}
+
+// maxOf returns the largest element of the given slices, 0 when there
+// is none (loads and counts are non-negative).
+func maxOf[T int | int64](vs ...[]T) T {
+	var m T
+	for _, s := range vs {
+		for _, v := range s {
+			m = max(m, v)
 		}
 	}
-	for _, b := range p.BytesIn() {
-		if b > max {
-			max = b
-		}
-	}
-	return max
+	return m
 }
 
 // GroupProfile returns the sorted multiset of group counts of the

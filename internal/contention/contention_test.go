@@ -70,6 +70,23 @@ func TestAnalyzeMismatches(t *testing.T) {
 	if _, err := Analyze(tp, p, wrong); err == nil {
 		t.Error("misaligned route endpoints accepted")
 	}
+	// Pattern.Flows is an exported slice callers append to directly, so
+	// an endpoint outside the tree must be an error, not an index panic
+	// — on either side, at either end of the range.
+	for _, ends := range [][2]int{{256, 3}, {3, 256}, {-1, 3}, {3, -1}} {
+		q := &pattern.Pattern{N: 512, Flows: []pattern.Flow{{Src: ends[0], Dst: ends[1], Bytes: 1}}}
+		r := []xgft.Route{{Src: ends[0], Dst: ends[1], Up: []int{0, 0}}}
+		if _, err := Analyze(tp, q, r); err == nil {
+			t.Errorf("flow (%d,%d) outside [0,256) accepted", ends[0], ends[1])
+		}
+	}
+	// A route the tree cannot hold: too many levels, or a port past its
+	// level's radix.
+	for _, up := range [][]int{{0, 0, 0}, {1, 0}, {0, 16}, {0, -1}} {
+		if _, err := Analyze(tp, p, []xgft.Route{{Src: 0, Dst: 16, Up: up}}); err == nil {
+			t.Errorf("ascent %v accepted on %v", up, tp)
+		}
+	}
 }
 
 func TestEndpointVsNetworkContention(t *testing.T) {
@@ -243,7 +260,7 @@ func TestSlowdownAtLeastOne(t *testing.T) {
 func TestPhaseBounds(t *testing.T) {
 	tp := paperTree(t, 16)
 	phases := pattern.CGD128Phases()
-	network, crossbar, err := PhaseBounds(tp, core.NewDModK(tp), phases)
+	network, crossbar, err := PhaseBoundsCached(nil, tp, core.NewDModK(tp), phases)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,93 +8,13 @@ import (
 	"repro/internal/xgft"
 )
 
-// Slowdown computes the analytic slowdown of one communication phase
-// under a routing algorithm: the congestion completion bound on the
-// topology divided by the same bound on the ideal full crossbar
-// (the paper's normalization, §VI-B). The result is >= 1 up to
-// floating-point for any minimal routing.
-func Slowdown(t *xgft.Topology, algo core.Algorithm, p *pattern.Pattern) (float64, error) {
-	return SlowdownCached(nil, t, algo, p)
-}
-
-// SlowdownCached is Slowdown with the routing table served from (and
-// stored into) the given cache; a nil cache recomputes.
-func SlowdownCached(c *core.TableCache, t *xgft.Topology, algo core.Algorithm, p *pattern.Pattern) (float64, error) {
-	tbl, err := c.Build(t, algo, p)
-	if err != nil {
-		return 0, err
-	}
-	a, err := Analyze(t, p, tbl.Routes)
-	if err != nil {
-		return 0, err
-	}
-	xb := CrossbarBound(p)
-	if xb == 0 {
-		return 1, nil // pattern without network traffic
-	}
-	return float64(a.CompletionBound()) / float64(xb), nil
-}
-
-// SlowdownRoutes computes the analytic slowdown of one phase from an
-// explicit route set (as produced by core.PatchTable on a degraded
-// view) instead of from an algorithm: routes must be aligned with
-// p.Flows. This is the degraded-fabric path — the healthy-table cache
-// cannot serve patched tables.
-func SlowdownRoutes(t *xgft.Topology, p *pattern.Pattern, routes []xgft.Route) (float64, error) {
-	a, err := Analyze(t, p, routes)
-	if err != nil {
-		return 0, err
-	}
-	xb := CrossbarBound(p)
-	if xb == 0 {
-		return 1, nil
-	}
-	return float64(a.CompletionBound()) / float64(xb), nil
-}
-
-// PhasedSlowdown computes the slowdown of a sequence of dependent
-// communication phases (e.g. CG's five exchanges): total bound over
-// the phases divided by the total crossbar bound. Phases are assumed
-// separated by synchronization, so their times add.
-func PhasedSlowdown(t *xgft.Topology, algo core.Algorithm, phases []*pattern.Pattern) (float64, error) {
-	return PhasedSlowdownCached(nil, t, algo, phases)
-}
-
-// PhasedSlowdownCached is PhasedSlowdown with table memoization; a
-// nil cache recomputes.
-func PhasedSlowdownCached(c *core.TableCache, t *xgft.Topology, algo core.Algorithm, phases []*pattern.Pattern) (float64, error) {
-	if len(phases) == 0 {
-		return 0, fmt.Errorf("contention: no phases")
-	}
-	var network, crossbar int64
-	for _, p := range phases {
-		tbl, err := c.Build(t, algo, p)
-		if err != nil {
-			return 0, err
-		}
-		a, err := Analyze(t, p, tbl.Routes)
-		if err != nil {
-			return 0, err
-		}
-		xb := CrossbarBound(p)
-		network += a.CompletionBound()
-		crossbar += xb
-	}
-	if crossbar == 0 {
-		return 1, nil
-	}
-	return float64(network) / float64(crossbar), nil
-}
-
-// PhaseBounds returns the per-phase completion bounds (in bytes) on
-// the topology and on the crossbar, for phase-resolved reporting
-// (Fig. 3's "fifth phase takes eight times longer" analysis).
-func PhaseBounds(t *xgft.Topology, algo core.Algorithm, phases []*pattern.Pattern) (network, crossbar []int64, err error) {
-	return PhaseBoundsCached(nil, t, algo, phases)
-}
-
-// PhaseBoundsCached is PhaseBounds with table memoization; a nil
-// cache recomputes.
+// PhaseBoundsCached returns the per-phase completion bounds (in bytes) on
+// the topology and on the crossbar — the one phase loop behind every
+// algorithm-based analytic score (Slowdown, PhasedSlowdown, the
+// analytic evaluator) and the phase-resolved reporting of Fig. 3's
+// "fifth phase takes eight times longer" analysis. Routing tables are
+// served from (and stored into) the given cache; a nil cache
+// recomputes.
 func PhaseBoundsCached(c *core.TableCache, t *xgft.Topology, algo core.Algorithm, phases []*pattern.Pattern) (network, crossbar []int64, err error) {
 	network = make([]int64, len(phases))
 	crossbar = make([]int64, len(phases))
@@ -103,12 +23,49 @@ func PhaseBoundsCached(c *core.TableCache, t *xgft.Topology, algo core.Algorithm
 		if err != nil {
 			return nil, nil, err
 		}
-		a, err := Analyze(t, p, tbl.Routes)
+		l, err := ByteLoads(t, p, tbl.Routes)
 		if err != nil {
 			return nil, nil, err
 		}
-		network[i] = a.CompletionBound()
-		crossbar[i] = CrossbarBound(p)
+		network[i], crossbar[i] = l.CompletionBound(), l.CrossbarBound()
 	}
 	return network, crossbar, nil
+}
+
+// Ratio normalizes a completion bound against its crossbar reference
+// (the paper's normalization, §VI-B); a pattern without network traffic
+// scores 1. The result is >= 1 up to floating-point for any minimal
+// routing.
+func Ratio(network, crossbar int64) float64 {
+	if crossbar == 0 {
+		return 1
+	}
+	return float64(network) / float64(crossbar)
+}
+
+// Slowdown computes the analytic slowdown of one communication phase
+// under a routing algorithm: the congestion completion bound on the
+// topology divided by the same bound on the ideal full crossbar.
+func Slowdown(t *xgft.Topology, algo core.Algorithm, p *pattern.Pattern) (float64, error) {
+	return PhasedSlowdown(t, algo, []*pattern.Pattern{p})
+}
+
+// PhasedSlowdown computes the slowdown of a sequence of dependent
+// communication phases (e.g. CG's five exchanges): total bound over
+// the phases divided by the total crossbar bound. Phases are assumed
+// separated by synchronization, so their times add.
+func PhasedSlowdown(t *xgft.Topology, algo core.Algorithm, phases []*pattern.Pattern) (float64, error) {
+	if len(phases) == 0 {
+		return 0, fmt.Errorf("contention: no phases")
+	}
+	network, crossbar, err := PhaseBoundsCached(nil, t, algo, phases)
+	if err != nil {
+		return 0, err
+	}
+	var net, xb int64
+	for i := range phases {
+		net += network[i]
+		xb += crossbar[i]
+	}
+	return Ratio(net, xb), nil
 }

@@ -11,9 +11,8 @@ import (
 
 // analytic scores with the congestion completion bound of
 // internal/contention normalized against the ideal full crossbar —
-// the paper's §VI-B analytic model. Phase times add (bounds are summed
-// before normalizing), exactly as contention.PhasedSlowdown does, so
-// scores are bit-identical to the pre-Evaluator call sites.
+// the paper's §VI-B analytic model. Phase times add: dependent phases
+// sum their bounds before normalizing.
 type analytic struct {
 	cache *core.TableCache
 }
@@ -29,43 +28,26 @@ func (a *analytic) Score(t *xgft.Topology, algo core.Algorithm, phases []*patter
 	if len(phases) == 0 {
 		return Result{}, fmt.Errorf("evaluate: no phases")
 	}
-	res := Result{PerPhase: make([]float64, len(phases))}
-	var network, crossbar int64
-	for i, p := range phases {
-		tbl, err := a.cache.Build(t, algo, p)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Cost.Tables++
-		an, err := contention.Analyze(t, p, tbl.Routes)
-		if err != nil {
-			return Result{}, err
-		}
-		bound, xb := an.CompletionBound(), contention.CrossbarBound(p)
-		network += bound
-		crossbar += xb
-		res.PerPhase[i] = ratio(bound, xb)
+	network, crossbar, err := contention.PhaseBoundsCached(a.cache, t, algo, phases)
+	if err != nil {
+		return Result{}, err
 	}
-	res.Slowdown = ratio(network, crossbar)
+	res := Result{PerPhase: make([]float64, len(phases)), Cost: Cost{Tables: len(phases)}}
+	var net, xb int64
+	for i := range phases {
+		net += network[i]
+		xb += crossbar[i]
+		res.PerPhase[i] = contention.Ratio(network[i], crossbar[i])
+	}
+	res.Slowdown = contention.Ratio(net, xb)
 	return res, nil
 }
 
 func (a *analytic) ScoreRoutes(t *xgft.Topology, p *pattern.Pattern, routes []xgft.Route) (Result, error) {
-	an, err := contention.Analyze(t, p, routes)
+	l, err := contention.ByteLoads(t, p, routes)
 	if err != nil {
 		return Result{}, err
 	}
-	bound, xb := an.CompletionBound(), contention.CrossbarBound(p)
-	s := ratio(bound, xb)
+	s := contention.Ratio(l.CompletionBound(), l.CrossbarBound())
 	return Result{Slowdown: s, PerPhase: []float64{s}}, nil
-}
-
-// ratio normalizes a completion measure against its crossbar
-// reference; a pattern without network traffic scores 1. Dependent
-// phases sum their measures before normalizing (times add).
-func ratio(network, crossbar int64) float64 {
-	if crossbar == 0 {
-		return 1
-	}
-	return float64(network) / float64(crossbar)
 }

@@ -68,8 +68,7 @@ func BenchmarkCachedScoreRoutesHit(b *testing.B) {
 
 // BenchmarkApplyRouteDelta prices the incremental scoring primitive:
 // one churn-scale candidate (every 64th route moved) applied to a
-// materialized LoadState, read, and reverted. This is what each
-// optimizer candidate costs on the delta path, against
+// materialized LoadState, read, and reverted — against
 // BenchmarkAnalyticScore's full census; zero steady-state allocations
 // is part of the contract.
 func BenchmarkApplyRouteDelta(b *testing.B) {

@@ -21,9 +21,9 @@ func mustTree(t *testing.T, m1, m2, w2 int) *xgft.Topology {
 }
 
 // The analytic backend must be bit-identical to the contention-package
-// functions the scoring call sites used before the Evaluator layer:
-// the refactor moves the computation, it must not change a single bit
-// of any sweep's output.
+// entry points (the library surface behind repro.AnalyticSlowdown):
+// cached or not, phased or single, by algorithm or by explicit routes,
+// not a single bit of any sweep's output may depend on the door used.
 func TestAnalyticMatchesContention(t *testing.T) {
 	tp := mustTree(t, 8, 8, 4)
 	phases, err := pattern.CGPhases(32, 4096)
@@ -34,7 +34,7 @@ func TestAnalyticMatchesContention(t *testing.T) {
 	cache := core.NewTableCache(16)
 	ev := NewAnalytic(cache)
 
-	want, err := contention.PhasedSlowdownCached(cache, tp, algo, phases)
+	want, err := contention.PhasedSlowdown(tp, algo, phases)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestAnalyticMatchesContention(t *testing.T) {
 		t.Errorf("Cost.Tables = %d, want %d", res.Cost.Tables, len(phases))
 	}
 	for i, p := range phases {
-		ws, err := contention.SlowdownCached(cache, tp, algo, p)
+		ws, err := contention.Slowdown(tp, algo, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,16 +61,18 @@ func TestAnalyticMatchesContention(t *testing.T) {
 		}
 	}
 
-	// Explicit-route form against contention.SlowdownRoutes.
-	p := phases[0]
+	// Explicit-route form against the full census and the pattern's
+	// own crossbar bound.
+	p := phases[len(phases)-1]
 	tbl, err := core.BuildTable(tp, algo, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err = contention.SlowdownRoutes(tp, p, tbl.Routes)
+	an, err := contention.Analyze(tp, p, tbl.Routes)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want = float64(an.CompletionBound()) / float64(contention.CrossbarBound(p))
 	rres, err := ev.ScoreRoutes(tp, p, tbl.Routes)
 	if err != nil {
 		t.Fatal(err)

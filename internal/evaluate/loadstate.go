@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/contention"
 	"repro/internal/obs"
 	"repro/internal/pattern"
 	"repro/internal/xgft"
@@ -18,12 +19,12 @@ import (
 // bit-identically; the differential property test in
 // loadstate_test.go enforces exactly that against contention.Analyze.
 //
-// Two delta shapes cover every caller:
+// Two delta shapes are supported:
 //
-//   - ApplyRouteDelta: the same flows move to different routes
-//     (fabric.Optimize scoring a candidate table against the serving
-//     generation). Endpoint loads are untouched, so only channel
-//     entries of the touched routes update.
+//   - ApplyRouteDelta: the same flows move to different routes (a
+//     candidate table diffed against the serving one). Endpoint loads
+//     are untouched, so only channel entries of the touched routes
+//     update.
 //   - ApplyPatternDelta: flows appear or disappear (sched scoring a
 //     candidate placement against the background traffic). Endpoint
 //     and channel loads both update.
@@ -71,41 +72,23 @@ type RoutedFlow struct {
 }
 
 // NewLoadState materializes the per-resource loads of a routed
-// pattern. routes must be aligned with p.Flows and match their
-// endpoints, exactly as contention.Analyze requires; self-flows are
-// skipped (they carry no network traffic and are excluded from the
-// endpoint sums, matching pattern.BytesOut/BytesIn).
+// pattern from the byte census (contention.ByteLoads, which validates
+// the input: routes aligned with p.Flows and matching their endpoints,
+// endpoints inside the tree; self-flows skipped).
 func NewLoadState(t *xgft.Topology, p *pattern.Pattern, routes []xgft.Route) (*LoadState, error) {
-	if len(routes) != len(p.Flows) {
-		return nil, fmt.Errorf("evaluate: %d routes for %d flows", len(routes), len(p.Flows))
+	l, err := contention.ByteLoads(t, p, routes)
+	if err != nil {
+		return nil, err
 	}
-	n := t.Leaves()
-	c := t.TotalChannels()
 	ls := &LoadState{
 		topo:   t,
-		inject: make([]int64, n),
-		eject:  make([]int64, n),
-		up:     make([]int64, c),
-		down:   make([]int64, c),
-	}
-	for i, f := range p.Flows {
-		if f.Src < 0 || f.Src >= n || f.Dst < 0 || f.Dst >= n {
-			return nil, fmt.Errorf("evaluate: flow %d endpoints (%d,%d) out of range [0,%d)", i, f.Src, f.Dst, n)
-		}
-		if f.Src == f.Dst {
-			continue
-		}
-		r := routes[i]
-		if r.Src != f.Src || r.Dst != f.Dst {
-			return nil, fmt.Errorf("evaluate: route %d endpoints (%d,%d) do not match flow (%d,%d)", i, r.Src, r.Dst, f.Src, f.Dst)
-		}
-		ls.inject[f.Src] += f.Bytes
-		ls.eject[f.Dst] += f.Bytes
-		ls.seedRoute(r, f.Bytes)
+		inject: l.InjectBytes,
+		eject:  l.EjectBytes,
+		up:     l.UpBytes,
+		down:   l.DownBytes,
 	}
 	ls.network.init(ls.inject, ls.eject, ls.up, ls.down)
 	ls.crossbar.init(ls.inject, ls.eject)
-	ls.touched = 0 // construction is not a delta
 	return ls, nil
 }
 
@@ -123,11 +106,7 @@ func (ls *LoadState) Instrument(reg *obs.Registry) {
 // crossbar traffic — bit-identical to the analytic evaluator's
 // ScoreRoutes on the same (pattern, routes).
 func (ls *LoadState) Slowdown() float64 {
-	xb := ls.crossbar.max()
-	if xb == 0 {
-		return 1
-	}
-	return float64(ls.network.max()) / float64(xb)
+	return contention.Ratio(ls.network.max(), ls.crossbar.max())
 }
 
 // NetworkBound returns the congestion completion bound in bytes (the
@@ -137,11 +116,6 @@ func (ls *LoadState) NetworkBound() int64 { return ls.network.max() }
 // CrossbarBound returns the ideal-crossbar bound in bytes (the
 // largest injection or ejection load).
 func (ls *LoadState) CrossbarBound() int64 { return ls.crossbar.max() }
-
-// LinksTouched returns the cumulative number of per-resource load
-// updates applied by deltas since construction — the O(touched links)
-// work measure the churn sweep reports.
-func (ls *LoadState) LinksTouched() uint64 { return ls.touched }
 
 // ApplyRouteDelta moves the given flows from oldRoutes to newRoutes.
 // Both route slices must be aligned with flows and match their
@@ -263,24 +237,6 @@ func (ls *LoadState) applyFlow(r xgft.Route, bytes int64) {
 	ls.crossbar.update(old, old+bytes)
 	ls.touched += 2
 	ls.walkRoute(r, bytes)
-}
-
-// seedRoute accumulates one route's channel loads during
-// construction, before the trackers exist; deltas go through
-// walkRoute, which keeps them current.
-func (ls *LoadState) seedRoute(r xgft.Route, bytes int64) {
-	idx := r.Src
-	for l := 0; l < len(r.Up); l++ {
-		p := r.Up[l]
-		ls.up[ls.topo.UpChannelID(l, idx, p)] += bytes
-		idx = ls.topo.Parent(l, idx, p)
-	}
-	dn := r.Dst
-	for l := 0; l < len(r.Up); l++ {
-		p := r.Up[l]
-		ls.down[ls.topo.UpChannelID(l, dn, p)] += bytes
-		dn = ls.topo.Parent(l, dn, p)
-	}
 }
 
 // walkRoute adds bytes to every channel the route traverses, ascent

@@ -145,7 +145,7 @@ func TestLoadStateDifferential(t *testing.T) {
 		}
 		checkAgainstFull(t, tp, ls, sh, step)
 	}
-	if ls.LinksTouched() == 0 {
+	if ls.touched == 0 {
 		t.Fatal("delta sequence touched no links")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/contention"
 	"repro/internal/core"
 	"repro/internal/eventq"
 	"repro/internal/pattern"
@@ -74,9 +75,9 @@ func (v *venusEval) Score(t *xgft.Topology, algo core.Algorithm, phases []*patte
 		}
 		network += int64(net)
 		crossbar += int64(ref)
-		res.PerPhase[i] = ratio(int64(net), int64(ref))
+		res.PerPhase[i] = contention.Ratio(int64(net), int64(ref))
 	}
-	res.Slowdown = ratio(network, crossbar)
+	res.Slowdown = contention.Ratio(network, crossbar)
 	return res, nil
 }
 
@@ -86,7 +87,7 @@ func (v *venusEval) ScoreRoutes(t *xgft.Topology, p *pattern.Pattern, routes []x
 	if err != nil {
 		return Result{}, fmt.Errorf("evaluate: venus: %w", err)
 	}
-	s := ratio(int64(net), int64(ref))
+	s := contention.Ratio(int64(net), int64(ref))
 	return Result{Slowdown: s, PerPhase: []float64{s}, Cost: cost}, nil
 }
 

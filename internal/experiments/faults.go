@@ -102,20 +102,17 @@ func degradedSlowdown(c *core.TableCache, tp *xgft.Topology, v *xgft.View, algo 
 				routes = append(routes, r)
 			}
 		}
-		a, err := contention.Analyze(tp, q, routes)
+		l, err := contention.ByteLoads(tp, q, routes)
 		if err != nil {
 			return 0, 0, err
 		}
-		network += a.CompletionBound()
-		crossbar += contention.CrossbarBound(q)
+		network += l.CompletionBound()
+		crossbar += l.CrossbarBound()
 	}
 	if flows > 0 {
 		unreachFrac = float64(unreachable) / float64(flows)
 	}
-	if crossbar == 0 {
-		return 1, unreachFrac, nil
-	}
-	return float64(network) / float64(crossbar), unreachFrac, nil
+	return contention.Ratio(network, crossbar), unreachFrac, nil
 }
 
 // FaultSweep measures analytic slowdown against the fraction of

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/contention"
 	"repro/internal/core"
+	"repro/internal/evaluate"
 	"repro/internal/xgft"
 )
 
@@ -138,18 +139,19 @@ func TestDegradedPatchedTablesDeadlockFree(t *testing.T) {
 			t.Fatalf("patched WRF table not deadlock-free: %v", err)
 		}
 		// Cross-check degradedSlowdown's arithmetic against the
-		// public SlowdownRoutes helper on the same patched set.
+		// analytic evaluator on the same patched set.
 		if st.Unreachable == 0 {
-			want, err := contention.SlowdownRoutes(tp, p, patched.Routes)
+			res, err := evaluate.NewAnalytic(nil).ScoreRoutes(tp, p, patched.Routes)
 			if err != nil {
 				t.Fatal(err)
 			}
+			want := res.Slowdown
 			got, _, err := degradedSlowdown(nil, tp, v, core.NewDModK(tp), phases[:1])
 			if err != nil {
 				t.Fatal(err)
 			}
 			if absDiff(got, want) > 1e-12 {
-				t.Fatalf("degradedSlowdown %v, SlowdownRoutes %v", got, want)
+				t.Fatalf("degradedSlowdown %v, ScoreRoutes %v", got, want)
 			}
 		}
 	}

@@ -117,7 +117,7 @@ func perJobSlowdown(tp *xgft.Topology, gen *fabric.Generation, combined, job *pa
 		}
 		routes[i] = r
 	}
-	a, err := contention.Analyze(tp, combined, routes)
+	a, err := contention.ByteLoads(tp, combined, routes)
 	if err != nil {
 		return 0, err
 	}
@@ -145,11 +145,7 @@ func perJobSlowdown(tp *xgft.Topology, gen *fabric.Generation, combined, job *pa
 			}
 		})
 	}
-	xb := contention.CrossbarBound(job)
-	if xb == 0 {
-		return 1, nil
-	}
-	return float64(bound) / float64(xb), nil
+	return contention.Ratio(bound, contention.CrossbarBound(job)), nil
 }
 
 // PlacementRow is one policy's aggregate over the churn schedule.

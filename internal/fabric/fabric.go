@@ -91,7 +91,6 @@ type Fabric struct {
 	tel      *Telemetry // nil when telemetry is disabled
 
 	m        *fabricMetrics      // nil when metrics are disabled
-	reg      *obs.Registry       // nil when metrics are disabled (LoadState instruments)
 	journal  *obs.Journal        // nil when event recording is disabled
 	tracer   *trace.Tracer       // nil when span recording is disabled
 	flips    *trace.FlipDetector // optimize-outcome flip-flop watch
@@ -114,8 +113,6 @@ type fabricMetrics struct {
 	swaps      *obs.Counter   // generation hot-swaps installed
 	swapNS     *obs.Histogram // building a published generation, certification included
 	verifyNS   *obs.Histogram // certifying a published generation deadlock-free
-	// candIncremental counts optimizer candidates scored by delta.
-	candIncremental *obs.Counter
 }
 
 // Metric and journal-event names. Constants — not literals at the
@@ -135,16 +132,10 @@ const (
 	// spent certifying the route set deadlock-free.
 	metricSwapBuildNS = "fabric_swap_build_ns"
 	metricVerifyNS    = "fabric_verify_ns"
-	// metricCandIncremental counts optimizer candidates scored on the
-	// LoadState delta path rather than by a full evaluator pass.
-	metricCandIncremental = "optimize_candidates_incremental"
 
 	eventGenerationSwap = "generation.swap"
 	eventOptimize       = "optimize"
 	eventOptimizeError  = "optimize.error"
-	// eventOptimizeIncremental records a delta-path pass's
-	// touched-route counts alongside the decision event.
-	eventOptimizeIncremental = "optimize.incremental"
 )
 
 // Span names the fabric records (constants for repolint's obskeys
@@ -172,12 +163,6 @@ func SpanNames() []string {
 // build time, for the documentation drift test.
 func SwapObsNames() []string { return []string{metricSwapBuildNS, metricVerifyNS} }
 
-// IncrementalObsNames lists the metric and journal-event names the
-// delta-path optimizer records, for the documentation drift test.
-func IncrementalObsNames() []string {
-	return []string{metricCandIncremental, eventOptimizeIncremental}
-}
-
 func newFabricMetrics(reg *obs.Registry) *fabricMetrics {
 	return &fabricMetrics{
 		resolves:   reg.Counter(metricResolves, "routes served by Resolve and the batch paths", 8),
@@ -189,8 +174,6 @@ func newFabricMetrics(reg *obs.Registry) *fabricMetrics {
 		swaps:      reg.Counter(metricSwaps, "generation hot-swaps installed after the initial build", 1),
 		swapNS:     reg.Histogram(metricSwapBuildNS, "building a published generation (table build or patch, packing, certification)"),
 		verifyNS:   reg.Histogram(metricVerifyNS, "certifying a published generation's route set deadlock-free"),
-		candIncremental: reg.Counter(metricCandIncremental,
-			"optimizer candidates scored incrementally against the serving LoadState", 1),
 	}
 }
 
@@ -232,7 +215,6 @@ func New(cfg Config) (*Fabric, error) {
 	}
 	if cfg.Metrics != nil {
 		f.m = newFabricMetrics(cfg.Metrics)
-		f.reg = cfg.Metrics
 		// Sampled at scrape time: resolves served by the generation
 		// currently installed (reset on every swap).
 		cfg.Metrics.GaugeFunc(metricRoutesServed, "resolves served by the current generation",

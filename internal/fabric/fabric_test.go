@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -355,7 +356,7 @@ func TestRoutesAllocatesTwice(t *testing.T) {
 	}
 	for _, r := range routes {
 		want, ok := gen.Resolve(r.Src, r.Dst)
-		if !ok || !routeEqual(r, want) || cap(r.Up) != len(r.Up) {
+		if !ok || !slices.Equal(r.Up, want.Up) || cap(r.Up) != len(r.Up) {
 			t.Fatalf("Routes() has %+v (cap %d), Resolve gives %+v, %v", r, cap(r.Up), want, ok)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/evaluate"
 	"repro/internal/fabric"
 	"repro/internal/pattern"
 	"repro/internal/sched"
@@ -15,7 +16,7 @@ import (
 // acceptance topology XGFT(2;16,16;1,10) with a heavy resident tenant
 // mix — six all-to-all jobs whose combined flows are the background
 // every probe placement must score against.
-func benchScheduler(b *testing.B, fullRescore bool) *sched.Scheduler {
+func benchScheduler(b *testing.B, ev evaluate.Evaluator) *sched.Scheduler {
 	b.Helper()
 	tp, err := xgft.NewSlimmedTree(16, 16, 10)
 	if err != nil {
@@ -29,7 +30,7 @@ func benchScheduler(b *testing.B, fullRescore bool) *sched.Scheduler {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := sched.New(sched.Config{Fabric: f, Policy: p, FullRescore: fullRescore})
+	s, err := sched.New(sched.Config{Fabric: f, Policy: p, Evaluator: ev})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -69,12 +70,13 @@ func benchPlace(b *testing.B, s *sched.Scheduler) {
 // the delta path: the background materializes into one LoadState and
 // each candidate costs O(job flows).
 func BenchmarkPlaceIncremental(b *testing.B) {
-	benchPlace(b, benchScheduler(b, false))
+	benchPlace(b, benchScheduler(b, nil))
 }
 
-// BenchmarkPlaceFullRescore is the same placement forced onto the
-// from-scratch path: every candidate re-embeds the job into the
-// background and pays a full census.
-func BenchmarkPlaceFullRescore(b *testing.B) {
-	benchPlace(b, benchScheduler(b, true))
+// BenchmarkPlaceFromScratch is the same placement on the from-scratch
+// path (the analytic evaluator under another name): every candidate
+// re-embeds the job into the background and pays a full census — the
+// standing measurement that justifies keeping the delta path.
+func BenchmarkPlaceFromScratch(b *testing.B) {
+	benchPlace(b, benchScheduler(b, scratchAnalytic{evaluate.NewAnalytic(nil)}))
 }

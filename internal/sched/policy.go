@@ -45,13 +45,6 @@ type Request struct {
 	// hand-built request may leave it nil, which scores with the
 	// analytic default.
 	Evaluator evaluate.Evaluator
-	// FullRescore forces the telemetry policy onto its from-scratch
-	// path: every candidate re-embeds the job into the background and
-	// is scored by a full evaluator pass, instead of applying the
-	// job as a pattern-delta to a shared background LoadState.
-	// Scores and placements are bit-identical either way; the flag
-	// exists for that comparison (the churn sweep's full mode).
-	FullRescore bool
 	// Metrics, when set, attaches the evaluate_* delta instruments to
 	// the background LoadState the telemetry policy scores against.
 	Metrics *obs.Registry
@@ -178,9 +171,12 @@ const telemetryCandidates = 4
 // into an evaluate.LoadState and each candidate is scored by applying
 // its remapped job flows as a pattern-delta and reverting —
 // O(job flows) per candidate instead of re-resolving and re-scoring
-// the whole background. Request.FullRescore (or a non-analytic
-// evaluator) selects the from-scratch path; both produce bit-identical
-// scores and therefore identical placements.
+// the whole background. Any other evaluator's score is not a pure
+// per-link load function, so it re-embeds the job into the background
+// and scores each candidate from scratch; under the analytic evaluator
+// both paths produce bit-identical scores and therefore identical
+// placements (the differential tests inject an analytic evaluator under
+// another name to prove it).
 func Telemetry() Policy { return telemetryPolicy{} }
 
 type telemetryPolicy struct{}
@@ -204,7 +200,16 @@ func (telemetryPolicy) Place(req *Request) ([]int, error) {
 		sort.Ints(c)
 		cands = append(cands, c)
 	}
-	ls := backgroundLoadState(req)
+	// Only the analytic score is a pure per-link load function, so only
+	// it can be read off a shared background state; any other evaluator
+	// scores each candidate from scratch.
+	var ls *evaluate.LoadState
+	if req.Evaluator == nil || req.Evaluator.Name() == evaluate.Analytic {
+		var err error
+		if ls, err = backgroundLoadState(req); err != nil {
+			return nil, err
+		}
+	}
 	best, bestScore := -1, 0.0
 	for i, cand := range cands {
 		var score float64
@@ -226,16 +231,8 @@ func (telemetryPolicy) Place(req *Request) ([]int, error) {
 
 // backgroundLoadState materializes the background traffic's per-link
 // loads under the installed routes, shared across every candidate of
-// one placement. nil selects the from-scratch path: an explicit
-// FullRescore, or an evaluator whose score is not a pure per-link
-// load function (anything non-analytic).
-func backgroundLoadState(req *Request) *evaluate.LoadState {
-	if req.FullRescore {
-		return nil
-	}
-	if req.Evaluator != nil && req.Evaluator.Name() != evaluate.Analytic {
-		return nil
-	}
+// one placement.
+func backgroundLoadState(req *Request) (*evaluate.LoadState, error) {
 	n := req.Topo.Leaves()
 	q := pattern.New(n)
 	var routes []xgft.Route
@@ -252,12 +249,12 @@ func backgroundLoadState(req *Request) *evaluate.LoadState {
 	}
 	ls, err := evaluate.NewLoadState(req.Topo, q, routes)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	if req.Metrics != nil {
 		ls.Instrument(req.Metrics)
 	}
-	return ls
+	return ls, nil
 }
 
 // scorePlacementDelta scores one candidate by applying the job's

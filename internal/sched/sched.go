@@ -51,10 +51,6 @@ type Config struct {
 	// policies; nil adopts the fabric's evaluator, so scheduler and
 	// optimizer judge "better" with the same backend by default.
 	Evaluator evaluate.Evaluator
-	// FullRescore forces the telemetry policy's from-scratch scoring
-	// path (see Request.FullRescore); placements are bit-identical
-	// either way.
-	FullRescore bool
 	// Metrics, when set, registers the sched_* instruments (placement
 	// counters and latency, pool gauges) on the registry.
 	Metrics *obs.Registry
@@ -223,7 +219,6 @@ type Scheduler struct {
 	policy Policy
 	seed   uint64
 	eval   evaluate.Evaluator
-	full   bool          // force from-scratch placement scoring
 	reg    *obs.Registry // nil when metrics are disabled
 
 	m       *schedMetrics
@@ -259,7 +254,6 @@ func New(cfg Config) (*Scheduler, error) {
 		policy: cfg.Policy,
 		seed:   cfg.Seed,
 		eval:   cfg.Evaluator,
-		full:   cfg.FullRescore,
 		reg:    cfg.Metrics,
 		free:   make([]bool, topo.Leaves()),
 		nFree:  topo.Leaves(),
@@ -335,17 +329,16 @@ func (s *Scheduler) Submit(spec JobSpec) (job *Job, err error) {
 		bg = s.backgroundLocked()
 	}
 	req := &Request{
-		Topo:        s.topo,
-		Free:        s.freeListLocked(),
-		N:           spec.N,
-		JobID:       id,
-		Seed:        s.seed,
-		Pattern:     all,
-		Background:  bg,
-		Resolve:     s.f.Generation().Resolve,
-		Evaluator:   s.eval,
-		FullRescore: s.full,
-		Metrics:     s.reg,
+		Topo:       s.topo,
+		Free:       s.freeListLocked(),
+		N:          spec.N,
+		JobID:      id,
+		Seed:       s.seed,
+		Pattern:    all,
+		Background: bg,
+		Resolve:    s.f.Generation().Resolve,
+		Evaluator:  s.eval,
+		Metrics:    s.reg,
 	}
 	leaves, err := s.policy.Place(req)
 	if err != nil {

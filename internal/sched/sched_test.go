@@ -6,8 +6,8 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/contention"
 	"repro/internal/core"
+	"repro/internal/evaluate"
 	"repro/internal/fabric"
 	"repro/internal/pattern"
 	"repro/internal/sched"
@@ -237,11 +237,11 @@ func placementScore(t *testing.T, f *fabric.Fabric, bg, job *pattern.Pattern, le
 		q.Add(fl.Src, fl.Dst, fl.Bytes)
 		routes = append(routes, r)
 	}
-	s, err := contention.SlowdownRoutes(tp, q, routes)
+	res, err := evaluate.NewAnalytic(nil).ScoreRoutes(tp, q, routes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return res.Slowdown
 }
 
 // TestTelemetryPolicyNeverWorseThanItsCandidates pins the telemetry

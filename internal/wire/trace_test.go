@@ -229,7 +229,7 @@ func TestServerTracedEndToEnd(t *testing.T) {
 	// The server's spans joined our trace: the flight recorder holds a
 	// wire.request rooted at our span, with the stage children inside.
 	byName := map[string]trace.SpanRecord{}
-	for _, rec := range tr.Spans(0) {
+	for _, rec := range awaitRequestSpan(tr) {
 		byName[rec.Name] = rec
 	}
 	req, ok := byName["wire.request"]
@@ -272,6 +272,24 @@ func TestServerTracedEndToEnd(t *testing.T) {
 	}
 }
 
+// awaitRequestSpan returns the recorder's spans once a wire.request
+// span is among them. The server ends that span after the response is
+// on the wire, so a client that has just read its reply can look first;
+// the wait is bounded, and a miss returns whatever was recorded.
+func awaitRequestSpan(tr *trace.Tracer) []trace.SpanRecord {
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		spans := tr.Spans(0)
+		for _, rec := range spans {
+			if rec.Name == "wire.request" {
+				return spans
+			}
+		}
+		if time.Now().After(deadline) {
+			return spans
+		}
+	}
+}
+
 // TestServerUntracedSpansLocalRoot: a tracer-equipped server serving
 // v1 clients still records request spans, under locally minted roots.
 func TestServerUntracedSpansLocalRoot(t *testing.T) {
@@ -287,7 +305,7 @@ func TestServerUntracedSpansLocalRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, rec := range tr.Spans(0) {
+	for _, rec := range awaitRequestSpan(tr) {
 		if rec.Name == "wire.request" && rec.TraceID != "" {
 			found = true
 		}

@@ -373,17 +373,10 @@ var (
 	// AnalyzeContention computes the per-channel census of a routed
 	// pattern.
 	AnalyzeContention = contention.Analyze
-	// AnalyticSlowdown is the congestion-bound slowdown of one phase.
+	// AnalyticSlowdown is the congestion-bound slowdown of one phase;
+	// phased, cached and explicit-route scoring go through
+	// NewAnalyticEvaluator.
 	AnalyticSlowdown = contention.Slowdown
-	// AnalyticPhasedSlowdown sums dependent phases.
-	AnalyticPhasedSlowdown = contention.PhasedSlowdown
-	// AnalyticSlowdownCached / AnalyticPhasedSlowdownCached serve the
-	// routing tables from a RoutingTableCache (nil recomputes).
-	AnalyticSlowdownCached       = contention.SlowdownCached
-	AnalyticPhasedSlowdownCached = contention.PhasedSlowdownCached
-	// AnalyticSlowdownRoutes scores an explicit (e.g. patched) route
-	// set instead of an algorithm.
-	AnalyticSlowdownRoutes = contention.SlowdownRoutes
 	// NCAHistogram counts routes per NCA (Fig. 4 view).
 	NCAHistogram = contention.NCAHistogram
 	// VerifyDeadlockFree certifies a route set's channel dependency

@@ -9,10 +9,10 @@
 # The gate/baseline modes turn the trajectory into a regression gate:
 # `baseline` runs the hot-path benchmarks (ResolveBatch and the packed
 # variant, wire encode/decode and end-to-end, evaluator cache, the
-# incremental-evaluation paths: LoadState route deltas, incremental vs
-# full Optimize, incremental vs full-rescore placement, and the
-# control plane's time-to-new-generation: FailLink swap, Heal, and the
-# deadlock certification both contain) with
+# census every analytic score is a max over, LoadState route deltas,
+# the Optimize pass, delta-scored placement, and the control plane's
+# time-to-new-generation: FailLink swap, Heal, and the deadlock
+# certification both contain) with
 # -count=5 and commits the min-of-runs ns/op per benchmark to
 # scripts/bench_baseline.json; `gate` repeats the run and fails (via
 # cmd/benchgate) when any gated benchmark regressed more than 10%
@@ -31,7 +31,7 @@ cd "$(dirname "$0")/.."
 # (internal/benchcal) that benchgate divides out. Anchored so e.g.
 # ResolveBatch does not also pull in every sized variant that may
 # appear later.
-gate_bench='^(BenchmarkResolveBatch|BenchmarkResolveBatchPackedTraced|BenchmarkResolveBatchPacked|BenchmarkResolveBatchPackedObserved|BenchmarkWireEncodeRequest|BenchmarkWireDecodeRequest|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkWireResolveEndToEnd|BenchmarkCachedScoreHit|BenchmarkCachedScoreRoutesHit|BenchmarkApplyRouteDelta|BenchmarkOptimizeIncremental|BenchmarkOptimizeFullRebuild|BenchmarkPlaceIncremental|BenchmarkPlaceFullRescore|BenchmarkFailLinkSwap|BenchmarkHeal|BenchmarkVerifyDeadlockFree|BenchmarkCalibration)$'
+gate_bench='^(BenchmarkResolveBatch|BenchmarkResolveBatchPackedTraced|BenchmarkResolveBatchPacked|BenchmarkResolveBatchPackedObserved|BenchmarkWireEncodeRequest|BenchmarkWireDecodeRequest|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkWireResolveEndToEnd|BenchmarkCachedScoreHit|BenchmarkCachedScoreRoutesHit|BenchmarkApplyRouteDelta|BenchmarkOptimize|BenchmarkPlaceIncremental|BenchmarkFailLinkSwap|BenchmarkHeal|BenchmarkAnalyze|BenchmarkVerifyDeadlockFree|BenchmarkCalibration)$'
 gate_pkgs='./internal/fabric ./internal/wire ./internal/evaluate ./internal/sched ./internal/contention'
 
 run_gated() {
