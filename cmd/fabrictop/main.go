@@ -267,6 +267,14 @@ func render(w io.Writer, addr string, f frame, now time.Time) {
 	fmt.Fprintf(w, "          request p50 %s  p90 %s  p99 %s  max %s\n",
 		q("wire_request_ns", "0.5"), q("wire_request_ns", "0.9"),
 		q("wire_request_ns", "0.99"), fmtDur(get("wire_request_ns_max")))
+	// Frames per flush is the coalescing ratio: 1 for ping-pong peers,
+	// the burst length for pipelined ones.
+	perFlush := 0.0
+	if n := get("wire_flush_frames_count"); n > 0 {
+		perFlush = get("wire_flush_frames_sum") / n
+	}
+	fmt.Fprintf(w, "          flush p50 %s  p99 %s  frames/flush %.1f\n",
+		q("wire_flush_ns", "0.5"), q("wire_flush_ns", "0.99"), perFlush)
 
 	fmt.Fprintf(w, "sched     jobs %.0f  free %.0f leaves  frag %.2f  placements %s  releases %s  rejections %s\n",
 		get("sched_jobs"), get("sched_free_leaves"), get("sched_fragmentation"),

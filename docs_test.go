@@ -30,6 +30,8 @@ func TestSpanInventoryDocumented(t *testing.T) {
 	inventory = append(inventory, evaluate.DeltaMetricNames()...)
 	// So do the histograms that split time-to-new-generation.
 	inventory = append(inventory, fabric.SwapObsNames()...)
+	// And the ones that show the wire server's response coalescing.
+	inventory = append(inventory, wire.FlushObsNames()...)
 
 	for _, doc := range []string{"README.md", "docs/ARCHITECTURE.md"} {
 		body, err := os.ReadFile(doc)

@@ -60,9 +60,9 @@ func BenchmarkResolveBatch(b *testing.B) {
 	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "routes/s")
 }
 
-// BenchmarkResolveBatchPacked measures the wire-speed hot path: bulk
-// resolution into packed words (no route materialization, zero
-// allocations) — what the binary resolve protocol serves per request.
+// BenchmarkResolveBatchPacked measures bulk resolution into packed
+// words (no route materialization, zero allocations) on a bare fabric:
+// the lookup alone, in its in-process []pair/[]word form.
 func BenchmarkResolveBatchPacked(b *testing.B) {
 	f := benchFabric(b)
 	n := f.Topology().Leaves()
@@ -82,7 +82,7 @@ func BenchmarkResolveBatchPacked(b *testing.B) {
 	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "routes/s")
 }
 
-// BenchmarkResolveBatchPackedObserved is the wire-speed hot path with
+// BenchmarkResolveBatchPackedObserved is the packed batch with
 // full observability enabled — metrics registry, event journal and
 // telemetry all attached. The bench gate holds it to the same
 // regression budget as the bare path: per-batch instrumentation (two
@@ -115,7 +115,7 @@ func BenchmarkResolveBatchPackedObserved(b *testing.B) {
 	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "routes/s")
 }
 
-// BenchmarkResolveBatchPackedTraced is the wire-speed hot path with
+// BenchmarkResolveBatchPackedTraced is the packed batch with
 // full observability plus a tracer (sampling off — the production
 // default): per batch the tracing layer adds one root mint, two clock
 // reads and a flight-recorder write. The bench gate holds it to the
@@ -145,6 +145,41 @@ func BenchmarkResolveBatchPackedTraced(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.ResolveBatchPacked(pairs, out)
+	}
+	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "routes/s")
+}
+
+// BenchmarkResolveWire is what the binary front door serves per
+// request frame: the fused pass over a 4096-pair batch in wire byte
+// order, on the fabric fabricd runs by default (telemetry, metrics,
+// journal, tracer with sampling off). Compare with
+// BenchmarkResolveBatchPackedTraced, the same fabric through the
+// []pair/[]word form, which a server would bracket with a decode and
+// an encode pass.
+func BenchmarkResolveWire(b *testing.B) {
+	tp := xgft.MustNew(2, []int{16, 16}, []int{1, 16})
+	f, err := New(Config{
+		Topo: tp, Algo: core.NewDModK(tp),
+		Telemetry: true, Metrics: obs.NewRegistry(), Journal: obs.NewJournal(64, nil),
+		Tracer: trace.New(trace.Config{SampleNum: 0, SampleDen: 1, RecorderCap: 4096}),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := tp.Leaves()
+	const batch = 4096
+	pairs := make([][2]int, batch)
+	h := uint64(1)
+	for i := range pairs {
+		h = hashutil.Splitmix64(h)
+		pairs[i] = [2]int{int(h % uint64(n)), int(h >> 32 % uint64(n))}
+	}
+	req := wirePairs(pairs)
+	words := make([]byte, 0, 8*batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.ResolveWire(trace.SpanContext{}, req, words)
 	}
 	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "routes/s")
 }

@@ -11,6 +11,7 @@
 package fabric
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -334,57 +335,74 @@ func (f *Fabric) ResolveBatch(pairs [][2]int, out []xgft.Route) int {
 		}
 	}
 	if f.m != nil {
-		f.recordBatch(f.m.batchNS, pairs, resolved, start)
+		f.recordBatch(f.m.batchNS, batchShard(pairs), len(pairs), resolved, start)
 	}
 	return resolved
 }
 
-// recordBatch is the shared batch-path instrumentation: one histogram
-// observation and a handful of counter adds per batch, amortized over
-// every pair in it — no allocation, no locks.
+// batchShard picks a batch's counter shard, its first source, so busy
+// sources spread over the resolve counter's shards.
 //
 //repro:hotpath
-func (f *Fabric) recordBatch(hist *obs.Histogram, pairs [][2]int, resolved int, start time.Time) {
-	shard := uint64(0)
-	if len(pairs) > 0 {
-		shard = uint64(pairs[0][0])
+func batchShard(pairs [][2]int) uint64 {
+	if len(pairs) == 0 {
+		return 0
 	}
+	return uint64(pairs[0][0])
+}
+
+// recordBatch is the shared batch-path instrumentation: one histogram
+// observation and a handful of counter adds per batch of n pairs,
+// amortized over every pair in it — no allocation, no locks.
+//
+//repro:hotpath
+func (f *Fabric) recordBatch(hist *obs.Histogram, shard uint64, n, resolved int, start time.Time) {
 	f.m.batches.Inc()
 	f.m.resolves.AddAt(shard, uint64(resolved))
-	if miss := len(pairs) - resolved; miss > 0 {
+	if miss := n - resolved; miss > 0 {
 		f.m.unresolved.Add(uint64(miss))
 	}
 	f.served.Add(uint64(resolved))
 	hist.Observe(time.Since(start).Nanoseconds()) //lint:allow nondeterminism batch latency measurement is observational
 }
 
-// ResolveBatchPacked resolves pairs[i] into out[i] as packed words
-// against one consistent generation, returning how many resolved and
-// that generation's sequence number (so a server can tag the batch
-// with the epoch it was served from). out must be at least as long as
-// pairs. This is the wire-speed hot path: zero allocations, and with
-// telemetry enabled every resolved non-self pair still counts (one
-// uncontended atomic add each).
+// startPacked opens a packed batch: its span under parent (a zero
+// parent mints a local root) and, with metrics on, its clock.
 //
 //repro:hotpath
-func (f *Fabric) ResolveBatchPacked(pairs [][2]int, out []uint64) (resolved int, generation uint64) {
-	return f.ResolveBatchPackedTraced(trace.SpanContext{}, pairs, out)
-}
-
-// ResolveBatchPackedTraced is ResolveBatchPacked joining the caller's
-// trace: the batch span becomes a child of parent (inheriting its
-// sampling verdict) instead of a locally minted root. The wire server
-// calls this so one trace id ties the client span, the wire.request
-// span and the fabric batch span together. An invalid (zero) parent
-// degrades to exactly ResolveBatchPacked.
-//
-//repro:hotpath
-func (f *Fabric) ResolveBatchPackedTraced(parent trace.SpanContext, pairs [][2]int, out []uint64) (resolved int, generation uint64) {
-	sp := f.tracer.StartSpan(parent, spanBatchPacked)
-	var start time.Time
+func (f *Fabric) startPacked(parent trace.SpanContext) (sp trace.Span, start time.Time) {
+	sp = f.tracer.StartSpan(parent, spanBatchPacked)
 	if f.m != nil {
 		start = time.Now() //lint:allow nondeterminism batch latency measurement is observational
 	}
+	return sp, start
+}
+
+// endPacked closes what startPacked opened: the batch instruments and
+// the span's shape attributes.
+//
+//repro:hotpath
+func (f *Fabric) endPacked(sp *trace.Span, start time.Time, gen *Generation, shard uint64, n, resolved int) {
+	if f.m != nil {
+		f.recordBatch(f.m.packedNS, shard, n, resolved, start)
+	}
+	sp.SetAttr(attrPairs, int64(n))
+	sp.SetAttr(attrResolved, int64(resolved))
+	sp.SetAttr(attrGen, int64(gen.stats.Seq))
+	sp.End()
+}
+
+// ResolveBatchPacked resolves pairs[i] into out[i] as packed words
+// against one consistent generation, returning how many resolved and
+// that generation's sequence number. out must be at least as long as
+// pairs. Zero allocations, and with telemetry enabled every resolved
+// non-self pair still counts (one uncontended atomic add each). This is
+// the in-process form of the packed resolve and the oracle ResolveWire
+// is tested against; the binary front door serves ResolveWire.
+//
+//repro:hotpath
+func (f *Fabric) ResolveBatchPacked(pairs [][2]int, out []uint64) (resolved int, generation uint64) {
+	sp, start := f.startPacked(trace.SpanContext{})
 	gen := f.gen.Load()
 	resolved = gen.ResolveBatchPacked(pairs, out)
 	if f.tel != nil {
@@ -397,14 +415,35 @@ func (f *Fabric) ResolveBatchPackedTraced(parent trace.SpanContext, pairs [][2]i
 			}
 		}
 	}
-	if f.m != nil {
-		f.recordBatch(f.m.packedNS, pairs, resolved, start)
-	}
-	sp.SetAttr(attrPairs, int64(len(pairs)))
-	sp.SetAttr(attrResolved, int64(resolved))
-	sp.SetAttr(attrGen, int64(gen.stats.Seq))
-	sp.End()
+	f.endPacked(&sp, start, gen, batchShard(pairs), len(pairs), resolved)
 	return resolved, gen.stats.Seq
+}
+
+// ResolveWire is ResolveBatchPacked fused with the binary protocol's
+// codec — the wire-speed hot path. pairs is a resolve request's batch
+// exactly as the frame carries it, 8 bytes a pair (big-endian uint32
+// src, then dst; a trailing partial pair is ignored); one big-endian
+// packed word per pair is appended to dst, which is returned extended.
+// One pass reads a pair, looks it up in the one generation pinned for
+// the batch, counts it in telemetry and writes its word: no []pair or
+// []word staging in between. The per-pair rules are
+// Generation.ResolveBatchPacked's (out of range → PackedUnreachable,
+// self → 0, only resolved non-self pairs counted) and so are the
+// instruments. The batch span joins parent's trace, inheriting its
+// sampling verdict; a zero parent mints a local root. Zero allocations
+// once dst has the capacity.
+//
+//repro:hotpath
+func (f *Fabric) ResolveWire(parent trace.SpanContext, pairs, dst []byte) (out []byte, resolved int, generation uint64) {
+	sp, start := f.startPacked(parent)
+	gen := f.gen.Load()
+	out, resolved = gen.appendResolveWire(f.tel, pairs, dst)
+	shard := uint64(0)
+	if len(pairs) >= 4 {
+		shard = uint64(binary.BigEndian.Uint32(pairs))
+	}
+	f.endPacked(&sp, start, gen, shard, len(pairs)/8, resolved)
+	return out, resolved, gen.stats.Seq
 }
 
 // buildHealthy compiles a full healthy generation through the table

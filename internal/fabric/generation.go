@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"encoding/binary"
 	"time"
 
 	"repro/internal/xgft"
@@ -229,6 +230,45 @@ func (g *Generation) ResolveBatchPacked(pairs [][2]int, out []uint64) (resolved 
 		}
 	}
 	return resolved
+}
+
+// appendResolveWire is ResolveBatchPacked in the binary protocol's own
+// byte order: pairs holds 8 bytes a pair (big-endian uint32 src, then
+// dst) and one big-endian packed word per pair is appended to dst. The
+// per-pair rules are ResolveBatchPacked's; tel, when non-nil, counts
+// each resolved non-self pair as the lookup finds it.
+//
+//repro:hotpath
+func (g *Generation) appendResolveWire(tel *Telemetry, pairs, dst []byte) (out []byte, resolved int) {
+	n := uint64(g.topo.Leaves())
+	count := len(pairs) / 8
+	at := len(dst)
+	end := at + 8*count
+	if cap(dst) < end {
+		dst = append(dst[:cap(dst)], make([]byte, end-cap(dst))...)
+	}
+	dst = dst[:end]
+	words := dst[at:]
+	for i := 0; i < count; i++ {
+		p := pairs[8*i : 8*i+8 : 8*i+8]
+		src, d := uint64(binary.BigEndian.Uint32(p[0:4])), uint64(binary.BigEndian.Uint32(p[4:8]))
+		packed := PackedUnreachable
+		switch {
+		case src >= n || d >= n:
+		case src == d:
+			packed = 0
+			resolved++
+		default:
+			if packed = g.shards[src][d]; packed != PackedUnreachable {
+				resolved++
+				if tel != nil {
+					tel.record(int(src), int(d))
+				}
+			}
+		}
+		binary.BigEndian.PutUint64(words[8*i:8*i+8:8*i+8], packed)
+	}
+	return dst, resolved
 }
 
 // Routes decodes every resolvable non-self route of the generation,

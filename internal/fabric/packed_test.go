@@ -1,10 +1,12 @@
 package fabric
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/hashutil"
+	"repro/internal/trace"
 	"repro/internal/xgft"
 )
 
@@ -146,5 +148,76 @@ func TestResolveBatchPackedZeroAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("telemetry=%v: %.1f allocs per packed batch, want 0", telemetry, allocs)
 		}
+	}
+}
+
+// wirePairs lays a batch out as a binary resolve request carries it: 8
+// bytes a pair, big-endian uint32 src then dst. Endpoints must fit.
+func wirePairs(pairs [][2]int) []byte {
+	b := make([]byte, 0, 8*len(pairs))
+	for _, p := range pairs {
+		b = binary.BigEndian.AppendUint32(b, uint32(p[0]))
+		b = binary.BigEndian.AppendUint32(b, uint32(p[1]))
+	}
+	return b
+}
+
+// TestResolveWireMatchesResolveBatchPacked holds the fused pass to its
+// oracle on healthy and degraded generations: the same words in the
+// same order behind whatever dst already held, the same resolved count
+// and generation, the same telemetry, and nothing read from a trailing
+// partial pair.
+func TestResolveWireMatchesResolveBatchPacked(t *testing.T) {
+	tp := xgft.MustNew(2, []int{8, 8}, []int{1, 4})
+	mk := func() *Fabric {
+		f, err := New(Config{Topo: tp, Algo: core.NewDModK(tp), Telemetry: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	fused, oracle := mk(), mk()
+	n := tp.Leaves()
+	check := func(t *testing.T, key uint64) {
+		t.Helper()
+		pairs := packedBatchPairs(n, 512, key)
+		for i := range pairs { // the wire has no negative endpoints
+			if pairs[i][1] < 0 {
+				pairs[i][1] = n - pairs[i][1]
+			}
+		}
+		want := make([]uint64, len(pairs))
+		wantResolved, wantGen := oracle.ResolveBatchPacked(pairs, want)
+		prefix := []byte("hdr")
+		req := append(wirePairs(pairs), 0xAA, 0xBB, 0xCC) // 3 bytes of a pair that never arrived
+		got, resolved, gen := fused.ResolveWire(trace.SpanContext{}, req, prefix)
+		if resolved != wantResolved || gen != wantGen {
+			t.Fatalf("resolved %d gen %d, want %d gen %d", resolved, gen, wantResolved, wantGen)
+		}
+		if string(got[:len(prefix)]) != "hdr" || len(got) != len(prefix)+8*len(pairs) {
+			t.Fatalf("appended %d bytes behind %q, want %d behind %q", len(got)-len(prefix), got[:len(prefix)], 8*len(pairs), prefix)
+		}
+		for i := range want {
+			if w := binary.BigEndian.Uint64(got[len(prefix)+8*i:]); w != want[i] {
+				t.Fatalf("pair %v: fused word %#x, oracle %#x", pairs[i], w, want[i])
+			}
+		}
+		for s := 0; s < n; s++ {
+			for d := 0; d < n; d++ {
+				if g, w := fused.Telemetry().Count(s, d), oracle.Telemetry().Count(s, d); g != w {
+					t.Fatalf("telemetry(%d,%d) = %d fused, %d oracle", s, d, g, w)
+				}
+			}
+		}
+	}
+	t.Run("healthy", func(t *testing.T) { check(t, 3) })
+	for _, f := range []*Fabric{fused, oracle} {
+		if _, err := f.FailLink(0, 3, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("degraded", func(t *testing.T) { check(t, 4) })
+	if out, resolved, _ := fused.ResolveWire(trace.SpanContext{}, nil, nil); len(out) != 0 || resolved != 0 {
+		t.Errorf("empty batch appended %d bytes, resolved %d", len(out), resolved)
 	}
 }

@@ -57,10 +57,12 @@ func TestTracedResolveBatchPackedZeroAllocs(t *testing.T) {
 				t.Fatalf("traced ResolveBatchPacked allocates %v per batch, want 0", avg)
 			}
 			root := tr.Root(1, 1)
+			wire := wirePairs(pairs)
+			words := make([]byte, 0, 8*len(pairs))
 			if avg := testing.AllocsPerRun(100, func() {
-				f.ResolveBatchPackedTraced(root, pairs, out)
+				f.ResolveWire(root, wire, words)
 			}); avg != 0 {
-				t.Fatalf("ResolveBatchPackedTraced allocates %v per batch, want 0", avg)
+				t.Fatalf("ResolveWire under a caller's trace allocates %v per batch, want 0", avg)
 			}
 		})
 	}
@@ -75,7 +77,7 @@ func TestBatchSpanJoinsCallerTrace(t *testing.T) {
 	root := tr.Root(7, 9)
 	pairs := [][2]int{{0, 9}, {1, 10}, {2, 2}}
 	out := make([]uint64, len(pairs))
-	resolved, gen := f.ResolveBatchPackedTraced(root, pairs, out)
+	_, resolved, gen := f.ResolveWire(root, wirePairs(pairs), nil)
 
 	var rec trace.SpanRecord
 	found := false
@@ -234,13 +236,15 @@ func TestTracedChurnRace(t *testing.T) {
 				h = hashutil.Splitmix64(h)
 				pairs[i] = [2]int{int(h % uint64(n)), int(h >> 32 % uint64(n))}
 			}
+			wire := wirePairs(pairs)
+			words := make([]byte, 0, 8*len(pairs))
 			for i := uint64(0); ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				f.ResolveBatchPackedTraced(tr.Root(uint64(w), i), pairs, out)
+				f.ResolveWire(tr.Root(uint64(w), i), wire, words)
 				f.ResolveBatchPacked(pairs, out)
 			}
 		}(w)

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"net"
 	"testing"
 	"time"
@@ -134,4 +135,56 @@ func BenchmarkWireResolveEndToEnd(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(benchBatch)*float64(b.N)/b.Elapsed().Seconds(), "resolves/s")
+}
+
+// BenchmarkWireResolvePipelined is the small-frame headline: one op
+// is a burst of 64 16-pair request frames written with one Write and
+// drained with a FrameReader over loopback, so per-frame cost — header,
+// fused pass, response framing, and the server's share of one write per
+// burst — is all there is.
+func BenchmarkWireResolvePipelined(b *testing.B) {
+	const frames, perFrame = 64, 16
+	tp := xgft.MustNew(2, []int{16, 16}, []int{1, 16})
+	f, err := fabric.New(fabric.Config{Topo: tp, Algo: core.NewDModK(tp), Telemetry: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := &Server{Resolver: f}
+	go srv.Serve(l)
+	defer srv.Close()
+	conn, err := net.DialTimeout("tcp", l.Addr().String(), 10*time.Second)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	pairs := benchPairs(tp.Leaves())
+	var burst []byte
+	for i := 0; i < frames; i++ {
+		if burst, err = AppendResolveRequest(burst, pairs[i*perFrame:(i+1)*perFrame]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fr := NewFrameReader(bufio.NewReaderSize(conn, 64<<10))
+	round := func() {
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		if _, err := conn.Write(burst); err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < frames; i++ {
+			if typ, _, err := fr.Read(); err != nil || typ != TypeResolveResponse {
+				b.Fatalf("frame %d: type %d, err %v", i, typ, err)
+			}
+		}
+	}
+	round() // warm buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.ReportMetric(float64(frames*perFrame)*float64(b.N)/b.Elapsed().Seconds(), "resolves/s")
 }

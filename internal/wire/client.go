@@ -16,10 +16,11 @@ import (
 const Unreachable = fabric.PackedUnreachable
 
 // Client speaks the binary resolve protocol over one connection. It
-// is not safe for concurrent use — the protocol is strict
-// request/response per connection; open one Client per goroutine. All
-// buffers are owned by the client and reused, so a steady stream of
-// equal-size batches performs zero allocations per call.
+// is not safe for concurrent use — it keeps one request outstanding
+// per connection (the protocol itself allows pipelining); open one
+// Client per goroutine. All buffers are owned by the client and
+// reused, so a steady stream of equal-size batches performs zero
+// allocations per call.
 type Client struct {
 	// RTT, when set, observes one sample per ResolveBatchPacked round
 	// trip (request write through decoded response, in nanoseconds).
@@ -71,45 +72,8 @@ func (c *Client) Close() error { return c.conn.Close() }
 // fabric.AppendPackedUp). The returned slice is reused by the next
 // call.
 func (c *Client) ResolveBatchPacked(pairs [][2]int) (generation uint64, packed []uint64, err error) {
-	var start time.Time
-	if c.RTT != nil {
-		start = time.Now()
-	}
-	c.wbuf, err = AppendResolveRequest(c.wbuf[:0], pairs)
-	if err != nil {
-		return 0, nil, err
-	}
-	c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
-	if _, err := c.conn.Write(c.wbuf); err != nil {
-		return 0, nil, fmt.Errorf("wire: writing request: %w", err)
-	}
-	c.conn.SetReadDeadline(time.Now().Add(c.timeout))
-	typ, payload, err := c.fr.Read()
-	if err != nil {
-		return 0, nil, err
-	}
-	switch typ {
-	case TypeResolveResponse:
-	case TypeError:
-		re, derr := DecodeError(payload)
-		if derr != nil {
-			return 0, nil, derr
-		}
-		return 0, nil, re
-	default:
-		return 0, nil, fmt.Errorf("wire: unexpected frame type %d in response", typ)
-	}
-	generation, c.packed, err = DecodeResolveResponse(payload, c.packed[:0])
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(c.packed) != len(pairs) {
-		return 0, nil, fmt.Errorf("wire: response carries %d routes for %d pairs", len(c.packed), len(pairs))
-	}
-	if c.RTT != nil {
-		c.RTT.Observe(time.Since(start).Nanoseconds())
-	}
-	return generation, c.packed, nil
+	generation, packed, _, err = c.roundTrip(false, TraceContext{}, pairs)
+	return generation, packed, err
 }
 
 // ResolveBatchPackedTraced is ResolveBatchPacked over the traced (v2)
@@ -119,11 +83,23 @@ func (c *Client) ResolveBatchPacked(pairs [][2]int) (generation uint64, packed [
 // measured RTT to isolate network and queueing. The server must speak
 // version 2; older servers reject the frame with a version error.
 func (c *Client) ResolveBatchPackedTraced(tc TraceContext, pairs [][2]int) (generation uint64, packed []uint64, tm Timing, err error) {
+	return c.roundTrip(true, tc, pairs)
+}
+
+// roundTrip is one request/response exchange, plain (v1) or traced
+// (v2, carrying tc out and the timing trailer back).
+func (c *Client) roundTrip(traced bool, tc TraceContext, pairs [][2]int) (generation uint64, packed []uint64, tm Timing, err error) {
 	var start time.Time
 	if c.RTT != nil {
 		start = time.Now()
 	}
-	c.wbuf, err = AppendResolveRequestTraced(c.wbuf[:0], tc, pairs)
+	want := byte(TypeResolveResponse)
+	if traced {
+		want = TypeResolveResponseTraced
+		c.wbuf, err = AppendResolveRequestTraced(c.wbuf[:0], tc, pairs)
+	} else {
+		c.wbuf, err = AppendResolveRequest(c.wbuf[:0], pairs)
+	}
 	if err != nil {
 		return 0, nil, tm, err
 	}
@@ -137,7 +113,7 @@ func (c *Client) ResolveBatchPackedTraced(tc TraceContext, pairs [][2]int) (gene
 		return 0, nil, tm, err
 	}
 	switch typ {
-	case TypeResolveResponseTraced:
+	case want:
 	case TypeError:
 		re, derr := DecodeError(payload)
 		if derr != nil {
@@ -147,7 +123,11 @@ func (c *Client) ResolveBatchPackedTraced(tc TraceContext, pairs [][2]int) (gene
 	default:
 		return 0, nil, tm, fmt.Errorf("wire: unexpected frame type %d in response", typ)
 	}
-	generation, c.packed, tm, err = DecodeResolveResponseTraced(payload, c.packed[:0])
+	if traced {
+		generation, c.packed, tm, err = DecodeResolveResponseTraced(payload, c.packed[:0])
+	} else {
+		generation, c.packed, err = DecodeResolveResponse(payload, c.packed[:0])
+	}
 	if err != nil {
 		return 0, nil, tm, err
 	}

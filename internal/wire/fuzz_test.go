@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"io"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/fabric"
+	"repro/internal/obs"
+	"repro/internal/xgft"
 )
 
 // FuzzFrameReader feeds arbitrary byte streams to the frame reader:
@@ -170,5 +175,111 @@ func FuzzDecodeError(f *testing.F) {
 		if len(re.Msg) > MaxErrorLen {
 			t.Fatalf("accepted %d-byte message past MaxErrorLen %d", len(re.Msg), MaxErrorLen)
 		}
+	})
+}
+
+// fusedOracle is one fabric served through the fused pass beside an
+// identical one driven through the exported codec.
+type fusedOracle struct {
+	fused, oracle       *fabric.Fabric
+	fusedReg, oracleReg *obs.Registry
+	conn                *scriptConn
+	c                   *serverConn
+}
+
+func newFusedOracle(f *testing.F, degrade bool) *fusedOracle {
+	tp := xgft.MustNew(2, []int{4, 4}, []int{1, 2})
+	mk := func(reg *obs.Registry) *fabric.Fabric {
+		fab, err := fabric.New(fabric.Config{Topo: tp, Algo: core.NewDModK(tp), Telemetry: true, Metrics: reg})
+		if err != nil {
+			f.Fatal(err)
+		}
+		if degrade { // leaf 3 loses its only up wire: real unreachable pairs, generation 1
+			if _, err := fab.FailLink(0, 3, 0); err != nil {
+				f.Fatal(err)
+			}
+		}
+		return fab
+	}
+	o := &fusedOracle{fusedReg: obs.NewRegistry(), oracleReg: obs.NewRegistry(), conn: &scriptConn{}}
+	o.fused, o.oracle = mk(o.fusedReg), mk(o.oracleReg)
+	o.c = attach(f, &Server{Resolver: o.fused}, o.conn)
+	return o
+}
+
+// check serves payload as one request frame and holds the bytes the
+// server wrote, and everything the fabric counted, to the codec path.
+func (o *fusedOracle) check(t *testing.T, payload []byte, traced bool) {
+	typ := byte(TypeResolveRequest)
+	var pairs [][2]int
+	var derr error
+	if traced {
+		typ = TypeResolveRequestTraced
+		_, pairs, derr = DecodeResolveRequestTraced(payload, nil)
+	} else {
+		pairs, derr = DecodeResolveRequest(payload, nil)
+	}
+	o.conn.writes = 0
+	usable := o.c.serveFrame(typ, payload)
+	if o.conn.writes != 1 {
+		t.Fatalf("server wrote %d times for one frame", o.conn.writes)
+	}
+	got := o.conn.wrote
+	if derr != nil {
+		if want := AppendError(nil, ErrCodeMalformed, derr.Error()); usable || !bytes.Equal(got, want) {
+			t.Fatalf("codec rejects (%v); server (usable=%v) wrote %q", derr, usable, got)
+		}
+		return
+	}
+	packed := make([]uint64, len(pairs))
+	_, gen := o.oracle.ResolveBatchPacked(pairs, packed)
+	var want []byte
+	if traced {
+		want, _ = AppendResolveResponseTraced(nil, gen, packed, Timing{})
+		clear(got[len(got)-TimingSize:])
+	} else {
+		want, _ = AppendResolveResponse(nil, gen, packed)
+	}
+	if !usable || !bytes.Equal(got, want) {
+		t.Fatalf("fused pass (usable=%v) wrote\n%x\ncodec path\n%x", usable, got, want)
+	}
+	for _, p := range pairs {
+		if g, w := o.fused.Telemetry().Count(p[0], p[1]), o.oracle.Telemetry().Count(p[0], p[1]); g != w {
+			t.Fatalf("telemetry%v = %d fused, %d through the codec", p, g, w)
+		}
+	}
+	if g, w := o.fused.Telemetry().Total(), o.oracle.Telemetry().Total(); g != w {
+		t.Fatalf("telemetry total %d fused, %d through the codec", g, w)
+	}
+	fs, cs := o.fusedReg.Snapshot(), o.oracleReg.Snapshot()
+	for _, name := range []string{"fabric_resolves_total", "fabric_unresolved_total", "fabric_resolve_batches_total", "fabric_resolve_batch_packed_ns_count"} {
+		if fs[name] != cs[name] {
+			t.Fatalf("%s = %v fused, %v through the codec", name, fs[name], cs[name])
+		}
+	}
+}
+
+// FuzzFusedResolveMatchesCodec holds the serve path's fused pass to
+// the exported codec it replaced there: for any request payload, plain
+// or traced, the server either rejects exactly when the decoder does,
+// with the decoder's words, or answers with the bytes of
+// DecodeResolveRequest → Fabric.ResolveBatchPacked →
+// AppendResolveResponse, from the same generation, having counted the
+// same resolves, misses, batches and per-pair telemetry — on a healthy
+// generation and on a fault view with unreachable pairs.
+func FuzzFusedResolveMatchesCodec(f *testing.F) {
+	mixed := [][2]int{{0, 1}, {3, 5}, {5, 3}, {7, 7}, {16, 0}, {0, 1 << 31}, {15, 14}}
+	v1, _ := AppendResolveRequest(nil, mixed)
+	v2, _ := AppendResolveRequestTraced(nil, TraceContext{TraceHi: 1, TraceLo: 2, SpanID: 3, Flags: 1}, mixed)
+	f.Add(v1[HeaderSize:], false)
+	f.Add(v2[HeaderSize:], true)
+	f.Add([]byte{0, 0, 0, 0}, false)
+	f.Add([]byte{0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 2}, false) // declares 2, carries 1
+	f.Add(v1[HeaderSize:len(v1)-3], false)                   // truncated mid-pair
+	f.Add(v2[HeaderSize:HeaderSize+TraceContextSize], true)  // context, no batch
+	healthy, degraded := newFusedOracle(f, false), newFusedOracle(f, true)
+	f.Fuzz(func(t *testing.T, payload []byte, traced bool) {
+		healthy.check(t, payload, traced)
+		degraded.check(t, payload, traced)
 	})
 }

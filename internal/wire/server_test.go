@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/hashutil"
+	"repro/internal/obs"
 	"repro/internal/xgft"
 )
 
@@ -21,11 +24,17 @@ import (
 // spawned has drained.
 func startServer(t *testing.T, r Resolver, timeout time.Duration) string {
 	t.Helper()
+	return startServerWith(t, &Server{Resolver: r, Timeout: timeout})
+}
+
+// startServerWith is startServer for a caller-built Server (metrics,
+// tracer).
+func startServerWith(t *testing.T, srv *Server) string {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &Server{Resolver: r, Timeout: timeout}
 	before := runtime.NumGoroutine()
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(l) }()
@@ -134,6 +143,34 @@ func TestServerResolvesBatches(t *testing.T) {
 	}
 	if !r.VerifyConnects(f.Topology()) {
 		t.Fatalf("resolved route %v does not connect", r)
+	}
+}
+
+// batchOnly hides everything but the batch signature, the way a stub
+// resolver in front of a fabric looks to the server.
+type batchOnly struct{ f *fabric.Fabric }
+
+func (b batchOnly) ResolveBatchPacked(pairs [][2]int, out []uint64) (int, uint64) {
+	return b.f.ResolveBatchPacked(pairs, out)
+}
+
+// TestServerServesPlainResolver: a Resolver without the fused method
+// is served through the codec, byte for byte what the fabric itself
+// answers, pipelined or not.
+func TestServerServesPlainResolver(t *testing.T) {
+	f := testFabric(t, false)
+	frames := burstFrames(t, f.Topology().Leaves(), 8, false)
+	burst := bytes.Join(frames, nil)
+	var answers [2][]byte
+	for i, r := range []Resolver{f, batchOnly{f}} {
+		conn := dialRaw(t, startServer(t, r, 0))
+		if _, err := conn.Write(burst); err != nil {
+			t.Fatal(err)
+		}
+		answers[i] = readFrames(t, conn, len(frames))
+	}
+	if !bytes.Equal(answers[0], answers[1]) {
+		t.Fatal("a batch-only resolver in front of the fabric is answered differently than the fabric")
 	}
 }
 
@@ -250,88 +287,407 @@ func TestServerRejectsCountMismatch(t *testing.T) {
 	expectErrorThenClose(t, conn, ErrCodeMalformed)
 }
 
-// TestServerCutsSlowLoris proves the per-frame read deadline: a peer
-// that sends half a header and stalls is disconnected instead of
-// pinning its goroutine (the cleanup's leak check is the teeth).
+// expectDeadlineCut asserts the server gives up on conn within its
+// read deadline. Its error frame may or may not beat the close to the
+// peer; when it does, it must name the deadline (ErrCodeUnavailable),
+// not call the silence malformed. Either way the cut is counted.
+func expectDeadlineCut(t *testing.T, conn net.Conn, reg *obs.Registry) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	fr := NewFrameReader(conn)
+	typ, payload, err := fr.Read()
+	if err == nil {
+		if typ != TypeError {
+			t.Fatalf("frame type %d from a server that was sent no request", typ)
+		}
+		re, derr := DecodeError(payload)
+		if derr != nil {
+			t.Fatal(derr)
+		}
+		if re.Code != ErrCodeUnavailable || !strings.Contains(re.Msg, "deadline") {
+			t.Errorf("timeout answered with code %d %q, want %d naming the deadline", re.Code, re.Msg, ErrCodeUnavailable)
+		}
+		_, _, err = fr.Read()
+	}
+	if err == nil || deadlineCut(err) {
+		t.Fatalf("connection survived a stall past the read deadline (read: %v)", err)
+	}
+	if cuts := reg.Snapshot()[metricDeadlineCuts]; cuts != 1 {
+		t.Errorf("%s = %v, want 1", metricDeadlineCuts, cuts)
+	}
+}
+
+// TestServerCutsSlowLoris proves the read deadline: a peer that sends
+// half a header and stalls is disconnected instead of pinning its
+// goroutine (the cleanup's leak check is the teeth).
 func TestServerCutsSlowLoris(t *testing.T) {
-	addr := startServer(t, testFabric(t, false), 200*time.Millisecond)
+	reg := obs.NewRegistry()
+	addr := startServerWith(t, &Server{Resolver: testFabric(t, false), Timeout: 200 * time.Millisecond, Metrics: reg})
 	conn := dialRaw(t, addr)
 	if _, err := conn.Write([]byte{0xFA, 0x57, Version}); err != nil { // 3 of 8 header bytes
 		t.Fatal(err)
 	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	// The server times out reading the rest of the header and closes;
-	// depending on timing we see its error frame first or a bare
-	// close, but the connection must die either way.
-	deadline := time.Now().Add(5 * time.Second)
-	buf := make([]byte, 256)
-	for time.Now().Before(deadline) {
-		if _, err := conn.Read(buf); err != nil {
-			return // closed — the deadline fired
-		}
-	}
-	t.Fatal("connection survived a stalled header past the read deadline")
+	expectDeadlineCut(t, conn, reg)
 }
 
 // TestServerCutsStalledBody is the payload-phase slow-loris: a valid
 // header whose payload never arrives.
 func TestServerCutsStalledBody(t *testing.T) {
-	addr := startServer(t, testFabric(t, false), 200*time.Millisecond)
+	reg := obs.NewRegistry()
+	addr := startServerWith(t, &Server{Resolver: testFabric(t, false), Timeout: 200 * time.Millisecond, Metrics: reg})
 	conn := dialRaw(t, addr)
 	if _, err := conn.Write(AppendHeader(nil, TypeResolveRequest, 4+8*16)); err != nil {
 		t.Fatal(err)
 	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	deadline := time.Now().Add(5 * time.Second)
-	buf := make([]byte, 256)
-	for time.Now().Before(deadline) {
-		if _, err := conn.Read(buf); err != nil {
-			return
-		}
-	}
-	t.Fatal("connection survived a stalled payload past the read deadline")
+	expectDeadlineCut(t, conn, reg)
 }
 
-// TestServerSteadyStateAllocs pins the zero-allocation claim
-// end-to-end: after warmup, repeated equal-size batches through the
-// full server loop allocate nothing on the server side beyond what
-// the kernel I/O costs. Run on the serveConn internals via a
-// pipe-free loopback connection with allocation sampling around the
-// resolver, since testing.AllocsPerRun cannot isolate another
-// goroutine; instead we assert the resolver-facing path (codec +
-// fabric) is allocation-free and rely on serveConn's buffer reuse,
-// which TestServerResolvesBatches exercises for correctness.
-func TestServerSteadyStateAllocs(t *testing.T) {
-	f := testFabric(t, true)
-	pairs := testPairs(512, 9)
-	n := f.Topology().Leaves()
-	for i := range pairs {
-		pairs[i] = [2]int{pairs[i][0] % n, pairs[i][1] % n}
-	}
-	packed := make([]uint64, len(pairs))
-	wbuf := make([]byte, 0, 16<<10)
-	pairsBuf := make([][2]int, 0, len(pairs))
-	var frame []byte
-	frame, err := AppendResolveRequest(frame, pairs)
+// TestServerCutsStalledReader is the write-side twin: a peer that
+// sends a request and never reads the answer is cut by the flush's
+// write deadline. net.Pipe has no buffer, so the very first flush
+// blocks.
+func TestServerCutsStalledReader(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv := &Server{Resolver: testFabric(t, false), Timeout: 200 * time.Millisecond, Metrics: reg}
+	client, server := net.Pipe()
+	defer client.Close()
+	c := attach(t, srv, server)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer server.Close()
+		c.serve()
+	}()
+	req, err := AppendResolveRequest(nil, [][2]int{{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		// The per-request server work: decode, resolve, encode.
-		var err error
-		pairsBuf, err = DecodeResolveRequest(frame[HeaderSize:], pairsBuf[:0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, gen := f.ResolveBatchPacked(pairsBuf, packed)
-		wbuf, err = AppendResolveResponse(wbuf[:0], gen, packed)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("%.1f allocs per served batch, want 0", allocs)
+	if _, err := client.Write(req); err != nil {
+		t.Fatal(err)
 	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("server still holds a connection whose peer never drains")
+	}
+	if cuts := reg.Snapshot()[metricDeadlineCuts]; cuts != 1 {
+		t.Errorf("%s = %v, want 1", metricDeadlineCuts, cuts)
+	}
+}
+
+// burstFrames builds a keyed burst of request frames, 16 pairs each
+// with self and out-of-range pairs mixed in, v1 or traced.
+func burstFrames(t testing.TB, n, frames int, traced bool) [][]byte {
+	t.Helper()
+	st := hashutil.NewStream(0xb0057, uint64(frames))
+	out := make([][]byte, frames)
+	for f := range out {
+		pairs := make([][2]int, 16)
+		for i := range pairs {
+			pairs[i] = [2]int{st.Intn(n + 2), st.Intn(n)}
+		}
+		pairs[f%16] = [2]int{f % n, f % n}
+		var err error
+		if traced {
+			out[f], err = AppendResolveRequestTraced(nil, TraceContext{TraceHi: 1, TraceLo: uint64(f), SpanID: 7}, pairs)
+		} else {
+			out[f], err = AppendResolveRequest(nil, pairs)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// readFrames reads n whole frames off conn and returns their bytes,
+// headers included, with each traced response's timing trailer zeroed
+// (the one part of a response that is a clock reading).
+func readFrames(t *testing.T, conn net.Conn, n int) []byte {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	fr := NewFrameReader(conn)
+	var got []byte
+	for i := 0; i < n; i++ {
+		typ, payload, err := fr.Read()
+		if err != nil {
+			t.Fatalf("reading frame %d of %d: %v", i, n, err)
+		}
+		if typ == TypeResolveResponseTraced {
+			clear(payload[len(payload)-TimingSize:])
+		}
+		got = AppendHeader(got, typ, len(payload))
+		got = append(got, payload...)
+	}
+	return got
+}
+
+// awaitFlushed snapshots reg once its flush histogram accounts for the
+// given number of response frames. The server records a flush after
+// the write returns, so a client that has just read the last response
+// can get here first; the wait is bounded, and a miss returns what was
+// recorded.
+func awaitFlushed(reg *obs.Registry, frames float64) obs.Snapshot {
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		snap := reg.Snapshot()
+		if snap[metricFlushFrames+"_sum"] >= frames || time.Now().After(deadline) {
+			return snap
+		}
+	}
+}
+
+// TestPipelinedBurstMatchesPingPong is the coalescing contract's first
+// half: a burst written with one Write is answered with exactly the
+// bytes the same frames get one at a time, in request order.
+func TestPipelinedBurstMatchesPingPong(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		t.Run(fmt.Sprintf("traced=%v", traced), func(t *testing.T) {
+			f := testFabric(t, true)
+			reg := obs.NewRegistry()
+			addr := startServerWith(t, &Server{Resolver: f, Metrics: reg})
+			frames := burstFrames(t, f.Topology().Leaves(), 64, traced)
+
+			pp := dialRaw(t, addr)
+			var want []byte
+			for _, fr := range frames {
+				if _, err := pp.Write(fr); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, readFrames(t, pp, 1)...)
+			}
+			if flushes := awaitFlushed(reg, 64)[metricFlushFrames+"_count"]; flushes != 64 {
+				t.Errorf("ping-pong: %v flushes for 64 frames, want one each", flushes)
+			}
+
+			burst := dialRaw(t, addr)
+			if _, err := burst.Write(bytes.Join(frames, nil)); err != nil {
+				t.Fatal(err)
+			}
+			if got := readFrames(t, burst, 64); !bytes.Equal(got, want) {
+				t.Fatal("pipelined burst answered with different bytes than the same frames ping-pong")
+			}
+			snap := awaitFlushed(reg, 128)
+			if frames, flushes := snap[metricFlushFrames+"_sum"], snap[metricFlushFrames+"_count"]; frames != 128 || flushes >= 128 {
+				t.Errorf("%v frames left in %v flushes: the burst was not coalesced", frames, flushes)
+			}
+		})
+	}
+}
+
+// TestServerFlushesBeforeWaiting is the second half: the server never
+// sits in a read holding responses. A client that sends frame A plus
+// half of frame B and then waits gets A's response before it sends the
+// rest.
+func TestServerFlushesBeforeWaiting(t *testing.T) {
+	f := testFabric(t, false)
+	addr := startServer(t, f, 0)
+	frames := burstFrames(t, f.Topology().Leaves(), 2, false)
+	a, b := frames[0], frames[1]
+	conn := dialRaw(t, addr)
+	if _, err := conn.Write(append(append([]byte{}, a...), b[:len(b)/2]...)); err != nil {
+		t.Fatal(err)
+	}
+	first := readFrames(t, conn, 1)
+	if _, err := conn.Write(b[len(b)/2:]); err != nil {
+		t.Fatal(err)
+	}
+	second := readFrames(t, conn, 1)
+
+	pp := dialRaw(t, addr)
+	for i, got := range [][]byte{first, second} {
+		if _, err := pp.Write(frames[i]); err != nil {
+			t.Fatal(err)
+		}
+		if want := readFrames(t, pp, 1); !bytes.Equal(got, want) {
+			t.Errorf("frame %d answered differently split than whole", i)
+		}
+	}
+}
+
+// TestMidBurstRejectionDeliversOwedResponsesFirst: good, good, bad in
+// one write is answered with two responses, one error frame, and a
+// close — whether the bad frame fails at its header or in its payload.
+func TestMidBurstRejectionDeliversOwedResponsesFirst(t *testing.T) {
+	f := testFabric(t, false)
+	addr := startServer(t, f, 0)
+	good := burstFrames(t, f.Topology().Leaves(), 2, false)
+	mismatch := AppendHeader(nil, TypeResolveRequest, 12)
+	mismatch = binary.BigEndian.AppendUint32(mismatch, 4) // declares 4 pairs, carries 1
+	mismatch = append(mismatch, make([]byte, 8)...)
+	for name, bad := range map[string][]byte{
+		"count mismatch": mismatch,
+		"bad magic":      []byte("GET / HTTP/1.1\r\n\r\n"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			pp := dialRaw(t, addr)
+			var want []byte
+			for _, fr := range good {
+				if _, err := pp.Write(fr); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, readFrames(t, pp, 1)...)
+			}
+			conn := dialRaw(t, addr)
+			if _, err := conn.Write(bytes.Join([][]byte{good[0], good[1], bad}, nil)); err != nil {
+				t.Fatal(err)
+			}
+			if got := readFrames(t, conn, 2); !bytes.Equal(got, want) {
+				t.Fatal("responses owed before the rejection differ from the ping-pong ones")
+			}
+			expectErrorThenClose(t, conn, ErrCodeMalformed)
+		})
+	}
+}
+
+// TestBurstBeyondFlushThresholdIsDeliveredWhole: a burst whose
+// responses outgrow flushThreshold is flushed in bounded pieces while
+// the client is still writing, and every response arrives.
+func TestBurstBeyondFlushThresholdIsDeliveredWhole(t *testing.T) {
+	f := testFabric(t, false)
+	reg := obs.NewRegistry()
+	addr := startServerWith(t, &Server{Resolver: f, Metrics: reg})
+	n := f.Topology().Leaves()
+	pairs := make([][2]int, 512)
+	for i := range pairs {
+		pairs[i] = [2]int{i % n, (i / n) % n}
+	}
+	frame, err := AppendResolveRequest(nil, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frames = 24
+	respLen := HeaderSize + 12 + 8*len(pairs)
+	if frames*respLen < flushThreshold+respLen {
+		t.Fatalf("burst answers with %d bytes, not past the %d-byte threshold", frames*respLen, flushThreshold)
+	}
+	conn := dialRaw(t, addr)
+	if _, err := conn.Write(bytes.Repeat(frame, frames)); err != nil {
+		t.Fatal(err)
+	}
+	got := readFrames(t, conn, frames)
+	pp := dialRaw(t, addr)
+	if _, err := pp.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	if want := bytes.Repeat(readFrames(t, pp, 1), frames); !bytes.Equal(got, want) {
+		t.Fatal("burst past the flush threshold lost or reordered response bytes")
+	}
+	// No flush ever carried more than the threshold plus one response.
+	bound := float64(flushThreshold/respLen + 1)
+	if most := awaitFlushed(reg, frames+1)[metricFlushFrames+"_max"]; most > bound {
+		t.Errorf("one flush carried %v responses of %d bytes, bound is %v", most, respLen, bound)
+	}
+}
+
+// scriptConn is a connection whose peer is a script: each Read hands
+// over the next chunk (whole, the server's buffer is larger), then
+// EOF; writes are counted and kept. It lets a test run the real serve
+// loop on its own goroutine, where allocations and writes can be
+// counted exactly.
+type scriptConn struct {
+	net.Conn // nil: the serve loop must need nothing beyond the methods below
+	chunks   [][]byte
+	next     int
+	writes   int
+	wrote    []byte
+}
+
+func (c *scriptConn) Read(p []byte) (int, error) {
+	if c.next == len(c.chunks) {
+		return 0, io.EOF
+	}
+	n := copy(p, c.chunks[c.next])
+	if n < len(c.chunks[c.next]) {
+		panic("scriptConn: chunk larger than the server's read buffer")
+	}
+	c.next++
+	return n, nil
+}
+
+func (c *scriptConn) Write(p []byte) (int, error) {
+	c.writes++
+	c.wrote = append(c.wrote[:0], p...)
+	return len(p), nil
+}
+
+func (c *scriptConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *scriptConn) SetWriteDeadline(time.Time) error { return nil }
+func (c *scriptConn) RemoteAddr() net.Addr             { return nil }
+
+// attach hands conn to srv the way Serve would an accepted connection,
+// without a listener, and returns its serve state.
+func attach(t testing.TB, srv *Server, conn net.Conn) *serverConn {
+	t.Helper()
+	if srv.Metrics != nil && srv.m == nil {
+		srv.m = newServerMetrics(srv.Metrics)
+	}
+	st, ok := srv.trackConn(conn)
+	if !ok {
+		t.Fatal("fresh server refused a connection")
+	}
+	return srv.newConn(conn, st)
+}
+
+// serveScript runs srv's serve loop over the chunks as one connection's
+// input, repeatedly, and returns the heap allocations and writes of one
+// pass in steady state.
+func serveScript(t *testing.T, srv *Server, chunks [][]byte) (allocs float64, writes int) {
+	t.Helper()
+	conn := &scriptConn{chunks: chunks}
+	c := attach(t, srv, conn)
+	allocs = testing.AllocsPerRun(50, func() {
+		conn.next, conn.writes = 0, 0
+		c.serve()
+	})
+	return allocs, conn.writes
+}
+
+// coalescedWrites is how many writes a pipelined burst of frames equal
+// responses of respLen bytes leaves in: one each time flushThreshold
+// bytes are pending, and one for what is left when the input runs dry.
+func coalescedWrites(frames, respLen int) int {
+	writes, pending := 0, 0
+	for f := 0; f < frames; f++ {
+		if pending += respLen; pending >= flushThreshold || f == frames-1 {
+			writes, pending = writes+1, 0
+		}
+	}
+	return writes
+}
+
+// steadyStateAllocs pins the zero-allocation claim on the serve loop
+// itself, observability attached: a 64-frame input served ping-pong
+// (one frame per read, one write per frame) and pipelined (one read,
+// one write per flushThreshold bytes) allocates nothing per frame.
+func steadyStateAllocs(t *testing.T, srv *Server, traced bool) {
+	t.Helper()
+	frames := burstFrames(t, 64, 64, traced)
+	respLen := HeaderSize + 12 + 8*16
+	if traced {
+		respLen += TimingSize
+	}
+	for _, tc := range []struct {
+		name   string
+		chunks [][]byte
+		writes int
+	}{
+		{"ping-pong", frames, 64},
+		{"pipelined", [][]byte{bytes.Join(frames, nil)}, coalescedWrites(64, respLen)},
+	} {
+		allocs, writes := serveScript(t, srv, tc.chunks)
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocs per 64 frames served, want 0", tc.name, allocs)
+		}
+		if writes != tc.writes {
+			t.Errorf("%s: %d writes for 64 frames, want %d", tc.name, writes, tc.writes)
+		}
+	}
+}
+
+// TestServerSteadyStateAllocs: plain frames through a server with
+// telemetry and metrics on, as fabricd runs it.
+func TestServerSteadyStateAllocs(t *testing.T) {
+	steadyStateAllocs(t, &Server{Resolver: testFabric(t, true), Metrics: obs.NewRegistry()}, false)
 }
 
 func TestServeRequiresResolver(t *testing.T) {

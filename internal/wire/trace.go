@@ -51,9 +51,12 @@ type TraceContext struct {
 
 // Timing is a traced response's server-side time attribution, all in
 // nanoseconds of server monotonic time. Total covers the request from
-// header parse to response write; Decode, Resolve and Encode are the
-// stages within it. Total minus the three stages is server-side
-// framing overhead; client RTT minus Total is network plus queueing.
+// the frame's arrival to its response being framed, so it ends before
+// the write that carries it; Decode (trace-context parse, count and
+// length validation), Resolve (the fused lookup pass from request bytes
+// to response words) and Encode (header, generation, count and trailer
+// framing) are back-to-back stages that sum to it. Client RTT minus
+// Total is the response write, the network and queueing.
 type Timing struct {
 	TotalNS   int64
 	DecodeNS  int64
@@ -100,9 +103,7 @@ func AppendResolveRequestTraced(buf []byte, tc TraceContext, pairs [][2]int) ([]
 
 // ParseTraceContext reads the trace-context prefix of a traced
 // resolve-request payload. The batch that follows starts at offset
-// TraceContextSize and decodes with DecodeResolveRequest — servers
-// split the two steps so the decode proper can run under a span of
-// the request's own trace.
+// TraceContextSize, laid out exactly as a plain request's payload.
 //
 //repro:hotpath
 func ParseTraceContext(payload []byte) (TraceContext, error) {

@@ -3,13 +3,12 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
-	"net"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/hashutil"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -157,27 +156,7 @@ func TestTracedDecodeRejectsMalformed(t *testing.T) {
 // startTracedServer is startServer with a tracer attached.
 func startTracedServer(t *testing.T, r Resolver, tr *trace.Tracer) string {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &Server{Resolver: r, Timeout: 2 * time.Second, Tracer: tr}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(l) }()
-	t.Cleanup(func() {
-		if err := srv.Close(); err != nil {
-			t.Errorf("server close: %v", err)
-		}
-		select {
-		case err := <-done:
-			if !errors.Is(err, ErrServerClosed) {
-				t.Errorf("Serve returned %v, want ErrServerClosed", err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Error("Serve did not return after Close")
-		}
-	})
-	return l.Addr().String()
+	return startServerWith(t, &Server{Resolver: r, Timeout: 2 * time.Second, Tracer: tr})
 }
 
 // TestServerTracedEndToEnd drives traced frames through a live server
@@ -356,4 +335,10 @@ func TestServerTracedSteadyStateAllocs(t *testing.T) {
 	if per := float64(ms1.Mallocs-ms0.Mallocs) / rounds; per > 8 {
 		t.Errorf("traced steady state allocates %.1f objects per round trip", per)
 	}
+
+	// The serve loop alone, counted exactly: traced frames, ping-pong
+	// and pipelined, with the tracer sampling (stage children recorded)
+	// and metrics on.
+	sampling := trace.New(trace.Config{SampleNum: 1, SampleDen: 1, RecorderCap: 64})
+	steadyStateAllocs(t, &Server{Resolver: f, Metrics: obs.NewRegistry(), Tracer: sampling}, true)
 }

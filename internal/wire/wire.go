@@ -24,10 +24,19 @@
 //	resolve response:  generation uint64, count uint32, then count × packed uint64
 //	error:             code byte, then UTF-8 message (≤ MaxErrorLen)
 //
+// Requests may be pipelined on a connection: responses come back in
+// request order, a burst's responses coalesced into a few large writes,
+// and the server writes everything it owes before it waits for more
+// input.
+//
 // The encoder/decoder pairs are append/reuse style so both sides run
-// allocation-free in steady state: servers reuse one read buffer,
-// pair slice and response buffer per connection; clients reuse one
-// request buffer and packed slice per connection.
+// allocation-free in steady state. Clients reuse one request buffer and
+// packed slice per connection. The server does not run the pair/word
+// codec at all: it resolves straight from a request frame's bytes into
+// the response buffer it reuses per connection (fabric.ResolveWire);
+// DecodeResolveRequest and AppendResolveResponse are the client and
+// in-process side of the same bytes, and the oracle the server is
+// fuzzed against.
 package wire
 
 import (
@@ -78,7 +87,7 @@ const (
 	ErrCodeBadType     = 3 // unexpected frame type
 	ErrCodeOverflow    = 4 // declared payload exceeds MaxPayload
 	ErrCodeServer      = 5 // server-side failure
-	ErrCodeUnavailable = 6 // server shutting down
+	ErrCodeUnavailable = 6 // no complete frame arrived within the read deadline
 )
 
 // ErrTooLarge is returned when a header declares a payload beyond
@@ -168,6 +177,26 @@ func AppendResolveRequest(buf []byte, pairs [][2]int) ([]byte, error) {
 	return buf, nil
 }
 
+// resolveRequestCount validates a resolve-request payload's shape and
+// returns its pair count: the declared count within MaxPairs and
+// matching the payload length exactly, so whatever is sized from it is
+// bounded by the bytes actually received. The pairs start at offset 4.
+//
+//repro:hotpath
+func resolveRequestCount(payload []byte) (int, error) {
+	if len(payload) < 4 {
+		return 0, fmt.Errorf("wire: resolve request payload too short (%d bytes)", len(payload))
+	}
+	count := binary.BigEndian.Uint32(payload[0:4])
+	if count > MaxPairs {
+		return 0, fmt.Errorf("wire: request batch %d exceeds limit %d: %w", count, MaxPairs, ErrTooLarge)
+	}
+	if len(payload) != 4+8*int(count) {
+		return 0, fmt.Errorf("wire: resolve request declares %d pairs but carries %d bytes", count, len(payload)-4)
+	}
+	return int(count), nil
+}
+
 // DecodeResolveRequest parses a resolve-request payload, appending
 // the batch to dst (pass dst[:0] to reuse its backing array) and
 // returning the extended slice. The declared count must match the
@@ -176,17 +205,11 @@ func AppendResolveRequest(buf []byte, pairs [][2]int) ([]byte, error) {
 //
 //repro:hotpath
 func DecodeResolveRequest(payload []byte, dst [][2]int) ([][2]int, error) {
-	if len(payload) < 4 {
-		return dst, fmt.Errorf("wire: resolve request payload too short (%d bytes)", len(payload))
+	count, err := resolveRequestCount(payload)
+	if err != nil {
+		return dst, err
 	}
-	count := binary.BigEndian.Uint32(payload[0:4])
-	if count > MaxPairs {
-		return dst, fmt.Errorf("wire: request batch %d exceeds limit %d: %w", count, MaxPairs, ErrTooLarge)
-	}
-	if len(payload) != 4+8*int(count) {
-		return dst, fmt.Errorf("wire: resolve request declares %d pairs but carries %d bytes", count, len(payload)-4)
-	}
-	for i := 0; i < int(count); i++ {
+	for i := 0; i < count; i++ {
 		off := 4 + 8*i
 		dst = append(dst, [2]int{
 			int(binary.BigEndian.Uint32(payload[off : off+4])),

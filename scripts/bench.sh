@@ -7,8 +7,9 @@
 # smoke check that every benchmark still compiles and completes.
 #
 # The gate/baseline modes turn the trajectory into a regression gate:
-# `baseline` runs the hot-path benchmarks (ResolveBatch and the packed
-# variant, wire encode/decode and end-to-end, evaluator cache, the
+# `baseline` runs the hot-path benchmarks (ResolveBatch, the packed
+# variant and the fused pass the binary front door serves, wire
+# encode/decode, end-to-end and a pipelined burst, evaluator cache, the
 # census every analytic score is a max over, LoadState route deltas,
 # the Optimize pass, delta-scored placement, and the control plane's
 # time-to-new-generation: FailLink swap, Heal, and the deadlock
@@ -31,7 +32,7 @@ cd "$(dirname "$0")/.."
 # (internal/benchcal) that benchgate divides out. Anchored so e.g.
 # ResolveBatch does not also pull in every sized variant that may
 # appear later.
-gate_bench='^(BenchmarkResolveBatch|BenchmarkResolveBatchPackedTraced|BenchmarkResolveBatchPacked|BenchmarkResolveBatchPackedObserved|BenchmarkWireEncodeRequest|BenchmarkWireDecodeRequest|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkWireResolveEndToEnd|BenchmarkCachedScoreHit|BenchmarkCachedScoreRoutesHit|BenchmarkApplyRouteDelta|BenchmarkOptimize|BenchmarkPlaceIncremental|BenchmarkFailLinkSwap|BenchmarkHeal|BenchmarkAnalyze|BenchmarkVerifyDeadlockFree|BenchmarkCalibration)$'
+gate_bench='^(BenchmarkResolveBatch|BenchmarkResolveBatchPackedTraced|BenchmarkResolveBatchPacked|BenchmarkResolveBatchPackedObserved|BenchmarkResolveWire|BenchmarkWireEncodeRequest|BenchmarkWireDecodeRequest|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkWireResolveEndToEnd|BenchmarkWireResolvePipelined|BenchmarkCachedScoreHit|BenchmarkCachedScoreRoutesHit|BenchmarkApplyRouteDelta|BenchmarkOptimize|BenchmarkPlaceIncremental|BenchmarkFailLinkSwap|BenchmarkHeal|BenchmarkAnalyze|BenchmarkVerifyDeadlockFree|BenchmarkCalibration)$'
 gate_pkgs='./internal/fabric ./internal/wire ./internal/evaluate ./internal/sched ./internal/contention'
 
 run_gated() {
