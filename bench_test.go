@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	repro "repro"
+	"repro/internal/benchcal"
 	"repro/internal/contention"
 	"repro/internal/core"
 	"repro/internal/dimemas"
@@ -33,6 +34,12 @@ func benchOpt() experiments.Options {
 		Cache:       core.NewTableCache(0),
 	}
 }
+
+// BenchmarkCalibration is the shared machine-speed reference
+// (internal/benchcal): cmd/benchgate divides this package's gated
+// benchmarks (the simulator, trace-replay and census ones) by its drift
+// ratio so the regression gate tracks code, not CI-runner speed.
+func BenchmarkCalibration(b *testing.B) { benchcal.Bench(b) }
 
 func BenchmarkTable1Labels(b *testing.B) {
 	tp, err := xgft.NewSlimmedTree(16, 16, 10)

@@ -36,6 +36,7 @@ func TestCLISmoke(t *testing.T) {
 		{"experiments", []string{"-placement", "-seeds", "2"}},
 		{"experiments", []string{"-churn", "-seeds", "2"}},
 		{"experiments", []string{"-fidelity", "-bytes", "2048"}},
+		{"experiments", []string{"-fig2b", "-engine", "simulated", "-bytes", "2048", "-seeds", "2"}},
 		{"fabricd", []string{"-demo", "-xgft", "2;8,8;1,8"}},
 		{"fabricd", []string{"-demo", "-xgft", "2;8,8;1,4", "-sched", "telemetry"}},
 		{"fabricd", []string{"-demo", "-xgft", "2;8,8;1,4", "-evaluator", "venus"}},

@@ -14,8 +14,10 @@
 //	experiments -all                everything above
 //
 // By default the fast analytic engine is used; -engine simulated runs
-// the full trace-replay pipeline (minutes with paper message sizes;
-// use -bytes to scale down). -csv switches the sweep output format.
+// the full trace-replay pipeline (at paper message sizes, -bytes 0,
+// `-fig2b -engine simulated -seeds 2` takes 6.4 s on two vCPUs, down
+// from 71.7 s when every cell replayed its own crossbar reference; use
+// -bytes to scale down). -csv switches the sweep output format.
 //
 // Sweeps fan their independent (topology, algorithm, pattern, seed)
 // cells out over -parallel workers (default: all CPUs) and reuse

@@ -1,0 +1,162 @@
+package core
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/pattern"
+	"repro/internal/xgft"
+)
+
+// obliviousSchemes lists every scheme that computes its ascent into a
+// caller's buffer.
+func obliviousSchemes(tp *xgft.Topology) []Algorithm {
+	return []Algorithm{
+		NewSModK(tp), NewDModK(tp), NewRandom(tp, 7),
+		NewRandomNCAUp(tp, 7), NewRandomNCADown(tp, 7),
+		NewUnbalancedNCAUp(tp, 7), NewUnbalancedNCADown(tp, 7),
+	}
+}
+
+// ascentTrees are the shapes the buffer path is held to the oracle
+// on: the paper's slimmed two-level tree and a slimmed three-level
+// one, where subtree prefixes and guide digits stop coinciding.
+func ascentTrees(t *testing.T) []*xgft.Topology {
+	t.Helper()
+	return []*xgft.Topology{
+		paperTree(t, 10),
+		xgft.MustNew(3, []int{4, 3, 5}, []int{1, 2, 3}),
+	}
+}
+
+// routeOnly hides everything but the Algorithm interface, the way an
+// implementation from outside the package looks to BuildTable and the
+// census, and counts the Route calls it answers.
+type routeOnly struct {
+	Algorithm
+	calls int
+}
+
+func (r *routeOnly) Route(src, dst int) xgft.Route {
+	r.calls++
+	return r.Algorithm.Route(src, dst)
+}
+
+// censusByRoute is the census as it was before the buffer path: one
+// Route per pair, the root found by walking the ascent from the source.
+func censusByRoute(tp *xgft.Topology, algo Algorithm) []int {
+	counts := make([]int, tp.NodesAt(tp.Height()))
+	for s := 0; s < tp.Leaves(); s++ {
+		for d := 0; d < tp.Leaves(); d++ {
+			if s == d || tp.NCALevel(s, d) != tp.Height() {
+				continue
+			}
+			_, idx := algo.Route(s, d).NCA(tp)
+			counts[idx]++
+		}
+	}
+	return counts
+}
+
+func TestCensusBufferPathMatchesRoutePerPair(t *testing.T) {
+	for _, tp := range ascentTrees(t) {
+		for _, algo := range obliviousSchemes(tp) {
+			if _, ok := algo.(ascender); !ok {
+				t.Fatalf("%s does not compute its ascent into a buffer", algo.Name())
+			}
+			want := censusByRoute(tp, algo)
+			if got := AllPairsNCACensus(tp, algo); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s on %s: buffered census %v, Route-per-pair %v", algo.Name(), tp, got, want)
+			}
+			foreign := &routeOnly{Algorithm: algo}
+			if got := AllPairsNCACensus(tp, foreign); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s on %s behind a foreign type: census %v, want %v", algo.Name(), tp, got, want)
+			}
+			top := 0
+			for _, c := range want {
+				top += c
+			}
+			if foreign.calls != top {
+				t.Errorf("%s on %s: foreign algorithm asked for %d routes, want one per top-level pair (%d)", algo.Name(), tp, foreign.calls, top)
+			}
+		}
+	}
+}
+
+func TestBuildTableArenaMatchesRoutePerFlow(t *testing.T) {
+	for _, tp := range ascentTrees(t) {
+		// Every pair, self-flows included: each NCA level occurs.
+		p := &pattern.Pattern{N: tp.Leaves()}
+		for s := 0; s < tp.Leaves(); s++ {
+			for d := 0; d < tp.Leaves(); d += 3 {
+				p.Flows = append(p.Flows, pattern.Flow{Src: s, Dst: d, Bytes: 1})
+			}
+		}
+		for _, algo := range obliviousSchemes(tp) {
+			tbl, err := BuildTable(tp, algo, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			foreign := &routeOnly{Algorithm: algo}
+			viaRoute, err := BuildTable(tp, foreign, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if foreign.calls != len(p.Flows) {
+				t.Errorf("%s: foreign algorithm asked for %d routes, want %d", algo.Name(), foreign.calls, len(p.Flows))
+			}
+			for i, f := range p.Flows {
+				want := algo.Route(f.Src, f.Dst)
+				if !reflect.DeepEqual(tbl.Routes[i], want) || !reflect.DeepEqual(viaRoute.Routes[i], want) {
+					t.Fatalf("%s on %s, flow %d: arena %+v, fallback %+v, Route %+v", algo.Name(), tp, i, tbl.Routes[i], viaRoute.Routes[i], want)
+				}
+			}
+		}
+	}
+}
+
+// TestRoutesAreOwnedByTheirHolder scribbles over and appends to routes
+// handed out by Route and by an arena-built table: neither the next
+// Route call nor the neighbouring routes of the table may notice.
+func TestRoutesAreOwnedByTheirHolder(t *testing.T) {
+	tp := paperTree(t, 10)
+	p := pattern.WRF256()
+	for _, algo := range obliviousSchemes(tp) {
+		clean, err := BuildTable(tp, algo, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := BuildTable(tp, algo, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range tbl.Routes {
+			if i%2 == 1 {
+				continue
+			}
+			up := tbl.Routes[i].Up
+			grown := append(up, -7, -7, -7)
+			for j := range grown {
+				grown[j] = -7
+			}
+			for j := range up {
+				up[j] = -7
+			}
+		}
+		for i, f := range p.Flows {
+			if i%2 == 1 && !reflect.DeepEqual(tbl.Routes[i], clean.Routes[i]) {
+				t.Fatalf("%s: route %d changed to %+v when its neighbours were overwritten", algo.Name(), i, tbl.Routes[i])
+			}
+			r := algo.Route(f.Src, f.Dst)
+			if !reflect.DeepEqual(r, clean.Routes[i]) {
+				t.Fatalf("%s: Route(%d,%d) = %+v after table routes were overwritten, want %+v", algo.Name(), f.Src, f.Dst, r, clean.Routes[i])
+			}
+			for j := range r.Up {
+				r.Up[j] = -9
+			}
+			if again := algo.Route(f.Src, f.Dst); !reflect.DeepEqual(again, clean.Routes[i]) {
+				t.Fatalf("%s: Route(%d,%d) = %+v after the previous result was overwritten", algo.Name(), f.Src, f.Dst, again)
+			}
+		}
+	}
+}

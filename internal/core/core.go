@@ -74,15 +74,57 @@ type Table struct {
 	Routes []xgft.Route
 }
 
+// ascender is what the package's oblivious schemes (mod-k, Random,
+// the relabeling family) have in common: the ascent is a formula of
+// the pair, so it can be computed into a buffer the caller provides.
+// Enumerations over many pairs use it to route without a per-pair
+// allocation; an Algorithm that does not implement it — Colored, a
+// FixedTable, anything from outside the package — is asked for whole
+// Routes instead.
+type ascender interface {
+	// ascentInto appends the up-ports of the src->dst ascent to up and
+	// returns the extended slice; src == dst appends nothing.
+	ascentInto(src, dst int, up []int) []int
+}
+
+// ownedRoute wraps an ascent computed in a scratch buffer into a Route
+// whose Up the caller owns: one allocation of exactly its length.
+func ownedRoute(src, dst int, up []int) xgft.Route {
+	r := xgft.Route{Src: src, Dst: dst}
+	if len(up) > 0 {
+		r.Up = make([]int, len(up))
+		copy(r.Up, up)
+	}
+	return r
+}
+
 // BuildTable computes routes for every flow of the pattern. Self-flows
-// get empty routes. The table is validated on construction.
+// get empty routes. The table is validated on construction. Ascents of
+// the package's oblivious schemes are carved out of one arena per
+// table, each capped at its own length so appending to one route's Up
+// cannot reach its neighbour's.
 func BuildTable(t *xgft.Topology, algo Algorithm, p *pattern.Pattern) (*Table, error) {
 	if p.N > t.Leaves() {
 		return nil, fmt.Errorf("core: pattern over %d endpoints does not fit %d leaves", p.N, t.Leaves())
 	}
 	tbl := &Table{Topo: t, Algo: algo.Name(), Routes: make([]xgft.Route, len(p.Flows))}
+	asc, buffered := algo.(ascender)
+	var arena []int
+	if buffered {
+		arena = make([]int, 0, len(p.Flows)*t.Height())
+	}
 	for i, f := range p.Flows {
-		r := algo.Route(f.Src, f.Dst)
+		var r xgft.Route
+		if buffered {
+			end := len(arena)
+			arena = asc.ascentInto(f.Src, f.Dst, arena)
+			r = xgft.Route{Src: f.Src, Dst: f.Dst}
+			if len(arena) > end {
+				r.Up = arena[end:len(arena):len(arena)]
+			}
+		} else {
+			r = algo.Route(f.Src, f.Dst)
+		}
 		if f.Src != f.Dst {
 			if err := r.Validate(t); err != nil {
 				return nil, fmt.Errorf("core: %s produced invalid route for flow %d: %w", algo.Name(), i, err)
@@ -99,16 +141,25 @@ func BuildTable(t *xgft.Topology, algo Algorithm, p *pattern.Pattern) (*Table, e
 // routes assigned per NCA"). Pairs whose NCA is below the top level do
 // not reach a root and are excluded, as in the figure.
 func AllPairsNCACensus(t *xgft.Topology, algo Algorithm) []int {
-	counts := make([]int, t.NodesAt(t.Height()))
+	h := t.Height()
+	counts := make([]int, t.NodesAt(h))
+	asc, buffered := algo.(ascender)
+	var buf [xgft.MaxHeight]int
 	n := t.Leaves()
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
-			if s == d || t.NCALevel(s, d) != t.Height() {
+			var up []int
+			if buffered {
+				up = asc.ascentInto(s, d, buf[:0])
+			} else if s != d && t.NCALevel(s, d) == h {
+				up = algo.Route(s, d).Up
+			}
+			if len(up) != h {
 				continue
 			}
-			r := algo.Route(s, d)
-			_, idx := r.NCA(t)
-			counts[idx]++
+			// Every digit of a root's label is a W-digit, so the ascent
+			// is the root's label.
+			counts[t.Index(h, up)]++
 		}
 	}
 	return counts

@@ -269,7 +269,8 @@ func TestRelabelingSeedsDiffer(t *testing.T) {
 func TestMakeBalancedMapProperties(t *testing.T) {
 	cases := []struct{ m, w int }{{16, 16}, {16, 10}, {16, 1}, {5, 3}, {3, 5}, {1, 1}, {4, 8}}
 	for _, c := range cases {
-		mp := makeBalancedMap(c.m, c.w, 12345)
+		mp := make([]int32, c.m)
+		fillBalancedMap(mp, c.w, 12345)
 		if len(mp) != c.m {
 			t.Fatalf("map length %d, want %d", len(mp), c.m)
 		}

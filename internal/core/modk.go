@@ -34,19 +34,20 @@ func (m *modK) Name() string { return m.name }
 func (m *modK) CacheKey() string { return m.name }
 
 func (m *modK) Route(src, dst int) xgft.Route {
+	var buf [xgft.MaxHeight]int
+	return ownedRoute(src, dst, m.ascentInto(src, dst, buf[:0]))
+}
+
+func (m *modK) ascentInto(src, dst int, up []int) []int {
 	l := m.topo.NCALevel(src, dst)
-	r := xgft.Route{Src: src, Dst: dst}
-	if l == 0 {
-		return r
-	}
 	guide := src
 	if !m.useSource {
 		guide = dst
 	}
-	lab := m.topo.Label(0, guide)
-	r.Up = make([]int, l)
+	var lab [xgft.MaxHeight]int
+	m.topo.LabelInto(0, guide, lab[:m.topo.Height()])
 	for lvl := 0; lvl < l; lvl++ {
-		r.Up[lvl] = lab[guideDigit(lvl)] % m.topo.W(lvl)
+		up = append(up, lab[guideDigit(lvl)]%m.topo.W(lvl))
 	}
-	return r
+	return up
 }

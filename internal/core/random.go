@@ -30,15 +30,15 @@ func (r *randomNCA) Name() string { return "random" }
 func (r *randomNCA) CacheKey() string { return fmt.Sprintf("random/%#x", r.seed) }
 
 func (r *randomNCA) Route(src, dst int) xgft.Route {
+	var buf [xgft.MaxHeight]int
+	return ownedRoute(src, dst, r.ascentInto(src, dst, buf[:0]))
+}
+
+func (r *randomNCA) ascentInto(src, dst int, up []int) []int {
 	l := r.topo.NCALevel(src, dst)
-	rt := xgft.Route{Src: src, Dst: dst}
-	if l == 0 {
-		return rt
-	}
-	rt.Up = make([]int, l)
 	for lvl := 0; lvl < l; lvl++ {
 		h := mix(r.seed, uint64(src), uint64(dst), uint64(lvl))
-		rt.Up[lvl] = uniform(h, r.topo.W(lvl))
+		up = append(up, uniform(h, r.topo.W(lvl)))
 	}
-	return rt
+	return up
 }

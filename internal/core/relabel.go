@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
+	"repro/internal/hashutil"
 	"repro/internal/xgft"
 )
 
@@ -27,13 +27,12 @@ type relabelFamily struct {
 
 	prodM []int // prodM[j] = m_1*...*m_j: leaf-digit place values
 
-	mu   sync.RWMutex
-	maps map[mapKey][]int32
-}
-
-type mapKey struct {
-	level  int
-	prefix int
+	// ports[lvl] is the relabeling at switch level lvl, every subtree's
+	// map laid end to end: the map of subtree prefix occupies
+	// [prefix*m, (prefix+1)*m), so the entry for a leaf is at
+	// prefix*m + digit = leaf / prodM[guideDigit(lvl)]. Built once by
+	// the constructor and never written again: Route needs no lock.
+	ports [][]int32
 }
 
 // NewRandomNCAUp returns the paper's "Random NCA Up" (r-NCA-u)
@@ -41,122 +40,108 @@ type mapKey struct {
 // ascent, concentrating source-side endpoint contention on the way up
 // while distributing responsibilities over the roots at random.
 func NewRandomNCAUp(t *xgft.Topology, seed uint64) Algorithm {
-	return newRelabelFamily(t, seed, true, "r-NCA-u")
+	return newRelabelFamily(t, seed, true, "r-NCA-u", fillBalancedMap)
 }
 
 // NewRandomNCADown returns "Random NCA Down" (r-NCA-d): the relabeled
 // guide digits of the *destination* steer the route, concentrating
 // destination-side endpoint contention on the way down.
 func NewRandomNCADown(t *xgft.Topology, seed uint64) Algorithm {
-	return newRelabelFamily(t, seed, false, "r-NCA-d")
+	return newRelabelFamily(t, seed, false, "r-NCA-d", fillBalancedMap)
 }
 
-func newRelabelFamily(t *xgft.Topology, seed uint64, useSource bool, name string) *relabelFamily {
+// newRelabelFamily draws one map [0, m) -> [0, w) per (switch level,
+// enclosing subtree) with fill, from a deterministic stream keyed by
+// (seed, level, subtree prefix), so tables are reproducible from the
+// seed alone.
+func newRelabelFamily(t *xgft.Topology, seed uint64, useSource bool, name string, fill func(vals []int32, w int, key uint64)) *relabelFamily {
 	f := &relabelFamily{
 		topo:      t,
 		seed:      seed,
 		useSource: useSource,
 		name:      name,
-		maps:      make(map[mapKey][]int32),
 		prodM:     make([]int, t.Height()+1),
+		ports:     make([][]int32, t.Height()),
 	}
 	f.prodM[0] = 1
 	for j := 0; j < t.Height(); j++ {
 		f.prodM[j+1] = f.prodM[j] * t.M(j)
+	}
+	for lvl := range f.ports {
+		m := t.M(guideDigit(lvl))
+		f.ports[lvl] = make([]int32, t.Leaves()/f.prodM[guideDigit(lvl)])
+		if t.W(lvl) == 1 {
+			continue // one port: every map is all zeros
+		}
+		for prefix := 0; prefix*m < len(f.ports[lvl]); prefix++ {
+			fill(f.ports[lvl][prefix*m:(prefix+1)*m], t.W(lvl), mix(seed, uint64(lvl), uint64(prefix)))
+		}
 	}
 	return f
 }
 
 func (f *relabelFamily) Name() string { return f.name }
 
-// CacheKey marks relabeling-family routes as memoizable: the balanced
-// maps are a deterministic stream of (seed, level, subtree), so name
-// plus seed identifies the table. The unbalanced ablation inherits
-// this method with its own name field, so the two never alias.
+// CacheKey marks relabeling-family routes as memoizable: the maps are
+// a deterministic stream of (seed, level, subtree), so name plus seed
+// identifies the table. The unbalanced ablation has its own name, so
+// the two never alias.
 func (f *relabelFamily) CacheKey() string { return fmt.Sprintf("%s/%#x", f.name, f.seed) }
 
 func (f *relabelFamily) Route(src, dst int) xgft.Route {
+	var buf [xgft.MaxHeight]int
+	return ownedRoute(src, dst, f.ascentInto(src, dst, buf[:0]))
+}
+
+func (f *relabelFamily) ascentInto(src, dst int, up []int) []int {
 	l := f.topo.NCALevel(src, dst)
-	r := xgft.Route{Src: src, Dst: dst}
-	if l == 0 {
-		return r
-	}
 	guide := src
 	if !f.useSource {
 		guide = dst
 	}
-	r.Up = make([]int, l)
 	for lvl := 0; lvl < l; lvl++ {
-		r.Up[lvl] = f.portAt(lvl, guide)
+		up = append(up, f.portAt(lvl, guide))
 	}
-	return r
+	return up
 }
 
 // portAt evaluates the relabeled guide digit of the given leaf at a
-// switch level: the balanced map of the leaf's enclosing subtree
-// applied to the leaf's plain guide digit.
+// switch level: the map of the leaf's enclosing subtree applied to the
+// leaf's plain guide digit.
 func (f *relabelFamily) portAt(lvl, guide int) int {
-	j := guideDigit(lvl)
-	digit := (guide / f.prodM[j]) % f.topo.M(j)
-	prefix := guide / f.prodM[j+1]
-	return int(f.balancedMap(lvl, prefix)[digit])
+	return int(f.ports[lvl][guide/f.prodM[guideDigit(lvl)]])
 }
 
-// balancedMap returns (building lazily) the balanced random map for a
-// (switch level, enclosing subtree) context. Maps are generated from a
-// deterministic stream keyed by (seed, level, prefix), so tables are
-// reproducible and deep trees need no up-front O(prod m) work.
-func (f *relabelFamily) balancedMap(lvl, prefix int) []int32 {
-	key := mapKey{level: lvl, prefix: prefix}
-	f.mu.RLock()
-	m, ok := f.maps[key]
-	f.mu.RUnlock()
-	if ok {
-		return m
+// fillBalancedMap draws a uniformly random balanced surjection-like
+// map from [0,m) to [0,w) into vals (m = len(vals)): value v appears
+// floor(m/w)+1 times if v < m mod w, else floor(m/w) times (or, when
+// w > m, a random injection). The multiset of values is fixed; only
+// the assignment to digits is shuffled (Fisher-Yates over the keyed
+// splitmix64 stream).
+func fillBalancedMap(vals []int32, w int, key uint64) {
+	m := len(vals)
+	// order is the port permutation both branches shuffle.
+	order := make([]int32, w)
+	for i := range order {
+		order[i] = int32(i)
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if m, ok = f.maps[key]; ok {
-		return m
-	}
-	m = makeBalancedMap(f.topo.M(guideDigit(lvl)), f.topo.W(lvl), mix(f.seed, uint64(lvl), uint64(prefix)))
-	f.maps[key] = m
-	return m
-}
-
-// makeBalancedMap draws a uniformly random balanced surjection-like
-// map from [0,m) to [0,w): value v appears floor(m/w)+1 times if
-// v < m mod w, else floor(m/w) times (or, when w > m, a random
-// injection). The multiset of values is fixed; only the assignment to
-// digits is shuffled (Fisher-Yates over the keyed splitmix64 stream).
-func makeBalancedMap(m, w int, key uint64) []int32 {
-	vals := make([]int32, m)
+	state := key
 	if w >= m {
 		// Injection: choose m distinct ports via a partial shuffle of
 		// [0, w).
-		ports := make([]int32, w)
-		for i := range ports {
-			ports[i] = int32(i)
-		}
-		state := key
 		for i := 0; i < m; i++ {
 			state = splitmix64(state)
 			j := i + uniform(state, w-i)
-			ports[i], ports[j] = ports[j], ports[i]
+			order[i], order[j] = order[j], order[i]
 		}
-		copy(vals, ports[:m])
-		return vals
+		copy(vals, order[:m])
+		return
 	}
 	base := m / w
 	extra := m % w
 	// Randomize which ports receive the extra preimage, then which
 	// digits map to which port; both matter for balancing load across
 	// the roots of slimmed trees (Fig. 4b).
-	order := make([]int32, w)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	state := key
 	for i := w - 1; i > 0; i-- {
 		state = splitmix64(state)
 		j := uniform(state, i+1)
@@ -178,70 +163,46 @@ func makeBalancedMap(m, w int, key uint64) []int32 {
 		j := uniform(state, i+1)
 		vals[i], vals[j] = vals[j], vals[i]
 	}
-	return vals
 }
 
 // RelabeledDigit exposes the relabeled guide digit for tests and
 // analysis tools: the port the family would take at the given switch
 // level for a leaf.
 func RelabeledDigit(a Algorithm, lvl, leaf int) (int, bool) {
-	switch f := a.(type) {
-	case *relabelFamily:
-		return f.portAt(lvl, leaf), true
-	case *unbalancedFamily:
-		return f.portAt(lvl, leaf), true
-	default:
+	f, ok := a.(*relabelFamily)
+	if !ok {
 		return 0, false
 	}
+	return f.portAt(lvl, leaf), true
 }
 
-// unbalancedFamily is the ablation of the balanced-map design choice
-// (§VIII: "if we give labels based solely on the children per level
-// parameters and then try to use a modulo function ... we will create
-// an unbalance"): each guide digit maps to an independent *uniform*
-// random port instead of a balanced assignment. Endpoint contention
-// is still concentrated (the map is a pure function of the endpoint),
-// but root load is only balanced in expectation — the configuration
-// the paper argues against. Used by ablation tests and benchmarks.
-type unbalancedFamily struct {
-	*relabelFamily
-}
+// The unbalanced family is the ablation of the balanced-map design
+// choice (§VIII: "if we give labels based solely on the children per
+// level parameters and then try to use a modulo function ... we will
+// create an unbalance"): each guide digit maps to an independent
+// *uniform* random port instead of a balanced assignment. Endpoint
+// contention is still concentrated (the map is a pure function of the
+// endpoint), but root load is only balanced in expectation — the
+// configuration the paper argues against. It is the same family with
+// differently drawn maps. Used by ablation tests and benchmarks.
 
 // NewUnbalancedNCAUp is r-NCA-u with the balanced maps replaced by
 // uniform random maps — the ablation baseline for the paper's
 // balancing argument.
 func NewUnbalancedNCAUp(t *xgft.Topology, seed uint64) Algorithm {
-	return &unbalancedFamily{newRelabelFamily(t, seed, true, "u-NCA-u")}
+	return newRelabelFamily(t, seed, true, "u-NCA-u", fillUniformMap)
 }
 
 // NewUnbalancedNCADown is the destination-guided counterpart.
 func NewUnbalancedNCADown(t *xgft.Topology, seed uint64) Algorithm {
-	return &unbalancedFamily{newRelabelFamily(t, seed, false, "u-NCA-d")}
+	return newRelabelFamily(t, seed, false, "u-NCA-d", fillUniformMap)
 }
 
-func (f *unbalancedFamily) Route(src, dst int) xgft.Route {
-	l := f.topo.NCALevel(src, dst)
-	r := xgft.Route{Src: src, Dst: dst}
-	if l == 0 {
-		return r
+// fillUniformMap draws each digit's port as an independent uniform
+// hash of (seed, level, subtree, digit) — same concentration, no
+// balancing.
+func fillUniformMap(vals []int32, w int, key uint64) {
+	for digit := range vals {
+		vals[digit] = int32(uniform(hashutil.Fold(key, uint64(digit)), w))
 	}
-	guide := src
-	if !f.useSource {
-		guide = dst
-	}
-	r.Up = make([]int, l)
-	for lvl := 0; lvl < l; lvl++ {
-		r.Up[lvl] = f.portAt(lvl, guide)
-	}
-	return r
-}
-
-// portAt draws the port as an independent uniform hash of
-// (seed, level, subtree, digit) — same concentration, no balancing.
-func (f *unbalancedFamily) portAt(lvl, guide int) int {
-	j := guideDigit(lvl)
-	digit := (guide / f.prodM[j]) % f.topo.M(j)
-	prefix := guide / f.prodM[j+1]
-	h := mix(f.seed, uint64(lvl), uint64(prefix), uint64(digit))
-	return uniform(h, f.topo.W(lvl))
 }

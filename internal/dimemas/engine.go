@@ -319,7 +319,10 @@ func ReplayOnCrossbar(t *Trace, cfg Config) (eventq.Time, error) {
 
 // MeasuredSlowdown replays the trace on the topology and on the
 // crossbar and returns the ratio — the application-level counterpart
-// of the paper's Figs. 2 and 5 Y axis.
+// of the paper's Figs. 2 and 5 Y axis. It is the one-off form: the
+// crossbar time depends only on the trace and the network model, so a
+// caller scoring many topologies or algorithms on one trace calls
+// ReplayOnCrossbar once and divides Replay's results by it.
 func MeasuredSlowdown(t *Trace, topo *xgft.Topology, algo core.Algorithm, cfg Config) (float64, error) {
 	net, err := Replay(t, topo, algo, cfg)
 	if err != nil {

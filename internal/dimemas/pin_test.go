@@ -1,0 +1,77 @@
+package dimemas
+
+import (
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/hashutil"
+	"repro/internal/pattern"
+)
+
+// cgTrace lowers the CG phases the way traces.FromPhases does (which
+// this package cannot import): per phase every rank posts its sends,
+// then its receives, waits for the sends and meets the others at a
+// barrier.
+func cgTrace(t *testing.T, bytes int64) *Trace {
+	t.Helper()
+	phases, err := pattern.CGPhases(128, bytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &Trace{Ranks: make([][]Op, 128)}
+	for pi, ph := range phases {
+		sends, recvs := make([][]Op, ph.N), make([][]Op, ph.N)
+		for _, f := range ph.Flows {
+			sends[f.Src] = append(sends[f.Src], ISend{Dst: f.Dst, Bytes: f.Bytes, Tag: pi, Req: len(sends[f.Src])})
+			recvs[f.Dst] = append(recvs[f.Dst], Recv{Src: f.Src, Tag: pi})
+		}
+		for r := range tr.Ranks {
+			tr.Ranks[r] = append(append(append(tr.Ranks[r], sends[r]...), recvs[r]...), WaitAll{}, Barrier{})
+		}
+	}
+	return tr
+}
+
+// TestCGReplayPinned is the replay-level twin of venus's
+// TestCGTransposePinned: the whole CG trace (four switch-local phases,
+// the transpose, barriers between them) under d-mod-k on
+// XGFT(2;16,16;1,10), held to the makespan, event count, segment count
+// and delivery sequence recorded at commit 2165a6c, before the
+// calendar lanes and the closure-free simulator loop.
+func TestCGReplayPinned(t *testing.T) {
+	tp := paperTree(t, 10)
+	tr := cgTrace(t, 32*1024)
+	for _, tc := range []struct {
+		name       string
+		cutThrough bool
+		want       [4]uint64 // makespan, processed, segments, delivered hash
+	}{
+		{"store-and-forward", false, [4]uint64{1474944, 121376, 47104, 0x8f346175e5af38e7}},
+		{"cut-through", true, [4]uint64{1446496, 121376, 47104, 0xf6ef24a6eec2c28c}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := cfg()
+			cfg.Net.CutThrough = tc.cutThrough
+			eng, err := NewEngine(tr, tp, core.NewDModK(tp), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			end, err := eng.Run(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim := eng.sim
+			ds := sim.Delivered()
+			h := uint64(len(ds))
+			for _, d := range ds {
+				h = hashutil.Fold(h, uint64(d.Src), uint64(d.Dst), uint64(d.Bytes), uint64(d.Tag),
+					uint64(d.InjectedAt), uint64(d.DeliveredAt))
+			}
+			got := [4]uint64{uint64(end), sim.Q.Processed(), sim.SegmentsMoved, h}
+			if got != tc.want {
+				t.Errorf("makespan, processed, segments, delivered hash = %d %d %d %#x, parent recorded %d %d %d %#x",
+					got[0], got[1], got[2], got[3], tc.want[0], tc.want[1], tc.want[2], tc.want[3])
+			}
+		})
+	}
+}

@@ -66,6 +66,12 @@ func (WaitAll) isOp() {}
 func (Barrier) isOp() {}
 
 // Trace is a complete application trace: one operation list per rank.
+//
+// A Trace is immutable once an engine holds it. NewEngine keeps the
+// per-rank slices, not copies, and engines only read them, so one
+// Trace may feed any number of engines, concurrently — a sweep lowers
+// its trace once and hands it to every cell. Build or edit a Trace
+// before the first NewEngine, never after.
 type Trace struct {
 	Ranks [][]Op
 }

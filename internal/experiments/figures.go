@@ -80,27 +80,48 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// phasedSlowdown evaluates one (topology, algorithm) cell over the
-// app's communication phases. Analytic-engine cells score through the
-// options' evaluator (routing tables shared through the cache);
-// simulated cells build their own simulator instances, so workers
-// never share mutable state.
-func phasedSlowdown(tp *xgft.Topology, algo core.Algorithm, ranks int, phases []*pattern.Pattern, opt Options) (float64, error) {
+// cellScorer returns the function a sweep's cells score one
+// (topology, algorithm) pair with, doing the work every cell shares
+// before the fan-out. Analytic cells score through the options'
+// evaluator (routing tables shared through the cache). Simulated cells
+// replay one trace — lowered once, read-only from here on — on
+// simulator instances of their own, so workers share no mutable state,
+// and divide by one crossbar replay of that trace: the reference
+// depends on neither the topology nor the algorithm, so it is the
+// sweep's, not the cell's.
+func cellScorer(app *App, phases []*pattern.Pattern, opt Options) (func(*xgft.Topology, core.Algorithm) (float64, error), error) {
 	switch opt.Engine {
 	case Analytic:
-		res, err := opt.evaluator().Score(tp, algo, phases)
-		if err != nil {
-			return 0, err
-		}
-		return res.Slowdown, nil
+		ev := opt.evaluator()
+		return func(tp *xgft.Topology, algo core.Algorithm) (float64, error) {
+			res, err := ev.Score(tp, algo, phases)
+			if err != nil {
+				return 0, err
+			}
+			return res.Slowdown, nil
+		}, nil
 	case Simulated:
-		tr, err := traces.FromPhases(ranks, phases, 1, 0)
+		tr, err := traces.FromPhases(app.Ranks, phases, 1, 0)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		return dimemas.MeasuredSlowdown(tr, tp, algo, dimemas.Config{Net: venus.DefaultConfig()})
+		cfg := dimemas.Config{Net: venus.DefaultConfig()}
+		ref, err := dimemas.ReplayOnCrossbar(tr, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return func(tp *xgft.Topology, algo core.Algorithm) (float64, error) {
+			net, err := dimemas.Replay(tr, tp, algo, cfg)
+			if err != nil {
+				return 0, err
+			}
+			if ref == 0 {
+				return 1, nil
+			}
+			return float64(net) / float64(ref), nil
+		}, nil
 	default:
-		return 0, fmt.Errorf("experiments: unknown engine %q", opt.Engine)
+		return nil, fmt.Errorf("experiments: unknown engine %q", opt.Engine)
 	}
 }
 
@@ -173,6 +194,10 @@ func Figure2(app *App, opt Options) ([]Fig2Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	score, err := cellScorer(app, phases, opt)
+	if err != nil {
+		return nil, err
+	}
 	const fixedCells = 3 // s-mod-k, d-mod-k, colored
 	cellsPerW := fixedCells + opt.Seeds
 	rows := make([]Fig2Row, len(topos))
@@ -192,7 +217,7 @@ func Figure2(app *App, opt Options) ([]Fig2Row, error) {
 			seed := c - fixedCells
 			algo, slot = core.NewRandom(tp, uint64(seed)+1), &randSamples[i][seed]
 		}
-		s, err := phasedSlowdown(tp, algo, app.Ranks, phases, opt)
+		s, err := score(tp, algo)
 		if err != nil {
 			return err
 		}
@@ -242,6 +267,10 @@ func Figure5(app *App, opt Options) ([]Fig5Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	score, err := cellScorer(app, phases, opt)
+	if err != nil {
+		return nil, err
+	}
 	const fixedCells = 3
 	nSchemes := len(figure5Schemes)
 	cellsPerW := fixedCells + nSchemes*opt.Seeds
@@ -267,7 +296,7 @@ func Figure5(app *App, opt Options) ([]Fig5Row, error) {
 			seed := (c - fixedCells) % opt.Seeds
 			algo, slot = figure5Schemes[k](tp, uint64(seed)+1), &samples[i][k][seed]
 		}
-		s, err := phasedSlowdown(tp, algo, app.Ranks, phases, opt)
+		s, err := score(tp, algo)
 		if err != nil {
 			return err
 		}

@@ -6,6 +6,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/dimemas"
+	"repro/internal/stats"
+	"repro/internal/venus"
 	"repro/internal/xgft"
 )
 
@@ -155,6 +159,61 @@ func TestFigure5SimulatedEngineSmall(t *testing.T) {
 	}
 	if rows[0].RNCAUp.Median >= rows[0].DModK {
 		t.Errorf("simulated r-NCA-u %.2f not better than d-mod-k %.2f", rows[0].RNCAUp.Median, rows[0].DModK)
+	}
+}
+
+// TestFigure2SimulatedMatchesPerCellReference recomputes every cell
+// of a small simulated sweep the way cells used to be scored: its own
+// trace, its own crossbar replay (dimemas.MeasuredSlowdown). The sweep
+// shares one trace and one reference among workers, four at a time
+// here so the race detector sees the sharing.
+func TestFigure2SimulatedMatchesPerCellReference(t *testing.T) {
+	app := CGApp()
+	opt := Options{
+		Engine:       Simulated,
+		Seeds:        2,
+		MessageBytes: 2048,
+		W2Values:     []int{16, 10, 4},
+		Parallelism:  4,
+		Cache:        core.NewTableCache(0),
+	}
+	rows, err := Figure2(app, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases := app.Phases(opt.MessageBytes)
+	own := func(tp *xgft.Topology, algo core.Algorithm) float64 {
+		t.Helper()
+		tr, err := app.Trace(opt.MessageBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := dimemas.MeasuredSlowdown(tr, tp, algo, dimemas.Config{Net: venus.DefaultConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for i, w2 := range opt.W2Values {
+		tp, err := xgft.NewSlimmedTree(16, 16, w2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		random := make([]float64, opt.Seeds)
+		for seed := range random {
+			random[seed] = own(tp, core.NewRandom(tp, uint64(seed)+1))
+		}
+		want := Fig2Row{
+			W2:       w2,
+			Random:   stats.Summarize(random).Median,
+			SModK:    own(tp, core.NewSModK(tp)),
+			DModK:    own(tp, core.NewDModK(tp)),
+			Colored:  own(tp, core.NewColored(tp, phases, core.ColoredConfig{})),
+			Crossbar: 1,
+		}
+		if rows[i] != want {
+			t.Errorf("w2=%d: sweep row %+v, per-cell reference %+v", w2, rows[i], want)
+		}
 	}
 }
 

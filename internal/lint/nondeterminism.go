@@ -47,6 +47,7 @@ var resultPackages = []string{
 	"internal/sched",
 	"internal/fabric",
 	"internal/eventq",
+	"internal/fifo",
 	"internal/benchcal",
 }
 

@@ -44,15 +44,7 @@ func (s *Sim) InjectAdaptive(m Message) error {
 	}
 	msg := &message{Message: m, id: s.nextMsg, injectedAt: s.Q.Now(), adaptive: true}
 	s.nextMsg++
-	seg := int64(s.Cfg.SegmentBytes)
-	msg.segsTotal = int((m.Bytes + seg - 1) / seg)
-	if msg.segsTotal == 0 {
-		msg.segsTotal = 1
-	}
-	msg.lastBytes = int(m.Bytes - seg*int64(msg.segsTotal-1))
-	if msg.lastBytes <= 0 {
-		msg.lastBytes = 1
-	}
+	s.segmentMessage(msg)
 	s.inflight++
 	s.enqueueNextAdaptiveSegment(msg)
 	return nil
@@ -61,17 +53,9 @@ func (s *Sim) InjectAdaptive(m Message) error {
 // enqueueNextAdaptiveSegment releases the adapter's next segment,
 // choosing the first ascending channel adaptively.
 func (s *Sim) enqueueNextAdaptiveSegment(msg *message) {
-	if msg.segsInjected >= msg.segsTotal {
-		return
-	}
-	bytes := s.Cfg.SegmentBytes
-	if msg.segsInjected == msg.segsTotal-1 {
-		bytes = msg.lastBytes
-	}
-	st := &adaptiveState{level: 0, node: msg.Src, dst: msg.Dst, ncaLevel: s.Topo.NCALevel(msg.Src, msg.Dst)}
-	seg := &segment{msg: msg, bytes: bytes, adaptive: st}
-	msg.segsInjected++
-	ch := s.pickAdaptive(st)
+	seg := s.nextSegment(msg)
+	seg.adaptive = &adaptiveState{level: 0, node: msg.Src, dst: msg.Dst, ncaLevel: s.Topo.NCALevel(msg.Src, msg.Dst)}
+	ch := s.pickAdaptive(seg.adaptive)
 	s.enqueue(ch, seg, adapterClassBase+msg.id)
 	s.kick(ch)
 }
@@ -99,7 +83,7 @@ func (s *Sim) pickAdaptive(st *adaptiveState) *channel {
 		offset := int(s.adaptTie % uint64(w))
 		for i := 0; i < w; i++ {
 			p := (offset + i) % w
-			c := s.chans[s.upID(t.UpChannelID(st.level, st.node, p))]
+			c := &s.chans[s.upID(t.UpChannelID(st.level, st.node, p))]
 			load := c.queued
 			if c.busy {
 				load++
@@ -115,7 +99,7 @@ func (s *Sim) pickAdaptive(st *adaptiveState) *channel {
 		wire := t.UpChannelID(st.level, st.node, bestPort)
 		st.node = t.Parent(st.level, st.node, bestPort)
 		st.level++
-		return s.chans[s.upID(wire)]
+		return &s.chans[s.upID(wire)]
 	}
 	// Deterministic descent towards the destination.
 	dstDigit := s.dstDigit(st)
@@ -123,7 +107,7 @@ func (s *Sim) pickAdaptive(st *adaptiveState) *channel {
 	wire := t.UpChannelID(st.level-1, child, t.UpPortOf(st.level-1, st.node))
 	st.node = child
 	st.level--
-	return s.chans[s.downID(wire)]
+	return &s.chans[s.downID(wire)]
 }
 
 // dstDigit returns the destination's label digit steering the next

@@ -37,7 +37,8 @@ func (u ChannelUsage) Utilization(horizon eventq.Time) float64 {
 func (s *Sim) ChannelUsages() []ChannelUsage {
 	n := s.Topo.TotalChannels()
 	var out []ChannelUsage
-	for i, c := range s.chans {
+	for i := range s.chans {
+		c := &s.chans[i]
 		if c.segments == 0 {
 			continue
 		}
@@ -74,8 +75,8 @@ func (s *Sim) MaxUtilization() float64 {
 		return 0
 	}
 	var max float64
-	for _, c := range s.chans {
-		if u := float64(c.busyTime) / float64(horizon); u > max {
+	for i := range s.chans {
+		if u := float64(s.chans[i].busyTime) / float64(horizon); u > max {
 			max = u
 		}
 	}
@@ -88,7 +89,8 @@ func (s *Sim) UsageSummary() string {
 	n := s.Topo.TotalChannels()
 	upByLevel := make(map[int]int64)
 	downByLevel := make(map[int]int64)
-	for i, c := range s.chans {
+	for i := range s.chans {
+		c := &s.chans[i]
 		if c.segments == 0 {
 			continue
 		}

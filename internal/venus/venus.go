@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"repro/internal/eventq"
+	"repro/internal/fifo"
 	"repro/internal/xgft"
 )
 
@@ -109,7 +110,8 @@ type message struct {
 	deliveredAt  eventq.Time
 }
 
-// segment is one unit of transfer.
+// segment is one unit of transfer. Segments are recycled through the
+// Sim's free list when they are ejected.
 type segment struct {
 	msg      *message
 	bytes    int
@@ -123,11 +125,25 @@ type channel struct {
 	id      int
 	busy    bool
 	credits int  // space left in the downstream input buffer
-	sink    bool // downstream is a leaf adapter (infinite credit)
-	queues  []segFIFO
-	class   map[int]int // arbitration class -> queue index
-	rr      int
-	queued  int
+	sink    bool // downstream is a leaf adapter (infinite credit): the last hop of every route through it
+	// queues holds one virtual queue per arbitration class. A switch
+	// output sees one class per input that ever fed it; an injection
+	// channel sees one per message and retires it with the message's
+	// last segment.
+	queues []classQueue
+	rr     int
+	queued int
+	// wire holds the segments transmitted and not yet arrived
+	// downstream. Every hop of a channel takes the same time from its
+	// scheduling instant, so arrivals leave in transmission order and
+	// the arrive event needs no argument: a wire is a FIFO.
+	wire fifo.Queue[*segment]
+
+	// The channel's three events, bound once in New so that scheduling
+	// one allocates nothing.
+	txDone func() // serialization of the current segment ended
+	credit func() // a downstream buffer slot was released
+	arrive func() // the oldest segment on the wire landed
 
 	// usage accounting (see stats.go)
 	bytes    int64
@@ -135,17 +151,10 @@ type channel struct {
 	segments int
 }
 
-type segFIFO struct {
-	segs []*segment
-}
-
-func (f *segFIFO) push(s *segment) { f.segs = append(f.segs, s) }
-func (f *segFIFO) empty() bool     { return len(f.segs) == 0 }
-func (f *segFIFO) pop() *segment {
-	s := f.segs[0]
-	copy(f.segs, f.segs[1:])
-	f.segs = f.segs[:len(f.segs)-1]
-	return s
+// classQueue is the virtual queue of one arbitration class.
+type classQueue struct {
+	class int
+	fifo.Queue[*segment]
 }
 
 // Sim is one simulation instance. Not safe for concurrent use; run
@@ -155,7 +164,8 @@ type Sim struct {
 	Cfg  Config
 	Q    *eventq.Queue
 
-	chans    []*channel // 2*TotalChannels: ups then downs
+	chans    []channel // 2*TotalChannels: ups then downs
+	free     []*segment
 	nextMsg  int
 	inflight int
 	done     []*message
@@ -174,16 +184,23 @@ func New(t *xgft.Topology, cfg Config) (*Sim, error) {
 	}
 	s := &Sim{Topo: t, Cfg: cfg, Q: new(eventq.Queue)}
 	n := t.TotalChannels()
-	s.chans = make([]*channel, 2*n)
+	s.chans = make([]channel, 2*n)
 	for i := range s.chans {
-		c := &channel{id: i, credits: cfg.BufferSegments, class: make(map[int]int)}
+		c := &s.chans[i]
+		c.id = i
+		c.credits = cfg.BufferSegments
 		if i >= n {
 			// Down channel: sinks into a leaf when its wire is at
 			// level 0.
 			level, _, _ := t.ChannelOf(i - n)
 			c.sink = level == 0
 		}
-		s.chans[i] = c
+		c.txDone = func() { s.txDone(c) }
+		c.credit = func() {
+			c.credits++
+			s.kick(c)
+		}
+		c.arrive = func() { s.arrive(c) }
 	}
 	return s, nil
 }
@@ -235,40 +252,55 @@ func (s *Sim) Inject(m Message) error {
 		return nil
 	}
 	msg.path = s.pathOf(m.Route)
+	s.segmentMessage(msg)
+	s.inflight++
+	s.enqueueNextSegment(msg)
+	return nil
+}
+
+// segmentMessage sets the message's segment count and the size of its
+// final segment.
+func (s *Sim) segmentMessage(msg *message) {
 	seg := int64(s.Cfg.SegmentBytes)
-	msg.segsTotal = int((m.Bytes + seg - 1) / seg)
+	msg.segsTotal = int((msg.Bytes + seg - 1) / seg)
 	if msg.segsTotal == 0 {
 		msg.segsTotal = 1 // zero-byte message still sends a header
 	}
-	msg.lastBytes = int(m.Bytes - seg*int64(msg.segsTotal-1))
+	msg.lastBytes = int(msg.Bytes - seg*int64(msg.segsTotal-1))
 	if msg.lastBytes <= 0 {
 		msg.lastBytes = 1 // header flit for empty payloads
 	}
-	s.inflight++
-	// The adapter feeds the first channel; arbitration class is the
-	// message ID, giving the paper's round-robin interleaving of
-	// concurrent messages at the adapter.
-	first := s.chans[msg.path[0]]
-	s.enqueueNextSegment(msg, first)
-	return nil
+}
+
+// nextSegment takes the adapter's next segment of msg, off the free
+// list when it has one.
+func (s *Sim) nextSegment(msg *message) *segment {
+	var seg *segment
+	if n := len(s.free); n > 0 {
+		seg = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		seg = new(segment)
+	}
+	seg.msg = msg
+	seg.bytes = s.Cfg.SegmentBytes
+	if msg.segsInjected == msg.segsTotal-1 {
+		seg.bytes = msg.lastBytes
+	}
+	msg.segsInjected++
+	return seg
 }
 
 // enqueueNextSegment hands the adapter's next segment of msg to the
 // injection channel. Only one segment of a message occupies the
 // injection queue at a time; the next is enqueued when the previous
 // one starts transmission, which keeps per-message order while
-// letting round-robin interleave messages fairly.
-func (s *Sim) enqueueNextSegment(msg *message, first *channel) {
-	if msg.segsInjected >= msg.segsTotal {
-		return
-	}
-	bytes := s.Cfg.SegmentBytes
-	if msg.segsInjected == msg.segsTotal-1 {
-		bytes = msg.lastBytes
-	}
-	seg := &segment{msg: msg, bytes: bytes, hop: 0}
-	msg.segsInjected++
-	s.enqueue(first, seg, adapterClassBase+msg.id)
+// letting round-robin interleave messages fairly. The arbitration
+// class is the message ID, giving the paper's round-robin interleaving
+// of concurrent messages at the adapter.
+func (s *Sim) enqueueNextSegment(msg *message) {
+	first := &s.chans[msg.path[0]]
+	s.enqueue(first, s.nextSegment(msg), adapterClassBase+msg.id)
 	s.kick(first)
 }
 
@@ -279,14 +311,62 @@ const adapterClassBase = 1 << 30
 // enqueue places a segment into the channel's virtual queue for its
 // arbitration class.
 func (s *Sim) enqueue(c *channel, seg *segment, class int) {
-	qi, ok := c.class[class]
-	if !ok {
-		qi = len(c.queues)
-		c.class[class] = qi
-		c.queues = append(c.queues, segFIFO{})
+	qi := 0
+	for qi < len(c.queues) && c.queues[qi].class != class {
+		qi++
 	}
-	c.queues[qi].push(seg)
+	if qi == len(c.queues) {
+		if qi < cap(c.queues) {
+			// A retired queue's buffer waits past the end; take it over.
+			c.queues = c.queues[:qi+1]
+			c.queues[qi].class = class
+		} else {
+			c.queues = append(c.queues, classQueue{class, fifo.WithCap[*segment](s.Cfg.BufferSegments)})
+		}
+	}
+	c.queues[qi].Push(seg)
 	c.queued++
+}
+
+// retire drops the virtual queue of an arbitration class that will
+// never queue again. The queue is empty, so arbitration only ever
+// skipped it; removing it in place and stepping rr back over the gap
+// leaves the scan order of the remaining classes, and the place where
+// new ones join it, exactly as they were.
+func (c *channel) retire(class int) {
+	for k := range c.queues {
+		if c.queues[k].class != class {
+			continue
+		}
+		last := len(c.queues) - 1
+		spent := c.queues[k]
+		copy(c.queues[k:], c.queues[k+1:])
+		c.queues[last] = spent // enqueue reuses its buffer
+		c.queues = c.queues[:last]
+		if k <= c.rr {
+			c.rr-- // may reach -1: the scan then starts at queue 0
+		}
+		return
+	}
+}
+
+// leftAdapter runs when a segment starts serializing on its first
+// channel: the adapter releases the message's next segment, or, after
+// the last one, retires the message's arbitration class (on every
+// up-port of the leaf an adaptive message may have used).
+func (s *Sim) leftAdapter(c *channel, msg *message) {
+	switch {
+	case msg.segsInjected < msg.segsTotal && msg.adaptive:
+		s.enqueueNextAdaptiveSegment(msg)
+	case msg.segsInjected < msg.segsTotal:
+		s.enqueueNextSegment(msg)
+	case msg.adaptive:
+		for p := 0; p < s.Topo.W(0); p++ {
+			s.chans[s.upID(s.Topo.UpChannelID(0, msg.Src, p))].retire(adapterClassBase + msg.id)
+		}
+	default:
+		c.retire(adapterClassBase + msg.id)
+	}
 }
 
 // kick starts a transmission on the channel if it is idle, has
@@ -302,11 +382,11 @@ func (s *Sim) kick(c *channel) {
 	n := len(c.queues)
 	for i := 1; i <= n; i++ {
 		qi := (c.rr + i) % n
-		if c.queues[qi].empty() {
+		if c.queues[qi].Empty() {
 			continue
 		}
 		c.rr = qi
-		seg := c.queues[qi].pop()
+		seg := c.queues[qi].Pop()
 		c.queued--
 		s.transmit(c, seg)
 		return
@@ -325,10 +405,7 @@ func (s *Sim) transmit(c *channel, seg *segment) {
 	}
 	if orig := seg.origin; orig != nil {
 		seg.origin = nil
-		s.Q.After(s.Cfg.WireLatency, func() {
-			orig.credits++
-			s.kick(orig)
-		})
+		s.Q.After(s.Cfg.WireLatency, orig.credit)
 	}
 	flits := (seg.bytes + s.Cfg.FlitBytes - 1) / s.Cfg.FlitBytes
 	if flits == 0 {
@@ -338,55 +415,46 @@ func (s *Sim) transmit(c *channel, seg *segment) {
 	c.bytes += int64(seg.bytes)
 	c.busyTime += dur
 	c.segments++
-	// If this segment came from the adapter, release the next one of
-	// its message now that serialization started.
 	if seg.hop == 0 {
-		if seg.adaptive != nil {
-			s.enqueueNextAdaptiveSegment(seg.msg)
-		} else {
-			s.enqueueNextSegment(seg.msg, c)
-		}
+		s.leftAdapter(c, seg.msg)
 	}
-	var lastHop bool
-	if seg.adaptive != nil {
-		lastHop = seg.adaptive.level == 0
-	} else {
-		lastHop = seg.hop == len(seg.msg.path)-1
-	}
-	if s.Cfg.CutThrough && !lastHop {
+	c.wire.Push(seg)
+	if s.cutsThrough(c) {
 		// The head flit reaches the next switch after one flit time
 		// plus the wire; the segment can contend for its next output
 		// while its tail is still on this wire. The final ejection
 		// (delivery) always waits for the tail.
-		s.Q.After(s.Cfg.flitTime()+s.Cfg.WireLatency, func() { s.arrive(c, seg) })
-		s.Q.After(dur, func() {
-			c.busy = false
-			s.kick(c)
-		})
-		return
+		s.Q.After(s.Cfg.flitTime()+s.Cfg.WireLatency, c.arrive)
 	}
-	s.Q.After(dur, func() {
-		c.busy = false
-		s.kick(c)
-		// Arrival after the wire delay.
-		s.Q.After(s.Cfg.WireLatency, func() { s.arrive(c, seg) })
-	})
+	s.Q.After(dur, c.txDone)
 }
 
-// arrive lands the segment downstream of channel c: either it reached
-// the destination adapter (last hop) or it queues for its next hop,
-// holding a buffer slot of c (seg.origin) until it moves on.
-func (s *Sim) arrive(from *channel, seg *segment) {
+// cutsThrough reports whether segments on c arrive a flit after their
+// head leaves rather than a wire delay after their tail does.
+func (s *Sim) cutsThrough(c *channel) bool { return s.Cfg.CutThrough && !c.sink }
+
+// txDone frees the channel for its next segment and, unless the head
+// already cut through, sends the finished one down the wire.
+func (s *Sim) txDone(c *channel) {
+	c.busy = false
+	s.kick(c)
+	if !s.cutsThrough(c) {
+		s.Q.After(s.Cfg.WireLatency, c.arrive)
+	}
+}
+
+// arrive lands the oldest segment on from's wire downstream: either it
+// reached the destination adapter (a sink is the last hop of every
+// route through it) or it queues for its next hop, holding a buffer
+// slot of from (seg.origin) until it moves on.
+func (s *Sim) arrive(from *channel) {
+	seg := from.wire.Pop()
 	s.SegmentsMoved++
 	msg := seg.msg
-	atDestination := false
-	if seg.adaptive != nil {
-		atDestination = seg.adaptive.level == 0
-	} else {
-		atDestination = seg.hop == len(msg.path)-1
-	}
-	if atDestination {
+	if from.sink {
 		// Ejected at the destination adapter.
+		*seg = segment{}
+		s.free = append(s.free, seg)
 		msg.segsArrived++
 		if msg.segsArrived == msg.segsTotal {
 			msg.deliveredAt = s.Q.Now()
@@ -404,7 +472,7 @@ func (s *Sim) arrive(from *channel, seg *segment) {
 	if seg.adaptive != nil {
 		next = s.pickAdaptive(seg.adaptive)
 	} else {
-		next = s.chans[msg.path[seg.hop]]
+		next = &s.chans[msg.path[seg.hop]]
 	}
 	s.enqueue(next, seg, from.id)
 	s.kick(next)
