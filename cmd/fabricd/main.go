@@ -380,30 +380,37 @@ func (d *daemon) reoptimizeLoop(every time.Duration, threshold float64) {
 }
 
 // statsJSON is the wire form of fabric.Stats (BuildTime in
-// milliseconds instead of opaque nanoseconds).
+// milliseconds instead of opaque nanoseconds). certified_routes is how
+// many routes the generation added to the fabric's deadlock
+// certificate, shared_rows how many source rows it shares with the
+// table it was derived from or with its predecessor.
 type statsJSON struct {
-	Seq            uint64  `json:"seq"`
-	Algo           string  `json:"algo"`
-	Routes         int     `json:"routes"`
-	Patched        int     `json:"patched"`
-	Unreachable    int     `json:"unreachable"`
-	FailedWires    int     `json:"failed_wires"`
-	FailedSwitches int     `json:"failed_switches"`
-	CacheHit       bool    `json:"cache_hit"`
-	BuildMillis    float64 `json:"build_ms"`
+	Seq             uint64  `json:"seq"`
+	Algo            string  `json:"algo"`
+	Routes          int     `json:"routes"`
+	Patched         int     `json:"patched"`
+	Unreachable     int     `json:"unreachable"`
+	FailedWires     int     `json:"failed_wires"`
+	FailedSwitches  int     `json:"failed_switches"`
+	CacheHit        bool    `json:"cache_hit"`
+	CertifiedRoutes int     `json:"certified_routes"`
+	SharedRows      int     `json:"shared_rows"`
+	BuildMillis     float64 `json:"build_ms"`
 }
 
 func toJSON(st fabric.Stats) statsJSON {
 	return statsJSON{
-		Seq:            st.Seq,
-		Algo:           st.Algo,
-		Routes:         st.Routes,
-		Patched:        st.Patched,
-		Unreachable:    st.Unreachable,
-		FailedWires:    st.FailedWires,
-		FailedSwitches: st.FailedSwitches,
-		CacheHit:       st.CacheHit,
-		BuildMillis:    float64(st.BuildTime.Microseconds()) / 1000,
+		Seq:             st.Seq,
+		Algo:            st.Algo,
+		Routes:          st.Routes,
+		Patched:         st.Patched,
+		Unreachable:     st.Unreachable,
+		FailedWires:     st.FailedWires,
+		FailedSwitches:  st.FailedSwitches,
+		CacheHit:        st.CacheHit,
+		CertifiedRoutes: st.CertifiedRoutes,
+		SharedRows:      st.SharedRows,
+		BuildMillis:     float64(st.BuildTime.Microseconds()) / 1000,
 	}
 }
 

@@ -28,8 +28,10 @@ func TestSpanInventoryDocumented(t *testing.T) {
 	// check: the "Incremental evaluation" docs sections must name
 	// every metric the placement delta path records.
 	inventory = append(inventory, evaluate.DeltaMetricNames()...)
-	// So do the histograms that split time-to-new-generation.
+	// So do the histograms that split time-to-new-generation, and the
+	// swap event's fields that say what the swap cost.
 	inventory = append(inventory, fabric.SwapObsNames()...)
+	inventory = append(inventory, fabric.SwapEventKeys()...)
 	// And the ones that show the wire server's response coalescing.
 	inventory = append(inventory, wire.FlushObsNames()...)
 

@@ -80,6 +80,34 @@ func (g *cdg) addPath(path []int32) error {
 	return nil
 }
 
+// truncate drops every edge added after the first edges ones, leaving
+// the graph it was then: the adjacency lists are cut where they cross
+// the mark (a channel's out-edges are linked in ascending edge order),
+// the edge set is rebuilt from what remains, and lastFrom — only a
+// shortcut for "already have it" — is forgotten. It costs a pass over
+// the graph, paid only when a candidate is refused.
+func (g *cdg) truncate(edges int) {
+	if edges >= len(g.to) {
+		return
+	}
+	g.to, g.next = g.to[:edges], g.next[:edges]
+	g.seen = edgeSet{}
+	for a := range g.head {
+		g.lastFrom[a] = -1
+		last := int32(-1)
+		for e := g.head[a]; e >= 0 && int(e) < edges; e = g.next[e] {
+			g.seen.add(uint64(a)<<32 | uint64(g.to[e]))
+			last = e
+		}
+		if last < 0 {
+			g.head[a] = -1
+		} else {
+			g.next[last] = -1
+		}
+		g.tail[a] = last
+	}
+}
+
 // verify reports the first dependency cycle an iterative three-colour
 // DFS meets, rooted at every channel with out-edges in ascending
 // order.
@@ -178,14 +206,16 @@ func edgeHash(key uint64) uint64 { return key * 0x9e3779b97f4a7c15 >> 32 }
 // fed one route at a time, so a caller holding routes in another form
 // (the fabric's packed rows) certifies them without materializing
 // xgft.Route values. Feed every route with Add, then call Verify.
+//
+// A certifier may also be kept and grown: the graph of a route set's
+// union with everything added before it is acyclic only if the route
+// set's own graph is (a subgraph of an acyclic graph is acyclic), so a
+// caller that certifies a sequence of overlapping route sets adds only
+// the routes it has not added before. Mark and Rollback bracket such an
+// addition, so a set that fails Verify leaves nothing behind.
 type Certifier struct {
 	topo *xgft.Topology
 	g    *cdg
-	// parent[c] is the node the up channel c arrives at, one level up:
-	// the chain above a channel is a function of the channel alone, so
-	// walking a route costs a table read per level instead of
-	// Topology.Parent's divisions.
-	parent []int32
 }
 
 // NewCertifier returns an empty certifier for routes on t.
@@ -194,15 +224,7 @@ func NewCertifier(t *xgft.Topology) (*Certifier, error) {
 	if n > math.MaxInt32/2 {
 		return nil, fmt.Errorf("contention: %d channels are too many to certify", n)
 	}
-	c := &Certifier{topo: t, g: newCDG(2 * n), parent: make([]int32, n)}
-	for l := 0; l < t.Height(); l++ {
-		for idx := 0; idx < t.NodesAt(l); idx++ {
-			for p := 0; p < t.W(l); p++ {
-				c.parent[t.UpChannelID(l, idx, p)] = int32(t.Parent(l, idx, p))
-			}
-		}
-	}
-	return c, nil
+	return &Certifier{topo: t, g: newCDG(2 * n)}, nil
 }
 
 // Add records the dependencies of the route from src to dst whose
@@ -230,10 +252,10 @@ func (c *Certifier) Add(src, dst int, up []int) error {
 			c.g.addEdge(prev, int32(2*ch+1))
 		}
 		prev = int32(2*ch + 1)
-		a = int(c.parent[ch])
+		a = t.ChannelParent(ch)
 		ch = t.UpChannelID(l, b, p)
 		down[l] = int32(2 * ch)
-		b = int(c.parent[ch])
+		b = t.ChannelParent(ch)
 	}
 	for l := len(up) - 1; l >= 0; l-- {
 		c.g.addEdge(prev, down[l])
@@ -242,9 +264,24 @@ func (c *Certifier) Add(src, dst int, up []int) error {
 	return nil
 }
 
+// AddPath records the dependencies of one route given as the directed
+// channels it traverses in path order, 2*wire+1 for a wire's up channel
+// and 2*wire for its down channel — the form Add lowers a route to.
+// Any sequence is accepted, not only the up*/down* ones Add can express.
+func (c *Certifier) AddPath(path []int32) error { return c.g.addPath(path) }
+
 // Verify reports an error describing a cycle if the dependencies of
 // the routes added so far contain one.
 func (c *Certifier) Verify() error { return c.g.verify() }
+
+// Mark returns the graph's position: the number of distinct
+// dependencies recorded so far. Adding routes whose dependencies are
+// all present leaves it unchanged.
+func (c *Certifier) Mark() int { return len(c.g.to) }
+
+// Rollback returns the graph to what it was when Mark returned mark,
+// dropping every dependency recorded since.
+func (c *Certifier) Rollback(mark int) { c.g.truncate(mark) }
 
 // VerifyDeadlockFree builds the channel dependency graph induced by
 // the routes (an edge from channel A to channel B wherever some route

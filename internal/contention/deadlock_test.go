@@ -2,6 +2,7 @@ package contention
 
 import (
 	"repro/internal/hashutil"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -165,5 +166,104 @@ func TestDeadlockFreeTheoremQuick(t *testing.T) {
 		if err := VerifyDeadlockFree(tp, routes); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+	}
+}
+
+// graphOf renders a graph's edges per channel, in adjacency order — the
+// form two graphs are compared in edge for edge.
+func graphOf(g *cdg) [][]int32 {
+	out := make([][]int32, len(g.head))
+	for a := range g.head {
+		for e := g.head[a]; e >= 0; e = g.next[e] {
+			out[a] = append(out[a], g.to[e])
+		}
+	}
+	return out
+}
+
+// TestCertifierRollback: a rejected addition cannot poison a growing
+// certificate. An acyclic route set goes in and is marked; a raw path
+// (the only way to express a cycle) closes one through edges the set
+// already has, so Verify fails; Rollback leaves exactly the marked graph
+// — same edges in the same adjacency order, same tails, an edge set
+// that still dedups the old edges and no longer knows the dropped ones
+// — and a following acyclic addition verifies.
+func TestCertifierRollback(t *testing.T) {
+	tp := paperTree(t, 10)
+	c, err := NewCertifier(tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := func(algo core.Algorithm, pairs int, key uint64) {
+		t.Helper()
+		for i := 0; i < pairs; i++ {
+			s := int(hashutil.Mix(key, 1, uint64(i)) % 256)
+			d := int(hashutil.Mix(key, 2, uint64(i)) % 256)
+			if err := c.Add(s, d, algo.Route(s, d).Up); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	add(core.NewDModK(tp), 3000, 7)
+	if err := c.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	mark := c.Mark()
+	want := graphOf(c.g)
+	wantTail := append([]int32(nil), c.g.tail...)
+
+	// 0 -> 16 under d-mod-k holds leaf 0's up channel, then switch 0's
+	// up channel to root 0, then descends; the raw path closes the ring
+	// from the last descent channel back to the first ascent channel.
+	r := core.NewDModK(tp).Route(0, 16)
+	if err := c.Add(0, 16, r.Up); err != nil {
+		t.Fatal(err)
+	}
+	first := int32(2*tp.UpChannelID(0, 0, r.Up[0]) + 1)
+	last := int32(2 * tp.UpChannelID(0, 16, r.Up[0]))
+	add(core.NewRandomNCAUp(tp, 3), 500, 9) // more edges, on top of old adjacency lists
+	if err := c.AddPath([]int32{last, first}); err != nil {
+		t.Fatal(err)
+	}
+	if c.Mark() <= mark {
+		t.Fatalf("the additions recorded no new dependency (%d edges before, %d after)", mark, c.Mark())
+	}
+	if err := c.Verify(); err == nil {
+		t.Fatal("Verify passed a graph with a dependency ring")
+	}
+
+	c.Rollback(mark)
+	if c.Mark() != mark {
+		t.Fatalf("%d edges after rollback, want the marked %d", c.Mark(), mark)
+	}
+	got := graphOf(c.g)
+	for a := range want {
+		if !slices.Equal(got[a], want[a]) {
+			t.Fatalf("channel %d: edges %v after rollback, %v when marked", a, got[a], want[a])
+		}
+	}
+	for a, head := range c.g.head {
+		if head >= 0 && c.g.tail[a] != wantTail[a] { // a tail means something only past a head
+			t.Fatalf("channel %d: tail edge %d after rollback, %d when marked", a, c.g.tail[a], wantTail[a])
+		}
+	}
+	if c.g.seen.n != mark {
+		t.Errorf("edge set holds %d edges after rollback, want %d", c.g.seen.n, mark)
+	}
+	if err := c.Verify(); err != nil {
+		t.Fatalf("rolled-back graph: %v", err)
+	}
+	// Old edges still dedup, dropped ones are new again, and the next
+	// acyclic addition verifies.
+	add(core.NewDModK(tp), 3000, 7)
+	if c.Mark() != mark {
+		t.Errorf("re-adding the marked routes grew the graph from %d to %d edges", mark, c.Mark())
+	}
+	add(core.NewRandomNCAUp(tp, 3), 500, 9)
+	if c.Mark() <= mark {
+		t.Error("re-adding the dropped routes recorded nothing")
+	}
+	if err := c.Verify(); err != nil {
+		t.Fatalf("acyclic addition after rollback: %v", err)
 	}
 }

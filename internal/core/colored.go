@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/pattern"
 	"repro/internal/xgft"
@@ -20,7 +22,12 @@ type Colored struct {
 	topo     *xgft.Topology
 	fallback Algorithm
 	routes   map[int][]int // by pairKey
-	cacheKey string
+	// assigned is routes as a list in (src, dst) order, built by the
+	// first Assignments call: sweeps that only score a Colored never
+	// install one.
+	assigned     []xgft.Route
+	assignedOnce sync.Once
+	cacheKey     string
 }
 
 // ColoredConfig tunes the optimizer.
@@ -81,6 +88,31 @@ func (c *Colored) Name() string { return "colored" }
 // key encodes.
 func (c *Colored) CacheKey() string { return c.cacheKey }
 
+// Fallback returns the scheme that routes every pair Colored assigned
+// nothing to.
+func (c *Colored) Fallback() Algorithm { return c.fallback }
+
+// Assignments returns the routes Colored assigned explicitly, in
+// (src, dst) order: together with Fallback's table they are the whole
+// of Colored's, which is how a route store installs it without asking
+// Route for every pair. The slice and its ascents are shared; callers
+// must not modify them.
+func (c *Colored) Assignments() []xgft.Route {
+	c.assignedOnce.Do(func() {
+		keys := make([]int, 0, len(c.routes))
+		for key := range c.routes {
+			keys = append(keys, key)
+		}
+		slices.Sort(keys)
+		n := c.topo.Leaves()
+		c.assigned = make([]xgft.Route, len(keys))
+		for i, key := range keys {
+			c.assigned[i] = xgft.Route{Src: key / n, Dst: key % n, Up: c.routes[key]}
+		}
+	})
+	return c.assigned
+}
+
 // pairKey indexes the assignment map by pair: one word hashes faster
 // than two, and a table build looks up every flow.
 func (c *Colored) pairKey(src, dst int) int { return src*c.topo.Leaves() + dst }
@@ -119,52 +151,76 @@ func newPhaseState(t *xgft.Topology) *phaseState {
 	}
 }
 
+// apply and cost visit the channels xgft.Route.Walk would — the ascent
+// from the source, the descent towards the destination — but inline,
+// with no Route value and no callback: they are the optimizer's inner
+// loop, called once per candidate per flow per sweep. apply keeps
+// Walk's order (up, then down from the NCA); cost only sums integers
+// over channels no two of which are the same, so it takes both halves
+// level by level.
+
 func (st *phaseState) apply(f pattern.Flow, up []int, delta int) {
-	r := xgft.Route{Src: f.Src, Dst: f.Dst, Up: up}
-	r.Walk(st.topo, func(_, _, _, ch int, isUp bool) {
-		counts, groups := st.downCounts, st.downGroups
-		key := f.Dst
-		if isUp {
-			counts, groups = st.upCounts, st.upGroups
-			key = f.Src
+	t := st.topo
+	idx := f.Src
+	for l, p := range up {
+		ch := t.UpChannelID(l, idx, p)
+		st.bump(st.upCounts, st.upGroups, ch, f.Src, delta)
+		idx = t.ChannelParent(ch)
+	}
+	var down [xgft.MaxHeight]int
+	idx = f.Dst
+	for l, p := range up {
+		down[l] = t.UpChannelID(l, idx, p)
+		idx = t.ChannelParent(down[l])
+	}
+	for l := len(up) - 1; l >= 0; l-- {
+		st.bump(st.downCounts, st.downGroups, down[l], f.Dst, delta)
+	}
+}
+
+// bump adds delta (+1 or -1) to the endpoint group's flow count on one
+// directed channel, keeping the channel's group count and the
+// potential in step.
+func (st *phaseState) bump(counts []map[int]int, groups []int, ch, key, delta int) {
+	if counts[ch] == nil {
+		counts[ch] = make(map[int]int)
+	}
+	g := int64(groups[ch])
+	counts[ch][key] += delta
+	switch counts[ch][key] {
+	case 0:
+		if delta < 0 {
+			groups[ch]--
+			st.potential += (g-1)*(g-1) - g*g
 		}
-		if counts[ch] == nil {
-			counts[ch] = make(map[int]int)
+	case delta: // 0 -> 1 when adding
+		if delta > 0 {
+			groups[ch]++
+			st.potential += (g+1)*(g+1) - g*g
 		}
-		g := int64(groups[ch])
-		counts[ch][key] += delta
-		switch counts[ch][key] {
-		case 0:
-			if delta < 0 {
-				groups[ch]--
-				st.potential += (g-1)*(g-1) - g*g
-			}
-		case delta: // 0 -> 1 when adding
-			if delta > 0 {
-				groups[ch]++
-				st.potential += (g+1)*(g+1) - g*g
-			}
-		}
-	})
+	}
 }
 
 // cost evaluates the potential delta of adding the flow with the given
 // ascent without mutating state.
 func (st *phaseState) cost(f pattern.Flow, up []int) int64 {
+	t := st.topo
 	var delta int64
-	r := xgft.Route{Src: f.Src, Dst: f.Dst, Up: up}
-	r.Walk(st.topo, func(_, _, _, ch int, isUp bool) {
-		counts, groups := st.downCounts, st.downGroups
-		key := f.Dst
-		if isUp {
-			counts, groups = st.upCounts, st.upGroups
-			key = f.Src
-		}
-		if counts[ch][key] == 0 {
-			g := int64(groups[ch])
+	a, b := f.Src, f.Dst // the nodes the ascent and the descent pass at level l
+	for l, p := range up {
+		ch := t.UpChannelID(l, a, p)
+		if st.upCounts[ch][f.Src] == 0 {
+			g := int64(st.upGroups[ch])
 			delta += (g+1)*(g+1) - g*g
 		}
-	})
+		a = t.ChannelParent(ch)
+		ch = t.UpChannelID(l, b, p)
+		if st.downCounts[ch][f.Dst] == 0 {
+			g := int64(st.downGroups[ch])
+			delta += (g+1)*(g+1) - g*g
+		}
+		b = t.ChannelParent(ch)
+	}
 	return delta
 }
 

@@ -254,8 +254,9 @@ func BenchmarkOptimize(b *testing.B) {
 	}
 }
 
-// BenchmarkFailLinkSwap measures a full degrade cycle: incremental
-// patch, deadlock verification, and generation swap.
+// BenchmarkFailLinkSwap measures a full degrade cycle: derive under the
+// larger view (scan, reroutes), certification of the rerouted routes,
+// and generation swap.
 func BenchmarkFailLinkSwap(b *testing.B) {
 	f := benchFabric(b)
 	b.ResetTimer()
@@ -271,8 +272,8 @@ func BenchmarkFailLinkSwap(b *testing.B) {
 	}
 }
 
-// BenchmarkHeal measures a cache-served full rebuild (the hot-swap
-// back to the healthy table).
+// BenchmarkHeal measures the hot-swap back to the configured scheme's
+// pinned healthy table: row sharing, nothing new to certify.
 func BenchmarkHeal(b *testing.B) {
 	f := benchFabric(b)
 	if _, err := f.FailLink(1, 0, 0); err != nil {
@@ -280,6 +281,58 @@ func BenchmarkHeal(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if _, err := f.Heal(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkChurnCycle measures one control cycle of the churn_mixed
+// workload in process, on the paper's cost-reduced tree
+// XGFT(2;16,16;1,10) with telemetry and metrics on as fabricd runs
+// them: feed one of four rotating traffic patterns through the packed
+// resolve path, re-optimize over it (threshold 5%, windowed), fail a
+// top-level link, heal. Every operation that changes the table derives
+// and certifies a generation, so ns/op is four resolves' worth of
+// telemetry plus up to three generation swaps.
+func BenchmarkChurnCycle(b *testing.B) {
+	tp := xgft.MustNew(2, []int{16, 16}, []int{1, 10})
+	f, err := New(Config{Topo: tp, Algo: core.NewDModK(tp), Telemetry: true, Metrics: obs.NewRegistry()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := tp.Leaves()
+	var feeds [4][][2]int
+	for k := range feeds {
+		for s := 0; s < n; s++ {
+			var d int
+			switch k {
+			case 0: // shift by one switch
+				d = (s + 16) % n
+			case 1: // transpose of the (switch, port) digits
+				d = s%16*16 + s/16
+			case 2: // d-mod-k's funnel: every source to residue 0 mod w2
+				d = (s*10 + 10) % n
+			default: // keyed-random permutation-like
+				d = int(hashutil.Mix(0xfeed, uint64(s)) % uint64(n))
+			}
+			if s != d {
+				feeds[k] = append(feeds[k], [2]int{s, d})
+			}
+		}
+	}
+	words := make([]uint64, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		feed := feeds[i%len(feeds)]
+		f.ResolveBatchPacked(feed, words[:len(feed)])
+		if _, err := f.Optimize(OptimizeConfig{Threshold: 0.05, Reset: true}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := f.FailLink(1, i%16, i/16%10); err != nil {
+			b.Fatal(err)
+		}
 		if _, err := f.Heal(); err != nil {
 			b.Fatal(err)
 		}

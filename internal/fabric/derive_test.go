@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/evaluate"
@@ -38,11 +39,12 @@ func feedTelemetry(t *testing.T, f *Fabric, p *pattern.Pattern) {
 }
 
 // TestOptimizeIncrementalMatchesFull is the pass-level differential
-// contract, healthy and under faults: every candidate score equals a
-// from-scratch recompute over the candidate table patched wholesale
-// (core.PatchTable) and scored by a fresh evaluator, and the generation
-// the copy-on-write installer publishes serves exactly the winner's
-// patched routes.
+// contract, healthy and under faults: every candidate score — taken
+// from the candidate's routes on the observed pairs alone — equals a
+// from-scratch recompute over the candidate's all-pairs table patched
+// wholesale (core.PatchTable) and scored by a fresh evaluator, and the
+// generation derive publishes serves exactly the winner's patched
+// routes.
 func TestOptimizeIncrementalMatchesFull(t *testing.T) {
 	tp := xgft.MustNew(2, []int{8, 8}, []int{1, 4})
 	f := telemetryFabric(t, tp, core.NewDModK(tp))
@@ -69,7 +71,7 @@ func TestOptimizeIncrementalMatchesFull(t *testing.T) {
 		}
 		var best *core.Table
 		for i, cand := range cands {
-			tbl, err := f.buildTable(cand)
+			tbl, err := core.BuildTable(tp, cand, f.pairs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,72 +119,103 @@ func TestOptimizeIncrementalMatchesFull(t *testing.T) {
 	}
 }
 
-// TestGenFromTableDeltaSharesUntouchedRows pins the delta swap's
-// memory discipline: installing a table that changes a handful of
-// routes clones only the rows those routes live in — every other row
-// is the same array as the predecessor generation's, exactly like
-// FailLink's patch. (A real optimize winner may legitimately differ
-// on every row, so this is tested against a crafted near-identical
-// table.)
-func TestGenFromTableDeltaSharesUntouchedRows(t *testing.T) {
+// TestDeriveSharesUntouchedRows pins derive's memory discipline:
+// installing a table that changes a handful of routes clones only the
+// rows those routes live in — every other row is the same array as the
+// pinned table's and as the predecessor generation's, exactly as under
+// FailLink — and certifies only the changed routes. (A real optimize
+// winner may legitimately differ on every row, so this is tested with
+// crafted overrides on the serving scheme's own table.)
+func TestDeriveSharesUntouchedRows(t *testing.T) {
 	tp := xgft.MustNew(2, []int{8, 8}, []int{1, 4})
 	f := telemetryFabric(t, tp, core.NewDModK(tp))
 	cur := f.Generation()
-	tbl, err := core.BuildTable(tp, core.NewDModK(tp), f.pairs)
-	if err != nil {
-		t.Fatal(err)
+	base, hit, err := f.pinLocked(core.NewDModK(tp)) // an equal scheme, not the configured instance
+	if err != nil || !hit || base != f.configured {
+		t.Fatalf("pinLocked(d-mod-k) = %p, hit %v, err %v; want the configured scheme's pinned table %p", base, hit, err, f.configured)
 	}
 	// Move three routes of source 0 and one of source 5 to a
 	// different root: four touched routes across two rows.
-	next := &core.Table{Topo: tbl.Topo, Algo: tbl.Algo, Routes: append([]xgft.Route(nil), tbl.Routes...)}
 	perSrc := map[int]int{0: 3, 5: 1} // rows to touch and how many routes in each
-	moved := 0
-	for i, r := range next.Routes {
+	var moved []xgft.Route
+	for _, r := range cur.Routes() {
 		if perSrc[r.Src] == 0 || len(r.Up) < 2 {
 			continue
 		}
 		nr := xgft.Route{Src: r.Src, Dst: r.Dst, Up: append([]int(nil), r.Up...)}
 		nr.Up[1] = (nr.Up[1] + 1) % tp.W(1)
-		next.Routes[i] = nr
+		moved = append(moved, nr)
 		perSrc[r.Src]--
-		moved++
 	}
-	if moved != 4 {
-		t.Fatalf("crafted table moved %d routes, want 4", moved)
+	if len(moved) != 4 {
+		t.Fatalf("crafted %d overrides, want 4", len(moved))
 	}
-	gen, touched, err := f.genFromTableDelta(next, cur.view, cur, "crafted")
+	gen, touched, err := f.derive(time.Now(), base, moved, cur.view, cur, "crafted")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if touched != 4 {
-		t.Errorf("delta pack touched %d routes, want 4", touched)
+		t.Errorf("derive touched %d routes, want 4", touched)
 	}
-	shared, cloned := 0, 0
+	if gen.stats.CertifiedRoutes != 4 {
+		t.Errorf("derive certified %d routes, want the 4 moved ones", gen.stats.CertifiedRoutes)
+	}
+	cloned := 0
 	for s := range gen.shards {
-		if isSameRow(gen.shards[s], cur.shards[s]) {
-			shared++
-		} else {
+		switch {
+		case isSameRow(gen.shards[s], cur.shards[s]) && isSameRow(gen.shards[s], base.rows[s]):
+		case s == 0 || s == 5:
 			cloned++
+		default:
+			t.Errorf("row %d was cloned; no route of it changed", s)
 		}
 	}
-	if cloned != 2 {
-		t.Errorf("%d rows cloned, want exactly the 2 touched sources", cloned)
+	if cloned != 2 || gen.stats.SharedRows != tp.Leaves()-2 {
+		t.Errorf("%d rows cloned, SharedRows %d; want exactly the 2 touched sources cloned", cloned, gen.stats.SharedRows)
 	}
-	if shared != tp.Leaves()-2 {
-		t.Errorf("%d rows shared, want %d", shared, tp.Leaves()-2)
+	// The derived generation resolves the moved routes, not the old
+	// ones, and everything else as before.
+	want := make(map[[2]int][]int)
+	for _, r := range cur.Routes() {
+		want[[2]int{r.Src, r.Dst}] = r.Up
 	}
-	// The packed generation resolves the moved routes, not the old ones.
-	for i, r := range next.Routes {
-		got, ok := gen.Resolve(r.Src, r.Dst)
-		if !ok || !slices.Equal(got.Up, r.Up) {
-			t.Fatalf("pair (%d,%d) resolves %v/%v, want %v (route %d)", r.Src, r.Dst, got, ok, r, i)
+	for _, r := range moved {
+		want[[2]int{r.Src, r.Dst}] = r.Up
+	}
+	for pair, up := range want {
+		got, ok := gen.Resolve(pair[0], pair[1])
+		if !ok || !slices.Equal(got.Up, up) {
+			t.Fatalf("pair %v resolves %v/%v, want %v", pair, got, ok, up)
 		}
+	}
+	// The pinned table itself was not written to.
+	for s, row := range base.rows {
+		if !isSameRow(row, cur.shards[s]) {
+			t.Fatalf("generation 0 does not serve the pinned row %d", s)
+		}
+	}
+	if got := cur.Routes(); len(got) != len(want) {
+		t.Fatal("the predecessor's routes changed")
+	}
+
+	// Overrides out of (src, dst) order, or invalid, refuse the
+	// generation and leave the certificate alone.
+	mark := f.cert.Mark()
+	if _, _, err := f.derive(time.Now(), base, []xgft.Route{moved[3], moved[0]}, cur.view, cur, "crafted"); err == nil {
+		t.Error("derive accepted overrides out of order")
+	}
+	bad := xgft.Route{Src: 7, Dst: 60, Up: []int{0, tp.W(1)}}
+	if _, _, err := f.derive(time.Now(), base, []xgft.Route{moved[0], bad}, cur.view, cur, "crafted"); err == nil {
+		t.Error("derive accepted an override with a port past its radix")
+	}
+	if f.cert.Mark() != mark {
+		t.Error("a refused derive changed the certificate")
 	}
 }
 
 // TestOptimizeIncrementalRace runs optimize passes (scoring plus the
-// copy-on-write install, which shares rows with the serving generation)
-// and fault churn while readers hammer ResolveBatch — a pass must never
+// derive install, which shares rows with the serving generation and the
+// pinned tables) and fault churn while readers hammer ResolveBatch — a pass must never
 // perturb what concurrent readers observe (generations stay immutable).
 // Run with -race.
 func TestOptimizeIncrementalRace(t *testing.T) {

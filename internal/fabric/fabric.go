@@ -1,13 +1,38 @@
 // Package fabric is the subnet-manager subsystem: it compiles a
 // routing scheme into an all-pairs route store and serves it to
-// concurrent Resolve queries while handling fabric degradation. The
-// store is immutable per generation and reached through one atomic
-// pointer, so resolution is lock-free; FailLink/FailSwitch derive a
-// degraded topology view, incrementally recompute only the routes
-// whose paths traverse the failed element, certify the patched table
-// deadlock-free, and hot-swap the generation pointer. The paper's
-// routes were "supplied, along with the topology and mapping, to the
-// Venus simulator" by exactly this offline role.
+// concurrent Resolve queries while handling fabric degradation and
+// re-fitting the table to the observed traffic. The store is immutable
+// per generation and reached through one atomic pointer, so resolution
+// is lock-free. The paper's routes were "supplied, along with the
+// topology and mapping, to the Venus simulator" by exactly this offline
+// role.
+//
+// A generation change costs in proportion to what it changes. Every
+// generation is made by one function, derive, from three things: a base
+// table in serving form (packed rows), a list of override routes, and a
+// fault view. The healthy table of each static scheme the fabric has
+// installed — the configured one, and d-mod-k and r-NCA-u/d as they win
+// optimize passes — is packed once and pinned; its rows are never
+// written again, so generations share them. FailLink/FailSwitch derive
+// from the serving rows under a larger view: only pairs with an
+// endpoint under a newly failed wire are even looked at, and only the
+// routes that ride one are recomputed, in copy-on-write clones of the
+// rows they live in. Heal derives from the configured scheme's pinned table
+// under no faults: all row sharing. An optimize swap derives from the
+// winner's pinned table — Colored's is its d-mod-k fallback's, with its
+// assignments as overrides — under the serving view.
+//
+// Every generation is certified deadlock-free before it is published,
+// against one growing certificate: the channel-dependency graph of
+// every route the fabric has ever published. A generation passes if the
+// graph is still acyclic with its routes added, which implies its own
+// graph is acyclic (a subgraph of an acyclic graph is) and also covers
+// packets of the old and the new table in flight across the swap; only
+// the routes the certificate has not seen — rerouted cells, overrides, a
+// pinned table's rows at its first install — are added. If the union
+// ever fails, the certificate is rolled back and the candidate is
+// certified alone and from scratch, so the accept/reject set is that of
+// from-scratch certification.
 package fabric
 
 import (
@@ -39,10 +64,12 @@ type Config struct {
 	// Algo computes the healthy routes. Required. Schemes
 	// implementing core.CacheKeyer are served from the table cache.
 	Algo core.Algorithm
-	// Cache serves full (healthy) table builds; nil creates a private
-	// cache. Sharing one cache across fabrics and experiment sweeps
-	// deduplicates identical builds, including concurrent ones
-	// (singleflight coalescing in core.TableCache).
+	// Cache serves the healthy table builds behind the fabric's pinned
+	// tables (one per static scheme it installs) and memoizes the Colored
+	// optimizer per observed pattern; nil creates a private cache.
+	// Sharing one cache across fabrics and experiment sweeps deduplicates
+	// identical builds, including concurrent ones (singleflight
+	// coalescing in core.TableCache).
 	Cache *core.TableCache
 	// Telemetry enables per-pair flow counters on the resolve path
 	// (an uncontended atomic add per successful resolve) and with
@@ -100,6 +127,14 @@ type Fabric struct {
 
 	mu  sync.Mutex // serializes generation changes
 	gen atomic.Pointer[Generation]
+	// The healthy tables of the static schemes installed so far, by
+	// CacheKey, and the configured scheme's apart (it need not have a
+	// key, and Heal always returns to it).
+	pinned     map[string]*table // guarded by mu
+	configured *table            // set by New, then only read
+	// cert is the certificate: the channel-dependency graph of every
+	// route the fabric has ever published.
+	cert *contention.Certifier // guarded by mu
 }
 
 // fabricMetrics is the fabric's instrument set; one per fabric, named
@@ -112,8 +147,8 @@ type fabricMetrics struct {
 	packedNS   *obs.Histogram // ResolveBatchPacked call latency
 	generation *obs.Gauge     // serving generation sequence
 	swaps      *obs.Counter   // generation hot-swaps installed
-	swapNS     *obs.Histogram // building a published generation, certification included
-	verifyNS   *obs.Histogram // certifying a published generation deadlock-free
+	swapNS     *obs.Histogram // deriving a published generation, certification included
+	verifyNS   *obs.Histogram // the incremental certification gate of a published generation
 }
 
 // Metric and journal-event names. Constants — not literals at the
@@ -129,14 +164,20 @@ const (
 	metricSwaps        = "fabric_generation_swaps_total"
 	metricRoutesServed = "fabric_routes_served"
 	// metricSwapBuildNS and metricVerifyNS split time-to-new-generation:
-	// the whole build of each published generation, and the part of it
-	// spent certifying the route set deadlock-free.
+	// the whole derivation of each published generation, and the part of
+	// it spent in the certification gate (adding the generation's new
+	// routes to the certificate and checking the graph acyclic).
 	metricSwapBuildNS = "fabric_swap_build_ns"
 	metricVerifyNS    = "fabric_verify_ns"
 
 	eventGenerationSwap = "generation.swap"
-	eventOptimize       = "optimize"
-	eventOptimizeError  = "optimize.error"
+	// keyCertified and keySharedRows are the generation.swap fields that
+	// say what the swap cost: routes added to the certificate, and rows
+	// shared rather than cloned.
+	keyCertified       = "certified_routes"
+	keySharedRows      = "shared_rows"
+	eventOptimize      = "optimize"
+	eventOptimizeError = "optimize.error"
 )
 
 // Span names the fabric records (constants for repolint's obskeys
@@ -164,6 +205,10 @@ func SpanNames() []string {
 // build time, for the documentation drift test.
 func SwapObsNames() []string { return []string{metricSwapBuildNS, metricVerifyNS} }
 
+// SwapEventKeys lists the generation.swap journal fields that say what
+// a swap cost, for the documentation drift test.
+func SwapEventKeys() []string { return []string{keyCertified, keySharedRows} }
+
 func newFabricMetrics(reg *obs.Registry) *fabricMetrics {
 	return &fabricMetrics{
 		resolves:   reg.Counter(metricResolves, "routes served by Resolve and the batch paths", 8),
@@ -173,14 +218,14 @@ func newFabricMetrics(reg *obs.Registry) *fabricMetrics {
 		packedNS:   reg.Histogram(metricPackedNS, "ResolveBatchPacked whole-batch latency"),
 		generation: reg.Gauge(metricGeneration, "serving generation sequence number"),
 		swaps:      reg.Counter(metricSwaps, "generation hot-swaps installed after the initial build", 1),
-		swapNS:     reg.Histogram(metricSwapBuildNS, "building a published generation (table build or patch, packing, certification)"),
-		verifyNS:   reg.Histogram(metricVerifyNS, "certifying a published generation's route set deadlock-free"),
+		swapNS:     reg.Histogram(metricSwapBuildNS, "deriving a published generation (row sharing, overrides, reroutes, certification)"),
+		verifyNS:   reg.Histogram(metricVerifyNS, "certifying a published generation: adding its new routes to the certificate and checking it acyclic"),
 	}
 }
 
 // New builds a fabric and compiles its initial healthy generation
 // (generation 0) synchronously, so a returned fabric always resolves.
-func New(cfg Config) (*Fabric, error) {
+func New(cfg Config) (f *Fabric, err error) {
 	if cfg.Topo == nil {
 		return nil, fmt.Errorf("fabric: Config.Topo is required")
 	}
@@ -203,12 +248,14 @@ func New(cfg Config) (*Fabric, error) {
 	if eval == nil {
 		eval = evaluate.NewAnalytic(cache)
 	}
-	f := &Fabric{
+	f = &Fabric{
 		topo:  cfg.Topo,
 		algo:  cfg.Algo,
 		cache: cache,
 		eval:  eval,
 		pairs: pattern.AllToAll(cfg.Topo.Leaves(), 1),
+
+		pinned: make(map[string]*table),
 	}
 	f.pairsKey = core.KeyPattern(f.pairs)
 	if cfg.Telemetry {
@@ -224,9 +271,16 @@ func New(cfg Config) (*Fabric, error) {
 	f.journal = cfg.Journal
 	f.tracer = cfg.Tracer
 	f.flips = trace.NewFlipDetector(0)
-	gen, err := f.buildHealthy(0)
-	if err != nil {
+	start := buildClock()
+	if f.cert, err = contention.NewCertifier(cfg.Topo); err != nil {
 		return nil, err
+	}
+	if f.configured, _, err = f.pinLocked(cfg.Algo); err != nil {
+		return nil, err
+	}
+	gen, _, err := f.derive(start, f.configured, nil, xgft.NewView(cfg.Topo), nil, cfg.Algo.Name())
+	if err != nil {
+		return nil, fmt.Errorf("fabric: healthy table rejected: %w", err)
 	}
 	f.publish(gen, "initial")
 	return f, nil
@@ -258,6 +312,7 @@ func (f *Fabric) publish(gen *Generation, reason string) {
 			"served_prev": servedPrev,
 			"build_ns":    (st.BuildTime - st.VerifyTime).Nanoseconds(),
 			"verify_ns":   st.VerifyTime.Nanoseconds(),
+			keyCertified:  st.CertifiedRoutes, keySharedRows: st.SharedRows,
 		})
 	}
 }
@@ -446,81 +501,308 @@ func (f *Fabric) ResolveWire(parent trace.SpanContext, pairs, dst []byte) (out [
 	return out, resolved, gen.stats.Seq
 }
 
-// buildHealthy compiles a full healthy generation through the table
-// cache. CacheHit is exact for a private cache and best-effort for a
-// shared one (it compares hit counters around the build).
-func (f *Fabric) buildHealthy(seq uint64) (*Generation, error) {
-	start := time.Now() //lint:allow nondeterminism generation build time is observational (journal/metrics only)
-	h0, _ := f.cache.Stats()
-	tbl, err := f.buildTable(f.algo)
-	if err != nil {
-		return nil, err
+// table is an all-pairs route table in the form generations serve —
+// one packed word per (src, dst), a row per source — together with the
+// fault view its routes are known to survive and the certificate that
+// already holds every one of them. The healthy table of a static scheme
+// is built once and pinned: its rows are never written again, so any
+// number of generations share them.
+type table struct {
+	rows [][]uint64
+	// view is the fault view every route of rows avoids (nil: the healthy
+	// view, which is all a pinned table is checked against); unreachable
+	// counts the pairs it left without a route.
+	view        *xgft.View
+	unreachable int
+	// cert is the certificate covering all of rows; nil, or a certificate
+	// the fabric has since restarted, when the rows still have to be
+	// added to the serving one.
+	cert *contention.Certifier
+}
+
+// maxPinned bounds the pinned tables a fabric keeps besides the
+// configured scheme's (each is Leaves^2 words): the static candidates
+// at the seeds recently installed. Past it the set starts over.
+const maxPinned = 8
+
+// pinLocked returns algo's healthy all-pairs table in serving form, building
+// it through the table cache and packing it the first time the scheme
+// is installed; hit reports that it was pinned already. Tables are
+// pinned under the scheme's CacheKey; a scheme without one is packed
+// again per call. Callers hold f.mu.
+func (f *Fabric) pinLocked(algo core.Algorithm) (tbl *table, hit bool, err error) {
+	keyer, keyed := algo.(core.CacheKeyer)
+	if keyed {
+		if tbl = f.pinned[keyer.CacheKey()]; tbl != nil {
+			return tbl, true, nil
+		}
 	}
-	h1, _ := f.cache.Stats()
+	built, err := f.cache.BuildKeyed(f.topo, algo, f.pairs, f.pairsKey)
+	if err != nil {
+		return nil, false, err
+	}
 	n := f.topo.Leaves()
-	shards := make([][]uint64, n)
-	for s := range shards {
-		shards[s] = make([]uint64, n)
+	words := make([]uint64, n*n) // one pointer-free block for the whole table
+	tbl = &table{rows: make([][]uint64, n)}
+	for s := range tbl.rows {
+		tbl.rows[s] = words[s*n : (s+1)*n : (s+1)*n]
 	}
 	for i, fl := range f.pairs.Flows {
-		shards[fl.Src][fl.Dst] = packRoute(tbl.Routes[i])
+		tbl.rows[fl.Src][fl.Dst] = packRoute(built.Routes[i])
 	}
-	gen := &Generation{
-		topo:   f.topo,
-		view:   xgft.NewView(f.topo),
-		shards: shards,
-		stats: Stats{
-			Seq:      seq,
-			Algo:     f.algo.Name(),
-			Routes:   len(f.pairs.Flows),
-			CacheHit: h1 > h0,
-		},
+	if keyed {
+		if len(f.pinned) >= maxPinned {
+			clear(f.pinned)
+		}
+		f.pinned[keyer.CacheKey()] = tbl
 	}
-	if err := f.certify(gen, start); err != nil {
-		return nil, fmt.Errorf("fabric: healthy table rejected: %w", err)
-	}
-	return gen, nil
+	return tbl, false, nil
 }
 
-// buildTable returns algo's healthy all-pairs table through the cache.
-func (f *Fabric) buildTable(algo core.Algorithm) (*core.Table, error) {
-	return f.cache.BuildKeyed(f.topo, algo, f.pairs, f.pairsKey)
-}
-
-// certify is the gate every generation passes before it is published:
-// the channel-dependency graph of its entire route set is built and
-// checked acyclic. The routes are fed straight from the packed rows
-// about to be served, decoded through one reused ascent buffer. It
-// closes the generation's build clock, opened at start.
-func (f *Fabric) certify(gen *Generation, start time.Time) error {
-	verifyStart := time.Now() //lint:allow nondeterminism certification time is observational (journal/metrics only)
-	c, err := contention.NewCertifier(f.topo)
-	if err != nil {
-		return err
+// derive builds cur's successor — the one way a generation comes to
+// be. The successor serves base's rows with the override routes (in
+// (src, dst) order) written over them, under the fault view: a route
+// riding a failed wire is rerouted (core.RerouteAvoiding) or, with no
+// surviving minimal path, marked unreachable. Base's routes already
+// avoid base.view, so only the wires view fails beyond it can break
+// one, and a minimal route crosses a wire only on its source's or its
+// destination's ancestor chain: the scan visits the pairs with an
+// endpoint under a newly failed wire and no others — none at all when
+// view adds nothing. Rows nothing was written to are base's own arrays; a
+// row is cloned at its first differing word, and a row that ends up
+// equal to cur's is cur's array again. So FailLink is derive over cur's
+// rows and a larger view, Heal is derive over the configured scheme's
+// pinned table and a healthy view (all row sharing), and an optimize
+// swap is derive over the winner's pinned table and its overrides under
+// cur's view.
+//
+// The successor must pass certifyLocked or it is refused. touched counts
+// the words that differ from cur's. cur is nil only for generation 0.
+// start opens the generation's build clock (before the base table was
+// pinned, when it had to be). Callers hold f.mu.
+func (f *Fabric) derive(start time.Time, base *table, overrides []xgft.Route, view *xgft.View, cur *Generation, algoName string) (gen *Generation, touched int, err error) {
+	n := f.topo.Leaves()
+	seq, prev := uint64(0), make([][]uint64, n)
+	if cur != nil {
+		seq, prev = cur.stats.Seq+1, cur.shards
 	}
-	var buf [maxHeight]int
-	for s, row := range gen.shards {
-		for d, packed := range row {
-			if s == d || packed == PackedUnreachable {
-				continue
+	// suspect[x]: leaf x lies under a wire that failed since base's
+	// routes were checked. A suspect source's row is scanned whole, any
+	// other row only at the suspect destinations; with no new failure
+	// there is nothing to scan.
+	var suspect []bool
+	var all, suspects []int
+	if failed := view.FailedSince(base.view); len(failed) > 0 {
+		suspect, all = make([]bool, n), make([]int, n)
+		for _, wire := range failed {
+			level, index, _ := f.topo.ChannelOf(wire)
+			for lo, hi := f.topo.LeavesUnder(level, index); lo < hi; lo++ {
+				suspect[lo] = true
 			}
-			if err := c.Add(s, d, AppendPackedUp(packed, buf[:0])); err != nil {
-				return err
+		}
+		for x := range all {
+			all[x] = x
+			if suspect[x] {
+				suspects = append(suspects, x)
 			}
 		}
 	}
-	if err := c.Verify(); err != nil {
-		return err
+	shards := make([][]uint64, n)
+	var cloned []int // rows that differ from base's
+	patched, unreachable, shared := 0, base.unreachable, 0
+	for s := 0; s < n; s++ {
+		from := base.rows[s]
+		row := from
+		set := func(d int, word uint64) {
+			if isSameRow(row, from) {
+				row = append([]uint64(nil), from...)
+			}
+			row[d] = word
+		}
+		for ; len(overrides) > 0 && overrides[0].Src == s; overrides = overrides[1:] {
+			r := overrides[0]
+			if err := r.Validate(f.topo); err != nil {
+				return nil, 0, fmt.Errorf("fabric: %s assigned an invalid route: %w", algoName, err)
+			}
+			if word := packRoute(r); word != row[r.Dst] {
+				set(r.Dst, word)
+			}
+		}
+		scan := suspects
+		if suspect != nil && suspect[s] {
+			scan = all
+		}
+		for _, d := range scan {
+			word := row[d]
+			if s == d || word == PackedUnreachable || packedRouteOK(view, f.topo, s, d, word) {
+				continue
+			}
+			if nr, ok := core.RerouteAvoiding(view, xgft.Route{Src: s, Dst: d, Up: unpackRoute(word)}); ok {
+				set(d, packRoute(nr))
+				patched++
+			} else {
+				set(d, PackedUnreachable)
+				unreachable++
+			}
+		}
+		if !isSameRow(row, from) {
+			cloned = append(cloned, s)
+		}
+		if !isSameRow(row, prev[s]) {
+			diff := countDiff(row, prev[s])
+			if diff == 0 && !isSameRow(row, from) {
+				row = prev[s]
+			}
+			touched += diff
+		}
+		if isSameRow(row, from) || isSameRow(row, prev[s]) {
+			shared++
+		}
+		shards[s] = row
 	}
-	end := time.Now() //lint:allow nondeterminism generation build time is observational (journal/metrics only)
+	if len(overrides) > 0 {
+		return nil, 0, fmt.Errorf("fabric: %s assigned routes out of (src, dst) order or out of range", algoName)
+	}
+	gen = &Generation{
+		topo:   f.topo,
+		view:   view,
+		shards: shards,
+		stats: Stats{
+			Seq:            seq,
+			Algo:           algoName,
+			Routes:         len(f.pairs.Flows) - unreachable,
+			Patched:        patched,
+			Unreachable:    unreachable,
+			FailedWires:    view.FailedWires(),
+			FailedSwitches: len(view.FailedSwitches()),
+			SharedRows:     shared,
+		},
+	}
+	verifyStart := buildClock()
+	if gen.stats.CertifiedRoutes, err = f.certifyLocked(base, shards, cloned); err != nil {
+		return nil, 0, err
+	}
+	end := buildClock()
 	gen.stats.VerifyTime = end.Sub(verifyStart)
 	gen.stats.BuildTime = end.Sub(start)
-	return nil
+	return gen, touched, nil
+}
+
+// buildClock reads the wall clock for a generation's build and
+// certification times, which are observational: they reach the journal,
+// the metrics and Stats, never a routing decision.
+func buildClock() time.Time {
+	return time.Now() //lint:allow nondeterminism generation build and certification times are observational (journal/metrics only)
+}
+
+// countDiff returns how many words of a differ from b's (all of them
+// when b is not a row at all).
+func countDiff(a, b []uint64) int {
+	if len(b) != len(a) {
+		return len(a)
+	}
+	diff := 0
+	for i, w := range a {
+		if w != b[i] {
+			diff++
+		}
+	}
+	return diff
+}
+
+// isSameRow reports whether two row slices are the same array (the
+// copy-on-write "not yet cloned" test).
+func isSameRow(a, b []uint64) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// certifyLocked is the gate every generation passes before it is published:
+// the channel-dependency graph of its route set must be acyclic. The
+// fabric keeps one growing certificate, the graph of every route it has
+// ever published, and a generation passes if that graph is still
+// acyclic with its routes added. That implies the generation's own
+// graph is acyclic — a subgraph of an acyclic graph is — and it also
+// covers packets of the old and the new table in flight across a swap.
+// Only routes the certificate does not hold yet are added: base's rows
+// the first time that table is installed, and in the cloned rows the
+// words that differ from base's (overrides and reroutes), so the gate
+// costs what the swap changes. It returns how many routes it added.
+//
+// Should the union fail, the certificate is rolled back and the
+// candidate is certified alone and from scratch, as every generation
+// once was: passing, it is published and the certificate restarts from
+// it; failing, it is refused. Callers hold f.mu.
+func (f *Fabric) certifyLocked(base *table, shards [][]uint64, cloned []int) (added int, err error) {
+	mark := f.cert.Mark()
+	if added, err = f.addDeltaLocked(base, shards, cloned); err == nil {
+		base.cert = f.cert
+		return added, nil
+	}
+	f.cert.Rollback(mark)
+	alone, err := contention.NewCertifier(f.topo)
+	if err != nil {
+		return 0, err
+	}
+	if added, err = addRows(alone, shards); err != nil {
+		return 0, err
+	}
+	if err := alone.Verify(); err != nil {
+		return 0, err
+	}
+	f.cert = alone
+	return added, nil
+}
+
+// addDeltaLocked adds to the serving certificate the routes of shards it does
+// not hold yet and verifies the grown graph.
+func (f *Fabric) addDeltaLocked(base *table, shards [][]uint64, cloned []int) (added int, err error) {
+	if base.cert != f.cert {
+		if added, err = addRows(f.cert, base.rows); err != nil {
+			return 0, err
+		}
+	}
+	for _, s := range cloned {
+		n, err := addRow(f.cert, s, shards[s], base.rows[s])
+		if err != nil {
+			return 0, err
+		}
+		added += n
+	}
+	return added, f.cert.Verify()
+}
+
+// addRows feeds c every route of a table.
+func addRows(c *contention.Certifier, rows [][]uint64) (added int, err error) {
+	for s, row := range rows {
+		n, err := addRow(c, s, row, nil)
+		if err != nil {
+			return 0, err
+		}
+		added += n
+	}
+	return added, nil
+}
+
+// addRow feeds c the routes of source s, straight from the packed words
+// about to be served and decoded through one reused ascent buffer. With
+// a known row given, only the words that differ from it are fed.
+func addRow(c *contention.Certifier, s int, row, known []uint64) (added int, err error) {
+	var buf [maxHeight]int
+	for d, word := range row {
+		if s == d || word == PackedUnreachable || (known != nil && word == known[d]) {
+			continue
+		}
+		if err := c.Add(s, d, AppendPackedUp(word, buf[:0])); err != nil {
+			return added, err
+		}
+		added++
+	}
+	return added, nil
 }
 
 // FailLink fails the wire leaving switch (level, index) through
-// up-port p (and its paired down channel), patches the affected
-// routes, verifies the result deadlock-free, and swaps in the new
+// up-port p (and its paired down channel), reroutes the affected
+// routes, certifies the result deadlock-free, and swaps in the new
 // generation. The returned stats describe the swapped-in generation.
 func (f *Fabric) FailLink(level, index, p int) (Stats, error) {
 	return f.degrade(func(v *xgft.View) bool { return v.FailLink(level, index, p) },
@@ -528,16 +810,18 @@ func (f *Fabric) FailLink(level, index, p int) (Stats, error) {
 }
 
 // FailSwitch fails the switch (level, index) with every adjacent
-// wire, patches the affected routes, verifies, and swaps.
+// wire, reroutes the affected routes, certifies, and swaps.
 func (f *Fabric) FailSwitch(level, index int) (Stats, error) {
 	return f.degrade(func(v *xgft.View) bool { return v.FailSwitch(level, index) },
 		"fail.switch", fmt.Sprintf("switch (%d,%d)", level, index))
 }
 
-// degrade applies one fault to a clone of the current view, patches
-// incrementally, and publishes the result. Rejected operations (bad
-// target, failed verification) are journaled under "<op>.rejected" so
-// the event stream explains why no swap happened.
+// degrade applies one fault to a clone of the current view, derives
+// the successor from the serving rows under it — only routes that
+// traverse a newly failed wire are recomputed, untouched rows are
+// shared — and publishes the result. Rejected operations (bad target,
+// failed certification) are journaled under "<op>.rejected" so the
+// event stream explains why no swap happened.
 func (f *Fabric) degrade(fail func(*xgft.View) bool, op, what string) (Stats, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -548,8 +832,13 @@ func (f *Fabric) degrade(fail func(*xgft.View) bool, op, what string) (Stats, er
 		f.reject(op, what, err)
 		return cur.stats, err
 	}
-	gen, err := f.patch(cur, view)
+	// The serving rows as a table: every route avoids cur's view and is
+	// in the certificate already.
+	serving := &table{rows: cur.shards, view: cur.view, unreachable: cur.stats.Unreachable, cert: f.cert}
+	start := buildClock()
+	gen, _, err := f.derive(start, serving, nil, view, cur, cur.stats.Algo)
 	if err != nil {
+		err = fmt.Errorf("fabric: patched table rejected, keeping generation %d: %w", cur.stats.Seq, err)
 		f.reject(op, what, err)
 		return cur.stats, err
 	}
@@ -565,77 +854,22 @@ func (f *Fabric) reject(op, what string, err error) {
 	}
 }
 
-// patch builds cur's successor under the (strictly larger) fault
-// view. Only routes that traverse a newly failed wire are recomputed;
-// untouched source shards are shared with cur. The patched route set
-// must pass certify or the swap is refused.
-func (f *Fabric) patch(cur *Generation, view *xgft.View) (*Generation, error) {
-	start := time.Now() //lint:allow nondeterminism patch build time is observational (journal/metrics only)
-	n := f.topo.Leaves()
-	shards := make([][]uint64, n)
-	copy(shards, cur.shards)
-	patched, unreachable := 0, 0
-	for s := 0; s < n; s++ {
-		var row []uint64 // copy-on-write clone of cur.shards[s]
-		for d := 0; d < n; d++ {
-			if s == d {
-				continue
-			}
-			packed := cur.shards[s][d]
-			if packed == PackedUnreachable {
-				unreachable++
-				continue
-			}
-			if packedRouteOK(view, f.topo, s, d, packed) {
-				continue
-			}
-			if row == nil {
-				row = append([]uint64(nil), cur.shards[s]...)
-				shards[s] = row
-			}
-			r, _ := cur.Resolve(s, d)
-			nr, ok := core.RerouteAvoiding(view, r)
-			if !ok {
-				row[d] = PackedUnreachable
-				unreachable++
-				continue
-			}
-			row[d] = packRoute(nr)
-			patched++
-		}
-	}
-	gen := &Generation{
-		topo:   f.topo,
-		view:   view,
-		shards: shards,
-		stats: Stats{
-			Seq:            cur.stats.Seq + 1,
-			Algo:           cur.stats.Algo,
-			Routes:         len(f.pairs.Flows) - unreachable,
-			Patched:        patched,
-			Unreachable:    unreachable,
-			FailedWires:    view.FailedWires(),
-			FailedSwitches: len(view.FailedSwitches()),
-		},
-	}
-	if err := f.certify(gen, start); err != nil {
-		return nil, fmt.Errorf("fabric: patched table rejected, keeping generation %d: %w", cur.stats.Seq, err)
-	}
-	return gen, nil
-}
-
-// Heal recompiles the healthy table (a cache hit when the scheme is
-// memoizable), discarding every recorded fault, and swaps it in as
-// the next generation.
+// Heal returns to the configured scheme's healthy table, discarding
+// every recorded fault (and any optimized choice), and swaps it in as
+// the next generation. The table was pinned and certified when the
+// fabric was built, so the swap is row sharing.
 func (f *Fabric) Heal() (Stats, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	cur := f.gen.Load()
-	gen, err := f.buildHealthy(cur.stats.Seq + 1)
+	start := buildClock()
+	gen, _, err := f.derive(start, f.configured, nil, xgft.NewView(f.topo), cur, f.algo.Name())
 	if err != nil {
+		err = fmt.Errorf("fabric: healthy table rejected: %w", err)
 		f.reject("heal", "healthy rebuild", err)
 		return cur.stats, err
 	}
+	gen.stats.CacheHit = true
 	f.publish(gen, "heal")
 	return gen.stats, nil
 }

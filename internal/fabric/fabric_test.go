@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/contention"
 	"repro/internal/core"
@@ -312,9 +311,11 @@ func TestPackedRouteOKMatchesView(t *testing.T) {
 }
 
 // TestCertifyReadsThePackedRows pins what the publish gate certifies:
-// the words about to be served, all of them. A generation certifies
-// exactly when its materialized route set does, and one malformed word
-// anywhere in the rows refuses the whole generation.
+// the words about to be served. A published generation's materialized
+// route set certifies from scratch, every one of its routes is in the
+// fabric's certificate, and one malformed word in a cloned row refuses
+// the whole generation — without poisoning the certificate: it is left
+// as it was, and the next valid FailLink publishes.
 func TestCertifyReadsThePackedRows(t *testing.T) {
 	f := testFabric(t, core.NewDModK)
 	if _, err := f.FailLink(1, 2, 3); err != nil {
@@ -327,14 +328,82 @@ func TestCertifyReadsThePackedRows(t *testing.T) {
 	if gen.stats.VerifyTime <= 0 || gen.stats.VerifyTime > gen.stats.BuildTime {
 		t.Errorf("VerifyTime %v outside BuildTime %v", gen.stats.VerifyTime, gen.stats.BuildTime)
 	}
+	assertCertificateCovers(t, f, gen)
+
 	n := f.topo.Leaves()
-	bad := &Generation{topo: gen.topo, view: gen.view, shards: append([][]uint64(nil), gen.shards...)}
-	bad.shards[n-1] = append([]uint64(nil), gen.shards[n-1]...)
-	bad.shards[n-1][0] = 2<<levelShift | 200<<8 // top-level port 200 of 8
-	err := f.certify(bad, time.Now())
+	mark, cert := f.cert.Mark(), f.cert
+	bad := append([][]uint64(nil), gen.shards...)
+	bad[n-1] = append([]uint64(nil), gen.shards[n-1]...)
+	bad[n-1][0] = 2<<levelShift | 200<<8 // top-level port 200 of 8
+	_, err := f.certifyLocked(&table{rows: gen.shards, cert: f.cert}, bad, []int{n - 1})
 	const want = "contention: route 63->0 up-port 200 at level 1 out of range [0,8)"
 	if err == nil || err.Error() != want {
 		t.Errorf("certify(malformed last row) = %v, want %q", err, want)
+	}
+	if f.cert != cert || f.cert.Mark() != mark {
+		t.Errorf("a refused generation changed the certificate (%d dependencies before, %d after)", mark, f.cert.Mark())
+	}
+	if _, err := f.FailLink(1, 5, 1); err != nil {
+		t.Fatalf("FailLink after a refused generation: %v", err)
+	}
+	assertCertificateCovers(t, f, f.Generation())
+}
+
+// assertCertificateCovers checks the certificate invariant: adding every
+// route of a published generation records no dependency the certificate
+// does not already hold.
+func assertCertificateCovers(t *testing.T, f *Fabric, gen *Generation) {
+	t.Helper()
+	mark := f.cert.Mark()
+	for s, row := range gen.shards {
+		if _, err := addRow(f.cert, s, row, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := f.cert.Mark(); got != mark {
+		f.cert.Rollback(mark)
+		t.Fatalf("generation %d serves routes with %d dependencies its certificate lacks", gen.stats.Seq, got-mark)
+	}
+}
+
+// TestCertifyFallsBackToScratch: when the union with everything ever
+// published does not verify — here because the certificate was handed
+// a dependency ring no route set can produce — the candidate is
+// certified alone and from scratch, published, and the certificate
+// restarts from it, so the accept/reject set is the from-scratch one.
+func TestCertifyFallsBackToScratch(t *testing.T) {
+	f := testFabric(t, core.NewDModK)
+	tp := f.topo
+	up := int32(2*tp.UpChannelID(0, 0, 0) + 1)
+	if err := f.cert.AddPath([]int32{up, int32(2 * tp.UpChannelID(0, 8, 0)), up}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.cert.Verify(); err == nil {
+		t.Fatal("the poisoned certificate verifies")
+	}
+	poisoned := f.cert
+	st, err := f.FailLink(1, 2, 3)
+	if err != nil {
+		t.Fatalf("FailLink over a failing union: %v (the candidate alone is deadlock-free)", err)
+	}
+	if f.cert == poisoned {
+		t.Fatal("the certificate did not restart from the published generation")
+	}
+	if st.CertifiedRoutes != st.Routes {
+		t.Errorf("restart certified %d routes, the generation serves %d", st.CertifiedRoutes, st.Routes)
+	}
+	assertCertificateCovers(t, f, f.Generation())
+	// The configured table's pin predates the restart: Heal adds it to
+	// the new certificate again rather than trusting the old one.
+	if st, err = f.Heal(); err != nil {
+		t.Fatal(err)
+	}
+	if st.CertifiedRoutes != st.Routes {
+		t.Errorf("heal after a restart certified %d routes, want all %d", st.CertifiedRoutes, st.Routes)
+	}
+	assertCertificateCovers(t, f, f.Generation())
+	if st, err = f.FailLink(1, 2, 3); err != nil || st.CertifiedRoutes != st.Patched {
+		t.Errorf("steady state: FailLink certified %d routes for %d patched (err %v)", st.CertifiedRoutes, st.Patched, err)
 	}
 }
 

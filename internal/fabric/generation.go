@@ -31,8 +31,10 @@ type Stats struct {
 	Algo string
 	// Routes counts the resolvable (non-self, reachable) pairs.
 	Routes int
-	// Patched counts the routes rerouted relative to the previous
-	// generation (0 for full rebuilds).
+	// Patched counts the routes rerouted around the fault set while the
+	// generation was derived: relative to the previous generation for a
+	// fault, relative to the winner's healthy table for an optimize swap
+	// (0 under a healthy view).
 	Patched int
 	// Unreachable counts pairs with no surviving minimal path.
 	Unreachable int
@@ -40,14 +42,24 @@ type Stats struct {
 	// set.
 	FailedWires    int
 	FailedSwitches int
-	// CacheHit reports whether a full rebuild was served from the
-	// routing-table cache (always false for incremental patches).
+	// CacheHit reports that the generation was served from a pinned
+	// table without rebuilding it: the healthy table of the scheme it
+	// installs had been packed by an earlier generation (always false for
+	// faults, which derive from the serving rows).
 	CacheHit bool
-	// BuildTime is the wall time spent compiling, patching and
-	// verifying the generation before it was swapped in.
+	// CertifiedRoutes counts the routes added to the fabric's
+	// certificate for this publish: the ones no earlier generation
+	// served. SharedRows counts the source rows that are the same arrays
+	// as the table the generation was derived from or as its
+	// predecessor's (the rest were cloned to take an override or a
+	// reroute).
+	CertifiedRoutes int
+	SharedRows      int
+	// BuildTime is the wall time spent deriving and certifying the
+	// generation before it was swapped in.
 	BuildTime time.Duration
-	// VerifyTime is the part of BuildTime spent certifying the
-	// generation's route set deadlock-free.
+	// VerifyTime is the part of BuildTime spent in the certification
+	// gate.
 	VerifyTime time.Duration
 }
 
@@ -79,21 +91,14 @@ func packRoute(r xgft.Route) uint64 {
 // common (healthy-route) case must not allocate.
 func packedRouteOK(v *xgft.View, t *xgft.Topology, src, dst int, packed uint64) bool {
 	l := int(packed >> levelShift)
-	idx := src
-	for i := 0; i < l; i++ {
-		p := int(packed >> (8 * uint(i)) & 0xff)
-		if v.WireFailed(t.UpChannelID(i, idx, p)) {
-			return false
+	for _, idx := range [2]int{src, dst} { // the ascent, then the descent read upwards
+		for i := 0; i < l; i++ {
+			ch := t.UpChannelID(i, idx, int(packed>>(8*uint(i))&0xff))
+			if v.WireFailed(ch) {
+				return false
+			}
+			idx = t.ChannelParent(ch)
 		}
-		idx = t.Parent(i, idx, p)
-	}
-	idx = dst
-	for i := 0; i < l; i++ {
-		p := int(packed >> (8 * uint(i)) & 0xff)
-		if v.WireFailed(t.UpChannelID(i, idx, p)) {
-			return false
-		}
-		idx = t.Parent(i, idx, p)
 	}
 	return true
 }

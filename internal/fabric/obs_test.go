@@ -136,6 +136,24 @@ func TestFabricMetricsAndJournal(t *testing.T) {
 			t.Errorf("swap event %d: build_ns=%v verify_ns=%v dur=%v", ev.Seq, ev.Fields["build_ns"], ev.Fields["verify_ns"], ev.Dur)
 		}
 	}
+	// And what it cost: the initial build certifies the whole table and
+	// shares every row with the pinned one; a fault certifies exactly the
+	// routes it rerouted.
+	for i, ev := range jnl.Tail(0) {
+		if ev.Type != "generation.swap" {
+			continue
+		}
+		certified, okC := ev.Fields["certified_routes"].(int)
+		shared, okS := ev.Fields["shared_rows"].(int)
+		switch {
+		case !okC || !okS:
+			t.Errorf("swap event %d lacks %v: %+v", ev.Seq, SwapEventKeys(), ev.Fields)
+		case i == 0 && (certified != n*(n-1) || shared != n):
+			t.Errorf("initial swap certified %d routes over %d shared rows, want %d and %d", certified, shared, n*(n-1), n)
+		case i > 0 && certified != ev.Fields["patched"]:
+			t.Errorf("swap event %d certified %d routes, rerouted %v", ev.Seq, certified, ev.Fields["patched"])
+		}
+	}
 	for _, name := range SwapObsNames() {
 		if got := snap[name+"_count"]; got != 4 {
 			t.Errorf("%s_count = %v, want 4 (initial + 3 swaps)", name, got)

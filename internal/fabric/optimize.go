@@ -21,12 +21,13 @@ import (
 // distribution shifts.
 //
 // One scoring path serves the serving generation and every candidate:
-// resolve the observed flows under that table and hand the routes to
-// the fabric's evaluator (scoreRoutes) — a handful of flat censuses per
-// pass under the analytic default. The winning table installs through
-// the delta discipline FailLink uses: rows that no candidate route
-// changed are shared with the serving generation, only touched rows
-// repack.
+// ask it for its routes on the observed pairs — nothing else; no
+// all-pairs table is built for a candidate that does not win — and hand
+// them to the fabric's evaluator (scoreRoutes): a handful of flat
+// censuses per pass under the analytic default. The winner installs
+// through derive, the one way any generation is made: its static
+// scheme's pinned table (Colored's is its d-mod-k fallback's, with its
+// assignments as overrides), rows shared wherever nothing differs.
 
 // OptimizeConfig parameterizes one re-optimization pass.
 type OptimizeConfig struct {
@@ -41,8 +42,9 @@ type OptimizeConfig struct {
 	// Seed feeds the randomized candidates (r-NCA-u/d) and the
 	// Colored sampler. Defaults to 1, so passes are reproducible.
 	Seed uint64
-	// Reset zeroes the telemetry counters after the snapshot, making
-	// each pass observe only the traffic since the previous one.
+	// Reset zeroes the telemetry counters as they are snapshotted (one
+	// pass; no resolve falls between the two), making each pass observe
+	// exactly the traffic since the previous one.
 	Reset bool
 }
 
@@ -101,15 +103,16 @@ func allPairsIndex(n, s, d int) int {
 // Optimize runs one telemetry-driven re-optimization pass: snapshot
 // the flow counters, score the current generation and the candidate
 // schemes (d-mod-k, r-NCA-u/d, and Colored seeded with the observed
-// pattern — all served through the table cache) on the observed
+// pattern) on the observed
 // pattern with the fabric's evaluator (analytic slowdown bound by
 // default, any evaluate.Evaluator by injection), and hot-swap the
 // best candidate in if it improves on the serving table by more than
 // the threshold.
 //
-// The pass composes with fault handling: candidates are patched
-// through the current generation's degraded view before scoring and
-// installation, so an optimize swap never resurrects a failed wire,
+// The pass composes with fault handling: candidate routes are rerouted
+// around the current generation's degraded view before scoring and
+// during installation, so an optimize swap never resurrects a failed
+// wire,
 // and the pass serializes with FailLink/FailSwitch/Heal on the
 // fabric's mutex while readers stay lock-free on the old generation.
 // Heal still rebuilds the configured scheme's healthy table,
@@ -144,10 +147,7 @@ func (f *Fabric) Optimize(cfg OptimizeConfig) (res OptimizeResult, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 
-	obs := f.tel.SnapshotFlows()
-	if cfg.Reset {
-		f.tel.Reset()
-	}
+	obs := f.tel.snapshot(cfg.Reset)
 	cur := f.gen.Load()
 	res = OptimizeResult{
 		Pairs:    len(obs.Flows),
@@ -160,24 +160,18 @@ func (f *Fabric) Optimize(cfg OptimizeConfig) (res OptimizeResult, err error) {
 	view := cur.view
 
 	// Pairs whose minimal paths are all severed are dropped from the
-	// scored pattern; every candidate is patched through the same view
+	// scored pattern; every candidate's routes go through the same view
 	// with the same reroute search, so the surviving flow set — and with
 	// it the comparison — is identical across candidates.
 	if res.Current, err = f.scoreRoutes(obs, cur.Resolve); err != nil {
 		return res, err
 	}
 
-	n := f.topo.Leaves()
-	var bestTbl *core.Table
+	var best core.Algorithm
 	for _, cand := range f.candidates(obs, cfg.Seed) {
 		cs := f.tracer.StartChild(sp.Context(), spanCandidate)
-		tbl, err := f.buildTable(cand)
-		if err != nil {
-			cs.End()
-			return res, fmt.Errorf("fabric: candidate %s: %w", cand.Name(), err)
-		}
 		score, err := f.scoreRoutes(obs, func(s, d int) (xgft.Route, bool) {
-			return core.RerouteAvoiding(view, tbl.Routes[allPairsIndex(n, s, d)])
+			return core.RerouteAvoiding(view, cand.Route(s, d))
 		})
 		if err != nil {
 			cs.End()
@@ -186,21 +180,33 @@ func (f *Fabric) Optimize(cfg OptimizeConfig) (res OptimizeResult, err error) {
 		cs.SetAttr(attrSlowdownPPM, int64(score*1e6))
 		cs.End()
 		res.Candidates = append(res.Candidates, CandidateScore{Algo: cand.Name(), Slowdown: score})
-		if bestTbl == nil || score < res.BestSlowdown {
-			bestTbl = tbl
+		if best == nil || score < res.BestSlowdown {
+			best = cand
 			res.Best, res.BestSlowdown = cand.Name(), score
 		}
 	}
 	// Swap only on strict improvement beyond the threshold. Identical
 	// tables score bit-identically, so a generation already serving
 	// the best candidate never churns.
-	if bestTbl == nil || res.Current-res.BestSlowdown <= cfg.Threshold*res.Current {
+	if best == nil || res.Current-res.BestSlowdown <= cfg.Threshold*res.Current {
 		return res, nil
 	}
-	gen, touched, err := f.genFromTableDelta(bestTbl, view, cur, res.Best)
-	if err != nil {
-		return res, err
+	// The winner as a pinned table plus overrides: Colored is its
+	// fallback scheme's table with its assignments written over it.
+	buildStart := buildClock()
+	var overrides []xgft.Route
+	if col, ok := best.(*core.Colored); ok {
+		best, overrides = col.Fallback(), col.Assignments()
 	}
+	base, hit, err := f.pinLocked(best)
+	if err != nil {
+		return res, fmt.Errorf("fabric: candidate %s: %w", res.Best, err)
+	}
+	gen, touched, err := f.derive(buildStart, base, overrides, view, cur, res.Best)
+	if err != nil {
+		return res, fmt.Errorf("fabric: candidate table rejected: %w", err)
+	}
+	gen.stats.CacheHit = hit
 	f.publish(gen, "optimize")
 	res.Swapped, res.SwapTouched = true, touched
 	res.Stats = gen.stats
@@ -233,8 +239,8 @@ func (f *Fabric) journalOptimize(res OptimizeResult, err error, threshold float6
 
 // candidates enumerates the candidate schemes for an observed
 // pattern, in scoring order. The Colored optimizer is memoized
-// through the table cache (keyed by topology, pattern content and
-// seed), so repeated passes over a stable pattern reuse it.
+// through the table cache's algorithm memo (keyed by topology, pattern
+// content and seed), so repeated passes over a stable pattern reuse it.
 func (f *Fabric) candidates(obs *pattern.Pattern, seed uint64) []core.Algorithm {
 	coloredKey := fmt.Sprintf("colored|%s|%d:%#x:%#x|%#x",
 		f.topo, len(obs.Flows), obs.TotalBytes(), obs.Fingerprint(), seed)
@@ -267,64 +273,4 @@ func (f *Fabric) scoreRoutes(obs *pattern.Pattern, route func(s, d int) (xgft.Ro
 		return 0, err
 	}
 	return res.Slowdown, nil
-}
-
-// genFromTableDelta packs the winning healthy table into cur's
-// successor under the given fault view. core.PatchTable (the repair
-// path FailLink uses) reroutes the routes riding failed wires and marks
-// pairs with no surviving minimal path, which pack to the unreachable
-// sentinel. Packing is differential, the way FailLink's patch is: rows
-// whose packed routes are unchanged are shared with cur, and a row is
-// cloned copy-on-write the first time one of its routes differs. The
-// result must pass certify or installation is refused. Returns the
-// number of packed routes that changed.
-func (f *Fabric) genFromTableDelta(tbl *core.Table, view *xgft.View, cur *Generation, algoName string) (*Generation, int, error) {
-	start := time.Now() //lint:allow nondeterminism candidate build time is observational (journal/metrics only)
-	patched, st, err := core.PatchTable(tbl, view)
-	if err != nil {
-		return nil, 0, err
-	}
-	n := f.topo.Leaves()
-	shards := make([][]uint64, n)
-	copy(shards, cur.shards)
-	touched := 0
-	for i, fl := range f.pairs.Flows {
-		r := patched.Routes[i]
-		v := PackedUnreachable
-		if r.Up != nil {
-			v = packRoute(r)
-		}
-		if shards[fl.Src][fl.Dst] == v {
-			continue
-		}
-		if isSameRow(shards[fl.Src], cur.shards[fl.Src]) {
-			shards[fl.Src] = append([]uint64(nil), cur.shards[fl.Src]...)
-		}
-		shards[fl.Src][fl.Dst] = v
-		touched++
-	}
-	gen := &Generation{
-		topo:   f.topo,
-		view:   view,
-		shards: shards,
-		stats: Stats{
-			Seq:            cur.stats.Seq + 1,
-			Algo:           algoName,
-			Routes:         len(f.pairs.Flows) - st.Unreachable,
-			Patched:        st.Rerouted,
-			Unreachable:    st.Unreachable,
-			FailedWires:    view.FailedWires(),
-			FailedSwitches: len(view.FailedSwitches()),
-		},
-	}
-	if err := f.certify(gen, start); err != nil {
-		return nil, 0, fmt.Errorf("fabric: candidate table rejected: %w", err)
-	}
-	return gen, touched, nil
-}
-
-// isSameRow reports whether two row slices are the same array (the
-// copy-on-write "not yet cloned" test).
-func isSameRow(a, b []uint64) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }

@@ -91,14 +91,29 @@ func (t *Telemetry) Total() uint64 {
 // SnapshotFlows lowers the counters into a communication pattern: one
 // flow per observed pair, Bytes = resolve count, in (src, dst) order
 // — deterministic for a quiesced fabric, so snapshots fingerprint
-// stably into the routing-table cache. Counters keep counting; pair
-// the call with Reset for windowed observation.
-func (t *Telemetry) SnapshotFlows() *pattern.Pattern {
+// stably into the routing-table cache. Counters keep counting. For
+// windowed observation run Optimize with Reset, which snapshots and
+// zeroes in one pass and loses nothing; a SnapshotFlows followed by a
+// separate Reset drops the resolves that land in between.
+func (t *Telemetry) SnapshotFlows() *pattern.Pattern { return t.snapshot(false) }
+
+// snapshot is SnapshotFlows, and with reset also Reset, as one pass:
+// each non-zero counter is then swapped to zero and the swapped-out
+// value is the flow's weight, so every resolve is counted in exactly
+// one window — the one whose swap it lands before. A plain atomic load
+// picks the cells worth a swap: the matrix holds a thousand counts in
+// 65 536 cells, and a count that lands right after a zero load waits
+// for the next window.
+func (t *Telemetry) snapshot(reset bool) *pattern.Pattern {
 	p := pattern.New(t.n)
 	for s := 0; s < t.n; s++ {
 		row := t.rows[s]
 		for d := 0; d < t.n; d++ {
-			if c := atomic.LoadUint64(&row[d]); c > 0 {
+			c := atomic.LoadUint64(&row[d])
+			if c > 0 && reset {
+				c = atomic.SwapUint64(&row[d], 0)
+			}
+			if c > 0 {
 				p.Add(s, d, int64(c))
 			}
 		}
@@ -106,15 +121,18 @@ func (t *Telemetry) SnapshotFlows() *pattern.Pattern {
 	return p
 }
 
-// Reset zeroes every counter, starting a fresh observation window.
-// Resolves landing between a SnapshotFlows and the Reset are lost to
-// the next window; the optimizer tolerates that (telemetry steers,
-// it does not account).
+// Reset zeroes every counter, starting a fresh observation window; it
+// stores only where it loads a count, so it costs a read per cell.
+// Counts that land while it runs survive or not by which side of the
+// cell's store they fall; callers that need the discarded counts use
+// Optimize's Reset instead.
 func (t *Telemetry) Reset() {
 	for s := 0; s < t.n; s++ {
 		row := t.rows[s]
 		for d := 0; d < t.n; d++ {
-			atomic.StoreUint64(&row[d], 0)
+			if atomic.LoadUint64(&row[d]) != 0 {
+				atomic.StoreUint64(&row[d], 0)
+			}
 		}
 	}
 }

@@ -22,6 +22,7 @@ package xgft
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -40,10 +41,16 @@ type Topology struct {
 	upChanAt   []int // upChanAt[l] = number of up channels leaving level l
 	upChanBase []int // prefix sums of upChanAt for flat channel IDs
 	totalUp    int
+	// parentOf[c] is the index (one level up) of the node the up channel
+	// c arrives at. Route walks ask for it once per hop, so it is a table
+	// read instead of parentIndex's three divisions.
+	parentOf []int32
 }
 
 // New validates the parameter vectors and constructs the topology.
-// m and w must both have length h; every m_i >= 1 and w_i >= 1.
+// m and w must both have length h; every m_i >= 1 and w_i >= 1. It
+// tabulates the parent of every up channel, so it takes time and memory
+// proportional to TotalChannels (four bytes a channel).
 func New(h int, m, w []int) (*Topology, error) {
 	if h < 1 || h > MaxHeight {
 		return nil, fmt.Errorf("xgft: height %d out of range [1,%d]", h, MaxHeight)
@@ -90,6 +97,17 @@ func New(h int, m, w []int) (*Topology, error) {
 		t.upChanBase[l+1] = t.upChanBase[l] + t.upChanAt[l]
 	}
 	t.totalUp = t.upChanBase[h]
+	if t.totalUp > math.MaxInt32 || t.nodesAt[h] > math.MaxInt32 {
+		return nil, errors.New("xgft: too many channels (overflow)")
+	}
+	t.parentOf = make([]int32, t.totalUp)
+	for l := 0; l < h; l++ {
+		for idx := 0; idx < t.nodesAt[l]; idx++ {
+			for p := 0; p < t.w[l]; p++ {
+				t.parentOf[t.UpChannelID(l, idx, p)] = int32(t.parentIndex(l, idx, p))
+			}
+		}
+	}
 	return t, nil
 }
 
@@ -276,6 +294,19 @@ func (t *Topology) FormatLabel(level, index int) string {
 //
 //repro:hotpath
 func (t *Topology) Parent(level, index, p int) int {
+	return int(t.parentOf[t.upChanBase[level]+index*t.w[level]+p])
+}
+
+// ChannelParent is Parent for a caller that already holds the up
+// channel's flat ID (UpChannelID of the same level, index and port):
+// the index, one level up, of the node the channel arrives at.
+//
+//repro:hotpath
+func (t *Topology) ChannelParent(channel int) int { return int(t.parentOf[channel]) }
+
+// parentIndex is Parent's arithmetic definition, which New tabulates
+// into parentOf.
+func (t *Topology) parentIndex(level, index, p int) int {
 	// Going up replaces digit `level` (an M-digit of radix m[level])
 	// with the W-digit p. Recompute the mixed-radix index with the
 	// changed radix at position `level`.
@@ -301,6 +332,22 @@ func (t *Topology) Child(level, index, c int) int {
 	rest := index / lowBase
 	high := rest / t.w[j]
 	return (high*t.m[j]+c)*lowBase + low
+}
+
+// LeavesUnder returns the half-open range [lo, hi) of leaves that have
+// the node (level, index) among their ancestors (the node itself at
+// level 0): the leaves whose M-digits from position level up equal the
+// node's. A minimal route can only cross a wire on its source's or its
+// destination's ancestor chain, so these are the endpoints a fault at
+// the node can affect.
+func (t *Topology) LeavesUnder(level, index int) (lo, hi int) {
+	wBase, span := 1, 1
+	for j := 0; j < level; j++ {
+		wBase *= t.w[j]
+		span *= t.m[j]
+	}
+	lo = index / wBase * span
+	return lo, lo + span
 }
 
 // UpPortOf returns the up-port on child (at level) that leads to the

@@ -411,3 +411,56 @@ func pow(b, e int) int {
 	}
 	return r
 }
+
+// TestParentTableMatchesArithmetic holds the per-channel parent table
+// New tabulates to its arithmetic definition, for every (level, index,
+// port) of the README's topologies and of keyed-random XGFTs up to
+// h = 4, and holds Child to be its inverse: descending from the parent
+// through the child's own digit comes back to the child. The table has
+// one entry per channel — New stays O(channels) in time and memory.
+func TestParentTableMatchesArithmetic(t *testing.T) {
+	topos := []*Topology{
+		MustNew(2, []int{16, 16}, []int{1, 16}), // the paper's 16-ary 2-tree
+		MustNew(2, []int{16, 16}, []int{1, 10}), // slimmed
+		MustNew(2, []int{16, 16}, []int{1, 1}),
+		MustNew(3, []int{4, 4, 4}, []int{1, 2, 2}),
+		MustNew(3, []int{3, 4, 2}, []int{1, 2, 3}),
+		MustNew(3, []int{4, 3, 5}, []int{1, 2, 3}),
+		MustNew(1, []int{256}, []int{1}),                // the crossbar reference
+		MustNew(3, []int{16, 16, 16}, []int{1, 16, 16}), // 4096 leaves: the largest a test builds
+	}
+	r := newRand(0x9a7e)
+	for i := 0; i < 200; i++ {
+		topos = append(topos, randomTopology(r))
+	}
+	for _, tp := range topos {
+		if got, want := len(tp.parentOf), tp.TotalChannels(); got != want {
+			t.Fatalf("%v: parent table has %d entries, want one per channel (%d)", tp, got, want)
+		}
+		for l := 0; l < tp.Height(); l++ {
+			for idx := 0; idx < tp.NodesAt(l); idx++ {
+				for p := 0; p < tp.W(l); p++ {
+					parent := tp.Parent(l, idx, p)
+					if want := tp.parentIndex(l, idx, p); parent != want {
+						t.Fatalf("%v: Parent(%d,%d,%d) = %d, arithmetic definition %d", tp, l, idx, p, parent, want)
+					}
+					if got := tp.ChannelParent(tp.UpChannelID(l, idx, p)); got != parent {
+						t.Fatalf("%v: ChannelParent of channel (%d,%d,%d) = %d, Parent %d", tp, l, idx, p, got, parent)
+					}
+					if parent < 0 || parent >= tp.NodesAt(l+1) {
+						t.Fatalf("%v: Parent(%d,%d,%d) = %d outside level %d", tp, l, idx, p, parent, l+1)
+					}
+					if back := tp.Child(l+1, parent, tp.DownPortOf(l, idx)); back != idx {
+						t.Fatalf("%v: Child(Parent(%d,%d,%d)) = %d", tp, l, idx, p, back)
+					}
+					if got := tp.UpPortOf(l, parent); got != p {
+						t.Fatalf("%v: UpPortOf(Parent(%d,%d,%d)) = %d", tp, l, idx, p, got)
+					}
+				}
+			}
+		}
+	}
+	if _, err := New(3, []int{1 << 10, 1 << 10, 1 << 10}, []int{4, 1, 1}); err == nil { // 2^32 leaf channels
+		t.Error("New accepted a topology whose channels do not fit the parent table")
+	}
+}

@@ -1,6 +1,9 @@
 package xgft
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Degraded topology views. A View is a Topology plus a set of failed
 // wires (child-parent link pairs) and failed switches; it answers
@@ -112,6 +115,23 @@ func (v *View) WireFailed(id int) bool {
 	return v.failed[id/64]&(uint64(1)<<(id%64)) != 0
 }
 
+// FailedSince returns the flat IDs, ascending, of the wires failed in v
+// that are healthy in base, a view of the same topology; a nil base is
+// the healthy view. Routes that were valid under base can be invalid
+// under v only by crossing one of them.
+func (v *View) FailedSince(base *View) []int {
+	var ids []int
+	for i, word := range v.failed {
+		if base != nil {
+			word &^= base.failed[i]
+		}
+		for ; word != 0; word &= word - 1 {
+			ids = append(ids, 64*i+bits.TrailingZeros64(word))
+		}
+	}
+	return ids
+}
+
 // FailedWires returns the number of failed wires.
 func (v *View) FailedWires() int { return v.nFailed }
 
@@ -134,19 +154,21 @@ func (v *View) RouteOK(r Route) bool {
 	t := v.topo
 	idx := r.Src
 	for l, p := range r.Up {
-		if v.WireFailed(t.UpChannelID(l, idx, p)) {
+		ch := t.UpChannelID(l, idx, p)
+		if v.WireFailed(ch) {
 			return false
 		}
-		idx = t.Parent(l, idx, p)
+		idx = t.ChannelParent(ch)
 	}
 	// The descent visits the ancestors of Dst below the NCA; the wire
 	// between levels i and i+1 is identified by its child-side node.
 	idx = r.Dst
-	for i := 0; i < len(r.Up); i++ {
-		if v.WireFailed(t.UpChannelID(i, idx, r.Up[i])) {
+	for l, p := range r.Up {
+		ch := t.UpChannelID(l, idx, p)
+		if v.WireFailed(ch) {
 			return false
 		}
-		idx = t.Parent(i, idx, r.Up[i])
+		idx = t.ChannelParent(ch)
 	}
 	return true
 }

@@ -1,6 +1,9 @@
 package xgft
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestViewHealthy(t *testing.T) {
 	tp := MustNew(2, []int{4, 4}, []int{1, 4})
@@ -114,5 +117,83 @@ func TestViewCloneIndependence(t *testing.T) {
 	}
 	if !c.WireFailed(tp.UpChannelID(1, 0, 0)) {
 		t.Fatalf("clone lost the original's failure")
+	}
+}
+
+// TestFailedSinceAndLeavesUnder holds the two facts a route store's
+// fault scan is narrowed by. FailedSince lists exactly the wires one
+// view fails beyond another. LeavesUnder is the ancestor relation read
+// downwards: a leaf is in the range of (level, index) exactly when some
+// ascent from it reaches that node — so a route valid before a fault
+// can be broken by it only if its source or its destination is under
+// the child-side node of a newly failed wire.
+func TestFailedSinceAndLeavesUnder(t *testing.T) {
+	r := newRand(0x1eaf)
+	for trial := 0; trial < 60; trial++ {
+		tp := randomTopology(r)
+		// reach[l][idx] = leaves with an ascent to (l, idx), by brute force.
+		reach := make([]map[int]map[int]bool, tp.Height()+1)
+		for l := range reach {
+			reach[l] = make(map[int]map[int]bool)
+		}
+		for x := 0; x < tp.Leaves(); x++ {
+			frontier := map[int]bool{x: true}
+			for l := 0; ; l++ {
+				for idx := range frontier {
+					if reach[l][idx] == nil {
+						reach[l][idx] = make(map[int]bool)
+					}
+					reach[l][idx][x] = true
+				}
+				if l == tp.Height() {
+					break
+				}
+				next := make(map[int]bool)
+				for idx := range frontier {
+					for p := 0; p < tp.W(l); p++ {
+						next[tp.Parent(l, idx, p)] = true
+					}
+				}
+				frontier = next
+			}
+		}
+		for l := 0; l <= tp.Height(); l++ {
+			for idx := 0; idx < tp.NodesAt(l); idx++ {
+				lo, hi := tp.LeavesUnder(l, idx)
+				if hi-lo != len(reach[l][idx]) {
+					t.Fatalf("%v: LeavesUnder(%d,%d) = [%d,%d), %d leaves reach the node", tp, l, idx, lo, hi, len(reach[l][idx]))
+				}
+				for x := lo; x < hi; x++ {
+					if !reach[l][idx][x] {
+						t.Fatalf("%v: LeavesUnder(%d,%d) = [%d,%d) holds leaf %d, which has no ascent to the node", tp, l, idx, lo, hi, x)
+					}
+				}
+			}
+		}
+
+		base := NewView(tp)
+		var first, second []int
+		for i := 0; i < 1+r.Intn(4); i++ {
+			if id := r.Intn(tp.TotalChannels()); base.FailWire(id) {
+				first = append(first, id)
+			}
+		}
+		v := base.Clone()
+		for i := 0; i < 1+r.Intn(4); i++ {
+			if id := r.Intn(tp.TotalChannels()); v.FailWire(id) {
+				second = append(second, id)
+			}
+		}
+		slices.Sort(first)
+		slices.Sort(second)
+		if got := v.FailedSince(base); !slices.Equal(got, second) {
+			t.Fatalf("%v: FailedSince(base) = %v, failed after the clone: %v", tp, got, second)
+		}
+		if got, all := v.FailedSince(nil), append(append([]int(nil), first...), second...); len(got) != len(all) || len(got) != v.FailedWires() {
+			t.Fatalf("%v: FailedSince(nil) = %v, want all %d failed wires", tp, got, v.FailedWires())
+		}
+		if got := base.FailedSince(v); len(got) != 0 {
+			t.Fatalf("%v: a view fails %v beyond its own superset", tp, got)
+		}
 	}
 }

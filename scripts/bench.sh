@@ -12,8 +12,9 @@
 # encode/decode, end-to-end and a pipelined burst, evaluator cache, the
 # census every analytic score is a max over, LoadState route deltas,
 # the Optimize pass, delta-scored placement, and the control plane's
-# time-to-new-generation: FailLink swap, Heal, and the deadlock
-# certification both contain; and what the simulated and census figures
+# time-to-new-generation: FailLink swap, Heal, a whole churn cycle
+# (feed, Optimize, FailLink, Heal) and the from-scratch deadlock
+# certification; and what the simulated and census figures
 # of the paper are made of: the network simulator's event loop, trace
 # replay over it, one simulated Fig. 2b point, and the all-pairs NCA
 # census) with
@@ -35,7 +36,7 @@ cd "$(dirname "$0")/.."
 # (internal/benchcal) that benchgate divides out. Anchored so e.g.
 # ResolveBatch does not also pull in every sized variant that may
 # appear later.
-gate_bench='^(BenchmarkResolveBatch|BenchmarkResolveBatchPackedTraced|BenchmarkResolveBatchPacked|BenchmarkResolveBatchPackedObserved|BenchmarkResolveWire|BenchmarkWireEncodeRequest|BenchmarkWireDecodeRequest|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkWireResolveEndToEnd|BenchmarkWireResolvePipelined|BenchmarkCachedScoreHit|BenchmarkCachedScoreRoutesHit|BenchmarkApplyRouteDelta|BenchmarkOptimize|BenchmarkPlaceIncremental|BenchmarkFailLinkSwap|BenchmarkHeal|BenchmarkAnalyze|BenchmarkVerifyDeadlockFree|BenchmarkSimulatorThroughput|BenchmarkTraceReplayWRF|BenchmarkFig2bSimulated|BenchmarkNCACensus|BenchmarkCalibration)$'
+gate_bench='^(BenchmarkResolveBatch|BenchmarkResolveBatchPackedTraced|BenchmarkResolveBatchPacked|BenchmarkResolveBatchPackedObserved|BenchmarkResolveWire|BenchmarkWireEncodeRequest|BenchmarkWireDecodeRequest|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkWireResolveEndToEnd|BenchmarkWireResolvePipelined|BenchmarkCachedScoreHit|BenchmarkCachedScoreRoutesHit|BenchmarkApplyRouteDelta|BenchmarkOptimize|BenchmarkPlaceIncremental|BenchmarkFailLinkSwap|BenchmarkHeal|BenchmarkChurnCycle|BenchmarkAnalyze|BenchmarkVerifyDeadlockFree|BenchmarkSimulatorThroughput|BenchmarkTraceReplayWRF|BenchmarkFig2bSimulated|BenchmarkNCACensus|BenchmarkCalibration)$'
 gate_pkgs='./internal/fabric ./internal/wire ./internal/evaluate ./internal/sched ./internal/contention .'
 
 run_gated() {
