@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -37,9 +38,6 @@ func TestCLISmoke(t *testing.T) {
 		{"experiments", []string{"-churn", "-seeds", "2"}},
 		{"experiments", []string{"-fidelity", "-bytes", "2048"}},
 		{"experiments", []string{"-fig2b", "-engine", "simulated", "-bytes", "2048", "-seeds", "2"}},
-		{"fabricd", []string{"-demo", "-xgft", "2;8,8;1,8"}},
-		{"fabricd", []string{"-demo", "-xgft", "2;8,8;1,4", "-sched", "telemetry"}},
-		{"fabricd", []string{"-demo", "-xgft", "2;8,8;1,4", "-evaluator", "venus"}},
 		{"subnetmgr", nil},
 		{"routegen", []string{"-xgft", "2;8,8;1,8", "-algo", "r-NCA-d", "-pattern", "shift:1"}},
 		{"routegen", []string{"-xgft", "2;8,8;1,8", "-pattern", "random-perm", "-seed", "3"}},
@@ -63,38 +61,87 @@ func TestCLISmoke(t *testing.T) {
 		})
 	}
 
+	// The daemon's lifecycle as an operator drives it, one served
+	// fabricd per row: submit a job, fail a top-level link, resolve
+	// across it, skew the traffic and re-optimize, heal. The first row is
+	// the documented walk-through, d-mod-k on XGFT(2;16,16;1,16) losing
+	// link (1,0,15), and is held to its anchors.
+	for _, c := range []struct {
+		args            []string
+		leaves, m1, top int // topology shape: leaves, leaves per switch, top-level ports
+		anchored        bool
+	}{
+		{nil, 256, 16, 16, true},
+		{[]string{"-xgft", "2;8,8;1,4", "-sched", "telemetry"}, 64, 8, 4, false},
+		{[]string{"-xgft", "2;8,8;1,4", "-evaluator", "venus"}, 64, 8, 4, false},
+	} {
+		c := c
+		t.Run("fabricd", func(t *testing.T) {
+			httpAddr, _ := startFabricd(t, bin, c.args...)
+			call := func(method, path string, want int) map[string]any {
+				t.Helper()
+				req, err := http.NewRequest(method, "http://"+httpAddr+path, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatalf("%s %s: %v", method, path, err)
+				}
+				defer resp.Body.Close()
+				var body map[string]any
+				if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || resp.StatusCode != want {
+					t.Fatalf("%s %s: status %d (want %d), body %v, decode error %v", method, path, resp.StatusCode, want, body, err)
+				}
+				return body
+			}
+			num := func(body map[string]any, key string) int {
+				t.Helper()
+				v, ok := body[key].(float64)
+				if !ok {
+					t.Fatalf("no numeric %q in %v", key, body)
+				}
+				return int(v)
+			}
+			initial := call("GET", "/stats", http.StatusOK)
+			if job, _ := call("POST", fmt.Sprintf("/jobs?app=perm&n=%d", c.m1), http.StatusOK)["job"].(map[string]any); num(job, "n") != c.m1 {
+				t.Fatalf("submitted job %v", job)
+			}
+			fault := call("POST", fmt.Sprintf("/fail-link?level=1&index=0&port=%d", c.top-1), http.StatusOK)
+			if num(fault, "failed_wires") != 1 || num(fault, "patched") == 0 || num(fault, "certified_routes") != num(fault, "patched") {
+				t.Fatalf("fail-link: %v", fault)
+			}
+			route := call("GET", fmt.Sprintf("/resolve?src=0&dst=%d", c.leaves-1), http.StatusOK)
+			if up, _ := route["up"].([]any); num(route, "generation") != num(fault, "seq") || len(up) != 2 || up[1] == float64(c.top-1) {
+				t.Fatalf("resolve across the failed link: %v", route)
+			}
+			call("GET", "/resolve?src=-1&dst=3", http.StatusBadRequest)
+			// Every leaf of switch 0 sends into one residue class mod the
+			// top-level port count: the funnel d-mod-k serves worst.
+			for s := 0; s < c.m1-1; s++ {
+				call("GET", fmt.Sprintf("/resolve?src=%d&dst=%d", s, c.m1+c.top*s), http.StatusOK)
+			}
+			opt := call("POST", "/optimize?threshold=0", http.StatusOK)
+			if cands, _ := opt["candidates"].([]any); len(cands) != 4 || opt["swapped"] != true || opt["best"] == "d-mod-k" {
+				t.Fatalf("optimize over the funnel: %v", opt)
+			}
+			heal := call("POST", "/heal", http.StatusOK)
+			if heal["cache_hit"] != true || heal["algo"] != "d-mod-k" || num(heal, "failed_wires") != 0 || num(heal, "certified_routes") != 0 {
+				t.Fatalf("heal: %v", heal)
+			}
+			if c.anchored && (num(initial, "certified_routes") != 65280 || num(fault, "patched") != 480 ||
+				num(fault, "unreachable") != 0 || num(fault, "certified_routes") != 480) {
+				t.Fatalf("walk-through anchors moved: initial %v, fail-link %v", initial, fault)
+			}
+		})
+	}
+
 	// Wire-protocol round trip: fabricd serving the binary resolve
 	// protocol on an ephemeral port, driven by resolveload — the two
 	// halves of the wire-speed serving story exercised as real
 	// subprocesses, exactly as an operator runs them.
 	t.Run("fabricd+resolveload", func(t *testing.T) {
-		daemon := exec.Command(filepath.Join(bin, "fabricd"),
-			"-xgft", "2;8,8;1,4", "-addr", "127.0.0.1:0", "-listen-binary", "127.0.0.1:0")
-		stdout, err := daemon.StdoutPipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		daemon.Stderr = &bytes.Buffer{}
-		if err := daemon.Start(); err != nil {
-			t.Fatalf("starting fabricd: %v", err)
-		}
-		defer func() {
-			daemon.Process.Kill()
-			daemon.Wait()
-		}()
-
-		// fabricd prints the bound binary address before serving.
-		var binAddr string
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			if rest, ok := strings.CutPrefix(sc.Text(), "fabricd: binary resolve protocol on "); ok {
-				binAddr = rest
-				break
-			}
-		}
-		if binAddr == "" {
-			t.Fatalf("fabricd never announced the binary listener (scan error %v)", sc.Err())
-		}
+		_, binAddr := startFabricd(t, bin, "-xgft", "2;8,8;1,4", "-listen-binary", "127.0.0.1:0")
 
 		var out, errs bytes.Buffer
 		load := exec.Command(filepath.Join(bin, "resolveload"),
@@ -120,41 +167,8 @@ func TestCLISmoke(t *testing.T) {
 	// the request spans, and a forced blackbox dump must parse.
 	t.Run("fabricd+resolveload traced", func(t *testing.T) {
 		spool := t.TempDir()
-		daemon := exec.Command(filepath.Join(bin, "fabricd"),
-			"-xgft", "2;8,8;1,4", "-addr", "127.0.0.1:0", "-listen-binary", "127.0.0.1:0",
+		httpAddr, binAddr := startFabricd(t, bin, "-xgft", "2;8,8;1,4", "-listen-binary", "127.0.0.1:0",
 			"-trace-sample", "1/1", "-blackbox-dir", spool)
-		stdout, err := daemon.StdoutPipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		daemon.Stderr = &bytes.Buffer{}
-		if err := daemon.Start(); err != nil {
-			t.Fatalf("starting fabricd: %v", err)
-		}
-		defer func() {
-			daemon.Process.Kill()
-			daemon.Wait()
-		}()
-
-		// The binary announcement prints before the serving line.
-		var binAddr, httpAddr string
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			if rest, ok := strings.CutPrefix(line, "fabricd: binary resolve protocol on "); ok {
-				binAddr = rest
-				continue
-			}
-			if strings.HasPrefix(line, "fabricd: serving ") {
-				if i, j := strings.LastIndex(line, " on "), strings.LastIndex(line, " (scheduler"); i >= 0 && j > i {
-					httpAddr = line[i+len(" on ") : j]
-				}
-				break
-			}
-		}
-		if binAddr == "" || httpAddr == "" {
-			t.Fatalf("fabricd never announced both listeners (bin %q http %q, scan error %v)", binAddr, httpAddr, sc.Err())
-		}
 
 		var out, errs bytes.Buffer
 		load := exec.Command(filepath.Join(bin, "resolveload"),
@@ -242,38 +256,7 @@ func TestCLISmoke(t *testing.T) {
 	// fabrictop — the operator's introspection loop as real
 	// subprocesses.
 	t.Run("fabricd+fabrictop", func(t *testing.T) {
-		daemon := exec.Command(filepath.Join(bin, "fabricd"),
-			"-xgft", "2;8,8;1,4", "-addr", "127.0.0.1:0")
-		stdout, err := daemon.StdoutPipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		daemon.Stderr = &bytes.Buffer{}
-		if err := daemon.Start(); err != nil {
-			t.Fatalf("starting fabricd: %v", err)
-		}
-		defer func() {
-			daemon.Process.Kill()
-			daemon.Wait()
-		}()
-
-		// fabricd announces "serving <topo> under <algo> on <addr>
-		// (scheduler policy <p>)" once the listener is bound.
-		var httpAddr string
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			if !strings.HasPrefix(line, "fabricd: serving ") {
-				continue
-			}
-			if i, j := strings.LastIndex(line, " on "), strings.LastIndex(line, " (scheduler"); i >= 0 && j > i {
-				httpAddr = line[i+len(" on ") : j]
-			}
-			break
-		}
-		if httpAddr == "" {
-			t.Fatalf("fabricd never announced the http listener (scan error %v)", sc.Err())
-		}
+		httpAddr, _ := startFabricd(t, bin, "-xgft", "2;8,8;1,4")
 
 		get := func(path string) string {
 			resp, err := http.Get("http://" + httpAddr + path)
@@ -416,4 +399,45 @@ func TestCLISmoke(t *testing.T) {
 	if a, b := run(), run(); a != b {
 		t.Fatalf("routegen -pattern random-perm not deterministic per seed:\n%s\nvs\n%s", a, b)
 	}
+}
+
+// startFabricd starts a served fabricd on ephemeral loopback ports,
+// killed when the test ends, and returns the addresses it announced on
+// stdout: "binary resolve protocol on <addr>" (only with
+// -listen-binary, and printed first), then "serving <topo> under <algo>
+// on <addr> (scheduler policy <p>)" once the HTTP listener is bound.
+func startFabricd(t *testing.T, bin string, args ...string) (httpAddr, binAddr string) {
+	t.Helper()
+	daemon := exec.Command(filepath.Join(bin, "fabricd"), append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+	stdout, err := daemon.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	daemon.Stderr = &stderr
+	if err := daemon.Start(); err != nil {
+		t.Fatalf("starting fabricd: %v", err)
+	}
+	t.Cleanup(func() {
+		daemon.Process.Kill()
+		daemon.Wait()
+	})
+	sc := bufio.NewScanner(stdout)
+	for sc.Scan() {
+		line := sc.Text()
+		if rest, ok := strings.CutPrefix(line, "fabricd: binary resolve protocol on "); ok {
+			binAddr = rest
+			continue
+		}
+		if strings.HasPrefix(line, "fabricd: serving ") {
+			if i, j := strings.LastIndex(line, " on "), strings.LastIndex(line, " (scheduler"); i >= 0 && j > i {
+				httpAddr = line[i+len(" on ") : j]
+			}
+			break
+		}
+	}
+	if httpAddr == "" {
+		t.Fatalf("fabricd %v never announced the http listener (scan error %v)\nstderr:\n%s", args, sc.Err(), stderr.String())
+	}
+	return httpAddr, binAddr
 }

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +15,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/hashutil"
+	"repro/internal/trace"
 	"repro/internal/wire"
 	"repro/internal/xgft"
 )
@@ -87,9 +90,9 @@ func diffPairs(n, count int, key uint64, outOfRange bool) [][2]int {
 // TestDifferentialResolvePaths proves the three resolve paths serve
 // the same table: for keyed-random batches, the binary protocol's
 // packed words are byte-identical to in-process ResolveBatchPacked,
-// its decoded routes equal in-process ResolveBatch, and the HTTP
-// /resolve answers agree pair by pair — on the healthy generation
-// and again on a degraded one with real unreachable pairs.
+// decoded client-side they are the routes in-process Resolve returns,
+// and the HTTP /resolve answers agree pair by pair — on the healthy
+// generation and again on a degraded one with real unreachable pairs.
 func TestDifferentialResolvePaths(t *testing.T) {
 	d, err := build(options{spec: "2;8,8;1,4", algo: "d-mod-k", policy: "linear", evaluator: "analytic", seed: 1, telemetry: true, journalCap: 64}, nil)
 	if err != nil {
@@ -122,20 +125,14 @@ func TestDifferentialResolvePaths(t *testing.T) {
 			}
 		}
 
-		// Binary decoded vs in-process materialized routes.
-		wantRoutes := make([]xgft.Route, len(pairs))
-		wantResolved := gen.ResolveBatch(pairs, wantRoutes)
-		gotRoutes := make([]xgft.Route, len(pairs))
-		_, gotResolved, err := wc.ResolveBatch(pairs, gotRoutes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotResolved != wantResolved {
-			t.Fatalf("wire resolved %d, in-process %d", gotResolved, wantResolved)
-		}
-		for i := range pairs {
-			if fmt.Sprint(gotRoutes[i]) != fmt.Sprint(wantRoutes[i]) {
-				t.Fatalf("pair %v: wire route %v, in-process %v", pairs[i], gotRoutes[i], wantRoutes[i])
+		// Binary words decoded client-side vs in-process decoded routes.
+		for i, p := range pairs {
+			want, ok := gen.Resolve(p[0], p[1])
+			if ok != (gotPacked[i] != wire.Unreachable) {
+				t.Fatalf("pair %v: wire word %#x, in-process resolves %v", p, gotPacked[i], ok)
+			}
+			if up := fabric.AppendPackedUp(gotPacked[i], nil); ok && fmt.Sprint(up) != fmt.Sprint(want.Up) {
+				t.Fatalf("pair %v: wire ascent %v, in-process %v", p, up, want.Up)
 			}
 		}
 
@@ -357,5 +354,271 @@ func TestDifferentialTracedProtocol(t *testing.T) {
 		if sum := tm.DecodeNS + tm.ResolveNS + tm.EncodeNS; sum > tm.TotalNS {
 			t.Fatalf("key %d: stage sum %d exceeds total %d", key, sum, tm.TotalNS)
 		}
+	}
+}
+
+// resolveForm is one way to ask the store for routes, reduced to the
+// shape the rule test drives: a batch in, one packed word per admitted
+// pair out.
+type resolveForm struct {
+	name string
+	// counted: the form goes through the fabric's instruments and
+	// telemetry (lookups on a pinned Generation do not). perPair: it is
+	// one call — one batch of one — per pair.
+	counted, perPair bool
+	// admits reports whether the form's encoding can carry the pair at
+	// all; refuse asserts that a pair it cannot carry is turned away.
+	admits func(p [2]int) bool
+	refuse func(t *testing.T, p [2]int)
+	// run resolves the admitted pairs. generation is -1 for forms that
+	// do not report one.
+	run func(t *testing.T, pairs [][2]int) (words []uint64, resolved int, generation int64)
+}
+
+// packUp is the test's own copy of the packed encoding (NCA level in
+// the top byte, one ascent digit per byte below it), so decoded forms
+// can be held to the same word as packed ones.
+func packUp(up []int) uint64 {
+	w := uint64(len(up)) << 56
+	for i, p := range up {
+		w |= uint64(p) << (8 * uint(i))
+	}
+	return w
+}
+
+// TestResolveRuleEveryForm sends one probe set — reachable, self,
+// negative, just past the leaves, past MaxInt32, unreachable under a
+// failed switch — through every resolve form, on three generations
+// (healthy, switch (1,0) failed, healed), and holds each form to the one
+// per-pair rule: the same word as an oracle decoded from
+// Generation.Routes, the same resolved count, and, for the forms the
+// fabric counts, the same moves of fabric_resolves_total,
+// fabric_unresolved_total, fabric_routes_served,
+// fabric_resolve_batches_total and the telemetry cells. The two packed
+// forms do it in zero allocations.
+func TestResolveRuleEveryForm(t *testing.T) {
+	d, err := build(options{spec: "2;8,8;1,4", algo: "d-mod-k", policy: "linear", evaluator: "analytic", seed: 1, telemetry: true, journalCap: 64}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := d.f
+	wc := startWire(t, f)
+	hs := httptest.NewServer(newMux(d, 0, false))
+	defer hs.Close()
+	n := f.Topology().Leaves()
+	inRange := func(p [2]int) bool { return p[0] >= 0 && p[0] < n && p[1] >= 0 && p[1] < n }
+	onWire := func(p [2]int) bool {
+		return p[0] >= 0 && p[0] <= wire.MaxEndpoint && p[1] >= 0 && p[1] <= wire.MaxEndpoint
+	}
+	wireBytes := func(pairs [][2]int) []byte {
+		b := make([]byte, 0, 8*len(pairs))
+		for _, p := range pairs {
+			b = binary.BigEndian.AppendUint32(b, uint32(p[0]))
+			b = binary.BigEndian.AppendUint32(b, uint32(p[1]))
+		}
+		return b
+	}
+
+	probes := [][2]int{
+		{9, 20},         // reachable on every generation
+		{0, 9}, {17, 3}, // an endpoint under switch (1,0): unreachable while it is failed
+		{3, 3},           // self
+		{-1, 3}, {4, -7}, // negative
+		{1, n}, {n + 5, 1}, // just past the leaves
+		{math.MaxInt32 + 8, 2}, // past MaxInt32: must not wrap into range on the wire
+		{2, wire.MaxEndpoint},  // the largest endpoint a frame can carry
+	}
+	forms := []resolveForm{
+		{name: "Generation.Resolve", run: func(t *testing.T, pairs [][2]int) ([]uint64, int, int64) {
+			words, resolved := make([]uint64, len(pairs)), 0
+			for i, p := range pairs {
+				words[i] = fabric.PackedUnreachable
+				if r, ok := f.Generation().Resolve(p[0], p[1]); ok {
+					words[i] = packUp(r.Up)
+					resolved++
+				}
+			}
+			return words, resolved, -1
+		}},
+		{name: "Generation.ResolveBatchPacked", run: func(t *testing.T, pairs [][2]int) ([]uint64, int, int64) {
+			words := make([]uint64, len(pairs))
+			return words, f.Generation().ResolveBatchPacked(pairs, words), -1
+		}},
+		{name: "Fabric.Resolve", counted: true, perPair: true, run: func(t *testing.T, pairs [][2]int) ([]uint64, int, int64) {
+			words, resolved := make([]uint64, len(pairs)), 0
+			for i, p := range pairs {
+				words[i] = fabric.PackedUnreachable
+				if r, ok := f.Resolve(p[0], p[1]); ok {
+					words[i] = packUp(r.Up)
+					resolved++
+				}
+			}
+			return words, resolved, -1
+		}},
+		{name: "Fabric.ResolveBatchPacked", counted: true, run: func(t *testing.T, pairs [][2]int) ([]uint64, int, int64) {
+			words := make([]uint64, len(pairs))
+			resolved, gen := f.ResolveBatchPacked(pairs, words)
+			return words, resolved, int64(gen)
+		}},
+		{name: "Fabric.ResolveWire", counted: true, admits: onWire, run: func(t *testing.T, pairs [][2]int) ([]uint64, int, int64) {
+			out, resolved, gen := f.ResolveWire(trace.SpanContext{}, wireBytes(pairs), nil)
+			words := make([]uint64, len(pairs))
+			for i := range words {
+				words[i] = binary.BigEndian.Uint64(out[8*i:])
+			}
+			return words, resolved, int64(gen)
+		}},
+		{name: "wire.Client.ResolveBatchPacked", counted: true, admits: onWire,
+			refuse: func(t *testing.T, p [2]int) {
+				if _, _, err := wc.ResolveBatchPacked([][2]int{p}); err == nil {
+					t.Errorf("pair %v: the client encoded an endpoint a frame cannot carry", p)
+				}
+			},
+			run: func(t *testing.T, pairs [][2]int) ([]uint64, int, int64) {
+				gen, words, err := wc.ResolveBatchPacked(pairs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resolved := 0
+				for _, w := range words {
+					if w != wire.Unreachable {
+						resolved++
+					}
+				}
+				return words, resolved, int64(gen)
+			}},
+		{name: "GET /resolve", counted: true, perPair: true, admits: inRange,
+			refuse: func(t *testing.T, p [2]int) {
+				resp, err := http.Get(fmt.Sprintf("%s/resolve?src=%d&dst=%d", hs.URL, p[0], p[1]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Errorf("GET /resolve for pair %v: status %d, want 400", p, resp.StatusCode)
+				}
+			},
+			run: func(t *testing.T, pairs [][2]int) ([]uint64, int, int64) {
+				words, resolved, generation := make([]uint64, len(pairs)), 0, int64(-1)
+				for i, p := range pairs {
+					words[i] = fabric.PackedUnreachable
+					if up, gen, ok := httpResolve(t, hs.URL, p[0], p[1]); ok {
+						words[i] = packUp(up)
+						resolved++
+						generation = int64(gen)
+					}
+				}
+				return words, resolved, generation
+			}},
+	}
+
+	metrics := []string{"fabric_resolves_total", "fabric_unresolved_total", "fabric_routes_served", "fabric_resolve_batches_total"}
+	stage := func(t *testing.T, seq int64) {
+		// The oracle: out of range is unreachable, self is the empty
+		// route, anything else is what the installed table says.
+		table := map[[2]int]uint64{}
+		for _, r := range f.Generation().Routes() {
+			table[[2]int{r.Src, r.Dst}] = packUp(r.Up)
+		}
+		want := func(p [2]int) uint64 {
+			if w, ok := table[p]; ok || (inRange(p) && p[0] == p[1]) {
+				return w
+			}
+			return fabric.PackedUnreachable
+		}
+		for _, form := range forms {
+			var admitted, refused [][2]int
+			for _, p := range probes {
+				if form.admits == nil || form.admits(p) {
+					admitted = append(admitted, p)
+				} else {
+					refused = append(refused, p)
+				}
+			}
+			wantResolved, wantMisses := 0, 0
+			wantCells := map[[2]int]uint64{}
+			for _, p := range admitted {
+				switch want(p) {
+				case fabric.PackedUnreachable:
+					wantMisses++
+				case 0:
+					wantResolved++
+				default:
+					wantResolved++
+					wantCells[p]++
+				}
+			}
+			// What the instruments should move by, in the order of
+			// metrics: nothing at all for a form the fabric does not count.
+			var wantMoves [4]float64
+			if form.counted {
+				calls := 1
+				if form.perPair {
+					calls = len(admitted)
+				}
+				wantMoves = [4]float64{float64(wantResolved), float64(wantMisses), float64(wantResolved), float64(calls)}
+			} else {
+				wantCells = nil
+			}
+			cells := func() map[[2]int]uint64 {
+				out := map[[2]int]uint64{}
+				for _, p := range probes {
+					if inRange(p) {
+						out[p] = f.Telemetry().Count(p[0], p[1])
+					}
+				}
+				return out
+			}
+
+			before, cellsBefore := d.reg.Snapshot(), cells()
+			if form.refuse != nil {
+				for _, p := range refused {
+					form.refuse(t, p)
+				}
+			}
+			words, resolved, generation := form.run(t, admitted)
+			after, cellsAfter := d.reg.Snapshot(), cells()
+
+			if resolved != wantResolved {
+				t.Errorf("%s: resolved %d of %v, want %d", form.name, resolved, admitted, wantResolved)
+			}
+			if generation >= 0 && generation != seq {
+				t.Errorf("%s: tagged generation %d, serving %d", form.name, generation, seq)
+			}
+			for i, p := range admitted {
+				if words[i] != want(p) {
+					t.Errorf("%s: pair %v resolved to %#x, want %#x", form.name, p, words[i], want(p))
+				}
+			}
+			for i, name := range metrics {
+				if got := after[name] - before[name]; got != wantMoves[i] {
+					t.Errorf("%s: %s moved by %v, want %v", form.name, name, got, wantMoves[i])
+				}
+			}
+			for p, was := range cellsBefore {
+				if got := cellsAfter[p] - was; got != wantCells[p] {
+					t.Errorf("%s: telemetry cell %v moved by %d, want %d", form.name, p, got, wantCells[p])
+				}
+			}
+		}
+	}
+
+	t.Run("healthy", func(t *testing.T) { stage(t, 0) })
+	if _, err := f.FailSwitch(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	t.Run("switch failed", func(t *testing.T) { stage(t, 1) })
+	if _, err := f.Heal(); err != nil {
+		t.Fatal(err)
+	}
+	t.Run("healed", func(t *testing.T) { stage(t, 2) })
+
+	words, req := make([]uint64, len(probes)), wireBytes(probes[:4])
+	dst := make([]byte, 0, len(req))
+	if avg := testing.AllocsPerRun(50, func() { f.ResolveBatchPacked(probes, words) }); avg != 0 {
+		t.Errorf("Fabric.ResolveBatchPacked allocates %v per batch, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(50, func() { f.ResolveWire(trace.SpanContext{}, req, dst) }); avg != 0 {
+		t.Errorf("Fabric.ResolveWire allocates %v per batch, want 0", avg)
 	}
 }

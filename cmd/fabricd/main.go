@@ -13,8 +13,7 @@
 //	fabricd -xgft "2;16,16;1,16" -algo r-NCA-u -seed 7 -addr :7420
 //	fabricd -xgft "2;16,16;1,10" -reoptimize 30s -threshold 0.05
 //	fabricd -xgft "2;16,16;1,10" -sched balanced
-//	fabricd -xgft "2;8,8;1,8" -evaluator venus -demo
-//	fabricd -demo
+//	fabricd -xgft "2;8,8;1,8" -evaluator venus
 //
 // The -evaluator flag selects the scoring backend (internal/evaluate:
 // analytic, grouped or venus) the optimizer and the telemetry
@@ -72,11 +71,9 @@
 // fabric's in-process rate rather than HTTP's. Drive it with
 // cmd/resolveload or wire.Client.
 //
-// -demo runs a scripted cycle without binding a port: start, resolve,
-// fail a top-level link, watch the generation swap, measure
-// resolution throughput, heal, drive a skewed traffic pattern and
-// watch the optimizer re-fit the table to it, then submit jobs
-// through the scheduler and watch placement drive re-optimization.
+// To walk the whole lifecycle — resolve, fail a link, heal, skew the
+// traffic and let the optimizer re-fit the table, submit jobs — drive
+// the endpoints above with curl, or run examples/subnetmgr in process.
 package main
 
 import (
@@ -118,7 +115,6 @@ func main() {
 		policy     = flag.String("sched", "linear", "job placement policy: "+strings.Join(sched.PolicyNames(), ", "))
 		backend    = flag.String("evaluator", "analytic", "routing-quality scoring backend: "+strings.Join(evaluate.Names(), ", "))
 		binAddr    = flag.String("listen-binary", "", "TCP listen address for the binary resolve protocol (internal/wire); empty disables it")
-		demo       = flag.Bool("demo", false, "run a scripted failure/heal/re-optimize/schedule cycle and exit (no server)")
 		logFormat  = flag.String("log-format", "text", "structured log format: text or json")
 		journalCap = flag.Int("journal", 1024, "control-plane event journal capacity (ring entries)")
 		pprofOn    = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the HTTP listener")
@@ -150,17 +146,11 @@ func main() {
 	}
 	d, err := build(options{
 		spec: *spec, algo: *algo, policy: *policy, evaluator: *backend,
-		seed: *seed, telemetry: *telemetry || *demo, journalCap: *journalCap,
+		seed: *seed, telemetry: *telemetry, journalCap: *journalCap,
 		sampleNum: num, sampleDen: den, spanBudget: *budget, blackboxDir: *bbDir,
 	}, logger)
 	if err != nil {
 		fatal("startup failed", err)
-	}
-	if *demo {
-		if err := runDemo(d.f, d.s, *threshold); err != nil {
-			fatal("demo failed", err)
-		}
-		return
 	}
 	if *reopt > 0 {
 		if !*telemetry {
@@ -736,26 +726,19 @@ func newMux(d *daemon, threshold float64, pprofOn bool) *http.ServeMux {
 			reply(w, http.StatusBadRequest, errJSON{err.Error()})
 			return
 		}
-		// One generation snapshot for both the route and its seq, so
-		// a concurrent swap cannot tag a stale route as current.
-		gen := f.Generation()
-		route, ok := gen.Resolve(src, dst)
-		if !ok {
+		// A debug shim over the packed resolve: a batch of one, counted
+		// by the rule and the instruments every other resolve is, its
+		// word and generation from one snapshot — a concurrent swap
+		// cannot tag a stale route as current.
+		var word [1]uint64
+		_, generation := f.ResolveBatchPacked([][2]int{{src, dst}}, word[:])
+		if word[0] == fabric.PackedUnreachable {
 			reply(w, http.StatusNotFound, errJSON{fmt.Sprintf("pair (%d,%d) unreachable", src, dst)})
 			return
 		}
-		if tel := f.Telemetry(); tel != nil {
-			// Generation.Resolve bypasses the fabric's counting
-			// resolve; record the served route explicitly.
-			tel.Record(src, dst)
-		}
-		up := route.Up
-		if up == nil {
-			up = []int{}
-		}
 		reply(w, http.StatusOK, map[string]any{
-			"src": src, "dst": dst, "up": up,
-			"nca_level": route.NCALevel(), "generation": gen.Seq(),
+			"src": src, "dst": dst, "up": fabric.AppendPackedUp(word[0], []int{}),
+			"nca_level": fabric.PackedNCALevel(word[0]), "generation": generation,
 		})
 	})
 	mux.HandleFunc("GET /telemetry", func(w http.ResponseWriter, r *http.Request) {
@@ -852,152 +835,4 @@ func newMux(d *daemon, threshold float64, pprofOn bool) *http.ServeMux {
 	})
 	mux.HandleFunc("POST /heal", admin(f.Heal))
 	return mux
-}
-
-// runDemo walks the daemon's lifecycle on stdout: compile, resolve,
-// degrade, observe the generation swap, measure throughput, heal,
-// skew the traffic and watch the optimizer re-fit the table, then
-// place jobs through the scheduler and watch submissions drive
-// re-optimization over the tenant mix.
-func runDemo(f *fabric.Fabric, s *sched.Scheduler, threshold float64) error {
-	tp := f.Topology()
-	printStats := func(st fabric.Stats) {
-		fmt.Printf("  generation %d (%s): %d routes, %d patched, %d unreachable, %d failed wires, cache hit %v, built in %v\n",
-			st.Seq, st.Algo, st.Routes, st.Patched, st.Unreachable, st.FailedWires, st.CacheHit, st.BuildTime.Round(10*time.Microsecond))
-	}
-	fmt.Printf("fabricd demo on %s\n", tp)
-	printStats(f.Stats())
-
-	src, dst := 0, tp.Leaves()-1
-	before, _ := f.Resolve(src, dst)
-	fmt.Printf("  resolve %d -> %d: up%v\n", src, dst, before.Up)
-
-	// Fail the top-level link the displayed route actually rides: the
-	// wire from src's level-(h-1) ancestor through the route's last
-	// up-port.
-	top := tp.Height() - 1
-	ancestor := src
-	for l := 0; l < top; l++ {
-		ancestor = tp.Parent(l, ancestor, before.Up[l])
-	}
-	fmt.Printf("failing link (level %d, switch %d, port %d)...\n", top, ancestor, before.Up[top])
-	st, err := f.FailLink(top, ancestor, before.Up[top])
-	if err != nil {
-		return err
-	}
-	printStats(st)
-	after, ok := f.Resolve(src, dst)
-	fmt.Printf("  resolve %d -> %d: up%v (ok %v)\n", src, dst, after.Up, ok)
-
-	const batch = 65536
-	pairs := make([][2]int, batch)
-	out := make([]xgft.Route, batch)
-	h := uint64(1)
-	n := tp.Leaves()
-	for i := range pairs {
-		h = hashutil.Splitmix64(h)
-		pairs[i] = [2]int{int(h % uint64(n)), int(h >> 32 % uint64(n))}
-	}
-	start := time.Now()
-	resolved := f.ResolveBatch(pairs, out)
-	elapsed := time.Since(start)
-	fmt.Printf("  resolved %d/%d pairs in %v (%.1fM routes/s)\n",
-		resolved, batch, elapsed.Round(time.Microsecond), float64(batch)/elapsed.Seconds()/1e6)
-
-	fmt.Println("healing...")
-	st, err = f.Heal()
-	if err != nil {
-		return err
-	}
-	printStats(st)
-
-	// Telemetry-driven re-optimization: skew the traffic into a
-	// pattern the serving scheme handles badly — every leaf of switch
-	// 0 sending to destinations in one mod-k residue class, the
-	// funnel the paper's pattern-aware analysis dissects — and let
-	// the optimizer re-fit.
-	f.Telemetry().Reset()
-	m, wTop := tp.M(0), tp.W(tp.Height()-1)
-	for s := 0; s < m; s++ {
-		d := (m + s*wTop) % n
-		if d == s {
-			continue
-		}
-		if _, ok := f.Resolve(s, d); !ok {
-			return fmt.Errorf("demo: pair (%d,%d) did not resolve", s, d)
-		}
-	}
-	obs := f.SnapshotFlows()
-	fmt.Printf("skewed traffic observed: %d pairs, %d resolves\n", len(obs.Flows), obs.TotalBytes())
-	res, err := f.Optimize(fabric.OptimizeConfig{Reset: true})
-	if err != nil {
-		return err
-	}
-	for _, c := range res.Candidates {
-		fmt.Printf("  candidate %-9s %s slowdown %.3f\n", c.Algo, f.Evaluator().Name(), c.Slowdown)
-	}
-	if res.Swapped {
-		fmt.Printf("re-optimized: %s (%.3f) -> %s (%.3f)\n", st.Algo, res.Current, res.Best, res.BestSlowdown)
-	} else {
-		fmt.Printf("kept %s: best candidate %s (%.3f) does not beat current %.3f\n", st.Algo, res.Best, res.BestSlowdown, res.Current)
-	}
-	printStats(f.Stats())
-
-	// Multi-tenant scheduling: submit two jobs, watch placement
-	// trigger a threshold-gated optimizer pass over the tenant mix,
-	// release one and watch the pool heal.
-	f.Telemetry().Reset()
-	fmt.Printf("scheduler: policy %s over %d leaves\n", s.Policy(), tp.Leaves())
-	submit := func(app string, jn int) (*sched.Job, error) {
-		spec, err := jobSpec("", app, jn, 0, 1)
-		if err != nil {
-			return nil, err
-		}
-		job, err := s.Submit(spec)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Printf("  job %d (%s): leaves %v\n", job.ID, job.Name, job.Leaves)
-		res, ran, err := s.Reoptimize(threshold)
-		if err != nil {
-			return nil, err
-		}
-		if ran && res.Swapped {
-			fmt.Printf("  re-optimized for the tenant mix: %s (%.3f) -> %s (%.3f)\n",
-				res.Stats.Algo, res.Current, res.Best, res.BestSlowdown)
-		} else if ran {
-			fmt.Printf("  kept %s for the tenant mix (best %s %.3f vs current %.3f)\n",
-				f.Stats().Algo, res.Best, res.BestSlowdown, res.Current)
-		}
-		return job, nil
-	}
-	// CG needs a power-of-two size: the largest one at most a quarter
-	// of the pool, so the stage works for any -xgft the demo accepts.
-	cgSize := 4
-	for cgSize*2 <= tp.Leaves()/4 {
-		cgSize *= 2
-	}
-	first, err := submit("cg", cgSize)
-	if err != nil {
-		return err
-	}
-	permSize := tp.Leaves() / 8
-	if permSize < 2 {
-		permSize = 2
-	}
-	if _, err := submit("perm", permSize); err != nil {
-		return err
-	}
-	snap := s.Snapshot()
-	fmt.Printf("  pool: %d/%d free, %d blocks, fragmentation %.2f\n",
-		snap.Free, snap.Leaves, snap.FreeBlocks, snap.Fragmentation)
-	fmt.Printf("releasing job %d...\n", first.ID)
-	if err := s.Release(first.ID); err != nil {
-		return err
-	}
-	snap = s.Snapshot()
-	fmt.Printf("  pool: %d/%d free, %d blocks, fragmentation %.2f, %d jobs remain\n",
-		snap.Free, snap.Leaves, snap.FreeBlocks, snap.Fragmentation, len(snap.Jobs))
-	printStats(f.Stats())
-	return nil
 }

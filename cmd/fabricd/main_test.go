@@ -2,14 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/xgft"
 )
 
 func testMux(t *testing.T, spec string) *http.ServeMux {
@@ -44,6 +43,59 @@ func TestResolveHandler(t *testing.T) {
 	}
 	if _, ok := body["up"].([]any); !ok {
 		t.Errorf("resolve body has no up-ports: %v", body)
+	}
+}
+
+// TestResolveHandlerGenerationUnderSwap races GET /resolve against a
+// FailLink/Heal loop (run with -race). The pair's route rides the link
+// being failed, so even generations serve the healthy ascent and odd
+// ones the reroute: whatever generation a response is tagged with, its
+// ascent must be that generation's.
+func TestResolveHandlerGenerationUnderSwap(t *testing.T) {
+	d, err := build(options{spec: "2;8,8;1,8", algo: "d-mod-k", policy: "linear", evaluator: "analytic", seed: 1, telemetry: true, journalCap: 64}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := newMux(d, 0, false)
+	resolve := func() (up string, generation int) {
+		code, body := do(t, mux, "GET", "/resolve?src=0&dst=63")
+		if code != http.StatusOK {
+			t.Fatalf("resolve: %d %v", code, body)
+		}
+		return fmt.Sprint(body["up"]), int(body["generation"].(float64))
+	}
+	healthy, _ := d.f.Generation().Resolve(0, 63)
+	fail := func() {
+		if _, err := d.f.FailLink(1, 0, healthy.Up[1]); err != nil {
+			t.Error(err)
+		}
+	}
+	byParity := [2]string{}
+	byParity[0], _ = resolve()
+	fail()
+	byParity[1], _ = resolve()
+	if byParity[0] == byParity[1] {
+		t.Fatalf("failing link (1,0,%d) did not move the route %s", healthy.Up[1], byParity[0])
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			if _, err := d.f.Heal(); err != nil {
+				t.Error(err)
+			}
+			fail()
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if up, gen := resolve(); up != byParity[gen%2] {
+			t.Fatalf("generation %d answered %s, want %s", gen, up, byParity[gen%2])
+		}
 	}
 }
 
@@ -267,7 +319,7 @@ func TestJobSubmitRejectsBadRequests(t *testing.T) {
 }
 
 // TestJobChurnRacingResolveBatch hammers the job endpoints while a
-// resolver floods ResolveBatch (run with -race): scheduler-driven
+// resolver floods packed batch resolves (run with -race): scheduler-driven
 // optimizer swaps must never disturb the lock-free resolve path.
 func TestJobChurnRacingResolveBatch(t *testing.T) {
 	d, err := build(options{spec: "2;8,8;1,4", algo: "d-mod-k", policy: "telemetry", evaluator: "analytic", seed: 1, telemetry: true, journalCap: 64}, nil)
@@ -284,7 +336,7 @@ func TestJobChurnRacingResolveBatch(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			pairs := make([][2]int, 128)
-			out := make([]xgft.Route, len(pairs))
+			out := make([]uint64, len(pairs))
 			for i := range pairs {
 				pairs[i] = [2]int{(i + w) % n, (i * 11) % n}
 			}
@@ -294,7 +346,7 @@ func TestJobChurnRacingResolveBatch(t *testing.T) {
 					return
 				default:
 				}
-				if got := f.ResolveBatch(pairs, out); got != len(pairs) {
+				if got, _ := f.ResolveBatchPacked(pairs, out); got != len(pairs) {
 					t.Errorf("resolved %d/%d", got, len(pairs))
 					return
 				}

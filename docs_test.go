@@ -46,5 +46,13 @@ func TestSpanInventoryDocumented(t *testing.T) {
 				t.Errorf("%s does not document span %q", doc, name)
 			}
 		}
+		// And the other way round for what was deleted: the daemon's
+		// scripted personality, the materializing batch resolve and its
+		// histogram must not linger in the operator docs.
+		for _, gone := range []string{"fabricd -demo", "`ResolveBatch`", "fabric_resolve_batch_ns"} {
+			if strings.Contains(text, gone) {
+				t.Errorf("%s still mentions %q, which no longer exists", doc, gone)
+			}
+		}
 	}
 }

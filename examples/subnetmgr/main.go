@@ -4,7 +4,8 @@
 // mapping, to the Venus simulator". Demonstrates the FixedTable and
 // trace serialization APIs, then the online counterpart: a serving
 // fabric with the multi-tenant job scheduler on top (submit two
-// jobs, fail a link, release a job, re-optimize for the tenant mix).
+// jobs, fail a link, release a job, re-optimize for the tenant mix),
+// then a heal and an optimizer swap driven by skewed resolves.
 package main
 
 import (
@@ -140,4 +141,24 @@ func main() {
 		fmt.Printf("released %s; kept %s (best %s %.2f vs current %.2f), %d/%d leaves free\n",
 			jobA.Name, fab.Stats().Algo, res.Best, res.BestSlowdown, res.Current, snap.Free, snap.Leaves)
 	}
+
+	// The link is repaired and the traffic turns adversarial: every
+	// leaf of switch 0 sends into one residue class mod w2 = 12, the
+	// funnel d-mod-k squeezes through a single top-level port. The
+	// resolves are the telemetry; one optimizer pass re-fits the table.
+	if st, err = fab.Heal(); err != nil {
+		log.Fatal(err)
+	}
+	fab.Telemetry().Reset()
+	for s := 0; s < 16; s++ {
+		if _, ok := fab.Resolve(s, 16+12*s); !ok {
+			log.Fatalf("pair (%d,%d) did not resolve", s, 16+12*s)
+		}
+	}
+	opt, err := fab.Optimize(repro.OptimizeConfig{Reset: true})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("healed (generation %d, from the pinned table: %v); %d skewed pairs observed: %s (slowdown %.2f) -> %s (%.2f), swapped %v\n",
+		st.Seq, st.CacheHit, opt.Pairs, st.Algo, opt.Current, opt.Best, opt.BestSlowdown, opt.Swapped)
 }

@@ -116,9 +116,6 @@ func (c *CachedEvaluator) Instrument(reg *obs.Registry) {
 // semantics, so reports and rank comparisons stay backend-labelled.
 func (c *CachedEvaluator) Name() string { return c.inner.Name() }
 
-// Unwrap returns the wrapped backend.
-func (c *CachedEvaluator) Unwrap() Evaluator { return c.inner }
-
 // Score memoizes algorithm-based evaluations for memoizable
 // algorithms and delegates the rest.
 func (c *CachedEvaluator) Score(t *xgft.Topology, algo core.Algorithm, phases []*pattern.Pattern) (Result, error) {

@@ -39,27 +39,6 @@ func BenchmarkResolve(b *testing.B) {
 	}
 }
 
-// BenchmarkResolveBatch measures bulk resolution throughput; the
-// routes/s metric is the fabric's serving-rate headline (target:
-// >= 1M routes/s on a cached generation).
-func BenchmarkResolveBatch(b *testing.B) {
-	f := benchFabric(b)
-	n := f.Topology().Leaves()
-	const batch = 4096
-	pairs := make([][2]int, batch)
-	out := make([]xgft.Route, batch)
-	h := uint64(1)
-	for i := range pairs {
-		h = hashutil.Splitmix64(h)
-		pairs[i] = [2]int{int(h % uint64(n)), int(h >> 32 % uint64(n))}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.ResolveBatch(pairs, out)
-	}
-	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "routes/s")
-}
-
 // BenchmarkResolveBatchPacked measures bulk resolution into packed
 // words (no route materialization, zero allocations) on a bare fabric:
 // the lookup alone, in its in-process []pair/[]word form.
@@ -200,26 +179,6 @@ func BenchmarkResolveTelemetry(b *testing.B) {
 			b.Fatal("resolve failed")
 		}
 	}
-}
-
-// BenchmarkResolveBatchTelemetry is the batch throughput headline
-// with telemetry enabled.
-func BenchmarkResolveBatchTelemetry(b *testing.B) {
-	f := benchFabricTelemetry(b, true)
-	n := f.Topology().Leaves()
-	const batch = 4096
-	pairs := make([][2]int, batch)
-	out := make([]xgft.Route, batch)
-	h := uint64(1)
-	for i := range pairs {
-		h = hashutil.Splitmix64(h)
-		pairs[i] = [2]int{int(h % uint64(n)), int(h >> 32 % uint64(n))}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.ResolveBatch(pairs, out)
-	}
-	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "routes/s")
 }
 
 // BenchmarkOptimize measures one steady-state re-optimization pass

@@ -215,8 +215,9 @@ func TestDeriveSharesUntouchedRows(t *testing.T) {
 
 // TestOptimizeIncrementalRace runs optimize passes (scoring plus the
 // derive install, which shares rows with the serving generation and the
-// pinned tables) and fault churn while readers hammer ResolveBatch — a pass must never
-// perturb what concurrent readers observe (generations stay immutable).
+// pinned tables) and fault churn while readers hammer packed batch
+// resolves — a pass must never perturb what concurrent readers observe
+// (generations stay immutable).
 // Run with -race.
 func TestOptimizeIncrementalRace(t *testing.T) {
 	tp := xgft.MustNew(2, []int{8, 8}, []int{1, 4})
@@ -233,14 +234,14 @@ func TestOptimizeIncrementalRace(t *testing.T) {
 			defer wg.Done()
 			h := uint64(g + 1)
 			pairs := make([][2]int, 64)
-			out := make([]xgft.Route, len(pairs))
+			words := make([]uint64, len(pairs))
 			for !stop.Load() {
 				for i := range pairs {
 					h = hashutil.Splitmix64(h)
 					pairs[i] = [2]int{int(h % uint64(n)), int(h >> 32 % uint64(n))}
 				}
-				f.ResolveBatch(pairs, out)
-				for i, r := range out {
+				f.ResolveBatchPacked(pairs, words)
+				for i, r := range unpackedRoutes(pairs, words) {
 					if pairs[i][0] == pairs[i][1] || r.Up == nil {
 						continue
 					}

@@ -7,6 +7,13 @@
 // topology and mapping, to the Venus simulator" by exactly this offline
 // role.
 //
+// What a pair resolves to is one rule, Generation.lookup: out of range →
+// PackedUnreachable, self → the empty route, else the shard word. The
+// resolve forms are passes over their own encodings around it —
+// ResolveBatchPacked over []pair/[]word, ResolveWire over the binary
+// protocol's bytes, Resolve decoding one word into an xgft.Route — all
+// counted, timed and traced in one place, startPacked/endPacked.
+//
 // A generation change costs in proportion to what it changes. Every
 // generation is made by one function, derive, from three things: a base
 // table in serving form (packed rows), a list of override routes, and a
@@ -84,7 +91,7 @@ type Config struct {
 	// test double — to change what "better table" means.
 	Evaluator evaluate.Evaluator
 	// Metrics registers the fabric's instruments (resolve counters,
-	// batch latency histograms, the generation gauge) in the given
+	// the resolve latency histogram, the generation gauge) in the given
 	// registry. nil disables metric recording: the hot paths pay one
 	// nil check and nothing else.
 	Metrics *obs.Registry
@@ -93,8 +100,8 @@ type Config struct {
 	// operations, and Optimize decisions with per-candidate scores.
 	// nil disables event recording.
 	Journal *obs.Journal
-	// Tracer records spans: one per packed batch resolve (joining the
-	// caller's trace when handed a context, locally rooted otherwise)
+	// Tracer records spans: one per resolve call (joining the caller's
+	// trace when ResolveWire is handed a parent, locally rooted otherwise)
 	// and one per Optimize pass with per-candidate children. An
 	// Optimize outcome flip-flopping within a few passes reports a
 	// flipflop anomaly through the tracer. nil disables spans.
@@ -103,8 +110,8 @@ type Config struct {
 
 // Fabric serves routing decisions for one topology under one scheme,
 // surviving link and switch failures by generation swaps. All methods
-// are safe for concurrent use: Resolve/ResolveBatch are lock-free
-// reads of the current generation; fault and heal operations
+// are safe for concurrent use: every resolve form is a lock-free
+// read of the current generation; fault and heal operations
 // serialize on an internal mutex and never block readers.
 type Fabric struct {
 	topo  *xgft.Topology
@@ -142,9 +149,8 @@ type Fabric struct {
 type fabricMetrics struct {
 	resolves   *obs.Counter   // routes served, sharded by source leaf
 	unresolved *obs.Counter   // lookups that found no route
-	batches    *obs.Counter   // ResolveBatch/ResolveBatchPacked calls
-	batchNS    *obs.Histogram // ResolveBatch call latency
-	packedNS   *obs.Histogram // ResolveBatchPacked call latency
+	batches    *obs.Counter   // resolve calls: packed batches, wire batches, single resolves
+	packedNS   *obs.Histogram // resolve call latency
 	generation *obs.Gauge     // serving generation sequence
 	swaps      *obs.Counter   // generation hot-swaps installed
 	swapNS     *obs.Histogram // deriving a published generation, certification included
@@ -158,7 +164,6 @@ const (
 	metricResolves     = "fabric_resolves_total"
 	metricUnresolved   = "fabric_unresolved_total"
 	metricBatches      = "fabric_resolve_batches_total"
-	metricBatchNS      = "fabric_resolve_batch_ns"
 	metricPackedNS     = "fabric_resolve_batch_packed_ns"
 	metricGeneration   = "fabric_generation"
 	metricSwaps        = "fabric_generation_swaps_total"
@@ -211,11 +216,10 @@ func SwapEventKeys() []string { return []string{keyCertified, keySharedRows} }
 
 func newFabricMetrics(reg *obs.Registry) *fabricMetrics {
 	return &fabricMetrics{
-		resolves:   reg.Counter(metricResolves, "routes served by Resolve and the batch paths", 8),
+		resolves:   reg.Counter(metricResolves, "routes served, by every resolve form", 8),
 		unresolved: reg.Counter(metricUnresolved, "lookups that found no installed route", 1),
-		batches:    reg.Counter(metricBatches, "batch resolve calls (plain and packed)", 1),
-		batchNS:    reg.Histogram(metricBatchNS, "ResolveBatch whole-batch latency"),
-		packedNS:   reg.Histogram(metricPackedNS, "ResolveBatchPacked whole-batch latency"),
+		batches:    reg.Counter(metricBatches, "resolve calls: packed and wire batches, and single resolves (batches of one)", 1),
+		packedNS:   reg.Histogram(metricPackedNS, "whole-call latency of a resolve, in any form"),
 		generation: reg.Gauge(metricGeneration, "serving generation sequence number"),
 		swaps:      reg.Counter(metricSwaps, "generation hot-swaps installed after the initial build", 1),
 		swapNS:     reg.Histogram(metricSwapBuildNS, "deriving a published generation (row sharing, overrides, reroutes, certification)"),
@@ -347,82 +351,19 @@ func (f *Fabric) SnapshotFlows() *pattern.Pattern {
 }
 
 // Resolve returns the installed route from src to dst in the current
-// generation; ok is false for out-of-range or unreachable pairs.
-// With telemetry enabled, every successful non-self resolve bumps the
-// pair's flow counter (one uncontended atomic add — the path stays
-// lock-free).
+// generation, decoded; ok is false for out-of-range or unreachable
+// pairs. It is ResolveBatchPacked over a batch of one — counted, timed
+// and traced as such — plus the decode.
 //
 //repro:hotpath
 func (f *Fabric) Resolve(src, dst int) (xgft.Route, bool) {
-	r, ok := f.gen.Load().Resolve(src, dst)
-	if f.tel != nil && ok && src != dst {
-		f.tel.record(src, dst)
-	}
-	if f.m != nil {
-		if ok {
-			f.m.resolves.AddAt(uint64(src), 1)
-			f.served.Add(1)
-		} else {
-			f.m.unresolved.Add(1)
-		}
-	}
-	return r, ok
+	var word [1]uint64
+	f.ResolveBatchPacked([][2]int{{src, dst}}, word[:])
+	return unpackedRoute(src, dst, word[0])
 }
 
-// ResolveBatch resolves pairs[i] into out[i] against one consistent
-// generation and returns how many resolved. out must be at least as
-// long as pairs. Telemetry counts every resolved non-self pair.
-//
-//repro:hotpath
-func (f *Fabric) ResolveBatch(pairs [][2]int, out []xgft.Route) int {
-	var start time.Time
-	if f.m != nil {
-		start = time.Now() //lint:allow nondeterminism batch latency measurement is observational
-	}
-	resolved := f.gen.Load().ResolveBatch(pairs, out)
-	if f.tel != nil {
-		for i, p := range pairs {
-			// Resolved non-self pairs are exactly those with a
-			// non-empty ascent (unresolved slots are zeroed).
-			if p[0] != p[1] && out[i].Up != nil {
-				f.tel.record(p[0], p[1])
-			}
-		}
-	}
-	if f.m != nil {
-		f.recordBatch(f.m.batchNS, batchShard(pairs), len(pairs), resolved, start)
-	}
-	return resolved
-}
-
-// batchShard picks a batch's counter shard, its first source, so busy
-// sources spread over the resolve counter's shards.
-//
-//repro:hotpath
-func batchShard(pairs [][2]int) uint64 {
-	if len(pairs) == 0 {
-		return 0
-	}
-	return uint64(pairs[0][0])
-}
-
-// recordBatch is the shared batch-path instrumentation: one histogram
-// observation and a handful of counter adds per batch of n pairs,
-// amortized over every pair in it — no allocation, no locks.
-//
-//repro:hotpath
-func (f *Fabric) recordBatch(hist *obs.Histogram, shard uint64, n, resolved int, start time.Time) {
-	f.m.batches.Inc()
-	f.m.resolves.AddAt(shard, uint64(resolved))
-	if miss := n - resolved; miss > 0 {
-		f.m.unresolved.Add(uint64(miss))
-	}
-	f.served.Add(uint64(resolved))
-	hist.Observe(time.Since(start).Nanoseconds()) //lint:allow nondeterminism batch latency measurement is observational
-}
-
-// startPacked opens a packed batch: its span under parent (a zero
-// parent mints a local root) and, with metrics on, its clock.
+// startPacked opens a resolve: its span under parent (a zero parent
+// mints a local root) and, with metrics on, its clock.
 //
 //repro:hotpath
 func (f *Fabric) startPacked(parent trace.SpanContext) (sp trace.Span, start time.Time) {
@@ -433,13 +374,23 @@ func (f *Fabric) startPacked(parent trace.SpanContext) (sp trace.Span, start tim
 	return sp, start
 }
 
-// endPacked closes what startPacked opened: the batch instruments and
-// the span's shape attributes.
+// endPacked closes what startPacked opened — the one place a resolve is
+// counted and traced, whatever form it arrived in: one histogram
+// observation and a handful of counter adds per batch of n pairs,
+// amortized over every pair in it (no allocation, no locks), then the
+// span's shape attributes. shard is the batch's first source, so busy
+// sources spread over the resolve counter's shards.
 //
 //repro:hotpath
 func (f *Fabric) endPacked(sp *trace.Span, start time.Time, gen *Generation, shard uint64, n, resolved int) {
 	if f.m != nil {
-		f.recordBatch(f.m.packedNS, shard, n, resolved, start)
+		f.m.batches.Inc()
+		f.m.resolves.AddAt(shard, uint64(resolved))
+		if miss := n - resolved; miss > 0 {
+			f.m.unresolved.Add(uint64(miss))
+		}
+		f.served.Add(uint64(resolved))
+		f.m.packedNS.Observe(time.Since(start).Nanoseconds()) //lint:allow nondeterminism batch latency measurement is observational
 	}
 	sp.SetAttr(attrPairs, int64(n))
 	sp.SetAttr(attrResolved, int64(resolved))
@@ -451,26 +402,21 @@ func (f *Fabric) endPacked(sp *trace.Span, start time.Time, gen *Generation, sha
 // against one consistent generation, returning how many resolved and
 // that generation's sequence number. out must be at least as long as
 // pairs. Zero allocations, and with telemetry enabled every resolved
-// non-self pair still counts (one uncontended atomic add each). This is
-// the in-process form of the packed resolve and the oracle ResolveWire
-// is tested against; the binary front door serves ResolveWire.
+// non-self pair counts (one uncontended atomic add each, in the lookup's
+// own iteration — the path stays lock-free). This is the in-process form
+// of the packed resolve and the oracle ResolveWire is tested against;
+// the binary front door serves ResolveWire.
 //
 //repro:hotpath
 func (f *Fabric) ResolveBatchPacked(pairs [][2]int, out []uint64) (resolved int, generation uint64) {
 	sp, start := f.startPacked(trace.SpanContext{})
 	gen := f.gen.Load()
-	resolved = gen.ResolveBatchPacked(pairs, out)
-	if f.tel != nil {
-		for i, p := range pairs {
-			// Resolved non-self pairs are exactly those whose packed
-			// word is a real route (out-of-range slots are marked
-			// PackedUnreachable by ResolveBatchPacked).
-			if p[0] != p[1] && out[i] != PackedUnreachable {
-				f.tel.record(p[0], p[1])
-			}
-		}
+	resolved = gen.resolvePacked(f.tel, pairs, out)
+	shard := uint64(0)
+	if len(pairs) > 0 {
+		shard = uint64(pairs[0][0])
 	}
-	f.endPacked(&sp, start, gen, batchShard(pairs), len(pairs), resolved)
+	f.endPacked(&sp, start, gen, shard, len(pairs), resolved)
 	return resolved, gen.stats.Seq
 }
 
@@ -481,12 +427,10 @@ func (f *Fabric) ResolveBatchPacked(pairs [][2]int, out []uint64) (resolved int,
 // packed word per pair is appended to dst, which is returned extended.
 // One pass reads a pair, looks it up in the one generation pinned for
 // the batch, counts it in telemetry and writes its word: no []pair or
-// []word staging in between. The per-pair rules are
-// Generation.ResolveBatchPacked's (out of range → PackedUnreachable,
-// self → 0, only resolved non-self pairs counted) and so are the
-// instruments. The batch span joins parent's trace, inheriting its
-// sampling verdict; a zero parent mints a local root. Zero allocations
-// once dst has the capacity.
+// []word staging in between. The per-pair rule and the instruments are
+// ResolveBatchPacked's. The batch span joins parent's trace, inheriting
+// its sampling verdict; a zero parent mints a local root. Zero
+// allocations once dst has the capacity.
 //
 //repro:hotpath
 func (f *Fabric) ResolveWire(parent trace.SpanContext, pairs, dst []byte) (out []byte, resolved int, generation uint64) {
@@ -608,7 +552,8 @@ func (f *Fabric) derive(start time.Time, base *table, overrides []xgft.Route, vi
 		}
 	}
 	shards := make([][]uint64, n)
-	var cloned []int // rows that differ from base's
+	var cloned []int      // rows that differ from base's
+	var up [maxHeight]int // the broken route being rerouted, decoded
 	patched, unreachable, shared := 0, base.unreachable, 0
 	for s := 0; s < n; s++ {
 		from := base.rows[s]
@@ -637,7 +582,7 @@ func (f *Fabric) derive(start time.Time, base *table, overrides []xgft.Route, vi
 			if s == d || word == PackedUnreachable || packedRouteOK(view, f.topo, s, d, word) {
 				continue
 			}
-			if nr, ok := core.RerouteAvoiding(view, xgft.Route{Src: s, Dst: d, Up: unpackRoute(word)}); ok {
+			if nr, ok := core.RerouteAvoiding(view, xgft.Route{Src: s, Dst: d, Up: AppendPackedUp(word, up[:0])}); ok {
 				set(d, packRoute(nr))
 				patched++
 			} else {
@@ -753,16 +698,16 @@ func (f *Fabric) certifyLocked(base *table, shards [][]uint64, cloned []int) (ad
 	return added, nil
 }
 
-// addDeltaLocked adds to the serving certificate the routes of shards it does
+// addDeltaLocked adds to the serving certificate the routes of rows it does
 // not hold yet and verifies the grown graph.
-func (f *Fabric) addDeltaLocked(base *table, shards [][]uint64, cloned []int) (added int, err error) {
+func (f *Fabric) addDeltaLocked(base *table, rows [][]uint64, cloned []int) (added int, err error) {
 	if base.cert != f.cert {
 		if added, err = addRows(f.cert, base.rows); err != nil {
 			return 0, err
 		}
 	}
 	for _, s := range cloned {
-		n, err := addRow(f.cert, s, shards[s], base.rows[s])
+		n, err := addRow(f.cert, s, rows[s], base.rows[s])
 		if err != nil {
 			return 0, err
 		}

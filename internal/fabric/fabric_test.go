@@ -23,6 +23,16 @@ func testFabric(t *testing.T, algo func(*xgft.Topology) core.Algorithm) *Fabric 
 	return f
 }
 
+// unpackedRoutes decodes a packed batch for the route validators: the
+// zero route in every unresolved slot.
+func unpackedRoutes(pairs [][2]int, words []uint64) []xgft.Route {
+	out := make([]xgft.Route, len(pairs))
+	for i, p := range pairs {
+		out[i], _ = unpackedRoute(p[0], p[1], words[i])
+	}
+	return out
+}
+
 func TestNewResolvesAllPairs(t *testing.T) {
 	f := testFabric(t, core.NewDModK)
 	tp := f.Topology()
@@ -167,7 +177,7 @@ func TestHealRestores(t *testing.T) {
 }
 
 // TestConcurrentResolveDuringSwap is the generation hot-swap race
-// test: resolver goroutines hammer Resolve and ResolveBatch while the
+// test: resolver goroutines hammer packed batch resolves while the
 // main goroutine fails a link and heals, repeatedly. Every resolved
 // route must be well-formed and connect (no torn reads), and once
 // FailLink returns, every resolve must avoid the failed link. Run
@@ -194,7 +204,7 @@ func TestConcurrentResolveDuringSwap(t *testing.T) {
 			defer wg.Done()
 			h := uint64(g + 1)
 			pairs := make([][2]int, 64)
-			out := make([]xgft.Route, len(pairs))
+			words := make([]uint64, len(pairs))
 			for !stop.Load() {
 				// A consistent snapshot: the whole batch reads one
 				// generation even if a swap lands mid-call.
@@ -205,8 +215,9 @@ func TestConcurrentResolveDuringSwap(t *testing.T) {
 					d := int(h >> 32 % uint64(n))
 					pairs[i] = [2]int{s, d}
 				}
-				gen.ResolveBatch(pairs, out)
+				gen.ResolveBatchPacked(pairs, words)
 				view := gen.View()
+				out := unpackedRoutes(pairs, words)
 				for i, r := range out {
 					if pairs[i][0] == pairs[i][1] {
 						continue

@@ -103,28 +103,19 @@ func packedRouteOK(v *xgft.View, t *xgft.Topology, src, dst int, packed uint64) 
 	return true
 }
 
-// unpackRoute decodes a packed ascent back into per-level up-ports
-// (the inverse of packRoute for a reachable pair).
-//
-//repro:hotpath
-func unpackRoute(packed uint64) []int {
-	l := int(packed >> levelShift)
-	up := make([]int, l)
-	for i := 0; i < l; i++ {
-		up[i] = int(packed >> (8 * uint(i)) & 0xff)
-	}
-	return up
-}
-
 // PackedNCALevel returns the ascent length (the NCA level) encoded in
 // a packed route. 0 is the empty route of a self pair; callers must
 // check PackedUnreachable first.
+//
+//repro:hotpath
 func PackedNCALevel(packed uint64) int { return int(packed >> levelShift) }
 
 // AppendPackedUp appends the packed route's up-ports, lowest level
 // first, to dst and returns it — the allocation-free inverse of
 // packRoute for clients that decode packed words received off the
 // wire.
+//
+//repro:hotpath
 func AppendPackedUp(packed uint64, dst []int) []int {
 	l := int(packed >> levelShift)
 	for i := 0; i < l; i++ {
@@ -146,106 +137,91 @@ func (g *Generation) Topology() *xgft.Topology { return g.topo }
 // frozen — callers must Clone before mutating.
 func (g *Generation) View() *xgft.View { return g.view }
 
-// Resolve returns the installed route for the pair. ok is false when
-// the pair is out of range or currently unreachable; src == dst
-// resolves to the empty route.
+// lookup is the per-pair rule, written once: an endpoint outside the
+// leaves → PackedUnreachable, a self pair → 0 (the empty ascent), else
+// the shard word, itself PackedUnreachable when the fault view left no
+// minimal path. Endpoints arrive as uint64 so one compare rejects
+// negative ints and the wire's 32-bit values alike. Besides Routes and
+// the fabric's derive nothing else reads shards. A resolved non-self
+// pair — what telemetry counts — is a word neither PackedUnreachable
+// nor 0: distinct leaves meet at level >= 1, so a real route's level
+// byte is never zero.
+//
+//repro:hotpath
+func (g *Generation) lookup(src, dst uint64) uint64 {
+	n := uint64(len(g.shards))
+	switch {
+	case src >= n || dst >= n:
+		return PackedUnreachable
+	case src == dst:
+		return 0
+	}
+	return g.shards[src][dst]
+}
+
+// Resolve returns the installed route for the pair, decoded. ok is
+// false when the pair is out of range or currently unreachable;
+// src == dst resolves to the empty route.
 //
 //repro:hotpath
 func (g *Generation) Resolve(src, dst int) (r xgft.Route, ok bool) {
-	n := g.topo.Leaves()
-	if src < 0 || src >= n || dst < 0 || dst >= n {
-		return xgft.Route{}, false
-	}
-	r = xgft.Route{Src: src, Dst: dst}
-	if src == dst {
-		return r, true
-	}
-	packed := g.shards[src][dst]
-	if packed == PackedUnreachable {
-		return xgft.Route{}, false
-	}
-	r.Up = unpackRoute(packed)
-	return r, true
+	return unpackedRoute(src, dst, g.lookup(uint64(src), uint64(dst)))
 }
 
-// ResolveBatch resolves pairs[i] into out[i] and returns how many
-// resolved; unresolved slots are zeroed. out must be at least as long
-// as pairs. The ascent slices of one batch share a single backing
-// arena (each route owns a full-capacity subrange), so bulk
-// resolution pays one allocation per call instead of one per route.
+// unpackedRoute is the decoded form of one lookup result: the route
+// with its ascent in a right-sized slice of its own (nil for a self
+// pair), or the zero route and false for PackedUnreachable.
 //
 //repro:hotpath
-func (g *Generation) ResolveBatch(pairs [][2]int, out []xgft.Route) (resolved int) {
-	n := g.topo.Leaves()
-	arena := make([]int, len(pairs)*g.topo.Height())
-	for i, p := range pairs {
-		src, dst := p[0], p[1]
-		if src < 0 || src >= n || dst < 0 || dst >= n {
-			out[i] = xgft.Route{}
-			continue
-		}
-		if src == dst {
-			out[i] = xgft.Route{Src: src, Dst: dst}
-			resolved++
-			continue
-		}
-		packed := g.shards[src][dst]
-		if packed == PackedUnreachable {
-			out[i] = xgft.Route{}
-			continue
-		}
-		l := int(packed >> levelShift)
-		up := arena[:l:l]
-		arena = arena[l:]
-		for j := 0; j < l; j++ {
-			up[j] = int(packed >> (8 * uint(j)) & 0xff)
-		}
-		out[i] = xgft.Route{Src: src, Dst: dst, Up: up}
-		resolved++
+func unpackedRoute(src, dst int, packed uint64) (xgft.Route, bool) {
+	switch packed {
+	case PackedUnreachable:
+		return xgft.Route{}, false
+	case 0:
+		return xgft.Route{Src: src, Dst: dst}, true
 	}
-	return resolved
+	return xgft.Route{Src: src, Dst: dst, Up: AppendPackedUp(packed, make([]int, 0, PackedNCALevel(packed)))}, true
 }
 
 // ResolveBatchPacked resolves pairs[i] into out[i] as packed words —
 // the store's native encoding, shipped verbatim by the binary resolve
 // protocol — and returns how many resolved. out must be at least as
 // long as pairs. Out-of-range and unreachable pairs get
-// PackedUnreachable; self pairs get 0 (the empty ascent). Unlike
-// ResolveBatch there is no arena to fill, so the call performs zero
-// allocations.
+// PackedUnreachable; self pairs get 0 (the empty ascent). Nothing is
+// decoded, so the call performs zero allocations.
 //
 //repro:hotpath
 func (g *Generation) ResolveBatchPacked(pairs [][2]int, out []uint64) (resolved int) {
-	n := g.topo.Leaves()
+	return g.resolvePacked(nil, pairs, out)
+}
+
+// resolvePacked is the in-process packed pass: one lookup per pair,
+// its word stored, and — in the same iteration — the pair counted as
+// resolved and, when tel is non-nil and the pair is not a self pair,
+// in telemetry.
+//
+//repro:hotpath
+func (g *Generation) resolvePacked(tel *Telemetry, pairs [][2]int, out []uint64) (resolved int) {
+	out = out[:len(pairs)]
 	for i, p := range pairs {
-		src, dst := p[0], p[1]
-		if src < 0 || src >= n || dst < 0 || dst >= n {
-			out[i] = PackedUnreachable
-			continue
-		}
-		if src == dst {
-			out[i] = 0
-			resolved++
-			continue
-		}
-		packed := g.shards[src][dst]
+		packed := g.lookup(uint64(p[0]), uint64(p[1]))
 		out[i] = packed
 		if packed != PackedUnreachable {
 			resolved++
+			if packed != 0 && tel != nil {
+				tel.record(p[0], p[1])
+			}
 		}
 	}
 	return resolved
 }
 
-// appendResolveWire is ResolveBatchPacked in the binary protocol's own
-// byte order: pairs holds 8 bytes a pair (big-endian uint32 src, then
-// dst) and one big-endian packed word per pair is appended to dst. The
-// per-pair rules are ResolveBatchPacked's; tel, when non-nil, counts
-// each resolved non-self pair as the lookup finds it.
+// appendResolveWire is the same pass in the binary protocol's own byte
+// order: pairs holds 8 bytes a pair (big-endian uint32 src, then dst)
+// and one big-endian packed word per pair is appended to dst.
 //
 //repro:hotpath
 func (g *Generation) appendResolveWire(tel *Telemetry, pairs, dst []byte) (out []byte, resolved int) {
-	n := uint64(g.topo.Leaves())
 	count := len(pairs) / 8
 	at := len(dst)
 	end := at + 8*count
@@ -257,30 +233,23 @@ func (g *Generation) appendResolveWire(tel *Telemetry, pairs, dst []byte) (out [
 	for i := 0; i < count; i++ {
 		p := pairs[8*i : 8*i+8 : 8*i+8]
 		src, d := uint64(binary.BigEndian.Uint32(p[0:4])), uint64(binary.BigEndian.Uint32(p[4:8]))
-		packed := PackedUnreachable
-		switch {
-		case src >= n || d >= n:
-		case src == d:
-			packed = 0
+		packed := g.lookup(src, d)
+		binary.BigEndian.PutUint64(words[8*i:8*i+8:8*i+8], packed)
+		if packed != PackedUnreachable {
 			resolved++
-		default:
-			if packed = g.shards[src][d]; packed != PackedUnreachable {
-				resolved++
-				if tel != nil {
-					tel.record(int(src), int(d))
-				}
+			if packed != 0 && tel != nil {
+				tel.record(int(src), int(d))
 			}
 		}
-		binary.BigEndian.PutUint64(words[8*i:8*i+8:8*i+8], packed)
 	}
 	return dst, resolved
 }
 
 // Routes decodes every resolvable non-self route of the generation,
 // in (src, dst) order — the full table a subnet manager would
-// install. As in ResolveBatch the ascents share one backing arena
-// (each route owns a full-capacity subrange), so the call allocates
-// twice whatever the table size.
+// install. The ascents share one backing arena (each route owns a
+// full-capacity subrange), so the call allocates twice whatever the
+// table size.
 func (g *Generation) Routes() []xgft.Route {
 	out := make([]xgft.Route, 0, g.stats.Routes)
 	arena := make([]int, 0, g.stats.Routes*g.topo.Height())

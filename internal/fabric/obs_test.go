@@ -73,14 +73,15 @@ func TestFabricMetricsAndJournal(t *testing.T) {
 	if got := snap["fabric_resolves_total"]; got != 4 {
 		t.Errorf("fabric_resolves_total = %v, want 4", got)
 	}
-	if got := snap["fabric_resolve_batches_total"]; got != 1 {
-		t.Errorf("fabric_resolve_batches_total = %v, want 1", got)
+	// A single Resolve is a batch of one: three calls, three batches.
+	if got := snap["fabric_resolve_batches_total"]; got != 3 {
+		t.Errorf("fabric_resolve_batches_total = %v, want 3", got)
 	}
 	if got := snap["fabric_routes_served"]; got != 4 {
 		t.Errorf("fabric_routes_served = %v, want 4", got)
 	}
-	if got := snap["fabric_resolve_batch_packed_ns_count"]; got != 1 {
-		t.Errorf("packed histogram count = %v, want 1", got)
+	if got := snap["fabric_resolve_batch_packed_ns_count"]; got != 3 {
+		t.Errorf("packed histogram count = %v, want 3", got)
 	}
 
 	// Isolate leaf 5 (its only up wire): the next lookup for it is

@@ -53,8 +53,7 @@ func TestTelemetryRecordsResolves(t *testing.T) {
 	f.Resolve(3, 3)   // self pair: no traffic
 	f.Resolve(0, 999) // out of range: no traffic
 	pairs := [][2]int{{1, 2}, {2, 1}, {5, 5}}
-	out := make([]xgft.Route, len(pairs))
-	f.ResolveBatch(pairs, out)
+	f.ResolveBatchPacked(pairs, make([]uint64, len(pairs)))
 	if c := tel.Count(0, 9); c != 2 {
 		t.Errorf("count(0,9) = %d, want 2", c)
 	}
@@ -247,7 +246,7 @@ func TestOptimizeComposesWithFaults(t *testing.T) {
 	}
 }
 
-// TestConcurrentResolveDuringOptimize drives ResolveBatch from many
+// TestConcurrentResolveDuringOptimize drives packed batch resolves from many
 // goroutines against live Optimize hot-swaps (plus a fault/heal cycle
 // for good measure). Run with -race: the resolve path must stay
 // lock-free and torn-read free while generations change underneath.
@@ -266,17 +265,14 @@ func TestConcurrentResolveDuringOptimize(t *testing.T) {
 			defer wg.Done()
 			h := uint64(g + 1)
 			pairs := make([][2]int, 64)
-			out := make([]xgft.Route, len(pairs))
+			words := make([]uint64, len(pairs))
 			for !stop.Load() {
-				gen := f.Generation()
 				for i := range pairs {
 					h = hashutil.Splitmix64(h)
 					pairs[i] = [2]int{int(h % uint64(n)), int(h >> 32 % uint64(n))}
 				}
-				f.ResolveBatch(pairs, out)
-				view := gen.View()
-				_ = view
-				for i, r := range out {
+				f.ResolveBatchPacked(pairs, words)
+				for i, r := range unpackedRoutes(pairs, words) {
 					if pairs[i][0] == pairs[i][1] || r.Up == nil {
 						continue
 					}

@@ -11,8 +11,7 @@ import (
 )
 
 // packedBatchPairs builds a keyed-deterministic batch mixing normal,
-// self and out-of-range pairs — every class ResolveBatchPacked must
-// mirror from ResolveBatch.
+// self and out-of-range pairs — every class of the per-pair rule.
 func packedBatchPairs(n, count int, key uint64) [][2]int {
 	st := hashutil.NewStream(0xbead, key)
 	pairs := make([][2]int, count)
@@ -30,69 +29,6 @@ func packedBatchPairs(n, count int, key uint64) [][2]int {
 		}
 	}
 	return pairs
-}
-
-// TestResolveBatchPackedMatchesResolveBatch proves the packed batch
-// is the same table ResolveBatch serves: same resolved count, and
-// every packed word decodes (PackedNCALevel + AppendPackedUp) to the
-// route ResolveBatch materializes, across healthy and degraded
-// generations.
-func TestResolveBatchPackedMatchesResolveBatch(t *testing.T) {
-	tp := xgft.MustNew(2, []int{8, 8}, []int{1, 4})
-	f, err := New(Config{Topo: tp, Algo: core.NewDModK(tp)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(t *testing.T, key uint64) {
-		t.Helper()
-		n := tp.Leaves()
-		pairs := packedBatchPairs(n, 512, key)
-		routes := make([]xgft.Route, len(pairs))
-		packed := make([]uint64, len(pairs))
-		gen := f.Generation()
-		want := gen.ResolveBatch(pairs, routes)
-		got := gen.ResolveBatchPacked(pairs, packed)
-		if got != want {
-			t.Fatalf("resolved %d packed vs %d materialized", got, want)
-		}
-		for i, p := range pairs {
-			r := routes[i]
-			if r.Up == nil && !(p[0] == p[1] && p[0] >= 0 && p[0] < n) {
-				// Unresolved slot (zeroed route): packed must carry the
-				// unreachable sentinel.
-				if packed[i] != PackedUnreachable {
-					t.Fatalf("pair %v: route unresolved but packed %#x", p, packed[i])
-				}
-				continue
-			}
-			if packed[i] == PackedUnreachable {
-				t.Fatalf("pair %v: resolved route but packed unreachable", p)
-			}
-			if lvl := PackedNCALevel(packed[i]); lvl != len(r.Up) {
-				t.Fatalf("pair %v: packed level %d, route level %d", p, lvl, len(r.Up))
-			}
-			up := AppendPackedUp(packed[i], nil)
-			if len(up) != len(r.Up) {
-				t.Fatalf("pair %v: packed up %v, route up %v", p, up, r.Up)
-			}
-			for j := range up {
-				if up[j] != r.Up[j] {
-					t.Fatalf("pair %v: packed up %v, route up %v", p, up, r.Up)
-				}
-			}
-		}
-	}
-	t.Run("healthy", func(t *testing.T) { check(t, 1) })
-
-	// Isolate leaf 3 (its only level-0 up wire fails), creating real
-	// unreachable pairs, and re-check against the degraded generation.
-	if _, err := f.FailLink(0, 3, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := f.Resolve(3, 5); ok {
-		t.Fatal("leaf 3 still resolves after its only up wire failed")
-	}
-	t.Run("degraded", func(t *testing.T) { check(t, 2) })
 }
 
 // TestResolveBatchPackedTelemetry proves the packed hot path still

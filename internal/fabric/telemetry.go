@@ -8,12 +8,12 @@ import (
 )
 
 // Telemetry is the fabric's live traffic observer: one atomic counter
-// per (source, destination) pair, bumped by every successful Resolve
-// and ResolveBatch. The counters are sharded by source leaf (each
-// source owns a contiguous row), so concurrent resolvers for
-// different pairs never contend on a line beyond false sharing inside
-// one row — the hot path stays lock-free, a single uncontended atomic
-// add on top of the generation lookup.
+// per (source, destination) pair, bumped by every resolved non-self
+// pair, whatever form the resolve took. The counters are sharded by
+// source leaf (each source owns a contiguous row), so concurrent
+// resolvers for different pairs never contend on a line beyond false
+// sharing inside one row — the hot path stays lock-free, a single
+// uncontended atomic add on top of the generation lookup.
 //
 // The observed counts are the connectivity-matrix view of the paper's
 // §III measured instead of declared: SnapshotFlows lowers them into a
@@ -41,16 +41,9 @@ func (t *Telemetry) record(src, dst int) {
 	atomic.AddUint64(&t.rows[src][dst], 1)
 }
 
-// Record counts one served route for the pair; out-of-range and self
-// pairs are ignored. Resolve/ResolveBatch record automatically — this
-// is for servers that resolve against a pinned Generation (for a
-// consistent route/seq snapshot) and still want the traffic observed.
-func (t *Telemetry) Record(src, dst int) {
-	if src < 0 || src >= t.n || dst < 0 || dst >= t.n || src == dst {
-		return
-	}
-	t.record(src, dst)
-}
+// Record is RecordN(src, dst, 1). The fabric's resolve forms count on
+// their own; this is for feeding a pattern in by hand.
+func (t *Telemetry) Record(src, dst int) { t.RecordN(src, dst, 1) }
 
 // RecordN counts n served routes for the pair at once; out-of-range
 // and self pairs are ignored. It lets a scheduler or replayer inject

@@ -99,10 +99,10 @@ func TestObskeysFixture(t *testing.T) {
 		"obskeys.go:20:obskeys", // string literal
 		"obskeys.go:21:obskeys", // variable
 		"obskeys.go:22:obskeys", // malformed constant value
-		"spans.go:25:obskeys",   // span name literal
-		"spans.go:27:obskeys",   // span name variable
-		"spans.go:29:obskeys",   // malformed span name constant
-		"spans.go:31:obskeys",   // constant from another package
+		"spans.go:21:obskeys",   // span name literal
+		"spans.go:23:obskeys",   // span name variable
+		"spans.go:25:obskeys",   // malformed span name constant
+		"spans.go:27:obskeys",   // constant from another package
 	})
 }
 

@@ -41,7 +41,6 @@ var obsNameFuncs = map[string]obsNameFunc{
 	"CounterFunc": {pkg: "/internal/obs", arg: 0},
 	"GaugeFunc":   {pkg: "/internal/obs", arg: 0},
 	"Record":      {pkg: "/internal/obs", arg: 0}, // Journal.Record(typ, ...)
-	"Start":       {pkg: "/internal/trace", arg: 1},
 	"StartSpan":   {pkg: "/internal/trace", arg: 1},
 	"StartChild":  {pkg: "/internal/trace", arg: 1},
 	"SetBudget":   {pkg: "/internal/trace", arg: 0},
@@ -72,7 +71,7 @@ func runObskeys(prog *Program, pkg *Package) []Finding {
 				return true
 			}
 			// The defining package may route names through its own
-			// wrappers (trace.Start delegates to StartSpan with a
+			// wrappers (trace.StartChild delegates to StartSpan with a
 			// variable); call sites elsewhere are what must be constant.
 			if pkg.Pkg == fn.Pkg() || len(call.Args) <= spec.arg {
 				return true

@@ -1,14 +1,10 @@
 // Span-name fixtures for the obskeys analyzer: names passed to
-// trace.Tracer.Start/StartSpan/StartChild/SetBudget as literals,
+// trace.Tracer.StartSpan/StartChild/SetBudget as literals,
 // variables, out-of-package constants and malformed constants, plus
 // well-formed in-package constants that must not be flagged.
 package obskeys
 
-import (
-	"context"
-
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 const (
 	goodSpan = "fixture.resolve"
@@ -29,6 +25,4 @@ func Trace(tr *trace.Tracer) {
 	b := tr.StartSpan(sc, badSpan) // want: bad name
 	b.End()
 	tr.SetBudget(trace.ReasonBudget, 0) // want: constant from another package
-	_, s2 := tr.Start(context.Background(), goodSpan)
-	s2.End()
 }

@@ -433,8 +433,8 @@ func TestSyncTelemetryMirrorsTenants(t *testing.T) {
 }
 
 // TestSubmitReleaseRacingResolveBatch hammers the scheduler's
-// Submit/Release/Reoptimize path while a resolver floods
-// ResolveBatch, under -race: placement must never disturb the
+// Submit/Release/Reoptimize path while a resolver floods packed
+// batch resolves, under -race: placement must never disturb the
 // lock-free resolve path.
 func TestSubmitReleaseRacingResolveBatch(t *testing.T) {
 	f := testFabric(t, 4, true)
@@ -447,7 +447,7 @@ func TestSubmitReleaseRacingResolveBatch(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			pairs := make([][2]int, 256)
-			out := make([]xgft.Route, len(pairs))
+			out := make([]uint64, len(pairs))
 			for i := range pairs {
 				pairs[i] = [2]int{(i + w) % n, (i * 7) % n}
 			}
@@ -457,7 +457,7 @@ func TestSubmitReleaseRacingResolveBatch(t *testing.T) {
 					return
 				default:
 				}
-				if got := f.ResolveBatch(pairs, out); got != len(pairs) {
+				if got, _ := f.ResolveBatchPacked(pairs, out); got != len(pairs) {
 					// Healthy fabric: everything must resolve.
 					t.Errorf("resolved %d/%d", got, len(pairs))
 					return

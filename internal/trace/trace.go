@@ -19,7 +19,6 @@
 package trace
 
 import (
-	"context"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -382,35 +381,6 @@ func (t *Tracer) StartChild(parent SpanContext, name string) Span {
 	return t.StartSpan(parent, name)
 }
 
-// ctxKey carries a SpanContext through a context.Context.
-type ctxKey struct{}
-
-// ContextWithSpan returns ctx carrying sc.
-func ContextWithSpan(ctx context.Context, sc SpanContext) context.Context {
-	return context.WithValue(ctx, ctxKey{}, sc)
-}
-
-// FromContext returns the span context carried by ctx, zero when
-// none.
-func FromContext(ctx context.Context) SpanContext {
-	sc, _ := ctx.Value(ctxKey{}).(SpanContext)
-	return sc
-}
-
-// Start starts a control-plane span parented from ctx and returns a
-// derived context carrying the new span. Unlike StartSpan it
-// allocates (the context chain and the *Span); use it where clarity
-// beats the last allocation — Optimize passes, placements — and
-// StartSpan on the resolve path.
-func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Span) {
-	if t == nil {
-		return ctx, nil
-	}
-	s := new(Span)
-	*s = t.StartSpan(FromContext(ctx), name)
-	return ContextWithSpan(ctx, s.Context()), s
-}
-
 // attr is one interned attribute.
 type attr struct {
 	key uint32
@@ -469,7 +439,7 @@ func (s *Span) SetAttr(key string, val int64) {
 //repro:hotpath
 func (s *Span) End() {
 	if s == nil {
-		return // nil-tracer Start hands out a nil span
+		return // a nil *Span is a no-op, like the zero Span
 	}
 	t := s.tr
 	if t == nil {

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/obs"
-	"repro/internal/xgft"
 )
 
 // Unreachable is fabric.PackedUnreachable re-exported, so clients
@@ -32,7 +31,6 @@ type Client struct {
 	timeout time.Duration
 	wbuf    []byte
 	packed  []uint64
-	arena   []int
 }
 
 // Dial connects to a binary resolve listener. timeout bounds the
@@ -138,54 +136,4 @@ func (c *Client) roundTrip(traced bool, tc TraceContext, pairs [][2]int) (genera
 		c.RTT.Observe(time.Since(start).Nanoseconds())
 	}
 	return generation, c.packed, tm, nil
-}
-
-// ResolveBatch resolves the batch into materialized routes,
-// mirroring fabric.Generation.ResolveBatch exactly: out[i] is the
-// zero route for unresolvable pairs, the empty route for self pairs,
-// and carries the ascent otherwise; the return value counts resolved
-// pairs. out must be at least as long as pairs. Ascents share one
-// arena owned by the client and reused by the next call.
-func (c *Client) ResolveBatch(pairs [][2]int, out []xgft.Route) (generation uint64, resolved int, err error) {
-	generation, packed, err := c.ResolveBatchPacked(pairs)
-	if err != nil {
-		return 0, 0, err
-	}
-	need := 0
-	for _, p := range packed {
-		if p != fabric.PackedUnreachable {
-			need += fabric.PackedNCALevel(p)
-		}
-	}
-	if cap(c.arena) < need {
-		c.arena = make([]int, need)
-	}
-	arena := c.arena[:0]
-	for i, p := range packed {
-		if p == fabric.PackedUnreachable {
-			out[i] = xgft.Route{}
-			continue
-		}
-		src, dst := pairs[i][0], pairs[i][1]
-		if l := fabric.PackedNCALevel(p); l > 0 {
-			start := len(arena)
-			arena = fabric.AppendPackedUp(p, arena)
-			out[i] = xgft.Route{Src: src, Dst: dst, Up: arena[start:len(arena):len(arena)]}
-		} else {
-			out[i] = xgft.Route{Src: src, Dst: dst}
-		}
-		resolved++
-	}
-	return generation, resolved, nil
-}
-
-// Resolve resolves one pair — the convenience form; batch for
-// throughput.
-func (c *Client) Resolve(src, dst int) (r xgft.Route, generation uint64, ok bool, err error) {
-	var out [1]xgft.Route
-	generation, resolved, err := c.ResolveBatch([][2]int{{src, dst}}, out[:])
-	if err != nil {
-		return xgft.Route{}, 0, false, err
-	}
-	return out[0], generation, resolved == 1, nil
 }

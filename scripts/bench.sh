@@ -7,8 +7,9 @@
 # smoke check that every benchmark still compiles and completes.
 #
 # The gate/baseline modes turn the trajectory into a regression gate:
-# `baseline` runs the hot-path benchmarks (ResolveBatch, the packed
-# variant and the fused pass the binary front door serves, wire
+# `baseline` runs the hot-path benchmarks (the packed batch resolve —
+# bare, observed and traced — and the fused pass the binary front door
+# serves, wire
 # encode/decode, end-to-end and a pipelined burst, evaluator cache, the
 # census every analytic score is a max over, LoadState route deltas,
 # the Optimize pass, delta-scored placement, and the control plane's
@@ -34,9 +35,9 @@ cd "$(dirname "$0")/.."
 
 # The gated hot paths, plus the per-package machine-speed calibration
 # (internal/benchcal) that benchgate divides out. Anchored so e.g.
-# ResolveBatch does not also pull in every sized variant that may
-# appear later.
-gate_bench='^(BenchmarkResolveBatch|BenchmarkResolveBatchPackedTraced|BenchmarkResolveBatchPacked|BenchmarkResolveBatchPackedObserved|BenchmarkResolveWire|BenchmarkWireEncodeRequest|BenchmarkWireDecodeRequest|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkWireResolveEndToEnd|BenchmarkWireResolvePipelined|BenchmarkCachedScoreHit|BenchmarkCachedScoreRoutesHit|BenchmarkApplyRouteDelta|BenchmarkOptimize|BenchmarkPlaceIncremental|BenchmarkFailLinkSwap|BenchmarkHeal|BenchmarkChurnCycle|BenchmarkAnalyze|BenchmarkVerifyDeadlockFree|BenchmarkSimulatorThroughput|BenchmarkTraceReplayWRF|BenchmarkFig2bSimulated|BenchmarkNCACensus|BenchmarkCalibration)$'
+# ResolveBatchPacked does not also pull in every sized variant that
+# may appear later.
+gate_bench='^(BenchmarkResolveBatchPackedTraced|BenchmarkResolveBatchPacked|BenchmarkResolveBatchPackedObserved|BenchmarkResolveWire|BenchmarkWireEncodeRequest|BenchmarkWireDecodeRequest|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkWireResolveEndToEnd|BenchmarkWireResolvePipelined|BenchmarkCachedScoreHit|BenchmarkCachedScoreRoutesHit|BenchmarkApplyRouteDelta|BenchmarkOptimize|BenchmarkPlaceIncremental|BenchmarkFailLinkSwap|BenchmarkHeal|BenchmarkChurnCycle|BenchmarkAnalyze|BenchmarkVerifyDeadlockFree|BenchmarkSimulatorThroughput|BenchmarkTraceReplayWRF|BenchmarkFig2bSimulated|BenchmarkNCACensus|BenchmarkCalibration)$'
 gate_pkgs='./internal/fabric ./internal/wire ./internal/evaluate ./internal/sched ./internal/contention .'
 
 run_gated() {
