@@ -18,20 +18,19 @@ import (
 )
 
 // Benchmarks regenerating the paper's tables and figures (one per
-// artifact; see DESIGN.md §3). Reduced message sizes and seed counts
-// keep iterations meaningful while preserving every contention ratio;
-// cmd/experiments reproduces the full-size sweeps.
+// artifact; README.md, "Regenerating the paper's tables and figures",
+// is the index). Reduced message sizes and seed counts keep iterations
+// meaningful while preserving every contention ratio; cmd/experiments
+// reproduces the full-size sweeps.
 
 // benchOpt is the figure-sweep configuration used by benchmarks:
-// sequential and uncached, so iterations measure the work itself
-// rather than pool scaling or memoization (see
-// internal/experiments/bench_test.go for those).
+// sequential, so iterations measure the work itself rather than pool
+// scaling (see internal/experiments/bench_test.go for that).
 func benchOpt() experiments.Options {
 	return experiments.Options{
 		Engine:      experiments.Analytic,
 		Seeds:       10,
 		Parallelism: 1,
-		Cache:       core.NewTableCache(0),
 	}
 }
 
@@ -85,7 +84,7 @@ func BenchmarkFig4Distribution(b *testing.B) {
 	for _, w2 := range []int{16, 10} {
 		b.Run(fmt.Sprintf("w2=%d", w2), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Figure4(w2, experiments.Options{Seeds: 5, Parallelism: 1, Cache: core.NewTableCache(0)}); err != nil {
+				if _, err := experiments.Figure4(w2, experiments.Options{Seeds: 5, Parallelism: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -252,7 +251,7 @@ func BenchmarkTraceReplayWRF(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (design choices DESIGN.md calls out) ---
+// --- Ablation benchmarks (one design choice each, against its alternative) ---
 
 // BenchmarkAblationBalancedRelabeling compares the paper's balanced
 // maps against naive uniform relabeling: same cost per route, but the
@@ -372,7 +371,7 @@ func BenchmarkAblationColoredPasses(b *testing.B) {
 // generalization sweep.
 func BenchmarkExtensionDeepTree(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.DeepTreeSweep(experiments.Options{Seeds: 3, MessageBytes: 16 * 1024, Parallelism: 1, Cache: core.NewTableCache(0)}); err != nil {
+		if _, err := experiments.DeepTreeSweep(experiments.Options{Seeds: 3, MessageBytes: 16 * 1024, Parallelism: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

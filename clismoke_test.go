@@ -37,7 +37,7 @@ func TestCLISmoke(t *testing.T) {
 		{"experiments", []string{"-placement", "-seeds", "2"}},
 		{"experiments", []string{"-churn", "-seeds", "2"}},
 		{"experiments", []string{"-fidelity", "-bytes", "2048"}},
-		{"experiments", []string{"-fig2b", "-engine", "simulated", "-bytes", "2048", "-seeds", "2"}},
+		{"experiments", []string{"-fig2b", "-fig5b", "-engine", "simulated", "-bytes", "2048", "-seeds", "2"}},
 		{"subnetmgr", nil},
 		{"routegen", []string{"-xgft", "2;8,8;1,8", "-algo", "r-NCA-d", "-pattern", "shift:1"}},
 		{"routegen", []string{"-xgft", "2;8,8;1,8", "-pattern", "random-perm", "-seed", "3"}},
@@ -60,6 +60,21 @@ func TestCLISmoke(t *testing.T) {
 			}
 		})
 	}
+
+	// -progress reports cell completion and nothing else: two figures
+	// in one process share no table cache, so there are no cache
+	// statistics to print.
+	t.Run("experiments -progress", func(t *testing.T) {
+		var stderr bytes.Buffer
+		cmd := exec.Command(filepath.Join(bin, "experiments"), "-fig2a", "-fig5a", "-seeds", "2", "-progress")
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("experiments -progress: %v\n%s", err, stderr.String())
+		}
+		if got := stderr.String(); !strings.Contains(got, "144/144 cells") || strings.Contains(got, "routing-table cache:") {
+			t.Fatalf("-progress stderr wants the cells counter and no cache line, got:\n%s", got)
+		}
+	})
 
 	// The daemon's lifecycle as an operator drives it, one served
 	// fabricd per row: submit a job, fail a top-level link, resolve
@@ -378,12 +393,19 @@ func TestCLISmoke(t *testing.T) {
 	}
 	for _, args := range [][]string{
 		{"-placement", "-seeds", "2"},
+		{"-shift", "-seeds", "2"},
 		{"-churn", "-seeds", "2"},
 		{"-fidelity", "-bytes", "2048"},
 	} {
 		if a, b := runSweep("1", args...), runSweep("8", args...); a != b {
 			t.Fatalf("%v differs across -parallel:\n%s\nvs\n%s", args, a, b)
 		}
+	}
+
+	// Figures run in one process share nothing: Fig. 5b after Fig. 2b
+	// prints what Fig. 5b alone prints.
+	if both, alone := runSweep("2", "-fig2b", "-fig5b", "-seeds", "2"), runSweep("2", "-fig5b", "-seeds", "2"); !strings.HasSuffix(both, alone) {
+		t.Fatalf("-fig5b after -fig2b differs from -fig5b alone:\n%s\nvs\n%s", both, alone)
 	}
 
 	// Determinism ride-along for the keyed CLI randomness: the same

@@ -1,5 +1,6 @@
 // Command experiments regenerates every table and figure of the
-// paper's evaluation (see DESIGN.md §3 for the index):
+// paper's evaluation (README.md, "Regenerating the paper's tables and
+// figures", is the index):
 //
 //	experiments -table1             Table I label schema
 //	experiments -fig2a -fig2b       Fig. 2: WRF/CG slimming sweeps
@@ -20,9 +21,10 @@
 // -bytes to scale down). -csv switches the sweep output format.
 //
 // Sweeps fan their independent (topology, algorithm, pattern, seed)
-// cells out over -parallel workers (default: all CPUs) and reuse
-// routing tables across figures through a process-wide cache;
-// -progress reports cell completion on stderr.
+// cells out over -parallel workers (default: all CPUs); every cell
+// builds its routing table, scores it and drops it, so figures run in
+// one process share nothing. -progress reports cell completion on
+// stderr.
 package main
 
 import (
@@ -306,12 +308,5 @@ func main() {
 	if !any {
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *progress {
-		cache := experiments.SharedTableCache()
-		hits, misses := cache.Stats()
-		algoHits, algoMisses := cache.MemoStats()
-		fmt.Fprintf(os.Stderr, "routing-table cache: %d hits, %d misses, %d tables retained; algorithm memo: %d hits, %d misses\n",
-			hits, misses, cache.Len(), algoHits, algoMisses)
 	}
 }

@@ -243,6 +243,17 @@ type options struct {
 	blackboxDir                   string // "" disables anomaly dumps
 }
 
+// The daemon's routing-table cache, read at scrape time: the table
+// half memoizes BuildKeyed (the fabric's own pinned tables answer
+// first, so it is rarely hit), the memo half MemoAlgorithm's Colored
+// constructions. The ratios are what justifies keeping each.
+const (
+	metricTableHits   = "core_table_cache_hits_total"
+	metricTableMisses = "core_table_cache_misses_total"
+	metricMemoHits    = "core_algo_memo_hits_total"
+	metricMemoMisses  = "core_algo_memo_misses_total"
+)
+
 func build(o options, logger *slog.Logger) (*daemon, error) {
 	tp, err := xgft.Parse(o.spec)
 	if err != nil {
@@ -270,6 +281,10 @@ func build(o options, logger *slog.Logger) (*daemon, error) {
 	}
 	cached := evaluate.NewCached(backend, 256)
 	cached.Instrument(reg)
+	reg.CounterFunc(metricTableHits, "routing tables served from the daemon's table cache", func() uint64 { h, _ := cache.Stats(); return h })
+	reg.CounterFunc(metricTableMisses, "routing tables the table cache had to build", func() uint64 { _, m := cache.Stats(); return m })
+	reg.CounterFunc(metricMemoHits, "Colored constructions served from the algorithm memo", func() uint64 { h, _ := cache.MemoStats(); return h })
+	reg.CounterFunc(metricMemoMisses, "Colored constructions the algorithm memo had to run", func() uint64 { _, m := cache.MemoStats(); return m })
 	den := o.sampleDen
 	if den == 0 {
 		den = 1

@@ -423,6 +423,10 @@ func TestObservabilityEndpoints(t *testing.T) {
 		`sched_placements_total{policy="balanced"}`,
 		"sched_fragmentation",
 		"evaluate_cache_hits_total",
+		"# TYPE core_table_cache_hits_total counter",
+		"core_table_cache_misses_total",
+		"core_algo_memo_hits_total",
+		"core_algo_memo_misses_total",
 		`fabric_resolve_batch_packed_ns{quantile="0.99"}`,
 	} {
 		if !strings.Contains(text, want) {

@@ -83,10 +83,7 @@ func run(spec, algoName, appName string, seed uint64, bytes int64, engine, mappi
 	if engine != "simulated" {
 		// Pattern-level scoring through the evaluation layer: one code
 		// path for every backend.
-		ev, err := evaluate.New(engine, evaluate.Options{
-			Cache: core.NewTableCache(len(phases)),
-			Venus: netCfg,
-		})
+		ev, err := evaluate.New(engine, evaluate.Options{Venus: netCfg})
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,10 @@
 package repro_test
 
 import (
+	"io/fs"
 	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -48,11 +51,56 @@ func TestSpanInventoryDocumented(t *testing.T) {
 		}
 		// And the other way round for what was deleted: the daemon's
 		// scripted personality, the materializing batch resolve and its
-		// histogram must not linger in the operator docs.
-		for _, gone := range []string{"fabricd -demo", "`ResolveBatch`", "fabric_resolve_batch_ns"} {
+		// histogram, and the experiments package's default table cache
+		// (its accessor's name is spelled in two halves so that a grep
+		// for it over the tree finds nothing) must not linger in the
+		// operator docs.
+		for _, gone := range []string{"fabricd -demo", "`ResolveBatch`", "fabric_resolve_batch_ns", "Shared" + "TableCache", "process-wide"} {
 			if strings.Contains(text, gone) {
 				t.Errorf("%s still mentions %q, which no longer exists", doc, gone)
 			}
 		}
+	}
+}
+
+// TestCommentsCiteExistingDocs keeps "see the design notes" honest:
+// every Markdown file a Go comment names must exist, at that path from
+// the repository root or from the citing file's directory.
+func TestCommentsCiteExistingDocs(t *testing.T) {
+	mdName := regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		body, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(body), "\n") {
+			_, comment, ok := strings.Cut(line, "//")
+			if !ok {
+				continue
+			}
+			for _, name := range mdName.FindAllString(comment, -1) {
+				_, atRoot := os.Stat(name)
+				_, beside := os.Stat(filepath.Join(filepath.Dir(path), name))
+				if atRoot != nil && beside != nil {
+					t.Errorf("%s:%d cites %s, which does not exist", path, i+1, name)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -121,7 +121,7 @@ func TestCGPhase5DModKPathology(t *testing.T) {
 	// sources per switch share one port each. Two of the sixteen are
 	// the diagonal fixed points of the transpose, which exchange
 	// locally, so the network carries 7 distinct-source flows per
-	// port (see EXPERIMENTS.md, X1).
+	// port (README.md, "Substitutions and known deviations").
 	a := analyze(t, tp, core.NewDModK(tp), ph)
 	if got := a.MaxNetworkContention(); got != 7 {
 		t.Errorf("D-mod-k network contention = %d, want 7", got)

@@ -46,19 +46,22 @@ type tableKey struct {
 	pattern PatternKey
 }
 
-// TableCache memoizes BuildTable results across experiment cells: the
-// same (topology spec, algorithm identity, pattern content) triple is
-// computed once and shared read-only afterwards. Cached *Table values
-// must not be mutated by callers — routes are index data valid for any
-// topology with the same spec.
+// TableCache memoizes BuildTable results for the caller that
+// constructs one: the same (topology spec, algorithm identity, pattern
+// content) triple is computed once and shared read-only afterwards.
+// There is no default instance — a nil *TableCache builds, hands the
+// table over and retains nothing, which is what a one-shot sweep
+// wants; a caller that measurably asks for the same table again (a
+// fabric, a sweep building many fabrics over one topology) constructs
+// its own. Cached *Table values must not be mutated by callers —
+// routes are index data valid for any topology with the same spec.
 //
 // The cache is safe for concurrent use, and concurrent Build calls
 // for the same key are coalesced singleflight-style: one caller
 // computes, the rest wait for its result instead of duplicating the
 // work (the case a fabric rebuild storm produces). Capacity bounds
 // the number of retained tables with FIFO eviction; a capacity <= 0
-// cache is a pass-through (never stores, never coalesces), which is
-// how benchmarks measure the uncached engine.
+// cache behaves like a nil one (never stores, never coalesces).
 type TableCache struct {
 	capacity   int
 	hits       atomic.Uint64
@@ -97,7 +100,7 @@ func NewTableCache(capacity int) *TableCache {
 }
 
 // MemoAlgorithm memoizes an expensive deterministic algorithm
-// construction (the Colored optimizer spends milliseconds per
+// construction (the pattern-aware optimizer spends milliseconds per
 // topology) under the caller's key, which must encode every
 // construction input. The returned instance may be shared across
 // goroutines, so build must produce an algorithm whose Route is safe
@@ -207,38 +210,8 @@ func (c *TableCache) build(t *xgft.Topology, algo Algorithm, keyer CacheKeyer, p
 		c.mu.Unlock()
 		close(fl.done)
 	}()
-	if col, ok := algo.(*Colored); ok {
-		fl.tbl, fl.err = c.buildOverlay(t, col, p, pk)
-	} else {
-		fl.tbl, fl.err = BuildTable(t, algo, p)
-	}
+	fl.tbl, fl.err = BuildTable(t, algo, p)
 	return fl.tbl, fl.err
-}
-
-// buildOverlay computes Colored's table as what its Route function
-// says it is — the explicit assignments, else the fallback scheme —
-// without asking the fallback for every flow again: the fallback's
-// table comes from the cache and only the assigned routes are
-// replaced and validated. The result equals BuildTable's route for
-// route.
-func (c *TableCache) buildOverlay(t *xgft.Topology, col *Colored, p *pattern.Pattern, pk PatternKey) (*Table, error) {
-	base, err := c.BuildKeyed(t, col.fallback, p, pk)
-	if err != nil {
-		return nil, err
-	}
-	tbl := &Table{Topo: t, Algo: col.Name(), Routes: append([]xgft.Route(nil), base.Routes...)}
-	for i, f := range p.Flows {
-		up, ok := col.routes[col.pairKey(f.Src, f.Dst)]
-		if !ok {
-			continue
-		}
-		r := xgft.Route{Src: f.Src, Dst: f.Dst, Up: up}
-		if err := r.Validate(t); err != nil {
-			return nil, fmt.Errorf("core: %s produced invalid route for flow %d: %w", col.Name(), i, err)
-		}
-		tbl.Routes[i] = r
-	}
-	return tbl, nil
 }
 
 // Coalesced reports how many Build calls were served by waiting on an
@@ -268,30 +241,4 @@ func (c *TableCache) MemoStats() (hits, misses uint64) {
 		return 0, 0
 	}
 	return c.algoHits.Load(), c.algoMisses.Load()
-}
-
-// Len returns the number of currently retained tables.
-func (c *TableCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Purge drops every retained table and memoized algorithm, keeping
-// the hit/miss counters.
-func (c *TableCache) Purge() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.entries = make(map[tableKey]*Table)
-	c.order = nil
-	c.mu.Unlock()
-	c.algoMu.Lock()
-	c.algos = make(map[string]Algorithm)
-	c.algoOrder = nil
-	c.algoMu.Unlock()
 }

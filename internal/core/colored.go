@@ -13,11 +13,11 @@ import (
 // Colored is the pattern-aware baseline of the paper's evaluation
 // (the "Colored" scheme of the authors' ICS'09 work), reproduced here
 // as a greedy NCA assignment with hill-climbing refinement (see
-// DESIGN.md, substitution #4). It is *not* oblivious: it knows the
-// communication phases in advance and assigns NCAs so that groups of
-// flows that are not already serialized at an endpoint avoid sharing
-// channels. The paper uses it as the best-achievable envelope for a
-// network of the same cost.
+// README.md, "Substitutions and known deviations", #4). It is *not*
+// oblivious: it knows the communication phases in advance and assigns
+// NCAs so that groups of flows that are not already serialized at an
+// endpoint avoid sharing channels. The paper uses it as the
+// best-achievable envelope for a network of the same cost.
 type Colored struct {
 	topo     *xgft.Topology
 	fallback Algorithm

@@ -4,7 +4,8 @@
 // receives, waits, barriers), driving the network simulator
 // (internal/venus) for every transfer so that message timing reflects
 // routing and contention. It substitutes for the Dimemas simulator
-// fed with post-mortem traces (see DESIGN.md, substitution #3).
+// fed with post-mortem traces (see README.md, "Substitutions and known
+// deviations", #3).
 package dimemas
 
 import (

@@ -87,9 +87,11 @@ type Evaluator interface {
 
 // Options parameterizes New.
 type Options struct {
-	// Cache serves routing-table builds for algorithm-based scoring
-	// and memoizes them across evaluations; nil builds tables
-	// uncached.
+	// Cache, when a caller that scores the same (algorithm, pattern)
+	// again supplies one (a daemon sharing its fabric's), memoizes
+	// the routing tables algorithm-based scoring builds. nil — the
+	// default, and all a one-shot Score needs — builds the table,
+	// scores it and drops it.
 	Cache *core.TableCache
 	// Venus configures the venus backend; the zero value selects
 	// venus.DefaultConfig().

@@ -4,35 +4,32 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-
-	"repro/internal/core"
 )
 
-// Benchmarks of the sweep engine itself: pool scaling and table
-// memoization. The root bench_test.go measures the per-figure work;
-// here the work is fixed and the engine varies.
+// Benchmarks of the sweep engine itself: pool scaling. The root
+// bench_test.go measures the per-figure work; here the work is fixed
+// and the engine varies.
 
 // benchSweepOpt is a Figure2-sized workload big enough for the pool
 // to matter: full W2 sweep, paper-scale seed count.
-func benchSweepOpt(parallelism int, cache *core.TableCache) Options {
+func benchSweepOpt(parallelism int) Options {
 	return Options{
 		Engine:      Analytic,
 		Seeds:       20,
 		W2Values:    []int{16, 12, 8, 4},
 		Parallelism: parallelism,
-		Cache:       cache,
 	}
 }
 
 // BenchmarkFigure2Engine compares the sequential engine against the
-// worker pool at GOMAXPROCS, both uncached: the ratio is the
-// wall-clock speedup of the tentpole runner.
+// worker pool at GOMAXPROCS: the ratio is the wall-clock speedup of
+// the runner.
 func BenchmarkFigure2Engine(b *testing.B) {
 	app := WRFApp()
 	for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("parallel=%d", par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Figure2(app, benchSweepOpt(par, core.NewTableCache(0))); err != nil {
+				if _, err := Figure2(app, benchSweepOpt(par)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -47,37 +44,10 @@ func BenchmarkFigure5Engine(b *testing.B) {
 	for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("parallel=%d", par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Figure5(app, benchSweepOpt(par, core.NewTableCache(0))); err != nil {
+				if _, err := Figure5(app, benchSweepOpt(par)); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-}
-
-// BenchmarkFigure2Cache measures what the routing-table cache buys on
-// repeated sweeps (the -all scenario where Figure 5 re-uses every
-// Figure 2 cell): cold builds every table, warm serves them all.
-func BenchmarkFigure2Cache(b *testing.B) {
-	app := WRFApp()
-	par := runtime.GOMAXPROCS(0)
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Figure2(app, benchSweepOpt(par, core.NewTableCache(0))); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		cache := core.NewTableCache(4096)
-		if _, err := Figure2(app, benchSweepOpt(par, cache)); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := Figure2(app, benchSweepOpt(par, cache)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -157,8 +157,8 @@ func churnSweep(opt Options, newEval func(*core.TableCache) evaluate.Evaluator) 
 	cells := make([]churnCell, opt.Seeds)
 	err = opt.run(len(cells), func(idx int) error {
 		seed := uint64(idx) + 1
-		// Every cell owns its table cache (unlike the other sweeps,
-		// which share the process-wide one): memo hits leaking across
+		// Every cell owns its table cache (the shift and placement
+		// sweeps share one across their cells): memo hits leaking across
 		// cells would make the wall-clock figures depend on which seeds
 		// ran first.
 		cache := core.NewTableCache(64)

@@ -31,7 +31,7 @@ const fidelitySeed = 0xf1de1
 // fidelitySchemes enumerates the compared schemes in result order:
 // the classic deterministic baseline, the paper's two proposals, and
 // the pattern-aware Colored bound. Colored is built per schedule from
-// its phases (memoized through the options' cache).
+// its phases.
 var fidelitySchemes = []string{"d-mod-k", "r-NCA-u", "r-NCA-d", "colored"}
 
 // fidelitySchedule is one column of the sweep: a named traffic
@@ -77,9 +77,8 @@ type FidelityRow struct {
 	MaxRelErr float64
 }
 
-// fidelityAlgo builds scheme k for the schedule's phases, memoizing
-// Colored through the options' cache.
-func fidelityAlgo(k int, tp *xgft.Topology, phases []*pattern.Pattern, opt Options) (core.Algorithm, error) {
+// fidelityAlgo builds scheme k for the schedule's phases.
+func fidelityAlgo(k int, tp *xgft.Topology, phases []*pattern.Pattern) (core.Algorithm, error) {
 	switch fidelitySchemes[k] {
 	case "d-mod-k":
 		return core.NewDModK(tp), nil
@@ -88,7 +87,7 @@ func fidelityAlgo(k int, tp *xgft.Topology, phases []*pattern.Pattern, opt Optio
 	case "r-NCA-d":
 		return core.NewRandomNCADown(tp, 1), nil
 	case "colored":
-		return coloredFor(tp, phases, opt), nil
+		return core.NewColored(tp, phases, core.ColoredConfig{}), nil
 	default:
 		return nil, fmt.Errorf("experiments: unknown fidelity scheme %q", fidelitySchemes[k])
 	}
@@ -115,12 +114,11 @@ func FidelitySweep(opt Options) ([]FidelityRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	cache := opt.tableCache()
-	analytic := evaluate.NewAnalytic(cache)
+	analytic := evaluate.NewAnalytic(opt.Cache)
 	// One venus backend for the whole sweep: its crossbar-reference
 	// memo is shared across schemes (deterministic values, so sharing
 	// cannot perturb results).
-	sim := evaluate.NewVenus(cache, venus.Config{})
+	sim := evaluate.NewVenus(opt.Cache, venus.Config{})
 	backends := []evaluate.Evaluator{analytic, sim}
 
 	nSched, nSchemes, nBackends := len(fidelitySchedules), len(fidelitySchemes), len(backends)
@@ -145,7 +143,7 @@ func FidelitySweep(opt Options) ([]FidelityRow, error) {
 	err = opt.run(nSched*cellsPerSched, func(idx int) error {
 		i, c := idx/cellsPerSched, idx%cellsPerSched
 		k, b := c/nBackends, c%nBackends
-		algo, err := fidelityAlgo(k, tp, phases[i], opt)
+		algo, err := fidelityAlgo(k, tp, phases[i])
 		if err != nil {
 			return err
 		}

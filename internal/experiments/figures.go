@@ -49,9 +49,11 @@ type Options struct {
 	// cell count of the running experiment. It is called from the
 	// sweep goroutines under a lock (never concurrently).
 	Progress func(done, total int)
-	// Cache overrides the routing-table cache. nil selects the
-	// process-wide shared cache; a zero-capacity cache
-	// (core.NewTableCache(0)) disables memoization entirely.
+	// Cache is an explicit routing-table memo for a caller that runs
+	// sweeps sharing tables (a benchmark's warm arm, a test). nil —
+	// the default — means what a nil *core.TableCache means: every
+	// cell builds its table, scores it and drops it. No sweep's
+	// values depend on it.
 	Cache *core.TableCache
 	// Evaluator overrides the scoring backend for pattern-level
 	// sweeps: nil selects the analytic congestion bound over the
@@ -83,12 +85,11 @@ func (o Options) withDefaults() Options {
 // cellScorer returns the function a sweep's cells score one
 // (topology, algorithm) pair with, doing the work every cell shares
 // before the fan-out. Analytic cells score through the options'
-// evaluator (routing tables shared through the cache). Simulated cells
-// replay one trace — lowered once, read-only from here on — on
-// simulator instances of their own, so workers share no mutable state,
-// and divide by one crossbar replay of that trace: the reference
-// depends on neither the topology nor the algorithm, so it is the
-// sweep's, not the cell's.
+// evaluator. Simulated cells replay one trace — lowered once,
+// read-only from here on — on simulator instances of their own, so
+// workers share no mutable state, and divide by one crossbar replay of
+// that trace: the reference depends on neither the topology nor the
+// algorithm, so it is the sweep's, not the cell's.
 func cellScorer(app *App, phases []*pattern.Pattern, opt Options) (func(*xgft.Topology, core.Algorithm) (float64, error), error) {
 	switch opt.Engine {
 	case Analytic:
@@ -125,35 +126,19 @@ func cellScorer(app *App, phases []*pattern.Pattern, opt Options) (func(*xgft.To
 	}
 }
 
-// coloredFor returns the pattern-aware baseline for a sweep cell,
-// memoized through the options' cache: the optimizer is deterministic
-// in (topology, phases) and costs milliseconds, so Figure2 and
-// Figure5 share one instance per sweep topology. Colored's Route is
-// read-only after construction, hence safe to share across workers.
-func coloredFor(tp *xgft.Topology, phases []*pattern.Pattern, opt Options) core.Algorithm {
-	key := "colored|" + tp.String()
-	for _, ph := range phases {
-		// Exact invariants ride along with the fingerprint so a
-		// 64-bit collision alone cannot alias two keys (the tableKey
-		// design rule).
-		key += fmt.Sprintf("|%d:%#x:%#x", len(ph.Flows), ph.TotalBytes(), ph.Fingerprint())
-	}
-	return opt.tableCache().MemoAlgorithm(key, func() core.Algorithm {
-		return core.NewColored(tp, phases, core.ColoredConfig{})
-	})
-}
-
 // fixedCellAlgo maps the fixed-baseline cell indices shared by
 // Figure2 and Figure5 (0: s-mod-k, 1: d-mod-k, 2: colored) to their
-// algorithm.
-func fixedCellAlgo(c int, tp *xgft.Topology, phases []*pattern.Pattern, opt Options) core.Algorithm {
+// algorithm. Colored is built in the one cell that scores it: the
+// optimizer is deterministic in (topology, phases) and no other cell
+// of the figure asks for this topology's instance.
+func fixedCellAlgo(c int, tp *xgft.Topology, phases []*pattern.Pattern) core.Algorithm {
 	switch c {
 	case 0:
 		return core.NewSModK(tp)
 	case 1:
 		return core.NewDModK(tp)
 	default:
-		return coloredFor(tp, phases, opt)
+		return core.NewColored(tp, phases, core.ColoredConfig{})
 	}
 }
 
@@ -211,7 +196,7 @@ func Figure2(app *App, opt Options) ([]Fig2Row, error) {
 		var algo core.Algorithm
 		var slot *float64
 		if c < fixedCells {
-			algo = fixedCellAlgo(c, tp, phases, opt)
+			algo = fixedCellAlgo(c, tp, phases)
 			slot = [...]*float64{&rows[i].SModK, &rows[i].DModK, &rows[i].Colored}[c]
 		} else {
 			seed := c - fixedCells
@@ -289,7 +274,7 @@ func Figure5(app *App, opt Options) ([]Fig5Row, error) {
 		var algo core.Algorithm
 		var slot *float64
 		if c < fixedCells {
-			algo = fixedCellAlgo(c, tp, phases, opt)
+			algo = fixedCellAlgo(c, tp, phases)
 			slot = [...]*float64{&rows[i].SModK, &rows[i].DModK, &rows[i].Colored}[c]
 		} else {
 			k := (c - fixedCells) / opt.Seeds
@@ -391,7 +376,7 @@ func Figure4(w2 int, opt Options) (*Fig4Result, error) {
 // Fig3Result decomposes CG.D-128: its aggregate connectivity matrix
 // and the per-phase slowdown of D-mod-k on the full 16-ary 2-tree
 // (the paper's "fifth phase takes ~8x longer" analysis; here 7x — see
-// EXPERIMENTS.md X1).
+// README.md, "Substitutions and known deviations").
 type Fig3Result struct {
 	Matrix      [][]int64
 	PhaseNet    []int64 // per-phase completion bound, bytes
@@ -399,9 +384,7 @@ type Fig3Result struct {
 	PhaseFactor []float64
 }
 
-// Figure3 reproduces Fig. 3. The d-mod-k phase tables are served from
-// the options' routing-table cache, so a -all run shares them with
-// the Fig. 2b/5b sweeps.
+// Figure3 reproduces Fig. 3.
 func Figure3(opt Options) (*Fig3Result, error) {
 	opt = opt.withDefaults()
 	tp, err := xgft.NewSlimmedTree(16, 16, 16)
@@ -413,7 +396,7 @@ func Figure3(opt Options) (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	net, xbar, err := contention.PhaseBoundsCached(opt.tableCache(), tp, core.NewDModK(tp), phases)
+	net, xbar, err := contention.PhaseBoundsCached(opt.Cache, tp, core.NewDModK(tp), phases)
 	if err != nil {
 		return nil, err
 	}

@@ -175,7 +175,6 @@ func TestFigure2SimulatedMatchesPerCellReference(t *testing.T) {
 		MessageBytes: 2048,
 		W2Values:     []int{16, 10, 4},
 		Parallelism:  4,
-		Cache:        core.NewTableCache(0),
 	}
 	rows, err := Figure2(app, opt)
 	if err != nil {

@@ -190,7 +190,13 @@ func PlacementSweep(opt Options) ([]PlacementRow, error) {
 	}
 	seeds := opt.Seeds
 	nPol := len(placementPolicies)
-	cache := opt.tableCache()
+	if opt.Cache == nil {
+		// Sweep-local, one entry: every cell's fabric starts from
+		// d-mod-k over all pairs, and the singleflight makes the cells
+		// that ask at t=0 wait for one build. At -seeds 12: 47 hits /
+		// 1 miss, a fifth less CPU (1.01 s against 1.27 s without).
+		opt.Cache = core.NewTableCache(1)
+	}
 	// slows[k][s] and frags[k][s]: policy k, seed s; variable-length
 	// per cell, concatenated in (policy, seed, event) order after the
 	// pool drains.
@@ -211,7 +217,7 @@ func PlacementSweep(opt Options) ([]PlacementRow, error) {
 		f, err := fabric.New(fabric.Config{
 			Topo:      tp,
 			Algo:      core.NewDModK(tp),
-			Cache:     cache,
+			Cache:     opt.Cache,
 			Telemetry: true,
 			Evaluator: opt.evaluator(),
 		})

@@ -3,17 +3,10 @@ package experiments
 import (
 	"bytes"
 	"testing"
-
-	"repro/internal/core"
 )
 
 func placementOpts(par int) Options {
-	return Options{
-		Seeds:       3,
-		Parallelism: par,
-		// A private cache keeps the test hermetic from the shared one.
-		Cache: core.NewTableCache(64),
-	}
+	return Options{Seeds: 3, Parallelism: par}
 }
 
 func TestPlacementSweepPolicyOrdering(t *testing.T) {

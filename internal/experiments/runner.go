@@ -3,7 +3,6 @@ package experiments
 import (
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/evaluate"
 )
 
@@ -23,31 +22,14 @@ import (
 // Errors are deterministic too: the error of the lowest-indexed
 // failing cell is returned, regardless of completion order.
 
-// sharedTableCache is the process-wide routing-table cache used when
-// Options.Cache is nil: `cmd/experiments -all` reuses tables across
-// figures (Figure2 and Figure5 share all fixed-algorithm and Random
-// cells; Figure3 shares d-mod-k tables with the CG sweeps).
-var sharedTableCache = core.NewTableCache(4096)
-
-// SharedTableCache exposes the process-wide cache (for stats
-// reporting and tests).
-func SharedTableCache() *core.TableCache { return sharedTableCache }
-
-// tableCache resolves the cache an experiment run should use.
-func (o Options) tableCache() *core.TableCache {
-	if o.Cache != nil {
-		return o.Cache
-	}
-	return sharedTableCache
-}
-
 // evaluator resolves the scoring backend pattern-level sweeps use:
-// the injected one, or the analytic bound over the options' cache.
+// the injected one, or the analytic bound over the options' cache
+// (nil unless the caller supplied one: build, score, drop).
 func (o Options) evaluator() evaluate.Evaluator {
 	if o.Evaluator != nil {
 		return o.Evaluator
 	}
-	return evaluate.NewAnalytic(o.tableCache())
+	return evaluate.NewAnalytic(o.Cache)
 }
 
 // runCells executes fn(0..n-1) on a pool of the given width, invoking

@@ -4,23 +4,17 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
 )
 
-// uncached returns options that bypass the shared table cache, so
-// determinism tests compare actual recomputation, not cache hits.
-func uncached(opt Options) Options {
-	opt.Cache = core.NewTableCache(0)
-	return opt
-}
-
 // TestFigure2ParallelByteIdentical is the engine's core contract: a
 // parallel sweep renders byte-identically to the sequential one.
 func TestFigure2ParallelByteIdentical(t *testing.T) {
 	app := CGApp()
-	base := uncached(Options{Seeds: 6, W2Values: []int{16, 9, 2}})
+	base := Options{Seeds: 6, W2Values: []int{16, 9, 2}}
 
 	seq := base
 	seq.Parallelism = 1
@@ -47,7 +41,7 @@ func TestFigure2ParallelByteIdentical(t *testing.T) {
 
 func TestFigure5ParallelMatchesSequential(t *testing.T) {
 	app := WRFApp()
-	base := uncached(Options{Seeds: 4, W2Values: []int{16, 8}})
+	base := Options{Seeds: 4, W2Values: []int{16, 8}}
 	seq := base
 	seq.Parallelism = 1
 	seqRows, err := Figure5(app, seq)
@@ -66,7 +60,7 @@ func TestFigure5ParallelMatchesSequential(t *testing.T) {
 }
 
 func TestDeepTreeSweepParallelMatchesSequential(t *testing.T) {
-	base := uncached(Options{Seeds: 3, MessageBytes: 8 * 1024})
+	base := Options{Seeds: 3, MessageBytes: 8 * 1024}
 	seq := base
 	seq.Parallelism = 1
 	seqRows, err := DeepTreeSweep(seq)
@@ -85,11 +79,11 @@ func TestDeepTreeSweepParallelMatchesSequential(t *testing.T) {
 }
 
 func TestFigure4ParallelMatchesSequential(t *testing.T) {
-	seqRes, err := Figure4(10, uncached(Options{Seeds: 4, Parallelism: 1}))
+	seqRes, err := Figure4(10, Options{Seeds: 4, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parRes, err := Figure4(10, uncached(Options{Seeds: 4, Parallelism: 8}))
+	parRes, err := Figure4(10, Options{Seeds: 4, Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,15 +92,14 @@ func TestFigure4ParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestCachedMatchesUncached pins the cache's correctness contract:
-// serving tables from the cache must not change any figure value.
+// TestCachedMatchesUncached pins the cache's correctness contract: an
+// explicit Options.Cache serving tables must not change any figure
+// value the zero Options (build, score, drop) produce.
 func TestCachedMatchesUncached(t *testing.T) {
 	app := CGApp()
 	base := Options{Seeds: 4, W2Values: []int{16, 6}, Parallelism: 8}
 
-	cold := base
-	cold.Cache = core.NewTableCache(0)
-	coldRows, err := Figure2(app, cold)
+	coldRows, err := Figure2(app, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +122,39 @@ func TestCachedMatchesUncached(t *testing.T) {
 	}
 }
 
+// TestFigureSweepsRetainNothing holds the sweeps to build-score-drop:
+// with the zero Options.Cache, once Figure2 and Figure5 have returned
+// the heap is back at its pre-run reading. The two runs build about
+// 80 (topology, scheme) table sets of 5 CG phases, some 3 MB of
+// routes; a cache under the sweeps that pinned them would read that
+// much higher, the margin is a tenth of it.
+func TestFigureSweepsRetainNothing(t *testing.T) {
+	app := CGApp()
+	opt := Options{Seeds: 12, W2Values: []int{16, 10}, Parallelism: 2}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // a second cycle frees what the first one's finalizers released
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	if _, err := Figure2(app, opt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Figure5(app, opt); err != nil {
+		t.Fatal(err)
+	}
+	const margin = 300 << 10
+	if after := heap(); after > before+margin {
+		t.Errorf("heap grew %d KB across Figure2+Figure5 (margin %d KB): something retains the tables", (after-before)>>10, margin>>10)
+	}
+}
+
 func TestProgressReporting(t *testing.T) {
 	var calls []int
 	lastTotal := 0
-	opt := uncached(Options{
+	opt := Options{
 		Seeds:       3,
 		W2Values:    []int{16, 4},
 		Parallelism: 8,
@@ -140,7 +162,7 @@ func TestProgressReporting(t *testing.T) {
 			calls = append(calls, done)
 			lastTotal = total
 		},
-	})
+	}
 	if _, err := Figure2(CGApp(), opt); err != nil {
 		t.Fatal(err)
 	}

@@ -5,12 +5,11 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 )
 
 func TestShiftSweepOnlineNeverWorseThanStatic(t *testing.T) {
-	opt := experiments.Options{Seeds: 4, Parallelism: 2, Cache: core.NewTableCache(64)}
+	opt := experiments.Options{Seeds: 4, Parallelism: 2}
 	rows, err := experiments.ShiftSweep(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -52,9 +51,7 @@ func TestShiftSweepOnlineNeverWorseThanStatic(t *testing.T) {
 
 func TestShiftSweepParallelismInvariant(t *testing.T) {
 	run := func(parallel int) []experiments.ShiftRow {
-		rows, err := experiments.ShiftSweep(experiments.Options{
-			Seeds: 3, Parallelism: parallel, Cache: core.NewTableCache(64),
-		})
+		rows, err := experiments.ShiftSweep(experiments.Options{Seeds: 3, Parallelism: parallel})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,8 @@ const DefaultCGPhaseBytes = 750 * 1024
 
 // DefaultWRFBytes is the per-message halo size used for WRF. The
 // paper does not state it; slowdowns are ratios, so the choice only
-// scales absolute times (see DESIGN.md substitution #5).
+// scales absolute times (see README.md, "Substitutions and known
+// deviations", #5).
 const DefaultWRFBytes = 512 * 1024
 
 // WRF builds the paper's WRF-256 communication structure on a

@@ -73,7 +73,7 @@ func quantile(sorted []float64, q float64) float64 {
 // IQR returns the interquartile range.
 func (s Summary) IQR() float64 { return s.Q3 - s.Q1 }
 
-// String renders the summary the way EXPERIMENTS.md tables expect.
+// String renders the five-number summary and sample count on one line.
 func (s Summary) String() string {
 	return fmt.Sprintf("min=%.3f q1=%.3f med=%.3f q3=%.3f max=%.3f (n=%d)",
 		s.Min, s.Q1, s.Median, s.Q3, s.Max, s.N)

@@ -1,8 +1,8 @@
 // Package traces generates the synthetic application traces that
 // substitute for the paper's post-mortem WRF-256 and NAS CG.D-128
-// traces (DESIGN.md, substitution #1): the communication structure is
-// exactly the one the paper documents; compute intervals are
-// parameters.
+// traces (README.md, "Substitutions and known deviations", #1): the
+// communication structure is exactly the one the paper documents;
+// compute intervals are parameters.
 package traces
 
 import (

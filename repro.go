@@ -115,14 +115,11 @@ type App = experiments.App
 
 // ExperimentOptions parameterizes figure sweeps: engine, seed count,
 // message sizes, the Parallelism of the sweep worker pool, an
-// optional Progress callback, and the routing-table Cache. Parallel
+// optional Progress callback, and an optional explicit routing-table
+// Cache (nil: every cell builds its table and drops it). Parallel
 // runs are byte-identical to sequential ones (each sweep cell derives
 // its randomness from its own coordinates).
 type ExperimentOptions = experiments.Options
-
-// RoutingTableCache memoizes BuildTable results across sweeps, keyed
-// by (topology spec, algorithm identity, pattern fingerprint).
-type RoutingTableCache = core.TableCache
 
 // Topology constructors.
 var (
@@ -222,9 +219,6 @@ var (
 	// AutoModK picks S-mod-k or D-mod-k from the pattern's asymmetry
 	// (the paper's §VII-C heuristic).
 	AutoModK = core.AutoModK
-	// NewRoutingTableCache builds a bounded routing-table cache;
-	// capacity <= 0 disables memoization (every build recomputes).
-	NewRoutingTableCache = core.NewTableCache
 	// NewFixedTable builds an empty explicit route table.
 	NewFixedTable = core.NewFixedTable
 	// SnapshotRoutes freezes an algorithm's routes for given pairs.
