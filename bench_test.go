@@ -173,14 +173,29 @@ func BenchmarkRoutingTableWRF(b *testing.B) {
 	}
 }
 
+// BenchmarkColoredOptimizer builds the pattern-aware candidate for the
+// figures' input (the five CG phases on the full tree) and for the
+// daemon's (one keyed 1 024-flow observed phase on the slimmed tree,
+// what every Fabric.Optimize pass under churn hands it).
 func BenchmarkColoredOptimizer(b *testing.B) {
-	tp, err := xgft.NewSlimmedTree(16, 16, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	phases := repro.CGD128Phases()
-	for i := 0; i < b.N; i++ {
-		_ = core.NewColored(tp, phases, core.ColoredConfig{})
+	for _, c := range []struct {
+		name   string
+		w2     int
+		phases []*pattern.Pattern
+	}{
+		{"cg-w16", 16, repro.CGD128Phases()},
+		{"keyed1024-w10", 10, []*pattern.Pattern{pattern.UniformRandom(256, 4, 64*1024, 7)}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			tp, err := xgft.NewSlimmedTree(16, 16, c.w2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = core.NewColored(tp, c.phases, core.ColoredConfig{})
+			}
+		})
 	}
 }
 

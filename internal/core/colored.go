@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/pattern"
@@ -56,22 +56,34 @@ func (c ColoredConfig) withDefaults() ColoredConfig {
 // (each phase contends only with itself, matching the paper's
 // per-phase extraction of connectivity matrices). Pairs appearing in
 // several phases keep their first assignment; pairs outside every
-// phase fall back to D-mod-k.
+// phase fall back to D-mod-k. A flow with an endpoint outside
+// [0, t.Leaves()) is skipped: there is no error to return it in
+// (NewByName refuses such a phase before constructing).
 func NewColored(t *xgft.Topology, phases []*pattern.Pattern, cfg ColoredConfig) *Colored {
 	cfg = cfg.withDefaults()
-	c := &Colored{
-		topo:     t,
-		fallback: NewDModK(t),
-		routes:   make(map[int][]int),
-	}
-	for _, ph := range phases {
-		c.optimizePhase(ph, cfg)
-	}
 	id := mix(uint64(cfg.MaxPasses), uint64(cfg.MaxCandidates), cfg.Seed)
 	var totalBytes int64
+	flows := 0
 	for _, ph := range phases {
 		id = mix(id, ph.Fingerprint())
 		totalBytes += ph.TotalBytes()
+		flows += len(ph.Flows)
+	}
+	c := &Colored{
+		topo:     t,
+		fallback: NewDModK(t),
+		routes:   make(map[int][]int, flows),
+	}
+	n := t.Leaves()
+	o := &optimizer{
+		c:    c,
+		cfg:  cfg,
+		st:   newPhaseState(t),
+		seen: make([]uint64, (n*n+63)/64),
+		full: make([][][]int, t.Height()+1),
+	}
+	for _, ph := range phases {
+		o.phase(ph)
 	}
 	// Cheap exact invariants (phase count, byte total) ride along with
 	// the hash so a 64-bit collision alone cannot alias two keys,
@@ -127,154 +139,192 @@ func (c *Colored) Route(src, dst int) xgft.Route {
 
 // phaseState tracks, per channel and direction, how many flows of
 // each endpoint group currently use it, plus the number of distinct
-// groups. Potential = sum over channels of groups^2; distinct groups
-// on one channel serialize each other (network contention), while
-// flows within one group are already serialized at their endpoint and
-// cost nothing extra (§IV).
+// groups. The optimizer minimizes the sum over channels of groups^2:
+// distinct groups on one channel serialize each other (network
+// contention), while flows within one group are already serialized at
+// their endpoint and cost nothing extra (§IV).
+//
+// Only the leaves under a channel's child-side node can send up it or
+// receive down it (Topology.LeavesUnder), so a channel leaving level l
+// owns m_1*...*m_l consecutive cells, one per such leaf, and slot[ch]
+// is its first cell's index less its first leaf: leaf x's count on ch
+// is counts[slot[ch]+x]. A state holds sum_l ChannelsAt(l)*m_1*...*m_l
+// four-byte cells a direction (2 816 on XGFT(2;16,16;1,10), 1.1 M on
+// XGFT(3;16,16,16;1,16,16)) and is cleared, not rebuilt, between phases.
 type phaseState struct {
 	topo       *xgft.Topology
-	upCounts   []map[int]int // by source
-	downCounts []map[int]int // by destination
-	upGroups   []int
-	downGroups []int
-	potential  int64
+	slot       []int32 // by channel
+	upCounts   []int32 // by slot[ch] + source
+	downCounts []int32 // by slot[ch] + destination
+	upGroups   []int32 // by channel
+	downGroups []int32
 }
 
 func newPhaseState(t *xgft.Topology) *phaseState {
 	n := t.TotalChannels()
-	return &phaseState{
+	st := &phaseState{
 		topo:       t,
-		upCounts:   make([]map[int]int, n),
-		downCounts: make([]map[int]int, n),
-		upGroups:   make([]int, n),
-		downGroups: make([]int, n),
+		slot:       make([]int32, n),
+		upGroups:   make([]int32, n),
+		downGroups: make([]int32, n),
 	}
+	cells, span := 0, 1
+	for l := 0; l < t.Height(); l++ {
+		for idx := 0; idx < t.NodesAt(l); idx++ {
+			lo, _ := t.LeavesUnder(l, idx)
+			for p := 0; p < t.W(l); p++ {
+				st.slot[t.UpChannelID(l, idx, p)] = int32(cells - lo)
+				cells += span
+			}
+		}
+		span *= t.M(l)
+	}
+	st.upCounts = make([]int32, cells)
+	st.downCounts = make([]int32, cells)
+	return st
+}
+
+// load applies every flow of the phase that has both endpoints on the
+// tree, on the ascent algo routes it by.
+func (st *phaseState) load(ph *pattern.Pattern, algo Algorithm) *phaseState {
+	for _, f := range ph.Flows {
+		if f.Src != f.Dst && st.onTree(f) {
+			st.apply(f, algo.Route(f.Src, f.Dst).Up, 1)
+		}
+	}
+	return st
+}
+
+// onTree reports whether both endpoints are leaves: a flow with one
+// outside would index another channel's cells.
+func (st *phaseState) onTree(f pattern.Flow) bool {
+	n := st.topo.Leaves()
+	return f.Src >= 0 && f.Src < n && f.Dst >= 0 && f.Dst < n
+}
+
+// maxGroups is the largest number of endpoint groups sharing one
+// channel in either direction (1 = conflict-free).
+func (st *phaseState) maxGroups() int {
+	return int(max(slices.Max(st.upGroups), slices.Max(st.downGroups)))
 }
 
 // apply and cost visit the channels xgft.Route.Walk would — the ascent
 // from the source, the descent towards the destination — but inline,
-// with no Route value and no callback: they are the optimizer's inner
-// loop, called once per candidate per flow per sweep. apply keeps
-// Walk's order (up, then down from the NCA); cost only sums integers
-// over channels no two of which are the same, so it takes both halves
-// level by level.
+// level by level, with no Route value and no callback: they are the
+// optimizer's inner loop, called once per candidate per flow per
+// sweep. No two of those channels are the same, so the order is free.
 
-func (st *phaseState) apply(f pattern.Flow, up []int, delta int) {
+//repro:hotpath
+func (st *phaseState) apply(f pattern.Flow, up []int, delta int32) {
 	t := st.topo
-	idx := f.Src
+	a, b := f.Src, f.Dst // the nodes the ascent and the descent pass at level l
 	for l, p := range up {
-		ch := t.UpChannelID(l, idx, p)
-		st.bump(st.upCounts, st.upGroups, ch, f.Src, delta)
-		idx = t.ChannelParent(ch)
-	}
-	var down [xgft.MaxHeight]int
-	idx = f.Dst
-	for l, p := range up {
-		down[l] = t.UpChannelID(l, idx, p)
-		idx = t.ChannelParent(down[l])
-	}
-	for l := len(up) - 1; l >= 0; l-- {
-		st.bump(st.downCounts, st.downGroups, down[l], f.Dst, delta)
+		ch := t.UpChannelID(l, a, p)
+		bump(st.upCounts, st.upGroups, ch, int(st.slot[ch])+f.Src, delta)
+		a = t.ChannelParent(ch)
+		ch = t.UpChannelID(l, b, p)
+		bump(st.downCounts, st.downGroups, ch, int(st.slot[ch])+f.Dst, delta)
+		b = t.ChannelParent(ch)
 	}
 }
 
-// bump adds delta (+1 or -1) to the endpoint group's flow count on one
-// directed channel, keeping the channel's group count and the
-// potential in step.
-func (st *phaseState) bump(counts []map[int]int, groups []int, ch, key, delta int) {
-	if counts[ch] == nil {
-		counts[ch] = make(map[int]int)
-	}
-	g := int64(groups[ch])
-	counts[ch][key] += delta
-	switch counts[ch][key] {
-	case 0:
-		if delta < 0 {
-			groups[ch]--
-			st.potential += (g-1)*(g-1) - g*g
-		}
-	case delta: // 0 -> 1 when adding
-		if delta > 0 {
-			groups[ch]++
-			st.potential += (g+1)*(g+1) - g*g
-		}
+// bump adds delta (+1 or -1) to one endpoint group's flow count on one
+// directed channel, keeping the channel's group count in step.
+//
+//repro:hotpath
+func bump(counts, groups []int32, ch, cell int, delta int32) {
+	was := counts[cell]
+	counts[cell] = was + delta
+	if was == 0 {
+		groups[ch]++
+	} else if was+delta == 0 {
+		groups[ch]--
 	}
 }
 
 // cost evaluates the potential delta of adding the flow with the given
-// ascent without mutating state.
+// ascent without mutating state: a channel of g groups the flow's own
+// group is not on yet goes to g+1, (g+1)^2 - g^2 = 2g+1 dearer.
+//
+//repro:hotpath
 func (st *phaseState) cost(f pattern.Flow, up []int) int64 {
 	t := st.topo
 	var delta int64
-	a, b := f.Src, f.Dst // the nodes the ascent and the descent pass at level l
+	a, b := f.Src, f.Dst
 	for l, p := range up {
 		ch := t.UpChannelID(l, a, p)
-		if st.upCounts[ch][f.Src] == 0 {
-			g := int64(st.upGroups[ch])
-			delta += (g+1)*(g+1) - g*g
+		if st.upCounts[int(st.slot[ch])+f.Src] == 0 {
+			delta += 2*int64(st.upGroups[ch]) + 1
 		}
 		a = t.ChannelParent(ch)
 		ch = t.UpChannelID(l, b, p)
-		if st.downCounts[ch][f.Dst] == 0 {
-			g := int64(st.downGroups[ch])
-			delta += (g+1)*(g+1) - g*g
+		if st.downCounts[int(st.slot[ch])+f.Dst] == 0 {
+			delta += 2*int64(st.downGroups[ch]) + 1
 		}
 		b = t.ChannelParent(ch)
 	}
 	return delta
 }
 
-func (c *Colored) optimizePhase(ph *pattern.Pattern, cfg ColoredConfig) {
-	type job struct {
-		flow pattern.Flow
-		cand [][]int
-		pick int
-	}
-	var jobs []*job
-	seen := make(map[[2]int]bool)
-	st := newPhaseState(c.topo)
+// job is one flow the optimizer places: its candidate ascents (shared
+// with every flow of the same NCA level unless sampled) and the pick.
+type job struct {
+	flow pattern.Flow
+	cand [][]int
+	pick int
+}
+
+// optimizer is what NewColored builds once and every phase reuses.
+type optimizer struct {
+	c    *Colored
+	cfg  ColoredConfig
+	st   *phaseState
+	seen []uint64  // bitmap by pairKey: pairs the current phase has listed
+	full [][][]int // by NCA level: every ascent, enumerated on first use
+	jobs []job
+}
+
+func (o *optimizer) phase(ph *pattern.Pattern) {
+	c, st := o.c, o.st
+	clear(st.upCounts)
+	clear(st.downCounts)
+	clear(st.upGroups)
+	clear(st.downGroups)
+	clear(o.seen)
+	jobs := o.jobs[:0]
 	for _, f := range ph.Flows {
-		if f.Src == f.Dst {
+		if f.Src == f.Dst || !st.onTree(f) {
 			continue
 		}
-		key := [2]int{f.Src, f.Dst}
-		if seen[key] {
+		key := c.pairKey(f.Src, f.Dst)
+		if o.seen[key>>6]&(1<<(key&63)) != 0 {
 			continue
 		}
-		seen[key] = true
-		if prior, ok := c.routes[c.pairKey(f.Src, f.Dst)]; ok {
+		o.seen[key>>6] |= 1 << (key & 63)
+		if prior, ok := c.routes[key]; ok {
 			// Fixed by an earlier phase: count its load, don't move it.
 			st.apply(f, prior, 1)
 			continue
 		}
-		jobs = append(jobs, &job{flow: f, cand: c.candidates(f, cfg), pick: -1})
+		jobs = append(jobs, job{flow: f, cand: o.candidates(f)})
 	}
+	o.jobs = jobs
 	// Deterministic order: heaviest flows first, then by pair.
-	sort.SliceStable(jobs, func(i, j int) bool {
-		if jobs[i].flow.Bytes != jobs[j].flow.Bytes {
-			return jobs[i].flow.Bytes > jobs[j].flow.Bytes
-		}
-		if jobs[i].flow.Src != jobs[j].flow.Src {
-			return jobs[i].flow.Src < jobs[j].flow.Src
-		}
-		return jobs[i].flow.Dst < jobs[j].flow.Dst
+	slices.SortFunc(jobs, func(x, y job) int {
+		return cmp.Or(cmp.Compare(y.flow.Bytes, x.flow.Bytes),
+			cmp.Compare(x.flow.Src, y.flow.Src), cmp.Compare(x.flow.Dst, y.flow.Dst))
 	})
-	// Greedy construction.
-	for _, jb := range jobs {
-		best, bestCost := 0, int64(1)<<62
-		for i, cand := range jb.cand {
-			if cost := st.cost(jb.flow, cand); cost < bestCost {
-				best, bestCost = i, cost
+	// Pass 0 is the greedy construction: each flow in turn takes its
+	// cheapest ascent given the ones before it, the first on ties. The
+	// later passes are hill-climbing sweeps: lift a flow, put it back
+	// where it is cheapest now, stay put on ties.
+	for pass := 0; pass <= o.cfg.MaxPasses; pass++ {
+		improved := pass == 0
+		for j := range jobs {
+			jb := &jobs[j]
+			if pass > 0 {
+				st.apply(jb.flow, jb.cand[jb.pick], -1)
 			}
-		}
-		jb.pick = best
-		st.apply(jb.flow, jb.cand[best], 1)
-	}
-	// Hill-climbing sweeps.
-	for pass := 0; pass < cfg.MaxPasses; pass++ {
-		improved := false
-		for _, jb := range jobs {
-			st.apply(jb.flow, jb.cand[jb.pick], -1)
 			best, bestCost := jb.pick, st.cost(jb.flow, jb.cand[jb.pick])
 			for i, cand := range jb.cand {
 				if i == jb.pick {
@@ -299,45 +349,36 @@ func (c *Colored) optimizePhase(ph *pattern.Pattern, cfg ColoredConfig) {
 	}
 }
 
-// candidates enumerates ascent vectors for a flow: the full cartesian
-// product of up-port choices when small, otherwise the two mod-k
-// defaults plus a deterministic random sample.
-func (c *Colored) candidates(f pattern.Flow, cfg ColoredConfig) [][]int {
-	l := c.topo.NCALevel(f.Src, f.Dst)
-	total := 1
-	for lvl := 0; lvl < l; lvl++ {
-		total *= c.topo.W(lvl)
-		if total > cfg.MaxCandidates {
-			break
-		}
-	}
-	if total <= cfg.MaxCandidates {
-		out := make([][]int, 0, total)
-		cur := make([]int, l)
-		for {
-			out = append(out, append([]int(nil), cur...))
-			lvl := 0
-			for ; lvl < l; lvl++ {
-				cur[lvl]++
-				if cur[lvl] < c.topo.W(lvl) {
-					break
+// candidates returns the ascent vectors to try for a flow: the full
+// cartesian product of up-port choices when small — it depends on the
+// pair's NCA level alone, so one read-only set serves every such flow
+// — otherwise the two mod-k defaults plus a deterministic random
+// sample of the flow's own.
+func (o *optimizer) candidates(f pattern.Flow) [][]int {
+	t := o.c.topo
+	l := t.NCALevel(f.Src, f.Dst)
+	if total := t.NCACount(l); total <= o.cfg.MaxCandidates {
+		if o.full[l] == nil {
+			arena := make([]int, total*l)
+			o.full[l] = make([][]int, total)
+			for i := range o.full[l] {
+				cand := arena[i*l : (i+1)*l : (i+1)*l]
+				for lvl, rest := 0, i; lvl < l; lvl++ {
+					cand[lvl], rest = rest%t.W(lvl), rest/t.W(lvl)
 				}
-				cur[lvl] = 0
-			}
-			if lvl == l {
-				break
+				o.full[l][i] = cand
 			}
 		}
-		return out
+		return o.full[l]
 	}
 	out := [][]int{
-		c.fallback.Route(f.Src, f.Dst).Up,
-		NewSModK(c.topo).Route(f.Src, f.Dst).Up,
+		o.c.fallback.Route(f.Src, f.Dst).Up,
+		NewSModK(t).Route(f.Src, f.Dst).Up,
 	}
-	for k := 0; len(out) < cfg.MaxCandidates; k++ {
+	for k := 0; len(out) < o.cfg.MaxCandidates; k++ {
 		cand := make([]int, l)
 		for lvl := 0; lvl < l; lvl++ {
-			cand[lvl] = uniform(mix(cfg.Seed, uint64(f.Src), uint64(f.Dst), uint64(k), uint64(lvl)), c.topo.W(lvl))
+			cand[lvl] = uniform(mix(o.cfg.Seed, uint64(f.Src), uint64(f.Dst), uint64(k), uint64(lvl)), t.W(lvl))
 		}
 		out = append(out, cand)
 	}
@@ -348,23 +389,5 @@ func (c *Colored) candidates(f pattern.Flow, cfg ColoredConfig) [][]int {
 // routes Colored assigned for a phase — used by tests to verify that
 // permutations on full trees are routed conflict-free.
 func (c *Colored) MaxGroups(ph *pattern.Pattern) int {
-	st := newPhaseState(c.topo)
-	for _, f := range ph.Flows {
-		if f.Src == f.Dst {
-			continue
-		}
-		st.apply(f, c.Route(f.Src, f.Dst).Up, 1)
-	}
-	max := 0
-	for _, g := range st.upGroups {
-		if g > max {
-			max = g
-		}
-	}
-	for _, g := range st.downGroups {
-		if g > max {
-			max = g
-		}
-	}
-	return max
+	return newPhaseState(c.topo).load(ph, c).maxGroups()
 }

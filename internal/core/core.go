@@ -98,14 +98,22 @@ func ownedRoute(src, dst int, up []int) xgft.Route {
 	return r
 }
 
+// fits refuses a pattern with more endpoints than the tree has leaves.
+func fits(t *xgft.Topology, p *pattern.Pattern) error {
+	if p.N > t.Leaves() {
+		return fmt.Errorf("core: pattern over %d endpoints does not fit %d leaves", p.N, t.Leaves())
+	}
+	return nil
+}
+
 // BuildTable computes routes for every flow of the pattern. Self-flows
 // get empty routes. The table is validated on construction. Ascents of
 // the package's oblivious schemes are carved out of one arena per
 // table, each capped at its own length so appending to one route's Up
 // cannot reach its neighbour's.
 func BuildTable(t *xgft.Topology, algo Algorithm, p *pattern.Pattern) (*Table, error) {
-	if p.N > t.Leaves() {
-		return nil, fmt.Errorf("core: pattern over %d endpoints does not fit %d leaves", p.N, t.Leaves())
+	if err := fits(t, p); err != nil {
+		return nil, err
 	}
 	tbl := &Table{Topo: t, Algo: algo.Name(), Routes: make([]xgft.Route, len(p.Flows))}
 	asc, buffered := algo.(ascender)

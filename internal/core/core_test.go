@@ -2,6 +2,8 @@ package core
 
 import (
 	"repro/internal/hashutil"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -432,19 +434,7 @@ func TestColoredBeatsDModKOnCGPhase5(t *testing.T) {
 		t.Fatal(err)
 	}
 	dmodk := NewDModK(tp)
-	st := newPhaseState(tp)
-	for _, f := range ph.Flows {
-		if f.Src == f.Dst {
-			continue
-		}
-		st.apply(f, dmodk.Route(f.Src, f.Dst).Up, 1)
-	}
-	dmax := 0
-	for _, g := range st.upGroups {
-		if g > dmax {
-			dmax = g
-		}
-	}
+	dmax := newPhaseState(tp).load(ph, dmodk).maxGroups()
 	if dmax < 7 {
 		t.Fatalf("expected D-mod-k pathology (>=7 groups per channel), got %d", dmax)
 	}
@@ -473,6 +463,49 @@ func TestNewByName(t *testing.T) {
 	}
 	if _, err := NewByName("colored", tp, 1, nil); err == nil {
 		t.Error("colored without phases accepted")
+	}
+}
+
+// A phase wider than the tree used to die inside the optimizer with an
+// index out of range; NewByName now refuses it with BuildTable's error
+// for both pattern-aware names.
+func TestNewByNameRefusesOversizedPhase(t *testing.T) {
+	tp := xgft.MustNew(2, []int{4, 4}, []int{1, 2})
+	wide := []*pattern.Pattern{pattern.Shift(32, 5, 1024)}
+	for _, name := range []string{"colored", "level-wise"} {
+		_, err := NewByName(name, tp, 1, wide)
+		if err == nil || !strings.Contains(err.Error(), "pattern over 32 endpoints does not fit 16 leaves") {
+			t.Errorf("%s over a 32-endpoint phase on 16 leaves: err = %v", name, err)
+		}
+	}
+	if _, err := NewLevelWise(tp, wide); err == nil {
+		t.Error("NewLevelWise accepted a 32-endpoint phase on 16 leaves")
+	}
+}
+
+// NewColored has no error to return: it skips the flows that have an
+// endpoint off the tree and assigns the rest as if they were the phase.
+func TestColoredSkipsFlowsOffTheTree(t *testing.T) {
+	tp := xgft.MustNew(2, []int{4, 4}, []int{1, 2})
+	wide := pattern.Shift(32, 5, 1024)
+	onTree := pattern.New(16)
+	for _, f := range wide.Flows {
+		if f.Src < 16 && f.Dst < 16 {
+			onTree.Add(f.Src, f.Dst, f.Bytes)
+		}
+	}
+	col := NewColored(tp, []*pattern.Pattern{wide}, ColoredConfig{})
+	got, want := col.Assignments(), NewColored(tp, []*pattern.Pattern{onTree}, ColoredConfig{}).Assignments()
+	if len(got) != len(want) || len(got) != len(onTree.Flows) {
+		t.Fatalf("%d assignments, want %d (the flows with both endpoints on the tree)", len(got), len(onTree.Flows))
+	}
+	for i := range want {
+		if got[i].Src != want[i].Src || got[i].Dst != want[i].Dst || !slices.Equal(got[i].Up, want[i].Up) {
+			t.Errorf("assignment %d is %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if g, w := col.MaxGroups(wide), col.MaxGroups(onTree); g != w {
+		t.Errorf("MaxGroups over the wide phase = %d, over its on-tree flows %d", g, w)
 	}
 }
 
@@ -540,6 +573,22 @@ func TestMul64(t *testing.T) {
 		hi, lo := mul64(c.a, c.b)
 		if hi != c.hi || lo != c.lo {
 			t.Errorf("mul64(%#x,%#x) = (%#x,%#x), want (%#x,%#x)", c.a, c.b, hi, lo, c.hi, c.lo)
+		}
+	}
+}
+
+// The cell counts ARCHITECTURE and phaseState's comment quote.
+func TestPhaseStateCells(t *testing.T) {
+	for _, c := range []struct {
+		tp   *xgft.Topology
+		want int
+	}{
+		{paperTree(t, 10), 2816},
+		{xgft.MustNew(3, []int{16, 16, 16}, []int{1, 16, 16}), 1118208},
+	} {
+		st := newPhaseState(c.tp)
+		if len(st.upCounts) != c.want || len(st.downCounts) != c.want {
+			t.Errorf("%s: %d up and %d down cells, want %d", c.tp, len(st.upCounts), len(st.downCounts), c.want)
 		}
 	}
 }

@@ -19,7 +19,8 @@ func AlgorithmNames() []string {
 
 // NewByName constructs a routing algorithm by its paper name. The
 // seed matters only for the randomized schemes; phases are required
-// only by "colored" (pattern-aware).
+// only by the pattern-aware "colored" and "level-wise", and must fit
+// the tree.
 func NewByName(name string, t *xgft.Topology, seed uint64, phases []*pattern.Pattern) (Algorithm, error) {
 	switch name {
 	case "s-mod-k":
@@ -32,16 +33,19 @@ func NewByName(name string, t *xgft.Topology, seed uint64, phases []*pattern.Pat
 		return NewRandomNCAUp(t, seed), nil
 	case "r-NCA-d":
 		return NewRandomNCADown(t, seed), nil
-	case "colored":
+	case "colored", "level-wise":
 		if len(phases) == 0 {
-			return nil, fmt.Errorf("core: colored routing needs the communication phases")
+			return nil, fmt.Errorf("core: %s routing needs the communication phases", name)
+		}
+		for _, ph := range phases {
+			if err := fits(t, ph); err != nil {
+				return nil, err
+			}
+		}
+		if name == "level-wise" {
+			return NewLevelWise(t, phases)
 		}
 		return NewColored(t, phases, ColoredConfig{Seed: seed}), nil
-	case "level-wise":
-		if len(phases) == 0 {
-			return nil, fmt.Errorf("core: level-wise routing needs the communication phases")
-		}
-		return NewLevelWise(t, phases)
 	default:
 		return nil, fmt.Errorf("core: unknown routing algorithm %q (known: %v)", name, AlgorithmNames())
 	}

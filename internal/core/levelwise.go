@@ -32,7 +32,8 @@ type LevelWise struct {
 // NewLevelWise schedules every phase of the pattern sequence
 // independently (phases contend only with themselves). Non-permutation
 // phases are legal: degrees just exceed one and the balanced coloring
-// spreads them. Pairs outside the phases fall back to D-mod-k.
+// spreads them; a phase over more endpoints than the tree has leaves is
+// an error. Pairs outside the phases fall back to D-mod-k.
 func NewLevelWise(t *xgft.Topology, phases []*pattern.Pattern) (*LevelWise, error) {
 	lw := &LevelWise{
 		topo:     t,
@@ -66,6 +67,9 @@ type lwFlow struct {
 
 func (lw *LevelWise) schedulePhase(ph *pattern.Pattern) error {
 	t := lw.topo
+	if err := fits(t, ph); err != nil {
+		return err
+	}
 	var flows []*lwFlow
 	seen := make(map[[2]int]bool)
 	for _, f := range ph.Flows {
@@ -132,23 +136,5 @@ func (lw *LevelWise) schedulePhase(ph *pattern.Pattern) error {
 // of the scheduled routes for a phase (1 = conflict-free), mirroring
 // Colored.MaxGroups for comparisons.
 func (lw *LevelWise) MaxGroups(ph *pattern.Pattern) int {
-	st := newPhaseState(lw.topo)
-	for _, f := range ph.Flows {
-		if f.Src == f.Dst {
-			continue
-		}
-		st.apply(f, lw.Route(f.Src, f.Dst).Up, 1)
-	}
-	max := 0
-	for _, g := range st.upGroups {
-		if g > max {
-			max = g
-		}
-	}
-	for _, g := range st.downGroups {
-		if g > max {
-			max = g
-		}
-	}
-	return max
+	return newPhaseState(lw.topo).load(ph, lw).maxGroups()
 }

@@ -12,7 +12,9 @@
 # serves, wire
 # encode/decode, end-to-end and a pipelined burst, evaluator cache, the
 # census every analytic score is a max over, LoadState route deltas,
-# the Optimize pass, delta-scored placement, and the control plane's
+# the Optimize pass and the Colored build that is its dearest candidate
+# (the figures' CG phases and the daemon's 1 024-flow observed phase),
+# delta-scored placement, and the control plane's
 # time-to-new-generation: FailLink swap, Heal, a whole churn cycle
 # (feed, Optimize, FailLink, Heal) and the from-scratch deadlock
 # certification; and what the simulated and census figures
@@ -37,7 +39,7 @@ cd "$(dirname "$0")/.."
 # (internal/benchcal) that benchgate divides out. Anchored so e.g.
 # ResolveBatchPacked does not also pull in every sized variant that
 # may appear later.
-gate_bench='^(BenchmarkResolveBatchPackedTraced|BenchmarkResolveBatchPacked|BenchmarkResolveBatchPackedObserved|BenchmarkResolveWire|BenchmarkWireEncodeRequest|BenchmarkWireDecodeRequest|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkWireResolveEndToEnd|BenchmarkWireResolvePipelined|BenchmarkCachedScoreHit|BenchmarkCachedScoreRoutesHit|BenchmarkApplyRouteDelta|BenchmarkOptimize|BenchmarkPlaceIncremental|BenchmarkFailLinkSwap|BenchmarkHeal|BenchmarkChurnCycle|BenchmarkAnalyze|BenchmarkVerifyDeadlockFree|BenchmarkSimulatorThroughput|BenchmarkTraceReplayWRF|BenchmarkFig2bSimulated|BenchmarkNCACensus|BenchmarkCalibration)$'
+gate_bench='^(BenchmarkResolveBatchPackedTraced|BenchmarkResolveBatchPacked|BenchmarkResolveBatchPackedObserved|BenchmarkResolveWire|BenchmarkWireEncodeRequest|BenchmarkWireDecodeRequest|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkWireResolveEndToEnd|BenchmarkWireResolvePipelined|BenchmarkCachedScoreHit|BenchmarkCachedScoreRoutesHit|BenchmarkApplyRouteDelta|BenchmarkOptimize|BenchmarkColoredOptimizer|BenchmarkPlaceIncremental|BenchmarkFailLinkSwap|BenchmarkHeal|BenchmarkChurnCycle|BenchmarkAnalyze|BenchmarkVerifyDeadlockFree|BenchmarkSimulatorThroughput|BenchmarkTraceReplayWRF|BenchmarkFig2bSimulated|BenchmarkNCACensus|BenchmarkCalibration)$'
 gate_pkgs='./internal/fabric ./internal/wire ./internal/evaluate ./internal/sched ./internal/contention .'
 
 run_gated() {
