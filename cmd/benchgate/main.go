@@ -27,6 +27,13 @@
 // it, every benchmark in that package is compared after dividing out
 // the calibration drift ratio, so the gate tracks code changes, not
 // runner speed. Calibration entries themselves never gate.
+//
+// The baseline may also carry a "ratios" object, "<numerator key> /
+// <denominator key>" → the largest value tolerated. Each is checked on
+// the current run alone: what instrumentation costs over the bare path
+// is a quotient of two timings from one run on one machine, so it needs
+// neither a baseline timing nor the calibration division, and it cannot
+// be drowned by a baseline that has drifted away from HEAD.
 package main
 
 import (
@@ -47,12 +54,15 @@ type compact struct {
 	// Note records how the file was produced, for humans diffing it.
 	Note       string             `json:"note,omitempty"`
 	Benchmarks map[string]float64 `json:"benchmarks"`
+	// Ratios bounds quotients of two benchmarks of the current run:
+	// "<numerator key> / <denominator key>" → maximum.
+	Ratios map[string]float64 `json:"ratios,omitempty"`
 }
 
 func main() {
 	var (
 		extract   = flag.String("extract", "", "reduce this go test -json stream to compact JSON on stdout")
-		baseline  = flag.String("baseline", "", "compact baseline to compare against")
+		baseline  = flag.String("baseline", "", "compact baseline to compare against (with -extract: the file whose ratios the output keeps)")
 		current   = flag.String("current", "", "fresh run (stream or compact) to compare")
 		threshold = flag.Float64("threshold", 0.10, "maximum tolerated relative ns/op regression")
 		match     = flag.String("match", ".", "gate only baseline benchmarks matching this regexp")
@@ -62,7 +72,7 @@ func main() {
 	flag.Parse()
 	switch {
 	case *extract != "":
-		if err := runExtract(*extract, *note); err != nil {
+		if err := runExtract(*extract, *note, *baseline); err != nil {
 			fmt.Fprintln(os.Stderr, "benchgate:", err)
 			os.Exit(2)
 		}
@@ -130,29 +140,49 @@ func parseStream(path string) (map[string]float64, error) {
 	return best, sc.Err()
 }
 
-// load reads benchmarks from either a compact extract or a raw
-// stream, detected by shape.
-func load(path string) (map[string]float64, error) {
+// load reads either a compact extract or a raw stream, detected by
+// shape; a stream has benchmarks and nothing else.
+func load(path string) (compact, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return compact{}, err
 	}
 	var c compact
 	if err := json.Unmarshal(data, &c); err == nil && c.Benchmarks != nil {
-		return c.Benchmarks, nil
+		return c, nil
 	}
-	return parseStream(path)
+	best, err := parseStream(path)
+	return compact{Benchmarks: best}, err
 }
 
-func runExtract(path, note string) error {
+// extract reduces path's stream to a compact baseline. The ratio bounds
+// are policy, not measurement: they are carried over from the baseline
+// being replaced, when one is named.
+func extract(path, note, replaces string) (compact, error) {
 	best, err := parseStream(path)
+	if err != nil {
+		return compact{}, err
+	}
+	if len(best) == 0 {
+		return compact{}, fmt.Errorf("%s contains no benchmark results", path)
+	}
+	c := compact{Note: note, Benchmarks: best}
+	if replaces != "" {
+		old, err := load(replaces)
+		if err != nil {
+			return compact{}, err
+		}
+		c.Ratios = old.Ratios
+	}
+	return c, nil
+}
+
+func runExtract(path, note, replaces string) error {
+	c, err := extract(path, note, replaces)
 	if err != nil {
 		return err
 	}
-	if len(best) == 0 {
-		return fmt.Errorf("%s contains no benchmark results", path)
-	}
-	out, err := json.MarshalIndent(compact{Note: note, Benchmarks: best}, "", "  ")
+	out, err := json.MarshalIndent(c, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -194,14 +224,15 @@ func runCompare(basePath, curPath string, threshold float64, match string, floor
 	if err != nil {
 		return false, fmt.Errorf("bad -match: %w", err)
 	}
-	base, err := load(basePath)
+	baseFile, err := load(basePath)
 	if err != nil {
 		return false, err
 	}
-	cur, err := load(curPath)
+	curFile, err := load(curPath)
 	if err != nil {
 		return false, err
 	}
+	base, cur := baseFile.Benchmarks, curFile.Benchmarks
 	keys := make([]string, 0, len(base))
 	for k := range base {
 		if re.MatchString(k) && !strings.HasSuffix(k, "."+calibration) {
@@ -245,10 +276,43 @@ func runCompare(basePath, curPath string, threshold float64, match string, floor
 		}
 		fmt.Printf("%s %-70s %10.0f -> %10.0f ns/op (%+6.1f%%)\n", status, k, b, c, 100*rel)
 	}
-	if failures > 0 {
-		fmt.Printf("benchgate: %d benchmark(s) regressed beyond %.0f%% of the committed baseline\n", failures, 100*threshold)
+	ratioFailures, err := checkRatios(baseFile.Ratios, cur)
+	if err != nil {
+		return false, fmt.Errorf("%s: %w", basePath, err)
+	}
+	if failures+ratioFailures > 0 {
+		fmt.Printf("benchgate: %d benchmark(s) regressed beyond %.0f%% of the committed baseline, %d same-run ratio(s) above their bound\n", failures, 100*threshold, ratioFailures)
 		return false, nil
 	}
-	fmt.Printf("benchgate: %d benchmark(s) within %.0f%% of the committed baseline\n", len(keys), 100*threshold)
+	fmt.Printf("benchgate: %d benchmark(s) within %.0f%% of the committed baseline, %d same-run ratio(s) within their bound\n", len(keys), 100*threshold, len(baseFile.Ratios))
 	return true, nil
+}
+
+// checkRatios holds each "<numerator> / <denominator>" bound against the
+// current run's own timings, uncalibrated, and returns how many failed:
+// above the bound, or missing a side.
+func checkRatios(ratios, cur map[string]float64) (failures int, err error) {
+	names := make([]string, 0, len(ratios))
+	for name := range ratios {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		num, den, ok := strings.Cut(name, " / ")
+		if !ok {
+			return 0, fmt.Errorf("ratio %q is not \"<numerator key> / <denominator key>\"", name)
+		}
+		n, d := cur[num], cur[den]
+		switch {
+		case n <= 0 || d <= 0:
+			fmt.Printf("FAIL %s: a side is missing from the current run\n", name)
+			failures++
+		case n/d > ratios[name]:
+			fmt.Printf("FAIL %s = %.2f, above %.2f (%.0f / %.0f ns/op, same run)\n", name, n/d, ratios[name], n, d)
+			failures++
+		default:
+			fmt.Printf("ok   %s = %.2f, at most %.2f (%.0f / %.0f ns/op, same run)\n", name, n/d, ratios[name], n, d)
+		}
+	}
+	return failures, nil
 }

@@ -52,14 +52,14 @@ func TestLoadAcceptsBothShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fromCompact["p.BenchmarkX"] != 100 {
+	if fromCompact.Benchmarks["p.BenchmarkX"] != 100 {
 		t.Fatalf("compact load = %v", fromCompact)
 	}
 	fromStream, err := load(writeFile(t, "stream.json", stream))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fromStream["repro/internal/wire.BenchmarkWireEncodeRequest"] != 9000 {
+	if fromStream.Benchmarks["repro/internal/wire.BenchmarkWireEncodeRequest"] != 9000 {
 		t.Fatalf("stream load = %v", fromStream)
 	}
 }
@@ -115,6 +115,38 @@ func TestCompareDividesOutCalibrationDrift(t *testing.T) {
 	cur = `{"benchmarks":{"p.BenchmarkCalibration":2000,"p.BenchmarkX":10000}}`
 	if !compare(t, base, cur, 0.10, time.Microsecond) {
 		t.Error("calibration drift alone must not fail the gate")
+	}
+}
+
+func TestCompareChecksSameRunRatios(t *testing.T) {
+	// The bound is on the current run's own quotient: the baseline's
+	// timings and the calibration drift (x2 here) play no part in it.
+	base := `{"benchmarks":{"p.BenchmarkBare":1000,"p.BenchmarkObserved":9000,"p.BenchmarkCalibration":100},
+		"ratios":{"p.BenchmarkObserved / p.BenchmarkBare":2.2}}`
+	if !compare(t, base, `{"benchmarks":{"p.BenchmarkBare":2000,"p.BenchmarkObserved":4200,"p.BenchmarkCalibration":200}}`, 10, time.Microsecond) {
+		t.Error("a ratio of 2.1 must pass a bound of 2.2")
+	}
+	if compare(t, base, `{"benchmarks":{"p.BenchmarkBare":2000,"p.BenchmarkObserved":4600,"p.BenchmarkCalibration":200}}`, 10, time.Microsecond) {
+		t.Error("a ratio of 2.3 must fail a bound of 2.2, however loose the per-benchmark threshold")
+	}
+	base = `{"benchmarks":{"p.BenchmarkBare":1000},"ratios":{"p.BenchmarkGone / p.BenchmarkBare":2}}`
+	if compare(t, base, `{"benchmarks":{"p.BenchmarkBare":1000}}`, 0.10, time.Microsecond) {
+		t.Error("a ratio with a side missing from the current run must fail")
+	}
+	base = `{"benchmarks":{"p.BenchmarkBare":1000},"ratios":{"p.BenchmarkBare":2}}`
+	if _, err := runCompare(writeFile(t, "base.json", base), writeFile(t, "cur.json", base), 0.10, ".", time.Microsecond); err == nil {
+		t.Error("a ratio name without \" / \" must be an error")
+	}
+}
+
+func TestExtractKeepsRatios(t *testing.T) {
+	old := writeFile(t, "old.json", `{"benchmarks":{"p.BenchmarkX":1},"ratios":{"p.BenchmarkY / p.BenchmarkX":1.5}}`)
+	got, err := extract(writeFile(t, "stream.json", stream), "rewritten", old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Ratios["p.BenchmarkY / p.BenchmarkX"] != 1.5 || got.Benchmarks["repro/internal/wire.BenchmarkWireEncodeRequest"] != 9000 {
+		t.Errorf("rewritten baseline %+v: want the stream's timings and the old file's ratios", got)
 	}
 }
 

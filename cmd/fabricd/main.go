@@ -762,15 +762,20 @@ func newMux(d *daemon, threshold float64, pprofOn bool) *http.ServeMux {
 			reply(w, http.StatusConflict, errJSON{"telemetry is disabled (-telemetry=false)"})
 			return
 		}
-		top := tel.TopFlows(10)
-		flows := make([]map[string]any, 0, len(top))
-		for _, fc := range top {
+		// One snapshot — one fold, one scan — behind all three fields, so
+		// top never names a count the totals have not seen.
+		all := tel.TopFlows(-1)
+		var resolves uint64
+		for _, fc := range all {
+			resolves += fc.Count
+		}
+		flows := make([]map[string]any, 0, 10)
+		for _, fc := range all[:min(10, len(all))] {
 			flows = append(flows, map[string]any{"src": fc.Src, "dst": fc.Dst, "count": fc.Count})
 		}
-		obs := tel.SnapshotFlows()
 		reply(w, http.StatusOK, map[string]any{
-			"pairs":    len(obs.Flows),
-			"resolves": obs.TotalBytes(),
+			"pairs":    len(all),
+			"resolves": resolves,
 			"top":      flows,
 		})
 	})

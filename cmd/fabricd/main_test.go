@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -169,6 +170,65 @@ func TestTelemetryHandler(t *testing.T) {
 	first, _ := top[0].(map[string]any)
 	if first["src"] != float64(1) || first["dst"] != float64(9) || first["count"] != float64(3) {
 		t.Errorf("heaviest flow %v", first)
+	}
+}
+
+// TestTelemetryHandlerIsOneSnapshot: pairs, resolves and top come from
+// one snapshot, so under load they agree with one another. A feeder
+// keeps resolving eight pairs — few enough for top to list them all —
+// while the test polls: every reply's top counts must sum to its
+// resolves and number its pairs. (The handler used to scan twice, top
+// first and totals second, and every resolve between the two scans
+// showed up as a total that top could not account for.)
+func TestTelemetryHandlerIsOneSnapshot(t *testing.T) {
+	d, err := build(options{spec: "2;8,8;1,8", algo: "d-mod-k", policy: "balanced", evaluator: "analytic", seed: 1, telemetry: true, journalCap: 64}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := newMux(d, 0, false)
+	pairs := make([][2]int, 8)
+	for i := range pairs {
+		pairs[i] = [2]int{i, 8 + 5*i}
+	}
+	stop := make(chan struct{})
+	var fed atomic.Uint64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		words := make([]uint64, len(pairs))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				d.f.ResolveBatchPacked(pairs, words)
+				fed.Add(1)
+			}
+		}
+	}()
+	defer wg.Wait()
+	defer close(stop)
+	var last float64
+	for poll := 0; poll < 200 || last == 0; poll++ {
+		before := fed.Load()
+		code, body := do(t, mux, "GET", "/telemetry")
+		if code != http.StatusOK {
+			t.Fatalf("telemetry: %d %v", code, body)
+		}
+		top, _ := body["top"].([]any)
+		sum := 0.0
+		for _, fl := range top {
+			sum += fl.(map[string]any)["count"].(float64)
+		}
+		resolves, _ := body["resolves"].(float64)
+		if sum != resolves || body["pairs"] != float64(len(top)) {
+			t.Fatalf("poll %d: top lists %d pairs and %v resolves, the totals say %v pairs and %v resolves", poll, len(top), sum, body["pairs"], resolves)
+		}
+		if resolves < last || resolves < float64(before)*float64(len(pairs)) {
+			t.Fatalf("poll %d: %v resolves reported after %v, with %d batches of %d ended before the request", poll, resolves, last, before, len(pairs))
+		}
+		last = resolves
 	}
 }
 

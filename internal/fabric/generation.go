@@ -198,21 +198,23 @@ func (g *Generation) ResolveBatchPacked(pairs [][2]int, out []uint64) (resolved 
 // resolvePacked is the in-process packed pass: one lookup per pair,
 // its word stored, and — in the same iteration — the pair counted as
 // resolved and, when tel is non-nil and the pair is not a self pair,
-// in telemetry.
+// in the count shard the pass holds from its first pair to its last.
 //
 //repro:hotpath
 func (g *Generation) resolvePacked(tel *Telemetry, pairs [][2]int, out []uint64) (resolved int) {
 	out = out[:len(pairs)]
+	counts := tel.acquire()
 	for i, p := range pairs {
 		packed := g.lookup(uint64(p[0]), uint64(p[1]))
 		out[i] = packed
 		if packed != PackedUnreachable {
 			resolved++
-			if packed != 0 && tel != nil {
-				tel.record(p[0], p[1])
+			if packed != 0 && counts != nil {
+				counts.add(p[0], p[1])
 			}
 		}
 	}
+	tel.release(counts, resolved)
 	return resolved
 }
 
@@ -230,6 +232,7 @@ func (g *Generation) appendResolveWire(tel *Telemetry, pairs, dst []byte) (out [
 	}
 	dst = dst[:end]
 	words := dst[at:]
+	counts := tel.acquire()
 	for i := 0; i < count; i++ {
 		p := pairs[8*i : 8*i+8 : 8*i+8]
 		src, d := uint64(binary.BigEndian.Uint32(p[0:4])), uint64(binary.BigEndian.Uint32(p[4:8]))
@@ -237,11 +240,12 @@ func (g *Generation) appendResolveWire(tel *Telemetry, pairs, dst []byte) (out [
 		binary.BigEndian.PutUint64(words[8*i:8*i+8:8*i+8], packed)
 		if packed != PackedUnreachable {
 			resolved++
-			if packed != 0 && tel != nil {
-				tel.record(int(src), int(d))
+			if packed != 0 && counts != nil {
+				counts.add(int(src), int(d))
 			}
 		}
 	}
+	tel.release(counts, resolved)
 	return dst, resolved
 }
 

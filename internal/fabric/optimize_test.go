@@ -347,7 +347,7 @@ func TestSnapshotAndResetConservesCounts(t *testing.T) {
 			defer wg.Done()
 			defer done.Add(1)
 			for i := 0; i < perWorker; i++ {
-				tel.record(pair((i*recorders + g) % hotPairs))
+				tel.Record(pair((i*recorders + g) % hotPairs))
 			}
 		}(g)
 	}

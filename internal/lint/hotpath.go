@@ -47,6 +47,8 @@ var hotpathAllowedFuncs = map[string]bool{
 	"time.Since":                  true,
 	"time.(Duration).Nanoseconds": true,
 	"io.ReadFull":                 true, // loops on Read, allocates nothing
+	"sync.(Mutex).TryLock":        true, // one CAS, never waits (Lock stays off the list: a hot path may not block)
+	"sync.(Mutex).Unlock":         true, // pairs with TryLock
 }
 
 func runHotpath(prog *Program, pkg *Package) []Finding {

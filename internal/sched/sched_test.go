@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/evaluate"
 	"repro/internal/fabric"
+	"repro/internal/hashutil"
 	"repro/internal/pattern"
 	"repro/internal/sched"
 	"repro/internal/xgft"
@@ -500,4 +501,80 @@ func TestSubmitReleaseRacingResolveBatch(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestReoptimizeSeesOnlyTheTenantMix: Reoptimize rewrites the fabric's
+// telemetry — Reset, then RecordN of the combined tenant pattern — so
+// the pass scores what the placed jobs run, whatever was resolved
+// before. Two schedulers walk the same submit/release schedule, three
+// seeds; on one of them keyed batches are resolved before every step,
+// counts that sit in the fabric's count shards until a reader folds
+// them. Both must report the same OptimizeResult chain: Reset discards
+// what the shards hold along with the matrix, and nothing a resolve
+// counted leaks into the declared window.
+func TestReoptimizeSeesOnlyTheTenantMix(t *testing.T) {
+	for _, seed := range []uint64{3, 17, 4242} {
+		quiet, noisy := testFabric(t, 4, true), testFabric(t, 4, true)
+		sq, sn := newScheduler(t, quiet, "linear"), newScheduler(t, noisy, "linear")
+		n := noisy.Topology().Leaves()
+		step := 0
+		stray := func() {
+			pairs := make([][2]int, 48)
+			for i := range pairs {
+				h := hashutil.Mix(seed, uint64(step), uint64(i))
+				pairs[i] = [2]int{int(h % uint64(n)), int(h >> 32 % uint64(n))}
+			}
+			noisy.ResolveBatchPacked(pairs, make([]uint64, len(pairs)))
+			step++
+		}
+		same := func(what string) {
+			t.Helper()
+			stray()
+			want, _, err := sq.Reoptimize(0.05)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := sn.Reoptimize(0.05)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []*fabric.OptimizeResult{&got, &want} {
+				r.Stats.BuildTime, r.Stats.VerifyTime = 0, 0
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, %s: with stray resolves the pass read\n%+v\nwithout\n%+v", seed, what, got, want)
+			}
+		}
+		var ids []uint64
+		for j := 0; j < 4; j++ {
+			spec := permSpec("perm", 8+4*j, seed+uint64(j))
+			stray()
+			a, err := sq.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := sn.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.ID != b.ID || !reflect.DeepEqual(a.Leaves, b.Leaves) {
+				t.Fatalf("seed %d: job %d placed on %v and %v", seed, j, a.Leaves, b.Leaves)
+			}
+			ids = append(ids, a.ID)
+			same("after a submit")
+		}
+		for _, id := range ids {
+			stray()
+			if err := sq.Release(id); err != nil {
+				t.Fatal(err)
+			}
+			if err := sn.Release(id); err != nil {
+				t.Fatal(err)
+			}
+			same("after a release")
+		}
+		if got := noisy.Telemetry().Total(); got != 0 {
+			t.Errorf("seed %d: %d counts left after the last windowed pass", seed, got)
+		}
+	}
 }

@@ -9,8 +9,9 @@
 # The gate/baseline modes turn the trajectory into a regression gate:
 # `baseline` runs the hot-path benchmarks (the packed batch resolve —
 # bare, observed and traced — and the fused pass the binary front door
-# serves, wire
-# encode/decode, end-to-end and a pipelined burst, evaluator cache, the
+# serves: cache-hot, with the cache emptied before every batch as the
+# live daemon meets it, and as 16-pair frames from parallel goroutines;
+# wire encode/decode, end-to-end and a pipelined burst, evaluator cache, the
 # census every analytic score is a max over, LoadState route deltas,
 # the Optimize pass and the Colored build that is its dearest candidate
 # (the figures' CG phases and the daemon's 1 024-flow observed phase),
@@ -24,7 +25,10 @@
 # -count=5 and commits the min-of-runs ns/op per benchmark to
 # scripts/bench_baseline.json; `gate` repeats the run and fails (via
 # cmd/benchgate) when any gated benchmark regressed more than 10%
-# against that committed baseline. CI runs `gate` on every push.
+# against that committed baseline, or when a same-run ratio listed under
+# "ratios" in that file (what telemetry + metrics cost over the bare
+# lookup, what the tracer costs over that) is above its bound. CI runs
+# `gate` on every push.
 #
 # Usage:
 #   ./scripts/bench.sh                 # -benchtime=1x smoke run
@@ -39,7 +43,7 @@ cd "$(dirname "$0")/.."
 # (internal/benchcal) that benchgate divides out. Anchored so e.g.
 # ResolveBatchPacked does not also pull in every sized variant that
 # may appear later.
-gate_bench='^(BenchmarkResolveBatchPackedTraced|BenchmarkResolveBatchPacked|BenchmarkResolveBatchPackedObserved|BenchmarkResolveWire|BenchmarkWireEncodeRequest|BenchmarkWireDecodeRequest|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkWireResolveEndToEnd|BenchmarkWireResolvePipelined|BenchmarkCachedScoreHit|BenchmarkCachedScoreRoutesHit|BenchmarkApplyRouteDelta|BenchmarkOptimize|BenchmarkColoredOptimizer|BenchmarkPlaceIncremental|BenchmarkFailLinkSwap|BenchmarkHeal|BenchmarkChurnCycle|BenchmarkAnalyze|BenchmarkVerifyDeadlockFree|BenchmarkSimulatorThroughput|BenchmarkTraceReplayWRF|BenchmarkFig2bSimulated|BenchmarkNCACensus|BenchmarkCalibration)$'
+gate_bench='^(BenchmarkResolveBatchPackedTraced|BenchmarkResolveBatchPacked|BenchmarkResolveBatchPackedObserved|BenchmarkResolveWire|BenchmarkResolveWireCold|BenchmarkResolveWireParallel|BenchmarkWireEncodeRequest|BenchmarkWireDecodeRequest|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkWireResolveEndToEnd|BenchmarkWireResolvePipelined|BenchmarkCachedScoreHit|BenchmarkCachedScoreRoutesHit|BenchmarkApplyRouteDelta|BenchmarkOptimize|BenchmarkColoredOptimizer|BenchmarkPlaceIncremental|BenchmarkFailLinkSwap|BenchmarkHeal|BenchmarkChurnCycle|BenchmarkAnalyze|BenchmarkVerifyDeadlockFree|BenchmarkSimulatorThroughput|BenchmarkTraceReplayWRF|BenchmarkFig2bSimulated|BenchmarkNCACensus|BenchmarkCalibration)$'
 gate_pkgs='./internal/fabric ./internal/wire ./internal/evaluate ./internal/sched ./internal/contention .'
 
 run_gated() {
@@ -68,11 +72,14 @@ gate)
     ;;
 baseline)
     raw="$(mktemp)"
-    trap 'rm -f "$raw"' EXIT
+    # The ratio bounds are read from the file being replaced, so the new
+    # one is written beside the stream and moved over it.
+    trap 'rm -f "$raw" "$raw.json"' EXIT
     run_gated "$raw"
-    go run ./cmd/benchgate -extract "$raw" \
+    go run ./cmd/benchgate -extract "$raw" -baseline scripts/bench_baseline.json \
         -note "min ns/op over 5 spaced passes of -benchtime=100ms -count=2; rewrite with ./scripts/bench.sh baseline" \
-        >scripts/bench_baseline.json
+        >"$raw.json"
+    mv "$raw.json" scripts/bench_baseline.json
     echo "wrote scripts/bench_baseline.json"
     ;;
 *)
