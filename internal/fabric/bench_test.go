@@ -100,9 +100,10 @@ func BenchmarkResolveBatchPackedObserved(b *testing.B) {
 
 // BenchmarkResolveBatchPackedTraced is the packed batch with
 // full observability plus a tracer (sampling off — the production
-// default): per batch the tracing layer adds one root mint, two clock
-// reads and a flight-recorder write. The bench gate holds it to the
-// same regression budget as the untraced observed path.
+// default): per batch the tracing layer adds one root mint and the
+// unsampled verdict — no clock read, no flight-recorder write. The
+// bench gate holds it to the same regression budget as the untraced
+// observed path.
 func BenchmarkResolveBatchPackedTraced(b *testing.B) {
 	tp := xgft.MustNew(2, []int{16, 16}, []int{1, 16})
 	reg := obs.NewRegistry()
@@ -213,8 +214,8 @@ func BenchmarkResolveWireCold(b *testing.B) {
 
 // BenchmarkResolveWireParallel is the small-frame path under
 // concurrency: every goroutine resolves 16-pair frames (resolve_small's
-// size) of its own, so what is measured is the per-batch cost — span,
-// clock, counters, and the count shard's acquire and release, two short
+// size) of its own, so what is measured is the per-batch cost — the
+// local root's unsampled verdict, clock, counters, and the count shard's acquire and release, two short
 // critical sections on one mutex — against 16 pairs' worth of work. Run
 // with -cpu 1,2: the per-pair atomics this replaced cost 16 locked adds
 // a frame and never shared a lock.

@@ -104,9 +104,11 @@ type Config struct {
 	// operations, and Optimize decisions with per-candidate scores.
 	// nil disables event recording.
 	Journal *obs.Journal
-	// Tracer records spans: one per resolve call (joining the caller's
-	// trace when ResolveWire is handed a parent, locally rooted otherwise)
-	// and one per Optimize pass with per-candidate children. An
+	// Tracer records spans: one per resolve call of a sampled trace
+	// (joining the caller's trace when ResolveWire is handed a parent,
+	// locally rooted otherwise; unsampled ones only when they breach a
+	// budget) and one per Optimize pass, at any sampling rate, with
+	// per-candidate children for sampled passes. An
 	// Optimize outcome flip-flopping within a few passes reports a
 	// flipflop anomaly through the tracer. nil disables spans.
 	Tracer *trace.Tracer
@@ -378,14 +380,16 @@ func (f *Fabric) Resolve(src, dst int) (xgft.Route, bool) {
 	return unpackedRoute(src, dst, word[0])
 }
 
-// startPacked opens a resolve: its span under parent (a zero parent
-// mints a local root) and, with metrics on, its clock.
+// startPacked opens a resolve: its span under parent by the tracer's
+// request rule (a zero parent mints a local root; an unsampled trace
+// records nothing unless the span breaches a budget) and, with metrics
+// on, its monotonic clock.
 //
 //repro:hotpath
-func (f *Fabric) startPacked(parent trace.SpanContext) (sp trace.Span, start time.Time) {
-	sp = f.tracer.StartSpan(parent, spanBatchPacked)
+func (f *Fabric) startPacked(parent trace.SpanContext) (sp trace.Span, start int64) {
+	sp = f.tracer.StartRequest(parent, spanBatchPacked)
 	if f.m != nil {
-		start = time.Now() //lint:allow nondeterminism batch latency measurement is observational
+		start = obs.Nanotime()
 	}
 	return sp, start
 }
@@ -398,7 +402,7 @@ func (f *Fabric) startPacked(parent trace.SpanContext) (sp trace.Span, start tim
 // sources spread over the resolve counter's shards.
 //
 //repro:hotpath
-func (f *Fabric) endPacked(sp *trace.Span, start time.Time, gen *Generation, shard uint64, n, resolved int) {
+func (f *Fabric) endPacked(sp *trace.Span, start int64, gen *Generation, shard uint64, n, resolved int) {
 	if f.m != nil {
 		f.m.batches.Inc()
 		f.m.resolves.AddAt(shard, uint64(resolved))
@@ -406,7 +410,7 @@ func (f *Fabric) endPacked(sp *trace.Span, start time.Time, gen *Generation, sha
 			f.m.unresolved.Add(uint64(miss))
 		}
 		f.served.Add(uint64(resolved))
-		f.m.packedNS.Observe(time.Since(start).Nanoseconds()) //lint:allow nondeterminism batch latency measurement is observational
+		f.m.packedNS.Observe(obs.Nanotime() - start)
 	}
 	sp.SetAttr(attrPairs, int64(n))
 	sp.SetAttr(attrResolved, int64(resolved))

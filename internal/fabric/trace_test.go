@@ -1,6 +1,9 @@
 package fabric
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -205,6 +208,79 @@ func TestOptimizeSpansAndFlipFlopAnomaly(t *testing.T) {
 		if !names[n] {
 			t.Errorf("span %q recorded but missing from SpanNames()", n)
 		}
+	}
+}
+
+// TestFlipFlopBundleKeepsOptimizeSpansUnderLoad runs the flip-flop
+// schedule of TestOptimizeSpansAndFlipFlopAnomaly at 0/1 sampling with
+// resolve traffic between the passes — 300 batches each time, more than
+// a bundle's 256 spans. Unsampled resolves leave no span, so the bundle
+// the flip-flop dumps still holds every pass that flipped. The batches
+// are self pairs, which telemetry does not count, so the decisions are
+// those of the quiet schedule.
+func TestFlipFlopBundleKeepsOptimizeSpansUnderLoad(t *testing.T) {
+	bb := &trace.Blackbox{Dir: t.TempDir()}
+	tr := trace.New(trace.Config{
+		SampleNum: 0, SampleDen: 1, AnomalyCooldown: -1,
+		OnAnomaly: func(a trace.Anomaly) {
+			if _, err := bb.Dump(a.Reason); err != nil {
+				t.Error(err)
+			}
+		},
+	})
+	bb.Tracer = tr
+	tp := xgft.MustNew(2, []int{8, 8}, []int{1, 4})
+	f, err := New(Config{Topo: tp, Algo: core.NewDModK(tp), Telemetry: true, Metrics: obs.NewRegistry(), Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	self, out := [][2]int{{3, 3}}, make([]uint64, 1)
+	load := func() {
+		for i := 0; i < 300; i++ {
+			f.ResolveBatchPacked(self, out)
+		}
+	}
+	pass := func(wantSwap bool) {
+		t.Helper()
+		res, err := f.Optimize(OptimizeConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Swapped != wantSwap {
+			t.Fatalf("pass swapped = %v, want %v: %+v", res.Swapped, wantSwap, res)
+		}
+	}
+
+	drive(t, f, adversarialPattern(tp))
+	pass(true)
+	load()
+	pass(false)
+	load()
+	if _, err := f.Heal(); err != nil {
+		t.Fatal(err)
+	}
+	pass(true)
+
+	names, err := bb.List()
+	if err != nil || len(names) != 1 {
+		t.Fatalf("spool = %v, %v; want the one flip-flop bundle", names, err)
+	}
+	data, err := os.ReadFile(filepath.Join(bb.Dir, names[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bundle trace.Bundle
+	if err := json.Unmarshal(data, &bundle); err != nil {
+		t.Fatal(err)
+	}
+	passes := 0
+	for _, r := range bundle.Spans {
+		if r.Name == "fabric.optimize" {
+			passes++
+		}
+	}
+	if bundle.Reason != trace.ReasonFlipFlop || passes != 3 {
+		t.Errorf("%s bundle lists %d fabric.optimize spans of %d, want all 3 passes", bundle.Reason, passes, len(bundle.Spans))
 	}
 }
 

@@ -35,15 +35,16 @@ type obsNameFunc struct {
 // whose string argument is a metric name, journal event type or span
 // name.
 var obsNameFuncs = map[string]obsNameFunc{
-	"Counter":     {pkg: "/internal/obs", arg: 0},
-	"Gauge":       {pkg: "/internal/obs", arg: 0},
-	"Histogram":   {pkg: "/internal/obs", arg: 0},
-	"CounterFunc": {pkg: "/internal/obs", arg: 0},
-	"GaugeFunc":   {pkg: "/internal/obs", arg: 0},
-	"Record":      {pkg: "/internal/obs", arg: 0}, // Journal.Record(typ, ...)
-	"StartSpan":   {pkg: "/internal/trace", arg: 1},
-	"StartChild":  {pkg: "/internal/trace", arg: 1},
-	"SetBudget":   {pkg: "/internal/trace", arg: 0},
+	"Counter":      {pkg: "/internal/obs", arg: 0},
+	"Gauge":        {pkg: "/internal/obs", arg: 0},
+	"Histogram":    {pkg: "/internal/obs", arg: 0},
+	"CounterFunc":  {pkg: "/internal/obs", arg: 0},
+	"GaugeFunc":    {pkg: "/internal/obs", arg: 0},
+	"Record":       {pkg: "/internal/obs", arg: 0}, // Journal.Record(typ, ...)
+	"StartSpan":    {pkg: "/internal/trace", arg: 1},
+	"StartChild":   {pkg: "/internal/trace", arg: 1},
+	"StartRequest": {pkg: "/internal/trace", arg: 1},
+	"SetBudget":    {pkg: "/internal/trace", arg: 0},
 }
 
 var (

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync/atomic"
+	"time"
 )
 
 // Histogram buckets: log-linear (HDR-style) over non-negative int64
@@ -78,6 +79,18 @@ func bucketBound(i int) int64 {
 	}
 	return int64(high)
 }
+
+// epoch anchors Nanotime. It carries a monotonic reading, so time.Since
+// against it reads the monotonic clock alone.
+var epoch = time.Now()
+
+// Nanotime returns monotonic nanoseconds since the package loaded: one
+// monotonic clock read, where time.Now reads the wall clock as well.
+// It is the timestamp for latencies bound for Observe; deadlines still
+// want time.Now.
+//
+//repro:hotpath
+func Nanotime() int64 { return int64(time.Since(epoch)) }
 
 // Observe records one value. Negative values clamp to zero (a clock
 // step mid-measurement must not corrupt the top octave).

@@ -38,8 +38,9 @@ type slot struct {
 	w [slotWords]atomic.Uint64
 }
 
-// Recorder is the always-on flight recorder. Construct through
-// Tracer (Config.RecorderCap).
+// Recorder is the flight recorder: every span the tracer records, the
+// most recent capacity of them retained. Construct through Tracer
+// (Config.RecorderCap).
 type Recorder struct {
 	mask  uint64
 	head  atomic.Uint64 // completed-span tickets issued
@@ -57,7 +58,7 @@ func newRecorder(capacity int) *Recorder {
 	return &Recorder{mask: uint64(n - 1), slots: make([]slot, n)}
 }
 
-// count returns the completed-span total (not bounded by capacity).
+// count returns the recorded-span total (not bounded by capacity).
 func (r *Recorder) count() uint64 { return r.head.Load() }
 
 // write claims the next slot and publishes raw into it.

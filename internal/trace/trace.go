@@ -3,10 +3,19 @@
 // bounded attribute set; keyed-deterministic head sampling (the
 // decision is a pure function of the trace id, so every layer of one
 // request — client, wire server, fabric — agrees without
-// coordination); an always-on lock-free flight recorder retaining the
-// last N completed spans regardless of sampling; and an anomaly
-// trigger that hands budget breaches and optimizer flip-flops to a
-// blackbox dumper.
+// coordination); a lock-free flight recorder retaining the last N
+// recorded spans; and an anomaly trigger that hands budget breaches
+// and optimizer flip-flops to a blackbox dumper.
+//
+// What reaches the recorder is two rules. Control-plane spans
+// (StartSpan: fabric.optimize, sched.place, evaluate.score) record at
+// any sampling rate. Per-request data-plane spans (StartRequest:
+// wire.request, fabric.resolve_batch_packed) record only for sampled
+// traces, or, when a latency budget applies to the name, when they
+// breach it. An unsampled request does no tracing work at all — no
+// clock read, no span id, no recorder write — so the recorder holds
+// sampled traces, budget breaches and the control plane's recent past
+// rather than the last fraction of a millisecond of resolve frames.
 //
 // The discipline mirrors internal/obs: naming (interning a span name
 // or attribute key) allocates once and takes a mutex; starting and
@@ -142,6 +151,10 @@ type nameTable struct {
 	strs    []string
 	span    []bool  // strs[i] was interned as a span name (vs attr key)
 	budgets []int64 // per-name latency budget in ns; 0 = tracer default
+	// watched reports whether some name has a budget of its own, so an
+	// unsampled request under a zero tracer default skips the name
+	// lookup entirely.
+	watched bool
 }
 
 // Tracer mints spans. The zero *Tracer (nil) is a valid no-op: every
@@ -166,8 +179,8 @@ type Tracer struct {
 	anomalies   atomic.Uint64
 }
 
-// New builds a tracer. The flight recorder is always on; sampling
-// only gates child-span creation (StartChild).
+// New builds a tracer. Sampling gates per-request spans (StartRequest,
+// StartChild); control-plane spans (StartSpan) record at any rate.
 func New(cfg Config) *Tracer {
 	t := &Tracer{
 		clock:     cfg.Clock,
@@ -200,7 +213,7 @@ func New(cfg Config) *Tracer {
 	t.names.Store(&nameTable{ids: make(map[string]uint32)})
 	if cfg.Metrics != nil {
 		t.m = &tracerMetrics{
-			spans:     cfg.Metrics.Counter(metricSpans, "spans completed (all, sampled or not)", 8),
+			spans:     cfg.Metrics.Counter(metricSpans, "spans recorded: sampled traces, control-plane spans and unsampled requests that breached their budget", 8),
 			sampled:   cfg.Metrics.Counter(metricSampled, "completed spans belonging to sampled traces", 1),
 			anomalies: cfg.Metrics.Counter(metricAnomalies, "anomaly triggers (budget breaches and reported anomalies)", 1),
 		}
@@ -244,6 +257,7 @@ func (t *Tracer) mutate(fn func(nt *nameTable)) {
 		strs:    append([]string(nil), old.strs...),
 		span:    append([]bool(nil), old.span...),
 		budgets: append([]int64(nil), old.budgets...),
+		watched: old.watched,
 	}
 	for k, v := range old.ids {
 		nt.ids[k] = v
@@ -282,7 +296,13 @@ func (t *Tracer) SetBudget(name string, d time.Duration) {
 	if t == nil {
 		return
 	}
-	t.mutate(func(nt *nameTable) { nt.budgets[nt.internLocked(name, true)] = int64(d) })
+	t.mutate(func(nt *nameTable) {
+		nt.budgets[nt.internLocked(name, true)] = int64(d)
+		nt.watched = false
+		for _, b := range nt.budgets {
+			nt.watched = nt.watched || b != 0
+		}
+	})
 }
 
 // Names returns every interned span name, sorted — the machine-read
@@ -342,10 +362,12 @@ func spanID(parent SpanContext, nameID uint32, start int64) uint64 {
 	return hashutil.Splitmix64(parent.Trace.Lo ^ parent.Span ^ uint64(nameID)<<32 ^ uint64(start))
 }
 
-// StartSpan starts a span under parent (an invalid parent starts a
-// new auto-keyed trace). The span always lands in the flight recorder
-// at End, sampled or not. Zero allocations after the name's first
-// use.
+// StartSpan starts a control-plane span under parent (an invalid
+// parent starts a new auto-keyed trace). It lands in the flight
+// recorder at End whatever the sampling verdict: an Optimize pass, a
+// placement or a score is rare enough that its recent past is always
+// worth keeping. Per-request spans start through StartRequest. Zero
+// allocations after the name's first use.
 //
 //repro:hotpath
 func (t *Tracer) StartSpan(parent SpanContext, name string) Span {
@@ -353,12 +375,68 @@ func (t *Tracer) StartSpan(parent SpanContext, name string) Span {
 		return Span{}
 	}
 	if !parent.Valid() {
-		parent = t.Root(0xa070, t.autoSeq.Add(1))
+		parent = t.localRoot()
 	}
+	return t.start(parent, t.nameID(name))
+}
+
+// StartRequest is the start rule for per-request data-plane spans (the
+// wire server's wire.request, the fabric's resolve span). The sampling
+// verdict is parent's — a v2 client's flags or a Root verdict — or, for
+// an invalid parent, that of a local root minted here. A sampled
+// request starts an ordinary span. An unsampled one does no tracing
+// work: the returned span reads no clock, takes no span id, interns no
+// attribute and writes nothing at End; its Context is parent, so
+// callees join the same (unsampled) trace instead of minting a root of
+// their own, and a trace is always complete or absent. The one
+// exception is a latency budget: when the tracer default or a
+// SetBudget for name applies, the unsampled span is timed, and it is
+// recorded — and fires the anomaly — only if it breaches.
+//
+//repro:hotpath
+func (t *Tracer) StartRequest(parent SpanContext, name string) Span {
+	if t == nil {
+		return Span{}
+	}
+	if !parent.Valid() {
+		parent = t.localRoot()
+	}
+	if parent.Flags&FlagSampled != 0 {
+		return t.start(parent, t.nameID(name))
+	}
+	if t.budget == 0 && !t.names.Load().watched {
+		return Span{sc: parent}
+	}
+	id := t.nameID(name)
+	if t.budgetFor(id) <= 0 {
+		return Span{sc: parent}
+	}
+	sp := t.start(parent, id)
+	sp.watch = true
+	return sp
+}
+
+// localRoot mints the root of a trace started by a parentless span.
+//
+//repro:hotpath
+func (t *Tracer) localRoot() SpanContext { return t.Root(0xa070, t.autoSeq.Add(1)) }
+
+// nameID returns a span name's interned id.
+//
+//repro:hotpath
+func (t *Tracer) nameID(name string) uint32 {
 	id, ok := t.names.Load().ids[name]
 	if !ok {
 		id = t.intern(name, true) //lint:allow hotpath a span name interns once, on first use; every later start takes the lock-free map hit above
 	}
+	return id
+}
+
+// start opens a span named id under parent: the clock read and the
+// span id.
+//
+//repro:hotpath
+func (t *Tracer) start(parent SpanContext, id uint32) Span {
 	start := t.clock() //lint:allow hotpath the clock is a seam (tests inject fixed clocks for byte-identical bundles); one dynamic call per span
 	return Span{
 		tr:     t,
@@ -396,8 +474,11 @@ type Span struct {
 	parent uint64
 	nameID uint32
 	nattrs uint8
-	start  int64
-	attrs  [MaxAttrs]attr
+	// watch marks an unsampled request span timed only for its budget:
+	// End records it only if it breached.
+	watch bool
+	start int64
+	attrs [MaxAttrs]attr
 }
 
 // Context returns the span's propagatable context (its own id as the
@@ -432,9 +513,9 @@ func (s *Span) SetAttr(key string, val int64) {
 	s.nattrs++
 }
 
-// End completes the span: one flight-recorder write (always — the
-// recorder ignores sampling), the span counters, and the budget
-// check.
+// End completes the span: the budget check, then — for every span but
+// an unsampled request within its budget — one flight-recorder write
+// and the span counters, and for a breach the anomaly.
 //
 //repro:hotpath
 func (s *Span) End() {
@@ -446,7 +527,13 @@ func (s *Span) End() {
 		return
 	}
 	end := t.clock() //lint:allow hotpath the clock is a seam (tests inject fixed clocks for byte-identical bundles); one dynamic call per span
-	raw := s.raw(end - s.start)
+	dur := end - s.start
+	bud := t.budgetFor(s.nameID)
+	breach := bud > 0 && dur >= bud
+	if s.watch && !breach {
+		return
+	}
+	raw := s.raw(dur)
 	t.rec.write(&raw)
 	if t.m != nil {
 		t.m.spans.AddAt(s.sc.Span, 1)
@@ -454,7 +541,7 @@ func (s *Span) End() {
 			t.m.sampled.Inc()
 		}
 	}
-	if bud := t.budgetFor(s.nameID); bud > 0 && raw.dur >= bud {
+	if breach {
 		t.spanAnomaly(raw) //lint:allow hotpath the breach path is rare by construction (budget exceeded) and off the steady state
 	}
 }
@@ -537,8 +624,9 @@ func (t *Tracer) Anomalies() uint64 {
 	return t.anomalies.Load()
 }
 
-// SpanCount returns the number of spans completed since construction
-// (the flight recorder retains the most recent capacity of them).
+// SpanCount returns the number of spans recorded since construction
+// (the flight recorder retains the most recent capacity of them);
+// unsampled requests within their budget are not among them.
 func (t *Tracer) SpanCount() uint64 {
 	if t == nil {
 		return 0
@@ -546,7 +634,7 @@ func (t *Tracer) SpanCount() uint64 {
 	return t.rec.count()
 }
 
-// Spans decodes the most recent n completed spans from the flight
+// Spans decodes the most recent n recorded spans from the flight
 // recorder, oldest first; n <= 0 returns everything retained.
 func (t *Tracer) Spans(n int) []SpanRecord {
 	if t == nil {

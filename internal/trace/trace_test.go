@@ -153,6 +153,7 @@ func TestSpanRecordingAndParentLinks(t *testing.T) {
 	}
 }
 
+// Control-plane spans (StartSpan) record whatever the verdict.
 func TestUnsampledStillHitsFlightRecorder(t *testing.T) {
 	tr := New(Config{SampleNum: 0, SampleDen: 1, RecorderCap: 16})
 	s := tr.StartSpan(tr.Root(0, 1), "test.coarse")
@@ -166,6 +167,82 @@ func TestUnsampledStillHitsFlightRecorder(t *testing.T) {
 	c.End()
 	if got := tr.SpanCount(); got != 1 {
 		t.Errorf("SpanCount after unsampled child = %d, want 1", got)
+	}
+}
+
+// TestStartRequestRule pins the data-plane start rule. Unsampled: no
+// clock read, nothing recorded, the root handed down so a callee joins
+// it rather than minting its own, and no allocation. Sampled: a span
+// like StartSpan's. Unsampled under a budget: timed, and recorded —
+// with the anomaly — only when it breaches.
+func TestStartRequestRule(t *testing.T) {
+	var now int64
+	reads := 0
+	clock := func() int64 { reads++; return now }
+	var fired []Anomaly
+	reg := obs.NewRegistry()
+	tr := New(Config{Clock: clock, SampleNum: 0, SampleDen: 1, RecorderCap: 16, Metrics: reg,
+		AnomalyCooldown: -1, OnAnomaly: func(a Anomaly) { fired = append(fired, a) }})
+
+	root := tr.Root(3, 4)
+	req := tr.StartRequest(root, "test.req")
+	if req.Context() != root {
+		t.Errorf("unsampled request context = %+v, want its root %+v", req.Context(), root)
+	}
+	inner := tr.StartRequest(req.Context(), "test.batch")
+	inner.SetAttr("pairs", 16)
+	inner.End()
+	req.SetAttr("pairs", 16)
+	req.End()
+	local := tr.StartRequest(SpanContext{}, "test.batch")
+	if !local.Context().Valid() || local.Sampled() {
+		t.Errorf("zero parent: context %+v, want a valid unsampled local root", local.Context())
+	}
+	local.End()
+	if reads != 0 || tr.SpanCount() != 0 || reg.Snapshot()[metricSpans] != 0 {
+		t.Errorf("unsampled requests: %d clock reads, %d spans recorded, want none", reads, tr.SpanCount())
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		s := tr.StartRequest(root, "test.req")
+		s.SetAttr("pairs", 16)
+		s.End()
+	}); allocs != 0 {
+		t.Errorf("unsampled request: %v allocs, want 0", allocs)
+	}
+
+	// A budget on test.req: within it nothing is recorded; a breach is,
+	// and fires. test.batch has no budget and stays free.
+	tr.SetBudget("test.req", 15)
+	for _, dur := range []int64{5, 20} {
+		req := tr.StartRequest(root, "test.req")
+		inner := tr.StartRequest(req.Context(), "test.batch")
+		inner.End()
+		now += dur
+		req.SetAttr("pairs", dur)
+		req.End()
+	}
+	recs := tr.Spans(0)
+	if len(recs) != 1 || recs[0].Name != "test.req" || recs[0].Dur != 20 || recs[0].Sampled || recs[0].Attrs["pairs"] != 20 {
+		t.Fatalf("recorder after one breach and one pass = %+v", recs)
+	}
+	if recs[0].TraceID != root.Trace.String() || recs[0].Parent != "" {
+		t.Errorf("breach record trace %s parent %q, want the root's trace, no parent", recs[0].TraceID, recs[0].Parent)
+	}
+	if len(fired) != 1 || fired[0].Reason != ReasonBudget || fired[0].Span.Name != "test.req" {
+		t.Errorf("anomalies = %+v, want one budget breach of test.req", fired)
+	}
+
+	// Sampled: recorded at End, parent-linked, like StartSpan.
+	all := New(Config{Clock: fixedClock(10), SampleNum: 1, SampleDen: 1, RecorderCap: 16})
+	sroot := all.Root(3, 4)
+	sreq := all.StartRequest(sroot, "test.req")
+	sinner := all.StartRequest(sreq.Context(), "test.batch")
+	sinner.End()
+	sreq.End()
+	recs = all.Spans(0)
+	if len(recs) != 2 || recs[0].Name != "test.batch" || recs[1].Name != "test.req" ||
+		recs[0].Parent != recs[1].SpanID || !recs[0].Sampled || recs[1].TraceID != sroot.Trace.String() {
+		t.Errorf("sampled requests recorded %+v", recs)
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/hashutil"
+	"repro/internal/obs"
+	"repro/internal/trace"
 	"repro/internal/xgft"
 )
 
@@ -142,10 +144,30 @@ func BenchmarkWireResolveEndToEnd(b *testing.B) {
 // drained with a FrameReader over loopback, so per-frame cost — header,
 // fused pass, response framing, and the server's share of one write per
 // burst — is all there is.
-func BenchmarkWireResolvePipelined(b *testing.B) {
+func BenchmarkWireResolvePipelined(b *testing.B) { benchPipelined(b, nil, nil) }
+
+// BenchmarkWireResolvePipelinedObserved is the same burst with a
+// metrics registry on server and fabric.
+func BenchmarkWireResolvePipelinedObserved(b *testing.B) {
+	benchPipelined(b, obs.NewRegistry(), nil)
+}
+
+// BenchmarkWireResolvePipelinedTraced adds a 0/1 tracer to server and
+// fabric, as fabricd runs by default. Its ratio over …Observed is what
+// tracing costs an unsampled frame; scripts/bench_baseline.json bounds
+// it.
+func BenchmarkWireResolvePipelinedTraced(b *testing.B) {
+	reg := obs.NewRegistry()
+	benchPipelined(b, reg, trace.New(trace.Config{SampleNum: 0, SampleDen: 1, Metrics: reg}))
+}
+
+// benchPipelined runs the pipelined burst against a fabric with
+// telemetry on, and the given registry and tracer (either may be nil)
+// on fabric and server.
+func benchPipelined(b *testing.B, reg *obs.Registry, tr *trace.Tracer) {
 	const frames, perFrame = 64, 16
 	tp := xgft.MustNew(2, []int{16, 16}, []int{1, 16})
-	f, err := fabric.New(fabric.Config{Topo: tp, Algo: core.NewDModK(tp), Telemetry: true})
+	f, err := fabric.New(fabric.Config{Topo: tp, Algo: core.NewDModK(tp), Telemetry: true, Metrics: reg, Tracer: tr})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -153,7 +175,7 @@ func BenchmarkWireResolvePipelined(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := &Server{Resolver: f}
+	srv := &Server{Resolver: f, Metrics: reg, Tracer: tr}
 	go srv.Serve(l)
 	defer srv.Close()
 	conn, err := net.DialTimeout("tcp", l.Addr().String(), 10*time.Second)

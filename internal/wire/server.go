@@ -19,9 +19,9 @@ import (
 
 // Span names the server records, as constants for repolint's obskeys
 // pass. wire.request covers one frame from decode until its response is
-// queued (and flushed, when that frame ends a burst);
-// decode/resolve/encode are its stage children, recorded only for
-// sampled traces.
+// queued (and flushed, when that frame ends a burst), recorded for
+// sampled traces and budget breaches; decode/resolve/encode are its
+// stage children, recorded only for sampled traces.
 const (
 	spanRequest = "wire.request"
 	spanDecode  = "wire.decode"
@@ -125,11 +125,13 @@ type Server struct {
 	// latency and size) on the registry. Per-connection stats are kept
 	// either way.
 	Metrics *obs.Registry
-	// Tracer, when set, records a wire.request span per frame. Traced
+	// Tracer, when set, traces frames under trace.StartRequest. Traced
 	// (type 4) requests join the client's trace and inherit its
 	// sampling verdict; plain requests get a locally minted root keyed
-	// by connection and frame coordinates. nil disables spans; the
-	// timing trailer on traced responses is filled either way.
+	// by connection and frame coordinates. A sampled frame records a
+	// wire.request span (and its stage children); an unsampled one
+	// records nothing unless it breaches a latency budget. nil disables
+	// spans; the timing trailer on traced responses is filled either way.
 	Tracer *trace.Tracer
 
 	mu        sync.Mutex
@@ -501,12 +503,15 @@ func (c *serverConn) nextFrameBuffered() bool {
 // and count take in front of its packed words.
 const responsePrefixLen = HeaderSize + 12
 
-// lap returns the nanoseconds since *mark and moves the mark to now.
-func lap(mark *time.Time) int64 {
-	now := time.Now()
-	d := now.Sub(*mark)
+// lap returns the nanoseconds since *mark, an obs.Nanotime reading, and
+// moves the mark to now.
+//
+//repro:hotpath
+func lap(mark *int64) int64 {
+	now := obs.Nanotime()
+	d := now - *mark
 	*mark = now
-	return d.Nanoseconds()
+	return d
 }
 
 // serveFrame answers one request frame: validate it, run the fused
@@ -514,9 +519,10 @@ func lap(mark *time.Time) int64 {
 // the result, and flush unless the next request is already buffered. It
 // reports whether the connection is still usable. The stage clocks are
 // read only for traced frames, whose trailer carries them; an untraced
-// frame reads the clock for wire_request_ns alone.
+// frame reads the monotonic clock for wire_request_ns alone, and its
+// span costs nothing unless its trace is sampled (trace.StartRequest).
 func (c *serverConn) serveFrame(typ byte, payload []byte) bool {
-	start := time.Now()
+	start := obs.Nanotime()
 	traced := typ == TypeResolveRequestTraced
 	if typ != TypeResolveRequest && !traced {
 		c.reject(ErrCodeBadType, fmt.Sprintf("unexpected frame type %d (want resolve request)", typ))
@@ -524,7 +530,8 @@ func (c *serverConn) serveFrame(typ byte, payload []byte) bool {
 	}
 	// The request span joins the client's trace when one came over the
 	// wire (keeping its sampling verdict), else it gets a local root
-	// keyed by connection and frame coordinates.
+	// keyed by connection and frame coordinates. Either way the verdict
+	// is decided here, once, for the whole frame.
 	tracer := c.tracer
 	var parent trace.SpanContext
 	body := payload
@@ -543,7 +550,7 @@ func (c *serverConn) serveFrame(typ byte, payload []byte) bool {
 	} else {
 		parent = tracer.Root(c.st.id, c.st.frames.Load()+1)
 	}
-	req := tracer.StartSpan(parent, spanRequest)
+	req := tracer.StartRequest(parent, spanRequest)
 	ds := tracer.StartChild(req.Context(), spanDecode)
 	count, err := resolveRequestCount(body)
 	ds.End()
@@ -564,7 +571,8 @@ func (c *serverConn) serveFrame(typ byte, payload []byte) bool {
 	rparent := rs.Context()
 	if !rparent.Valid() {
 		// Sampling dropped the stage child: nest the resolver's own span
-		// under the request.
+		// under the request (for an unsampled frame, hand it the frame's
+		// root, so it records nothing either).
 		rparent = req.Context()
 	}
 	at := len(c.out)
@@ -590,7 +598,7 @@ func (c *serverConn) serveFrame(typ byte, payload []byte) bool {
 	es.End()
 	if traced {
 		tm.EncodeNS = lap(&mark)
-		tm.TotalNS = mark.Sub(start).Nanoseconds()
+		tm.TotalNS = mark - start
 		_ = PatchTiming(c.out[at:], tm) // cannot fail: the frame ends with the trailer appended above
 	}
 
@@ -608,7 +616,7 @@ func (c *serverConn) serveFrame(typ byte, payload []byte) bool {
 	c.st.frames.Add(1)
 	if c.m != nil {
 		c.m.frames.AddAt(c.st.id, 1)
-		c.m.requestNS.Observe(time.Since(start).Nanoseconds())
+		c.m.requestNS.Observe(obs.Nanotime() - start)
 	}
 	return true
 }

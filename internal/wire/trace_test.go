@@ -7,9 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/hashutil"
 	"repro/internal/obs"
 	"repro/internal/trace"
+	"repro/internal/xgft"
 )
 
 func TestTracedRequestRoundTrip(t *testing.T) {
@@ -299,8 +302,8 @@ func TestServerUntracedSpansLocalRoot(t *testing.T) {
 // nothing per request on either side of the wire.
 func TestServerTracedSteadyStateAllocs(t *testing.T) {
 	f := testFabric(t, false)
-	// Sampling off: the flight recorder still sees wire.request, but
-	// no stage children are recorded — the production default.
+	// Sampling off, the production default: the frames leave no span at
+	// all (TestUnsampledFramesLeaveNoTrace counts them).
 	tr := trace.New(trace.Config{SampleNum: 0, SampleDen: 1, RecorderCap: 64})
 	addr := startTracedServer(t, f, tr)
 	c, err := Dial(addr, 2*time.Second)
@@ -341,4 +344,148 @@ func TestServerTracedSteadyStateAllocs(t *testing.T) {
 	// and metrics on.
 	sampling := trace.New(trace.Config{SampleNum: 1, SampleDen: 1, RecorderCap: 64})
 	steadyStateAllocs(t, &Server{Resolver: f, Metrics: obs.NewRegistry(), Tracer: sampling}, true)
+}
+
+// tracedStack is a fabric and a server sharing one tracer and one
+// registry, as fabricd wires them.
+func tracedStack(t testing.TB, tr *trace.Tracer, reg *obs.Registry) *Server {
+	t.Helper()
+	tp := xgft.MustNew(2, []int{8, 8}, []int{1, 4})
+	f, err := fabric.New(fabric.Config{Topo: tp, Algo: core.NewDModK(tp), Telemetry: true, Metrics: reg, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Server{Resolver: f, Metrics: reg, Tracer: tr}
+}
+
+// serveOnce runs one connection's serve loop over frames, one frame
+// per read, and returns its connection id.
+func serveOnce(t *testing.T, srv *Server, frames [][]byte) uint64 {
+	t.Helper()
+	c := attach(t, srv, &scriptConn{chunks: frames})
+	c.serve()
+	return c.st.id
+}
+
+// TestUnsampledFramesLeaveNoTrace: at 0/1, plain and traced frames,
+// ping-pong and pipelined, are served without an allocation and without
+// a span recorded or counted.
+func TestUnsampledFramesLeaveNoTrace(t *testing.T) {
+	reg := obs.NewRegistry()
+	tr := trace.New(trace.Config{SampleNum: 0, SampleDen: 1, RecorderCap: 64, Metrics: reg})
+	srv := tracedStack(t, tr, reg)
+	before, spans := reg.Snapshot(), tr.SpanCount()
+	steadyStateAllocs(t, srv, false)
+	steadyStateAllocs(t, srv, true)
+	after := reg.Snapshot()
+	frames := after[metricFrames] - before[metricFrames]
+	if frames == 0 || after["fabric_resolve_batches_total"]-before["fabric_resolve_batches_total"] != frames {
+		t.Fatalf("served %v frames in %v fabric batches", frames, after["fabric_resolve_batches_total"])
+	}
+	if n, c := tr.SpanCount()-spans, after["trace_spans_total"]-before["trace_spans_total"]; n != 0 || c != 0 {
+		t.Errorf("%v unsampled frames: %d spans recorded, trace_spans_total moved by %v; want 0 and 0", frames, n, c)
+	}
+}
+
+// requestTraces groups the recorder's spans by trace and checks each
+// recorded frame's shape: wire.request at the top, its three stage
+// children, and fabric.resolve_batch_packed under wire.resolve, with
+// the attributes they carry. It returns the traces holding a request.
+func requestTraces(t *testing.T, spans []trace.SpanRecord) map[string]bool {
+	t.Helper()
+	byTrace := map[string]map[string]trace.SpanRecord{}
+	for _, r := range spans {
+		if byTrace[r.TraceID] == nil {
+			byTrace[r.TraceID] = map[string]trace.SpanRecord{}
+		}
+		byTrace[r.TraceID][r.Name] = r
+	}
+	out := map[string]bool{}
+	for id, recs := range byTrace {
+		req, ok := recs["wire.request"]
+		if !ok {
+			t.Errorf("trace %s holds %d spans but no wire.request", id, len(recs))
+			continue
+		}
+		out[id] = true
+		if len(recs) != 5 || req.Attrs["pairs"] != 16 || len(req.Attrs) != 2 {
+			t.Errorf("trace %s: %d spans, request attrs %v", id, len(recs), req.Attrs)
+		}
+		for _, stage := range []string{"wire.decode", "wire.resolve", "wire.encode"} {
+			if recs[stage].Parent != req.SpanID {
+				t.Errorf("trace %s: %s parent %q, want the request %s", id, stage, recs[stage].Parent, req.SpanID)
+			}
+		}
+		fb := recs["fabric.resolve_batch_packed"]
+		if fb.Parent != recs["wire.resolve"].SpanID || fb.Attrs["pairs"] != 16 || len(fb.Attrs) != 3 {
+			t.Errorf("trace %s: fabric span %+v not under wire.resolve %s", id, fb, recs["wire.resolve"].SpanID)
+		}
+	}
+	return out
+}
+
+// TestSampledFramesRecordTheirWholeTrace: at 1/1 every frame records
+// wire.request, its stages, and the fabric's span under them.
+func TestSampledFramesRecordTheirWholeTrace(t *testing.T) {
+	tr := trace.New(trace.Config{SampleNum: 1, SampleDen: 1, RecorderCap: 1024})
+	srv := tracedStack(t, tr, obs.NewRegistry())
+	const frames = 32
+	serveOnce(t, srv, burstFrames(t, 64, frames, false))
+	if got := len(requestTraces(t, tr.Spans(0))); got != frames {
+		t.Errorf("%d frames recorded, want all %d", got, frames)
+	}
+}
+
+// TestPartialRateRecordsExactlyTheSampledFrames: at 1/16 the frames
+// recorded are exactly those whose Root verdict is sampled, each with
+// its whole trace; no fabric span is recorded without its request.
+func TestPartialRateRecordsExactlyTheSampledFrames(t *testing.T) {
+	tr := trace.New(trace.Config{SampleNum: 1, SampleDen: 16, RecorderCap: 4096})
+	srv := tracedStack(t, tr, obs.NewRegistry())
+	const frames = 512
+	conn := serveOnce(t, srv, burstFrames(t, 64, frames, false))
+	want := map[string]bool{}
+	for k := uint64(1); k <= frames; k++ {
+		if root := tr.Root(conn, k); root.Sampled() {
+			want[root.Trace.String()] = true
+		}
+	}
+	if len(want) == 0 || len(want) == frames {
+		t.Fatalf("1/16 sampled %d of %d frames: the test needs a partial verdict", len(want), frames)
+	}
+	got := requestTraces(t, tr.Spans(0))
+	if len(got) != len(want) {
+		t.Errorf("%d frames recorded, %d sampled", len(got), len(want))
+	}
+	for id := range want {
+		if !got[id] {
+			t.Errorf("sampled frame %s not recorded", id)
+		}
+	}
+}
+
+// sleepResolver is a stub resolver slower than any nanosecond budget.
+type sleepResolver struct{}
+
+func (sleepResolver) ResolveBatchPacked(pairs [][2]int, out []uint64) (int, uint64) {
+	time.Sleep(time.Millisecond)
+	return len(pairs), 1
+}
+
+// TestUnsampledBudgetBreachStillFires: at 0/1 a wire.request budget
+// still watches every frame; a breach fires the anomaly and leaves the
+// breaching span in the recorder.
+func TestUnsampledBudgetBreachStillFires(t *testing.T) {
+	var fired []trace.Anomaly
+	tr := trace.New(trace.Config{SampleNum: 0, SampleDen: 1, RecorderCap: 64, AnomalyCooldown: -1,
+		OnAnomaly: func(a trace.Anomaly) { fired = append(fired, a) }})
+	tr.SetBudget("wire.request", time.Nanosecond)
+	serveOnce(t, &Server{Resolver: sleepResolver{}, Tracer: tr}, burstFrames(t, 64, 1, false))
+	if len(fired) != 1 || fired[0].Reason != trace.ReasonBudget || fired[0].Span.Name != "wire.request" {
+		t.Fatalf("anomalies = %+v, want one wire.request budget breach", fired)
+	}
+	recs := tr.Spans(0)
+	if len(recs) != 1 || recs[0].Name != "wire.request" || recs[0].Sampled || recs[0].Dur < int64(time.Millisecond) {
+		t.Errorf("recorder = %+v, want the breaching unsampled wire.request", recs)
+	}
 }

@@ -11,7 +11,8 @@
 # bare, observed and traced — and the fused pass the binary front door
 # serves: cache-hot, with the cache emptied before every batch as the
 # live daemon meets it, and as 16-pair frames from parallel goroutines;
-# wire encode/decode, end-to-end and a pipelined burst, evaluator cache, the
+# wire encode/decode, end-to-end and a pipelined burst — bare, observed
+# and traced at 0/1 as fabricd runs it — evaluator cache, the
 # census every analytic score is a max over, LoadState route deltas,
 # the Optimize pass and the Colored build that is its dearest candidate
 # (the figures' CG phases and the daemon's 1 024-flow observed phase),
@@ -27,7 +28,8 @@
 # cmd/benchgate) when any gated benchmark regressed more than 10%
 # against that committed baseline, or when a same-run ratio listed under
 # "ratios" in that file (what telemetry + metrics cost over the bare
-# lookup, what the tracer costs over that) is above its bound. CI runs
+# lookup, what the tracer costs over that, in process and per pipelined
+# frame) is above its bound. CI runs
 # `gate` on every push.
 #
 # Usage:
@@ -43,7 +45,7 @@ cd "$(dirname "$0")/.."
 # (internal/benchcal) that benchgate divides out. Anchored so e.g.
 # ResolveBatchPacked does not also pull in every sized variant that
 # may appear later.
-gate_bench='^(BenchmarkResolveBatchPackedTraced|BenchmarkResolveBatchPacked|BenchmarkResolveBatchPackedObserved|BenchmarkResolveWire|BenchmarkResolveWireCold|BenchmarkResolveWireParallel|BenchmarkWireEncodeRequest|BenchmarkWireDecodeRequest|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkWireResolveEndToEnd|BenchmarkWireResolvePipelined|BenchmarkCachedScoreHit|BenchmarkCachedScoreRoutesHit|BenchmarkApplyRouteDelta|BenchmarkOptimize|BenchmarkColoredOptimizer|BenchmarkPlaceIncremental|BenchmarkFailLinkSwap|BenchmarkHeal|BenchmarkChurnCycle|BenchmarkAnalyze|BenchmarkVerifyDeadlockFree|BenchmarkSimulatorThroughput|BenchmarkTraceReplayWRF|BenchmarkFig2bSimulated|BenchmarkNCACensus|BenchmarkCalibration)$'
+gate_bench='^(BenchmarkResolveBatchPackedTraced|BenchmarkResolveBatchPacked|BenchmarkResolveBatchPackedObserved|BenchmarkResolveWire|BenchmarkResolveWireCold|BenchmarkResolveWireParallel|BenchmarkWireEncodeRequest|BenchmarkWireDecodeRequest|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkWireResolveEndToEnd|BenchmarkWireResolvePipelined|BenchmarkWireResolvePipelinedObserved|BenchmarkWireResolvePipelinedTraced|BenchmarkCachedScoreHit|BenchmarkCachedScoreRoutesHit|BenchmarkApplyRouteDelta|BenchmarkOptimize|BenchmarkColoredOptimizer|BenchmarkPlaceIncremental|BenchmarkFailLinkSwap|BenchmarkHeal|BenchmarkChurnCycle|BenchmarkAnalyze|BenchmarkVerifyDeadlockFree|BenchmarkSimulatorThroughput|BenchmarkTraceReplayWRF|BenchmarkFig2bSimulated|BenchmarkNCACensus|BenchmarkCalibration)$'
 gate_pkgs='./internal/fabric ./internal/wire ./internal/evaluate ./internal/sched ./internal/contention .'
 
 run_gated() {
