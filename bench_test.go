@@ -392,12 +392,26 @@ func BenchmarkExtensionDeepTree(b *testing.B) {
 	}
 }
 
+// BenchmarkNCACensus times the Fig. 4 census of Random on
+// XGFT(2;16,16;1,10): one ascent per ordered pair, the census that
+// stays all-pairs.
 func BenchmarkNCACensus(b *testing.B) {
+	benchmarkNCACensus(b, core.NewRandom)
+}
+
+// BenchmarkNCACensusGuided times the same census of r-NCA-u, taken per
+// guide leaf: under 1 % of BenchmarkNCACensus, a ratio the bench
+// gate holds, so a guided census that falls back to all pairs fails it.
+func BenchmarkNCACensusGuided(b *testing.B) {
+	benchmarkNCACensus(b, core.NewRandomNCAUp)
+}
+
+func benchmarkNCACensus(b *testing.B, mk func(*xgft.Topology, uint64) core.Algorithm) {
 	tp, err := xgft.NewSlimmedTree(16, 16, 10)
 	if err != nil {
 		b.Fatal(err)
 	}
-	algo := core.NewRandomNCAUp(tp, 1)
+	algo := mk(tp, 1)
 	for i := 0; i < b.N; i++ {
 		_ = core.AllPairsNCACensus(tp, algo)
 	}

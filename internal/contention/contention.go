@@ -48,29 +48,48 @@ type Analysis struct {
 // endpoint must be a leaf of t, and every ascent must fit the
 // topology's height and port radices. Self-flows are skipped.
 func ByteLoads(t *xgft.Topology, p *pattern.Pattern, routes []xgft.Route) (*Loads, error) {
-	if len(routes) != len(p.Flows) {
-		return nil, fmt.Errorf("contention: %d routes for %d flows", len(routes), len(p.Flows))
+	l := newLoads(t)
+	if err := l.refill(t, p, routes); err != nil {
+		return nil, err
 	}
+	return l, nil
+}
+
+// newLoads returns zero loads sized for t.
+func newLoads(t *xgft.Topology) *Loads {
 	n, c := t.Leaves(), t.TotalChannels()
-	l := &Loads{
+	return &Loads{
 		UpBytes:     make([]int64, c),
 		DownBytes:   make([]int64, c),
 		InjectBytes: make([]int64, n),
 		EjectBytes:  make([]int64, n),
 	}
+}
+
+// refill replaces the loads, sized for t, by those of a routed
+// pattern, validated as ByteLoads documents.
+func (l *Loads) refill(t *xgft.Topology, p *pattern.Pattern, routes []xgft.Route) error {
+	if len(routes) != len(p.Flows) {
+		return fmt.Errorf("contention: %d routes for %d flows", len(routes), len(p.Flows))
+	}
+	clear(l.UpBytes)
+	clear(l.DownBytes)
+	clear(l.InjectBytes)
+	clear(l.EjectBytes)
+	n := t.Leaves()
 	for i, f := range p.Flows {
 		if f.Src < 0 || f.Src >= n || f.Dst < 0 || f.Dst >= n {
-			return nil, fmt.Errorf("contention: flow %d endpoints (%d,%d) out of range [0,%d)", i, f.Src, f.Dst, n)
+			return fmt.Errorf("contention: flow %d endpoints (%d,%d) out of range [0,%d)", i, f.Src, f.Dst, n)
 		}
 		if f.Src == f.Dst {
 			continue
 		}
 		r := routes[i]
 		if r.Src != f.Src || r.Dst != f.Dst {
-			return nil, fmt.Errorf("contention: route %d endpoints (%d,%d) do not match flow (%d,%d)", i, r.Src, r.Dst, f.Src, f.Dst)
+			return fmt.Errorf("contention: route %d endpoints (%d,%d) do not match flow (%d,%d)", i, r.Src, r.Dst, f.Src, f.Dst)
 		}
 		if len(r.Up) > t.Height() {
-			return nil, fmt.Errorf("contention: route %d ascends %d levels in a tree of height %d", i, len(r.Up), t.Height())
+			return fmt.Errorf("contention: route %d ascends %d levels in a tree of height %d", i, len(r.Up), t.Height())
 		}
 		l.InjectBytes[f.Src] += f.Bytes
 		l.EjectBytes[f.Dst] += f.Bytes
@@ -80,14 +99,14 @@ func ByteLoads(t *xgft.Topology, p *pattern.Pattern, routes []xgft.Route) (*Load
 		up, dn := f.Src, f.Dst
 		for lv, port := range r.Up {
 			if port < 0 || port >= t.W(lv) {
-				return nil, fmt.Errorf("contention: route %d up-port %d at level %d out of range [0,%d)", i, port, lv, t.W(lv))
+				return fmt.Errorf("contention: route %d up-port %d at level %d out of range [0,%d)", i, port, lv, t.W(lv))
 			}
 			l.UpBytes[t.UpChannelID(lv, up, port)] += f.Bytes
 			l.DownBytes[t.UpChannelID(lv, dn, port)] += f.Bytes
 			up, dn = t.Parent(lv, up, port), t.Parent(lv, dn, port)
 		}
 	}
-	return l, nil
+	return nil
 }
 
 // Analyze computes the full census of a routed pattern: ByteLoads (and

@@ -277,6 +277,43 @@ func TestPhaseBounds(t *testing.T) {
 	}
 }
 
+// TestPhaseBoundsMatchFreshLoadsPerPhase holds the loads
+// PhaseBoundsCached reuses across phases to a fresh ByteLoads per
+// phase, on phases that shrink: a later phase touching fewer channels
+// and leaves, with fewer bytes, than an earlier one reads the earlier
+// phase's maxima unless the loads are cleared in between.
+func TestPhaseBoundsMatchFreshLoadsPerPhase(t *testing.T) {
+	tp := paperTree(t, 10)
+	phases := []*pattern.Pattern{
+		pattern.KeyedRandomPermutation(256, 5000, 1),
+		{N: 256, Flows: []pattern.Flow{{Src: 3, Dst: 200, Bytes: 10}, {Src: 7, Dst: 7, Bytes: 99}}},
+		pattern.KeyedRandomPermutation(256, 100, 2),
+		{N: 256},
+	}
+	for _, algo := range []core.Algorithm{core.NewDModK(tp), core.NewRandom(tp, 3)} {
+		network, crossbar, err := PhaseBoundsCached(nil, tp, algo, phases)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range phases {
+			tbl, err := core.BuildTable(tp, algo, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := ByteLoads(tp, p, tbl.Routes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if network[i] != l.CompletionBound() || crossbar[i] != l.CrossbarBound() {
+				t.Errorf("%s phase %d: bounds %d/%d, fresh loads %d/%d", algo.Name(), i, network[i], crossbar[i], l.CompletionBound(), l.CrossbarBound())
+			}
+		}
+		if network[1] != 10 || network[3] != 0 {
+			t.Errorf("%s: shrinking phases bound %d and %d, want 10 and 0", algo.Name(), network[1], network[3])
+		}
+	}
+}
+
 func TestPhasedSlowdownErrors(t *testing.T) {
 	tp := paperTree(t, 16)
 	if _, err := PhasedSlowdown(tp, core.NewDModK(tp), nil); err == nil {

@@ -14,17 +14,17 @@ import (
 // analytic evaluator) and the phase-resolved reporting of Fig. 3's
 // "fifth phase takes eight times longer" analysis. Routing tables are
 // served from (and stored into) the given cache; a nil cache
-// recomputes.
+// recomputes. The phases' loads are counted in one reused set.
 func PhaseBoundsCached(c *core.TableCache, t *xgft.Topology, algo core.Algorithm, phases []*pattern.Pattern) (network, crossbar []int64, err error) {
 	network = make([]int64, len(phases))
 	crossbar = make([]int64, len(phases))
+	l := newLoads(t)
 	for i, p := range phases {
 		tbl, err := c.Build(t, algo, p)
 		if err != nil {
 			return nil, nil, err
 		}
-		l, err := ByteLoads(t, p, tbl.Routes)
-		if err != nil {
+		if err := l.refill(t, p, tbl.Routes); err != nil {
 			return nil, nil, err
 		}
 		network[i], crossbar[i] = l.CompletionBound(), l.CrossbarBound()

@@ -18,14 +18,19 @@ func obliviousSchemes(tp *xgft.Topology) []Algorithm {
 	}
 }
 
-// ascentTrees are the shapes the buffer path is held to the oracle
-// on: the paper's slimmed two-level tree and a slimmed three-level
-// one, where subtree prefixes and guide digits stop coinciding.
+// ascentTrees are the shapes the buffer path and the per-guide census
+// are held to the oracle on: the paper's slimmed two-level tree, a
+// slimmed three-level one, where subtree prefixes and guide digits stop
+// coinciding, a tree whose top level has one child (no pair reaches a
+// root), a one-level tree, and one with more parents than children.
 func ascentTrees(t *testing.T) []*xgft.Topology {
 	t.Helper()
 	return []*xgft.Topology{
 		paperTree(t, 10),
 		xgft.MustNew(3, []int{4, 3, 5}, []int{1, 2, 3}),
+		xgft.MustNew(2, []int{4, 1}, []int{1, 3}),
+		xgft.MustNew(1, []int{6}, []int{4}),
+		xgft.MustNew(2, []int{3, 4}, []int{2, 5}),
 	}
 }
 
@@ -42,13 +47,29 @@ func (r *routeOnly) Route(src, dst int) xgft.Route {
 	return r.Algorithm.Route(src, dst)
 }
 
+// ncaLevelByDigits is xgft's NCALevel as the digit-wise loop it was
+// first written as (xgft's tests hold the two equal), so the census
+// oracle shares no code with the census it checks.
+func ncaLevelByDigits(tp *xgft.Topology, s, d int) int {
+	level := 0
+	for j := 0; j < tp.Height(); j++ {
+		base := tp.M(j)
+		if s%base != d%base {
+			level = j + 1
+		}
+		s /= base
+		d /= base
+	}
+	return level
+}
+
 // censusByRoute is the census as it was before the buffer path: one
 // Route per pair, the root found by walking the ascent from the source.
 func censusByRoute(tp *xgft.Topology, algo Algorithm) []int {
 	counts := make([]int, tp.NodesAt(tp.Height()))
 	for s := 0; s < tp.Leaves(); s++ {
 		for d := 0; d < tp.Leaves(); d++ {
-			if s == d || tp.NCALevel(s, d) != tp.Height() {
+			if ncaLevelByDigits(tp, s, d) != tp.Height() {
 				continue
 			}
 			_, idx := algo.Route(s, d).NCA(tp)
@@ -58,13 +79,27 @@ func censusByRoute(tp *xgft.Topology, algo Algorithm) []int {
 	return counts
 }
 
+// TestCensusBufferPathMatchesRoutePerPair holds the census of every
+// oblivious scheme — per guide leaf for the six endpoint-guided ones,
+// per pair for Random — and of the same schemes behind a foreign type
+// to one Route per pair.
 func TestCensusBufferPathMatchesRoutePerPair(t *testing.T) {
 	for _, tp := range ascentTrees(t) {
 		for _, algo := range obliviousSchemes(tp) {
 			if _, ok := algo.(ascender); !ok {
 				t.Fatalf("%s does not compute its ascent into a buffer", algo.Name())
 			}
+			if _, ok := algo.(guided); ok == (algo.Name() == "random") {
+				t.Fatalf("%s: guided %v, want a guide leaf for every scheme but Random", algo.Name(), ok)
+			}
 			want := censusByRoute(tp, algo)
+			if tp.M(tp.Height()-1) == 1 {
+				for _, c := range want {
+					if c != 0 {
+						t.Fatalf("%s on %s: census %v, want no pair at a root", algo.Name(), tp, want)
+					}
+				}
+			}
 			if got := AllPairsNCACensus(tp, algo); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s on %s: buffered census %v, Route-per-pair %v", algo.Name(), tp, got, want)
 			}
@@ -78,6 +113,30 @@ func TestCensusBufferPathMatchesRoutePerPair(t *testing.T) {
 			}
 			if foreign.calls != top {
 				t.Errorf("%s on %s: foreign algorithm asked for %d routes, want one per top-level pair (%d)", algo.Name(), tp, foreign.calls, top)
+			}
+		}
+	}
+}
+
+// TestRandomAscentMatchesPerLevelHash pins Random's hoisted pair hash
+// to the formula it replaced: the port at every level is
+// uniform(mix(seed, src, dst, lvl), w), one-port levels included.
+func TestRandomAscentMatchesPerLevelHash(t *testing.T) {
+	for _, tp := range []*xgft.Topology{paperTree(t, 10), xgft.MustNew(3, []int{4, 3, 5}, []int{2, 1, 3})} {
+		const seed = 7
+		algo := NewRandom(tp, seed).(*randomNCA)
+		var buf [xgft.MaxHeight]int
+		for s := 0; s < tp.Leaves(); s++ {
+			for d := 0; d < tp.Leaves(); d++ {
+				up := algo.ascentInto(s, d, buf[:0])
+				if len(up) != ncaLevelByDigits(tp, s, d) {
+					t.Fatalf("%s: ascent %d->%d climbs %d levels, want %d", tp, s, d, len(up), ncaLevelByDigits(tp, s, d))
+				}
+				for lvl, port := range up {
+					if want := uniform(mix(seed, uint64(s), uint64(d), uint64(lvl)), tp.W(lvl)); port != want {
+						t.Fatalf("%s: %d->%d level %d port %d, per-level hash %d", tp, s, d, lvl, port, want)
+					}
+				}
 			}
 		}
 	}

@@ -143,17 +143,47 @@ func BuildTable(t *xgft.Topology, algo Algorithm, p *pattern.Pattern) (*Table, e
 	return tbl, nil
 }
 
+// guided is an ascender whose ascent depends on one endpoint of the
+// pair, its guide leaf, and the NCA level alone (mod-k, §V; the
+// relabeling family, §VIII); guidedBySource names that endpoint.
+type guided interface {
+	ascender
+	guidedBySource() bool
+}
+
 // AllPairsNCACensus counts, for every top-ancestor choice, how many of
 // the N*(N-1) ordered pairs with NCA at the top level are assigned to
 // each root, reproducing the census of the paper's Fig. 4 ("number of
 // routes assigned per NCA"). Pairs whose NCA is below the top level do
 // not reach a root and are excluded, as in the figure.
+//
+// An endpoint-guided scheme sends every top-level pair of a guide leaf
+// to the same root, so its census is one ascent per leaf, toward any
+// peer outside the leaf's top subtree, weighted by the N - N/m_h such
+// peers. Any other scheme is asked pair by pair.
 func AllPairsNCACensus(t *xgft.Topology, algo Algorithm) []int {
 	h := t.Height()
 	counts := make([]int, t.NodesAt(h))
-	asc, buffered := algo.(ascender)
 	var buf [xgft.MaxHeight]int
 	n := t.Leaves()
+	if g, ok := algo.(guided); ok {
+		subtree := n / t.M(h-1)
+		if subtree == n {
+			return counts // m_h = 1: no pair reaches a root
+		}
+		for leaf := 0; leaf < n; leaf++ {
+			// Adding one subtree's span moves the top digit, mod N.
+			s, d := leaf, (leaf+subtree)%n
+			if !g.guidedBySource() {
+				s, d = d, s
+			}
+			// Every digit of a root's label is a W-digit, so the ascent
+			// is the root's label.
+			counts[t.Index(h, g.ascentInto(s, d, buf[:0]))] += n - subtree
+		}
+		return counts
+	}
+	asc, buffered := algo.(ascender)
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
 			var up []int
@@ -165,8 +195,6 @@ func AllPairsNCACensus(t *xgft.Topology, algo Algorithm) []int {
 			if len(up) != h {
 				continue
 			}
-			// Every digit of a root's label is a W-digit, so the ascent
-			// is the root's label.
 			counts[t.Index(h, up)]++
 		}
 	}

@@ -33,6 +33,8 @@ func (m *modK) Name() string { return m.name }
 // of the topology spec and the scheme name.
 func (m *modK) CacheKey() string { return m.name }
 
+func (m *modK) guidedBySource() bool { return m.useSource }
+
 func (m *modK) Route(src, dst int) xgft.Route {
 	var buf [xgft.MaxHeight]int
 	return ownedRoute(src, dst, m.ascentInto(src, dst, buf[:0]))

@@ -34,11 +34,18 @@ func (r *randomNCA) Route(src, dst int) xgft.Route {
 	return ownedRoute(src, dst, r.ascentInto(src, dst, buf[:0]))
 }
 
+// ascentInto takes port uniform(mix(seed, src, dst, lvl), w) at level
+// lvl. mix folds its values in order, so the pair is hashed once and a
+// level costs one round more; one-port levels draw nothing.
 func (r *randomNCA) ascentInto(src, dst int, up []int) []int {
 	l := r.topo.NCALevel(src, dst)
+	pair := mix(r.seed, uint64(src), uint64(dst))
 	for lvl := 0; lvl < l; lvl++ {
-		h := mix(r.seed, uint64(src), uint64(dst), uint64(lvl))
-		up = append(up, uniform(h, r.topo.W(lvl)))
+		port := 0
+		if w := r.topo.W(lvl); w > 1 {
+			port = uniform(splitmix64(pair^uint64(lvl)), w)
+		}
+		up = append(up, port)
 	}
 	return up
 }

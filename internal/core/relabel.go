@@ -88,6 +88,8 @@ func (f *relabelFamily) Name() string { return f.name }
 // the two never alias.
 func (f *relabelFamily) CacheKey() string { return fmt.Sprintf("%s/%#x", f.name, f.seed) }
 
+func (f *relabelFamily) guidedBySource() bool { return f.useSource }
+
 func (f *relabelFamily) Route(src, dst int) xgft.Route {
 	var buf [xgft.MaxHeight]int
 	return ownedRoute(src, dst, f.ascentInto(src, dst, buf[:0]))

@@ -85,12 +85,13 @@ func DeepTreeSweep(opt Options) ([]DeepRow, error) {
 			values[i][k] = make([]float64, seeds)
 		}
 	}
+	ev := opt.evaluator()
 	err := opt.run(len(ws)*cellsPerW, func(idx int) error {
 		i, c := idx/cellsPerW, idx%cellsPerW
 		k, seed := c/seeds, c%seeds
 		tp := topos[i]
 		algo := deepSchemes[k](tp, uint64(seed)+1)
-		res, err := opt.evaluator().Score(tp, algo, []*pattern.Pattern{perms[i][seed]})
+		res, err := ev.Score(tp, algo, []*pattern.Pattern{perms[i][seed]})
 		if err != nil {
 			return err
 		}
@@ -167,6 +168,7 @@ func BalanceAblation(w2 int, opt Options) (*AblationRow, error) {
 	slowdowns := [2][]float64{make([]float64, seeds), make([]float64, seeds)}
 	// Cell layout: variant-major, census cells before slowdown cells.
 	cellsPerVariant := 2 * seeds
+	ev := opt.evaluator()
 	err = opt.run(2*cellsPerVariant, func(idx int) error {
 		v, c := idx/cellsPerVariant, idx%cellsPerVariant
 		metric, seed := c/seeds, c%seeds
@@ -185,7 +187,7 @@ func BalanceAblation(w2 int, opt Options) (*AblationRow, error) {
 			spreads[v][seed] = float64(max - min)
 			return nil
 		}
-		res, err := opt.evaluator().Score(tp, algo, phases)
+		res, err := ev.Score(tp, algo, phases)
 		if err != nil {
 			return err
 		}

@@ -37,6 +37,7 @@ type Topology struct {
 	w []int // w[i] = paper w_{i+1}: parents per node at level i
 
 	leaves     int   // product of all m[i]
+	below      []int // below[j] = m[0]*...*m[j-1]: place value of leaf digit j
 	nodesAt    []int // nodesAt[l] = number of nodes at level l
 	upChanAt   []int // upChanAt[l] = number of up channels leaving level l
 	upChanBase []int // prefix sums of upChanAt for flat channel IDs
@@ -58,7 +59,7 @@ func New(h int, m, w []int) (*Topology, error) {
 	if len(m) != h || len(w) != h {
 		return nil, fmt.Errorf("xgft: need %d m-parameters and %d w-parameters, got %d and %d", h, h, len(m), len(w))
 	}
-	leaves := 1
+	leaves, below := 1, make([]int, h)
 	for i, mi := range m {
 		if mi < 1 {
 			return nil, fmt.Errorf("xgft: m[%d]=%d must be >= 1", i, mi)
@@ -66,6 +67,7 @@ func New(h int, m, w []int) (*Topology, error) {
 		if leaves > (1<<31)/mi {
 			return nil, errors.New("xgft: too many leaves (overflow)")
 		}
+		below[i] = leaves
 		leaves *= mi
 	}
 	for i, wi := range w {
@@ -78,6 +80,7 @@ func New(h int, m, w []int) (*Topology, error) {
 		m:      append([]int(nil), m...),
 		w:      append([]int(nil), w...),
 		leaves: leaves,
+		below:  below,
 	}
 	t.nodesAt = make([]int, h+1)
 	for l := 0; l <= h; l++ {
@@ -373,21 +376,18 @@ func (t *Topology) DownPortOf(level, childIndex int) int {
 
 // NCALevel returns the level of the nearest common ancestors of two
 // distinct leaves: one plus the highest digit position at which their
-// labels differ. For s == d it returns 0.
+// labels differ. For s == d it returns 0. Digits are compared from the
+// top down, a whole prefix at a time: s/below[j] is the label's digits
+// j..h-1, so the first j from the top where the prefixes differ is the
+// highest differing digit. Most pairs of a wide tree part at the top,
+// after one comparison.
 func (t *Topology) NCALevel(s, d int) int {
-	if s == d {
-		return 0
-	}
-	level := 0
-	for j := 0; j < t.h; j++ {
-		base := t.m[j]
-		if s%base != d%base {
-			level = j + 1
+	for j := t.h - 1; j >= 0; j-- {
+		if s/t.below[j] != d/t.below[j] {
+			return j + 1
 		}
-		s /= base
-		d /= base
 	}
-	return level
+	return 0
 }
 
 // NCACount returns how many distinct NCAs a pair with NCA level l can

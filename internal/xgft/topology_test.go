@@ -240,6 +240,43 @@ func TestNCALevelProperties(t *testing.T) {
 	}
 }
 
+// ncaLevelByDigits is NCALevel's definition as the digit-wise loop it
+// was first written as: one plus the highest position at which the two
+// leaves' M-digits differ, 0 for s == d.
+func ncaLevelByDigits(tp *Topology, s, d int) int {
+	level := 0
+	for j := 0; j < tp.Height(); j++ {
+		base := tp.M(j)
+		if s%base != d%base {
+			level = j + 1
+		}
+		s /= base
+		d /= base
+	}
+	return level
+}
+
+// TestNCALevelMatchesDigitwiseReference holds the top-down prefix
+// comparison to the digit-wise loop on every pair of small trees with
+// the shapes the prefix rule could trip on.
+func TestNCALevelMatchesDigitwiseReference(t *testing.T) {
+	for _, tp := range []*Topology{
+		MustNew(1, []int{6}, []int{1}),             // h = 1
+		MustNew(3, []int{3, 1, 4}, []int{1, 2, 2}), // a level with m_j = 1
+		MustNew(2, []int{4, 1}, []int{1, 3}),       // m_h = 1: no pair reaches a root
+		MustNew(2, []int{3, 4}, []int{2, 5}),       // w_j > m_j
+		MustNew(3, []int{4, 3, 5}, []int{1, 2, 3}), // three levels
+	} {
+		for s := 0; s < tp.Leaves(); s++ {
+			for d := 0; d < tp.Leaves(); d++ {
+				if got, want := tp.NCALevel(s, d), ncaLevelByDigits(tp, s, d); got != want {
+					t.Fatalf("%s: NCALevel(%d,%d) = %d, digit-wise reference %d", tp, s, d, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestNCACount(t *testing.T) {
 	tp := paperTree(t, 10)
 	if got := tp.NCACount(1); got != 1 {

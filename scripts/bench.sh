@@ -21,15 +21,16 @@
 # (feed, Optimize, FailLink, Heal) and the from-scratch deadlock
 # certification; and what the simulated and census figures
 # of the paper are made of: the network simulator's event loop, trace
-# replay over it, one simulated Fig. 2b point, and the all-pairs NCA
-# census) with
+# replay over it, one simulated Fig. 2b point, and the Fig. 4 NCA
+# census: Random's over all pairs, r-NCA-u's per guide leaf) with
 # -count=5 and commits the min-of-runs ns/op per benchmark to
 # scripts/bench_baseline.json; `gate` repeats the run and fails (via
 # cmd/benchgate) when any gated benchmark regressed more than 10%
 # against that committed baseline, or when a same-run ratio listed under
 # "ratios" in that file (what telemetry + metrics cost over the bare
 # lookup, what the tracer costs over that, in process and per pipelined
-# frame) is above its bound. CI runs
+# frame, and what the guided census costs over the all-pairs one) is
+# above its bound. CI runs
 # `gate` on every push.
 #
 # Usage:
@@ -45,7 +46,7 @@ cd "$(dirname "$0")/.."
 # (internal/benchcal) that benchgate divides out. Anchored so e.g.
 # ResolveBatchPacked does not also pull in every sized variant that
 # may appear later.
-gate_bench='^(BenchmarkResolveBatchPackedTraced|BenchmarkResolveBatchPacked|BenchmarkResolveBatchPackedObserved|BenchmarkResolveWire|BenchmarkResolveWireCold|BenchmarkResolveWireParallel|BenchmarkWireEncodeRequest|BenchmarkWireDecodeRequest|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkWireResolveEndToEnd|BenchmarkWireResolvePipelined|BenchmarkWireResolvePipelinedObserved|BenchmarkWireResolvePipelinedTraced|BenchmarkCachedScoreHit|BenchmarkCachedScoreRoutesHit|BenchmarkApplyRouteDelta|BenchmarkOptimize|BenchmarkColoredOptimizer|BenchmarkPlaceIncremental|BenchmarkFailLinkSwap|BenchmarkHeal|BenchmarkChurnCycle|BenchmarkAnalyze|BenchmarkVerifyDeadlockFree|BenchmarkSimulatorThroughput|BenchmarkTraceReplayWRF|BenchmarkFig2bSimulated|BenchmarkNCACensus|BenchmarkCalibration)$'
+gate_bench='^(BenchmarkResolveBatchPackedTraced|BenchmarkResolveBatchPacked|BenchmarkResolveBatchPackedObserved|BenchmarkResolveWire|BenchmarkResolveWireCold|BenchmarkResolveWireParallel|BenchmarkWireEncodeRequest|BenchmarkWireDecodeRequest|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkWireResolveEndToEnd|BenchmarkWireResolvePipelined|BenchmarkWireResolvePipelinedObserved|BenchmarkWireResolvePipelinedTraced|BenchmarkCachedScoreHit|BenchmarkCachedScoreRoutesHit|BenchmarkApplyRouteDelta|BenchmarkOptimize|BenchmarkColoredOptimizer|BenchmarkPlaceIncremental|BenchmarkFailLinkSwap|BenchmarkHeal|BenchmarkChurnCycle|BenchmarkAnalyze|BenchmarkVerifyDeadlockFree|BenchmarkSimulatorThroughput|BenchmarkTraceReplayWRF|BenchmarkFig2bSimulated|BenchmarkNCACensus|BenchmarkNCACensusGuided|BenchmarkCalibration)$'
 gate_pkgs='./internal/fabric ./internal/wire ./internal/evaluate ./internal/sched ./internal/contention .'
 
 run_gated() {
