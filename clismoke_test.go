@@ -61,8 +61,8 @@ func TestCLISmoke(t *testing.T) {
 		})
 	}
 
-	// -progress reports cell completion and nothing else: two figures
-	// in one process share no table cache, so there are no cache
+	// -progress reports cell completion and nothing else: figures in
+	// one process share cells, not a table cache, so there are no cache
 	// statistics to print.
 	t.Run("experiments -progress", func(t *testing.T) {
 		var stderr bytes.Buffer
@@ -71,8 +71,10 @@ func TestCLISmoke(t *testing.T) {
 		if err := cmd.Run(); err != nil {
 			t.Fatalf("experiments -progress: %v\n%s", err, stderr.String())
 		}
-		if got := stderr.String(); !strings.Contains(got, "144/144 cells") || strings.Contains(got, "routing-table cache:") {
-			t.Fatalf("-progress stderr wants the cells counter and no cache line, got:\n%s", got)
+		// Fig. 2a's cells are Fig. 5a's: one grid counts 144, and no
+		// 80-cell count shows Fig. 2a scored on its own.
+		if got := stderr.String(); !strings.Contains(got, "144/144 cells") || strings.Contains(got, "80/80 cells") || strings.Contains(got, "routing-table cache:") {
+			t.Fatalf("-progress stderr wants one 144-cell counter and no cache line, got:\n%s", got)
 		}
 	})
 
@@ -402,8 +404,22 @@ func TestCLISmoke(t *testing.T) {
 		}
 	}
 
-	// Figures run in one process share nothing: Fig. 5b after Fig. 2b
-	// prints what Fig. 5b alone prints.
+	// The grid sections share one batch of cells: declared together
+	// they print, at any -parallel, what each prints alone.
+	gridArgs := []string{"-fig2a", "-fig5a", "-fig4b", "-ablation", "-ext", "-faults", "-fidelity", "-seeds", "2", "-bytes", "2048"}
+	together := runSweep("1", gridArgs...)
+	if par := runSweep("8", gridArgs...); par != together {
+		t.Fatalf("grid sections differ across -parallel:\n%s\nvs\n%s", together, par)
+	}
+	var alone string
+	for _, section := range []string{"-fig2a", "-fig4b", "-fig5a", "-ext", "-faults", "-fidelity", "-ablation"} { // print order
+		alone += runSweep("1", section, "-seeds", "2", "-bytes", "2048")
+	}
+	if alone != together {
+		t.Fatalf("grid sections run together differ from each run alone:\n%s\nvs\n%s", together, alone)
+	}
+
+	// Fig. 5b after Fig. 2b prints what Fig. 5b alone prints.
 	if both, alone := runSweep("2", "-fig2b", "-fig5b", "-seeds", "2"), runSweep("2", "-fig5b", "-seeds", "2"); !strings.HasSuffix(both, alone) {
 		t.Fatalf("-fig5b after -fig2b differs from -fig5b alone:\n%s\nvs\n%s", both, alone)
 	}

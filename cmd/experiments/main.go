@@ -1,18 +1,11 @@
 // Command experiments regenerates every table and figure of the
-// paper's evaluation (README.md, "Regenerating the paper's tables and
-// figures", is the index):
+// paper's evaluation and the extension sweeps beside them (README.md,
+// "Regenerating the paper's tables and figures", is the index). Every
+// section of the report has a flag, listed by -h, and -all selects
+// them all:
 //
-//	experiments -table1             Table I label schema
-//	experiments -fig2a -fig2b       Fig. 2: WRF/CG slimming sweeps
-//	experiments -fig3               Fig. 3: CG traffic decomposition
-//	experiments -fig4a -fig4b       Fig. 4: routes per NCA
-//	experiments -fig5a -fig5b       Fig. 5: r-NCA-u/d boxplots
-//	experiments -faults             degraded-topology sweep (failed links)
-//	experiments -shift              shifting-traffic sweep (online re-optimization)
-//	experiments -placement          multi-tenant placement churn sweep
-//	experiments -churn              churn convergence sweep (placement + re-optimization under link flaps)
-//	experiments -fidelity           analytic bound vs venus simulation (rank agreement)
-//	experiments -all                everything above
+//	experiments -fig2b -fig5b -seeds 40
+//	experiments -all -seeds 4 -progress
 //
 // By default the fast analytic engine is used; -engine simulated runs
 // the full trace-replay pipeline (at paper message sizes, -bytes 0,
@@ -20,58 +13,133 @@
 // from 71.7 s when every cell replayed its own crossbar reference; use
 // -bytes to scale down). -csv switches the sweep output format.
 //
-// Sweeps fan their independent (topology, algorithm, pattern, seed)
-// cells out over -parallel workers (default: all CPUs); every cell
-// builds its routing table, scores it and drops it, so figures run in
-// one process share nothing. -progress reports cell completion on
-// stderr.
+// Figures 2, 4 and 5 and the -ext, -ablation, -faults and -fidelity
+// sweeps declare their cells on one grid, which scores each distinct
+// cell once over -parallel workers (default: all CPUs) before the
+// first section prints, so their timing lines cover rendering only and
+// an error in any of them stops the run before anything prints.
+// Table I, Fig. 3 and the -shift, -placement, -churn and -adaptive
+// sweeps run when their section prints: the first three sweeps thread
+// state from step to step, and -adaptive has no routing algorithm to
+// key a cell by. -progress reports cell completion on stderr.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/xgft"
 )
 
+// section is one block of the report, in print order. A grid section
+// declares its cells on the shared batch and returns its renderer; any
+// other section runs when it prints.
+type section struct {
+	flag, title string
+	skip        string // why -all skips the section under -engine simulated
+	grid        func(*experiments.Batch) (func(), error)
+	run         func() error
+}
+
+// later renders a declared sweep's rows once the batch has run.
+func later[T any](write func(io.Writer, T)) func(func() T, error) (func(), error) {
+	return func(rows func() T, err error) (func(), error) { return func() { write(os.Stdout, rows()) }, err }
+}
+
+// show renders a sweep's result unless computing it failed.
+func show[T any](write func(io.Writer, T)) func(T, error) error {
+	return func(v T, err error) error {
+		if err == nil {
+			write(os.Stdout, v)
+		}
+		return err
+	}
+}
+
 func main() {
 	var (
 		all      = flag.Bool("all", false, "run every experiment")
-		table1   = flag.Bool("table1", false, "Table I")
-		fig2a    = flag.Bool("fig2a", false, "Fig. 2a (WRF)")
-		fig2b    = flag.Bool("fig2b", false, "Fig. 2b (CG)")
-		fig3     = flag.Bool("fig3", false, "Fig. 3 (CG pattern)")
-		fig4a    = flag.Bool("fig4a", false, "Fig. 4a (census, w2=16)")
-		fig4b    = flag.Bool("fig4b", false, "Fig. 4b (census, w2=10)")
-		fig5a    = flag.Bool("fig5a", false, "Fig. 5a (WRF boxplots)")
-		fig5b    = flag.Bool("fig5b", false, "Fig. 5b (CG boxplots)")
-		ext      = flag.Bool("ext", false, "extension: three-level XGFT generalization sweep")
-		faults   = flag.Bool("faults", false, "extension: degraded-topology sweep (failed top-level links)")
-		shift    = flag.Bool("shift", false, "extension: shifting-traffic sweep (static d-mod-k vs online re-optimization)")
-		place    = flag.Bool("placement", false, "extension: multi-tenant placement churn sweep (scheduler policies)")
-		churn    = flag.Bool("churn", false, "extension: churn convergence sweep (placement + re-optimization under link flaps)")
-		fidelity = flag.Bool("fidelity", false, "extension: analytic bound vs venus simulation fidelity sweep")
-		ablate   = flag.Bool("ablation", false, "ablation: balanced vs uniform relabeling")
-		adaptive = flag.Bool("adaptive", false, "extension: adaptive vs oblivious routing")
 		engine   = flag.String("engine", "analytic", "analytic or simulated")
 		seeds    = flag.Int("seeds", 40, "seeds per boxplot (paper: 40-60)")
 		bytes    = flag.Int64("bytes", 0, "message size override (0 = paper sizes)")
 		par      = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent sweep cells")
 		progress = flag.Bool("progress", false, "report sweep-cell completion on stderr")
 		csv      = flag.Bool("csv", false, "CSV output for sweeps")
+		opt      experiments.Options
 	)
+	type batch = *experiments.Batch
+	wrf, cg := experiments.WRFApp(), experiments.CGApp()
+	fig2 := func(app *experiments.App) func(io.Writer, []experiments.Fig2Row) {
+		if *csv {
+			return experiments.WriteFigure2CSV
+		}
+		return func(w io.Writer, rows []experiments.Fig2Row) { experiments.WriteFigure2(w, app, rows) }
+	}
+	fig5 := func(app *experiments.App) func(io.Writer, []experiments.Fig5Row) {
+		if *csv {
+			return experiments.WriteFigure5CSV
+		}
+		return func(w io.Writer, rows []experiments.Fig5Row) { experiments.WriteFigure5(w, app, rows) }
+	}
+	// The fault and ablation sections print one block per part.
+	fault := func(app *experiments.App, rows []experiments.FaultRow) {
+		experiments.WriteFaultSweep(os.Stdout, app, rows)
+		fmt.Println()
+	}
+	ablation := func(row *experiments.AblationRow) {
+		experiments.WriteBalanceAblation(os.Stdout, row)
+		fmt.Println()
+	}
+	sections := []section{
+		{flag: "table1", title: "Table I", run: func() error {
+			for _, spec := range []string{"2;16,16;1,16", "2;16,16;1,10", "3;4,4,4;1,2,2"} {
+				tp, err := xgft.Parse(spec)
+				if err != nil {
+					return err
+				}
+				experiments.WriteTable1(os.Stdout, tp, experiments.Table1(tp))
+				fmt.Println()
+			}
+			return nil
+		}},
+		{flag: "fig2a", title: "Figure 2a — WRF-256", grid: func(b batch) (func(), error) { return later(fig2(wrf))(b.Figure2(wrf)) }},
+		{flag: "fig2b", title: "Figure 2b — CG.D-128", grid: func(b batch) (func(), error) { return later(fig2(cg))(b.Figure2(cg)) }},
+		{flag: "fig3", title: "Figure 3 — CG.D-128 traffic", run: func() error { return show(experiments.WriteFigure3)(experiments.Figure3(opt)) }},
+		{flag: "fig4a", title: "Figure 4a — routes per NCA, w2=16", grid: func(b batch) (func(), error) { return later(experiments.WriteFigure4)(b.Figure4(16)) }},
+		{flag: "fig4b", title: "Figure 4b — routes per NCA, w2=10", grid: func(b batch) (func(), error) { return later(experiments.WriteFigure4)(b.Figure4(10)) }},
+		{flag: "fig5a", title: "Figure 5a — WRF-256 boxplots", grid: func(b batch) (func(), error) { return later(fig5(wrf))(b.Figure5(wrf)) }},
+		{flag: "fig5b", title: "Figure 5b — CG.D-128 boxplots", grid: func(b batch) (func(), error) { return later(fig5(cg))(b.Figure5(cg)) }},
+		{flag: "ext", title: "Extension — three-level XGFT sweep", grid: func(b batch) (func(), error) { return later(experiments.WriteDeepTreeSweep)(b.DeepTreeSweep()) }},
+		{flag: "faults", title: "Extension — degraded topology (failed top-level links)", skip: "analytic engine only", grid: func(b batch) (func(), error) {
+			w, errW := b.FaultSweep(wrf)
+			c, errC := b.FaultSweep(cg)
+			return func() { fault(wrf, w()); fault(cg, c()) }, cmp.Or(errW, errC)
+		}},
+		{flag: "shift", title: "Extension — shifting traffic (online re-optimization)", skip: "analytic engine only", run: func() error { return show(experiments.WriteShiftSweep)(experiments.ShiftSweep(opt)) }},
+		{flag: "placement", title: "Extension — placement churn (multi-tenant scheduler policies)", skip: "analytic engine only", run: func() error { return show(experiments.WritePlacementSweep)(experiments.PlacementSweep(opt)) }},
+		{flag: "churn", title: "Extension — churn convergence (placement + re-optimization under link flaps)", skip: "analytic engine only", run: func() error { return show(experiments.WriteChurnSweep)(experiments.ChurnSweep(opt)) }},
+		{flag: "fidelity", title: "Extension — analytic vs simulation fidelity", skip: "manages its own backends", grid: func(b batch) (func(), error) { return later(experiments.WriteFidelitySweep)(b.FidelitySweep()) }},
+		{flag: "ablation", title: "Ablation — balanced vs uniform relabeling", grid: func(b batch) (func(), error) {
+			r10, err10 := b.BalanceAblation(10)
+			r6, err6 := b.BalanceAblation(6)
+			return func() { ablation(r10()); ablation(r6()) }, cmp.Or(err10, err6)
+		}},
+		{flag: "adaptive", title: "Extension — adaptive vs oblivious", run: func() error { return show(experiments.WriteAdaptiveComparison)(experiments.AdaptiveComparison(opt)) }},
+	}
+	chosen := make([]*bool, len(sections))
+	for i, s := range sections {
+		chosen[i] = flag.Bool(s.flag, false, s.title)
+	}
 	flag.Parse()
 
-	opt := experiments.Options{
-		Engine:       experiments.Engine(*engine),
-		Seeds:        *seeds,
-		MessageBytes: *bytes,
-		Parallelism:  *par,
-	}
+	opt = experiments.Options{Engine: experiments.Engine(*engine), Seeds: *seeds, MessageBytes: *bytes, Parallelism: *par}
 	if *progress {
 		opt.Progress = func(done, total int) {
 			fmt.Fprintf(os.Stderr, "\r%d/%d cells", done, total)
@@ -80,7 +148,6 @@ func main() {
 			}
 		}
 	}
-	any := false
 	fail := func(err error) {
 		if *progress {
 			// Terminate a partially-written progress line so the
@@ -90,223 +157,44 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
-	section := func(name string) func() {
-		any = true
-		start := time.Now()
-		fmt.Printf("=== %s ===\n", name)
-		return func() { fmt.Printf("    [%.2fs]\n\n", time.Since(start).Seconds()) }
-	}
 
-	if *all || *table1 {
-		done := section("Table I")
-		for _, spec := range []string{"2;16,16;1,16", "2;16,16;1,10", "3;4,4,4;1,2,2"} {
-			tp, err := xgft.Parse(spec)
+	// Declare every selected grid section, score the batch once, then
+	// print in table order.
+	var selected []section
+	b := experiments.NewBatch(opt)
+	for i, s := range sections {
+		switch {
+		case !*all && !*chosen[i]:
+			continue
+		case s.skip != "" && opt.Engine == experiments.Simulated && !*chosen[i]:
+			name, _, _ := strings.Cut(s.title, " (")
+			s.title, s.grid, s.run = name+" — skipped ("+s.skip+")", nil, nil
+		case s.grid != nil:
+			render, err := s.grid(b)
 			if err != nil {
 				fail(err)
 			}
-			experiments.WriteTable1(os.Stdout, tp, experiments.Table1(tp))
-			fmt.Println()
+			s.run = func() error { render(); return nil }
 		}
-		done()
+		selected = append(selected, s)
 	}
-	if *all || *fig2a {
-		done := section("Figure 2a — WRF-256")
-		app := experiments.WRFApp()
-		rows, err := experiments.Figure2(app, opt)
-		if err != nil {
-			fail(err)
-		}
-		if *csv {
-			experiments.WriteFigure2CSV(os.Stdout, rows)
-		} else {
-			experiments.WriteFigure2(os.Stdout, app, rows)
-		}
-		done()
-	}
-	if *all || *fig2b {
-		done := section("Figure 2b — CG.D-128")
-		app := experiments.CGApp()
-		rows, err := experiments.Figure2(app, opt)
-		if err != nil {
-			fail(err)
-		}
-		if *csv {
-			experiments.WriteFigure2CSV(os.Stdout, rows)
-		} else {
-			experiments.WriteFigure2(os.Stdout, app, rows)
-		}
-		done()
-	}
-	if *all || *fig3 {
-		done := section("Figure 3 — CG.D-128 traffic")
-		res, err := experiments.Figure3(opt)
-		if err != nil {
-			fail(err)
-		}
-		experiments.WriteFigure3(os.Stdout, res)
-		done()
-	}
-	if *all || *fig4a {
-		done := section("Figure 4a — routes per NCA, w2=16")
-		res, err := experiments.Figure4(16, opt)
-		if err != nil {
-			fail(err)
-		}
-		experiments.WriteFigure4(os.Stdout, res)
-		done()
-	}
-	if *all || *fig4b {
-		done := section("Figure 4b — routes per NCA, w2=10")
-		res, err := experiments.Figure4(10, opt)
-		if err != nil {
-			fail(err)
-		}
-		experiments.WriteFigure4(os.Stdout, res)
-		done()
-	}
-	if *all || *fig5a {
-		done := section("Figure 5a — WRF-256 boxplots")
-		app := experiments.WRFApp()
-		rows, err := experiments.Figure5(app, opt)
-		if err != nil {
-			fail(err)
-		}
-		if *csv {
-			experiments.WriteFigure5CSV(os.Stdout, rows)
-		} else {
-			experiments.WriteFigure5(os.Stdout, app, rows)
-		}
-		done()
-	}
-	if *all || *fig5b {
-		done := section("Figure 5b — CG.D-128 boxplots")
-		app := experiments.CGApp()
-		rows, err := experiments.Figure5(app, opt)
-		if err != nil {
-			fail(err)
-		}
-		if *csv {
-			experiments.WriteFigure5CSV(os.Stdout, rows)
-		} else {
-			experiments.WriteFigure5(os.Stdout, app, rows)
-		}
-		done()
-	}
-	if *all || *ext {
-		done := section("Extension — three-level XGFT sweep")
-		rows, err := experiments.DeepTreeSweep(opt)
-		if err != nil {
-			fail(err)
-		}
-		experiments.WriteDeepTreeSweep(os.Stdout, rows)
-		done()
-	}
-	if *all || *faults {
-		if opt.Engine == experiments.Simulated && !*faults {
-			// The fault sweep is analytic-only; during -all with a
-			// simulated engine, skip it visibly rather than abort.
-			fmt.Println("=== Extension — degraded topology — skipped (analytic engine only) ===")
-			fmt.Println()
-		} else {
-			done := section("Extension — degraded topology (failed top-level links)")
-			for _, app := range []*experiments.App{experiments.WRFApp(), experiments.CGApp()} {
-				rows, err := experiments.FaultSweep(app, opt)
-				if err != nil {
-					fail(err)
-				}
-				experiments.WriteFaultSweep(os.Stdout, app, rows)
-				fmt.Println()
-			}
-			done()
-		}
-	}
-	if *all || *shift {
-		if opt.Engine == experiments.Simulated && !*shift {
-			// Analytic-only, like the fault sweep: during -all with a
-			// simulated engine, skip it visibly rather than abort.
-			fmt.Println("=== Extension — shifting traffic — skipped (analytic engine only) ===")
-			fmt.Println()
-		} else {
-			done := section("Extension — shifting traffic (online re-optimization)")
-			rows, err := experiments.ShiftSweep(opt)
-			if err != nil {
-				fail(err)
-			}
-			experiments.WriteShiftSweep(os.Stdout, rows)
-			done()
-		}
-	}
-	if *all || *place {
-		if opt.Engine == experiments.Simulated && !*place {
-			// Analytic-only, like the fault sweep: during -all with a
-			// simulated engine, skip it visibly rather than abort.
-			fmt.Println("=== Extension — placement churn — skipped (analytic engine only) ===")
-			fmt.Println()
-		} else {
-			done := section("Extension — placement churn (multi-tenant scheduler policies)")
-			rows, err := experiments.PlacementSweep(opt)
-			if err != nil {
-				fail(err)
-			}
-			experiments.WritePlacementSweep(os.Stdout, rows)
-			done()
-		}
-	}
-	if *all || *churn {
-		if opt.Engine == experiments.Simulated && !*churn {
-			// Analytic-only, like the fault sweep: during -all with a
-			// simulated engine, skip it visibly rather than abort.
-			fmt.Println("=== Extension — churn convergence — skipped (analytic engine only) ===")
-			fmt.Println()
-		} else {
-			done := section("Extension — churn convergence (placement + re-optimization under link flaps)")
-			row, err := experiments.ChurnSweep(opt)
-			if err != nil {
-				fail(err)
-			}
-			experiments.WriteChurnSweep(os.Stdout, row)
-			done()
-		}
-	}
-	if *all || *fidelity {
-		if opt.Engine == experiments.Simulated && !*fidelity {
-			// The sweep pairs its own analytic and venus backends;
-			// during -all with a simulated engine, skip it visibly.
-			fmt.Println("=== Extension — analytic vs simulation fidelity — skipped (manages its own backends) ===")
-			fmt.Println()
-		} else {
-			done := section("Extension — analytic vs simulation fidelity")
-			rows, err := experiments.FidelitySweep(opt)
-			if err != nil {
-				fail(err)
-			}
-			experiments.WriteFidelitySweep(os.Stdout, rows)
-			done()
-		}
-	}
-	if *all || *ablate {
-		done := section("Ablation — balanced vs uniform relabeling")
-		for _, w2 := range []int{10, 6} {
-			row, err := experiments.BalanceAblation(w2, opt)
-			if err != nil {
-				fail(err)
-			}
-			experiments.WriteBalanceAblation(os.Stdout, row)
-			fmt.Println()
-		}
-		done()
-	}
-	if *all || *adaptive {
-		done := section("Extension — adaptive vs oblivious")
-		rows, err := experiments.AdaptiveComparison(opt)
-		if err != nil {
-			fail(err)
-		}
-		experiments.WriteAdaptiveComparison(os.Stdout, rows)
-		done()
-	}
-	if !any {
+	if len(selected) == 0 {
 		flag.Usage()
 		os.Exit(2)
+	}
+	if err := b.Run(); err != nil {
+		fail(err)
+	}
+	for _, s := range selected {
+		fmt.Printf("=== %s ===\n", s.title)
+		if s.run == nil {
+			fmt.Println()
+			continue
+		}
+		start := time.Now()
+		if err := s.run(); err != nil {
+			fail(err)
+		}
+		fmt.Printf("    [%.2fs]\n\n", time.Since(start).Seconds())
 	}
 }

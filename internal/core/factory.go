@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/pattern"
 	"repro/internal/xgft"
@@ -11,10 +10,7 @@ import (
 // AlgorithmNames lists the selectable routing schemes in a stable
 // order (the order the paper's figures use).
 func AlgorithmNames() []string {
-	names := []string{"s-mod-k", "d-mod-k", "random", "r-NCA-u", "r-NCA-d", "colored", "level-wise"}
-	sorted := append([]string(nil), names...)
-	sort.Strings(sorted)
-	return names
+	return []string{"s-mod-k", "d-mod-k", "random", "r-NCA-u", "r-NCA-d", "colored", "level-wise"}
 }
 
 // NewByName constructs a routing algorithm by its paper name. The

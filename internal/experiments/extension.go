@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 
-	"repro/internal/core"
-	"repro/internal/pattern"
 	"repro/internal/stats"
-	"repro/internal/xgft"
 )
 
 // The experiments in this file go beyond the paper's figures along
@@ -30,18 +28,6 @@ type DeepRow struct {
 	Random   stats.Summary
 }
 
-// deepSchemes enumerates the sweep's routing schemes in result
-// order: the two fixed baselines, then the three randomized schemes.
-// Fixed schemes ignore the seed argument (they are averaged over the
-// per-seed permutations instead).
-var deepSchemes = []func(tp *xgft.Topology, seed uint64) core.Algorithm{
-	func(tp *xgft.Topology, _ uint64) core.Algorithm { return core.NewSModK(tp) },
-	func(tp *xgft.Topology, _ uint64) core.Algorithm { return core.NewDModK(tp) },
-	func(tp *xgft.Topology, s uint64) core.Algorithm { return core.NewRandomNCAUp(tp, s) },
-	func(tp *xgft.Topology, s uint64) core.Algorithm { return core.NewRandomNCADown(tp, s) },
-	func(tp *xgft.Topology, s uint64) core.Algorithm { return core.NewRandom(tp, s) },
-}
-
 // DeepTreeSweep evaluates the routing family on three-level slimmed
 // trees XGFT(3;8,8,8;1,w,w), w = 8..1, under a workload of random
 // permutations (the regime where the paper's analysis predicts the
@@ -49,72 +35,54 @@ var deepSchemes = []func(tp *xgft.Topology, seed uint64) core.Algorithm{
 // concentration). Slowdowns are analytic; Options.Seeds (default 10
 // here) parameterizes both the permutations and the randomized
 // algorithms, Options.MessageBytes (default 64 KiB) the per-flow
-// size. Every (w, scheme, seed) triple is an independent sweep cell.
+// size.
 func DeepTreeSweep(opt Options) ([]DeepRow, error) {
+	return single(opt, (*Batch).DeepTreeSweep)
+}
+
+// DeepTreeSweep declares the three-level sweep's cells: one per (w,
+// scheme, seed). Seed s draws both the permutation, from the keyed
+// splitmix64 stream, and the randomized schemes; the fixed schemes
+// are averaged over the permutations.
+func (b *Batch) DeepTreeSweep() (func() []DeepRow, error) {
+	opt := b.opt
 	if opt.Seeds <= 0 {
 		opt.Seeds = 10
 	}
 	if opt.MessageBytes <= 0 {
 		opt.MessageBytes = 64 * 1024
 	}
-	opt = opt.withDefaults()
-	seeds := opt.Seeds
 	ws := []int{8, 7, 6, 5, 4, 3, 2, 1}
-	topos := make([]*xgft.Topology, len(ws))
-	perms := make([][]*pattern.Pattern, len(ws))
+	schemes := []string{"s-mod-k", "d-mod-k", "r-NCA-u", "r-NCA-d", "random"}
+	specs := make([]string, len(ws))
+	ids := make([][][]int, len(ws)) // ids[i][j][seed]: scheme j on topology i
 	for i, w := range ws {
-		tp, err := xgft.New(3, []int{8, 8, 8}, []int{1, w, w})
-		if err != nil {
-			return nil, err
-		}
-		topos[i] = tp
-		// Permutations come from the keyed splitmix64 stream per seed,
-		// so the workload is identical however the cells are scheduled.
-		perms[i] = make([]*pattern.Pattern, seeds)
-		for s := 0; s < seeds; s++ {
-			perms[i][s] = pattern.KeyedRandomPermutation(tp.Leaves(), opt.MessageBytes, uint64(s)+1)
+		specs[i] = fmt.Sprintf("3;8,8,8;1,%d,%d", w, w)
+		ids[i] = make([][]int, len(schemes))
+		for j, name := range schemes {
+			for s := uint64(1); s <= uint64(opt.Seeds); s++ {
+				k := cellKey{topo: specs[i], wl: workload{"permutation", opt.MessageBytes, s}, scheme: name, seed: s, measure: measureAnalytic}
+				ids[i][j] = append(ids[i][j], b.add(k))
+			}
 		}
 	}
-	nSchemes := len(deepSchemes)
-	cellsPerW := nSchemes * seeds
-	// values[i][k][seed]: slowdown of scheme k on topology i.
-	values := make([][][]float64, len(ws))
-	for i := range values {
-		values[i] = make([][]float64, nSchemes)
-		for k := range values[i] {
-			values[i][k] = make([]float64, seeds)
+	return func() []DeepRow {
+		rows := make([]DeepRow, len(ws))
+		for i, w := range ws {
+			tp := b.parsed(specs[i])
+			rows[i] = DeepRow{
+				W:        w,
+				Topology: tp.String(),
+				Switches: tp.InnerSwitches(),
+				SModK:    b.summary(ids[i][0]).Mean,
+				DModK:    b.summary(ids[i][1]).Mean,
+				RNCAUp:   b.summary(ids[i][2]),
+				RNCADn:   b.summary(ids[i][3]),
+				Random:   b.summary(ids[i][4]),
+			}
 		}
-	}
-	ev := opt.evaluator()
-	err := opt.run(len(ws)*cellsPerW, func(idx int) error {
-		i, c := idx/cellsPerW, idx%cellsPerW
-		k, seed := c/seeds, c%seeds
-		tp := topos[i]
-		algo := deepSchemes[k](tp, uint64(seed)+1)
-		res, err := ev.Score(tp, algo, []*pattern.Pattern{perms[i][seed]})
-		if err != nil {
-			return err
-		}
-		values[i][k][seed] = res.Slowdown
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]DeepRow, len(ws))
-	for i, w := range ws {
-		rows[i] = DeepRow{
-			W:        w,
-			Topology: topos[i].String(),
-			Switches: topos[i].InnerSwitches(),
-			SModK:    stats.Summarize(values[i][0]).Mean,
-			DModK:    stats.Summarize(values[i][1]).Mean,
-			RNCAUp:   stats.Summarize(values[i][2]),
-			RNCADn:   stats.Summarize(values[i][3]),
-			Random:   stats.Summarize(values[i][4]),
-		}
-	}
-	return rows, nil
+		return rows
+	}, nil
 }
 
 // WriteDeepTreeSweep renders the generalization sweep.
@@ -146,63 +114,48 @@ type AblationRow struct {
 
 // BalanceAblation quantifies what the paper's balanced maps buy over
 // naive per-subtree uniform relabeling on the slimmed tree
-// XGFT(2;16,16;1,w2). Options.Seeds defaults to 10 here; each
-// (variant, metric, seed) triple is an independent sweep cell.
+// XGFT(2;16,16;1,w2). Options.Seeds defaults to 10 here.
 func BalanceAblation(w2 int, opt Options) (*AblationRow, error) {
+	return single(opt, func(b *Batch) (func() *AblationRow, error) { return b.BalanceAblation(w2) })
+}
+
+// BalanceAblation declares the ablation's cells: per variant and seed,
+// an all-pairs census (Fig. 4b's cells for the balanced variant at
+// w2=10) and an analytic CG.D-128 slowdown at the paper's message size
+// (Fig. 5b's r-NCA-u cells under the analytic engine).
+func (b *Batch) BalanceAblation(w2 int) (func() *AblationRow, error) {
+	opt := b.opt
 	if opt.Seeds <= 0 {
 		opt.Seeds = 10
 	}
-	opt = opt.withDefaults()
-	seeds := opt.Seeds
-	tp, err := xgft.NewSlimmedTree(16, 16, w2)
-	if err != nil {
-		return nil, err
+	census := cellKey{topo: slimmed(w2), measure: measureCensus}
+	cg, app := census, CGApp()
+	cg.wl, cg.measure = workload{name: app.Name, bytes: app.DefaultBytes}, measureAnalytic
+	var spreads, slowdowns [2][]int // [balanced, unbalanced][seed]
+	for v, name := range []string{"r-NCA-u", unbalancedNCAUp} {
+		spreads[v] = b.seeds(census, name, opt.Seeds)
+		slowdowns[v] = b.seeds(cg, name, opt.Seeds)
 	}
-	variants := []func(seed uint64) core.Algorithm{
-		func(s uint64) core.Algorithm { return core.NewRandomNCAUp(tp, s) },
-		func(s uint64) core.Algorithm { return core.NewUnbalancedNCAUp(tp, s) },
-	}
-	phases := pattern.CGD128Phases()
-	// spreads[v][seed] and slowdowns[v][seed], v = balanced/unbalanced.
-	spreads := [2][]float64{make([]float64, seeds), make([]float64, seeds)}
-	slowdowns := [2][]float64{make([]float64, seeds), make([]float64, seeds)}
-	// Cell layout: variant-major, census cells before slowdown cells.
-	cellsPerVariant := 2 * seeds
-	ev := opt.evaluator()
-	err = opt.run(2*cellsPerVariant, func(idx int) error {
-		v, c := idx/cellsPerVariant, idx%cellsPerVariant
-		metric, seed := c/seeds, c%seeds
-		algo := variants[v](uint64(seed) + 1)
-		if metric == 0 {
-			census := core.AllPairsNCACensus(tp, algo)
-			min, max := int(^uint(0)>>1), 0
-			for _, n := range census {
-				if n < min {
-					min = n
-				}
-				if n > max {
-					max = n
-				}
+	// spread is the mean over seeds of each census's max - min.
+	spread := func(ids []int) float64 {
+		xs := make([]float64, len(ids))
+		for j, i := range ids {
+			lo, hi := math.Inf(1), 0.0
+			for _, n := range b.value(i) {
+				lo, hi = math.Min(lo, n), math.Max(hi, n)
 			}
-			spreads[v][seed] = float64(max - min)
-			return nil
+			xs[j] = hi - lo
 		}
-		res, err := ev.Score(tp, algo, phases)
-		if err != nil {
-			return err
-		}
-		slowdowns[v][seed] = res.Slowdown
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		return stats.Summarize(xs).Mean
 	}
-	return &AblationRow{
-		Topology:               tp.String(),
-		CensusSpreadBalanced:   stats.Summarize(spreads[0]).Mean,
-		CensusSpreadUnbalanced: stats.Summarize(spreads[1]).Mean,
-		CGBalanced:             stats.Summarize(slowdowns[0]),
-		CGUnbalanced:           stats.Summarize(slowdowns[1]),
+	return func() *AblationRow {
+		return &AblationRow{
+			Topology:               b.parsed(census.topo).String(),
+			CensusSpreadBalanced:   spread(spreads[0]),
+			CensusSpreadUnbalanced: spread(spreads[1]),
+			CGBalanced:             b.summary(slowdowns[0]),
+			CGUnbalanced:           b.summary(slowdowns[1]),
+		}
 	}, nil
 }
 

@@ -26,16 +26,6 @@ import (
 // top-level links.
 var faultFractions = []float64{0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4}
 
-// faultSchemes enumerates the sweep's routing schemes in result
-// order. D-mod-k ignores the seed (its variance comes from the
-// failed-link draw alone).
-var faultSchemes = []func(tp *xgft.Topology, seed uint64) core.Algorithm{
-	func(tp *xgft.Topology, _ uint64) core.Algorithm { return core.NewDModK(tp) },
-	func(tp *xgft.Topology, s uint64) core.Algorithm { return core.NewRandom(tp, s) },
-	func(tp *xgft.Topology, s uint64) core.Algorithm { return core.NewRandomNCAUp(tp, s) },
-	func(tp *xgft.Topology, s uint64) core.Algorithm { return core.NewRandomNCADown(tp, s) },
-}
-
 // FaultRow is one x-position of the degraded-topology sweep.
 type FaultRow struct {
 	// Fraction of top-level links failed; FailedLinks is the count.
@@ -117,16 +107,22 @@ func degradedSlowdown(c *core.TableCache, tp *xgft.Topology, v *xgft.View, algo 
 
 // FaultSweep measures analytic slowdown against the fraction of
 // failed top-level links on the full tree XGFT(2;16,16;1,16) for
-// D-mod-k, Random and r-NCA-u/d. Every (fraction, scheme, seed)
-// triple is an independent cell on the parallel engine; seed s draws
-// failure set s, and every cell builds its scheme's healthy table and
-// patches it. A cache would share healthy tables across fractions
-// (2 368 hits / 222 misses at -seeds 12), but patching and the census
-// dominate and the measured CPU does not move, so there is none.
-// Options.Seeds defaults to 10 here. The sweep is analytic-only:
-// patched tables bypass the trace-replay pipeline, so a Simulated
-// engine is rejected rather than silently ignored.
+// D-mod-k, Random and r-NCA-u/d. Options.Seeds defaults to 10 here.
+// The sweep is analytic-only: patched tables bypass the trace-replay
+// pipeline, so a Simulated engine is rejected rather than silently
+// ignored.
 func FaultSweep(app *App, opt Options) ([]FaultRow, error) {
+	return single(opt, func(b *Batch) (func() []FaultRow, error) { return b.FaultSweep(app) })
+}
+
+// FaultSweep declares the degraded-topology cells: one per (fraction,
+// scheme, seed). Seed s draws failure set s and seeds the randomized
+// schemes; every cell builds its scheme's healthy table and patches
+// it. A cache would share healthy tables across fractions (2 368 hits
+// / 222 misses at -seeds 12), but patching and the census dominate and
+// the measured CPU does not move, so there is none.
+func (b *Batch) FaultSweep(app *App) (func() []FaultRow, error) {
+	opt := b.opt
 	if opt.Seeds <= 0 {
 		opt.Seeds = 10
 	}
@@ -134,77 +130,45 @@ func FaultSweep(app *App, opt Options) ([]FaultRow, error) {
 	if opt.Engine != Analytic {
 		return nil, fmt.Errorf("experiments: the degraded-topology sweep supports only the analytic engine, not %q", opt.Engine)
 	}
-	seeds := opt.Seeds
-	tp, err := xgft.NewSlimmedTree(16, 16, 16)
+	k, err := appCell(app, opt)
 	if err != nil {
 		return nil, err
 	}
-	phases := app.Phases(opt.MessageBytes)
+	k.topo, k.measure = slimmed(16), measureDegraded
+	tp, err := b.topo(k.topo)
+	if err != nil {
+		return nil, err
+	}
 	topWires := tp.ChannelsAt(tp.Height() - 1)
-	// Failure views are derived sequentially up-front and shared
-	// read-only by the cells (the coordinate-derived-randomness rule).
-	orders := make([][]int, seeds)
-	for s := 0; s < seeds; s++ {
-		orders[s] = topWireOrder(tp, uint64(s)+1)
-	}
-	views := make([][]*xgft.View, len(faultFractions))
+	schemes := []string{"d-mod-k", "random", "r-NCA-u", "r-NCA-d"}
 	counts := make([]int, len(faultFractions))
+	ids := make([][][]int, len(faultFractions)) // ids[i][j][seed]: scheme j at fraction i
 	for i, frac := range faultFractions {
-		k := int(frac*float64(topWires) + 0.5)
-		counts[i] = k
-		views[i] = make([]*xgft.View, seeds)
-		for s := 0; s < seeds; s++ {
-			v := xgft.NewView(tp)
-			for _, wire := range orders[s][:k] {
-				v.FailWire(wire)
+		counts[i] = int(frac*float64(topWires) + 0.5)
+		k.failed = counts[i]
+		for _, name := range schemes {
+			ids[i] = append(ids[i], b.seeds(k, name, opt.Seeds))
+		}
+	}
+	return func() []FaultRow {
+		rows := make([]FaultRow, len(faultFractions))
+		for i := range rows {
+			var u float64
+			for _, cells := range ids[i] {
+				u += stats.Summarize(b.column(cells, 1)).Mean
 			}
-			views[i][s] = v
+			rows[i] = FaultRow{
+				Fraction:    faultFractions[i],
+				FailedLinks: counts[i],
+				DModK:       b.summary(ids[i][0]),
+				Random:      b.summary(ids[i][1]),
+				RNCAUp:      b.summary(ids[i][2]),
+				RNCADn:      b.summary(ids[i][3]),
+				Unreachable: u / float64(len(schemes)),
+			}
 		}
-	}
-	nSchemes := len(faultSchemes)
-	cellsPerF := nSchemes * seeds
-	// values[i][k][seed] and unreach[i][k][seed].
-	values := make([][][]float64, len(faultFractions))
-	unreach := make([][][]float64, len(faultFractions))
-	for i := range values {
-		values[i] = make([][]float64, nSchemes)
-		unreach[i] = make([][]float64, nSchemes)
-		for k := range values[i] {
-			values[i][k] = make([]float64, seeds)
-			unreach[i][k] = make([]float64, seeds)
-		}
-	}
-	err = opt.run(len(faultFractions)*cellsPerF, func(idx int) error {
-		i, c := idx/cellsPerF, idx%cellsPerF
-		k, seed := c/seeds, c%seeds
-		algo := faultSchemes[k](tp, uint64(seed)+1)
-		s, u, err := degradedSlowdown(opt.Cache, tp, views[i][seed], algo, phases)
-		if err != nil {
-			return err
-		}
-		values[i][k][seed], unreach[i][k][seed] = s, u
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]FaultRow, len(faultFractions))
-	for i := range rows {
-		var u float64
-		for k := 0; k < nSchemes; k++ {
-			u += stats.Summarize(unreach[i][k]).Mean
-		}
-		rows[i] = FaultRow{
-			Fraction:    faultFractions[i],
-			FailedLinks: counts[i],
-			DModK:       stats.Summarize(values[i][0]),
-			Random:      stats.Summarize(values[i][1]),
-			RNCAUp:      stats.Summarize(values[i][2]),
-			RNCADn:      stats.Summarize(values[i][3]),
-			Unreachable: u / float64(nSchemes),
-		}
-	}
-	return rows, nil
+		return rows
+	}, nil
 }
 
 // WriteFaultSweep renders the degraded-topology sweep.

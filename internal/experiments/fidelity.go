@@ -5,12 +5,7 @@ import (
 	"io"
 	"math"
 
-	"repro/internal/core"
-	"repro/internal/evaluate"
 	"repro/internal/hashutil"
-	"repro/internal/pattern"
-	"repro/internal/venus"
-	"repro/internal/xgft"
 )
 
 // The analytic-vs-simulation fidelity sweep: everything this system
@@ -33,25 +28,6 @@ const fidelitySeed = 0xf1de1
 // the pattern-aware Colored bound. Colored is built per schedule from
 // its phases.
 var fidelitySchemes = []string{"d-mod-k", "r-NCA-u", "r-NCA-d", "colored"}
-
-// fidelitySchedule is one column of the sweep: a named traffic
-// schedule drawn as a pure function of its coordinates.
-type fidelitySchedule struct {
-	Name    string
-	pattern func(n int, bytes int64) (*pattern.Pattern, error)
-}
-
-var fidelitySchedules = []fidelitySchedule{
-	{"permutation", func(n int, bytes int64) (*pattern.Pattern, error) {
-		return pattern.KeyedRandomPermutation(n, bytes, hashutil.Mix(fidelitySeed, 1)), nil
-	}},
-	{"uniform", func(n int, bytes int64) (*pattern.Pattern, error) {
-		return pattern.UniformRandom(n, 1, bytes, hashutil.Mix(fidelitySeed, 2)), nil
-	}},
-	{"bit-reversal", func(n int, bytes int64) (*pattern.Pattern, error) {
-		return pattern.BitReversal(n, bytes)
-	}},
-}
 
 // FidelityCell is one (schedule, scheme) comparison.
 type FidelityCell struct {
@@ -77,32 +53,23 @@ type FidelityRow struct {
 	MaxRelErr float64
 }
 
-// fidelityAlgo builds scheme k for the schedule's phases.
-func fidelityAlgo(k int, tp *xgft.Topology, phases []*pattern.Pattern) (core.Algorithm, error) {
-	switch fidelitySchemes[k] {
-	case "d-mod-k":
-		return core.NewDModK(tp), nil
-	case "r-NCA-u":
-		return core.NewRandomNCAUp(tp, 1), nil
-	case "r-NCA-d":
-		return core.NewRandomNCADown(tp, 1), nil
-	case "colored":
-		return core.NewColored(tp, phases, core.ColoredConfig{}), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown fidelity scheme %q", fidelitySchemes[k])
-	}
-}
-
 // FidelitySweep scores every (schedule, scheme) cell under both the
 // analytic bound and the venus flit-level simulation on the paper's
 // cost-reduced tree XGFT(2;16,16;1,10) and reports rank agreement and
 // relative error per schedule. Options.MessageBytes defaults to 16
-// KiB here (simulation time scales with segment count); cells are
-// independent on the parallel engine and every input is a pure
-// function of the cell coordinates, so the table is byte-identical
-// for any Parallelism. The Simulated trace-replay engine is rejected:
-// the sweep manages its own pair of backends.
+// KiB here (simulation time scales with segment count). The Simulated
+// trace-replay engine is rejected: the sweep manages its own pair of
+// backends.
 func FidelitySweep(opt Options) ([]FidelityRow, error) {
+	return single(opt, (*Batch).FidelitySweep)
+}
+
+// FidelitySweep declares the fidelity cells: one per (schedule,
+// scheme, backend). Each schedule is drawn as a pure function of its
+// key; the randomized schemes run at seed 1, Colored at the seed 0 the
+// figures build it with.
+func (b *Batch) FidelitySweep() (func() []FidelityRow, error) {
+	opt := b.opt
 	if opt.MessageBytes <= 0 {
 		opt.MessageBytes = 16 * 1024
 	}
@@ -110,80 +77,55 @@ func FidelitySweep(opt Options) ([]FidelityRow, error) {
 	if opt.Engine != Analytic {
 		return nil, fmt.Errorf("experiments: the fidelity sweep supports only the analytic engine, not %q", opt.Engine)
 	}
-	tp, err := xgft.NewSlimmedTree(16, 16, 10)
-	if err != nil {
-		return nil, err
+	spec := slimmed(10)
+	schedules := []workload{
+		{"permutation", opt.MessageBytes, hashutil.Mix(fidelitySeed, 1)},
+		{"uniform", opt.MessageBytes, hashutil.Mix(fidelitySeed, 2)},
+		{"bit-reversal", opt.MessageBytes, 0},
 	}
-	analytic := evaluate.NewAnalytic(opt.Cache)
-	// One venus backend for the whole sweep: its crossbar-reference
-	// memo is shared across schemes (deterministic values, so sharing
-	// cannot perturb results).
-	sim := evaluate.NewVenus(opt.Cache, venus.Config{})
-	backends := []evaluate.Evaluator{analytic, sim}
-
-	nSched, nSchemes, nBackends := len(fidelitySchedules), len(fidelitySchemes), len(backends)
-	// Schedules are drawn up-front, sequentially; cells only read.
-	phases := make([][]*pattern.Pattern, nSched)
-	for i, sc := range fidelitySchedules {
-		p, err := sc.pattern(tp.Leaves(), opt.MessageBytes)
-		if err != nil {
-			return nil, err
-		}
-		phases[i] = []*pattern.Pattern{p}
-	}
-	// values[i][k][b]: schedule i, scheme k, backend b.
-	values := make([][][]float64, nSched)
-	for i := range values {
-		values[i] = make([][]float64, nSchemes)
-		for k := range values[i] {
-			values[i][k] = make([]float64, nBackends)
-		}
-	}
-	cellsPerSched := nSchemes * nBackends
-	err = opt.run(nSched*cellsPerSched, func(idx int) error {
-		i, c := idx/cellsPerSched, idx%cellsPerSched
-		k, b := c/nBackends, c%nBackends
-		algo, err := fidelityAlgo(k, tp, phases[i])
-		if err != nil {
-			return err
-		}
-		res, err := backends[b].Score(tp, algo, phases[i])
-		if err != nil {
-			return err
-		}
-		values[i][k][b] = res.Slowdown
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]FidelityRow, nSched)
-	for i := range rows {
-		row := FidelityRow{Schedule: fidelitySchedules[i].Name}
-		bestA, bestV := 0, 0
-		for k := 0; k < nSchemes; k++ {
-			a, v := values[i][k][0], values[i][k][1]
-			cell := FidelityCell{Scheme: fidelitySchemes[k], Analytic: a, Venus: v}
-			if v > 0 {
-				cell.RelErr = math.Abs(v-a) / v
+	ids := make([][][2]int, len(schedules)) // ids[i][k]: schedule i, scheme k, [analytic, venus]
+	for i, wl := range schedules {
+		for _, name := range fidelitySchemes {
+			k := cellKey{topo: spec, wl: wl, scheme: name, seed: 1}
+			if name == "colored" {
+				k.seed = 0
 			}
-			row.Cells = append(row.Cells, cell)
-			if a < values[i][bestA][0] {
-				bestA = k
-			}
-			if v < values[i][bestV][1] {
-				bestV = k
-			}
-			if cell.RelErr > row.MaxRelErr {
-				row.MaxRelErr = cell.RelErr
-			}
+			k.measure = measureAnalytic
+			a := b.add(k)
+			k.measure = measureVenus
+			ids[i] = append(ids[i], [2]int{a, b.add(k)})
 		}
-		row.BestAnalytic = fidelitySchemes[bestA]
-		row.BestVenus = fidelitySchemes[bestV]
-		row.Agree = bestA == bestV
-		rows[i] = row
 	}
-	return rows, nil
+	return func() []FidelityRow {
+		rows := make([]FidelityRow, len(schedules))
+		for i := range rows {
+			row := FidelityRow{Schedule: schedules[i].name}
+			val := func(k, backend int) float64 { return b.value(ids[i][k][backend])[0] }
+			bestA, bestV := 0, 0
+			for k, name := range fidelitySchemes {
+				a, v := val(k, 0), val(k, 1)
+				cell := FidelityCell{Scheme: name, Analytic: a, Venus: v}
+				if v > 0 {
+					cell.RelErr = math.Abs(v-a) / v
+				}
+				row.Cells = append(row.Cells, cell)
+				if a < val(bestA, 0) {
+					bestA = k
+				}
+				if v < val(bestV, 1) {
+					bestV = k
+				}
+				if cell.RelErr > row.MaxRelErr {
+					row.MaxRelErr = cell.RelErr
+				}
+			}
+			row.BestAnalytic = fidelitySchemes[bestA]
+			row.BestVenus = fidelitySchemes[bestV]
+			row.Agree = bestA == bestV
+			rows[i] = row
+		}
+		return rows
+	}, nil
 }
 
 // WriteFidelitySweep renders the fidelity sweep.

@@ -5,12 +5,8 @@ import (
 
 	"repro/internal/contention"
 	"repro/internal/core"
-	"repro/internal/dimemas"
-	"repro/internal/evaluate"
 	"repro/internal/pattern"
 	"repro/internal/stats"
-	"repro/internal/traces"
-	"repro/internal/venus"
 	"repro/internal/xgft"
 )
 
@@ -40,14 +36,15 @@ type Options struct {
 	W2Values []int
 	// Parallelism bounds the worker pool the sweep cells run on
 	// (default: 4). Results are independent of the value: every cell
-	// derives its randomness from its own coordinates and writes its
-	// own result slot, so parallel and sequential runs are
+	// derives its randomness from its own key and writes its own
+	// result slot, so parallel and sequential runs are
 	// byte-identical.
 	Parallelism int
 	// Progress, when non-nil, is called after each completed sweep
 	// cell with monotonically increasing done counts and the total
-	// cell count of the running experiment. It is called from the
-	// sweep goroutines under a lock (never concurrently).
+	// cell count of the running experiment (of a Batch, every sweep
+	// it declared). It is called from the sweep goroutines under a
+	// lock (never concurrently).
 	Progress func(done, total int)
 	// Cache is an explicit routing-table memo for a caller that runs
 	// sweeps sharing tables (a benchmark's warm arm, a test). nil —
@@ -55,13 +52,6 @@ type Options struct {
 	// cell builds its table, scores it and drops it. No sweep's
 	// values depend on it.
 	Cache *core.TableCache
-	// Evaluator overrides the scoring backend for pattern-level
-	// sweeps: nil selects the analytic congestion bound over the
-	// options' cache (the historical behavior, bit-identical). Any
-	// evaluate.Evaluator — grouped, venus, a CachedEvaluator, a test
-	// double — slots in; the Simulated engine's trace-replay pipeline
-	// is still selected by Engine, not here.
-	Evaluator evaluate.Evaluator
 }
 
 func (o Options) withDefaults() Options {
@@ -82,77 +72,22 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// cellScorer returns the function a sweep's cells score one
-// (topology, algorithm) pair with, doing the work every cell shares
-// before the fan-out. Analytic cells score through the options'
-// evaluator. Simulated cells replay one trace — lowered once,
-// read-only from here on — on simulator instances of their own, so
-// workers share no mutable state, and divide by one crossbar replay of
-// that trace: the reference depends on neither the topology nor the
-// algorithm, so it is the sweep's, not the cell's.
-func cellScorer(app *App, phases []*pattern.Pattern, opt Options) (func(*xgft.Topology, core.Algorithm) (float64, error), error) {
-	switch opt.Engine {
-	case Analytic:
-		ev := opt.evaluator()
-		return func(tp *xgft.Topology, algo core.Algorithm) (float64, error) {
-			res, err := ev.Score(tp, algo, phases)
-			if err != nil {
-				return 0, err
-			}
-			return res.Slowdown, nil
-		}, nil
-	case Simulated:
-		tr, err := traces.FromPhases(app.Ranks, phases, 1, 0)
-		if err != nil {
-			return nil, err
-		}
-		cfg := dimemas.Config{Net: venus.DefaultConfig()}
-		ref, err := dimemas.ReplayOnCrossbar(tr, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return func(tp *xgft.Topology, algo core.Algorithm) (float64, error) {
-			net, err := dimemas.Replay(tr, tp, algo, cfg)
-			if err != nil {
-				return 0, err
-			}
-			if ref == 0 {
-				return 1, nil
-			}
-			return float64(net) / float64(ref), nil
-		}, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown engine %q", opt.Engine)
-	}
-}
+// slimmed is the spec of the 16-ary 2-tree slimmed to w2 top-level
+// ports, XGFT(2;16,16;1,w2).
+func slimmed(w2 int) string { return fmt.Sprintf("2;16,16;1,%d", w2) }
 
-// fixedCellAlgo maps the fixed-baseline cell indices shared by
-// Figure2 and Figure5 (0: s-mod-k, 1: d-mod-k, 2: colored) to their
-// algorithm. Colored is built in the one cell that scores it: the
-// optimizer is deterministic in (topology, phases) and no other cell
-// of the figure asks for this topology's instance.
-func fixedCellAlgo(c int, tp *xgft.Topology, phases []*pattern.Pattern) core.Algorithm {
-	switch c {
-	case 0:
-		return core.NewSModK(tp)
-	case 1:
-		return core.NewDModK(tp)
-	default:
-		return core.NewColored(tp, phases, core.ColoredConfig{})
+// appCell is the key an application sweep's cells share: the app at
+// the options' message size, under the engine's measure.
+func appCell(app *App, opt Options) (cellKey, error) {
+	m, ok := map[Engine]measure{Analytic: measureAnalytic, Simulated: measureReplay}[opt.Engine]
+	k := cellKey{wl: workload{name: app.Name, bytes: opt.MessageBytes}, measure: m}
+	if k.wl.bytes <= 0 {
+		k.wl.bytes = app.DefaultBytes
 	}
-}
-
-// slimmedTopologies builds the sweep's topology per W2 value.
-func slimmedTopologies(w2s []int) ([]*xgft.Topology, error) {
-	topos := make([]*xgft.Topology, len(w2s))
-	for i, w2 := range w2s {
-		tp, err := xgft.NewSlimmedTree(16, 16, w2)
-		if err != nil {
-			return nil, err
-		}
-		topos[i] = tp
+	if !ok {
+		return k, fmt.Errorf("experiments: unknown engine %q", opt.Engine)
 	}
-	return topos, nil
+	return k, nil
 }
 
 // Fig2Row is one x-position of Fig. 2: the slowdown of each fixed
@@ -169,55 +104,22 @@ type Fig2Row struct {
 
 // Figure2 reproduces Fig. 2a (WRF-256) or Fig. 2b (CG.D-128):
 // progressive tree slimming of the 16-ary 2-tree under the three
-// classic oblivious routings and the pattern-aware bound. Cells —
-// one per (topology, fixed algorithm) plus one per (topology, Random
-// seed) — fan out over the options' worker pool.
+// classic oblivious routings and the pattern-aware bound.
 func Figure2(app *App, opt Options) ([]Fig2Row, error) {
-	opt = opt.withDefaults()
-	phases := app.Phases(opt.MessageBytes)
-	topos, err := slimmedTopologies(opt.W2Values)
-	if err != nil {
-		return nil, err
-	}
-	score, err := cellScorer(app, phases, opt)
-	if err != nil {
-		return nil, err
-	}
-	const fixedCells = 3 // s-mod-k, d-mod-k, colored
-	cellsPerW := fixedCells + opt.Seeds
-	rows := make([]Fig2Row, len(topos))
-	randSamples := make([][]float64, len(topos))
-	for i := range randSamples {
-		randSamples[i] = make([]float64, opt.Seeds)
-	}
-	err = opt.run(len(topos)*cellsPerW, func(idx int) error {
-		i, c := idx/cellsPerW, idx%cellsPerW
-		tp := topos[i]
-		var algo core.Algorithm
-		var slot *float64
-		if c < fixedCells {
-			algo = fixedCellAlgo(c, tp, phases)
-			slot = [...]*float64{&rows[i].SModK, &rows[i].DModK, &rows[i].Colored}[c]
-		} else {
-			seed := c - fixedCells
-			algo, slot = core.NewRandom(tp, uint64(seed)+1), &randSamples[i][seed]
+	return single(opt, func(b *Batch) (func() []Fig2Row, error) { return b.Figure2(app) })
+}
+
+// Figure2 declares Fig. 2's cells: Fig. 5's fixed schemes and Random,
+// which its rows project.
+func (b *Batch) Figure2(app *App) (func() []Fig2Row, error) {
+	fig5, err := b.slimming(app, "random")
+	return func() []Fig2Row {
+		var rows []Fig2Row
+		for _, r := range fig5() {
+			rows = append(rows, Fig2Row{W2: r.W2, Random: r.Random.Median, SModK: r.SModK, DModK: r.DModK, Colored: r.Colored, Crossbar: 1})
 		}
-		s, err := score(tp, algo)
-		if err != nil {
-			return err
-		}
-		*slot = s
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := range rows {
-		rows[i].W2 = opt.W2Values[i]
-		rows[i].Crossbar = 1
-		rows[i].Random = stats.Summarize(randSamples[i]).Median
-	}
-	return rows, nil
+		return rows
+	}, err
 }
 
 // Fig5Row is one x-position of Fig. 5: fixed curves for
@@ -233,71 +135,55 @@ type Fig5Row struct {
 	Random  stats.Summary
 }
 
-// figure5Schemes enumerates the randomized schemes of Fig. 5 in
-// result order.
-var figure5Schemes = []func(tp *xgft.Topology, seed uint64) core.Algorithm{
-	func(tp *xgft.Topology, s uint64) core.Algorithm { return core.NewRandomNCAUp(tp, s) },
-	func(tp *xgft.Topology, s uint64) core.Algorithm { return core.NewRandomNCADown(tp, s) },
-	func(tp *xgft.Topology, s uint64) core.Algorithm { return core.NewRandom(tp, s) },
-}
-
 // Figure5 reproduces Fig. 5a/5b: the proposed r-NCA-u and r-NCA-d
 // schemes against Random (boxplots over seeds) and the fixed
-// baselines, under progressive slimming. Every (topology, scheme,
-// seed) triple is an independent sweep cell.
+// baselines, under progressive slimming.
 func Figure5(app *App, opt Options) ([]Fig5Row, error) {
-	opt = opt.withDefaults()
-	phases := app.Phases(opt.MessageBytes)
-	topos, err := slimmedTopologies(opt.W2Values)
+	return single(opt, func(b *Batch) (func() []Fig5Row, error) { return b.Figure5(app) })
+}
+
+// Figure5 declares Fig. 5's cells: every (topology, scheme, seed)
+// triple, the fixed schemes at one seed.
+func (b *Batch) Figure5(app *App) (func() []Fig5Row, error) {
+	return b.slimming(app, "r-NCA-u", "r-NCA-d", "random")
+}
+
+// slimming declares, per W2 value, s-mod-k, d-mod-k and colored at
+// seed 0, then each randomized scheme at seeds 1..Seeds, and returns
+// the Fig. 5 rows they fill; an undeclared scheme's boxplot is zero.
+func (b *Batch) slimming(app *App, randomized ...string) (func() []Fig5Row, error) {
+	opt := b.opt.withDefaults()
+	k, err := appCell(app, opt)
 	if err != nil {
 		return nil, err
 	}
-	score, err := cellScorer(app, phases, opt)
-	if err != nil {
-		return nil, err
+	type point struct {
+		fixed  [3]int
+		random map[string][]int
 	}
-	const fixedCells = 3
-	nSchemes := len(figure5Schemes)
-	cellsPerW := fixedCells + nSchemes*opt.Seeds
-	rows := make([]Fig5Row, len(topos))
-	// samples[i][k][seed]: topology i, randomized scheme k.
-	samples := make([][][]float64, len(topos))
-	for i := range samples {
-		samples[i] = make([][]float64, nSchemes)
-		for k := range samples[i] {
-			samples[i][k] = make([]float64, opt.Seeds)
+	points := make([]point, len(opt.W2Values))
+	for i, w2 := range opt.W2Values {
+		k.topo = slimmed(w2)
+		for c, name := range []string{"s-mod-k", "d-mod-k", "colored"} {
+			points[i].fixed[c] = b.add(k.of(name))
+		}
+		points[i].random = map[string][]int{}
+		for _, name := range randomized {
+			points[i].random[name] = b.seeds(k, name, opt.Seeds)
 		}
 	}
-	err = opt.run(len(topos)*cellsPerW, func(idx int) error {
-		i, c := idx/cellsPerW, idx%cellsPerW
-		tp := topos[i]
-		var algo core.Algorithm
-		var slot *float64
-		if c < fixedCells {
-			algo = fixedCellAlgo(c, tp, phases)
-			slot = [...]*float64{&rows[i].SModK, &rows[i].DModK, &rows[i].Colored}[c]
-		} else {
-			k := (c - fixedCells) / opt.Seeds
-			seed := (c - fixedCells) % opt.Seeds
-			algo, slot = figure5Schemes[k](tp, uint64(seed)+1), &samples[i][k][seed]
+	return func() []Fig5Row {
+		rows := make([]Fig5Row, len(points))
+		for i, p := range points {
+			rows[i] = Fig5Row{W2: opt.W2Values[i], SModK: b.value(p.fixed[0])[0], DModK: b.value(p.fixed[1])[0], Colored: b.value(p.fixed[2])[0]}
+			for name, box := range map[string]*stats.Summary{"r-NCA-u": &rows[i].RNCAUp, "r-NCA-d": &rows[i].RNCADn, "random": &rows[i].Random} {
+				if ids := p.random[name]; ids != nil {
+					*box = b.summary(ids)
+				}
+			}
 		}
-		s, err := score(tp, algo)
-		if err != nil {
-			return err
-		}
-		*slot = s
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := range rows {
-		rows[i].W2 = opt.W2Values[i]
-		rows[i].RNCAUp = stats.Summarize(samples[i][0])
-		rows[i].RNCADn = stats.Summarize(samples[i][1])
-		rows[i].Random = stats.Summarize(samples[i][2])
-	}
-	return rows, nil
+		return rows
+	}, nil
 }
 
 // Fig4Result holds the routes-per-NCA census of one topology:
@@ -313,64 +199,49 @@ type Fig4Result struct {
 	RNCADn   []stats.Summary
 }
 
-// figure4Schemes enumerates the randomized schemes of Fig. 4 in
-// result order.
-var figure4Schemes = []func(tp *xgft.Topology, seed uint64) core.Algorithm{
-	func(tp *xgft.Topology, s uint64) core.Algorithm { return core.NewRandom(tp, s) },
-	func(tp *xgft.Topology, s uint64) core.Algorithm { return core.NewRandomNCAUp(tp, s) },
-	func(tp *xgft.Topology, s uint64) core.Algorithm { return core.NewRandomNCADown(tp, s) },
+// Figure4 reproduces Fig. 4a (w2=16) / 4b (w2=10): the distribution
+// of all-pairs route assignments over the roots.
+func Figure4(w2 int, opt Options) (*Fig4Result, error) {
+	return single(opt, func(b *Batch) (func() *Fig4Result, error) { return b.Figure4(w2) })
 }
 
-// Figure4 reproduces Fig. 4a (w2=16) / 4b (w2=10): the distribution
-// of all-pairs route assignments over the roots. Cells are the two
-// deterministic censuses plus one census per (scheme, seed).
-func Figure4(w2 int, opt Options) (*Fig4Result, error) {
-	opt = opt.withDefaults()
-	tp, err := xgft.NewSlimmedTree(16, 16, w2)
-	if err != nil {
-		return nil, err
+// Figure4 declares Fig. 4's cells: the two deterministic censuses
+// plus one census per (scheme, seed).
+func (b *Batch) Figure4(w2 int) (func() *Fig4Result, error) {
+	opt := b.opt.withDefaults()
+	k := cellKey{topo: slimmed(w2), measure: measureCensus}
+	smod, dmod := b.add(k.of("s-mod-k")), b.add(k.of("d-mod-k"))
+	var random [3][]int
+	for j, name := range []string{"random", "r-NCA-u", "r-NCA-d"} {
+		random[j] = b.seeds(k, name, opt.Seeds)
 	}
-	res := &Fig4Result{
-		Topology: tp.String(),
-		Roots:    tp.NodesAt(2),
-	}
-	nSchemes := len(figure4Schemes)
-	// censuses[k][seed]: scheme k's census at one seed.
-	censuses := make([][][]int, nSchemes)
-	for k := range censuses {
-		censuses[k] = make([][]int, opt.Seeds)
-	}
-	err = opt.run(2+nSchemes*opt.Seeds, func(idx int) error {
-		switch idx {
-		case 0:
-			res.SModK = core.AllPairsNCACensus(tp, core.NewSModK(tp))
-		case 1:
-			res.DModK = core.AllPairsNCACensus(tp, core.NewDModK(tp))
-		default:
-			k := (idx - 2) / opt.Seeds
-			seed := (idx - 2) % opt.Seeds
-			censuses[k][seed] = core.AllPairsNCACensus(tp, figure4Schemes[k](tp, uint64(seed)+1))
+	return func() *Fig4Result {
+		tp := b.parsed(k.topo)
+		res := &Fig4Result{
+			Topology: tp.String(),
+			Roots:    tp.NodesAt(2),
+			SModK:    ints(b.value(smod)),
+			DModK:    ints(b.value(dmod)),
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	summarize := func(k int) []stats.Summary {
-		out := make([]stats.Summary, res.Roots)
-		perRoot := make([]float64, opt.Seeds)
-		for root := 0; root < res.Roots; root++ {
-			for seed := 0; seed < opt.Seeds; seed++ {
-				perRoot[seed] = float64(censuses[k][seed][root])
+		perRoot := func(ids []int) []stats.Summary {
+			out := make([]stats.Summary, res.Roots)
+			for root := range out {
+				out[root] = stats.Summarize(b.column(ids, root))
 			}
-			out[root] = stats.Summarize(perRoot)
+			return out
 		}
-		return out
+		res.Random, res.RNCAUp, res.RNCADn = perRoot(random[0]), perRoot(random[1]), perRoot(random[2])
+		return res
+	}, nil
+}
+
+// ints converts a census cell back to route counts.
+func ints(v []float64) []int {
+	out := make([]int, len(v))
+	for i, x := range v {
+		out[i] = int(x)
 	}
-	res.Random = summarize(0)
-	res.RNCAUp = summarize(1)
-	res.RNCADn = summarize(2)
-	return res, nil
+	return out
 }
 
 // Fig3Result decomposes CG.D-128: its aggregate connectivity matrix

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/contention"
 	"repro/internal/core"
+	"repro/internal/evaluate"
 	"repro/internal/fabric"
 	"repro/internal/hashutil"
 	"repro/internal/pattern"
@@ -219,7 +220,7 @@ func PlacementSweep(opt Options) ([]PlacementRow, error) {
 			Algo:      core.NewDModK(tp),
 			Cache:     opt.Cache,
 			Telemetry: true,
-			Evaluator: opt.evaluator(),
+			Evaluator: evaluate.NewAnalytic(opt.Cache),
 		})
 		if err != nil {
 			return err

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"reflect"
 	"runtime"
@@ -39,56 +40,153 @@ func TestFigure2ParallelByteIdentical(t *testing.T) {
 	}
 }
 
+// sameAtAnyParallelism runs a sweep at Parallelism 1 and 8 and
+// requires equal results.
+func sameAtAnyParallelism[T any](t *testing.T, opt Options, sweep func(Options) (T, error)) T {
+	t.Helper()
+	var got [2]T
+	for i, par := range []int{1, 8} {
+		opt.Parallelism = par
+		var err error
+		if got[i], err = sweep(opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(got[0], got[1]) {
+		t.Errorf("parallel run differs from sequential:\nseq: %+v\npar: %+v", got[0], got[1])
+	}
+	return got[0]
+}
+
 func TestFigure5ParallelMatchesSequential(t *testing.T) {
-	app := WRFApp()
-	base := Options{Seeds: 4, W2Values: []int{16, 8}}
-	seq := base
-	seq.Parallelism = 1
-	seqRows, err := Figure5(app, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := base
-	par.Parallelism = 8
-	parRows, err := Figure5(app, par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seqRows, parRows) {
-		t.Errorf("parallel Figure5 differs:\nseq: %+v\npar: %+v", seqRows, parRows)
-	}
+	sameAtAnyParallelism(t, Options{Seeds: 4, W2Values: []int{16, 8}}, func(o Options) ([]Fig5Row, error) { return Figure5(WRFApp(), o) })
 }
 
 func TestDeepTreeSweepParallelMatchesSequential(t *testing.T) {
-	base := Options{Seeds: 3, MessageBytes: 8 * 1024}
-	seq := base
-	seq.Parallelism = 1
-	seqRows, err := DeepTreeSweep(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := base
-	par.Parallelism = 8
-	parRows, err := DeepTreeSweep(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seqRows, parRows) {
-		t.Error("parallel DeepTreeSweep differs from sequential")
-	}
+	sameAtAnyParallelism(t, Options{Seeds: 3, MessageBytes: 8 * 1024}, DeepTreeSweep)
 }
 
 func TestFigure4ParallelMatchesSequential(t *testing.T) {
-	seqRes, err := Figure4(10, Options{Seeds: 4, Parallelism: 1})
-	if err != nil {
+	sameAtAnyParallelism(t, Options{Seeds: 4}, func(o Options) (*Fig4Result, error) { return Figure4(10, o) })
+}
+
+// batchRows is every grid sweep's result, declared on one batch.
+type batchRows struct {
+	Fig2     []Fig2Row
+	Fig5     []Fig5Row
+	Fig4     *Fig4Result
+	Deep     []DeepRow
+	Ablation *AblationRow
+	Faults   []FaultRow
+	Fidelity []FidelityRow
+}
+
+// TestBatchParallelMatchesSequential scores the seven grid sweeps on
+// one batch: the rows do not depend on parallelism, and each sweep's
+// rows equal the sweep's run alone, so sharing cells across sweeps
+// changes no value.
+func TestBatchParallelMatchesSequential(t *testing.T) {
+	opt := Options{Seeds: 2, MessageBytes: 2048, W2Values: []int{16, 7}}
+	app := CGApp()
+	together := sameAtAnyParallelism(t, opt, func(o Options) (batchRows, error) {
+		b := NewBatch(o)
+		fig2, err2 := b.Figure2(app)
+		fig5, err5 := b.Figure5(app)
+		fig4, err4 := b.Figure4(10)
+		deep, errD := b.DeepTreeSweep()
+		abl, errA := b.BalanceAblation(10)
+		faults, errF := b.FaultSweep(app)
+		fid, errV := b.FidelitySweep()
+		if err := cmp.Or(err2, err5, err4, errD, errA, errF, errV); err != nil {
+			return batchRows{}, err
+		}
+		if err := b.Run(); err != nil {
+			return batchRows{}, err
+		}
+		return batchRows{fig2(), fig5(), fig4(), deep(), abl(), faults(), fid()}, nil
+	})
+	var alone batchRows
+	var errs [7]error
+	alone.Fig2, errs[0] = Figure2(app, opt)
+	alone.Fig5, errs[1] = Figure5(app, opt)
+	alone.Fig4, errs[2] = Figure4(10, opt)
+	alone.Deep, errs[3] = DeepTreeSweep(opt)
+	alone.Ablation, errs[4] = BalanceAblation(10, opt)
+	alone.Faults, errs[5] = FaultSweep(app, opt)
+	alone.Fidelity, errs[6] = FidelitySweep(opt)
+	if err := cmp.Or(errs[:]...); err != nil {
 		t.Fatal(err)
 	}
-	parRes, err := Figure4(10, Options{Seeds: 4, Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(together, alone) {
+		t.Errorf("sweeps sharing one batch differ from the sweeps run alone:\nbatch: %+v\nalone: %+v", together, alone)
 	}
-	if !reflect.DeepEqual(seqRes, parRes) {
-		t.Error("parallel Figure4 differs from sequential")
+}
+
+// TestGridSharesExactlyItsKeys holds the grid to its cell key. Under
+// both engines Fig. 2's rows are the projection of Fig. 5's, and
+// declaring the two together scores Fig. 5's cells and no more. Cells
+// whose keys differ only in byte size or in failed wires are scored
+// apart.
+func TestGridSharesExactlyItsKeys(t *testing.T) {
+	for _, opt := range []Options{
+		{Seeds: 3, W2Values: []int{16, 7}},
+		{Engine: Simulated, Seeds: 2, MessageBytes: 2048, W2Values: []int{16, 7}},
+	} {
+		app := CGApp()
+		fig2, err := Figure2(app, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fig5, err := Figure5(app, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range fig5 {
+			want := Fig2Row{W2: r.W2, Random: r.Random.Median, SModK: r.SModK, DModK: r.DModK, Colored: r.Colored, Crossbar: 1}
+			if fig2[i] != want {
+				t.Errorf("%s: Fig. 2 row %+v, Fig. 5 projects to %+v", opt.Engine, fig2[i], want)
+			}
+		}
+		total := 0
+		opt.Progress = func(_, n int) { total = n }
+		b := NewBatch(opt)
+		if _, err := b.Figure2(app); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Figure5(app); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if want := len(opt.W2Values) * (3 + 3*opt.Seeds); total != want {
+			t.Errorf("%s: Fig. 2 + Fig. 5 scored %d cells, Fig. 5 alone has %d", opt.Engine, total, want)
+		}
+	}
+
+	wrf := cellKey{topo: slimmed(16), wl: workload{name: "WRF-256", bytes: 2048}, scheme: "d-mod-k", measure: measureReplay}
+	faulty := cellKey{topo: slimmed(16), wl: workload{name: "WRF-256", bytes: 2048}, scheme: "d-mod-k", seed: 1, measure: measureDegraded}
+	for _, tc := range []struct {
+		name string
+		a    cellKey
+		edit func(*cellKey)
+	}{
+		{"byte size", wrf, func(k *cellKey) { k.wl.bytes = 8192 }},
+		{"failed wires", faulty, func(k *cellKey) { k.failed = 64 }},
+	} {
+		b := NewBatch(Options{})
+		other := tc.a
+		tc.edit(&other)
+		i, j := b.add(tc.a), b.add(other)
+		if b.add(tc.a) != i || i == j {
+			t.Fatalf("%s: cells %d, %d: equal keys must share a cell and differing ones must not", tc.name, i, j)
+		}
+		if err := b.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if reflect.DeepEqual(b.value(i), b.value(j)) {
+			t.Errorf("%s: both cells read %v; the field the keys differ in does not reach the value", tc.name, b.value(i))
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/evaluate"
 	"repro/internal/fabric"
 	"repro/internal/hashutil"
 	"repro/internal/pattern"
@@ -123,7 +124,7 @@ func ShiftSweep(opt Options) ([]ShiftRow, error) {
 		// a fifth less CPU (0.30 s against 0.38 s without).
 		opt.Cache = core.NewTableCache(64)
 	}
-	eval := opt.evaluator()
+	eval := evaluate.NewAnalytic(opt.Cache)
 	err = opt.run(seeds, func(s int) error {
 		f, err := fabric.New(fabric.Config{
 			Topo:      tp,
