@@ -37,6 +37,7 @@ func TestCLISmoke(t *testing.T) {
 		{"experiments", []string{"-placement", "-seeds", "2"}},
 		{"experiments", []string{"-churn", "-seeds", "2"}},
 		{"experiments", []string{"-fidelity", "-bytes", "2048"}},
+		{"experiments", []string{"-adaptive", "-bytes", "2048"}},
 		{"experiments", []string{"-fig2b", "-fig5b", "-engine", "simulated", "-bytes", "2048", "-seeds", "2"}},
 		{"subnetmgr", nil},
 		{"routegen", []string{"-xgft", "2;8,8;1,8", "-algo", "r-NCA-d", "-pattern", "shift:1"}},
@@ -398,6 +399,7 @@ func TestCLISmoke(t *testing.T) {
 		{"-shift", "-seeds", "2"},
 		{"-churn", "-seeds", "2"},
 		{"-fidelity", "-bytes", "2048"},
+		{"-adaptive", "-bytes", "2048"},
 	} {
 		if a, b := runSweep("1", args...), runSweep("8", args...); a != b {
 			t.Fatalf("%v differs across -parallel:\n%s\nvs\n%s", args, a, b)
@@ -406,13 +408,13 @@ func TestCLISmoke(t *testing.T) {
 
 	// The grid sections share one batch of cells: declared together
 	// they print, at any -parallel, what each prints alone.
-	gridArgs := []string{"-fig2a", "-fig5a", "-fig4b", "-ablation", "-ext", "-faults", "-fidelity", "-seeds", "2", "-bytes", "2048"}
+	gridArgs := []string{"-fig2a", "-fig5a", "-fig4b", "-ablation", "-ext", "-faults", "-fidelity", "-adaptive", "-seeds", "2", "-bytes", "2048"}
 	together := runSweep("1", gridArgs...)
 	if par := runSweep("8", gridArgs...); par != together {
 		t.Fatalf("grid sections differ across -parallel:\n%s\nvs\n%s", together, par)
 	}
 	var alone string
-	for _, section := range []string{"-fig2a", "-fig4b", "-fig5a", "-ext", "-faults", "-fidelity", "-ablation"} { // print order
+	for _, section := range []string{"-fig2a", "-fig4b", "-fig5a", "-ext", "-faults", "-fidelity", "-ablation", "-adaptive"} { // print order
 		alone += runSweep("1", section, "-seeds", "2", "-bytes", "2048")
 	}
 	if alone != together {

@@ -13,15 +13,16 @@
 // from 71.7 s when every cell replayed its own crossbar reference; use
 // -bytes to scale down). -csv switches the sweep output format.
 //
-// Figures 2, 4 and 5 and the -ext, -ablation, -faults and -fidelity
-// sweeps declare their cells on one grid, which scores each distinct
-// cell once over -parallel workers (default: all CPUs) before the
-// first section prints, so their timing lines cover rendering only and
-// an error in any of them stops the run before anything prints.
-// Table I, Fig. 3 and the -shift, -placement, -churn and -adaptive
-// sweeps run when their section prints: the first three sweeps thread
-// state from step to step, and -adaptive has no routing algorithm to
-// key a cell by. -progress reports cell completion on stderr.
+// Figures 2, 4 and 5 and the -ext, -ablation, -faults, -fidelity and
+// -adaptive sweeps declare their cells on one grid, which scores each
+// distinct cell once over -parallel workers (default: all CPUs) before
+// the first section prints, so their timing lines cover rendering only
+// and an error in any of them stops the run before anything prints.
+// Table I and Fig. 3 are single calls, and the -shift, -placement and
+// -churn sweeps run their own cells when their section prints: each
+// cell threads fabric and scheduler state from one step to the next,
+// which no grid cell holds. -progress reports cell completion on
+// stderr: one count for the grid, then one per stateful sweep.
 package main
 
 import (
@@ -131,7 +132,9 @@ func main() {
 			r6, err6 := b.BalanceAblation(6)
 			return func() { ablation(r10()); ablation(r6()) }, cmp.Or(err10, err6)
 		}},
-		{flag: "adaptive", title: "Extension — adaptive vs oblivious", run: func() error { return show(experiments.WriteAdaptiveComparison)(experiments.AdaptiveComparison(opt)) }},
+		{flag: "adaptive", title: "Extension — adaptive vs oblivious", grid: func(b batch) (func(), error) {
+			return later(experiments.WriteAdaptiveComparison)(b.AdaptiveComparison())
+		}},
 	}
 	chosen := make([]*bool, len(sections))
 	for i, s := range sections {

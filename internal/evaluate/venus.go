@@ -94,7 +94,7 @@ func (v *venusEval) ScoreRoutes(t *xgft.Topology, p *pattern.Pattern, routes []x
 // phaseTimes simulates one phase under the explicit routes and on the
 // crossbar reference, returning both makespans.
 func (v *venusEval) phaseTimes(t *xgft.Topology, p *pattern.Pattern, routes []xgft.Route, cost *Cost) (net, ref eventq.Time, err error) {
-	net, events, err := runRouted(t, p, routes, v.cfg)
+	net, events, err := venus.RunRoutes(t, p, routes, v.cfg)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -127,7 +127,7 @@ func (v *venusEval) crossbarTime(p *pattern.Pattern) (eventq.Time, uint64, error
 	for i, f := range p.Flows {
 		routes[i] = algo.Route(f.Src, f.Dst)
 	}
-	d, events, err := runRouted(xb, p, routes, v.cfg)
+	d, events, err := venus.RunRoutes(xb, p, routes, v.cfg)
 	if err != nil {
 		return 0, 0, fmt.Errorf("crossbar reference: %w", err)
 	}
@@ -142,32 +142,4 @@ func (v *venusEval) crossbarTime(p *pattern.Pattern) (eventq.Time, uint64, error
 	}
 	v.mu.Unlock()
 	return d, events, nil
-}
-
-// runRouted injects every flow of the pattern at t=0 under its
-// explicit route (the paper's strategy (ii): all messages fragmented
-// and injected simultaneously) and runs to completion, returning the
-// makespan and the number of discrete events processed.
-func runRouted(t *xgft.Topology, p *pattern.Pattern, routes []xgft.Route, cfg venus.Config) (eventq.Time, uint64, error) {
-	if len(routes) != len(p.Flows) {
-		return 0, 0, fmt.Errorf("%d routes for %d flows", len(routes), len(p.Flows))
-	}
-	s, err := venus.New(t, cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	for i, f := range p.Flows {
-		m := venus.Message{Src: f.Src, Dst: f.Dst, Bytes: f.Bytes}
-		if f.Src != f.Dst {
-			m.Route = routes[i]
-		}
-		if err := s.Inject(m); err != nil {
-			return 0, 0, err
-		}
-	}
-	d, err := s.Run(venus.EventBudget(p, cfg))
-	if err != nil {
-		return 0, 0, err
-	}
-	return d, s.Q.Processed(), nil
 }

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
-	"repro/internal/pattern"
 	"repro/internal/venus"
-	"repro/internal/xgft"
 )
 
 // AdaptiveRow compares per-segment adaptive routing against the
@@ -26,59 +23,48 @@ type AdaptiveRow struct {
 // (Gomez et al.): local adaptive decisions beat bad oblivious
 // assignments on adversarial regular patterns, but do not beat a good
 // oblivious scheme on patterns it routes conflict-free.
+// TestAdaptiveComparisonShapes asserts both halves.
 // Options.MessageBytes (default 32 KiB) sets the per-flow size;
-// Parallelism and Progress apply to the (workload, w2) cells.
+// Parallelism and Progress apply to the sweep's cells.
 func AdaptiveComparison(opt Options) ([]AdaptiveRow, error) {
-	if opt.MessageBytes <= 0 {
-		opt.MessageBytes = 32 * 1024
+	return single(opt, (*Batch).AdaptiveComparison)
+}
+
+// AdaptiveComparison declares the comparison's cells: per (workload,
+// w2) point one adaptive cell and three oblivious venus cells, the
+// randomized schemes at seed 1.
+func (b *Batch) AdaptiveComparison() (func() []AdaptiveRow, error) {
+	bytes := b.opt.MessageBytes
+	if bytes <= 0 {
+		bytes = 32 * 1024
 	}
-	opt = opt.withDefaults()
-	bytes := opt.MessageBytes
-	cfg := venus.DefaultConfig()
-	type workload struct {
-		name   string
-		phases []*pattern.Pattern
+	workloads := []struct {
+		label string
+		wl    workload
+	}{
+		{"wrf-halo", workload{name: "WRF-256", bytes: bytes}},
+		{"cg-transpose", workload{name: "cg-transpose", bytes: bytes}},
 	}
-	cgT, err := pattern.CGTransposePhase(128, bytes)
-	if err != nil {
-		return nil, err
+	var rows []AdaptiveRow
+	var ids [][4]int
+	for _, w := range workloads {
+		for _, w2 := range []int{16, 8} {
+			k := cellKey{topo: slimmed(w2), wl: w.wl, scheme: venus.AdaptiveAlgorithmName, measure: measureAdaptive}
+			cells := [4]int{b.add(k)}
+			k.measure = measureVenus
+			cells[1] = b.add(k.of("d-mod-k"))
+			k.seed = 1
+			cells[2], cells[3] = b.add(k.of("r-NCA-d")), b.add(k.of("random"))
+			rows = append(rows, AdaptiveRow{Workload: w.label, W2: w2})
+			ids = append(ids, cells)
+		}
 	}
-	workloads := []workload{
-		{"wrf-halo", []*pattern.Pattern{pattern.WRF(16, 16, bytes)}},
-		{"cg-transpose", []*pattern.Pattern{cgT}},
-	}
-	w2s := []int{16, 8}
-	rows := make([]AdaptiveRow, len(workloads)*len(w2s))
-	// Each (workload, w2) point is an independent cell: every
-	// simulated slowdown constructs its own venus.Sim, so points can
-	// run on separate workers.
-	err = opt.run(len(rows), func(i int) error {
-		wl := workloads[i/len(w2s)]
-		w2 := w2s[i%len(w2s)]
-		tp, err := xgft.NewSlimmedTree(16, 16, w2)
-		if err != nil {
-			return err
+	return func() []AdaptiveRow {
+		for i, r := range ids {
+			rows[i].Adaptive, rows[i].DModK, rows[i].RNCADn, rows[i].Random = b.value(r[0])[0], b.value(r[1])[0], b.value(r[2])[0], b.value(r[3])[0]
 		}
-		row := AdaptiveRow{Workload: wl.name, W2: w2}
-		if row.Adaptive, err = venus.MeasuredPhasedSlowdownAdaptive(tp, wl.phases, cfg); err != nil {
-			return err
-		}
-		if row.DModK, err = venus.MeasuredPhasedSlowdown(tp, core.NewDModK(tp), wl.phases, cfg); err != nil {
-			return err
-		}
-		if row.RNCADn, err = venus.MeasuredPhasedSlowdown(tp, core.NewRandomNCADown(tp, 1), wl.phases, cfg); err != nil {
-			return err
-		}
-		if row.Random, err = venus.MeasuredPhasedSlowdown(tp, core.NewRandom(tp, 1), wl.phases, cfg); err != nil {
-			return err
-		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+		return rows
+	}, nil
 }
 
 // WriteAdaptiveComparison renders the comparison.

@@ -2,8 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/pattern"
+	"repro/internal/venus"
+	"repro/internal/xgft"
 )
 
 func TestAdaptiveComparisonShapes(t *testing.T) {
@@ -16,7 +22,7 @@ func TestAdaptiveComparisonShapes(t *testing.T) {
 	}
 	byKey := make(map[string]AdaptiveRow)
 	for _, r := range rows {
-		byKey[r.Workload+"/"+itoa(r.W2)] = r
+		byKey[r.Workload+"/"+strconv.Itoa(r.W2)] = r
 	}
 	// Adaptive escapes the mod-k pathology on the transpose.
 	cg := byKey["cg-transpose/16"]
@@ -31,6 +37,47 @@ func TestAdaptiveComparisonShapes(t *testing.T) {
 	}
 }
 
+// TestAdaptiveComparisonMatchesVenus holds the sweep's grid cells to
+// venus, the reference, at 8 KiB: on the same tree and phases the
+// oblivious columns are MeasuredPhasedSlowdown and the adaptive column
+// MeasuredPhasedSlowdownAdaptive, bit for bit.
+func TestAdaptiveComparisonMatchesVenus(t *testing.T) {
+	const bytes = 8 * 1024
+	rows, err := AdaptiveComparison(Options{MessageBytes: bytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cgT, err := pattern.CGTransposePhase(128, bytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases := map[string][]*pattern.Pattern{"wrf-halo": {pattern.WRF(16, 16, bytes)}, "cg-transpose": {cgT}}
+	cfg := venus.DefaultConfig()
+	for _, r := range rows {
+		tp, err := xgft.NewSlimmedTree(16, 16, r.W2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ph := phases[r.Workload]
+		if want, err := venus.MeasuredPhasedSlowdownAdaptive(tp, ph, cfg); err != nil || r.Adaptive != want {
+			t.Errorf("%s w2=%d: adaptive column %v, venus %v (err %v)", r.Workload, r.W2, r.Adaptive, want, err)
+		}
+		for _, c := range []struct {
+			name string
+			got  float64
+			algo core.Algorithm
+		}{
+			{"d-mod-k", r.DModK, core.NewDModK(tp)},
+			{"r-NCA-d", r.RNCADn, core.NewRandomNCADown(tp, 1)},
+			{"random", r.Random, core.NewRandom(tp, 1)},
+		} {
+			if want, err := venus.MeasuredPhasedSlowdown(tp, c.algo, ph, cfg); err != nil || c.got != want {
+				t.Errorf("%s w2=%d: %s column %v, venus %v (err %v)", r.Workload, r.W2, c.name, c.got, want, err)
+			}
+		}
+	}
+}
+
 func TestWriteAdaptiveComparison(t *testing.T) {
 	rows := []AdaptiveRow{{Workload: "x", W2: 16, Adaptive: 1, DModK: 2, RNCADn: 1.5, Random: 1.7}}
 	var buf bytes.Buffer
@@ -38,14 +85,4 @@ func TestWriteAdaptiveComparison(t *testing.T) {
 	if !strings.Contains(buf.String(), "adaptive") {
 		t.Error("missing header")
 	}
-}
-
-func itoa(v int) string {
-	if v == 16 {
-		return "16"
-	}
-	if v == 8 {
-		return "8"
-	}
-	return "?"
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/hashutil"
 	"repro/internal/pattern"
 	"repro/internal/sched"
-	"repro/internal/xgft"
 )
 
 // The churn convergence sweep: the serving stack under sustained job
@@ -33,65 +32,33 @@ import (
 // churnSeed domain-separates the churn schedule's draws.
 const churnSeed = 0xc84a7
 
-// churnJobs is the number of arrivals per seed; churnOptEvery gates
-// the re-optimization cadence (one threshold-gated pass every third
-// arrival); churnFlapEvery/churnHealAfter shape the link-flap cycle
-// (a keyed level-1 link fails before every fifth arrival and heals
-// two arrivals later).
+// churnOptEvery gates the re-optimization cadence (one
+// threshold-gated pass every third arrival); churnFlapEvery and
+// churnHealAfter shape the link-flap cycle (a keyed level-1 link fails
+// before every fifth arrival and heals two arrivals later).
 const (
-	churnJobs      = 18
 	churnOptEvery  = 3
 	churnFlapEvery = 5
 	churnHealAfter = 2
 	churnThreshold = 0.0
 )
 
-// churnJob is one arrival of the churn schedule.
-type churnJob struct {
-	arrive int64
-	depart int64
-	spec   sched.JobSpec
-}
-
-// churnSchedule draws seed s's arrival schedule: a resident
+// churnDraws shape each seed's 18 arrivals: after a resident
 // bit-reversal tenant on half the machine (the structured adversary
-// d-mod-k cannot serve contention-free, so the optimizer has a swap
-// to earn after every heal), then keyed-hash interarrivals (1-10
-// ticks) and lifetimes (20-69 ticks) over the placement sweep's
-// WRF/CG/permutation job mix.
-func churnSchedule(seed uint64, bytes int64) ([]churnJob, error) {
-	jobs := make([]churnJob, churnJobs)
-	br, err := pattern.BitReversal(128, bytes)
-	if err != nil {
-		return nil, err
-	}
-	jobs[0] = churnJob{
-		arrive: 1,
-		depart: int64(math.MaxInt64),
-		spec:   sched.JobSpec{Name: "resident-br", N: 128, Phases: []*pattern.Pattern{br}},
-	}
-	t := int64(1)
-	for e := 1; e < len(jobs); e++ {
-		t += 1 + int64(hashutil.Mix(churnSeed, seed, uint64(e), 1)%10)
-		life := 20 + int64(hashutil.Mix(churnSeed, seed, uint64(e), 2)%50)
-		spec, err := placementSpec(seed, e, bytes)
-		if err != nil {
-			return nil, err
-		}
-		jobs[e] = churnJob{arrive: t, depart: t + life, spec: spec}
-	}
-	return jobs, nil
-}
+// d-mod-k cannot serve contention-free, so the optimizer has a swap to
+// earn after every heal), interarrivals of 1-10 ticks and lifetimes of
+// 20-69 over the placement sweep's WRF/CG/permutation job mix.
+var churnDraws = draws{domain: churnSeed, gapLane: 1, lifeLane: 2, jobs: 18, gap: 10, life: 20, lives: 50}
 
 // churnCell is one seed's outcome.
 type churnCell struct {
-	placed, rejected  int
-	flaps             int
-	optimizes, swaps  int
-	touched           int
-	hash              uint64
-	swapNS            []int64
-	placeSec, swapSec float64
+	placed, rejected int
+	flaps            int
+	optimizes, swaps int
+	touched          int
+	hash             uint64
+	swapNS           []int64
+	placeSec         float64
 }
 
 // ChurnRow is the sweep's aggregate over the seeds.
@@ -124,13 +91,15 @@ func churnFold(h uint64, vs ...uint64) uint64 {
 	return hashutil.Mix(append([]uint64{h}, vs...)...)
 }
 
-// ChurnSweep runs the churn schedule on the paper's cost-reduced tree
-// XGFT(2;16,16;1,10), one cell per seed on the parallel engine. Every
-// cell owns a telemetry-enabled d-mod-k fabric and a telemetry-policy
-// scheduler; after every third arrival the tenant mix is synced into
-// the fabric's counters and a threshold-gated optimizer pass runs,
-// while keyed link flaps degrade and heal the topology underneath.
-// Options.Seeds defaults to 4 here; the sweep is analytic-only.
+// ChurnSweep runs the churn schedule, one cell per seed on the
+// parallel engine. Every cell owns a telemetry-enabled d-mod-k fabric
+// and a telemetry-policy scheduler; after every third arrival the
+// tenant mix is synced into the fabric's counters and a
+// threshold-gated optimizer pass runs, while keyed link flaps degrade
+// and heal the topology underneath. Its claim: the delta-scored
+// decisions hash equal to a from-scratch scorer's —
+// TestChurnSweepModesAgree. Options.Seeds defaults to 4 here; the
+// sweep is analytic-only.
 func ChurnSweep(opt Options) (ChurnRow, error) {
 	return churnSweep(opt, evaluate.NewAnalytic)
 }
@@ -139,21 +108,15 @@ func ChurnSweep(opt Options) (ChurnRow, error) {
 // injected, so the differential test can replay the schedule against a
 // from-scratch scoring reference.
 func churnSweep(opt Options, newEval func(*core.TableCache) evaluate.Evaluator) (ChurnRow, error) {
-	if opt.Seeds <= 0 {
-		opt.Seeds = 4
-	}
-	opt = opt.withDefaults()
-	if opt.Engine != Analytic {
-		return ChurnRow{}, fmt.Errorf("experiments: the churn sweep supports only the analytic engine, not %q", opt.Engine)
-	}
-	tp, err := xgft.NewSlimmedTree(16, 16, 10)
+	opt, tp, err := tenantSweep(opt, 4)
 	if err != nil {
 		return ChurnRow{}, err
 	}
-	bytes := opt.MessageBytes
-	if bytes <= 0 {
-		bytes = 64 * 1024
+	br, err := pattern.BitReversal(128, opt.MessageBytes)
+	if err != nil {
+		return ChurnRow{}, err
 	}
+	resident := arrival{1, math.MaxInt64, sched.JobSpec{Name: "resident-br", N: 128, Phases: []*pattern.Pattern{br}}}
 	cells := make([]churnCell, opt.Seeds)
 	err = opt.run(len(cells), func(idx int) error {
 		seed := uint64(idx) + 1
@@ -162,13 +125,7 @@ func churnSweep(opt Options, newEval func(*core.TableCache) evaluate.Evaluator) 
 		// cells would make the wall-clock figures depend on which seeds
 		// ran first.
 		cache := core.NewTableCache(64)
-		f, err := fabric.New(fabric.Config{
-			Topo:      tp,
-			Algo:      core.NewDModK(tp),
-			Cache:     cache,
-			Telemetry: true,
-			Evaluator: newEval(cache),
-		})
+		f, err := dmodkFabric(tp, cache, newEval(cache))
 		if err != nil {
 			return err
 		}
@@ -180,17 +137,13 @@ func churnSweep(opt Options, newEval func(*core.TableCache) evaluate.Evaluator) 
 		if err != nil {
 			return err
 		}
-		schedule, err := churnSchedule(seed, bytes)
+		schedule, err := churnDraws.schedule(seed, opt.MessageBytes, resident)
 		if err != nil {
 			return err
 		}
 		cell := &cells[idx]
 		cell.hash = hashutil.Mix(churnSeed, seed)
-		type active struct {
-			id     uint64
-			depart int64
-		}
-		var running []active
+		var running departures
 		healIn := 0
 		for e, ev := range schedule {
 			// The flap cycle: fail a keyed level-1 link before every
@@ -214,22 +167,13 @@ func churnSweep(opt Options, newEval func(*core.TableCache) evaluate.Evaluator) 
 				cell.flaps++
 				healIn = churnHealAfter
 			}
-			// Departures due before this arrival, in (depart, id) order.
-			sort.Slice(running, func(i, j int) bool {
-				if running[i].depart != running[j].depart {
-					return running[i].depart < running[j].depart
-				}
-				return running[i].id < running[j].id
-			})
-			for len(running) > 0 && running[0].depart <= ev.arrive {
-				if err := sc.Release(running[0].id); err != nil {
+			for _, d := range running.due(ev.arrive) {
+				if err := sc.Release(d.id); err != nil {
 					return err
 				}
-				running = running[1:]
 			}
-			placeStart := time.Now() //lint:allow nondeterminism placement rate is observational (bracketed output only)
-			job, err := sc.Submit(ev.spec)
-			cell.placeSec += time.Since(placeStart).Seconds() //lint:allow nondeterminism placement rate is observational (bracketed output only)
+			var job *sched.Job
+			cell.placeSec += timed(func() { job, err = sc.Submit(ev.spec) }).Seconds()
 			if errors.Is(err, sched.ErrNoCapacity) {
 				cell.rejected++
 				cell.hash = churnFold(cell.hash, 2, uint64(e))
@@ -241,7 +185,7 @@ func churnSweep(opt Options, newEval func(*core.TableCache) evaluate.Evaluator) 
 				for _, l := range job.Leaves {
 					cell.hash = churnFold(cell.hash, uint64(l))
 				}
-				running = append(running, active{id: job.ID, depart: ev.depart})
+				running = append(running, departure{ev.depart, job.ID})
 			}
 			if e%churnOptEvery != churnOptEvery-1 {
 				continue
@@ -249,13 +193,10 @@ func churnSweep(opt Options, newEval func(*core.TableCache) evaluate.Evaluator) 
 			// Re-fit the table to the tenant mix: sync the counters,
 			// then one threshold-gated pass.
 			sc.SyncTelemetry()
-			optStart := time.Now() //lint:allow nondeterminism time-to-new-generation is observational (bracketed output only)
-			res, err := f.Optimize(fabric.OptimizeConfig{
-				Threshold: churnThreshold,
-				Seed:      seed,
-				Reset:     true,
-			})
-			optNS := time.Since(optStart).Nanoseconds() //lint:allow nondeterminism time-to-new-generation is observational (bracketed output only)
+			var res fabric.OptimizeResult
+			optNS := timed(func() {
+				res, err = f.Optimize(fabric.OptimizeConfig{Threshold: churnThreshold, Seed: seed, Reset: true})
+			}).Nanoseconds()
 			if err != nil {
 				return err
 			}
@@ -291,6 +232,14 @@ func churnSweep(opt Options, newEval func(*core.TableCache) evaluate.Evaluator) 
 		row.PlaceSeconds += c.placeSec
 	}
 	return row, nil
+}
+
+// timed runs fn and returns its wall time, which the sweep renders
+// only in its bracketed line.
+func timed(fn func()) time.Duration {
+	start := time.Now() //lint:allow nondeterminism wall time is observational (bracketed output only)
+	fn()
+	return time.Since(start) //lint:allow nondeterminism wall time is observational (bracketed output only)
 }
 
 // boolBit maps a bool to a hashable word.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/contention"
 	"repro/internal/core"
@@ -32,19 +31,13 @@ import (
 // placementSeed domain-separates the churn schedule's draws.
 const placementSeed = 0x9ac37
 
-// placementJobs is the number of arrivals each seed's schedule
-// submits.
-const placementJobs = 30
-
 // placementPolicies enumerates the compared policies in result order.
 var placementPolicies = []string{"linear", "random", "balanced", "telemetry"}
 
-// placementJob is one arrival of the churn schedule.
-type placementJob struct {
-	arrive int64
-	depart int64
-	spec   sched.JobSpec
-}
+// placementDraws shape each seed's 30 arrivals: interarrivals of 1-15
+// ticks and lifetimes of 25-84, so the steady state holds several
+// concurrent tenants and departures interleave with arrivals.
+var placementDraws = draws{domain: placementSeed, gapLane: 4, lifeLane: 5, jobs: 30, gap: 15, life: 25, lives: 60}
 
 // placementSpec draws job e of seed s from the keyed splitmix64
 // stream: a WRF halo, a CG phase set or a random permutation, sized
@@ -81,25 +74,6 @@ func placementSpec(seed uint64, e int, bytes int64) (sched.JobSpec, error) {
 			Phases: []*pattern.Pattern{p},
 		}, nil
 	}
-}
-
-// placementSchedule draws seed s's full arrival schedule: keyed-hash
-// interarrivals (1-15 ticks) and lifetimes (25-84 ticks), so the
-// steady state holds several concurrent tenants and departures
-// interleave with arrivals.
-func placementSchedule(seed uint64, bytes int64) ([]placementJob, error) {
-	jobs := make([]placementJob, placementJobs)
-	var t int64
-	for e := range jobs {
-		t += 1 + int64(hashutil.Mix(placementSeed, seed, uint64(e), 4)%15)
-		life := 25 + int64(hashutil.Mix(placementSeed, seed, uint64(e), 5)%60)
-		spec, err := placementSpec(seed, e, bytes)
-		if err != nil {
-			return nil, err
-		}
-		jobs[e] = placementJob{arrive: t, depart: t + life, spec: spec}
-	}
-	return jobs, nil
 }
 
 // perJobSlowdown measures one job inside the current tenant mix: the
@@ -162,35 +136,23 @@ type PlacementRow struct {
 	Frag   stats.Summary
 }
 
-// PlacementSweep runs the churn schedule on the paper's cost-reduced
-// tree XGFT(2;16,16;1,10) once per (policy, seed) cell on the
-// parallel engine. Every cell owns a telemetry-enabled d-mod-k fabric
-// and a scheduler; the fabric's counters are re-synced to the tenant
-// mix after every event, so the telemetry policy scores candidates
-// against genuinely observed background flows. The routing table is
-// held static (d-mod-k) for every policy, isolating placement quality
-// from the optimizer's table churn. Schedules, placements and
+// PlacementSweep runs the churn schedule once per (policy, seed) cell
+// on the parallel engine. Every cell owns a telemetry-enabled d-mod-k
+// fabric and a scheduler; the fabric's counters are re-synced to the
+// tenant mix after every event, so the telemetry policy scores
+// candidates against genuinely observed background flows. The routing
+// table is held static (d-mod-k) for every policy, isolating placement
+// quality from the optimizer's table churn. Its claim: topology- and
+// pattern-aware placement (balanced, telemetry) beats random scatter
+// on median per-job slowdown, and balanced leaves a less fragmented
+// pool — TestPlacementSweepPolicyOrdering. Schedules, placements and
 // measurements are pure functions of the cell coordinates, so results
-// are byte-identical for any Parallelism. Options.Seeds defaults to 8
-// here; the sweep is analytic-only.
+// are byte-identical for any Parallelism. Options.Seeds defaults to 8.
 func PlacementSweep(opt Options) ([]PlacementRow, error) {
-	if opt.Seeds <= 0 {
-		opt.Seeds = 8
-	}
-	opt = opt.withDefaults()
-	if opt.Engine != Analytic {
-		return nil, fmt.Errorf("experiments: the placement sweep supports only the analytic engine, not %q", opt.Engine)
-	}
-	tp, err := xgft.NewSlimmedTree(16, 16, 10)
+	opt, tp, err := tenantSweep(opt, 8)
 	if err != nil {
 		return nil, err
 	}
-	bytes := opt.MessageBytes
-	if bytes <= 0 {
-		bytes = 64 * 1024
-	}
-	seeds := opt.Seeds
-	nPol := len(placementPolicies)
 	if opt.Cache == nil {
 		// Sweep-local, one entry: every cell's fabric starts from
 		// d-mod-k over all pairs, and the singleflight makes the cells
@@ -198,99 +160,76 @@ func PlacementSweep(opt Options) ([]PlacementRow, error) {
 		// 1 miss, a fifth less CPU (1.01 s against 1.27 s without).
 		opt.Cache = core.NewTableCache(1)
 	}
-	// slows[k][s] and frags[k][s]: policy k, seed s; variable-length
-	// per cell, concatenated in (policy, seed, event) order after the
-	// pool drains.
-	slows := make([][][]float64, nPol)
-	frags := make([][][]float64, nPol)
-	rejected := make([][]int, nPol)
-	for k := range slows {
-		slows[k] = make([][]float64, seeds)
-		frags[k] = make([][]float64, seeds)
-		rejected[k] = make([]int, seeds)
+	// Cell k*Seeds+s is policy k on seed s; its samples are
+	// concatenated in (policy, seed, event) order after the pool drains.
+	type cell struct {
+		slows, frags []float64
+		rejected     int
 	}
-	err = opt.run(nPol*seeds, func(idx int) error {
-		k, s := idx/seeds, idx%seeds
-		policy, err := sched.PolicyByName(placementPolicies[k])
+	cells := make([]cell, len(placementPolicies)*opt.Seeds)
+	err = opt.run(len(cells), func(idx int) error {
+		c, seed := &cells[idx], uint64(idx%opt.Seeds)+1
+		policy, err := sched.PolicyByName(placementPolicies[idx/opt.Seeds])
 		if err != nil {
 			return err
 		}
-		f, err := fabric.New(fabric.Config{
-			Topo:      tp,
-			Algo:      core.NewDModK(tp),
-			Cache:     opt.Cache,
-			Telemetry: true,
-			Evaluator: evaluate.NewAnalytic(opt.Cache),
-		})
+		f, err := dmodkFabric(tp, opt.Cache, evaluate.NewAnalytic(opt.Cache))
 		if err != nil {
 			return err
 		}
-		sc, err := sched.New(sched.Config{Fabric: f, Policy: policy, Seed: uint64(s) + 1})
+		sc, err := sched.New(sched.Config{Fabric: f, Policy: policy, Seed: seed})
 		if err != nil {
 			return err
 		}
-		schedule, err := placementSchedule(uint64(s)+1, bytes)
+		schedule, err := placementDraws.schedule(seed, opt.MessageBytes)
 		if err != nil {
 			return err
 		}
-		type active struct {
-			id     uint64
-			depart int64
-		}
-		var running []active
+		var running departures
 		for _, ev := range schedule {
-			// Departures due before this arrival, in (depart, id) order.
-			sort.Slice(running, func(i, j int) bool {
-				if running[i].depart != running[j].depart {
-					return running[i].depart < running[j].depart
-				}
-				return running[i].id < running[j].id
-			})
-			for len(running) > 0 && running[0].depart <= ev.arrive {
-				if err := sc.Release(running[0].id); err != nil {
+			for _, d := range running.due(ev.arrive) {
+				if err := sc.Release(d.id); err != nil {
 					return err
 				}
-				running = running[1:]
 				sc.SyncTelemetry()
 			}
 			job, err := sc.Submit(ev.spec)
 			if errors.Is(err, sched.ErrNoCapacity) {
-				rejected[k][s]++
-				frags[k][s] = append(frags[k][s], sc.Snapshot().Fragmentation)
+				c.rejected++
+				c.frags = append(c.frags, sc.Snapshot().Fragmentation)
 				continue
 			}
 			if err != nil {
 				return err
 			}
-			running = append(running, active{id: job.ID, depart: ev.depart})
+			running = append(running, departure{ev.depart, job.ID})
 			sc.SyncTelemetry()
 			slow, err := perJobSlowdown(tp, f.Generation(), sc.TenantPattern(), job.LeafPattern())
 			if err != nil {
 				return err
 			}
-			slows[k][s] = append(slows[k][s], slow)
-			frags[k][s] = append(frags[k][s], sc.Snapshot().Fragmentation)
+			c.slows = append(c.slows, slow)
+			c.frags = append(c.frags, sc.Snapshot().Fragmentation)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]PlacementRow, nPol)
+	rows := make([]PlacementRow, len(placementPolicies))
 	for k := range rows {
-		var allSlow, allFrag []float64
-		rej := 0
-		for s := 0; s < seeds; s++ {
-			allSlow = append(allSlow, slows[k][s]...)
-			allFrag = append(allFrag, frags[k][s]...)
-			rej += rejected[k][s]
+		var all cell
+		for _, c := range cells[k*opt.Seeds : (k+1)*opt.Seeds] {
+			all.slows = append(all.slows, c.slows...)
+			all.frags = append(all.frags, c.frags...)
+			all.rejected += c.rejected
 		}
 		rows[k] = PlacementRow{
 			Policy:   placementPolicies[k],
-			Placed:   len(allSlow),
-			Rejected: rej,
-			PerJob:   stats.Summarize(allSlow),
-			Frag:     stats.Summarize(allFrag),
+			Placed:   len(all.slows),
+			Rejected: all.rejected,
+			PerJob:   stats.Summarize(all.slows),
+			Frag:     stats.Summarize(all.frags),
 		}
 	}
 	return rows, nil

@@ -82,15 +82,15 @@ func TestPlacementSweepRejectsSimulatedEngine(t *testing.T) {
 }
 
 func TestPlacementScheduleDeterministic(t *testing.T) {
-	a, err := placementSchedule(7, 1024)
+	a, err := placementDraws.schedule(7, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := placementSchedule(7, 1024)
+	b, err := placementDraws.schedule(7, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a) != placementJobs || len(b) != placementJobs {
+	if len(a) != placementDraws.jobs || len(b) != placementDraws.jobs {
 		t.Fatalf("schedule lengths %d/%d", len(a), len(b))
 	}
 	for i := range a {

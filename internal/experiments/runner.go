@@ -31,11 +31,13 @@ const (
 	measureVenus                   // the venus backend's flit-level makespan slowdown
 	measureCensus                  // all-pairs routes per root switch; reads no workload
 	measureDegraded                // bound of the tables patched around failed top wires, and the unreachable share
+	measureAdaptive                // venus makespan slowdown under per-segment adaptive routing; builds no scheme
 )
 
-// workload is a cell's traffic: an application by its App name, or a
-// synthetic schedule ("permutation", "uniform", "bit-reversal") drawn
-// from draw. The zero workload is the census's.
+// workload is a cell's traffic: an application by its App name, CG's
+// 128-rank transpose phase ("cg-transpose"), or a synthetic schedule
+// ("permutation", "uniform", "bit-reversal") drawn from draw. The zero
+// workload is the census's.
 type workload struct {
 	name  string
 	bytes int64
@@ -52,6 +54,9 @@ func (w workload) phases(n int) ([]*pattern.Pattern, error) {
 		return []*pattern.Pattern{pattern.UniformRandom(n, 1, w.bytes, w.draw)}, nil
 	case "bit-reversal":
 		p, err := pattern.BitReversal(n, w.bytes)
+		return []*pattern.Pattern{p}, err
+	case "cg-transpose":
+		p, err := pattern.CGTransposePhase(128, w.bytes)
 		return []*pattern.Pattern{p}, err
 	}
 	app, err := AppByName(w.name)
@@ -70,7 +75,7 @@ const unbalancedNCAUp = "unbalanced-r-NCA-u"
 type cellKey struct {
 	topo    string // xgft.Parse spec
 	wl      workload
-	scheme  string // a core.NewByName name or unbalancedNCAUp
+	scheme  string // a core.NewByName name, unbalancedNCAUp, or venus.AdaptiveAlgorithmName
 	seed    uint64 // scheme seed; also keys the fault draw of degraded cells
 	failed  int    // failed top-level wires of degraded cells
 	measure measure
@@ -292,10 +297,16 @@ func (g *grid) score(c cell, in *inputs, backends map[measure]evaluate.Evaluator
 	}
 	var algo core.Algorithm
 	var err error
-	if scheme == unbalancedNCAUp {
-		algo = core.NewUnbalancedNCAUp(tp, c.seed)
-	} else if algo, err = core.NewByName(scheme, tp, c.seed, phases); err != nil {
+	switch {
+	case c.measure == measureAdaptive:
+		out[0], err = venus.MeasuredPhasedSlowdownAdaptive(tp, phases, venus.DefaultConfig())
 		return err
+	case scheme == unbalancedNCAUp:
+		algo = core.NewUnbalancedNCAUp(tp, c.seed)
+	default:
+		if algo, err = core.NewByName(scheme, tp, c.seed, phases); err != nil {
+			return err
+		}
 	}
 	switch c.measure {
 	case measureCensus:

@@ -79,9 +79,10 @@ type batchRows struct {
 	Ablation *AblationRow
 	Faults   []FaultRow
 	Fidelity []FidelityRow
+	Adaptive []AdaptiveRow
 }
 
-// TestBatchParallelMatchesSequential scores the seven grid sweeps on
+// TestBatchParallelMatchesSequential scores the eight grid sweeps on
 // one batch: the rows do not depend on parallelism, and each sweep's
 // rows equal the sweep's run alone, so sharing cells across sweeps
 // changes no value.
@@ -97,16 +98,17 @@ func TestBatchParallelMatchesSequential(t *testing.T) {
 		abl, errA := b.BalanceAblation(10)
 		faults, errF := b.FaultSweep(app)
 		fid, errV := b.FidelitySweep()
-		if err := cmp.Or(err2, err5, err4, errD, errA, errF, errV); err != nil {
+		ada, errS := b.AdaptiveComparison()
+		if err := cmp.Or(err2, err5, err4, errD, errA, errF, errV, errS); err != nil {
 			return batchRows{}, err
 		}
 		if err := b.Run(); err != nil {
 			return batchRows{}, err
 		}
-		return batchRows{fig2(), fig5(), fig4(), deep(), abl(), faults(), fid()}, nil
+		return batchRows{fig2(), fig5(), fig4(), deep(), abl(), faults(), fid(), ada()}, nil
 	})
 	var alone batchRows
-	var errs [7]error
+	var errs [8]error
 	alone.Fig2, errs[0] = Figure2(app, opt)
 	alone.Fig5, errs[1] = Figure5(app, opt)
 	alone.Fig4, errs[2] = Figure4(10, opt)
@@ -114,6 +116,7 @@ func TestBatchParallelMatchesSequential(t *testing.T) {
 	alone.Ablation, errs[4] = BalanceAblation(10, opt)
 	alone.Faults, errs[5] = FaultSweep(app, opt)
 	alone.Fidelity, errs[6] = FidelitySweep(opt)
+	alone.Adaptive, errs[7] = AdaptiveComparison(opt)
 	if err := cmp.Or(errs[:]...); err != nil {
 		t.Fatal(err)
 	}

@@ -66,55 +66,19 @@ type ShiftRow struct {
 	Chosen map[string]int
 }
 
-// ShiftSweep runs the shifting-pattern schedule on the paper's
-// cost-reduced tree XGFT(2;16,16;1,10). Each seed is one independent
-// cell on the parallel engine: it draws its own phase patterns,
+// ShiftSweep runs the shifting-pattern schedule, one independent cell
+// per seed on the parallel engine: it draws its own phase patterns,
 // drives them through a telemetry-enabled fabric (initially d-mod-k),
 // lets the optimizer re-fit after each phase, and measures both
-// fabrics on the phase pattern. Results are byte-identical for any
-// Parallelism. Measurement and optimization both go through the
-// options' evaluator (analytic by default); the Simulated trace-replay
-// engine is rejected, like in the degraded-topology sweep.
+// fabrics on the phase pattern. Its claim: the online fabric matches
+// or beats static d-mod-k on every phase, and beats it on some —
+// TestShiftSweepOnlineNeverWorseThanStatic. Results are byte-identical
+// for any Parallelism. Options.Seeds defaults to 10 here; the sweep is
+// analytic-only.
 func ShiftSweep(opt Options) ([]ShiftRow, error) {
-	if opt.Seeds <= 0 {
-		opt.Seeds = 10
-	}
-	opt = opt.withDefaults()
-	if opt.Engine != Analytic {
-		return nil, fmt.Errorf("experiments: the shifting-traffic sweep supports only the analytic engine, not %q", opt.Engine)
-	}
-	tp, err := xgft.NewSlimmedTree(16, 16, 10)
+	opt, tp, err := tenantSweep(opt, 10)
 	if err != nil {
 		return nil, err
-	}
-	bytes := opt.MessageBytes
-	if bytes <= 0 {
-		bytes = 64 * 1024
-	}
-	seeds := opt.Seeds
-	nPhases := len(shiftSchedule)
-	// Patterns are drawn up-front, sequentially, so the cells only
-	// read shared state.
-	pats := make([][]*pattern.Pattern, nPhases)
-	for pi, ph := range shiftSchedule {
-		pats[pi] = make([]*pattern.Pattern, seeds)
-		for s := 0; s < seeds; s++ {
-			p, err := ph.pattern(tp.Leaves(), bytes, uint64(s)+1)
-			if err != nil {
-				return nil, err
-			}
-			pats[pi][s] = p
-		}
-	}
-	staticV := make([][]float64, nPhases) // [phase][seed]
-	onlineV := make([][]float64, nPhases)
-	swapped := make([][]bool, nPhases)
-	chosen := make([][]string, nPhases)
-	for pi := 0; pi < nPhases; pi++ {
-		staticV[pi] = make([]float64, seeds)
-		onlineV[pi] = make([]float64, seeds)
-		swapped[pi] = make([]bool, seeds)
-		chosen[pi] = make([]string, seeds)
 	}
 	if opt.Cache == nil {
 		// Sweep-local, as ChurnSweep's is cell-local: every fabric
@@ -125,23 +89,26 @@ func ShiftSweep(opt Options) ([]ShiftRow, error) {
 		opt.Cache = core.NewTableCache(64)
 	}
 	eval := evaluate.NewAnalytic(opt.Cache)
-	err = opt.run(seeds, func(s int) error {
-		f, err := fabric.New(fabric.Config{
-			Topo:      tp,
-			Algo:      core.NewDModK(tp),
-			Cache:     opt.Cache,
-			Telemetry: true,
-			Evaluator: eval,
-		})
+	type step struct {
+		static, online float64
+		swapped        bool
+		chosen         string
+	}
+	steps := make([][]step, opt.Seeds) // [seed][phase]
+	err = opt.run(opt.Seeds, func(s int) error {
+		f, err := dmodkFabric(tp, opt.Cache, eval)
 		if err != nil {
 			return err
 		}
-		for pi := range shiftSchedule {
-			p := pats[pi][s]
+		for _, ph := range shiftSchedule {
+			p, err := ph.pattern(tp.Leaves(), opt.MessageBytes, uint64(s)+1)
+			if err != nil {
+				return err
+			}
 			// Phase traffic: one resolve per flow feeds the counters.
 			for _, fl := range p.Flows {
 				if _, ok := f.Resolve(fl.Src, fl.Dst); !ok {
-					return fmt.Errorf("experiments: shift seed %d phase %s: pair (%d,%d) did not resolve", s, shiftSchedule[pi].Name, fl.Src, fl.Dst)
+					return fmt.Errorf("experiments: shift seed %d phase %s: pair (%d,%d) did not resolve", s, ph.Name, fl.Src, fl.Dst)
 				}
 			}
 			// Re-fit to the observed window. Threshold 0: any strict
@@ -152,14 +119,11 @@ func ShiftSweep(opt Options) ([]ShiftRow, error) {
 			if err != nil {
 				return err
 			}
-			swapped[pi][s] = res.Swapped
-			chosen[pi][s] = f.Stats().Algo
 			// Static baseline on the phase pattern (cache-served).
 			st, err := eval.Score(tp, core.NewDModK(tp), []*pattern.Pattern{p})
 			if err != nil {
 				return err
 			}
-			staticV[pi][s] = st.Slowdown
 			// Online fabric measured on the same pattern. Resolution
 			// goes through the pinned generation so measurement
 			// traffic does not leak into the next phase's telemetry.
@@ -168,7 +132,7 @@ func ShiftSweep(opt Options) ([]ShiftRow, error) {
 			for i, fl := range p.Flows {
 				r, ok := gen.Resolve(fl.Src, fl.Dst)
 				if !ok {
-					return fmt.Errorf("experiments: shift seed %d phase %s: optimized fabric lost pair (%d,%d)", s, shiftSchedule[pi].Name, fl.Src, fl.Dst)
+					return fmt.Errorf("experiments: shift seed %d phase %s: optimized fabric lost pair (%d,%d)", s, ph.Name, fl.Src, fl.Dst)
 				}
 				routes[i] = r
 			}
@@ -176,27 +140,26 @@ func ShiftSweep(opt Options) ([]ShiftRow, error) {
 			if err != nil {
 				return err
 			}
-			onlineV[pi][s] = on.Slowdown
+			steps[s] = append(steps[s], step{st.Slowdown, on.Slowdown, res.Swapped, f.Stats().Algo})
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]ShiftRow, nPhases)
+	rows := make([]ShiftRow, len(shiftSchedule))
 	for pi := range rows {
-		row := ShiftRow{
-			Phase:  shiftSchedule[pi].Name,
-			Static: stats.Summarize(staticV[pi]),
-			Online: stats.Summarize(onlineV[pi]),
-			Chosen: make(map[string]int),
-		}
-		for s := 0; s < seeds; s++ {
-			if swapped[pi][s] {
+		var static, online []float64
+		row := ShiftRow{Phase: shiftSchedule[pi].Name, Chosen: make(map[string]int)}
+		for _, seed := range steps {
+			st := seed[pi]
+			static, online = append(static, st.static), append(online, st.online)
+			if st.swapped {
 				row.Swaps++
 			}
-			row.Chosen[chosen[pi][s]]++
+			row.Chosen[st.chosen]++
 		}
+		row.Static, row.Online = stats.Summarize(static), stats.Summarize(online)
 		rows[pi] = row
 	}
 	return rows, nil

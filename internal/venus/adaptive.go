@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/eventq"
+	"repro/internal/hashutil"
 	"repro/internal/pattern"
 	"repro/internal/xgft"
 )
@@ -79,7 +80,7 @@ func (s *Sim) pickAdaptive(st *adaptiveState) *channel {
 		// intended load spreading while keeping runs reproducible.
 		w := t.W(st.level)
 		bestPort, best := 0, int(^uint(0)>>1)
-		s.adaptTie = splitmixStep(s.adaptTie)
+		s.adaptTie = hashutil.Splitmix64(s.adaptTie)
 		offset := int(s.adaptTie % uint64(w))
 		for i := 0; i < w; i++ {
 			p := (offset + i) % w
@@ -124,14 +125,6 @@ func (s *Sim) dstDigit(st *adaptiveState) int {
 // AdaptiveAlgorithmName is the reporting label for adaptive runs.
 const AdaptiveAlgorithmName = "adaptive"
 
-// splitmixStep advances the tie-breaking stream (splitmix64).
-func splitmixStep(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // RunPatternAdaptive is RunPattern with per-segment adaptive routing.
 func RunPatternAdaptive(t *xgft.Topology, p *pattern.Pattern, cfg Config) (eventq.Time, error) {
 	s, err := New(t, cfg)
@@ -143,24 +136,7 @@ func RunPatternAdaptive(t *xgft.Topology, p *pattern.Pattern, cfg Config) (event
 			return 0, err
 		}
 	}
-	return s.Run(eventBudget(p, cfg))
-}
-
-// MeasuredSlowdownAdaptive is the adaptive counterpart of
-// MeasuredSlowdown.
-func MeasuredSlowdownAdaptive(t *xgft.Topology, p *pattern.Pattern, cfg Config) (float64, error) {
-	net, err := RunPatternAdaptive(t, p, cfg)
-	if err != nil {
-		return 0, err
-	}
-	ref, err := CrossbarTime(p, cfg)
-	if err != nil {
-		return 0, err
-	}
-	if ref == 0 {
-		return 1, nil
-	}
-	return float64(net) / float64(ref), nil
+	return s.Run(EventBudget(p, cfg))
 }
 
 // MeasuredPhasedSlowdownAdaptive sums dependent phases.

@@ -80,7 +80,7 @@ func TestAdaptiveBeatsDModKOnCGTranspose(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	adaptive, err := MeasuredSlowdownAdaptive(tp, ph, cfg)
+	adaptive, err := MeasuredPhasedSlowdownAdaptive(tp, []*pattern.Pattern{ph}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestAdaptiveNotAlwaysBetter(t *testing.T) {
 	tp := paperTree(t, 16)
 	p := pattern.WRF(16, 16, 32*1024)
 	cfg := DefaultConfig()
-	adaptive, err := MeasuredSlowdownAdaptive(tp, p, cfg)
+	adaptive, err := MeasuredPhasedSlowdownAdaptive(tp, []*pattern.Pattern{p}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,20 +13,41 @@ import (
 // strategy (ii): all messages fragmented and injected simultaneously)
 // and runs to completion, returning the makespan.
 func RunPattern(t *xgft.Topology, algo core.Algorithm, p *pattern.Pattern, cfg Config) (eventq.Time, error) {
+	routes := make([]xgft.Route, len(p.Flows))
+	for i, f := range p.Flows {
+		if f.Src != f.Dst {
+			routes[i] = algo.Route(f.Src, f.Dst)
+		}
+	}
+	d, _, err := RunRoutes(t, p, routes, cfg)
+	return d, err
+}
+
+// RunRoutes is RunPattern under explicit routes, routes[i] carrying
+// p.Flows[i] (a self-flow's is ignored); it also returns the number of
+// discrete events processed.
+func RunRoutes(t *xgft.Topology, p *pattern.Pattern, routes []xgft.Route, cfg Config) (eventq.Time, uint64, error) {
+	if len(routes) != len(p.Flows) {
+		return 0, 0, fmt.Errorf("venus: %d routes for %d flows", len(routes), len(p.Flows))
+	}
 	s, err := New(t, cfg)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	for _, f := range p.Flows {
+	for i, f := range p.Flows {
 		m := Message{Src: f.Src, Dst: f.Dst, Bytes: f.Bytes}
 		if f.Src != f.Dst {
-			m.Route = algo.Route(f.Src, f.Dst)
+			m.Route = routes[i]
 		}
 		if err := s.Inject(m); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 	}
-	return s.Run(eventBudget(p, cfg))
+	d, err := s.Run(EventBudget(p, cfg))
+	if err != nil {
+		return 0, 0, err
+	}
+	return d, s.Q.Processed(), nil
 }
 
 // RunPhases simulates a sequence of synchronization-separated phases
@@ -73,18 +94,7 @@ func CrossbarPhases(phases []*pattern.Pattern, cfg Config) (eventq.Time, error) 
 // contention.Slowdown and the quantity on the Y axis of the paper's
 // Figs. 2 and 5.
 func MeasuredSlowdown(t *xgft.Topology, algo core.Algorithm, p *pattern.Pattern, cfg Config) (float64, error) {
-	net, err := RunPattern(t, algo, p, cfg)
-	if err != nil {
-		return 0, err
-	}
-	ref, err := CrossbarTime(p, cfg)
-	if err != nil {
-		return 0, err
-	}
-	if ref == 0 {
-		return 1, nil
-	}
-	return float64(net) / float64(ref), nil
+	return MeasuredPhasedSlowdown(t, algo, []*pattern.Pattern{p}, cfg)
 }
 
 // MeasuredPhasedSlowdown is MeasuredSlowdown over dependent phases.
@@ -105,14 +115,8 @@ func MeasuredPhasedSlowdown(t *xgft.Topology, algo core.Algorithm, phases []*pat
 
 // EventBudget bounds the event count for a pattern run: a generous
 // multiple of the theoretical segment-hop count, so genuine deadlock
-// or livelock fails fast instead of hanging. Exported for engines
-// that drive Sim directly (the evaluate venus backend).
-func EventBudget(p *pattern.Pattern, cfg Config) uint64 { return eventBudget(p, cfg) }
-
-// eventBudget bounds the event count for a pattern run: generous
-// multiple of the theoretical segment-hop count, so genuine deadlock
-// or livelock fails fast instead of hanging tests.
-func eventBudget(p *pattern.Pattern, cfg Config) uint64 {
+// or livelock fails fast instead of hanging.
+func EventBudget(p *pattern.Pattern, cfg Config) uint64 {
 	var segs uint64
 	for _, f := range p.Flows {
 		segs += uint64(f.Bytes/int64(cfg.SegmentBytes)) + 2

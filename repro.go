@@ -383,7 +383,6 @@ var (
 // cites).
 var (
 	SimulatePatternAdaptive        = venus.RunPatternAdaptive
-	MeasuredSlowdownAdaptive       = venus.MeasuredSlowdownAdaptive
 	MeasuredPhasedSlowdownAdaptive = venus.MeasuredPhasedSlowdownAdaptive
 )
 
