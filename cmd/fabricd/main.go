@@ -243,10 +243,12 @@ type options struct {
 	blackboxDir                   string // "" disables anomaly dumps
 }
 
-// The daemon's routing-table cache, read at scrape time: the table
-// half memoizes BuildKeyed (the fabric's own pinned tables answer
-// first, so it is rarely hit), the memo half MemoAlgorithm's Colored
-// constructions. The ratios are what justifies keeping each.
+// The daemon's routing-table cache, read at scrape time. Both halves
+// are internal/memo caches: the table half memoizes BuildKeyed (the
+// fabric's own pinned tables answer first, so it is rarely hit), the
+// memo half MemoAlgorithm's Colored constructions. Coalesced calls
+// count as neither hits nor misses. The ratios are what justifies
+// keeping each.
 const (
 	metricTableHits   = "core_table_cache_hits_total"
 	metricTableMisses = "core_table_cache_misses_total"
@@ -270,8 +272,10 @@ func build(o options, logger *slog.Logger) (*daemon, error) {
 	// The fabric, the optimizer's candidate builds and the evaluator
 	// share one table cache; the chosen backend is wrapped in a
 	// memoizing CachedEvaluator so re-optimization rounds over a
-	// stable observed pattern never re-score. Every layer shares one
-	// metrics registry, one event journal and one tracer.
+	// stable observed pattern never re-score. All three memos are
+	// internal/memo caches, so concurrent identical requests coalesce.
+	// Every layer shares one metrics registry, one event journal and
+	// one tracer.
 	reg := obs.NewRegistry()
 	jnl := obs.NewJournal(o.journalCap, logger)
 	cache := core.NewTableCache(16)

@@ -2,9 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/memo"
 	"repro/internal/pattern"
 	"repro/internal/xgft"
 )
@@ -56,46 +55,21 @@ type tableKey struct {
 // its own. Cached *Table values must not be mutated by callers —
 // routes are index data valid for any topology with the same spec.
 //
-// The cache is safe for concurrent use, and concurrent Build calls
-// for the same key are coalesced singleflight-style: one caller
-// computes, the rest wait for its result instead of duplicating the
-// work (the case a fabric rebuild storm produces). Capacity bounds
-// the number of retained tables with FIFO eviction; a capacity <= 0
-// cache behaves like a nil one (never stores, never coalesces).
+// Both halves, tables and algorithm constructions, are internal/memo
+// caches of capacity entries: safe for concurrent use, with concurrent
+// misses on one key coalesced (the case a fabric rebuild storm
+// produces). A capacity <= 0 cache behaves like a nil one.
 type TableCache struct {
-	capacity   int
-	hits       atomic.Uint64
-	misses     atomic.Uint64
-	coalesced  atomic.Uint64
-	algoHits   atomic.Uint64
-	algoMisses atomic.Uint64
-
-	mu       sync.Mutex
-	entries  map[tableKey]*Table
-	order    []tableKey
-	inflight map[tableKey]*inflightBuild
-
-	algoMu    sync.Mutex
-	algos     map[string]Algorithm
-	algoOrder []string
-}
-
-// inflightBuild is one in-progress BuildTable computation; done is
-// closed after tbl/err are set.
-type inflightBuild struct {
-	done chan struct{}
-	tbl  *Table
-	err  error
+	tables *memo.Cache[tableKey, *Table]
+	algos  *memo.Cache[string, Algorithm]
 }
 
 // NewTableCache returns a cache retaining at most capacity tables.
 // capacity <= 0 disables storage entirely (every Build recomputes).
 func NewTableCache(capacity int) *TableCache {
 	return &TableCache{
-		capacity: capacity,
-		entries:  make(map[tableKey]*Table),
-		inflight: make(map[tableKey]*inflightBuild),
-		algos:    make(map[string]Algorithm),
+		tables: memo.New[tableKey, *Table](capacity, func(k tableKey) string { return fmt.Sprintf("core: table build for %q on %s", k.algo, k.topo) }),
+		algos:  memo.New[string, Algorithm](capacity, func(k string) string { return fmt.Sprintf("core: algorithm construction %q", k) }),
 	}
 }
 
@@ -106,29 +80,15 @@ func NewTableCache(capacity int) *TableCache {
 // goroutines, so build must produce an algorithm whose Route is safe
 // for concurrent use. Pass-through and nil caches always rebuild.
 func (c *TableCache) MemoAlgorithm(key string, build func() Algorithm) Algorithm {
-	if c == nil || c.capacity <= 0 {
+	if c == nil {
 		return build()
 	}
-	c.algoMu.Lock()
-	algo, ok := c.algos[key]
-	c.algoMu.Unlock()
-	if ok {
-		c.algoHits.Add(1)
-		return algo
+	algo, _, err := c.algos.Get(key, func() (Algorithm, error) { return build(), nil })
+	if err != nil {
+		// The construction this call waited on panicked: build here,
+		// so a panic reaches this caller too.
+		return build()
 	}
-	c.algoMisses.Add(1)
-	algo = build()
-	c.algoMu.Lock()
-	if _, exists := c.algos[key]; !exists {
-		for len(c.algoOrder) >= c.capacity {
-			oldest := c.algoOrder[0]
-			c.algoOrder = c.algoOrder[1:]
-			delete(c.algos, oldest)
-		}
-		c.algos[key] = algo
-		c.algoOrder = append(c.algoOrder, key)
-	}
-	c.algoMu.Unlock()
 	return algo
 }
 
@@ -137,11 +97,10 @@ func (c *TableCache) MemoAlgorithm(key string, build func() Algorithm) Algorithm
 // and the triple has been built before. A nil cache, a pass-through
 // cache, and a non-memoizable algorithm all fall back to BuildTable.
 func (c *TableCache) Build(t *xgft.Topology, algo Algorithm, p *pattern.Pattern) (*Table, error) {
-	keyer := c.keyer(algo)
-	if keyer == nil {
+	if c.keyer(algo) == nil {
 		return BuildTable(t, algo, p)
 	}
-	return c.build(t, algo, keyer, p, KeyPattern(p))
+	return c.BuildKeyed(t, algo, p, KeyPattern(p))
 }
 
 // BuildKeyed is Build for a caller that already holds p's key: pk must
@@ -151,67 +110,19 @@ func (c *TableCache) BuildKeyed(t *xgft.Topology, algo Algorithm, p *pattern.Pat
 	if keyer == nil {
 		return BuildTable(t, algo, p)
 	}
-	return c.build(t, algo, keyer, p, pk)
+	key := tableKey{topo: t.String(), algo: keyer.CacheKey(), pattern: pk}
+	tbl, _, err := c.tables.Get(key, func() (*Table, error) { return BuildTable(t, algo, p) })
+	return tbl, err
 }
 
 // keyer returns algo's cache identity, nil when this cache does not
 // memoize it (nil or pass-through cache, non-memoizable algorithm).
 func (c *TableCache) keyer(algo Algorithm) CacheKeyer {
-	if c == nil || c.capacity <= 0 {
+	if c == nil || c.tables == nil {
 		return nil
 	}
 	keyer, _ := algo.(CacheKeyer)
 	return keyer
-}
-
-// build serves a memoizable table from the cache, computing it on a
-// miss.
-func (c *TableCache) build(t *xgft.Topology, algo Algorithm, keyer CacheKeyer, p *pattern.Pattern, pk PatternKey) (*Table, error) {
-	key := tableKey{topo: t.String(), algo: keyer.CacheKey(), pattern: pk}
-	c.mu.Lock()
-	if tbl := c.entries[key]; tbl != nil {
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return tbl, nil
-	}
-	if fl := c.inflight[key]; fl != nil {
-		// Another goroutine is already computing this table: wait for
-		// it instead of duplicating the build.
-		c.mu.Unlock()
-		<-fl.done
-		c.coalesced.Add(1)
-		return fl.tbl, fl.err
-	}
-	fl := &inflightBuild{done: make(chan struct{})}
-	c.inflight[key] = fl
-	c.mu.Unlock()
-	c.misses.Add(1)
-	// Complete the flight even if BuildTable panics (a malformed
-	// pattern can make an algorithm panic): the key must not stay
-	// wedged and waiters must not hang on done. The panic itself
-	// still propagates to this caller; waiters see an error.
-	defer func() {
-		if fl.tbl == nil && fl.err == nil {
-			fl.err = fmt.Errorf("core: table build for %q on %s panicked", key.algo, key.topo)
-		}
-		c.mu.Lock()
-		delete(c.inflight, key)
-		if fl.err == nil {
-			if _, exists := c.entries[key]; !exists {
-				for len(c.order) >= c.capacity {
-					oldest := c.order[0]
-					c.order = c.order[1:]
-					delete(c.entries, oldest)
-				}
-				c.entries[key] = fl.tbl
-				c.order = append(c.order, key)
-			}
-		}
-		c.mu.Unlock()
-		close(fl.done)
-	}()
-	fl.tbl, fl.err = BuildTable(t, algo, p)
-	return fl.tbl, fl.err
 }
 
 // Coalesced reports how many Build calls were served by waiting on an
@@ -221,24 +132,27 @@ func (c *TableCache) Coalesced() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.coalesced.Load()
+	_, _, coalesced := c.tables.Stats()
+	return coalesced
 }
 
-// Stats reports table-lookup effectiveness: hits and misses of
-// memoizable Build calls since construction (pass-through builds and
-// MemoAlgorithm lookups are not counted — see MemoStats).
+// Stats reports hits and misses of memoizable Build calls since
+// construction (pass-through builds are not counted; see Coalesced and
+// MemoStats for the rest).
 func (c *TableCache) Stats() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
 	}
-	return c.hits.Load(), c.misses.Load()
+	hits, misses, _ = c.tables.Stats()
+	return hits, misses
 }
 
-// MemoStats reports MemoAlgorithm effectiveness: hits and misses of
-// memoized algorithm constructions since construction.
+// MemoStats reports MemoAlgorithm's hits and misses since
+// construction (coalesced calls are not counted).
 func (c *TableCache) MemoStats() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
 	}
-	return c.algoHits.Load(), c.algoMisses.Load()
+	hits, misses, _ = c.algos.Stats()
+	return hits, misses
 }

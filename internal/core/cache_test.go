@@ -340,3 +340,43 @@ func TestBuildKeyedSharesBuildsEntries(t *testing.T) {
 		t.Errorf("pass-through BuildKeyed: err %v or routes differ", err)
 	}
 }
+
+// TestMemoAlgorithmCoalesces is TestTableCacheCoalesces for the
+// algorithm memo: goroutines asking for one cold key at once get one
+// construction, and every one of them the same instance. The build is
+// held open until every goroutine has arrived, so a memo that let each
+// of them miss would build once per goroutine. Run with -race.
+func TestMemoAlgorithmCoalesces(t *testing.T) {
+	tp := cacheTestTopo(t)
+	c := NewTableCache(8)
+	const workers = 16
+	var arrived, wg sync.WaitGroup
+	arrived.Add(workers)
+	var builds atomic.Int64
+	build := func() Algorithm {
+		builds.Add(1)
+		arrived.Wait()
+		return NewDModK(tp)
+	}
+	algos := make([]Algorithm, workers)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			arrived.Done()
+			algos[g] = c.MemoAlgorithm("gated", build)
+		}(g)
+	}
+	wg.Wait()
+	if got := builds.Load(); got != 1 {
+		t.Fatalf("%d goroutines on one cold key built %d algorithms, want 1", workers, got)
+	}
+	for g := range algos {
+		if algos[g] != algos[0] {
+			t.Fatalf("goroutine %d got a different algorithm instance", g)
+		}
+	}
+	if hits, misses := c.MemoStats(); misses != 1 || hits >= workers {
+		t.Fatalf("MemoStats = %d hits / %d misses, want 1 miss and the rest hits or coalesced", hits, misses)
+	}
+}

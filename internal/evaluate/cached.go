@@ -2,12 +2,12 @@ package evaluate
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/hashutil"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/pattern"
 	"repro/internal/trace"
@@ -30,51 +30,26 @@ type scoreKey struct {
 	content uint64 // folded phase fingerprints, or (pattern, routes) hash
 }
 
-// inflightScore is one in-progress evaluation; done is closed after
-// res/err are set.
-type inflightScore struct {
-	done chan struct{}
-	res  Result
-	err  error
-}
-
 // CachedEvaluator memoizes a backend's results across sweeps and
-// re-optimization rounds. Identical evaluations — same topology spec,
-// same algorithm identity (core.CacheKeyer) or route-set content, same
-// pattern content — are computed once; concurrent calls for the same
-// key are coalesced singleflight-style, so a sweep fanning one scoring
-// problem across workers performs it once. Algorithms that do not
-// implement core.CacheKeyer are never memoized (their identity cannot
-// be named), and a capacity <= 0 cache is a pass-through.
-//
-// Safe for concurrent use. Cached Results are shared; callers must not
-// mutate the PerPhase slice.
+// re-optimization rounds in an internal/memo cache, so an evaluation
+// with the same topology spec, algorithm identity (core.CacheKeyer) or
+// route-set content, and pattern content is computed once, however
+// many workers ask for it at a time. Algorithms that do not implement
+// core.CacheKeyer are never memoized (their identity cannot be named),
+// and a capacity <= 0 cache is a plain delegation. Cached Results are
+// shared; callers must not mutate the PerPhase slice.
 type CachedEvaluator struct {
-	inner    Evaluator
-	capacity int
-
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	coalesced atomic.Uint64
-	scoreNS   atomic.Pointer[obs.Histogram]
-	tracer    atomic.Pointer[trace.Tracer]
-
-	mu       sync.Mutex
-	entries  map[scoreKey]Result         // guarded by mu
-	order    []scoreKey                  // guarded by mu
-	inflight map[scoreKey]*inflightScore // guarded by mu
+	inner   Evaluator
+	memo    *memo.Cache[scoreKey, Result] // nil at capacity <= 0
+	scoreNS atomic.Pointer[obs.Histogram]
+	tracer  atomic.Pointer[trace.Tracer]
 }
 
-// NewCached wraps an evaluator with a memoizing, coalescing cache
-// retaining at most capacity results. capacity <= 0 disables storage
-// entirely (every call delegates).
+// NewCached wraps an evaluator in a cache retaining at most capacity
+// results; at capacity <= 0 every call delegates.
 func NewCached(inner Evaluator, capacity int) *CachedEvaluator {
-	return &CachedEvaluator{
-		inner:    inner,
-		capacity: capacity,
-		entries:  make(map[scoreKey]Result),
-		inflight: make(map[scoreKey]*inflightScore),
-	}
+	describe := func(k scoreKey) string { return fmt.Sprintf("evaluate: %s evaluation on %s", k.backend, k.topo) }
+	return &CachedEvaluator{inner: inner, memo: memo.New[scoreKey, Result](capacity, describe)}
 }
 
 const (
@@ -101,14 +76,14 @@ func SpanNames() []string { return []string{spanScore} }
 func (c *CachedEvaluator) Trace(tr *trace.Tracer) { c.tracer.Store(tr) }
 
 // Instrument registers the evaluate_* instruments on the registry:
-// hit/miss/coalesce counters sampled at scrape time from the cache's
-// own atomics, plus a latency histogram over backend computations
+// hit/miss/coalesce counters read at scrape time from the memo's
+// counters, plus a latency histogram over backend computations
 // (cache hits are not observed — they are the point of the cache).
 // Call once per registry, before concurrent use.
 func (c *CachedEvaluator) Instrument(reg *obs.Registry) {
-	reg.CounterFunc(metricCacheHits, "evaluations served from the memo", func() uint64 { return c.hits.Load() })
-	reg.CounterFunc(metricCacheMisses, "evaluations computed by the backend", func() uint64 { return c.misses.Load() })
-	reg.CounterFunc(metricCacheCoalesced, "evaluations served by waiting on an identical in-flight call", func() uint64 { return c.coalesced.Load() })
+	reg.CounterFunc(metricCacheHits, "evaluations served from the memo", func() uint64 { h, _, _ := c.Stats(); return h })
+	reg.CounterFunc(metricCacheMisses, "evaluations computed by the backend", func() uint64 { _, m, _ := c.Stats(); return m })
+	reg.CounterFunc(metricCacheCoalesced, "evaluations served by waiting on an identical in-flight call", func() uint64 { _, _, co := c.Stats(); return co })
 	c.scoreNS.Store(reg.Histogram(metricScoreNS, "backend score latency (cache misses only)"))
 }
 
@@ -119,11 +94,8 @@ func (c *CachedEvaluator) Name() string { return c.inner.Name() }
 // Score memoizes algorithm-based evaluations for memoizable
 // algorithms and delegates the rest.
 func (c *CachedEvaluator) Score(t *xgft.Topology, algo core.Algorithm, phases []*pattern.Pattern) (Result, error) {
-	if c.capacity <= 0 {
-		return c.inner.Score(t, algo, phases)
-	}
 	keyer, ok := algo.(core.CacheKeyer)
-	if !ok {
+	if c.memo == nil || !ok {
 		return c.inner.Score(t, algo, phases)
 	}
 	key := scoreKey{
@@ -148,7 +120,7 @@ func (c *CachedEvaluator) Score(t *xgft.Topology, algo core.Algorithm, phases []
 // name, which is what makes repeated optimizer rounds over a stable
 // observed pattern free.
 func (c *CachedEvaluator) ScoreRoutes(t *xgft.Topology, p *pattern.Pattern, routes []xgft.Route) (Result, error) {
-	if c.capacity <= 0 {
+	if c.memo == nil {
 		return c.inner.ScoreRoutes(t, p, routes)
 	}
 	key := scoreKey{
@@ -175,85 +147,38 @@ func routesFingerprint(routes []xgft.Route) uint64 {
 	return h
 }
 
-// memoized serves key from the cache, waits on an identical in-flight
-// evaluation, or computes and stores. Mirrors core.TableCache.Build,
-// including the panic guard: the flight always completes so waiters
-// never hang and the key never wedges.
+// memoized serves key through the memo, recording an evaluate.score
+// span for every call and the backend's latency for every miss.
 func (c *CachedEvaluator) memoized(key scoreKey, compute func() (Result, error)) (Result, error) {
 	// The span's trace derives from the key content, so the same
 	// scoring problem traces identically whether it hits or misses —
 	// a hit shows as a microsecond span, a miss as the backend's cost.
 	tr := c.tracer.Load()
 	sp := tr.StartSpan(tr.Root(key.content, uint64(key.kind)), spanScore)
-	c.mu.Lock()
-	if res, ok := c.entries[key]; ok {
-		c.mu.Unlock()
-		c.hits.Add(1)
-		sp.SetAttr(attrHit, 1)
-		sp.End()
-		return res, nil
+	res, outcome, err := c.memo.Get(key, func() (Result, error) {
+		if h := c.scoreNS.Load(); h != nil {
+			defer func(start time.Time) { h.Observe(time.Since(start).Nanoseconds()) }(time.Now()) //lint:allow nondeterminism backend latency measurement is observational (histogram only)
+		}
+		return compute()
+	})
+	hit := int64(0)
+	if outcome == memo.Hit {
+		hit = 1
 	}
-	if fl := c.inflight[key]; fl != nil {
-		c.mu.Unlock()
-		<-fl.done
-		c.coalesced.Add(1)
-		sp.SetAttr(attrHit, 0)
+	sp.SetAttr(attrHit, hit)
+	if outcome == memo.Coalesced {
 		sp.SetAttr(attrCoalesced, 1)
-		sp.End()
-		return fl.res, fl.err
 	}
-	fl := &inflightScore{done: make(chan struct{})}
-	c.inflight[key] = fl
-	c.mu.Unlock()
-	c.misses.Add(1)
-	completed := false
-	defer func() {
-		if !completed {
-			fl.err = fmt.Errorf("evaluate: %s evaluation on %s panicked", key.backend, key.topo)
-		}
-		c.mu.Lock()
-		delete(c.inflight, key)
-		if fl.err == nil {
-			if _, exists := c.entries[key]; !exists {
-				for len(c.order) >= c.capacity {
-					delete(c.entries, c.order[0])
-					c.order = c.order[1:]
-				}
-				c.entries[key] = fl.res
-				c.order = append(c.order, key)
-			}
-		}
-		c.mu.Unlock()
-		close(fl.done)
-	}()
-	start := time.Now() //lint:allow nondeterminism backend latency measurement is observational (histogram only)
-	fl.res, fl.err = compute()
-	completed = true
-	if h := c.scoreNS.Load(); h != nil {
-		h.Observe(time.Since(start).Nanoseconds()) //lint:allow nondeterminism backend latency measurement is observational (histogram only)
-	}
-	sp.SetAttr(attrHit, 0)
 	sp.End()
-	return fl.res, fl.err
+	return res, err
 }
 
 // Stats reports memoization effectiveness: hits, misses, and calls
 // served by waiting on an identical in-flight evaluation.
-func (c *CachedEvaluator) Stats() (hits, misses, coalesced uint64) {
-	return c.hits.Load(), c.misses.Load(), c.coalesced.Load()
-}
+func (c *CachedEvaluator) Stats() (hits, misses, coalesced uint64) { return c.memo.Stats() }
 
 // Len returns the number of currently retained results.
-func (c *CachedEvaluator) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c *CachedEvaluator) Len() int { return c.memo.Len() }
 
 // Purge drops every retained result, keeping the counters.
-func (c *CachedEvaluator) Purge() {
-	c.mu.Lock()
-	c.entries = make(map[scoreKey]Result)
-	c.order = nil
-	c.mu.Unlock()
-}
+func (c *CachedEvaluator) Purge() { c.memo.Purge() }

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/pattern"
+	"repro/internal/trace"
 	"repro/internal/xgft"
 )
 
@@ -124,6 +126,10 @@ func TestCachedEvaluatorPassThrough(t *testing.T) {
 	tp := mustTree(t, 4, 4, 2)
 	inner := &countingEvaluator{Evaluator: NewAnalytic(nil)}
 	c := NewCached(inner, 0)
+	tr := trace.New(trace.Config{SampleNum: 1, SampleDen: 1, RecorderCap: 16})
+	c.Trace(tr)
+	reg := obs.NewRegistry()
+	c.Instrument(reg)
 	phases := []*pattern.Pattern{pattern.KeyedRandomPermutation(tp.Leaves(), 4096, 3)}
 	for i := 0; i < 2; i++ {
 		if _, err := c.Score(tp, core.NewDModK(tp), phases); err != nil {
@@ -132,6 +138,24 @@ func TestCachedEvaluatorPassThrough(t *testing.T) {
 	}
 	if got := inner.scores.Load(); got != 2 {
 		t.Errorf("pass-through cache memoized (inner ran %d times, want 2)", got)
+	}
+	tbl, err := core.BuildTable(tp, core.NewDModK(tp), phases[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ScoreRoutes(tp, phases[0], tbl.Routes); err != nil {
+		t.Fatal(err)
+	}
+	// A pass-through cache is a plain delegation: no evaluate.score
+	// span, no latency observation, no counts.
+	if got := tr.SpanCount(); got != 0 {
+		t.Errorf("pass-through cache recorded %d spans: %+v", got, tr.Spans(0))
+	}
+	if got := reg.Histogram(metricScoreNS, "").Count(); got != 0 {
+		t.Errorf("pass-through cache observed %d score latencies", got)
+	}
+	if hits, misses, coalesced := c.Stats(); hits+misses+coalesced != 0 || c.Len() != 0 {
+		t.Errorf("pass-through cache counted %d/%d/%d and retains %d", hits, misses, coalesced, c.Len())
 	}
 }
 

@@ -2,11 +2,11 @@ package evaluate
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/contention"
 	"repro/internal/core"
 	"repro/internal/eventq"
+	"repro/internal/memo"
 	"repro/internal/pattern"
 	"repro/internal/venus"
 	"repro/internal/xgft"
@@ -26,24 +26,9 @@ type venusEval struct {
 	// Crossbar times depend only on the pattern, not the routing, so
 	// they are memoized across Score/ScoreRoutes calls (every candidate
 	// scheme scored on the same observed pattern shares one reference
-	// run). FIFO-bounded like core.TableCache.
-	mu       sync.Mutex
-	crossbar map[crossbarKey]eventq.Time
-	order    []crossbarKey
+	// run), up to 256 of them.
+	crossbar *memo.Cache[core.PatternKey, eventq.Time]
 }
-
-// crossbarKey keeps the cheap exact pattern invariants alongside the
-// fingerprint so a 64-bit collision alone cannot alias two patterns
-// (the tableKey design rule).
-type crossbarKey struct {
-	n       int
-	flows   int
-	bytes   int64
-	pattern uint64
-}
-
-// crossbarCapacity bounds the memoized crossbar runs.
-const crossbarCapacity = 256
 
 // NewVenus returns the simulation backend. cfg's zero value selects
 // venus.DefaultConfig(); the cache serves routing-table builds for
@@ -52,7 +37,8 @@ func NewVenus(cache *core.TableCache, cfg venus.Config) Evaluator {
 	if cfg == (venus.Config{}) {
 		cfg = venus.DefaultConfig()
 	}
-	return &venusEval{cache: cache, cfg: cfg, crossbar: make(map[crossbarKey]eventq.Time)}
+	describe := func(core.PatternKey) string { return "evaluate: venus crossbar reference run" }
+	return &venusEval{cache: cache, cfg: cfg, crossbar: memo.New[core.PatternKey, eventq.Time](256, describe)}
 }
 
 func (*venusEval) Name() string { return Venus }
@@ -92,54 +78,31 @@ func (v *venusEval) ScoreRoutes(t *xgft.Topology, p *pattern.Pattern, routes []x
 }
 
 // phaseTimes simulates one phase under the explicit routes and on the
-// crossbar reference, returning both makespans.
+// crossbar reference, returning both makespans. Crossbar times are
+// memoized on the pattern's content; a call served from the memo adds
+// no events (no simulation ran in it).
 func (v *venusEval) phaseTimes(t *xgft.Topology, p *pattern.Pattern, routes []xgft.Route, cost *Cost) (net, ref eventq.Time, err error) {
 	net, events, err := venus.RunRoutes(t, p, routes, v.cfg)
 	if err != nil {
 		return 0, 0, err
 	}
 	cost.SimEvents += events
-	ref, events, err = v.crossbarTime(p)
-	if err != nil {
-		return 0, 0, err
-	}
-	cost.SimEvents += events
-	return net, ref, nil
-}
-
-// crossbarTime simulates the pattern on the full-crossbar reference,
-// memoized on the pattern's content. Memo hits report zero events (no
-// simulation ran).
-func (v *venusEval) crossbarTime(p *pattern.Pattern) (eventq.Time, uint64, error) {
-	key := crossbarKey{n: p.N, flows: len(p.Flows), bytes: p.TotalBytes(), pattern: p.Fingerprint()}
-	v.mu.Lock()
-	d, ok := v.crossbar[key]
-	v.mu.Unlock()
-	if ok {
-		return d, 0, nil
-	}
-	xb, err := xgft.NewFullCrossbar(p.N)
-	if err != nil {
-		return 0, 0, err
-	}
-	algo := core.NewSModK(xb)
-	routes := make([]xgft.Route, len(p.Flows))
-	for i, f := range p.Flows {
-		routes[i] = algo.Route(f.Src, f.Dst)
-	}
-	d, events, err := venus.RunRoutes(xb, p, routes, v.cfg)
-	if err != nil {
-		return 0, 0, fmt.Errorf("crossbar reference: %w", err)
-	}
-	v.mu.Lock()
-	if _, exists := v.crossbar[key]; !exists {
-		for len(v.order) >= crossbarCapacity {
-			delete(v.crossbar, v.order[0])
-			v.order = v.order[1:]
+	ref, _, err = v.crossbar.Get(core.KeyPattern(p), func() (eventq.Time, error) {
+		xb, err := xgft.NewFullCrossbar(p.N)
+		if err != nil {
+			return 0, err
 		}
-		v.crossbar[key] = d
-		v.order = append(v.order, key)
-	}
-	v.mu.Unlock()
-	return d, events, nil
+		algo := core.NewSModK(xb)
+		routes := make([]xgft.Route, len(p.Flows))
+		for i, f := range p.Flows {
+			routes[i] = algo.Route(f.Src, f.Dst)
+		}
+		d, events, err := venus.RunRoutes(xb, p, routes, v.cfg)
+		if err != nil {
+			return 0, fmt.Errorf("crossbar reference: %w", err)
+		}
+		cost.SimEvents += events
+		return d, nil
+	})
+	return net, ref, err
 }

@@ -75,8 +75,8 @@ type Config struct {
 	// tables (one per static scheme it installs) and memoizes the Colored
 	// optimizer per observed pattern; nil creates a private cache.
 	// Sharing one cache across fabrics and experiment sweeps deduplicates
-	// identical builds, including concurrent ones (singleflight
-	// coalescing in core.TableCache).
+	// identical builds and Colored constructions, including concurrent
+	// ones (the singleflight coalescing of internal/memo).
 	Cache *core.TableCache
 	// Telemetry enables per-pair flow counters on the resolve path and
 	// with them the Optimize re-optimization loop. A resolve pass counts

@@ -1,6 +1,7 @@
-// Package fifo is the queue under the simulators' inner loops: the
-// event calendar's lanes (internal/eventq) and the network simulator's
-// virtual queues and wires (internal/venus). Pop advances a head index
+// Package fifo is the queue under the simulators' inner loops (the
+// event calendar's lanes in internal/eventq, the network simulator's
+// virtual queues and wires in internal/venus) and under the bounded
+// memo's eviction order (internal/memo). Pop advances a head index
 // instead of shifting the slice, a drained queue rewinds to the start
 // of its buffer, and a queue that never drains reclaims its spent
 // prefix before it grows, so a warmed queue neither allocates nor
@@ -19,6 +20,9 @@ func WithCap[T any](n int) Queue[T] { return Queue[T]{buf: make([]T, 0, n)} }
 
 // Empty reports whether the queue holds no element.
 func (q *Queue[T]) Empty() bool { return q.head == len(q.buf) }
+
+// Len returns the number of queued elements.
+func (q *Queue[T]) Len() int { return len(q.buf) - q.head }
 
 // Front returns the oldest element in place. The queue must not be
 // empty; the pointer is valid until the next Push or Pop.

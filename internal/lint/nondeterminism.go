@@ -48,6 +48,7 @@ var resultPackages = []string{
 	"internal/fabric",
 	"internal/eventq",
 	"internal/fifo",
+	"internal/memo",
 	"internal/benchcal",
 }
 
