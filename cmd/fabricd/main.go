@@ -296,7 +296,7 @@ func build(o options, logger *slog.Logger) (*daemon, error) {
 	// The blackbox is declared before the tracer so the anomaly hook
 	// can capture it; its sources are attached right after. With no
 	// spool directory the hook stays quiet (anomalies still count).
-	bb := &trace.Blackbox{Dir: o.blackboxDir, Pprof: false}
+	bb := &trace.Blackbox{Dir: o.blackboxDir}
 	cfg := trace.Config{
 		SampleNum: o.sampleNum, SampleDen: den,
 		Budget: o.spanBudget, Metrics: reg,

@@ -1,6 +1,9 @@
 package repro_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -106,5 +109,73 @@ func TestCommentsCiteExistingDocs(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFacadeNamesAreUsed keeps the root package to the surface its
+// users spell: every exported name repro.go declares must appear as
+// repro.<Name> in an example program, a root test file (all of them
+// are package repro_test, so a textual match is exact), README.md or
+// a docs/*.md page. The binaries under cmd/ import the internal
+// packages directly, so a re-export nobody spells is dead code.
+func TestFacadeNamesAreUsed(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "repro.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, decl := range file.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				names = append(names, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					names = append(names, s.Name.Name)
+				case *ast.ValueSpec:
+					for _, id := range s.Names {
+						names = append(names, id.Name)
+					}
+				}
+			}
+		}
+	}
+	var sources []string
+	for _, glob := range []string{"*_test.go", "README.md", "docs/*.md"} {
+		matches, err := filepath.Glob(glob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources = append(sources, matches...)
+	}
+	err = filepath.WalkDir("examples", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+			sources = append(sources, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var corpus strings.Builder
+	for _, path := range sources {
+		body, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus.Write(body)
+		corpus.WriteByte('\n')
+	}
+	text := corpus.String()
+	for _, name := range names {
+		if !ast.IsExported(name) {
+			continue
+		}
+		if !regexp.MustCompile(`\brepro\.` + name + `\b`).MatchString(text) {
+			t.Errorf("repro.go exports %s, which no example, root test or doc spells as repro.%s", name, name)
+		}
 	}
 }

@@ -252,18 +252,3 @@ func (a *Analysis) GroupProfile(up bool) []int {
 	sort.Ints(out)
 	return out
 }
-
-// NCAHistogram counts routes per NCA switch at the given level.
-// Routes with a lower NCA level are ignored, matching Fig. 4 which
-// plots only root-level assignments.
-func NCAHistogram(t *xgft.Topology, routes []xgft.Route, level int) []int {
-	counts := make([]int, t.NodesAt(level))
-	for _, r := range routes {
-		if r.NCALevel() != level {
-			continue
-		}
-		_, idx := r.NCA(t)
-		counts[idx]++
-	}
-	return counts
-}

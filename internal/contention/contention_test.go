@@ -398,28 +398,6 @@ func TestGroupProfile(t *testing.T) {
 	}
 }
 
-func TestNCAHistogram(t *testing.T) {
-	tp := paperTree(t, 16)
-	p := pattern.New(256)
-	p.Add(0, 16, 10) // crosses switches: root-level NCA
-	p.Add(0, 1, 10)  // same switch: level-1 NCA, excluded
-	tbl, err := core.BuildTable(tp, core.NewDModK(tp), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := NCAHistogram(tp, tbl.Routes, 2)
-	total := 0
-	for _, c := range h {
-		total += c
-	}
-	if total != 1 {
-		t.Errorf("histogram counted %d root routes, want 1", total)
-	}
-	if h[0] != 1 { // d-mod-k: root = dst mod 16 = 0
-		t.Errorf("route not on root 0: %v", h)
-	}
-}
-
 func TestCrossbarBound(t *testing.T) {
 	p := pattern.New(4)
 	p.Add(0, 1, 100)

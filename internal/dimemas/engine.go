@@ -291,9 +291,6 @@ func (e *Engine) tryConsume(rs *rankState, src, tag int) bool {
 	return true
 }
 
-// Time returns the current simulated time (useful mid-replay).
-func (e *Engine) Time() eventq.Time { return e.sim.Q.Now() }
-
 // Replay is the one-call convenience: build an engine and run it.
 func Replay(t *Trace, topo *xgft.Topology, algo core.Algorithm, cfg Config) (eventq.Time, error) {
 	eng, err := NewEngine(t, topo, algo, cfg)

@@ -130,9 +130,6 @@ func (g *Generation) Seq() uint64 { return g.stats.Seq }
 // Stats returns the generation's build statistics.
 func (g *Generation) Stats() Stats { return g.stats }
 
-// Topology returns the healthy topology the fabric serves.
-func (g *Generation) Topology() *xgft.Topology { return g.topo }
-
 // View returns the generation's fault overlay. The returned view is
 // frozen — callers must Clone before mutating.
 func (g *Generation) View() *xgft.View { return g.view }

@@ -218,9 +218,6 @@ func (t *Telemetry) RecordN(src, dst int, n uint64) {
 	atomic.AddUint64(&t.cells[src*t.n+dst], n)
 }
 
-// Leaves returns the endpoint count the counters cover.
-func (t *Telemetry) Leaves() int { return t.n }
-
 // Count returns the recorded resolves for one pair (0 for
 // out-of-range pairs).
 func (t *Telemetry) Count(src, dst int) uint64 {

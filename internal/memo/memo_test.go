@@ -3,6 +3,7 @@ package memo
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,6 +24,32 @@ func value(v string, runs *atomic.Int64) func() (string, error) {
 	return func() (string, error) {
 		runs.Add(1)
 		return v, nil
+	}
+}
+
+// awaitParkedInGet returns once n goroutines are blocked in Get on
+// another caller's computation. A caller that has merely been started
+// may still reach Get after that computation has finished and take a
+// hit, so a test of coalescing holds its computation open until the
+// waiters are parked.
+func awaitParkedInGet(n int) {
+	buf := make([]byte, 1<<16)
+	for {
+		m := runtime.Stack(buf, true)
+		if m == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			continue
+		}
+		parked := 0
+		for _, g := range strings.Split(string(buf[:m]), "\n\n") {
+			if strings.Contains(g, "[chan receive") && strings.Contains(g, ".(*Cache[...]).Get(") {
+				parked++
+			}
+		}
+		if parked >= n {
+			return
+		}
+		runtime.Gosched()
 	}
 }
 
@@ -59,17 +86,16 @@ func TestCountsAndOutcomes(t *testing.T) {
 	}
 }
 
-// TestCoalesces holds the first computation open until every caller
-// has arrived: one computes, the rest wait for its result.
+// TestCoalesces holds the first computation open until every other
+// caller is waiting on it: one computes, the rest wait for its result.
 func TestCoalesces(t *testing.T) {
 	var described, runs atomic.Int64
 	c := New[int, string](4, counting(&described))
 	const workers = 8
-	var arrived, wg sync.WaitGroup
-	arrived.Add(workers)
+	var wg sync.WaitGroup
 	compute := func() (string, error) {
 		runs.Add(1)
-		arrived.Wait()
+		awaitParkedInGet(workers - 1)
 		return "shared", nil
 	}
 	outcomes := make([]Outcome, workers)
@@ -77,7 +103,6 @@ func TestCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			arrived.Done()
 			v, o, err := c.Get(7, compute)
 			if err != nil || v != "shared" {
 				t.Errorf("goroutine %d: %q, %v", g, v, err)
@@ -172,15 +197,14 @@ func TestPanicUnwedges(t *testing.T) {
 	var described, runs atomic.Int64
 	c := New[int, string](4, counting(&described))
 	const waiters = 4
-	var arrived, wg sync.WaitGroup
-	arrived.Add(waiters)
+	var wg sync.WaitGroup
 	started := make(chan struct{})
 	panicked := make(chan any, 1)
 	go func() {
 		defer func() { panicked <- recover() }()
 		c.Get(9, func() (string, error) {
 			close(started)
-			arrived.Wait()
+			awaitParkedInGet(waiters)
 			panic("boom")
 		})
 	}()
@@ -191,7 +215,6 @@ func TestPanicUnwedges(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			arrived.Done()
 			_, _, errs[g] = c.Get(9, value("late", &runs))
 		}(g)
 	}

@@ -165,36 +165,9 @@ func BitReversal(n int, bytes int64) (*Pattern, error) {
 	return p, nil
 }
 
-// BitComplement builds i -> ^i (mod n) for power-of-two n.
-func BitComplement(n int, bytes int64) (*Pattern, error) {
-	if n < 2 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("pattern: bit complement needs a power of two, got %d", n)
-	}
-	p := New(n)
-	for i := 0; i < n; i++ {
-		p.Add(i, (n-1)^i, bytes)
-	}
-	return p, nil
-}
-
 // Tornado builds the tornado pattern i -> (i + n/2 - 1) mod n.
 func Tornado(n int, bytes int64) *Pattern {
 	return Shift(n, n/2-1, bytes)
-}
-
-// Butterfly builds the butterfly-stage exchange i -> i XOR 2^stage.
-func Butterfly(n, stage int, bytes int64) (*Pattern, error) {
-	if n < 2 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("pattern: butterfly needs a power of two, got %d", n)
-	}
-	if dist := 1 << stage; dist >= n || stage < 0 {
-		return nil, fmt.Errorf("pattern: butterfly stage %d out of range for n=%d", stage, n)
-	}
-	p := New(n)
-	for i := 0; i < n; i++ {
-		p.Add(i, i^(1<<stage), bytes)
-	}
-	return p, nil
 }
 
 // AllToAll builds the complete exchange: every node sends bytes to

@@ -9,7 +9,6 @@ package pattern
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/hashutil"
 )
@@ -194,48 +193,6 @@ func (p *Pattern) BytesIn() []int64 {
 	return b
 }
 
-// Decompose splits a general pattern into permutations (§VII-C:
-// "any general pattern G can be decomposed into a certain set of
-// permutations"). Flows are greedily packed: each round takes at most
-// one flow per source and per destination. The union of the returned
-// patterns has exactly the original flows. Self-flows are emitted in
-// rounds like other flows but never block a slot.
-func (p *Pattern) Decompose() []*Pattern {
-	remaining := make([]Flow, len(p.Flows))
-	copy(remaining, p.Flows)
-	// Deterministic order: by source then destination, so the
-	// decomposition is reproducible.
-	sort.SliceStable(remaining, func(i, j int) bool {
-		if remaining[i].Src != remaining[j].Src {
-			return remaining[i].Src < remaining[j].Src
-		}
-		return remaining[i].Dst < remaining[j].Dst
-	})
-	var rounds []*Pattern
-	for len(remaining) > 0 {
-		round := New(p.N)
-		srcUsed := make([]bool, p.N)
-		dstUsed := make([]bool, p.N)
-		var next []Flow
-		for _, f := range remaining {
-			if f.Src == f.Dst {
-				round.Flows = append(round.Flows, f)
-				continue
-			}
-			if srcUsed[f.Src] || dstUsed[f.Dst] {
-				next = append(next, f)
-				continue
-			}
-			srcUsed[f.Src] = true
-			dstUsed[f.Dst] = true
-			round.Flows = append(round.Flows, f)
-		}
-		rounds = append(rounds, round)
-		remaining = next
-	}
-	return rounds
-}
-
 // Perm is a (possibly partial) permutation mapping: Perm[i] = j means
 // i sends to j; Perm[i] = -1 means i is silent.
 type Perm []int
@@ -261,29 +218,6 @@ func KeyedPerm(n int, seed uint64) Perm {
 	for i := n - 1; i > 0; i-- {
 		j := int(hashutil.Mix(seed, uint64(i)) % uint64(i+1))
 		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// RandomDerangementLike draws a keyed random permutation and retries
-// a few times to avoid fixed points; used by traffic generators that
-// want every node to actually send. If fixed points survive, they
-// remain (they simply produce self-flows that carry no traffic). Like
-// KeyedPerm, the result is a pure function of (seed, n).
-func RandomDerangementLike(n int, seed uint64) Perm {
-	p := KeyedPerm(n, seed)
-	for attempt := 0; attempt < 8; attempt++ {
-		fixed := false
-		for i, v := range p {
-			if i == v {
-				fixed = true
-				j := int(hashutil.Mix(seed, uint64(attempt), uint64(i)) % uint64(n))
-				p[i], p[j] = p[j], p[i]
-			}
-		}
-		if !fixed {
-			break
-		}
 	}
 	return p
 }

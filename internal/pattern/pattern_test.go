@@ -107,60 +107,6 @@ func TestDegreesAndBytes(t *testing.T) {
 	}
 }
 
-func TestDecomposePreservesFlows(t *testing.T) {
-	p := UniformRandom(16, 3, 100, 7)
-	p.Add(4, 4, 50) // self flow survives decomposition
-	rounds := p.Decompose()
-	count := make(map[Flow]int)
-	for _, f := range p.Flows {
-		count[f]++
-	}
-	for _, r := range rounds {
-		if !r.IsPermutation() && hasNetworkConflict(r) {
-			t.Fatal("round is not conflict-free")
-		}
-		for _, f := range r.Flows {
-			count[f]--
-		}
-	}
-	for f, c := range count {
-		if c != 0 {
-			t.Errorf("flow %+v count mismatch %d after decomposition", f, c)
-		}
-	}
-}
-
-// hasNetworkConflict reports whether two non-self flows share a source
-// or destination.
-func hasNetworkConflict(p *Pattern) bool {
-	src := make(map[int]bool)
-	dst := make(map[int]bool)
-	for _, f := range p.Flows {
-		if f.Src == f.Dst {
-			continue
-		}
-		if src[f.Src] || dst[f.Dst] {
-			return true
-		}
-		src[f.Src] = true
-		dst[f.Dst] = true
-	}
-	return false
-}
-
-func TestDecomposeRoundsAreConflictFree(t *testing.T) {
-	p := AllToAll(8, 10)
-	rounds := p.Decompose()
-	if len(rounds) != 7 {
-		t.Errorf("all-to-all on 8 decomposed into %d rounds, want 7", len(rounds))
-	}
-	for i, r := range rounds {
-		if hasNetworkConflict(r) {
-			t.Errorf("round %d has conflicts", i)
-		}
-	}
-}
-
 func TestUnion(t *testing.T) {
 	a := New(4)
 	a.Add(0, 1, 1)
@@ -246,26 +192,6 @@ func TestQuickPermInverseInvolution(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickDecomposeUnionIdentity(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := hashutil.NewStream(uint64(seed))
-		n := 2 + rng.Intn(24)
-		p := UniformRandom(n, 1+rng.Intn(4), 10, uint64(seed))
-		rounds := p.Decompose()
-		total := 0
-		for _, r := range rounds {
-			if hasNetworkConflict(r) {
-				return false
-			}
-			total += len(r.Flows)
-		}
-		return total == len(p.Flows)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }

@@ -273,9 +273,6 @@ func New(cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
-// Fabric returns the fabric whose pool the scheduler owns.
-func (s *Scheduler) Fabric() *fabric.Fabric { return s.f }
-
 // Policy returns the placement policy's name.
 func (s *Scheduler) Policy() string { return s.policy.Name() }
 

@@ -78,12 +78,3 @@ func (s Summary) String() string {
 	return fmt.Sprintf("min=%.3f q1=%.3f med=%.3f q3=%.3f max=%.3f (n=%d)",
 		s.Min, s.Q1, s.Median, s.Q3, s.Max, s.N)
 }
-
-// SummarizeInts is Summarize over integer samples (Fig. 4 censuses).
-func SummarizeInts(samples []int) Summary {
-	f := make([]float64, len(samples))
-	for i, v := range samples {
-		f[i] = float64(v)
-	}
-	return Summarize(f)
-}

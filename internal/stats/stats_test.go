@@ -83,13 +83,6 @@ func TestSummarizeEmptyPanics(t *testing.T) {
 	Summarize(nil)
 }
 
-func TestSummarizeInts(t *testing.T) {
-	s := SummarizeInts([]int{10, 20, 30})
-	if s.Median != 20 || s.Min != 10 || s.Max != 30 {
-		t.Errorf("int summary = %+v", s)
-	}
-}
-
 func TestStringFormat(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3})
 	str := s.String()

@@ -1,12 +1,10 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime/pprof"
 	"sort"
 	"strings"
 	"sync"
@@ -15,11 +13,11 @@ import (
 )
 
 // Blackbox dumps anomaly bundles — the flight-recorder tail, the
-// journal tail, a metrics snapshot and optional pprof profiles — to a
-// spool directory as deterministic JSON: struct fields in declaration
-// order, maps with sorted keys, ids as fixed-width hex, timestamps
-// from the tracer clock. Given a fixed clock seam the same span
-// history renders byte-identically.
+// journal tail and a metrics snapshot — to a spool directory as
+// deterministic JSON: struct fields in declaration order, maps with
+// sorted keys, ids as fixed-width hex, timestamps from the tracer
+// clock. Given a fixed clock seam the same span history renders
+// byte-identically.
 type Blackbox struct {
 	// Dir is the spool directory, created on first dump.
 	Dir string
@@ -30,28 +28,25 @@ type Blackbox struct {
 	// Metrics, when set, contributes a Snapshot and registers the dump
 	// counter.
 	Metrics *obs.Registry
-	// Pprof includes goroutine and heap profiles (debug-text form) in
-	// each bundle. Profiles are inherently nondeterministic; leave off
-	// where bundles must be reproducible.
-	Pprof bool
-	// MaxSpans / MaxEvents bound the bundle tails; <= 0 selects 256
-	// spans and 64 events.
-	MaxSpans  int
-	MaxEvents int
 
 	mu    sync.Mutex // serializes dumps; seq and dumps counter init under it
 	seq   uint64
 	dumps *obs.Counter
 }
 
+// bundleSpans and bundleEvents bound a bundle's span and event tails.
+const (
+	bundleSpans  = 256
+	bundleEvents = 64
+)
+
 // Bundle is one blackbox dump.
 type Bundle struct {
-	Seq      uint64             `json:"seq"`
-	Reason   string             `json:"reason"`
-	Spans    []SpanRecord       `json:"spans"`
-	Events   []obs.Event        `json:"events,omitempty"`
-	Metrics  map[string]float64 `json:"metrics,omitempty"`
-	Profiles map[string]string  `json:"profiles,omitempty"`
+	Seq     uint64             `json:"seq"`
+	Reason  string             `json:"reason"`
+	Spans   []SpanRecord       `json:"spans"`
+	Events  []obs.Event        `json:"events,omitempty"`
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Dump writes one bundle and returns its path. Concurrent dumps
@@ -64,24 +59,14 @@ func (b *Blackbox) Dump(reason string) (string, error) {
 	}
 	b.seq++
 	bundle := Bundle{Seq: b.seq, Reason: reason, Spans: []SpanRecord{}}
-	maxSpans, maxEvents := b.MaxSpans, b.MaxEvents
-	if maxSpans <= 0 {
-		maxSpans = 256
-	}
-	if maxEvents <= 0 {
-		maxEvents = 64
-	}
 	if b.Tracer != nil {
-		bundle.Spans = b.Tracer.Spans(maxSpans)
+		bundle.Spans = b.Tracer.Spans(bundleSpans)
 	}
 	if b.Journal != nil {
-		bundle.Events = b.Journal.Tail(maxEvents)
+		bundle.Events = b.Journal.Tail(bundleEvents)
 	}
 	if b.Metrics != nil {
 		bundle.Metrics = b.Metrics.Snapshot()
-	}
-	if b.Pprof {
-		bundle.Profiles = profiles()
 	}
 	data, err := json.MarshalIndent(bundle, "", "  ")
 	if err != nil {
@@ -118,23 +103,6 @@ func (b *Blackbox) List() ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// profiles captures the goroutine and heap profiles in debug-text
-// form.
-func profiles() map[string]string {
-	out := make(map[string]string, 2)
-	for _, name := range []string{"goroutine", "heap"} {
-		p := pprof.Lookup(name)
-		if p == nil {
-			continue
-		}
-		var buf bytes.Buffer
-		if err := p.WriteTo(&buf, 1); err == nil {
-			out[name] = buf.String()
-		}
-	}
-	return out
 }
 
 // FlipDetector watches a boolean decision stream (did the Optimize

@@ -423,7 +423,7 @@ func TestBlackboxDumpAndList(t *testing.T) {
 	jnl.Record("test.event", time.Millisecond, map[string]any{"k": 1})
 	tr := New(Config{Clock: fixedClock(7), SampleNum: 1, SampleDen: 1, RecorderCap: 16, Metrics: reg})
 	finish(tr.StartSpan(tr.Root(0, 1), "test.span"))
-	bb := &Blackbox{Dir: dir, Tracer: tr, Journal: jnl, Metrics: reg, Pprof: true}
+	bb := &Blackbox{Dir: dir, Tracer: tr, Journal: jnl, Metrics: reg}
 
 	path, err := bb.Dump("manual")
 	if err != nil {
@@ -448,9 +448,6 @@ func TestBlackboxDumpAndList(t *testing.T) {
 	}
 	if bundle.Metrics[metricSpans] != 1 {
 		t.Errorf("bundle metrics = %v", bundle.Metrics)
-	}
-	if bundle.Profiles["goroutine"] == "" {
-		t.Error("pprof profile missing from bundle")
 	}
 
 	if _, err := bb.Dump("again"); err != nil {

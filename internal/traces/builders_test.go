@@ -9,7 +9,10 @@ import (
 )
 
 func TestCGD128PaperInstance(t *testing.T) {
-	tr := CGD128()
+	tr, err := CG(128, pattern.DefaultCGPhaseBytes, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if tr.NumRanks() != 128 {
 		t.Fatalf("ranks = %d", tr.NumRanks())
 	}

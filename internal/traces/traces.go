@@ -55,15 +55,6 @@ func WRF(rows, cols int, bytes int64, iterations int, compute eventq.Time) (*dim
 	return t, nil
 }
 
-// WRF256 is the paper's WRF-256 instance: 16x16 mesh, one iteration.
-func WRF256() *dimemas.Trace {
-	t, err := WRF(16, 16, pattern.DefaultWRFBytes, 1, 0)
-	if err != nil {
-		panic(err) //lint:allow banned unreachable with constant arguments
-	}
-	return t
-}
-
 // CG builds the NAS CG trace: per iteration, the row-butterfly
 // phases followed by the transpose exchange, phases separated by the
 // data dependencies of the kernel (modelled with barriers, which is
@@ -77,16 +68,6 @@ func CG(nprocs int, bytes int64, iterations int, compute eventq.Time) (*dimemas.
 		return nil, fmt.Errorf("traces: need at least one iteration")
 	}
 	return FromPhases(nprocs, phases, iterations, compute)
-}
-
-// CGD128 is the paper's CG.D-128 instance: 128 ranks, five phases of
-// 750 KB messages.
-func CGD128() *dimemas.Trace {
-	t, err := CG(128, pattern.DefaultCGPhaseBytes, 1, 0)
-	if err != nil {
-		panic(err) //lint:allow banned unreachable with constant arguments
-	}
-	return t
 }
 
 // FromPhases lowers a sequence of communication phases into a trace:
@@ -139,10 +120,4 @@ func FromPhases(n int, phases []*pattern.Pattern, iterations int, compute eventq
 		t.Ranks[r] = ops
 	}
 	return t, nil
-}
-
-// FromPattern lowers a single flat pattern (the paper's strategy (ii):
-// everything injected at once) into a one-phase trace.
-func FromPattern(p *pattern.Pattern) (*dimemas.Trace, error) {
-	return FromPhases(p.N, []*pattern.Pattern{p}, 1, 0)
 }

@@ -63,7 +63,10 @@ func TestWRFErrors(t *testing.T) {
 }
 
 func TestWRF256MatchesPattern(t *testing.T) {
-	tr := WRF256()
+	tr, err := WRF(16, 16, pattern.DefaultWRFBytes, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if tr.NumRanks() != 256 {
 		t.Fatalf("ranks = %d", tr.NumRanks())
 	}
@@ -136,7 +139,7 @@ func TestCGReplaySlowdownShowsPathology(t *testing.T) {
 
 func TestFromPatternRoundTrip(t *testing.T) {
 	p := pattern.Shift(64, 5, 2048)
-	tr, err := FromPattern(p)
+	tr, err := FromPhases(p.N, []*pattern.Pattern{p}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,99 +1,12 @@
 package venus
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/eventq"
 	"repro/internal/pattern"
 )
-
-func TestChannelUsagesAccounting(t *testing.T) {
-	tp := paperTree(t, 16)
-	s, err := New(tp, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	algo := core.NewDModK(tp)
-	const bytes = 4 * 1024
-	if err := s.Inject(Message{Src: 0, Dst: 16, Bytes: bytes, Route: algo.Route(0, 16)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	usages := s.ChannelUsages()
-	// 4 hops: 2 up channels and 2 down channels carried the message.
-	if len(usages) != 4 {
-		t.Fatalf("%d channels used, want 4", len(usages))
-	}
-	var up, down int
-	for _, u := range usages {
-		if u.Bytes != bytes {
-			t.Errorf("channel (%d up=%v) carried %d bytes, want %d", u.Wire, u.Up, u.Bytes, bytes)
-		}
-		if u.Segments != 4 {
-			t.Errorf("channel carried %d segments, want 4", u.Segments)
-		}
-		if u.BusyTime != eventq.Time(bytes/8)*32 {
-			t.Errorf("busy time %d, want %d", u.BusyTime, bytes/8*32)
-		}
-		if u.Up {
-			up++
-		} else {
-			down++
-		}
-	}
-	if up != 2 || down != 2 {
-		t.Errorf("up/down = %d/%d, want 2/2", up, down)
-	}
-	if u := usages[0].Utilization(s.Q.Now()); u <= 0 || u > 1 {
-		t.Errorf("utilization = %.3f", u)
-	}
-}
-
-func TestMaxUtilizationBounds(t *testing.T) {
-	tp := paperTree(t, 16)
-	s, err := New(tp, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.MaxUtilization(); got != 0 {
-		t.Errorf("idle utilization = %.3f", got)
-	}
-	algo := core.NewDModK(tp)
-	p := pattern.WRF(16, 16, 16*1024)
-	for _, f := range p.Flows {
-		if err := s.Inject(Message{Src: f.Src, Dst: f.Dst, Bytes: f.Bytes, Route: algo.Route(f.Src, f.Dst)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	u := s.MaxUtilization()
-	if u <= 0.5 || u > 1.0001 {
-		t.Errorf("max utilization = %.3f, want (0.5, 1]", u)
-	}
-}
-
-func TestUsageSummary(t *testing.T) {
-	tp := paperTree(t, 16)
-	s, err := New(tp, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	algo := core.NewDModK(tp)
-	s.Inject(Message{Src: 0, Dst: 16, Bytes: 1024, Route: algo.Route(0, 16)})
-	if _, err := s.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	sum := s.UsageSummary()
-	if !strings.Contains(sum, "level 0") || !strings.Contains(sum, "level 1") {
-		t.Errorf("summary missing levels: %q", sum)
-	}
-}
 
 func TestCutThroughReducesLatencyNotBandwidth(t *testing.T) {
 	tp := paperTree(t, 16)

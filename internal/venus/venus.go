@@ -144,11 +144,6 @@ type channel struct {
 	txDone func() // serialization of the current segment ended
 	credit func() // a downstream buffer slot was released
 	arrive func() // the oldest segment on the wire landed
-
-	// usage accounting (see stats.go)
-	bytes    int64
-	busyTime eventq.Time
-	segments int
 }
 
 // classQueue is the virtual queue of one arbitration class.
@@ -412,9 +407,6 @@ func (s *Sim) transmit(c *channel, seg *segment) {
 		flits = 1
 	}
 	dur := eventq.Time(flits) * s.Cfg.flitTime()
-	c.bytes += int64(seg.bytes)
-	c.busyTime += dur
-	c.segments++
 	if seg.hop == 0 {
 		s.leftAdapter(c, seg.msg)
 	}

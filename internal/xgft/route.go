@@ -12,22 +12,6 @@ type Route struct {
 	Up       []int
 }
 
-// NCALevel returns the level of the route's nearest common ancestor.
-func (r Route) NCALevel() int { return len(r.Up) }
-
-// DownPorts returns the down-ports taken from the NCA to Dst, from the
-// NCA level downwards: element i is the port taken at level
-// NCALevel-i, which is digit (NCALevel-1-i) of Dst.
-func (r Route) DownPorts(t *Topology) []int {
-	l := len(r.Up)
-	d := t.Label(0, r.Dst)
-	ports := make([]int, l)
-	for i := 0; i < l; i++ {
-		ports[i] = d[l-1-i]
-	}
-	return ports
-}
-
 // NCA returns the (level, index) of the route's nearest common
 // ancestor switch.
 func (r Route) NCA(t *Topology) (level, index int) {

@@ -76,16 +76,6 @@ func TestRouteNCA(t *testing.T) {
 	}
 }
 
-func TestRouteDownPorts(t *testing.T) {
-	tp := MustNew(2, []int{16, 16}, []int{1, 16})
-	r := Route{Src: 5, Dst: 37, Up: []int{0, 9}}
-	// Descent from level 2: take dest digit 1 (=2), then digit 0 (=5).
-	got := r.DownPorts(tp)
-	if len(got) != 2 || got[0] != 2 || got[1] != 5 {
-		t.Fatalf("DownPorts = %v, want [2 5]", got)
-	}
-}
-
 func TestRouteChannelsDisjointHalves(t *testing.T) {
 	tp := MustNew(2, []int{16, 16}, []int{1, 16})
 	r := Route{Src: 5, Dst: 37, Up: []int{0, 9}}
