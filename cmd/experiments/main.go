@@ -9,9 +9,10 @@
 //
 // By default the fast analytic engine is used; -engine simulated runs
 // the full trace-replay pipeline (at paper message sizes, -bytes 0,
-// `-fig2b -engine simulated -seeds 2` takes 6.4 s on two vCPUs, down
-// from 71.7 s when every cell replayed its own crossbar reference; use
-// -bytes to scale down). -csv switches the sweep output format.
+// `-fig2b -engine simulated -seeds 2` takes about 2.7 s wall and 5.4 s
+// CPU on two AMD EPYC vCPUs, down from 71.7 s when every cell replayed
+// its own crossbar reference; use -bytes to scale down). -csv switches
+// the sweep output format.
 //
 // Figures 2, 4 and 5 and the -ext, -ablation, -faults, -fidelity and
 // -adaptive sweeps declare their cells on one grid, which scores each

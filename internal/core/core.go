@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/hashutil"
 	"repro/internal/pattern"
@@ -43,26 +44,8 @@ func mix(vals ...uint64) uint64 { return hashutil.Mix(vals...) }
 // uniform maps a hash to [0, n) without the bias of a plain modulus
 // (multiply-shift reduction).
 func uniform(h uint64, n int) int {
-	hi, _ := mul64(h, uint64(n))
+	hi, _ := bits.Mul64(h, uint64(n))
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo), avoiding
-// math/bits only to keep the arithmetic explicit.
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	t := a0 * b0
-	lo = t & mask
-	c := t >> 32
-	t = a1*b0 + c
-	m := t & mask
-	c = t >> 32
-	t = a0*b1 + m
-	lo |= (t & mask) << 32
-	hi = a1*b1 + c + t>>32
-	return hi, lo
 }
 
 // Table is a pre-computed routing table: routes for every flow of a

@@ -561,18 +561,34 @@ func TestUniformReduction(t *testing.T) {
 	}
 }
 
+// TestMul64 pins uniform's multiply-shift reduction to known answers:
+// the high word of h*n, so h = 0 maps to 0, h = 2^64-1 to n-1, a
+// one-port level to 0 whatever the hash, and the buckets split the
+// hash range at multiples of 2^64/n.
 func TestMul64(t *testing.T) {
-	cases := []struct{ a, b, hi, lo uint64 }{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{1 << 32, 1 << 32, 1, 0},
-		{0xffffffffffffffff, 2, 1, 0xfffffffffffffffe},
-		{0xffffffffffffffff, 0xffffffffffffffff, 0xfffffffffffffffe, 1},
+	const top = 1<<64 - 1
+	cases := []struct {
+		h    uint64
+		n    int
+		want int
+	}{
+		{0, 1, 0},
+		{top, 1, 0},
+		{0, 16, 0},
+		{top, 16, 15},
+		{top, 2, 1},
+		{1 << 63, 2, 1},
+		{1<<63 - 1, 2, 0},
+		{1 << 60, 16, 1},
+		{1<<60 - 1, 16, 0},
+		{0x5555555555555556, 3, 1},
+		{0x5555555555555555, 3, 0},
+		{top, 1 << 40, 1<<40 - 1},
+		{0x9e3779b97f4a7c15, 10, 6},
 	}
 	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Errorf("mul64(%#x,%#x) = (%#x,%#x), want (%#x,%#x)", c.a, c.b, hi, lo, c.hi, c.lo)
+		if got := uniform(c.h, c.n); got != c.want {
+			t.Errorf("uniform(%#x, %d) = %d, want %d", c.h, c.n, got, c.want)
 		}
 	}
 }

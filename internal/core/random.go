@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/hashutil"
 	"repro/internal/xgft"
 )
 
@@ -16,11 +17,12 @@ import (
 type randomNCA struct {
 	topo *xgft.Topology
 	seed uint64
+	key  uint64 // mix(seed): the hash state a pair's values fold into
 }
 
 // NewRandom returns the static Random routing scheme for the topology.
 func NewRandom(t *xgft.Topology, seed uint64) Algorithm {
-	return &randomNCA{topo: t, seed: seed}
+	return &randomNCA{topo: t, seed: seed, key: mix(seed)}
 }
 
 func (r *randomNCA) Name() string { return "random" }
@@ -35,11 +37,12 @@ func (r *randomNCA) Route(src, dst int) xgft.Route {
 }
 
 // ascentInto takes port uniform(mix(seed, src, dst, lvl), w) at level
-// lvl. mix folds its values in order, so the pair is hashed once and a
-// level costs one round more; one-port levels draw nothing.
+// lvl. mix folds its values in order, so the seed is hashed once at
+// construction, the pair once per call, and a level costs one round
+// more; one-port levels draw nothing.
 func (r *randomNCA) ascentInto(src, dst int, up []int) []int {
 	l := r.topo.NCALevel(src, dst)
-	pair := mix(r.seed, uint64(src), uint64(dst))
+	pair := hashutil.Fold(r.key, uint64(src), uint64(dst))
 	for lvl := 0; lvl < l; lvl++ {
 		port := 0
 		if w := r.topo.W(lvl); w > 1 {

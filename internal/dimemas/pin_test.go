@@ -4,15 +4,16 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/eventq"
 	"repro/internal/hashutil"
 	"repro/internal/pattern"
 )
 
 // cgTrace lowers the CG phases the way traces.FromPhases does (which
-// this package cannot import): per phase every rank posts its sends,
-// then its receives, waits for the sends and meets the others at a
-// barrier.
-func cgTrace(t *testing.T, bytes int64) *Trace {
+// this package cannot import): per phase every rank computes for
+// compute ns (when positive), posts its sends, then its receives,
+// waits for the sends and meets the others at a barrier.
+func cgTrace(t *testing.T, bytes int64, compute eventq.Time) *Trace {
 	t.Helper()
 	phases, err := pattern.CGPhases(128, bytes)
 	if err != nil {
@@ -26,6 +27,9 @@ func cgTrace(t *testing.T, bytes int64) *Trace {
 			recvs[f.Dst] = append(recvs[f.Dst], Recv{Src: f.Src, Tag: pi})
 		}
 		for r := range tr.Ranks {
+			if compute > 0 {
+				tr.Ranks[r] = append(tr.Ranks[r], Compute{Dur: compute + eventq.Time(r%4)})
+			}
 			tr.Ranks[r] = append(append(append(tr.Ranks[r], sends[r]...), recvs[r]...), WaitAll{}, Barrier{})
 		}
 	}
@@ -40,7 +44,7 @@ func cgTrace(t *testing.T, bytes int64) *Trace {
 // calendar lanes and the closure-free simulator loop.
 func TestCGReplayPinned(t *testing.T) {
 	tp := paperTree(t, 10)
-	tr := cgTrace(t, 32*1024)
+	tr := cgTrace(t, 32*1024, 0)
 	for _, tc := range []struct {
 		name       string
 		cutThrough bool
@@ -75,3 +79,36 @@ func TestCGReplayPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestCGReplayWithComputePinned pins one Replay of CG-128 on
+// XGFT(2;16,16;1,10) whose ranks compute before every phase, so the
+// calendar interleaves the simulator's channel ops with the engine's
+// compute closures, tied in time by the thousand. Replay's makespan and
+// the event count of the same run are held to the values recorded
+// before the calendar's ops and closures shared one seq counter: the
+// schedule, not only its figures, must be the same.
+func TestCGReplayWithComputePinned(t *testing.T) {
+	tp := paperTree(t, 10)
+	tr := cgTrace(t, 8*1024, 5000)
+	end, err := Replay(tr, tp, core.NewDModK(tp), cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(tr, tp, core.NewDModK(tp), cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	got := [2]uint64{uint64(end), eng.sim.Q.Processed()}
+	if want := [2]uint64{pinComputeMakespan, pinComputeProcessed}; got != want {
+		t.Errorf("makespan, processed = %d %d, parent recorded %d %d", got[0], got[1], want[0], want[1])
+	}
+}
+
+// Recorded at commit 4c714fa, the last with a closure per event.
+const (
+	pinComputeMakespan  = 418613
+	pinComputeProcessed = 31008
+)

@@ -1,36 +1,50 @@
 // Package eventq provides the discrete-event scheduling core shared
 // by the network simulator (internal/venus) and the trace replay
 // engine (internal/dimemas): a monotonic clock and a calendar of
-// callbacks.
+// events.
 //
 // Ordering contract: events execute in ascending (at, seq) order,
-// where at is the scheduled time and seq the rank of the At/After call
-// that scheduled the event — earliest time first, FIFO among equal
-// times. The order is total and depends on nothing else: not on which
-// container an event waits in, not on how many events are pending. The
+// where at is the scheduled time and seq the rank of the call
+// (At, After, AtOp or AfterOp) that scheduled the event — earliest
+// time first, FIFO among equal times. The order is total and depends
+// on nothing else: not on which form scheduled an event, not on which
+// container it waits in, not on how many events are pending. The
 // containers below are an optimization the contract hides.
+//
+// An event is an op: a 31-bit word the queue hands to the dispatch
+// function its owner installed with SetDispatch. The simulator encodes
+// a channel and an event kind in it, so a pending event holds no
+// pointer and scheduling one stores none — the collector's write
+// barrier never fires on the calendar's hot path. At and After keep
+// the callback form for the rare events that need one; the closure
+// waits in a slot table and its event carries the slot, marked by the
+// op's high bit.
 //
 // A simulator schedules nearly all of its events at a handful of
 // constant delays (a segment's serialization time, the wire latency),
 // and because the clock never runs backwards, events scheduled at one
 // delay are already sorted by (at, seq) in scheduling order. Each such
 // delay gets a lane, a plain FIFO; the next event is the least of the
-// lane heads and the top of a binary heap that takes whatever finds no
-// lane. Scheduling into a lane is an append, and popping costs a
-// comparison per lane instead of a sift through a heap whose entries
-// tie by the thousand.
+// non-empty lane heads and the top of a binary heap that takes
+// whatever finds no lane. Scheduling into a lane is an append, and
+// popping costs a comparison per live lane instead of a sift through a
+// heap whose entries tie by the thousand.
 package eventq
 
-import "repro/internal/fifo"
+import (
+	"math/bits"
+
+	"repro/internal/fifo"
+)
 
 // Time is simulated time in nanoseconds.
 type Time int64
 
-// Event is a scheduled callback.
+// event is one scheduled op.
 type event struct {
 	at  Time
 	seq uint64
-	fn  func()
+	op  uint32
 }
 
 // before is the (at, seq) order of the package contract.
@@ -41,11 +55,15 @@ func (e *event) before(o *event) bool {
 	return e.seq < o.seq
 }
 
+// closureOp marks an op that names a slot of the closure table rather
+// than an op for the dispatch function; owner ops stay below it.
+const closureOp = 1 << 31
+
 // numLanes bounds the delays that get a FIFO of their own. The
 // simulator uses three or four (full and short segment serialization,
 // wire latency, cut-through head latency); the rest absorb the replay
-// engine's compute bursts. Next scans every lane, so the bound is also
-// the per-event cost of having lanes at all.
+// engine's compute bursts. The live mask below is one byte, a bit per
+// lane.
 const numLanes = 8
 
 // lane holds the pending events scheduled at one delay, oldest first.
@@ -54,14 +72,20 @@ type lane struct {
 	fifo.Queue[event]
 }
 
-// Queue is a discrete-event calendar. The zero value is ready to use.
+// Queue is a discrete-event calendar. The zero value is ready to use
+// for closures; SetDispatch installs the runner of AtOp/AfterOp ops.
 type Queue struct {
 	now     Time
 	seq     uint64
 	ran     uint64
 	pending int
+	live    uint8 // bit i is set while lanes[i] holds an event
 	lanes   [numLanes]lane
 	heap    []event
+
+	dispatch func(op uint32)
+	fns      []func() // closure slots; an empty slot is nil
+	freeFns  []uint32 // indices of the empty slots
 }
 
 // Now returns the current simulated time.
@@ -74,57 +98,91 @@ func (q *Queue) Len() int { return q.pending }
 // simulator statistics and benchmarks).
 func (q *Queue) Processed() uint64 { return q.ran }
 
+// SetDispatch installs the function that runs every op scheduled with
+// AtOp or AfterOp. The queue's owner installs it once, before it
+// schedules its first op.
+func (q *Queue) SetDispatch(fn func(op uint32)) { q.dispatch = fn }
+
+// AtOp schedules op at absolute time t; the dispatch function runs it.
+// op must be below 1<<31. Scheduling in the past is a programming
+// error and panics: it would silently corrupt causality.
+func (q *Queue) AtOp(t Time, op uint32) {
+	if op >= closureOp {
+		misuse("op out of range")
+	}
+	q.schedule(t, op)
+}
+
+// AfterOp schedules op d nanoseconds from now.
+func (q *Queue) AfterOp(d Time, op uint32) { q.AtOp(q.now+d, op) }
+
 // At schedules fn at absolute time t. Scheduling in the past is a
-// programming error and panics: it would silently corrupt causality.
+// programming error and panics.
 func (q *Queue) At(t Time, fn func()) {
+	var slot uint32
+	if n := len(q.freeFns); n > 0 {
+		slot = q.freeFns[n-1]
+		q.freeFns = q.freeFns[:n-1]
+		q.fns[slot] = fn
+	} else {
+		slot = uint32(len(q.fns))
+		q.fns = append(q.fns, fn)
+	}
+	q.schedule(t, closureOp|slot)
+}
+
+// After schedules fn d nanoseconds from now.
+func (q *Queue) After(d Time, fn func()) { q.At(q.now+d, fn) }
+
+// schedule files one event under the next seq.
+func (q *Queue) schedule(t Time, op uint32) {
 	if t < q.now {
-		panic("eventq: scheduling into the past") //lint:allow banned causality violation is a programming error, not an input error
+		misuse("scheduling into the past")
 	}
 	q.seq++
 	q.pending++
-	e := event{at: t, seq: q.seq, fn: fn}
+	e := event{at: t, seq: q.seq, op: op}
 	// The lane for this delay, else an idle lane to re-bind (an empty
 	// lane stays sorted whatever delay it takes next), else the heap.
 	delay := t - q.now
-	idle := -1
 	for i := range q.lanes {
-		l := &q.lanes[i]
-		if l.delay == delay {
-			l.Push(e)
+		if q.lanes[i].delay == delay {
+			q.lanes[i].Push(e)
+			q.live |= 1 << i
 			return
 		}
-		if idle < 0 && l.Empty() {
-			idle = i
-		}
 	}
-	if idle >= 0 {
-		q.lanes[idle].delay = delay
-		q.lanes[idle].Push(e)
+	if q.live != 1<<numLanes-1 {
+		i := bits.TrailingZeros8(^q.live)
+		q.lanes[i].delay = delay
+		q.lanes[i].Push(e)
+		q.live |= 1 << i
 		return
 	}
 	q.heap = append(q.heap, e)
 	q.up(len(q.heap) - 1)
 }
 
-// After schedules fn d nanoseconds from now.
-func (q *Queue) After(d Time, fn func()) { q.At(q.now+d, fn) }
+// misuse panics on a programming error of the queue's owner: an op
+// that would read as a closure slot, or an event scheduled into the
+// past, which would silently corrupt causality.
+func misuse(why string) {
+	panic("eventq: " + why) //lint:allow banned misuse of the calendar is a programming error, not an input error
+}
 
 // heapSrc is next's source index for the heap; lanes are 0..numLanes-1.
 const heapSrc = numLanes
 
 // next locates the earliest pending event: the least, by (at, seq), of
-// the lane heads and the heap top. It returns nil when nothing is
+// the live lane heads and the heap top. It returns nil when nothing is
 // pending.
 func (q *Queue) next() (src int, e *event) {
 	if len(q.heap) > 0 {
 		src, e = heapSrc, &q.heap[0]
 	}
-	for i := range q.lanes {
-		l := &q.lanes[i]
-		if l.Empty() {
-			continue
-		}
-		if h := l.Front(); e == nil || h.before(e) {
+	for m := q.live; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros8(m)
+		if h := q.lanes[i].Front(); e == nil || h.before(e) {
 			src, e = i, h
 		}
 	}
@@ -137,12 +195,24 @@ func (q *Queue) take(src int) {
 	if src == heapSrc {
 		e = q.popHeap()
 	} else {
-		e = q.lanes[src].Pop()
+		l := &q.lanes[src]
+		e = l.Pop()
+		if l.Empty() {
+			q.live &^= 1 << src
+		}
 	}
 	q.pending--
 	q.now = e.at
 	q.ran++
-	e.fn()
+	if e.op < closureOp {
+		q.dispatch(e.op)
+		return
+	}
+	slot := e.op &^ closureOp
+	fn := q.fns[slot]
+	q.fns[slot] = nil
+	q.freeFns = append(q.freeFns, slot)
+	fn()
 }
 
 // Step executes the earliest pending event, advancing the clock.
@@ -156,18 +226,17 @@ func (q *Queue) Step() bool {
 	return true
 }
 
-// Run drains the calendar. maxEvents <= 0 means unbounded; otherwise
-// Run stops (returning false) once the budget is exhausted — the
-// guard rail against runaway simulations in tests.
+// Run drains the calendar. maxEvents == 0 means unbounded; otherwise
+// Run executes at most maxEvents events and reports false if any is
+// still pending after them — the guard rail against runaway
+// simulations in tests.
 func (q *Queue) Run(maxEvents uint64) bool {
-	for n := uint64(0); ; n++ {
-		if maxEvents > 0 && n >= maxEvents {
-			return false
-		}
+	for n := uint64(0); maxEvents == 0 || n < maxEvents; n++ {
 		if !q.Step() {
 			return true
 		}
 	}
+	return q.pending == 0
 }
 
 // RunUntil executes events with time <= deadline; remaining events
@@ -206,7 +275,6 @@ func (q *Queue) popHeap() event {
 	top := q.heap[0]
 	n := len(q.heap) - 1
 	e := q.heap[n]
-	q.heap[n].fn = nil
 	q.heap = q.heap[:n]
 	if n == 0 {
 		return top

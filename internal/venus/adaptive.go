@@ -21,7 +21,8 @@ import (
 // never lengthens a route and deadlock freedom is preserved.
 
 // adaptiveState is the per-segment hop tracker used instead of a
-// precompiled path.
+// precompiled path, kept in the Sim's side slab under the segment's
+// index.
 type adaptiveState struct {
 	level      int // current node's level
 	node       int // current node index
@@ -43,8 +44,7 @@ func (s *Sim) InjectAdaptive(m Message) error {
 	if m.Src < 0 || m.Src >= s.Topo.Leaves() || m.Dst < 0 || m.Dst >= s.Topo.Leaves() {
 		return fmt.Errorf("venus: adaptive endpoints (%d,%d) out of range", m.Src, m.Dst)
 	}
-	msg := &message{Message: m, id: s.nextMsg, injectedAt: s.Q.Now(), adaptive: true}
-	s.nextMsg++
+	msg := s.newMessage(m, true)
 	s.segmentMessage(msg)
 	s.inflight++
 	s.enqueueNextAdaptiveSegment(msg)
@@ -54,10 +54,14 @@ func (s *Sim) InjectAdaptive(m Message) error {
 // enqueueNextAdaptiveSegment releases the adapter's next segment,
 // choosing the first ascending channel adaptively.
 func (s *Sim) enqueueNextAdaptiveSegment(msg *message) {
-	seg := s.nextSegment(msg)
-	seg.adaptive = &adaptiveState{level: 0, node: msg.Src, dst: msg.Dst, ncaLevel: s.Topo.NCALevel(msg.Src, msg.Dst)}
-	ch := s.pickAdaptive(seg.adaptive)
-	s.enqueue(ch, seg, adapterClassBase+msg.id)
+	k := s.nextSegment(msg)
+	if n := len(s.segs); len(s.adapt) < n {
+		s.adapt = append(s.adapt, make([]adaptiveState, n-len(s.adapt))...)
+	}
+	st := &s.adapt[k]
+	*st = adaptiveState{level: 0, node: msg.Src, dst: msg.Dst, ncaLevel: s.Topo.NCALevel(msg.Src, msg.Dst)}
+	ch := s.pickAdaptive(st)
+	s.enqueue(ch, k, adapterClassBase+msg.id)
 	s.kick(ch)
 }
 

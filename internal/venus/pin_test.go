@@ -1,6 +1,7 @@
 package venus
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -87,6 +88,37 @@ const (
 	pinCTSegments  = 14336
 	pinCTDelivered = 0x21dcf961139178e5
 )
+
+// TestThroughputInputPinned pins the root BenchmarkSimulatorThroughput
+// input — Random on XGFT(2;16,16;1,8) under a 64 KB keyed random
+// permutation — to the makespan, event count, segment count and
+// delivery sequence recorded at commit 4c714fa, the last whose
+// calendar held a closure per event and whose segments moved by
+// pointer. The benchmark's events/run is the second of them.
+func TestThroughputInputPinned(t *testing.T) {
+	tp := paperTree(t, 8)
+	p := pattern.KeyedRandomPermutation(256, 64*1024, 5)
+	algo := core.NewRandom(tp, 9)
+	s, err := New(tp, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range p.Flows {
+		if err := s.Inject(Message{Src: f.Src, Dst: f.Dst, Bytes: f.Bytes, Route: algo.Route(f.Src, f.Dst)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	end, err := s.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := [4]uint64{uint64(end), s.Q.Processed(), s.SegmentsMoved, deliveredHash(s.Delivered())}
+	want := [4]uint64{1323136, 174528, 63616, 0xeba80c7cba2991ba}
+	if got != want {
+		t.Errorf("makespan, processed, segments, delivered hash = %d %d %d %#x, parent recorded %d %d %d %#x",
+			got[0], got[1], got[2], got[3], want[0], want[1], want[2], want[3])
+	}
+}
 
 // TestAdapterQueuesRetire sends 10 000 messages from one leaf, three
 // in flight at a time. An injection channel arbitrates among the
@@ -217,4 +249,45 @@ func TestSteadyStateLoopDoesNotAllocate(t *testing.T) {
 	if s.Q.Processed() != 2*perPass {
 		t.Errorf("second pass processed %d events, first %d", s.Q.Processed()-perPass, perPass)
 	}
+}
+
+// TestSegmentStateHoldsNoPointer: what moves on every hop — a segment,
+// its adaptive hop state, and the elements of the wires and virtual
+// queues that carry it — is plain words. A pointer in any of them
+// would bring back a write barrier per segment hop.
+func TestSegmentStateHoldsNoPointer(t *testing.T) {
+	var c channel
+	var cq classQueue
+	for _, tc := range []struct {
+		name string
+		typ  reflect.Type
+	}{
+		{"segment", reflect.TypeOf(segment{})},
+		{"adaptiveState", reflect.TypeOf(adaptiveState{})},
+		{"wire element", reflect.TypeOf(c.wire.Pop).Out(0)},
+		{"class queue element", reflect.TypeOf(cq.Pop).Out(0)},
+	} {
+		if p := pointerPath(tc.typ, tc.name); p != "" {
+			t.Errorf("%s holds a pointer", p)
+		}
+	}
+}
+
+// pointerPath names the first field of t, by its path from name, whose
+// kind holds a pointer the collector traces; "" means t holds none.
+func pointerPath(t reflect.Type, name string) string {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+		reflect.Chan, reflect.Func, reflect.Interface, reflect.String:
+		return name + " (" + t.Kind().String() + ")"
+	case reflect.Array:
+		return pointerPath(t.Elem(), name+"[]")
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if p := pointerPath(t.Field(i).Type, name+"."+t.Field(i).Name); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
 }

@@ -110,14 +110,17 @@ type message struct {
 	deliveredAt  eventq.Time
 }
 
-// segment is one unit of transfer. Segments are recycled through the
-// Sim's free list when they are ejected.
+// segment is one unit of transfer. Segments live in the Sim's slab
+// and move by index: a wire or virtual queue holds int32s, so a hop
+// stores no pointer and the collector's write barrier stays off the
+// event loop. Ejected segments return their index to the free list.
+// An adaptive segment's hop state is the same index of the side slab
+// Sim.adapt.
 type segment struct {
-	msg      *message
-	bytes    int
-	hop      int      // index into msg.path of the channel it waits for / rides
-	origin   *channel // channel whose downstream buffer it occupies (nil at the source adapter)
-	adaptive *adaptiveState
+	msg    int32 // message id, the index into Sim.msgs
+	flits  int32 // serialization length: the segment's bytes in whole flits, at least one
+	hop    int32 // index into msg.path of the channel it waits for / rides
+	origin int32 // channel+1 whose downstream buffer it occupies (0 at the source adapter)
 }
 
 // directed channel states.
@@ -137,19 +140,30 @@ type channel struct {
 	// downstream. Every hop of a channel takes the same time from its
 	// scheduling instant, so arrivals leave in transmission order and
 	// the arrive event needs no argument: a wire is a FIFO.
-	wire fifo.Queue[*segment]
-
-	// The channel's three events, bound once in New so that scheduling
-	// one allocates nothing.
-	txDone func() // serialization of the current segment ended
-	credit func() // a downstream buffer slot was released
-	arrive func() // the oldest segment on the wire landed
+	wire fifo.Queue[int32]
 }
+
+// A channel's events are ops of the Sim's calendar: the channel index
+// shifted past a two-bit kind.
+const (
+	opTxDone = iota // serialization of the current segment ended
+	opCredit        // a downstream buffer slot was released
+	opArrive        // the oldest segment on the wire landed
+
+	opKindBits = 2
+)
+
+// maxChannels keeps every channel's ops below the calendar's closure
+// bit.
+const maxChannels = 1 << (31 - opKindBits)
+
+// op is the calendar word of one of the channel's events.
+func (c *channel) op(kind uint32) uint32 { return uint32(c.id)<<opKindBits | kind }
 
 // classQueue is the virtual queue of one arbitration class.
 type classQueue struct {
 	class int
-	fifo.Queue[*segment]
+	fifo.Queue[int32]
 }
 
 // Sim is one simulation instance. Not safe for concurrent use; run
@@ -159,9 +173,13 @@ type Sim struct {
 	Cfg  Config
 	Q    *eventq.Queue
 
+	flit eventq.Time // Cfg.flitTime()
+
 	chans    []channel // 2*TotalChannels: ups then downs
-	free     []*segment
-	nextMsg  int
+	segs     []segment
+	adapt    []adaptiveState // adapt[k] is segment k's hop state when its message is adaptive
+	free     []int32         // indices of the ejected segments
+	msgs     []*message      // by id
 	inflight int
 	done     []*message
 
@@ -177,8 +195,12 @@ func New(t *xgft.Topology, cfg Config) (*Sim, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s := &Sim{Topo: t, Cfg: cfg, Q: new(eventq.Queue)}
 	n := t.TotalChannels()
+	if 2*n > maxChannels {
+		return nil, fmt.Errorf("venus: %d directed channels exceed the simulator's %d", 2*n, maxChannels)
+	}
+	s := &Sim{Topo: t, Cfg: cfg, Q: new(eventq.Queue), flit: cfg.flitTime()}
+	s.Q.SetDispatch(s.dispatch)
 	s.chans = make([]channel, 2*n)
 	for i := range s.chans {
 		c := &s.chans[i]
@@ -190,14 +212,22 @@ func New(t *xgft.Topology, cfg Config) (*Sim, error) {
 			level, _, _ := t.ChannelOf(i - n)
 			c.sink = level == 0
 		}
-		c.txDone = func() { s.txDone(c) }
-		c.credit = func() {
-			c.credits++
-			s.kick(c)
-		}
-		c.arrive = func() { s.arrive(c) }
 	}
 	return s, nil
+}
+
+// dispatch runs one channel event off the calendar.
+func (s *Sim) dispatch(op uint32) {
+	c := &s.chans[op>>opKindBits]
+	switch op & (1<<opKindBits - 1) {
+	case opTxDone:
+		s.txDone(c)
+	case opCredit:
+		c.credits++
+		s.kick(c)
+	default:
+		s.arrive(c)
+	}
 }
 
 // upID and downID map wire IDs to directed channel indices.
@@ -232,8 +262,7 @@ func (s *Sim) Inject(m Message) error {
 			return fmt.Errorf("venus: inject: %w", err)
 		}
 	}
-	msg := &message{Message: m, id: s.nextMsg, injectedAt: s.Q.Now()}
-	s.nextMsg++
+	msg := s.newMessage(m, false)
 	if m.Src == m.Dst {
 		s.Q.After(s.Cfg.WireLatency, func() {
 			msg.deliveredAt = s.Q.Now()
@@ -253,6 +282,13 @@ func (s *Sim) Inject(m Message) error {
 	return nil
 }
 
+// newMessage registers the in-flight state of m under the next id.
+func (s *Sim) newMessage(m Message, adaptive bool) *message {
+	msg := &message{Message: m, id: len(s.msgs), injectedAt: s.Q.Now(), adaptive: adaptive}
+	s.msgs = append(s.msgs, msg)
+	return msg
+}
+
 // segmentMessage sets the message's segment count and the size of its
 // final segment.
 func (s *Sim) segmentMessage(msg *message) {
@@ -268,22 +304,25 @@ func (s *Sim) segmentMessage(msg *message) {
 }
 
 // nextSegment takes the adapter's next segment of msg, off the free
-// list when it has one.
-func (s *Sim) nextSegment(msg *message) *segment {
-	var seg *segment
+// list when it has one, and returns its slab index. It may grow the
+// slab, so no caller holds a pointer into it across the call.
+func (s *Sim) nextSegment(msg *message) int32 {
+	var k int32
 	if n := len(s.free); n > 0 {
-		seg = s.free[n-1]
+		k = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
-		seg = new(segment)
+		k = int32(len(s.segs))
+		s.segs = append(s.segs, segment{})
 	}
-	seg.msg = msg
-	seg.bytes = s.Cfg.SegmentBytes
+	bytes := s.Cfg.SegmentBytes
 	if msg.segsInjected == msg.segsTotal-1 {
-		seg.bytes = msg.lastBytes
+		bytes = msg.lastBytes
 	}
+	flits := (bytes + s.Cfg.FlitBytes - 1) / s.Cfg.FlitBytes
+	s.segs[k] = segment{msg: int32(msg.id), flits: int32(max(flits, 1))}
 	msg.segsInjected++
-	return seg
+	return k
 }
 
 // enqueueNextSegment hands the adapter's next segment of msg to the
@@ -305,7 +344,7 @@ const adapterClassBase = 1 << 30
 
 // enqueue places a segment into the channel's virtual queue for its
 // arbitration class.
-func (s *Sim) enqueue(c *channel, seg *segment, class int) {
+func (s *Sim) enqueue(c *channel, seg int32, class int) {
 	qi := 0
 	for qi < len(c.queues) && c.queues[qi].class != class {
 		qi++
@@ -316,7 +355,7 @@ func (s *Sim) enqueue(c *channel, seg *segment, class int) {
 			c.queues = c.queues[:qi+1]
 			c.queues[qi].class = class
 		} else {
-			c.queues = append(c.queues, classQueue{class, fifo.WithCap[*segment](s.Cfg.BufferSegments)})
+			c.queues = append(c.queues, classQueue{class, fifo.WithCap[int32](s.Cfg.BufferSegments)})
 		}
 	}
 	c.queues[qi].Push(seg)
@@ -393,32 +432,30 @@ func (s *Sim) kick(c *channel) {
 // (if any) is released as soon as serialization starts and the credit
 // travels back upstream after one wire delay — the standard
 // credit-based flow control loop.
-func (s *Sim) transmit(c *channel, seg *segment) {
+func (s *Sim) transmit(c *channel, k int32) {
 	c.busy = true
 	if !c.sink {
 		c.credits--
 	}
-	if orig := seg.origin; orig != nil {
-		seg.origin = nil
-		s.Q.After(s.Cfg.WireLatency, orig.credit)
+	seg := &s.segs[k]
+	if seg.origin != 0 {
+		s.Q.AfterOp(s.Cfg.WireLatency, s.chans[seg.origin-1].op(opCredit))
+		seg.origin = 0
 	}
-	flits := (seg.bytes + s.Cfg.FlitBytes - 1) / s.Cfg.FlitBytes
-	if flits == 0 {
-		flits = 1
-	}
-	dur := eventq.Time(flits) * s.Cfg.flitTime()
+	dur := eventq.Time(seg.flits) * s.flit
 	if seg.hop == 0 {
-		s.leftAdapter(c, seg.msg)
+		// May grow the slab: seg is not used past this point.
+		s.leftAdapter(c, s.msgs[seg.msg])
 	}
-	c.wire.Push(seg)
+	c.wire.Push(k)
 	if s.cutsThrough(c) {
 		// The head flit reaches the next switch after one flit time
 		// plus the wire; the segment can contend for its next output
 		// while its tail is still on this wire. The final ejection
 		// (delivery) always waits for the tail.
-		s.Q.After(s.Cfg.flitTime()+s.Cfg.WireLatency, c.arrive)
+		s.Q.AfterOp(s.flit+s.Cfg.WireLatency, c.op(opArrive))
 	}
-	s.Q.After(dur, c.txDone)
+	s.Q.AfterOp(dur, c.op(opTxDone))
 }
 
 // cutsThrough reports whether segments on c arrive a flit after their
@@ -431,7 +468,7 @@ func (s *Sim) txDone(c *channel) {
 	c.busy = false
 	s.kick(c)
 	if !s.cutsThrough(c) {
-		s.Q.After(s.Cfg.WireLatency, c.arrive)
+		s.Q.AfterOp(s.Cfg.WireLatency, c.op(opArrive))
 	}
 }
 
@@ -440,13 +477,13 @@ func (s *Sim) txDone(c *channel) {
 // route through it) or it queues for its next hop, holding a buffer
 // slot of from (seg.origin) until it moves on.
 func (s *Sim) arrive(from *channel) {
-	seg := from.wire.Pop()
+	k := from.wire.Pop()
 	s.SegmentsMoved++
-	msg := seg.msg
+	seg := &s.segs[k]
+	msg := s.msgs[seg.msg]
 	if from.sink {
 		// Ejected at the destination adapter.
-		*seg = segment{}
-		s.free = append(s.free, seg)
+		s.free = append(s.free, k)
 		msg.segsArrived++
 		if msg.segsArrived == msg.segsTotal {
 			msg.deliveredAt = s.Q.Now()
@@ -459,14 +496,14 @@ func (s *Sim) arrive(from *channel) {
 		return
 	}
 	seg.hop++
-	seg.origin = from
+	seg.origin = int32(from.id) + 1
 	var next *channel
-	if seg.adaptive != nil {
-		next = s.pickAdaptive(seg.adaptive)
+	if msg.adaptive {
+		next = s.pickAdaptive(&s.adapt[k])
 	} else {
 		next = &s.chans[msg.path[seg.hop]]
 	}
-	s.enqueue(next, seg, from.id)
+	s.enqueue(next, k, from.id)
 	s.kick(next)
 }
 
