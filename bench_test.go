@@ -219,7 +219,8 @@ func BenchmarkContentionAnalysis(b *testing.B) {
 
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	// Event-processing rate of the network simulator under a loaded
-	// random permutation.
+	// random permutation, and the calendar events one segment hop
+	// costs.
 	tp, err := xgft.NewSlimmedTree(16, 16, 8)
 	if err != nil {
 		b.Fatal(err)
@@ -228,7 +229,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	algo := core.NewRandom(tp, 9)
 	cfg := venus.DefaultConfig()
 	b.ReportAllocs()
-	var events uint64
+	var events, hops uint64
 	for i := 0; i < b.N; i++ {
 		s, err := venus.New(tp, cfg)
 		if err != nil {
@@ -243,8 +244,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		events += s.Q.Processed()
+		hops += s.SegmentsMoved
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/run")
+	b.ReportMetric(float64(events)/float64(hops), "events/segment-hop")
 }
 
 func BenchmarkTraceReplayWRF(b *testing.B) {

@@ -9,7 +9,7 @@
 //
 // By default the fast analytic engine is used; -engine simulated runs
 // the full trace-replay pipeline (at paper message sizes, -bytes 0,
-// `-fig2b -engine simulated -seeds 2` takes about 2.7 s wall and 5.4 s
+// `-fig2b -engine simulated -seeds 2` takes about 1.6 s wall and 3.1 s
 // CPU on two AMD EPYC vCPUs, down from 71.7 s when every cell replayed
 // its own crossbar reference; use -bytes to scale down). -csv switches
 // the sweep output format.

@@ -48,35 +48,23 @@ type Analysis struct {
 // endpoint must be a leaf of t, and every ascent must fit the
 // topology's height and port radices. Self-flows are skipped.
 func ByteLoads(t *xgft.Topology, p *pattern.Pattern, routes []xgft.Route) (*Loads, error) {
-	l := newLoads(t)
+	l := new(Loads)
 	if err := l.refill(t, p, routes); err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
-// newLoads returns zero loads sized for t.
-func newLoads(t *xgft.Topology) *Loads {
-	n, c := t.Leaves(), t.TotalChannels()
-	return &Loads{
-		UpBytes:     make([]int64, c),
-		DownBytes:   make([]int64, c),
-		InjectBytes: make([]int64, n),
-		EjectBytes:  make([]int64, n),
-	}
-}
-
-// refill replaces the loads, sized for t, by those of a routed
-// pattern, validated as ByteLoads documents.
+// refill replaces the loads by those of a routed pattern, validated as
+// ByteLoads documents. It sizes them for t, reusing their arrays when
+// they are large enough.
 func (l *Loads) refill(t *xgft.Topology, p *pattern.Pattern, routes []xgft.Route) error {
 	if len(routes) != len(p.Flows) {
 		return fmt.Errorf("contention: %d routes for %d flows", len(routes), len(p.Flows))
 	}
-	clear(l.UpBytes)
-	clear(l.DownBytes)
-	clear(l.InjectBytes)
-	clear(l.EjectBytes)
-	n := t.Leaves()
+	n, c := t.Leaves(), t.TotalChannels()
+	l.UpBytes, l.DownBytes = zeroed(l.UpBytes, c), zeroed(l.DownBytes, c)
+	l.InjectBytes, l.EjectBytes = zeroed(l.InjectBytes, n), zeroed(l.EjectBytes, n)
 	for i, f := range p.Flows {
 		if f.Src < 0 || f.Src >= n || f.Dst < 0 || f.Dst >= n {
 			return fmt.Errorf("contention: flow %d endpoints (%d,%d) out of range [0,%d)", i, f.Src, f.Dst, n)
@@ -220,6 +208,17 @@ func (l *Loads) CrossbarBound() int64 {
 // callers that hold no routes.
 func CrossbarBound(p *pattern.Pattern) int64 {
 	return maxOf(p.BytesOut(), p.BytesIn())
+}
+
+// zeroed returns n zeros in s's array, or in a new one when s is too
+// short.
+func zeroed(s []int64, n int) []int64 {
+	if cap(s) < n {
+		return make([]int64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // maxOf returns the largest element of the given slices, 0 when there

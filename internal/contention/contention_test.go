@@ -281,35 +281,41 @@ func TestPhaseBounds(t *testing.T) {
 // PhaseBoundsCached reuses across phases to a fresh ByteLoads per
 // phase, on phases that shrink: a later phase touching fewer channels
 // and leaves, with fewer bytes, than an earlier one reads the earlier
-// phase's maxima unless the loads are cleared in between.
+// phase's maxima unless the loads are cleared in between. The trees
+// alternate between 256 and 16 leaves, so pooled scratch is resized
+// both ways, and tables come from a cache as well as from scratch.
 func TestPhaseBoundsMatchFreshLoadsPerPhase(t *testing.T) {
-	tp := paperTree(t, 10)
-	phases := []*pattern.Pattern{
-		pattern.KeyedRandomPermutation(256, 5000, 1),
-		{N: 256, Flows: []pattern.Flow{{Src: 3, Dst: 200, Bytes: 10}, {Src: 7, Dst: 7, Bytes: 99}}},
-		pattern.KeyedRandomPermutation(256, 100, 2),
-		{N: 256},
-	}
-	for _, algo := range []core.Algorithm{core.NewDModK(tp), core.NewRandom(tp, 3)} {
-		network, crossbar, err := PhaseBoundsCached(nil, tp, algo, phases)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, p := range phases {
-			tbl, err := core.BuildTable(tp, algo, p)
-			if err != nil {
-				t.Fatal(err)
+	for _, c := range []*core.TableCache{nil, core.NewTableCache(8)} {
+		for _, tp := range []*xgft.Topology{paperTree(t, 10), xgft.MustNew(2, []int{4, 4}, []int{1, 2}), paperTree(t, 16)} {
+			n := tp.Leaves()
+			phases := []*pattern.Pattern{
+				pattern.KeyedRandomPermutation(n, 5000, 1),
+				{N: n, Flows: []pattern.Flow{{Src: 3, Dst: n - 1, Bytes: 10}, {Src: 7, Dst: 7, Bytes: 99}}},
+				pattern.KeyedRandomPermutation(n, 100, 2),
+				{N: n},
 			}
-			l, err := ByteLoads(tp, p, tbl.Routes)
-			if err != nil {
-				t.Fatal(err)
+			for _, algo := range []core.Algorithm{core.NewDModK(tp), core.NewRandom(tp, 3), core.NewFixedTable(tp, "fixed", core.NewSModK(tp))} {
+				network, crossbar, err := PhaseBoundsCached(c, tp, algo, phases)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, p := range phases {
+					tbl, err := core.BuildTable(tp, algo, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					l, err := ByteLoads(tp, p, tbl.Routes)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if network[i] != l.CompletionBound() || crossbar[i] != l.CrossbarBound() {
+						t.Errorf("%s on %s phase %d: bounds %d/%d, fresh loads %d/%d", algo.Name(), tp, i, network[i], crossbar[i], l.CompletionBound(), l.CrossbarBound())
+					}
+				}
+				if network[1] != 10 || network[3] != 0 {
+					t.Errorf("%s on %s: shrinking phases bound %d and %d, want 10 and 0", algo.Name(), tp, network[1], network[3])
+				}
 			}
-			if network[i] != l.CompletionBound() || crossbar[i] != l.CrossbarBound() {
-				t.Errorf("%s phase %d: bounds %d/%d, fresh loads %d/%d", algo.Name(), i, network[i], crossbar[i], l.CompletionBound(), l.CrossbarBound())
-			}
-		}
-		if network[1] != 10 || network[3] != 0 {
-			t.Errorf("%s: shrinking phases bound %d and %d, want 10 and 0", algo.Name(), network[1], network[3])
 		}
 	}
 }
@@ -318,6 +324,20 @@ func TestPhasedSlowdownErrors(t *testing.T) {
 	tp := paperTree(t, 16)
 	if _, err := PhasedSlowdown(tp, core.NewDModK(tp), nil); err == nil {
 		t.Error("empty phase list accepted")
+	}
+	// A pattern over more endpoints than the tree has leaves fails
+	// whether its table is built into scratch or through the cache.
+	big := []*pattern.Pattern{pattern.KeyedRandomPermutation(2*tp.Leaves(), 64, 1)}
+	for _, c := range []*core.TableCache{nil, core.NewTableCache(8)} {
+		if _, _, err := PhaseBoundsCached(c, tp, core.NewDModK(tp), big); err == nil {
+			t.Errorf("cache %v: oversized pattern accepted", c != nil)
+		}
+	}
+	// A self-flow needs no valid route, so only the load count sees
+	// that its leaf is outside the tree.
+	outside := []*pattern.Pattern{{N: tp.Leaves(), Flows: []pattern.Flow{{Src: 300, Dst: 300, Bytes: 1}}}}
+	if _, _, err := PhaseBoundsCached(nil, tp, core.NewDModK(tp), outside); err == nil {
+		t.Error("self-flow outside the tree accepted")
 	}
 }
 

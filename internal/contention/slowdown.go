@@ -2,6 +2,7 @@ package contention
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/pattern"
@@ -12,25 +13,51 @@ import (
 // the topology and on the crossbar — the one phase loop behind every
 // algorithm-based analytic score (Slowdown, PhasedSlowdown, the
 // analytic evaluator) and the phase-resolved reporting of Fig. 3's
-// "fifth phase takes eight times longer" analysis. Routing tables are
-// served from (and stored into) the given cache; a nil cache
-// recomputes. The phases' loads are counted in one reused set.
+// "fifth phase takes eight times longer" analysis. A memoizable
+// algorithm's tables are served from (and stored into) a non-nil
+// cache; every other table is routed into pooled scratch that the next
+// phase and the next call reuse, and so are the loads the phases are
+// counted in. Only the two returned slices are the call's own.
 func PhaseBoundsCached(c *core.TableCache, t *xgft.Topology, algo core.Algorithm, phases []*pattern.Pattern) (network, crossbar []int64, err error) {
 	network = make([]int64, len(phases))
 	crossbar = make([]int64, len(phases))
-	l := newLoads(t)
+	_, memoizable := algo.(core.CacheKeyer)
+	cached := c != nil && memoizable
+	sc := scratchPool.Get().(*boundScratch)
+	defer scratchPool.Put(sc)
 	for i, p := range phases {
-		tbl, err := c.Build(t, algo, p)
-		if err != nil {
+		var routes []xgft.Route
+		if cached {
+			tbl, err := c.Build(t, algo, p)
+			if err != nil {
+				return nil, nil, err
+			}
+			routes = tbl.Routes
+		} else {
+			sc.routes, sc.arena, err = core.RouteFlows(t, algo, p, sc.routes, sc.arena)
+			if err != nil {
+				return nil, nil, err
+			}
+			routes = sc.routes
+		}
+		if err := sc.loads.refill(t, p, routes); err != nil {
 			return nil, nil, err
 		}
-		if err := l.refill(t, p, tbl.Routes); err != nil {
-			return nil, nil, err
-		}
-		network[i], crossbar[i] = l.CompletionBound(), l.CrossbarBound()
+		network[i], crossbar[i] = sc.loads.CompletionBound(), sc.loads.CrossbarBound()
 	}
 	return network, crossbar, nil
 }
+
+// boundScratch is what PhaseBoundsCached routes and counts a phase in.
+type boundScratch struct {
+	routes []xgft.Route
+	arena  []int
+	loads  Loads
+}
+
+// scratchPool hands each concurrent PhaseBoundsCached call its own
+// boundScratch, warm from an earlier call.
+var scratchPool = sync.Pool{New: func() any { return new(boundScratch) }}
 
 // Ratio normalizes a completion bound against its crossbar reference
 // (the paper's normalization, §VI-B); a pattern without network traffic

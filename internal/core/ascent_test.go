@@ -118,6 +118,43 @@ func TestCensusBufferPathMatchesRoutePerPair(t *testing.T) {
 	}
 }
 
+// TestCensusCountsEveryRootPair: the census skips each source's own top
+// subtree instead of asking every pair for its NCA level, so it must
+// still count each of the N·(N − N/m_h) pairs that reach a root exactly
+// once, for the guided schemes, Random and Colored alike, and none on a
+// tree whose top level has one child. Random, the one oblivious scheme
+// asked pair by pair, is held to the N² Route-per-pair oracle too.
+func TestCensusCountsEveryRootPair(t *testing.T) {
+	for _, tp := range []*xgft.Topology{
+		paperTree(t, 10),
+		xgft.MustNew(3, []int{4, 4, 4}, []int{1, 2, 2}),
+		xgft.MustNew(2, []int{4, 1}, []int{1, 3}),
+	} {
+		n, h := tp.Leaves(), tp.Height()
+		want := n * (n - n/tp.M(h-1))
+		phases := []*pattern.Pattern{pattern.KeyedRandomPermutation(n, 4096, 3)}
+		for _, algo := range []Algorithm{
+			NewRandom(tp, 5), NewSModK(tp), NewDModK(tp),
+			NewRandomNCAUp(tp, 5), NewRandomNCADown(tp, 5),
+			NewColored(tp, phases, ColoredConfig{}),
+		} {
+			census := AllPairsNCACensus(tp, algo)
+			sum := 0
+			for _, c := range census {
+				sum += c
+			}
+			if sum != want {
+				t.Errorf("%s on %s: census counts %d pairs, want N(N - N/m_h) = %d", algo.Name(), tp, sum, want)
+			}
+			if algo.Name() == "random" {
+				if oracle := censusByRoute(tp, algo); !reflect.DeepEqual(census, oracle) {
+					t.Errorf("random on %s: census %v, Route-per-pair oracle %v", tp, census, oracle)
+				}
+			}
+		}
+	}
+}
+
 // TestRandomAscentMatchesPerLevelHash pins Random's hoisted pair hash
 // to the formula it replaced: the port at every level is
 // uniform(mix(seed, src, dst, lvl), w), one-port levels included.

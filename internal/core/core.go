@@ -89,21 +89,38 @@ func fits(t *xgft.Topology, p *pattern.Pattern) error {
 	return nil
 }
 
-// BuildTable computes routes for every flow of the pattern. Self-flows
-// get empty routes. The table is validated on construction. Ascents of
-// the package's oblivious schemes are carved out of one arena per
-// table, each capped at its own length so appending to one route's Up
-// cannot reach its neighbour's.
+// BuildTable computes routes for every flow of the pattern into a
+// table of its own: RouteFlows into fresh buffers.
 func BuildTable(t *xgft.Topology, algo Algorithm, p *pattern.Pattern) (*Table, error) {
-	if err := fits(t, p); err != nil {
+	routes, _, err := RouteFlows(t, algo, p, nil, nil)
+	if err != nil {
 		return nil, err
 	}
-	tbl := &Table{Topo: t, Algo: algo.Name(), Routes: make([]xgft.Route, len(p.Flows))}
-	asc, buffered := algo.(ascender)
-	var arena []int
-	if buffered {
-		arena = make([]int, 0, len(p.Flows)*t.Height())
+	return &Table{Topo: t, Algo: algo.Name(), Routes: routes}, nil
+}
+
+// RouteFlows routes every flow of the pattern into routes, aligned with
+// p.Flows, and returns it together with arena; both are the caller's
+// buffers, reused when large enough and grown otherwise, so a caller
+// that builds table after table allocates nothing once they are warm.
+// Self-flows get empty routes; every other route is validated. Ascents
+// of the package's oblivious schemes are carved out of arena, each
+// capped at its own length so appending to one route's Up cannot reach
+// its neighbour's; routes from other algorithms are their own. The
+// routes alias arena until the caller passes either buffer in again.
+func RouteFlows(t *xgft.Topology, algo Algorithm, p *pattern.Pattern, routes []xgft.Route, arena []int) ([]xgft.Route, []int, error) {
+	if err := fits(t, p); err != nil {
+		return routes, arena, err
 	}
+	if cap(routes) < len(p.Flows) {
+		routes = make([]xgft.Route, len(p.Flows))
+	}
+	routes = routes[:len(p.Flows)]
+	asc, buffered := algo.(ascender)
+	if need := len(p.Flows) * t.Height(); buffered && cap(arena) < need {
+		arena = make([]int, 0, need) // never regrown below: routes alias it
+	}
+	arena = arena[:0]
 	for i, f := range p.Flows {
 		var r xgft.Route
 		if buffered {
@@ -118,12 +135,12 @@ func BuildTable(t *xgft.Topology, algo Algorithm, p *pattern.Pattern) (*Table, e
 		}
 		if f.Src != f.Dst {
 			if err := r.Validate(t); err != nil {
-				return nil, fmt.Errorf("core: %s produced invalid route for flow %d: %w", algo.Name(), i, err)
+				return routes, arena, fmt.Errorf("core: %s produced invalid route for flow %d: %w", algo.Name(), i, err)
 			}
 		}
-		tbl.Routes[i] = r
+		routes[i] = r
 	}
-	return tbl, nil
+	return routes, arena, nil
 }
 
 // guided is an ascender whose ascent depends on one endpoint of the
@@ -138,22 +155,25 @@ type guided interface {
 // the N*(N-1) ordered pairs with NCA at the top level are assigned to
 // each root, reproducing the census of the paper's Fig. 4 ("number of
 // routes assigned per NCA"). Pairs whose NCA is below the top level do
-// not reach a root and are excluded, as in the figure.
+// not reach a root and are excluded, as in the figure: they are exactly
+// the pairs inside one top subtree, N/m_h consecutive leaves, so no
+// pair's NCA level is ever computed.
 //
 // An endpoint-guided scheme sends every top-level pair of a guide leaf
 // to the same root, so its census is one ascent per leaf, toward any
 // peer outside the leaf's top subtree, weighted by the N - N/m_h such
-// peers. Any other scheme is asked pair by pair.
+// peers. Any other scheme is asked pair by pair, Random for its ports
+// at the known top level.
 func AllPairsNCACensus(t *xgft.Topology, algo Algorithm) []int {
 	h := t.Height()
 	counts := make([]int, t.NodesAt(h))
-	var buf [xgft.MaxHeight]int
 	n := t.Leaves()
+	subtree := n / t.M(h-1)
+	if subtree == n {
+		return counts // m_h = 1: no pair reaches a root
+	}
+	var buf [xgft.MaxHeight]int
 	if g, ok := algo.(guided); ok {
-		subtree := n / t.M(h-1)
-		if subtree == n {
-			return counts // m_h = 1: no pair reaches a root
-		}
 		for leaf := 0; leaf < n; leaf++ {
 			// Adding one subtree's span moves the top digit, mod N.
 			s, d := leaf, (leaf+subtree)%n
@@ -166,16 +186,22 @@ func AllPairsNCACensus(t *xgft.Topology, algo Algorithm) []int {
 		}
 		return counts
 	}
-	asc, buffered := algo.(ascender)
+	rnd, random := algo.(*randomNCA)
 	for s := 0; s < n; s++ {
+		own := s - s%subtree // s's top subtree is [own, own+subtree)
+		var from uint64
+		if random {
+			from = rnd.source(s)
+		}
 		for d := 0; d < n; d++ {
-			var up []int
-			if buffered {
-				up = asc.ascentInto(s, d, buf[:0])
-			} else if s != d && t.NCALevel(s, d) == h {
-				up = algo.Route(s, d).Up
+			if d == own {
+				d += subtree - 1
+				continue
 			}
-			if len(up) != h {
+			var up []int
+			if random {
+				up = rnd.portsInto(from, d, h, buf[:0])
+			} else if up = algo.Route(s, d).Up; len(up) != h {
 				continue
 			}
 			counts[t.Index(h, up)]++

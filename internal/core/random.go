@@ -36,13 +36,24 @@ func (r *randomNCA) Route(src, dst int) xgft.Route {
 	return ownedRoute(src, dst, r.ascentInto(src, dst, buf[:0]))
 }
 
-// ascentInto takes port uniform(mix(seed, src, dst, lvl), w) at level
-// lvl. mix folds its values in order, so the seed is hashed once at
-// construction, the pair once per call, and a level costs one round
-// more; one-port levels draw nothing.
+// ascentInto is portsInto up to the pair's NCA level.
 func (r *randomNCA) ascentInto(src, dst int, up []int) []int {
-	l := r.topo.NCALevel(src, dst)
-	pair := hashutil.Fold(r.key, uint64(src), uint64(dst))
+	return r.portsInto(r.source(src), dst, r.topo.NCALevel(src, dst), up)
+}
+
+// source is the hash state of a source leaf: the seed's with src
+// folded in, which a caller visiting many destinations of one source
+// takes once.
+func (r *randomNCA) source(src int) uint64 { return hashutil.Fold(r.key, uint64(src)) }
+
+// portsInto appends the first l up-ports toward dst from the source
+// whose hash state is from (see source): port uniform(mix(seed, src,
+// dst, lvl), w) at level lvl. mix folds its values in order, so the
+// seed is hashed once at construction, the source once per source, the
+// destination once per pair, and a level costs one round more;
+// one-port levels draw nothing.
+func (r *randomNCA) portsInto(from uint64, dst, l int, up []int) []int {
+	pair := hashutil.Fold(from, uint64(dst))
 	for lvl := 0; lvl < l; lvl++ {
 		port := 0
 		if w := r.topo.W(lvl); w > 1 {

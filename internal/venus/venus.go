@@ -67,6 +67,9 @@ func (c Config) validate() error {
 	if c.FlitBytes <= 0 || c.FlitBytes > c.SegmentBytes {
 		return fmt.Errorf("venus: flit size %d must be in (0,%d]", c.FlitBytes, c.SegmentBytes)
 	}
+	if int64(c.FlitBytes)*1_000_000_000 < c.LinkBytesPerSec {
+		return fmt.Errorf("venus: a %d B flit at %d B/s takes under 1 ns", c.FlitBytes, c.LinkBytesPerSec)
+	}
 	if c.BufferSegments <= 0 {
 		return fmt.Errorf("venus: buffer depth %d must be positive", c.BufferSegments)
 	}
@@ -102,7 +105,7 @@ type message struct {
 	id           int
 	segsTotal    int
 	segsInjected int
-	segsArrived  int
+	segsEjected  int   // segments whose ejection into the destination adapter ended
 	path         []int // directed channel sequence (nil for adaptive)
 	lastBytes    int   // size of the final (possibly short) segment
 	adaptive     bool
@@ -139,8 +142,12 @@ type channel struct {
 	// wire holds the segments transmitted and not yet arrived
 	// downstream. Every hop of a channel takes the same time from its
 	// scheduling instant, so arrivals leave in transmission order and
-	// the arrive event needs no argument: a wire is a FIFO.
+	// the arrive event needs no argument: a wire is a FIFO. A sink's
+	// wire holds only the segments that complete their message.
 	wire fifo.Queue[int32]
+	// tx is the segment a sink is serializing: it joins the wire at
+	// tx-done only if it completes its message.
+	tx int32
 }
 
 // A channel's events are ops of the Sim's calendar: the channel index
@@ -174,6 +181,11 @@ type Sim struct {
 	Q    *eventq.Queue
 
 	flit eventq.Time // Cfg.flitTime()
+	// creditSlack is ⌊WireLatency/flit⌋+2: a channel starts at most
+	// ⌊WireLatency/flit⌋+1 transmissions while a credit travels back to
+	// it, so one holding this many credits cannot run out before the
+	// credit lands.
+	creditSlack int
 
 	chans    []channel // 2*TotalChannels: ups then downs
 	segs     []segment
@@ -200,6 +212,7 @@ func New(t *xgft.Topology, cfg Config) (*Sim, error) {
 		return nil, fmt.Errorf("venus: %d directed channels exceed the simulator's %d", 2*n, maxChannels)
 	}
 	s := &Sim{Topo: t, Cfg: cfg, Q: new(eventq.Queue), flit: cfg.flitTime()}
+	s.creditSlack = int(cfg.WireLatency/s.flit) + 2
 	s.Q.SetDispatch(s.dispatch)
 	s.chans = make([]channel, 2*n)
 	for i := range s.chans {
@@ -432,6 +445,13 @@ func (s *Sim) kick(c *channel) {
 // (if any) is released as soon as serialization starts and the credit
 // travels back upstream after one wire delay — the standard
 // credit-based flow control loop.
+//
+// Every reader of a channel's credits (kick, pickAdaptive) only asks
+// whether they are zero. While the credit travels, the upstream
+// channel starts at most creditSlack-1 transmissions, so if it holds
+// creditSlack credits now, none of those readers can see zero under
+// either timing, and the credit event would only count the credit:
+// the credit is counted at once and no event is scheduled.
 func (s *Sim) transmit(c *channel, k int32) {
 	c.busy = true
 	if !c.sink {
@@ -439,7 +459,11 @@ func (s *Sim) transmit(c *channel, k int32) {
 	}
 	seg := &s.segs[k]
 	if seg.origin != 0 {
-		s.Q.AfterOp(s.Cfg.WireLatency, s.chans[seg.origin-1].op(opCredit))
+		if up := &s.chans[seg.origin-1]; up.credits >= s.creditSlack {
+			up.credits++
+		} else {
+			s.Q.AfterOp(s.Cfg.WireLatency, up.op(opCredit))
+		}
 		seg.origin = 0
 	}
 	dur := eventq.Time(seg.flits) * s.flit
@@ -447,7 +471,11 @@ func (s *Sim) transmit(c *channel, k int32) {
 		// May grow the slab: seg is not used past this point.
 		s.leftAdapter(c, s.msgs[seg.msg])
 	}
-	c.wire.Push(k)
+	if c.sink {
+		c.tx = k
+	} else {
+		c.wire.Push(k)
+	}
 	if s.cutsThrough(c) {
 		// The head flit reaches the next switch after one flit time
 		// plus the wire; the segment can contend for its next output
@@ -463,9 +491,27 @@ func (s *Sim) transmit(c *channel, k int32) {
 func (s *Sim) cutsThrough(c *channel) bool { return s.Cfg.CutThrough && !c.sink }
 
 // txDone frees the channel for its next segment and, unless the head
-// already cut through, sends the finished one down the wire.
+// already cut through, sends the finished one down the wire. A sink
+// ejects the segment into the destination adapter here: only the
+// segment that completes its message has an arrival to schedule, as
+// the others' would only count them and free their slots. Arrivals
+// leave in tx-done order, so the last tx-done of a message — counted
+// here, not at transmit, because an adaptive message may reach its
+// destination over several sinks — is the one whose arrival delivers
+// it.
 func (s *Sim) txDone(c *channel) {
 	c.busy = false
+	if c.sink {
+		k := c.tx
+		msg := s.msgs[s.segs[k].msg]
+		if msg.segsEjected++; msg.segsEjected < msg.segsTotal {
+			s.SegmentsMoved++
+			s.free = append(s.free, k)
+			s.kick(c)
+			return
+		}
+		c.wire.Push(k)
+	}
 	s.kick(c)
 	if !s.cutsThrough(c) {
 		s.Q.AfterOp(s.Cfg.WireLatency, c.op(opArrive))
@@ -473,25 +519,21 @@ func (s *Sim) txDone(c *channel) {
 }
 
 // arrive lands the oldest segment on from's wire downstream: either it
-// reached the destination adapter (a sink is the last hop of every
-// route through it) or it queues for its next hop, holding a buffer
-// slot of from (seg.origin) until it moves on.
+// completes its message at the destination adapter (a sink is the last
+// hop of every route through it) or it queues for its next hop,
+// holding a buffer slot of from (seg.origin) until it moves on.
 func (s *Sim) arrive(from *channel) {
 	k := from.wire.Pop()
 	s.SegmentsMoved++
 	seg := &s.segs[k]
 	msg := s.msgs[seg.msg]
 	if from.sink {
-		// Ejected at the destination adapter.
 		s.free = append(s.free, k)
-		msg.segsArrived++
-		if msg.segsArrived == msg.segsTotal {
-			msg.deliveredAt = s.Q.Now()
-			s.inflight--
-			s.done = append(s.done, msg)
-			if msg.OnDelivered != nil {
-				msg.OnDelivered(s.Q.Now())
-			}
+		msg.deliveredAt = s.Q.Now()
+		s.inflight--
+		s.done = append(s.done, msg)
+		if msg.OnDelivered != nil {
+			msg.OnDelivered(s.Q.Now())
 		}
 		return
 	}

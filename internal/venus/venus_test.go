@@ -1,6 +1,8 @@
 package venus
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -33,6 +35,9 @@ func TestConfigValidation(t *testing.T) {
 		{LinkBytesPerSec: 1, SegmentBytes: 8, FlitBytes: 16, BufferSegments: 4},
 		{LinkBytesPerSec: 1, SegmentBytes: 8, FlitBytes: 8, BufferSegments: 0},
 		{LinkBytesPerSec: 1, SegmentBytes: 8, FlitBytes: 8, BufferSegments: 4, WireLatency: -1},
+		// 8 B at 16 GB/s is half a nanosecond: the flit time would
+		// truncate to zero and every segment serialize instantly.
+		{LinkBytesPerSec: 16_000_000_000, SegmentBytes: 1024, FlitBytes: 8, BufferSegments: 4},
 	}
 	tp := paperTree(t, 16)
 	for i, cfg := range bad {
@@ -40,8 +45,16 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
-	if _, err := New(tp, DefaultConfig()); err != nil {
-		t.Errorf("default config rejected: %v", err)
+	_, err := New(tp, bad[len(bad)-1])
+	if msg := fmt.Sprint(err); !strings.Contains(msg, "8 B") || !strings.Contains(msg, "16000000000 B/s") {
+		t.Errorf("sub-nanosecond flit rejected with %q, want both the flit size and the link speed named", msg)
+	}
+	for _, link := range []int64{DefaultConfig().LinkBytesPerSec, 8_000_000_000} {
+		cfg := DefaultConfig()
+		cfg.LinkBytesPerSec = link
+		if _, err := New(tp, cfg); err != nil {
+			t.Errorf("%d B/s links rejected: %v", link, err)
+		}
 	}
 }
 
