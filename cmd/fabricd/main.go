@@ -243,17 +243,14 @@ type options struct {
 	blackboxDir                   string // "" disables anomaly dumps
 }
 
-// The daemon's routing-table cache, read at scrape time. Both halves
-// are internal/memo caches: the table half memoizes BuildKeyed (the
-// fabric's own pinned tables answer first, so it is rarely hit), the
-// memo half MemoAlgorithm's Colored constructions. Coalesced calls
-// count as neither hits nor misses. The ratios are what justifies
-// keeping each.
+// The daemon's Colored memo (the table cache's MemoAlgorithm half), read
+// at scrape time. Coalesced calls count as neither hits nor misses. The
+// ratio is what justifies keeping it. The table half is not exported:
+// the fabric packs its tables itself and every daemon score is
+// ScoreRoutes, so nothing the daemon does reaches it.
 const (
-	metricTableHits   = "core_table_cache_hits_total"
-	metricTableMisses = "core_table_cache_misses_total"
-	metricMemoHits    = "core_algo_memo_hits_total"
-	metricMemoMisses  = "core_algo_memo_misses_total"
+	metricMemoHits   = "core_algo_memo_hits_total"
+	metricMemoMisses = "core_algo_memo_misses_total"
 )
 
 func build(o options, logger *slog.Logger) (*daemon, error) {
@@ -269,8 +266,8 @@ func build(o options, logger *slog.Logger) (*daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The fabric, the optimizer's candidate builds and the evaluator
-	// share one table cache; the chosen backend is wrapped in a
+	// The optimizer's Colored constructions and the evaluator share one
+	// table cache; the chosen backend is wrapped in a
 	// memoizing CachedEvaluator so re-optimization rounds over a
 	// stable observed pattern never re-score. All three memos are
 	// internal/memo caches, so concurrent identical requests coalesce.
@@ -285,8 +282,6 @@ func build(o options, logger *slog.Logger) (*daemon, error) {
 	}
 	cached := evaluate.NewCached(backend, 256)
 	cached.Instrument(reg)
-	reg.CounterFunc(metricTableHits, "routing tables served from the daemon's table cache", func() uint64 { h, _ := cache.Stats(); return h })
-	reg.CounterFunc(metricTableMisses, "routing tables the table cache had to build", func() uint64 { _, m := cache.Stats(); return m })
 	reg.CounterFunc(metricMemoHits, "Colored constructions served from the algorithm memo", func() uint64 { h, _ := cache.MemoStats(); return h })
 	reg.CounterFunc(metricMemoMisses, "Colored constructions the algorithm memo had to run", func() uint64 { _, m := cache.MemoStats(); return m })
 	den := o.sampleDen

@@ -483,15 +483,16 @@ func TestObservabilityEndpoints(t *testing.T) {
 		`sched_placements_total{policy="balanced"}`,
 		"sched_fragmentation",
 		"evaluate_cache_hits_total",
-		"# TYPE core_table_cache_hits_total counter",
-		"core_table_cache_misses_total",
-		"core_algo_memo_hits_total",
+		"# TYPE core_algo_memo_hits_total counter",
 		"core_algo_memo_misses_total",
 		`fabric_resolve_batch_packed_ns{quantile="0.99"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition lacks %q", want)
 		}
+	}
+	if strings.Contains(text, "core_table_cache_") {
+		t.Error("exposition still carries the table cache's counters, which nothing the daemon does can move")
 	}
 
 	// The journal tail replays the activity in order.
@@ -520,5 +521,27 @@ func TestObservabilityEndpoints(t *testing.T) {
 	// No binary listener in this mux: /wire is a 404.
 	if code, b := do(t, mux, "GET", "/wire"); code != http.StatusNotFound {
 		t.Errorf("wire without listener: %d %v", code, b)
+	}
+}
+
+// TestEmptyListsEncodeAsArrays: every list fabricd serves is a JSON
+// array even when it is empty, so a client can iterate it without a
+// null check. /events?since=<head> used to encode its empty result as
+// null.
+func TestEmptyListsEncodeAsArrays(t *testing.T) {
+	d := tracedDaemon(t, "", 0)
+	mux := newMux(d, 0, false)
+	head := strconv.FormatUint(d.jnl.Seq(), 10)
+	for _, c := range []struct{ target, want string }{
+		{"/events?since=" + head, `"events":[]`},
+		{"/events?since=" + head + "9", `"events":[]`},
+		{"/jobs", `"jobs":[]`},
+	} {
+		req := httptest.NewRequest("GET", c.target, nil)
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), c.want) {
+			t.Errorf("GET %s: %d %s, want a body with %s", c.target, rec.Code, rec.Body.String(), c.want)
+		}
 	}
 }

@@ -131,9 +131,9 @@ func TestEventsSinceCursor(t *testing.T) {
 	if len(tail) != 1 || tail[0].(map[string]any)["seq"].(float64) != last {
 		t.Errorf("since=%v returned %v", last-1, tail)
 	}
-	// A cursor at the head returns nothing new.
+	// A cursor at the head returns nothing new: an empty list.
 	code, body = do(t, mux, "GET", "/events?since="+itoa(int(last)))
-	if code != http.StatusOK || body["events"] != nil {
+	if events, ok := body["events"].([]any); code != http.StatusOK || !ok || len(events) != 0 {
 		t.Errorf("since=head: %d %v", code, body["events"])
 	}
 	if code, _ := do(t, mux, "GET", "/events?since=x"); code != http.StatusBadRequest {

@@ -22,9 +22,7 @@ type CacheKeyer interface {
 // PatternKey is the pattern's part of a table cache key: the content
 // fingerprint plus the cheap exact invariants (N, flow count, byte
 // total), so a 64-bit hash collision alone cannot alias two different
-// computations. Computing one reads every flow twice; a caller that
-// builds many tables over one immutable pattern takes it once with
-// KeyPattern and passes it to BuildKeyed.
+// computations. Computing one reads every flow twice.
 type PatternKey struct {
 	n           int
 	flows       int
@@ -50,15 +48,16 @@ type tableKey struct {
 // content) triple is computed once and shared read-only afterwards.
 // There is no default instance — a nil *TableCache builds, hands the
 // table over and retains nothing, which is what a one-shot sweep
-// wants; a caller that measurably asks for the same table again (a
-// fabric, a sweep building many fabrics over one topology) constructs
-// its own. Cached *Table values must not be mutated by callers —
-// routes are index data valid for any topology with the same spec.
+// wants; a caller that measurably asks for the same table or the same
+// Colored construction again (a daemon's evaluator and optimizer, a
+// sweep whose cells score one pattern) constructs its own. Cached *Table
+// values must not be mutated by callers — routes are index data valid
+// for any topology with the same spec.
 //
 // Both halves, tables and algorithm constructions, are internal/memo
 // caches of capacity entries: safe for concurrent use, with concurrent
-// misses on one key coalesced (the case a fabric rebuild storm
-// produces). A capacity <= 0 cache behaves like a nil one.
+// misses on one key coalesced (the case parallel sweep cells
+// produce). A capacity <= 0 cache behaves like a nil one.
 type TableCache struct {
 	tables *memo.Cache[tableKey, *Table]
 	algos  *memo.Cache[string, Algorithm]
@@ -97,20 +96,11 @@ func (c *TableCache) MemoAlgorithm(key string, build func() Algorithm) Algorithm
 // and the triple has been built before. A nil cache, a pass-through
 // cache, and a non-memoizable algorithm all fall back to BuildTable.
 func (c *TableCache) Build(t *xgft.Topology, algo Algorithm, p *pattern.Pattern) (*Table, error) {
-	if c.keyer(algo) == nil {
-		return BuildTable(t, algo, p)
-	}
-	return c.BuildKeyed(t, algo, p, KeyPattern(p))
-}
-
-// BuildKeyed is Build for a caller that already holds p's key: pk must
-// be KeyPattern(p) of the unmodified p.
-func (c *TableCache) BuildKeyed(t *xgft.Topology, algo Algorithm, p *pattern.Pattern, pk PatternKey) (*Table, error) {
 	keyer := c.keyer(algo)
 	if keyer == nil {
 		return BuildTable(t, algo, p)
 	}
-	key := tableKey{topo: t.String(), algo: keyer.CacheKey(), pattern: pk}
+	key := tableKey{topo: t.String(), algo: keyer.CacheKey(), pattern: KeyPattern(p)}
 	tbl, _, err := c.tables.Get(key, func() (*Table, error) { return BuildTable(t, algo, p) })
 	return tbl, err
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"repro/internal/contention"
-	"repro/internal/core"
 	"repro/internal/evaluate"
 	"repro/internal/fabric"
 	"repro/internal/hashutil"
@@ -152,13 +151,6 @@ func PlacementSweep(opt Options) ([]PlacementRow, error) {
 	opt, tp, err := tenantSweep(opt, 8)
 	if err != nil {
 		return nil, err
-	}
-	if opt.Cache == nil {
-		// Sweep-local, one entry: every cell's fabric starts from
-		// d-mod-k over all pairs, and the singleflight makes the cells
-		// that ask at t=0 wait for one build. At -seeds 12: 47 hits /
-		// 1 miss, a fifth less CPU (1.01 s against 1.27 s without).
-		opt.Cache = core.NewTableCache(1)
 	}
 	// Cell k*Seeds+s is policy k on seed s; its samples are
 	// concatenated in (policy, seed, event) order after the pool drains.

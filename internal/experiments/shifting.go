@@ -81,11 +81,12 @@ func ShiftSweep(opt Options) ([]ShiftRow, error) {
 		return nil, err
 	}
 	if opt.Cache == nil {
-		// Sweep-local, as ChurnSweep's is cell-local: every fabric
-		// starts from d-mod-k over all pairs, and the bit-reversal
-		// phase (hence its Colored) is one pattern for every seed. At
-		// -seeds 12: 25 table hits / 40 misses, 11 / 37 on the memo,
-		// a fifth less CPU (0.30 s against 0.38 s without).
+		// Sweep-local, as ChurnSweep's is cell-local: the bit-reversal
+		// phase (hence its Colored and its scored tables) is one
+		// pattern for every seed. At -seeds 12: 11 table hits / 37
+		// misses and 11 / 37 on the memo. Since fabrics stopped building
+		// their tables through it, the CPU it saves is within noise
+		// (0.29 s against 0.26 s without, medians of 7 at -parallel 1).
 		opt.Cache = core.NewTableCache(64)
 	}
 	eval := evaluate.NewAnalytic(opt.Cache)

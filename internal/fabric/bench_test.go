@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -287,6 +289,43 @@ func BenchmarkOptimize(b *testing.B) {
 		if _, err := f.Optimize(OptimizeConfig{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkNew measures building a fabric from nothing — packing the
+// configured scheme's table, certifying it and publishing generation 0 —
+// with telemetry off and a private cache, at 256 leaves and at 4 096. It
+// reports what one build allocates (B/op) and the heap the built fabric
+// keeps (retained-MB: live heap after a GC with the fabric held, less
+// the live heap before it was built); the packed rows alone are
+// leaves² × 8 B.
+func BenchmarkNew(b *testing.B) {
+	for _, tp := range []*xgft.Topology{
+		xgft.MustNew(2, []int{16, 16}, []int{1, 16}),
+		xgft.MustNew(3, []int{16, 16, 16}, []int{1, 16, 16}),
+	} {
+		b.Run(fmt.Sprintf("leaves=%d", tp.Leaves()), func(b *testing.B) {
+			b.ReportAllocs()
+			var retained uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				b.StartTimer()
+				f, err := New(Config{Topo: tp, Algo: core.NewDModK(tp)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				runtime.KeepAlive(f)
+				retained += after.HeapAlloc - min(before.HeapAlloc, after.HeapAlloc)
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(retained)/float64(b.N)/(1<<20), "retained-MB")
+		})
 	}
 }
 

@@ -19,9 +19,10 @@
 // table in serving form (packed rows), a list of override routes, and a
 // fault view. The healthy table of each static scheme the fabric has
 // installed — the configured one, and d-mod-k and r-NCA-u/d as they win
-// optimize passes — is packed once and pinned; its rows are never
-// written again, so generations share them. FailLink/FailSwitch derive
-// from the serving rows under a larger view: only pairs with an
+// optimize passes — is built once straight into packed rows, a source
+// row at a time (it is never held unpacked), and pinned; its rows are
+// never written again, so generations share them. FailLink/FailSwitch
+// derive from the serving rows under a larger view: only pairs with an
 // endpoint under a newly failed wire are even looked at, and only the
 // routes that ride one are recomputed, in copy-on-write clones of the
 // rows they live in. Heal derives from the configured scheme's pinned table
@@ -68,15 +69,16 @@ type Config struct {
 	// Topo is the healthy topology. Required; Height must be <= 7 and
 	// every W(l) <= 255 (the packed-route limits).
 	Topo *xgft.Topology
-	// Algo computes the healthy routes. Required. Schemes
-	// implementing core.CacheKeyer are served from the table cache.
+	// Algo computes the healthy routes. Required. Its table is routed
+	// straight into packed rows; schemes implementing core.CacheKeyer
+	// are pinned under their key, so installing one again reuses them.
 	Algo core.Algorithm
-	// Cache serves the healthy table builds behind the fabric's pinned
-	// tables (one per static scheme it installs) and memoizes the Colored
-	// optimizer per observed pattern; nil creates a private cache.
+	// Cache memoizes the Colored optimizer per observed pattern and backs
+	// the default evaluator's phase tables; nil creates a private cache.
 	// Sharing one cache across fabrics and experiment sweeps deduplicates
-	// identical builds and Colored constructions, including concurrent
-	// ones (the singleflight coalescing of internal/memo).
+	// identical Colored constructions and scoring builds, including
+	// concurrent ones (the singleflight coalescing of internal/memo). The
+	// fabric's own healthy tables never pass through it.
 	Cache *core.TableCache
 	// Telemetry enables per-pair flow counters on the resolve path and
 	// with them the Optimize re-optimization loop. A resolve pass counts
@@ -124,12 +126,7 @@ type Fabric struct {
 	algo  core.Algorithm
 	cache *core.TableCache
 	eval  evaluate.Evaluator
-	pairs *pattern.Pattern // all-pairs probe pattern, shard fill order
-	// pairsKey is the table-cache key of pairs. The pattern never
-	// changes, so its 65k-flow content hash is taken once here, not on
-	// every table build.
-	pairsKey core.PatternKey
-	tel      *Telemetry // nil when telemetry is disabled
+	tel   *Telemetry // nil when telemetry is disabled
 
 	m        *fabricMetrics      // nil when metrics are disabled
 	journal  *obs.Journal        // nil when event recording is disabled
@@ -269,11 +266,9 @@ func New(cfg Config) (f *Fabric, err error) {
 		algo:  cfg.Algo,
 		cache: cache,
 		eval:  eval,
-		pairs: pattern.AllToAll(cfg.Topo.Leaves(), 1),
 
 		pinned: make(map[string]*table),
 	}
-	f.pairsKey = core.KeyPattern(f.pairs)
 	if cfg.Telemetry {
 		f.tel = newTelemetry(cfg.Topo.Leaves())
 	}
@@ -491,11 +486,14 @@ type table struct {
 // at the seeds recently installed. Past it the set starts over.
 const maxPinned = 8
 
-// pinLocked returns algo's healthy all-pairs table in serving form, building
-// it through the table cache and packing it the first time the scheme
-// is installed; hit reports that it was pinned already. Tables are
-// pinned under the scheme's CacheKey; a scheme without one is packed
-// again per call. Callers hold f.mu.
+// pinLocked returns algo's healthy all-pairs table in serving form,
+// packing it the first time the scheme is installed; hit reports that it
+// was pinned already. The table is routed straight into its packed rows,
+// a source at a time: core.RouteFlows — which validates every non-self
+// route — routes the row's n-1 pairs into scratch reused across rows, so
+// the table is never held unpacked. Tables are pinned under the scheme's
+// CacheKey; a scheme without one is packed again per call. Callers hold
+// f.mu.
 func (f *Fabric) pinLocked(algo core.Algorithm) (tbl *table, hit bool, err error) {
 	keyer, keyed := algo.(core.CacheKeyer)
 	if keyed {
@@ -503,18 +501,27 @@ func (f *Fabric) pinLocked(algo core.Algorithm) (tbl *table, hit bool, err error
 			return tbl, true, nil
 		}
 	}
-	built, err := f.cache.BuildKeyed(f.topo, algo, f.pairs, f.pairsKey)
-	if err != nil {
-		return nil, false, err
-	}
 	n := f.topo.Leaves()
 	words := make([]uint64, n*n) // one pointer-free block for the whole table
 	tbl = &table{rows: make([][]uint64, n)}
+	row := &pattern.Pattern{N: n, Flows: make([]pattern.Flow, n-1)}
+	var routes []xgft.Route
+	var arena []int
 	for s := range tbl.rows {
 		tbl.rows[s] = words[s*n : (s+1)*n : (s+1)*n]
-	}
-	for i, fl := range f.pairs.Flows {
-		tbl.rows[fl.Src][fl.Dst] = packRoute(built.Routes[i])
+		for i := range row.Flows {
+			d := i
+			if d >= s {
+				d++ // self-pairs are skipped
+			}
+			row.Flows[i] = pattern.Flow{Src: s, Dst: d}
+		}
+		if routes, arena, err = core.RouteFlows(f.topo, algo, row, routes, arena); err != nil {
+			return nil, false, err
+		}
+		for _, r := range routes {
+			tbl.rows[s][r.Dst] = packRoute(r)
+		}
 	}
 	if keyed {
 		if len(f.pinned) >= maxPinned {
@@ -637,7 +644,7 @@ func (f *Fabric) derive(start time.Time, base *table, overrides []xgft.Route, vi
 		stats: Stats{
 			Seq:            seq,
 			Algo:           algoName,
-			Routes:         len(f.pairs.Flows) - unreachable,
+			Routes:         n*(n-1) - unreachable,
 			Patched:        patched,
 			Unreachable:    unreachable,
 			FailedWires:    view.FailedWires(),

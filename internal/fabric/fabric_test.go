@@ -441,3 +441,58 @@ func TestRoutesAllocatesTwice(t *testing.T) {
 		}
 	}
 }
+
+// TestPinPacksStraightIntoRows: a healthy table is routed a row at a
+// time into its packed rows and held nowhere else. At 256 leaves,
+// pinning a scheme the fabric has not installed allocates less than
+// 1 MB, of which the packed rows are 0.52 MB (routing an unpacked
+// 65 280-route table first and packing it took 4.2 MB); and a table
+// cache shared with the fabric
+// serves no table build through New and an optimize swap to r-NCA-u —
+// its table half reads 0 hits and 0 misses.
+func TestPinPacksStraightIntoRows(t *testing.T) {
+	tp := xgft.MustNew(2, []int{16, 16}, []int{1, 16})
+	cache := core.NewTableCache(8)
+	f, err := New(Config{Topo: tp, Algo: core.NewDModK(tp), Cache: cache, Telemetry: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Leaves 0-14 of switch 0 to one leaf under each other switch: every
+	// d-mod-k route funnels through one top switch, r-NCA-u spreads them.
+	for s := 0; s < 15; s++ {
+		if _, ok := f.Resolve(s, 16+16*s); !ok {
+			t.Fatalf("pair (%d,%d) did not resolve", s, 16+16*s)
+		}
+	}
+	res, err := f.Optimize(OptimizeConfig{Reset: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Swapped || res.Best != "r-NCA-u" {
+		t.Fatalf("optimize picked %s (swapped %v), want a swap to r-NCA-u", res.Best, res.Swapped)
+	}
+	if hits, misses := cache.Stats(); hits != 0 || misses != 0 {
+		t.Errorf("shared table cache read %d hits / %d misses after New and an optimize swap, want 0 / 0", hits, misses)
+	}
+
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tbl, hit, err := f.pinLocked(core.NewRandomNCADown(tp, 7))
+	runtime.ReadMemStats(&after)
+	if err != nil || hit {
+		t.Fatalf("pinning r-NCA-d: hit %v, err %v", hit, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("pinning a new scheme at %d leaves allocated %d B, want < 1 MB", tp.Leaves(), got)
+	}
+	want := core.NewRandomNCADown(tp, 7)
+	for s, row := range tbl.rows {
+		for d, word := range row {
+			if s != d && word != packRoute(want.Route(s, d)) {
+				t.Fatalf("pinned (%d,%d) = %#x, want %#x", s, d, word, packRoute(want.Route(s, d)))
+			}
+		}
+	}
+}

@@ -89,17 +89,6 @@ type OptimizeResult struct {
 	Stats   Stats
 }
 
-// allPairsIndex returns the index of pair (s, d) in the all-pairs
-// probe pattern (s-major, self-pairs skipped) that fabric tables are
-// aligned with.
-func allPairsIndex(n, s, d int) int {
-	i := s*(n-1) + d
-	if d > s {
-		i--
-	}
-	return i
-}
-
 // Optimize runs one telemetry-driven re-optimization pass: snapshot
 // the flow counters, score the current generation and the candidate
 // schemes (d-mod-k, r-NCA-u/d, and Colored seeded with the observed

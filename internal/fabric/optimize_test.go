@@ -310,6 +310,17 @@ func TestConcurrentResolveDuringOptimize(t *testing.T) {
 	}
 }
 
+// allPairsIndex returns the index of pair (s, d) in
+// pattern.AllToAll(n, 1) (s-major, self-pairs skipped), the order the
+// from-scratch reference tables are aligned with.
+func allPairsIndex(n, s, d int) int {
+	i := s*(n-1) + d
+	if d > s {
+		i--
+	}
+	return i
+}
+
 func TestAllPairsIndex(t *testing.T) {
 	n := 7
 	pairs := pattern.AllToAll(n, 1)

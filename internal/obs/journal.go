@@ -108,21 +108,22 @@ func (j *Journal) Tail(n int) []Event {
 	return out
 }
 
-// Since returns every retained event with Seq > seq, oldest first.
-// Since(0) is the full retained tail. If events past seq were already
-// overwritten, the result starts later than seq+1 — callers detect the
-// gap by comparing the first returned Seq against seq+1.
+// Since returns every retained event with Seq > seq, oldest first: an
+// empty, non-nil slice when there is none, so it encodes as a JSON list
+// like every other list the daemon serves. Since(0) is the full
+// retained tail. If events past seq were already overwritten, the
+// result starts later than seq+1 — callers detect the gap by comparing
+// the first returned Seq against seq+1.
 func (j *Journal) Since(seq uint64) []Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	// The oldest retained event has sequence seq-n+1; everything the
 	// caller has not seen is the newest min(n, j.seq-seq) entries.
+	n := j.n
 	if seq >= j.seq {
-		return nil
-	}
-	n := int(j.seq - seq)
-	if n > j.n {
-		n = j.n
+		n = 0
+	} else if unseen := j.seq - seq; unseen < uint64(n) {
+		n = int(unseen)
 	}
 	out := make([]Event, n)
 	start := j.next - n

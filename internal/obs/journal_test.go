@@ -53,7 +53,7 @@ func TestJournalTailOrderAndWraparound(t *testing.T) {
 
 func TestJournalSince(t *testing.T) {
 	j := NewJournal(4, nil)
-	if got := j.Since(0); got != nil {
+	if got := j.Since(0); got == nil || len(got) != 0 {
 		t.Fatalf("Since on empty journal = %+v", got)
 	}
 	for i := 1; i <= 10; i++ {
@@ -70,11 +70,11 @@ func TestJournalSince(t *testing.T) {
 	if len(got) != 4 || got[0].Seq != 7 {
 		t.Fatalf("Since(2) = %+v", got)
 	}
-	// Fully caught up (or ahead): nothing new.
-	if got := j.Since(10); got != nil {
+	// Fully caught up (or ahead): nothing new, as an empty list.
+	if got := j.Since(10); got == nil || len(got) != 0 {
 		t.Fatalf("Since(10) = %+v", got)
 	}
-	if got := j.Since(99); got != nil {
+	if got := j.Since(99); got == nil || len(got) != 0 {
 		t.Fatalf("Since(99) = %+v", got)
 	}
 	// Since(0) is the whole retained tail.
