@@ -375,12 +375,20 @@ func BenchmarkAblationColoredPasses(b *testing.B) {
 	phases := []*pattern.Pattern{ph}
 	for _, passes := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("passes=%d", passes), func(b *testing.B) {
-			var groups int
+			var col *core.Colored
 			for i := 0; i < b.N; i++ {
-				col := core.NewColored(tp, phases, core.ColoredConfig{MaxPasses: passes})
-				groups = col.MaxGroups(ph)
+				col = core.NewColored(tp, phases, core.ColoredConfig{MaxPasses: passes})
 			}
-			b.ReportMetric(float64(groups), "max-groups")
+			b.StopTimer()
+			tbl, err := core.BuildTable(tp, col, ph)
+			if err != nil {
+				b.Fatal(err)
+			}
+			a, err := contention.Analyze(tp, ph, tbl.Routes)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(a.MaxNetworkContention()), "max-groups")
 		})
 	}
 }

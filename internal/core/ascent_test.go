@@ -89,7 +89,7 @@ func TestCensusBufferPathMatchesRoutePerPair(t *testing.T) {
 			if _, ok := algo.(ascender); !ok {
 				t.Fatalf("%s does not compute its ascent into a buffer", algo.Name())
 			}
-			if _, ok := algo.(guided); ok == (algo.Name() == "random") {
+			if _, ok := algo.(*relabelFamily); ok == (algo.Name() == "random") {
 				t.Fatalf("%s: guided %v, want a guide leaf for every scheme but Random", algo.Name(), ok)
 			}
 			want := censusByRoute(tp, algo)

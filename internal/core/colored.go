@@ -18,13 +18,14 @@ import (
 // NCAs so that groups of flows that are not already serialized at an
 // endpoint avoid sharing channels. The paper uses it as the
 // best-achievable envelope for a network of the same cost.
+//
+// Its routes are a FixedTable over D-mod-k, keyed by pair and written
+// unvalidated: every ascent is one of the optimizer's candidates.
 type Colored struct {
-	topo     *xgft.Topology
-	fallback Algorithm
-	routes   map[int][]int // by pairKey
-	// assigned is routes as a list in (src, dst) order, built by the
-	// first Assignments call: sweeps that only score a Colored never
-	// install one.
+	table *FixedTable
+	// assigned is the table's explicit routes as a list in (src, dst)
+	// order, built by the first Assignments call: sweeps that only
+	// score a Colored never install one.
 	assigned     []xgft.Route
 	assignedOnce sync.Once
 	cacheKey     string
@@ -69,18 +70,15 @@ func NewColored(t *xgft.Topology, phases []*pattern.Pattern, cfg ColoredConfig) 
 		totalBytes += ph.TotalBytes()
 		flows += len(ph.Flows)
 	}
-	c := &Colored{
-		topo:     t,
-		fallback: NewDModK(t),
-		routes:   make(map[int][]int, flows),
-	}
+	c := &Colored{table: &FixedTable{topo: t, name: "colored", fallback: NewDModK(t), routes: make(map[int][]int, flows)}}
 	n := t.Leaves()
 	o := &optimizer{
-		c:    c,
-		cfg:  cfg,
-		st:   newPhaseState(t),
-		seen: make([]uint64, (n*n+63)/64),
-		full: make([][][]int, t.Height()+1),
+		c:     c,
+		cfg:   cfg,
+		st:    newPhaseState(t),
+		smodk: NewSModK(t),
+		seen:  make([]uint64, (n*n+63)/64),
+		full:  make([][][]int, t.Height()+1),
 	}
 	for _, ph := range phases {
 		o.phase(ph)
@@ -102,7 +100,7 @@ func (c *Colored) CacheKey() string { return c.cacheKey }
 
 // Fallback returns the scheme that routes every pair Colored assigned
 // nothing to.
-func (c *Colored) Fallback() Algorithm { return c.fallback }
+func (c *Colored) Fallback() Algorithm { return c.table.fallback }
 
 // Assignments returns the routes Colored assigned explicitly, in
 // (src, dst) order: together with Fallback's table they are the whole
@@ -111,31 +109,18 @@ func (c *Colored) Fallback() Algorithm { return c.fallback }
 // must not modify them.
 func (c *Colored) Assignments() []xgft.Route {
 	c.assignedOnce.Do(func() {
-		keys := make([]int, 0, len(c.routes))
-		for key := range c.routes {
-			keys = append(keys, key)
-		}
-		slices.Sort(keys)
-		n := c.topo.Leaves()
+		keys := c.table.sortedKeys()
+		n := c.table.topo.Leaves()
 		c.assigned = make([]xgft.Route, len(keys))
 		for i, key := range keys {
-			c.assigned[i] = xgft.Route{Src: key / n, Dst: key % n, Up: c.routes[key]}
+			c.assigned[i] = xgft.Route{Src: key / n, Dst: key % n, Up: c.table.routes[key]}
 		}
 	})
 	return c.assigned
 }
 
-// pairKey indexes the assignment map by pair: one word hashes faster
-// than two, and a table build looks up every flow.
-func (c *Colored) pairKey(src, dst int) int { return src*c.topo.Leaves() + dst }
-
 // Route implements Algorithm.
-func (c *Colored) Route(src, dst int) xgft.Route {
-	if up, ok := c.routes[c.pairKey(src, dst)]; ok {
-		return xgft.Route{Src: src, Dst: dst, Up: append([]int(nil), up...)}
-	}
-	return c.fallback.Route(src, dst)
-}
+func (c *Colored) Route(src, dst int) xgft.Route { return c.table.Route(src, dst) }
 
 // phaseState tracks, per channel and direction, how many flows of
 // each endpoint group currently use it, plus the number of distinct
@@ -184,28 +169,11 @@ func newPhaseState(t *xgft.Topology) *phaseState {
 	return st
 }
 
-// load applies every flow of the phase that has both endpoints on the
-// tree, on the ascent algo routes it by.
-func (st *phaseState) load(ph *pattern.Pattern, algo Algorithm) *phaseState {
-	for _, f := range ph.Flows {
-		if f.Src != f.Dst && st.onTree(f) {
-			st.apply(f, algo.Route(f.Src, f.Dst).Up, 1)
-		}
-	}
-	return st
-}
-
 // onTree reports whether both endpoints are leaves: a flow with one
 // outside would index another channel's cells.
 func (st *phaseState) onTree(f pattern.Flow) bool {
 	n := st.topo.Leaves()
 	return f.Src >= 0 && f.Src < n && f.Dst >= 0 && f.Dst < n
-}
-
-// maxGroups is the largest number of endpoint groups sharing one
-// channel in either direction (1 = conflict-free).
-func (st *phaseState) maxGroups() int {
-	return int(max(slices.Max(st.upGroups), slices.Max(st.downGroups)))
 }
 
 // apply and cost visit the channels xgft.Route.Walk would — the ascent
@@ -276,16 +244,17 @@ type job struct {
 
 // optimizer is what NewColored builds once and every phase reuses.
 type optimizer struct {
-	c    *Colored
-	cfg  ColoredConfig
-	st   *phaseState
-	seen []uint64  // bitmap by pairKey: pairs the current phase has listed
-	full [][][]int // by NCA level: every ascent, enumerated on first use
-	jobs []job
+	c     *Colored
+	cfg   ColoredConfig
+	st    *phaseState
+	smodk Algorithm // the sampled candidates' second default
+	seen  []uint64  // bitmap by pairKey: pairs the current phase has listed
+	full  [][][]int // by NCA level: every ascent, enumerated on first use
+	jobs  []job
 }
 
 func (o *optimizer) phase(ph *pattern.Pattern) {
-	c, st := o.c, o.st
+	tbl, st := o.c.table, o.st
 	clear(st.upCounts)
 	clear(st.downCounts)
 	clear(st.upGroups)
@@ -296,12 +265,12 @@ func (o *optimizer) phase(ph *pattern.Pattern) {
 		if f.Src == f.Dst || !st.onTree(f) {
 			continue
 		}
-		key := c.pairKey(f.Src, f.Dst)
+		key := tbl.pairKey(f.Src, f.Dst)
 		if o.seen[key>>6]&(1<<(key&63)) != 0 {
 			continue
 		}
 		o.seen[key>>6] |= 1 << (key & 63)
-		if prior, ok := c.routes[key]; ok {
+		if prior, ok := tbl.routes[key]; ok {
 			// Fixed by an earlier phase: count its load, don't move it.
 			st.apply(f, prior, 1)
 			continue
@@ -345,7 +314,7 @@ func (o *optimizer) phase(ph *pattern.Pattern) {
 		}
 	}
 	for _, jb := range jobs {
-		c.routes[c.pairKey(jb.flow.Src, jb.flow.Dst)] = jb.cand[jb.pick]
+		tbl.routes[tbl.pairKey(jb.flow.Src, jb.flow.Dst)] = jb.cand[jb.pick]
 	}
 }
 
@@ -355,7 +324,7 @@ func (o *optimizer) phase(ph *pattern.Pattern) {
 // — otherwise the two mod-k defaults plus a deterministic random
 // sample of the flow's own.
 func (o *optimizer) candidates(f pattern.Flow) [][]int {
-	t := o.c.topo
+	t := o.st.topo
 	l := t.NCALevel(f.Src, f.Dst)
 	if total := t.NCACount(l); total <= o.cfg.MaxCandidates {
 		if o.full[l] == nil {
@@ -372,8 +341,8 @@ func (o *optimizer) candidates(f pattern.Flow) [][]int {
 		return o.full[l]
 	}
 	out := [][]int{
-		o.c.fallback.Route(f.Src, f.Dst).Up,
-		NewSModK(t).Route(f.Src, f.Dst).Up,
+		o.c.Fallback().Route(f.Src, f.Dst).Up,
+		o.smodk.Route(f.Src, f.Dst).Up,
 	}
 	for k := 0; len(out) < o.cfg.MaxCandidates; k++ {
 		cand := make([]int, l)
@@ -383,11 +352,4 @@ func (o *optimizer) candidates(f pattern.Flow) [][]int {
 		out = append(out, cand)
 	}
 	return out
-}
-
-// MaxGroups reports the maximum per-channel group contention of the
-// routes Colored assigned for a phase — used by tests to verify that
-// permutations on full trees are routed conflict-free.
-func (c *Colored) MaxGroups(ph *pattern.Pattern) int {
-	return newPhaseState(c.topo).load(ph, c).maxGroups()
 }

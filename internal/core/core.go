@@ -1,15 +1,19 @@
 // Package core implements the oblivious routing schemes analyzed and
 // proposed by Rodriguez et al. (CLUSTER 2009) for extended generalized
-// fat trees: the classical S-mod-k and D-mod-k self-routing schemes,
-// static Random NCA selection, the paper's new relabeling-based family
-// (Random NCA Up / Random NCA Down), and a pattern-aware "Colored"
-// baseline reproducing the role of the ICS'09 scheme the paper compares
-// against.
+// fat trees: static Random NCA selection, the paper's new
+// relabeling-based family (Random NCA Up / Random NCA Down) and the
+// classical S-mod-k and D-mod-k self-routing schemes, which are that
+// family under the modulo map (§VIII: "particular cases of the
+// family"), plus the pattern-aware "Colored" baseline reproducing the
+// role of the ICS'09 scheme the paper compares against and the
+// LevelWise permutation scheduler.
 //
 // All algorithms produce, for each (source, destination) leaf pair, a
 // minimal route through one of the pair's nearest common ancestors
 // (xgft.Route). Oblivious algorithms are pure functions of the pair
-// (plus a seed); Colored is a function of a whole pattern.
+// (plus a seed); Colored and LevelWise are functions of whole patterns,
+// and their results are FixedTables, the package's one store of
+// explicit routes.
 package core
 
 import (
@@ -143,14 +147,6 @@ func RouteFlows(t *xgft.Topology, algo Algorithm, p *pattern.Pattern, routes []x
 	return routes, arena, nil
 }
 
-// guided is an ascender whose ascent depends on one endpoint of the
-// pair, its guide leaf, and the NCA level alone (mod-k, §V; the
-// relabeling family, §VIII); guidedBySource names that endpoint.
-type guided interface {
-	ascender
-	guidedBySource() bool
-}
-
 // AllPairsNCACensus counts, for every top-ancestor choice, how many of
 // the N*(N-1) ordered pairs with NCA at the top level are assigned to
 // each root, reproducing the census of the paper's Fig. 4 ("number of
@@ -159,7 +155,8 @@ type guided interface {
 // the pairs inside one top subtree, N/m_h consecutive leaves, so no
 // pair's NCA level is ever computed.
 //
-// An endpoint-guided scheme sends every top-level pair of a guide leaf
+// An endpoint-guided scheme (mod-k or the relabeling family: one type,
+// see relabelFamily) sends every top-level pair of a guide leaf
 // to the same root, so its census is one ascent per leaf, toward any
 // peer outside the leaf's top subtree, weighted by the N - N/m_h such
 // peers. Any other scheme is asked pair by pair, Random for its ports
@@ -173,11 +170,11 @@ func AllPairsNCACensus(t *xgft.Topology, algo Algorithm) []int {
 		return counts // m_h = 1: no pair reaches a root
 	}
 	var buf [xgft.MaxHeight]int
-	if g, ok := algo.(guided); ok {
+	if g, ok := algo.(*relabelFamily); ok {
 		for leaf := 0; leaf < n; leaf++ {
 			// Adding one subtree's span moves the top digit, mod N.
 			s, d := leaf, (leaf+subtree)%n
-			if !g.guidedBySource() {
+			if !g.useSource {
 				s, d = d, s
 			}
 			// Every digit of a root's label is a W-digit, so the ascent

@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -15,12 +15,14 @@ import (
 // map, the in-memory form of the forwarding tables a subnet manager
 // (e.g. OpenSM on InfiniBand, which the paper's cited works target)
 // would install. Pairs without an explicit entry fall back to a
-// configurable default scheme.
+// configurable default scheme. It is the package's one store of
+// explicit routes: a loaded or snapshotted table, a LevelWise schedule
+// and Colored's assignments are all FixedTables.
 type FixedTable struct {
 	topo     *xgft.Topology
 	name     string
 	fallback Algorithm
-	routes   map[[2]int][]int
+	routes   map[int][]int // by pairKey: one word hashes faster than two
 }
 
 // NewFixedTable builds an empty fixed table with the given fallback
@@ -36,16 +38,19 @@ func NewFixedTable(t *xgft.Topology, name string, fallback Algorithm) *FixedTabl
 		topo:     t,
 		name:     name,
 		fallback: fallback,
-		routes:   make(map[[2]int][]int),
+		routes:   make(map[int][]int),
 	}
 }
 
 // Name implements Algorithm.
 func (f *FixedTable) Name() string { return f.name }
 
+// pairKey indexes the route map by pair.
+func (f *FixedTable) pairKey(src, dst int) int { return src*f.topo.Leaves() + dst }
+
 // Route implements Algorithm.
 func (f *FixedTable) Route(src, dst int) xgft.Route {
-	if up, ok := f.routes[[2]int{src, dst}]; ok {
+	if up, ok := f.routes[f.pairKey(src, dst)]; ok {
 		return xgft.Route{Src: src, Dst: dst, Up: append([]int(nil), up...)}
 	}
 	return f.fallback.Route(src, dst)
@@ -56,12 +61,22 @@ func (f *FixedTable) Set(r xgft.Route) error {
 	if err := r.Validate(f.topo); err != nil {
 		return err
 	}
-	f.routes[[2]int{r.Src, r.Dst}] = append([]int(nil), r.Up...)
+	f.routes[f.pairKey(r.Src, r.Dst)] = append([]int(nil), r.Up...)
 	return nil
 }
 
 // Len returns the number of explicit entries.
 func (f *FixedTable) Len() int { return len(f.routes) }
+
+// sortedKeys lists the explicit entries' pair keys in (src, dst) order.
+func (f *FixedTable) sortedKeys() []int {
+	keys := make([]int, 0, len(f.routes))
+	for key := range f.routes {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	return keys
+}
 
 // Snapshot captures every route an algorithm produces for the pairs
 // of a pattern into a FixedTable — freezing, for example, one seed of
@@ -88,30 +103,20 @@ func Snapshot(t *xgft.Topology, algo Algorithm, pairs [][2]int) (*FixedTable, er
 //
 // one "src dst port,port,..." line per explicit entry, sorted.
 func (f *FixedTable) WriteTo(w io.Writer) (int64, error) {
-	var total int64
-	n, err := fmt.Fprintf(w, "# xgft %s\n", specOf(f.topo))
-	total += int64(n)
+	written, err := fmt.Fprintf(w, "# xgft %s\n", specOf(f.topo))
+	total := int64(written)
 	if err != nil {
 		return total, err
 	}
-	keys := make([][2]int, 0, len(f.routes))
-	for k := range f.routes {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, k := range keys {
-		ports := f.routes[k]
+	n := f.topo.Leaves()
+	for _, key := range f.sortedKeys() {
+		ports := f.routes[key]
 		strs := make([]string, len(ports))
 		for i, p := range ports {
 			strs[i] = strconv.Itoa(p)
 		}
-		n, err := fmt.Fprintf(w, "%d %d %s\n", k[0], k[1], strings.Join(strs, ","))
-		total += int64(n)
+		written, err := fmt.Fprintf(w, "%d %d %s\n", key/n, key%n, strings.Join(strs, ","))
+		total += int64(written)
 		if err != nil {
 			return total, err
 		}
@@ -119,8 +124,9 @@ func (f *FixedTable) WriteTo(w io.Writer) (int64, error) {
 	return total, nil
 }
 
-// ReadTable parses the WriteTo format against a topology (the header
-// must match) and returns the fixed table.
+// ReadTable parses the WriteTo format against a topology and returns
+// the fixed table. The first non-blank line must be the header naming
+// the topology; later '#' lines are comments. A pair may appear once.
 func ReadTable(t *xgft.Topology, r io.Reader, fallback Algorithm) (*FixedTable, error) {
 	f := NewFixedTable(t, "fixed", fallback)
 	sc := bufio.NewScanner(r)
@@ -132,14 +138,14 @@ func ReadTable(t *xgft.Topology, r io.Reader, fallback Algorithm) (*FixedTable, 
 		if line == "" {
 			continue
 		}
-		if strings.HasPrefix(line, "#") {
-			if !sawHeader {
-				sawHeader = true
-				want := "# xgft " + specOf(t)
-				if line != want {
-					return nil, fmt.Errorf("core: table header %q does not match topology (%q)", line, want)
-				}
+		if !sawHeader {
+			sawHeader = true
+			if want := "# xgft " + specOf(t); line != want {
+				return nil, fmt.Errorf("core: line %d: want the topology's header %q, got %q", lineNo, want, line)
 			}
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
 			continue
 		}
 		fields := strings.Fields(line)
@@ -164,12 +170,20 @@ func ReadTable(t *xgft.Topology, r io.Reader, fallback Algorithm) (*FixedTable, 
 				up = append(up, p)
 			}
 		}
-		if err := f.Set(xgft.Route{Src: src, Dst: dst, Up: up}); err != nil {
+		route := xgft.Route{Src: src, Dst: dst, Up: up}
+		if err := route.Validate(t); err != nil {
 			return nil, fmt.Errorf("core: line %d: %w", lineNo, err)
 		}
+		if _, dup := f.routes[f.pairKey(src, dst)]; dup {
+			return nil, fmt.Errorf("core: line %d: second route for %d->%d", lineNo, src, dst)
+		}
+		f.routes[f.pairKey(src, dst)] = up
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	if !sawHeader {
+		return nil, fmt.Errorf("core: table has no \"# xgft %s\" header", specOf(t))
 	}
 	return f, nil
 }

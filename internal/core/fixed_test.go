@@ -123,9 +123,34 @@ func TestReadTableParseErrors(t *testing.T) {
 		"0 300 0,0\n",      // out of range
 	}
 	for _, text := range bad {
-		if _, err := ReadTable(tp, strings.NewReader(text), nil); err == nil {
+		if _, err := ReadTable(tp, strings.NewReader("# xgft 2;16,16;1,16\n"+text), nil); err == nil {
 			t.Errorf("bad table %q accepted", text)
 		}
+	}
+}
+
+// ReadTable holds a table to the header it documents: the header is the
+// first non-blank line, so a header-less table cannot load onto any
+// topology, and a pair is routed once, so no line silently replaces
+// another.
+func TestReadTableRequiresHeaderAndUniquePairs(t *testing.T) {
+	tp := paperTree(t, 16)
+	for _, tc := range []struct{ text, err string }{
+		{"", "no \"# xgft 2;16,16;1,16\" header"},
+		{"\n\n", "no \"# xgft 2;16,16;1,16\" header"},
+		{"0 16 0,5\n", "line 1: want the topology's header"},
+		{"\n0 16 0,5\n# xgft 2;16,16;1,16\n", "line 2: want the topology's header"},
+		{"# comment\n# xgft 2;16,16;1,16\n", "line 1: want the topology's header"},
+		{"# xgft 2;16,16;1,16\n0 16 0,5\n1 17 0,2\n0 16 0,6\n", "line 4: second route for 0->16"},
+	} {
+		if _, err := ReadTable(tp, strings.NewReader(tc.text), nil); err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("ReadTable(%q): err = %v, want one containing %q", tc.text, err, tc.err)
+		}
+	}
+	if f, err := ReadTable(tp, strings.NewReader("\n# xgft 2;16,16;1,16\n"), nil); err != nil {
+		t.Errorf("a header alone: %v", err)
+	} else if f.Len() != 0 {
+		t.Errorf("a header alone: %d entries, want none", f.Len())
 	}
 }
 

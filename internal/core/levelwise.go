@@ -7,56 +7,36 @@ import (
 	"repro/internal/xgft"
 )
 
-// LevelWise is the pattern-aware permutation scheduler of Ding,
-// Hoare, Jones & Melhem ("Level-wise scheduling algorithm for fat
-// tree interconnection networks", SC'06 — the paper's ref. [15],
+// NewLevelWise returns the pattern-aware permutation scheduler of
+// Ding, Hoare, Jones & Melhem ("Level-wise scheduling algorithm for
+// fat tree interconnection networks", SC'06 — the paper's ref. [15],
 // cited as the efficient algorithm for known permutations on k-ary
-// n-trees). Ascent ports are assigned level by level: at level l the
-// flows still climbing form a bipartite multigraph between their
-// current up-side and down-side ancestors; a König edge coloring with
-// w_{l+1} colors assigns the ports so that no two flows share an up
-// or down channel — a constructive proof of the rearrangeability the
-// paper invokes in §II.
+// n-trees) as a FixedTable named "level-wise". Ascent ports are
+// assigned level by level: at level l the flows still climbing form a
+// bipartite multigraph between their current up-side and down-side
+// ancestors; a König edge coloring with w_{l+1} colors assigns the
+// ports so that no two flows share an up or down channel — a
+// constructive proof of the rearrangeability the paper invokes in §II.
 //
 // On full k-ary n-trees any (partial) permutation is routed with zero
 // network contention. On slimmed trees, where conflicts are
 // unavoidable, the balanced folding of ColorBipartiteBalanced spreads
 // them evenly (ceil(D/w) flows per channel), which is what §VII-A
 // demands of a good slimmed-tree schedule.
-type LevelWise struct {
-	topo     *xgft.Topology
-	fallback Algorithm
-	routes   map[[2]int][]int
-}
-
-// NewLevelWise schedules every phase of the pattern sequence
-// independently (phases contend only with themselves). Non-permutation
-// phases are legal: degrees just exceed one and the balanced coloring
-// spreads them; a phase over more endpoints than the tree has leaves is
-// an error. Pairs outside the phases fall back to D-mod-k.
-func NewLevelWise(t *xgft.Topology, phases []*pattern.Pattern) (*LevelWise, error) {
-	lw := &LevelWise{
-		topo:     t,
-		fallback: NewDModK(t),
-		routes:   make(map[[2]int][]int),
-	}
+//
+// Every phase of the pattern sequence is scheduled independently
+// (phases contend only with themselves). Non-permutation phases are
+// legal: degrees just exceed one and the balanced coloring spreads
+// them; a phase over more endpoints than the tree has leaves is an
+// error. Pairs outside the phases fall back to D-mod-k.
+func NewLevelWise(t *xgft.Topology, phases []*pattern.Pattern) (*FixedTable, error) {
+	lw := NewFixedTable(t, "level-wise", nil)
 	for pi, ph := range phases {
-		if err := lw.schedulePhase(ph); err != nil {
+		if err := scheduleLevelWise(lw, ph); err != nil {
 			return nil, fmt.Errorf("core: level-wise phase %d: %w", pi, err)
 		}
 	}
 	return lw, nil
-}
-
-// Name implements Algorithm.
-func (lw *LevelWise) Name() string { return "level-wise" }
-
-// Route implements Algorithm.
-func (lw *LevelWise) Route(src, dst int) xgft.Route {
-	if up, ok := lw.routes[[2]int{src, dst}]; ok {
-		return xgft.Route{Src: src, Dst: dst, Up: append([]int(nil), up...)}
-	}
-	return lw.fallback.Route(src, dst)
 }
 
 type lwFlow struct {
@@ -65,7 +45,9 @@ type lwFlow struct {
 	up       []int
 }
 
-func (lw *LevelWise) schedulePhase(ph *pattern.Pattern) error {
+// scheduleLevelWise schedules one phase's pairs that lw has no route
+// for yet into lw.
+func scheduleLevelWise(lw *FixedTable, ph *pattern.Pattern) error {
 	t := lw.topo
 	if err := fits(t, ph); err != nil {
 		return err
@@ -81,7 +63,7 @@ func (lw *LevelWise) schedulePhase(ph *pattern.Pattern) error {
 			continue
 		}
 		seen[key] = true
-		if _, done := lw.routes[key]; done {
+		if _, done := lw.routes[lw.pairKey(f.Src, f.Dst)]; done {
 			continue // fixed by an earlier phase
 		}
 		l := t.NCALevel(f.Src, f.Dst)
@@ -123,18 +105,9 @@ func (lw *LevelWise) schedulePhase(ph *pattern.Pattern) error {
 		}
 	}
 	for _, f := range flows {
-		r := xgft.Route{Src: f.src, Dst: f.dst, Up: f.up}
-		if err := r.Validate(t); err != nil {
+		if err := lw.Set(xgft.Route{Src: f.src, Dst: f.dst, Up: f.up}); err != nil {
 			return err
 		}
-		lw.routes[[2]int{f.src, f.dst}] = f.up
 	}
 	return nil
-}
-
-// MaxGroups reports the maximum per-channel endpoint-group contention
-// of the scheduled routes for a phase (1 = conflict-free), mirroring
-// Colored.MaxGroups for comparisons.
-func (lw *LevelWise) MaxGroups(ph *pattern.Pattern) int {
-	return newPhaseState(lw.topo).load(ph, lw).maxGroups()
 }

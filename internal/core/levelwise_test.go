@@ -150,7 +150,7 @@ func TestLevelWiseConflictFreeOnFullTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := lw.MaxGroups(p); got != 1 {
+		if got := maxGroups(tp, lw, p); got != 1 {
 			t.Fatalf("trial %d: level-wise contention %d, want 1", trial, got)
 		}
 	}
@@ -168,7 +168,7 @@ func TestLevelWiseConflictFreeOnDeepTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := lw.MaxGroups(p); got != 1 {
+		if got := maxGroups(tp, lw, p); got != 1 {
 			t.Fatalf("trial %d: deep level-wise contention %d, want 1", trial, got)
 		}
 		tbl, err := BuildTable(tp, lw, p)
@@ -194,7 +194,7 @@ func TestLevelWiseCGTranspose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := lw.MaxGroups(ph); got != 1 {
+	if got := maxGroups(tp, lw, ph); got != 1 {
 		t.Errorf("level-wise CG transpose contention %d, want 1", got)
 	}
 }
@@ -210,7 +210,7 @@ func TestLevelWiseBalancedOnSlimmedTree(t *testing.T) {
 			t.Fatal(err)
 		}
 		bound := (16 + w2 - 1) / w2
-		if got := lw.MaxGroups(p); got > bound {
+		if got := maxGroups(tp, lw, p); got > bound {
 			t.Errorf("w2=%d: level-wise contention %d above optimal bound %d", w2, got, bound)
 		}
 	}
@@ -245,8 +245,8 @@ func TestLevelWiseAtLeastAsGoodAsColored(t *testing.T) {
 			t.Fatal(err)
 		}
 		col := NewColored(tp, []*pattern.Pattern{p}, ColoredConfig{})
-		if lw.MaxGroups(p) > col.MaxGroups(p) {
-			t.Errorf("level-wise %d worse than colored %d on a permutation", lw.MaxGroups(p), col.MaxGroups(p))
+		if maxGroups(tp, lw, p) > maxGroups(tp, col, p) {
+			t.Errorf("level-wise %d worse than colored %d on a permutation", maxGroups(tp, lw, p), maxGroups(tp, col, p))
 		}
 	}
 }
@@ -265,7 +265,7 @@ func TestQuickLevelWiseRandomTopologiesAndPermutations(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return lw.MaxGroups(p) <= 1
+		return maxGroups(tp, lw, p) <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

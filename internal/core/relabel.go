@@ -17,13 +17,16 @@ import (
 // endpoint still share one path (concentrating endpoint contention
 // exactly like S-mod-k / D-mod-k).
 //
-// Replacing F by the modulo function recovers S-mod-k / D-mod-k,
-// which the paper notes become particular cases of the family.
+// Replacing F by the modulo function recovers S-mod-k / D-mod-k, which
+// the paper notes become particular cases of the family: they are this
+// type drawn with fillModuloMap. Every endpoint-guided scheme of the
+// package is one, so its ascent depends on the guide leaf (the source
+// when useSource, else the destination) and the NCA level alone.
 type relabelFamily struct {
 	topo      *xgft.Topology
-	seed      uint64
 	useSource bool
 	name      string
+	cacheKey  string
 
 	prodM []int // prodM[j] = m_1*...*m_j: leaf-digit place values
 
@@ -33,6 +36,38 @@ type relabelFamily struct {
 	// prefix*m + digit = leaf / prodM[guideDigit(lvl)]. Built once by
 	// the constructor and never written again: Route needs no lock.
 	ports [][]int32
+}
+
+// NewSModK returns the source-mod-k self-routing scheme of the early
+// fat-tree literature (§V): the up-port at switch level l is source
+// label digit l-1 modulo w_{l+1}, so every source is assigned a unique
+// ascending path regardless of the destination, concentrating
+// source-side endpoint contention.
+func NewSModK(t *xgft.Topology) Algorithm {
+	return newModK(t, true, "s-mod-k")
+}
+
+// NewDModK returns the destination-mod-k scheme: the same digits of
+// the destination's label, so every destination is assigned a unique
+// descending path regardless of the source, concentrating
+// destination-side endpoint contention.
+func NewDModK(t *xgft.Topology) Algorithm {
+	return newModK(t, false, "d-mod-k")
+}
+
+// newModK is the family under the modulo map. Its routes are a pure
+// function of the topology, so the name alone is its cache key.
+func newModK(t *xgft.Topology, useSource bool, name string) *relabelFamily {
+	f := newRelabelFamily(t, 0, useSource, name, fillModuloMap)
+	f.cacheKey = name
+	return f
+}
+
+// fillModuloMap is the map mod-k relabels by: digit d to port d mod w.
+func fillModuloMap(vals []int32, w int, _ uint64) {
+	for d := range vals {
+		vals[d] = int32(d % w)
+	}
 }
 
 // NewRandomNCAUp returns the paper's "Random NCA Up" (r-NCA-u)
@@ -53,13 +88,14 @@ func NewRandomNCADown(t *xgft.Topology, seed uint64) Algorithm {
 // newRelabelFamily draws one map [0, m) -> [0, w) per (switch level,
 // enclosing subtree) with fill, from a deterministic stream keyed by
 // (seed, level, subtree prefix), so tables are reproducible from the
-// seed alone.
+// seed alone and name plus seed is the cache key (the unbalanced
+// ablation has its own name, so the two never alias).
 func newRelabelFamily(t *xgft.Topology, seed uint64, useSource bool, name string, fill func(vals []int32, w int, key uint64)) *relabelFamily {
 	f := &relabelFamily{
 		topo:      t,
-		seed:      seed,
 		useSource: useSource,
 		name:      name,
+		cacheKey:  fmt.Sprintf("%s/%#x", name, seed),
 		prodM:     make([]int, t.Height()+1),
 		ports:     make([][]int32, t.Height()),
 	}
@@ -82,13 +118,9 @@ func newRelabelFamily(t *xgft.Topology, seed uint64, useSource bool, name string
 
 func (f *relabelFamily) Name() string { return f.name }
 
-// CacheKey marks relabeling-family routes as memoizable: the maps are
-// a deterministic stream of (seed, level, subtree), so name plus seed
-// identifies the table. The unbalanced ablation has its own name, so
-// the two never alias.
-func (f *relabelFamily) CacheKey() string { return fmt.Sprintf("%s/%#x", f.name, f.seed) }
-
-func (f *relabelFamily) guidedBySource() bool { return f.useSource }
+// CacheKey marks the family's routes as memoizable: its maps are fixed
+// by the topology and the key.
+func (f *relabelFamily) CacheKey() string { return f.cacheKey }
 
 func (f *relabelFamily) Route(src, dst int) xgft.Route {
 	var buf [xgft.MaxHeight]int

@@ -36,9 +36,6 @@ type OptimizeConfig struct {
 	// demands 5% lower analytic slowdown. 0 swaps on any strict
 	// improvement.
 	Threshold float64
-	// MinFlows is the minimum number of distinct observed pairs below
-	// which the pass is a no-op (not enough signal). Defaults to 1.
-	MinFlows int
 	// Seed feeds the randomized candidates (r-NCA-u/d) and the
 	// Colored sampler. Defaults to 1, so passes are reproducible.
 	Seed uint64
@@ -49,9 +46,6 @@ type OptimizeConfig struct {
 }
 
 func (c OptimizeConfig) withDefaults() OptimizeConfig {
-	if c.MinFlows <= 0 {
-		c.MinFlows = 1
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -143,8 +137,8 @@ func (f *Fabric) Optimize(cfg OptimizeConfig) (res OptimizeResult, err error) {
 		Resolves: obs.TotalBytes(),
 		Stats:    cur.stats,
 	}
-	if len(obs.Flows) < cfg.MinFlows {
-		return res, nil
+	if len(obs.Flows) == 0 {
+		return res, nil // nothing observed: no signal to act on
 	}
 	view := cur.view
 

@@ -295,7 +295,7 @@ func TestConcurrentResolveDuringOptimize(t *testing.T) {
 		if _, err := f.FailLink(1, 1, round%4); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.Optimize(OptimizeConfig{Reset: true, MinFlows: 1}); err != nil {
+		if _, err := f.Optimize(OptimizeConfig{Reset: true}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := f.Heal(); err != nil {

@@ -388,8 +388,8 @@ func TestReoptimizeRefitsToTenantPattern(t *testing.T) {
 	if f.Stats().Algo == "d-mod-k" {
 		t.Errorf("fabric still serves d-mod-k after swap")
 	}
-	// Releasing the tenant and re-optimizing is a no-op pass (no
-	// observed flows -> below MinFlows).
+	// Releasing the tenant and re-optimizing is a no-op pass: no
+	// observed flows.
 	if err := s.Release(j.ID); err != nil {
 		t.Fatal(err)
 	}

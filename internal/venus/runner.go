@@ -11,10 +11,16 @@ import (
 
 // RunPattern injects every flow of the pattern at t=0 (the paper's
 // strategy (ii): all messages fragmented and injected simultaneously)
-// and runs to completion, returning the makespan.
+// and runs to completion, returning the makespan. A flow with an
+// endpoint off the tree is refused before any scheme is asked to route
+// it.
 func RunPattern(t *xgft.Topology, algo core.Algorithm, p *pattern.Pattern, cfg Config) (eventq.Time, error) {
 	routes := make([]xgft.Route, len(p.Flows))
+	n := t.Leaves()
 	for i, f := range p.Flows {
+		if f.Src < 0 || f.Src >= n || f.Dst < 0 || f.Dst >= n {
+			return 0, fmt.Errorf("venus: flow %d (%d->%d) has an endpoint off the %d-leaf tree", i, f.Src, f.Dst, n)
+		}
 		if f.Src != f.Dst {
 			routes[i] = algo.Route(f.Src, f.Dst)
 		}

@@ -95,7 +95,8 @@ var (
 	BuildRoutingTable = core.BuildTable
 	// SnapshotRoutes freezes an algorithm's routes for given pairs.
 	SnapshotRoutes = core.Snapshot
-	// ReadRoutingTable parses a serialized fixed table.
+	// ReadRoutingTable parses a serialized fixed table: the topology
+	// header first, then each pair at most once.
 	ReadRoutingTable = core.ReadTable
 )
 
