@@ -209,6 +209,25 @@ func TestRNCADownIsDestinationBased(t *testing.T) {
 	}
 }
 
+// TestLFTOnDeepTree: on the 4-ary 3-tree, r-NCA-d fits linear
+// forwarding tables (one up-port per switch and destination) and every
+// one of its routes connects source to destination.
+func TestLFTOnDeepTree(t *testing.T) {
+	tp, err := xgft.NewKaryNTree(4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	algo := NewRandomNCADown(tp, 9)
+	if l, node, d, found := destinationPortConflict(tp, algo); found {
+		t.Errorf("r-NCA-d on %s: switch (%d,%d) forwards destination %d by two up-ports", tp, l, node, d)
+	}
+	forPairs(tp, func(s, d int) {
+		if r := algo.Route(s, d); !r.VerifyConnects(tp) {
+			t.Fatalf("r-NCA-d route %d->%d does not connect", s, d)
+		}
+	})
+}
+
 // TestSModKIsNotDestinationBased: the source-guided schemes and
 // per-pair Random route some destination by two up-ports at one switch,
 // so no destination-indexed table holds them.
