@@ -27,7 +27,11 @@ import (
 
 // Algorithm computes a static route for every leaf pair. Route must be
 // deterministic: calling it twice with the same arguments yields the
-// same route (static, pre-computable routing tables).
+// same route (static, pre-computable routing tables). Both endpoints
+// must be leaves, in [0, Leaves()): callers check them (RouteFlows
+// through fits, the fabric's lookup, venus.RunPattern), and a scheme
+// handed a pair off the tree may panic, but never answers with another
+// pair's route.
 type Algorithm interface {
 	// Name identifies the algorithm in reports ("s-mod-k", ...).
 	Name() string
@@ -107,7 +111,9 @@ func BuildTable(t *xgft.Topology, algo Algorithm, p *pattern.Pattern) (*Table, e
 // p.Flows, and returns it together with arena; both are the caller's
 // buffers, reused when large enough and grown otherwise, so a caller
 // that builds table after table allocates nothing once they are warm.
-// Self-flows get empty routes; every other route is validated. Ascents
+// A pattern wider than the tree, or a flow with an endpoint off it, is
+// refused before any scheme is asked (see Algorithm). Self-flows get
+// empty routes; every other route is validated. Ascents
 // of the package's oblivious schemes are carved out of arena, each
 // capped at its own length so appending to one route's Up cannot reach
 // its neighbour's; routes from other algorithms are their own. The
@@ -125,7 +131,11 @@ func RouteFlows(t *xgft.Topology, algo Algorithm, p *pattern.Pattern, routes []x
 		arena = make([]int, 0, need) // never regrown below: routes alias it
 	}
 	arena = arena[:0]
+	n := uint(t.Leaves())
 	for i, f := range p.Flows {
+		if uint(f.Src) >= n || uint(f.Dst) >= n {
+			return routes, arena, fmt.Errorf("core: flow %d (%d->%d) has an endpoint off the %d-leaf tree", i, f.Src, f.Dst, n)
+		}
 		var r xgft.Route
 		if buffered {
 			end := len(arena)
@@ -156,11 +166,11 @@ func RouteFlows(t *xgft.Topology, algo Algorithm, p *pattern.Pattern, routes []x
 // pair's NCA level is ever computed.
 //
 // An endpoint-guided scheme (mod-k or the relabeling family: one type,
-// see relabelFamily) sends every top-level pair of a guide leaf
-// to the same root, so its census is one ascent per leaf, toward any
-// peer outside the leaf's top subtree, weighted by the N - N/m_h such
-// peers. Any other scheme is asked pair by pair, Random for its ports
-// at the known top level.
+// see GuideAscent) sends every top-level pair of a guide leaf to the
+// root its full-height ascent reaches, so its census is one ascent per
+// leaf, weighted by the N - N/m_h peers outside the leaf's top subtree.
+// Any other scheme is asked pair by pair, Random for its ports at the
+// known top level.
 func AllPairsNCACensus(t *xgft.Topology, algo Algorithm) []int {
 	h := t.Height()
 	counts := make([]int, t.NodesAt(h))
@@ -170,16 +180,12 @@ func AllPairsNCACensus(t *xgft.Topology, algo Algorithm) []int {
 		return counts // m_h = 1: no pair reaches a root
 	}
 	var buf [xgft.MaxHeight]int
-	if g, ok := algo.(*relabelFamily); ok {
+	if _, _, guided := GuideAscent(algo, 0, buf[:0]); guided {
 		for leaf := 0; leaf < n; leaf++ {
-			// Adding one subtree's span moves the top digit, mod N.
-			s, d := leaf, (leaf+subtree)%n
-			if !g.useSource {
-				s, d = d, s
-			}
-			// Every digit of a root's label is a W-digit, so the ascent
-			// is the root's label.
-			counts[t.Index(h, g.ascentInto(s, d, buf[:0]))] += n - subtree
+			// Every digit of a root's label is a W-digit, so the guide's
+			// full ascent is the root all its top-level pairs meet at.
+			up, _, _ := GuideAscent(algo, leaf, buf[:0])
+			counts[t.Index(h, up)] += n - subtree
 		}
 		return counts
 	}

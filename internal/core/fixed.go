@@ -48,8 +48,13 @@ func (f *FixedTable) Name() string { return f.name }
 // pairKey indexes the route map by pair.
 func (f *FixedTable) pairKey(src, dst int) int { return src*f.topo.Leaves() + dst }
 
-// Route implements Algorithm.
+// Route implements Algorithm. A pair off the tree has no key of its
+// own — (0, N+44) would key as (1, 44) — so it is never looked up: it
+// goes to the fallback, like every pair without an entry.
 func (f *FixedTable) Route(src, dst int) xgft.Route {
+	if n := f.topo.Leaves(); uint(src) >= uint(n) || uint(dst) >= uint(n) {
+		return f.fallback.Route(src, dst)
+	}
 	if up, ok := f.routes[f.pairKey(src, dst)]; ok {
 		return xgft.Route{Src: src, Dst: dst, Up: append([]int(nil), up...)}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -216,6 +217,52 @@ func TestAutoModKReducesContentionOnScatterGather(t *testing.T) {
 	for _, g := range st.upGroups {
 		if g > 1 {
 			t.Errorf("chosen scheme has up-group contention %d on scatter", g)
+		}
+	}
+}
+
+// routeOrRefusal is algo's route for the pair, or ok false when Route
+// panicked: a scheme may refuse a pair off the tree that way.
+func routeOrRefusal(algo Algorithm, src, dst int) (r xgft.Route, ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	return algo.Route(src, dst), true
+}
+
+// TestOffTreePairsNeverAliasALeafPair: a pair with an endpoint outside
+// the leaves never answers with the route of the leaf pair its src*N+dst
+// key coincides with — (0, N+44) is (1, 44)'s key, (-1, N+3) is (0, 3)'s
+// and (2, -1) is (1, N-1)'s — under any scheme the factory builds. The
+// pattern-aware schemes are built over phases that assign those leaf
+// pairs explicitly. A panic counts as a refusal.
+func TestOffTreePairsNeverAliasALeafPair(t *testing.T) {
+	tp := paperTree(t, 10)
+	n := tp.Leaves()
+	aliases := []struct{ off, leaf [2]int }{
+		{[2]int{0, n + 44}, [2]int{1, 44}},
+		{[2]int{-1, n + 3}, [2]int{0, 3}},
+		{[2]int{2, -1}, [2]int{1, n - 1}},
+	}
+	one, other := pattern.New(n), pattern.New(n)
+	one.Add(1, 44, 1)
+	one.Add(0, 3, 1)
+	other.Add(1, n-1, 1)
+	for _, name := range AlgorithmNames() {
+		algo, err := NewByName(name, tp, 7, []*pattern.Pattern{one, other})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range aliases {
+			got, ok := routeOrRefusal(algo, a.off[0], a.off[1])
+			if !ok {
+				continue
+			}
+			if leaf := algo.Route(a.leaf[0], a.leaf[1]); got.Src != a.off[0] || got.Dst != a.off[1] || slices.Equal(got.Up, leaf.Up) {
+				t.Errorf("%s: off-tree pair %v answers %+v, pair %v's route is %v", name, a.off, got, a.leaf, leaf.Up)
+			}
 		}
 	}
 }

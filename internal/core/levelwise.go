@@ -27,8 +27,9 @@ import (
 // Every phase of the pattern sequence is scheduled independently
 // (phases contend only with themselves). Non-permutation phases are
 // legal: degrees just exceed one and the balanced coloring spreads
-// them; a phase over more endpoints than the tree has leaves is an
-// error. Pairs outside the phases fall back to D-mod-k.
+// them; a phase over more endpoints than the tree has leaves, or with a
+// flow off the tree, is an error. Pairs outside the phases fall back
+// to D-mod-k.
 func NewLevelWise(t *xgft.Topology, phases []*pattern.Pattern) (*FixedTable, error) {
 	lw := NewFixedTable(t, "level-wise", nil)
 	for pi, ph := range phases {
@@ -54,7 +55,11 @@ func scheduleLevelWise(lw *FixedTable, ph *pattern.Pattern) error {
 	}
 	var flows []*lwFlow
 	seen := make(map[[2]int]bool)
+	n := uint(t.Leaves())
 	for _, f := range ph.Flows {
+		if uint(f.Src) >= n || uint(f.Dst) >= n {
+			return fmt.Errorf("core: flow %d->%d has an endpoint off the %d-leaf tree", f.Src, f.Dst, n)
+		}
 		if f.Src == f.Dst {
 			continue
 		}

@@ -127,16 +127,41 @@ func (f *relabelFamily) Route(src, dst int) xgft.Route {
 	return ownedRoute(src, dst, f.ascentInto(src, dst, buf[:0]))
 }
 
+// ascentInto is the first NCALevel(src, dst) ports of the guide leaf's
+// full-height ascent: every route of the family, table and census
+// alike, comes out of guideAscent.
 func (f *relabelFamily) ascentInto(src, dst int, up []int) []int {
-	l := f.topo.NCALevel(src, dst)
 	guide := src
 	if !f.useSource {
 		guide = dst
 	}
-	for lvl := 0; lvl < l; lvl++ {
-		up = append(up, f.portAt(lvl, guide))
+	l := f.topo.NCALevel(src, dst)
+	return f.guideAscent(guide, up)[:len(up)+l]
+}
+
+// guideAscent appends the leaf's full-height ascent, level 0 first: the
+// ports every route the leaf guides takes, up to its NCA level.
+func (f *relabelFamily) guideAscent(leaf int, up []int) []int {
+	for lvl := range f.ports {
+		up = append(up, f.portAt(lvl, leaf))
 	}
 	return up
+}
+
+// GuideAscent is the one accessor of the endpoint-guided schemes —
+// S-/D-mod-k and the relabeling family, one type: it appends the
+// full-height ascent of a guide leaf to up, level 0 first, and reports
+// whether the guide is the source (else the destination). The route of
+// every pair whose guide is leaf and whose NCA level is l is that
+// ascent's first l ports, so a route store or a census can hold h ports
+// a leaf instead of a route a pair. ok is false, and up is returned
+// unchanged, for any other scheme; leaf must be in [0, Leaves()).
+func GuideAscent(a Algorithm, leaf int, up []int) (ascent []int, bySource, ok bool) {
+	f, ok := a.(*relabelFamily)
+	if !ok {
+		return up, false, false
+	}
+	return f.guideAscent(leaf, up), f.useSource, true
 }
 
 // portAt evaluates the relabeled guide digit of the given leaf at a

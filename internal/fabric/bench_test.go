@@ -136,11 +136,16 @@ func BenchmarkResolveBatchPackedTraced(b *testing.B) {
 }
 
 // benchWireFabric is the fabric fabricd runs by default (telemetry,
-// metrics, journal, tracer with sampling off) and a 4096-pair batch over
-// the whole table laid out as a resolve request carries it.
+// metrics, journal, tracer with sampling off) on XGFT(2;16,16;1,16) and
+// a 4096-pair batch over the whole table laid out as a resolve request
+// carries it.
 func benchWireFabric(b *testing.B) (f *Fabric, req []byte) {
+	return benchWireFabricOn(b, xgft.MustNew(2, []int{16, 16}, []int{1, 16}))
+}
+
+// benchWireFabricOn is benchWireFabric on another tree.
+func benchWireFabricOn(b *testing.B, tp *xgft.Topology) (f *Fabric, req []byte) {
 	b.Helper()
-	tp := xgft.MustNew(2, []int{16, 16}, []int{1, 16})
 	f, err := New(Config{
 		Topo: tp, Algo: core.NewDModK(tp),
 		Telemetry: true, Metrics: obs.NewRegistry(), Journal: obs.NewJournal(64, nil),
@@ -192,12 +197,33 @@ var coldSink byte
 // timer stopped the benchmark walks an 8 MB buffer (every line, larger
 // than L1 + L2), then times one batch, so it is the other end of the
 // bracket. The daemon's own span around the pass (`daemon.resolve_us`,
-// resolve_bulk) reads nearer this end than the cache-hot one: 23–26 ns
-// a pair live against 7.5 hot and 27 cold when every count was a locked
-// add into the matrix, 15–18 live against 3.9 hot and 22 cold with the
-// count shard.
+// resolve_bulk) reads nearer this end than the cache-hot one. On the
+// 2-vCPU AMD EPYC box, reading packed rows: 23–26 ns a pair live against
+// 7.5 hot and 27 cold when every count was a locked add into the
+// matrix, 15–18 live against 3.9 hot and 22 cold with the count shard.
+// On a 2-vCPU Intel Xeon box (medians of six alternating runs), packed
+// rows read 9.4 ns a pair hot and 24 cold, the guided base 11.6 hot and
+// 22 cold: its lookup does more work per pair, but on a base and labels
+// that stay in L1 instead of a 512 KB row table.
 func BenchmarkResolveWireCold(b *testing.B) {
 	f, req := benchWireFabric(b)
+	resolveWireCold(b, f, req)
+}
+
+// BenchmarkResolveWireCold4096 is BenchmarkResolveWireCold on the
+// 4 096-leaf XGFT(3;16,16,16;1,16,16): the batch's pairs spread over 16
+// times the leaves, so what the pass reads per pair — the guided base,
+// the leaves' labels, the 64 MB count shard — is that much larger and
+// colder. On the Intel Xeon box it reads 82 ns a pair, 158 when the
+// pass read a 128 MB packed-row table.
+func BenchmarkResolveWireCold4096(b *testing.B) {
+	f, req := benchWireFabricOn(b, xgft.MustNew(3, []int{16, 16, 16}, []int{1, 16, 16}))
+	resolveWireCold(b, f, req)
+}
+
+// resolveWireCold times ResolveWire over req with the cache emptied
+// before every batch.
+func resolveWireCold(b *testing.B, f *Fabric, req []byte) {
 	words := make([]byte, 0, 8*benchWireBatch)
 	evict := make([]byte, 8<<20)
 	b.ReportAllocs()

@@ -121,12 +121,13 @@ func TestOptimizeIncrementalMatchesFull(t *testing.T) {
 }
 
 // TestDeriveSharesUntouchedRows pins derive's memory discipline:
-// installing a table that changes a handful of routes clones only the
-// rows those routes live in — every other row is the same array as the
-// pinned table's and as the predecessor generation's, exactly as under
-// FailLink — and certifies only the changed routes. (A real optimize
-// winner may legitimately differ on every row, so this is tested with
-// crafted overrides on the serving scheme's own table.)
+// installing a table that changes a handful of routes gives a row only
+// to the sources those routes leave from — every other source holds no
+// row and serves the guided base the pinned table and the predecessor
+// generation share, exactly as under FailLink — and certifies only the
+// changed routes. (A real optimize winner may legitimately differ on
+// every row, so this is tested with crafted overrides on the serving
+// scheme's own table.)
 func TestDeriveSharesUntouchedRows(t *testing.T) {
 	tp := xgft.MustNew(2, []int{8, 8}, []int{1, 4})
 	f := telemetryFabric(t, tp, core.NewDModK(tp))
@@ -151,20 +152,20 @@ func TestDeriveSharesUntouchedRows(t *testing.T) {
 	if len(moved) != 4 {
 		t.Fatalf("crafted %d overrides, want 4", len(moved))
 	}
-	gen, touched, err := f.derive(time.Now(), base, moved, cur.view, cur, "crafted")
+	gen, err := f.derive(time.Now(), base, moved, cur.view, cur, "crafted")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if touched != 4 {
+	if touched := wordsChanged(gen, cur); touched != 4 {
 		t.Errorf("derive touched %d routes, want 4", touched)
 	}
 	if gen.stats.CertifiedRoutes != 4 {
 		t.Errorf("derive certified %d routes, want the 4 moved ones", gen.stats.CertifiedRoutes)
 	}
 	cloned := 0
-	for s := range gen.shards {
+	for s := range gen.rows {
 		switch {
-		case isSameRow(gen.shards[s], cur.shards[s]) && isSameRow(gen.shards[s], base.rows[s]):
+		case gen.rows[s] == nil && cur.rows[s] == nil && base.rows[s] == nil:
 		case s == 0 || s == 5:
 			cloned++
 		default:
@@ -189,11 +190,16 @@ func TestDeriveSharesUntouchedRows(t *testing.T) {
 			t.Fatalf("pair %v resolves %v/%v, want %v", pair, got, ok, up)
 		}
 	}
-	// The pinned table itself was not written to.
+	// The pinned table itself was not written to: a guided scheme's
+	// holds no row at all, only its guided base, which generation 0 and
+	// the derived one share.
 	for s, row := range base.rows {
-		if !isSameRow(row, cur.shards[s]) {
-			t.Fatalf("generation 0 does not serve the pinned row %d", s)
+		if row != nil || cur.rows[s] != nil {
+			t.Fatalf("source %d holds a row in the pinned d-mod-k table or generation 0", s)
 		}
+	}
+	if !isSameRow(gen.guided, base.guided) || !isSameRow(cur.guided, base.guided) {
+		t.Fatal("the generations do not share the pinned guided base")
 	}
 	if got := cur.Routes(); len(got) != len(want) {
 		t.Fatal("the predecessor's routes changed")
@@ -202,11 +208,11 @@ func TestDeriveSharesUntouchedRows(t *testing.T) {
 	// Overrides out of (src, dst) order, or invalid, refuse the
 	// generation and leave the certificate alone.
 	mark := f.cert.Mark()
-	if _, _, err := f.derive(time.Now(), base, []xgft.Route{moved[3], moved[0]}, cur.view, cur, "crafted"); err == nil {
+	if _, err := f.derive(time.Now(), base, []xgft.Route{moved[3], moved[0]}, cur.view, cur, "crafted"); err == nil {
 		t.Error("derive accepted overrides out of order")
 	}
 	bad := xgft.Route{Src: 7, Dst: 60, Up: []int{0, tp.W(1)}}
-	if _, _, err := f.derive(time.Now(), base, []xgft.Route{moved[0], bad}, cur.view, cur, "crafted"); err == nil {
+	if _, err := f.derive(time.Now(), base, []xgft.Route{moved[0], bad}, cur.view, cur, "crafted"); err == nil {
 		t.Error("derive accepted an override with a port past its radix")
 	}
 	if f.cert.Mark() != mark {

@@ -200,7 +200,7 @@ func TestDerivedMatchesFromScratch(t *testing.T) {
 					if r := ref.routes[i]; r.Up != nil {
 						want = packRoute(r)
 					}
-					if got := gen.shards[fl.Src][fl.Dst]; got != want {
+					if got := gen.lookup(uint64(fl.Src), uint64(fl.Dst)); got != want {
 						t.Fatalf("step %d (%s): pair (%d,%d) serves %#x, the from-scratch table has %#x", step, what, fl.Src, fl.Dst, got, want)
 					}
 				}

@@ -8,26 +8,35 @@
 // role.
 //
 // What a pair resolves to is one rule, Generation.lookup: out of range →
-// PackedUnreachable, self → the empty route, else the shard word. The
-// resolve forms are passes over their own encodings around it —
-// ResolveBatchPacked over []pair/[]word, ResolveWire over the binary
+// PackedUnreachable, else the table's word — a held row's, or the guided
+// base's at the pair's NCA level, which is the empty route for a self
+// pair. The resolve forms are passes over their own encodings around it
+// — ResolveBatchPacked over []pair/[]word, ResolveWire over the binary
 // protocol's bytes, Resolve decoding one word into an xgft.Route — all
 // counted, timed and traced in one place, startPacked/endPacked.
 //
+// A table in serving form is a guided base plus held rows. S-/D-mod-k
+// and the relabeling family (r-NCA-u/d) route every pair by its guide
+// leaf and NCA level alone (core.GuideAscent), so their healthy table is
+// h+1 words a leaf — its ascent packed once per prefix length — and
+// holds no row. A source holds a row of its own only where a reroute or
+// an override made it differ; a scheme that is not guided (Random,
+// LevelWise, a loaded table) holds every row.
+//
 // A generation change costs in proportion to what it changes. Every
 // generation is made by one function, derive, from three things: a base
-// table in serving form (packed rows), a list of override routes, and a
-// fault view. The healthy table of each static scheme the fabric has
-// installed — the configured one, and d-mod-k and r-NCA-u/d as they win
-// optimize passes — is built once straight into packed rows, a source
-// row at a time (it is never held unpacked), and pinned; its rows are
-// never written again, so generations share them. FailLink/FailSwitch
-// derive from the serving rows under a larger view: only pairs with an
+// table in serving form, a list of override routes, and a fault view.
+// The healthy table of each static scheme the fabric has installed — the
+// configured one, and d-mod-k and r-NCA-u/d as they win optimize passes
+// — is built once and pinned; its guided base and rows are never
+// written again, so generations share them. FailLink/FailSwitch derive
+// from the serving table under a larger view: only pairs with an
 // endpoint under a newly failed wire are even looked at, and only the
-// routes that ride one are recomputed, in copy-on-write clones of the
-// rows they live in. Heal derives from the configured scheme's pinned table
-// under no faults: all row sharing. An optimize swap derives from the
-// winner's pinned table — Colored's is its d-mod-k fallback's, with its
+// routes that ride one are recomputed, in copy-on-write rows of the
+// sources they leave from. Heal derives from the configured scheme's
+// pinned table under no faults: no row held for a guided scheme, all row
+// sharing for another. An optimize swap derives from the winner's pinned
+// table — Colored's is its d-mod-k fallback's guided base, with its
 // assignments as overrides — under the serving view.
 //
 // Every generation is certified deadlock-free before it is published,
@@ -37,7 +46,8 @@
 // graph is acyclic (a subgraph of an acyclic graph is) and also covers
 // packets of the old and the new table in flight across the swap; only
 // the routes the certificate has not seen — rerouted cells, overrides, a
-// pinned table's rows at its first install — are added. If the union
+// pinned table's routes at its first install (a guided base's read off
+// its words pair by pair) — are added. If the union
 // ever fails, the certificate is rolled back and the candidate is
 // certified alone and from scratch, so the accept/reject set is that of
 // from-scratch certification.
@@ -46,6 +56,7 @@ package fabric
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,9 +80,10 @@ type Config struct {
 	// Topo is the healthy topology. Required; Height must be <= 7 and
 	// every W(l) <= 255 (the packed-route limits).
 	Topo *xgft.Topology
-	// Algo computes the healthy routes. Required. Its table is routed
-	// straight into packed rows; schemes implementing core.CacheKeyer
-	// are pinned under their key, so installing one again reuses them.
+	// Algo computes the healthy routes. Required. A guided scheme's
+	// table is its guided base (h+1 words a leaf); any other is routed
+	// straight into packed rows. Schemes implementing core.CacheKeyer are
+	// pinned under their key, so installing one again reuses them.
 	Algo core.Algorithm
 	// Cache memoizes the Colored optimizer per observed pattern and backs
 	// the default evaluator's phase tables; nil creates a private cache.
@@ -295,7 +307,7 @@ func New(cfg Config) (f *Fabric, err error) {
 	if f.configured, _, err = f.pinLocked(cfg.Algo); err != nil {
 		return nil, err
 	}
-	gen, _, err := f.derive(start, f.configured, nil, xgft.NewView(cfg.Topo), nil, cfg.Algo.Name())
+	gen, err := f.derive(start, f.configured, nil, xgft.NewView(cfg.Topo), nil, cfg.Algo.Name())
 	if err != nil {
 		return nil, fmt.Errorf("fabric: healthy table rejected: %w", err)
 	}
@@ -462,38 +474,40 @@ func (f *Fabric) ResolveWire(parent trace.SpanContext, pairs, dst []byte) (out [
 	return out, resolved, gen.stats.Seq
 }
 
-// table is an all-pairs route table in the form generations serve —
-// one packed word per (src, dst), a row per source — together with the
-// fault view its routes are known to survive and the certificate that
-// already holds every one of them. The healthy table of a static scheme
-// is built once and pinned: its rows are never written again, so any
-// number of generations share them.
+// table is an all-pairs route table in the form generations serve (see
+// routes), together with the fault view its routes are known to survive
+// and the certificate that already holds every one of them. The healthy
+// table of a static scheme is built once and pinned: its guided base and
+// rows are never written again, so any number of generations share them.
 type table struct {
-	rows [][]uint64
-	// view is the fault view every route of rows avoids (nil: the healthy
-	// view, which is all a pinned table is checked against); unreachable
-	// counts the pairs it left without a route.
+	routes
+	// view is the fault view every route avoids (nil: the healthy view,
+	// which is all a pinned table is checked against); unreachable counts
+	// the pairs it left without a route.
 	view        *xgft.View
 	unreachable int
-	// cert is the certificate covering all of rows; nil, or a certificate
-	// the fabric has since restarted, when the rows still have to be
-	// added to the serving one.
+	// cert is the certificate covering every route; nil, or a certificate
+	// the fabric has since restarted, when they still have to be added to
+	// the serving one.
 	cert *contention.Certifier
 }
 
 // maxPinned bounds the pinned tables a fabric keeps besides the
-// configured scheme's (each is Leaves^2 words): the static candidates
-// at the seeds recently installed. Past it the set starts over.
+// configured scheme's: the static candidates at the seeds recently
+// installed. Past it the set starts over.
 const maxPinned = 8
 
 // pinLocked returns algo's healthy all-pairs table in serving form,
-// packing it the first time the scheme is installed; hit reports that it
-// was pinned already. The table is routed straight into its packed rows,
-// a source at a time: core.RouteFlows — which validates every non-self
-// route — routes the row's n-1 pairs into scratch reused across rows, so
-// the table is never held unpacked. Tables are pinned under the scheme's
-// CacheKey; a scheme without one is packed again per call. Callers hold
-// f.mu.
+// building it the first time the scheme is installed; hit reports that
+// it was pinned already. A guided scheme's table is its guided base
+// alone: each leaf's full-height ascent (core.GuideAscent), its ports
+// checked against their radices, packed once per prefix length — h+1
+// words a leaf and no row. Any other scheme is routed straight into packed
+// rows, a source at a time: core.RouteFlows — which validates every
+// non-self route — routes the row's n-1 pairs into scratch reused across
+// rows, so the table is never held unpacked. Tables are pinned under the
+// scheme's CacheKey; a scheme without one is built again per call.
+// Callers hold f.mu.
 func (f *Fabric) pinLocked(algo core.Algorithm) (tbl *table, hit bool, err error) {
 	keyer, keyed := algo.(core.CacheKeyer)
 	if keyed {
@@ -502,8 +516,52 @@ func (f *Fabric) pinLocked(algo core.Algorithm) (tbl *table, hit bool, err error
 		}
 	}
 	n := f.topo.Leaves()
-	words := make([]uint64, n*n) // one pointer-free block for the whole table
-	tbl = &table{rows: make([][]uint64, n)}
+	tbl = &table{routes: routes{rows: make([][]uint64, n), nca: f.topo.NCA(), topo: f.topo}}
+	var buf [maxHeight]int
+	if _, bySource, guided := core.GuideAscent(algo, 0, buf[:0]); guided {
+		err = f.packGuided(tbl, algo, bySource)
+	} else {
+		err = f.packRows(tbl, algo)
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	if keyed {
+		if len(f.pinned) >= maxPinned {
+			clear(f.pinned)
+		}
+		f.pinned[keyer.CacheKey()] = tbl
+	}
+	return tbl, false, nil
+}
+
+// packGuided fills tbl's guided base from the guided scheme's ascents.
+func (f *Fabric) packGuided(tbl *table, algo core.Algorithm, bySource bool) error {
+	tbl.guided, tbl.bySource = make([]uint64, f.topo.Leaves()*guidedStride), bySource
+	var buf [maxHeight]int
+	for leaf := range tbl.rows {
+		up, _, _ := core.GuideAscent(algo, leaf, buf[:0])
+		if len(up) != f.topo.Height() {
+			return fmt.Errorf("fabric: %s guide leaf %d ascends %d levels, want %d", algo.Name(), leaf, len(up), f.topo.Height())
+		}
+		ports := uint64(0)
+		for lvl, p := range up {
+			if p < 0 || p >= f.topo.W(lvl) {
+				return fmt.Errorf("fabric: %s guide leaf %d takes up-port %d at level %d, out of range [0,%d)", algo.Name(), leaf, p, lvl, f.topo.W(lvl))
+			}
+			ports |= uint64(p) << (8 * uint(lvl))
+			tbl.guided[leaf*guidedStride+lvl+1] = uint64(lvl+1)<<levelShift | ports
+		}
+	}
+	return nil
+}
+
+// packRows routes every source's row of a scheme that is not guided
+// into one pointer-free block of packed words.
+func (f *Fabric) packRows(tbl *table, algo core.Algorithm) (err error) {
+	n := f.topo.Leaves()
+	tbl.held = true
+	words := make([]uint64, n*n)
 	row := &pattern.Pattern{N: n, Flows: make([]pattern.Flow, n-1)}
 	var routes []xgft.Route
 	var arena []int
@@ -517,23 +575,17 @@ func (f *Fabric) pinLocked(algo core.Algorithm) (tbl *table, hit bool, err error
 			row.Flows[i] = pattern.Flow{Src: s, Dst: d}
 		}
 		if routes, arena, err = core.RouteFlows(f.topo, algo, row, routes, arena); err != nil {
-			return nil, false, err
+			return err
 		}
 		for _, r := range routes {
 			tbl.rows[s][r.Dst] = packRoute(r)
 		}
 	}
-	if keyed {
-		if len(f.pinned) >= maxPinned {
-			clear(f.pinned)
-		}
-		f.pinned[keyer.CacheKey()] = tbl
-	}
-	return tbl, false, nil
+	return nil
 }
 
 // derive builds cur's successor — the one way a generation comes to
-// be. The successor serves base's rows with the override routes (in
+// be. The successor serves base's routes with the override routes (in
 // (src, dst) order) written over them, under the fault view: a route
 // riding a failed wire is rerouted (core.RerouteAvoiding) or, with no
 // surviving minimal path, marked unreachable. Base's routes already
@@ -541,23 +593,24 @@ func (f *Fabric) pinLocked(algo core.Algorithm) (tbl *table, hit bool, err error
 // one, and a minimal route crosses a wire only on its source's or its
 // destination's ancestor chain: the scan visits the pairs with an
 // endpoint under a newly failed wire and no others — none at all when
-// view adds nothing. Rows nothing was written to are base's own arrays; a
-// row is cloned at its first differing word, and a row that ends up
-// equal to cur's is cur's array again. So FailLink is derive over cur's
-// rows and a larger view, Heal is derive over the configured scheme's
-// pinned table and a healthy view (all row sharing), and an optimize
-// swap is derive over the winner's pinned table and its overrides under
-// cur's view.
+// view adds nothing. The successor shares base's guided base; a source
+// nothing was written to serves base's row (or none, the guided base's),
+// a source is given a row of its own at its first differing word, and
+// a row that ends up equal to cur's is cur's again. So FailLink is
+// derive over cur's routes and a larger view, Heal is derive over the
+// configured scheme's pinned table and a healthy view (no row at all for
+// a guided scheme), and an optimize swap is derive over the winner's
+// pinned table and its overrides under cur's view.
 //
-// The successor must pass certifyLocked or it is refused. touched counts
-// the words that differ from cur's. cur is nil only for generation 0.
+// The successor must pass certifyLocked or it is refused. cur is nil
+// only for generation 0.
 // start opens the generation's build clock (before the base table was
 // pinned, when it had to be). Callers hold f.mu.
-func (f *Fabric) derive(start time.Time, base *table, overrides []xgft.Route, view *xgft.View, cur *Generation, algoName string) (gen *Generation, touched int, err error) {
+func (f *Fabric) derive(start time.Time, base *table, overrides []xgft.Route, view *xgft.View, cur *Generation, algoName string) (gen *Generation, err error) {
 	n := f.topo.Leaves()
-	seq, prev := uint64(0), make([][]uint64, n)
+	seq := uint64(0)
 	if cur != nil {
-		seq, prev = cur.stats.Seq+1, cur.shards
+		seq = cur.stats.Seq + 1
 	}
 	// suspect[x]: leaf x lies under a wire that failed since base's
 	// routes were checked. A suspect source's row is scanned whole, any
@@ -580,25 +633,31 @@ func (f *Fabric) derive(start time.Time, base *table, overrides []xgft.Route, vi
 			}
 		}
 	}
-	shards := make([][]uint64, n)
-	var cloned []int      // rows that differ from base's
-	var up [maxHeight]int // the broken route being rerouted, decoded
+	gen = &Generation{routes: base.routes, view: view}
+	// gen.held is base's until a source is given a row of its own, and
+	// exact once every source has been visited.
+	gen.rows = make([][]uint64, n)
+	var changed [][2]int    // the (src, dst) pairs whose word differs from base's
+	var written []int       // the destinations the current source wrote
+	var up [maxHeight]int   // the broken route being rerouted, decoded
+	var bufA, bufB []uint64 // countDiff's, made at its first call
 	patched, unreachable, shared := 0, base.unreachable, 0
 	for s := 0; s < n; s++ {
 		from := base.rows[s]
-		row := from
+		gen.rows[s], written = from, written[:0]
 		set := func(d int, word uint64) {
-			if isSameRow(row, from) {
-				row = append([]uint64(nil), from...)
+			if isSameRow(gen.rows[s], from) {
+				gen.rows[s], gen.held = base.heldRow(s), true
 			}
-			row[d] = word
+			gen.rows[s][d] = word
+			written = append(written, d)
 		}
 		for ; len(overrides) > 0 && overrides[0].Src == s; overrides = overrides[1:] {
 			r := overrides[0]
 			if err := r.Validate(f.topo); err != nil {
-				return nil, 0, fmt.Errorf("fabric: %s assigned an invalid route: %w", algoName, err)
+				return nil, fmt.Errorf("fabric: %s assigned an invalid route: %w", algoName, err)
 			}
-			if word := packRoute(r); word != row[r.Dst] {
+			if word := packRoute(r); word != gen.word(s, r.Dst) {
 				set(r.Dst, word)
 			}
 		}
@@ -607,7 +666,7 @@ func (f *Fabric) derive(start time.Time, base *table, overrides []xgft.Route, vi
 			scan = all
 		}
 		for _, d := range scan {
-			word := row[d]
+			word := gen.word(s, d)
 			if s == d || word == PackedUnreachable || packedRouteOK(view, f.topo, s, d, word) {
 				continue
 			}
@@ -619,47 +678,58 @@ func (f *Fabric) derive(start time.Time, base *table, overrides []xgft.Route, vi
 				unreachable++
 			}
 		}
-		if !isSameRow(row, from) {
-			cloned = append(cloned, s)
-		}
-		if !isSameRow(row, prev[s]) {
-			diff := countDiff(row, prev[s])
-			if diff == 0 && !isSameRow(row, from) {
-				row = prev[s]
+		// The words that differ from base's are among the ones written; a
+		// word written twice (an override, then its reroute) can end where
+		// base's was, and a source all of whose words did serves base's
+		// row again.
+		fromChanged := len(changed)
+		slices.Sort(written)
+		for _, d := range slices.Compact(written) {
+			if gen.rows[s][d] != base.word(s, d) {
+				changed = append(changed, [2]int{s, d})
 			}
-			touched += diff
 		}
-		if isSameRow(row, from) || isSameRow(row, prev[s]) {
+		if len(changed) == fromChanged {
+			gen.rows[s] = from
+		}
+		// A row given to s that ends up equal to cur's is cur's again. It
+		// differs from base's, so only where base's row is not cur's can
+		// it be.
+		if cur != nil && !isSameRow(gen.rows[s], from) && !sameRow(&base.routes, &cur.routes, s) &&
+			(cur.rows[s] != nil || isSameRow(gen.guided, cur.guided)) {
+			if bufA == nil {
+				bufA, bufB = make([]uint64, n), make([]uint64, n)
+			}
+			if countDiff(&gen.routes, &cur.routes, s, bufA, bufB) == 0 {
+				gen.rows[s] = cur.rows[s]
+			}
+		}
+		if isSameRow(gen.rows[s], from) || (cur != nil && sameRow(&gen.routes, &cur.routes, s)) {
 			shared++
 		}
-		shards[s] = row
 	}
 	if len(overrides) > 0 {
-		return nil, 0, fmt.Errorf("fabric: %s assigned routes out of (src, dst) order or out of range", algoName)
+		return nil, fmt.Errorf("fabric: %s assigned routes out of (src, dst) order or out of range", algoName)
 	}
-	gen = &Generation{
-		topo:   f.topo,
-		view:   view,
-		shards: shards,
-		stats: Stats{
-			Seq:            seq,
-			Algo:           algoName,
-			Routes:         n*(n-1) - unreachable,
-			Patched:        patched,
-			Unreachable:    unreachable,
-			FailedWires:    view.FailedWires(),
-			FailedSwitches: len(view.FailedSwitches()),
-			SharedRows:     shared,
-		},
+	gen.held = slices.ContainsFunc(gen.rows, func(row []uint64) bool { return row != nil })
+	gen.stats = Stats{
+		Seq:            seq,
+		Algo:           algoName,
+		Routes:         n*(n-1) - unreachable,
+		Patched:        patched,
+		Unreachable:    unreachable,
+		FailedWires:    view.FailedWires(),
+		FailedSwitches: len(view.FailedSwitches()),
+		SharedRows:     shared,
 	}
 	verifyStart := buildClock()
-	if gen.stats.CertifiedRoutes, err = f.certifyLocked(base, shards, cloned); err != nil {
-		return nil, 0, err
+	if gen.stats.CertifiedRoutes, err = f.certifyLocked(base, gen, changed); err != nil {
+		return nil, err
 	}
 	end := buildClock()
 	gen.stats.VerifyTime = end.Sub(verifyStart)
 	gen.stats.BuildTime = end.Sub(start)
-	return gen, touched, nil
+	return gen, nil
 }
 
 // buildClock reads the wall clock for a generation's build and
@@ -669,23 +739,45 @@ func buildClock() time.Time {
 	return time.Now() //lint:allow nondeterminism generation build and certification times are observational (journal/metrics only)
 }
 
-// countDiff returns how many words of a differ from b's (all of them
-// when b is not a row at all).
-func countDiff(a, b []uint64) int {
-	if len(b) != len(a) {
-		return len(a)
+// sameRow reports whether source s serves one set of words in a and b
+// without reading them: the same held array, or no row in either over
+// the same guided base.
+func sameRow(a, b *routes, s int) bool {
+	ra, rb := a.rows[s], b.rows[s]
+	if ra == nil && rb == nil {
+		return isSameRow(a.guided, b.guided)
 	}
+	return isSameRow(ra, rb)
+}
+
+// wordsChanged counts the words gen serves differently from cur.
+func wordsChanged(gen, cur *Generation) int {
+	n := len(gen.rows)
+	bufA, bufB := make([]uint64, n), make([]uint64, n)
+	changed := 0
+	for s := range gen.rows {
+		if !sameRow(&gen.routes, &cur.routes, s) {
+			changed += countDiff(&gen.routes, &cur.routes, s, bufA, bufB)
+		}
+	}
+	return changed
+}
+
+// countDiff returns how many of source s's words differ between a and
+// b; bufA and bufB (len N) lay out a guided base's.
+func countDiff(a, b *routes, s int, bufA, bufB []uint64) int {
 	diff := 0
-	for i, w := range a {
-		if w != b[i] {
+	wb := b.rowOf(s, bufB)
+	for d, w := range a.rowOf(s, bufA) {
+		if w != wb[d] {
 			diff++
 		}
 	}
 	return diff
 }
 
-// isSameRow reports whether two row slices are the same array (the
-// copy-on-write "not yet cloned" test).
+// isSameRow reports whether two slices are the same array (the
+// copy-on-write "not yet cloned" test); two nil slices are.
 func isSameRow(a, b []uint64) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
@@ -697,18 +789,20 @@ func isSameRow(a, b []uint64) bool {
 // acyclic with its routes added. That implies the generation's own
 // graph is acyclic — a subgraph of an acyclic graph is — and it also
 // covers packets of the old and the new table in flight across a swap.
-// Only routes the certificate does not hold yet are added: base's rows
-// the first time that table is installed, and in the cloned rows the
-// words that differ from base's (overrides and reroutes), so the gate
-// costs what the swap changes. It returns how many routes it added.
+// Only routes the certificate does not hold yet are added: every route
+// of base the first time that table is installed (a guided base's read
+// from its words, pair by pair), and the changed pairs — the words
+// derive wrote that differ from base's (overrides and reroutes) — so
+// the gate costs what the swap changes. It returns how many routes it
+// added.
 //
 // Should the union fail, the certificate is rolled back and the
 // candidate is certified alone and from scratch, as every generation
 // once was: passing, it is published and the certificate restarts from
 // it; failing, it is refused. Callers hold f.mu.
-func (f *Fabric) certifyLocked(base *table, shards [][]uint64, cloned []int) (added int, err error) {
+func (f *Fabric) certifyLocked(base *table, gen *Generation, changed [][2]int) (added int, err error) {
 	mark := f.cert.Mark()
-	if added, err = f.addDeltaLocked(base, shards, cloned); err == nil {
+	if added, err = f.addDeltaLocked(base, gen, changed); err == nil {
 		base.cert = f.cert
 		return added, nil
 	}
@@ -717,7 +811,7 @@ func (f *Fabric) certifyLocked(base *table, shards [][]uint64, cloned []int) (ad
 	if err != nil {
 		return 0, err
 	}
-	if added, err = addRows(alone, shards); err != nil {
+	if added, err = addRoutes(alone, &gen.routes); err != nil {
 		return 0, err
 	}
 	if err := alone.Verify(); err != nil {
@@ -727,49 +821,43 @@ func (f *Fabric) certifyLocked(base *table, shards [][]uint64, cloned []int) (ad
 	return added, nil
 }
 
-// addDeltaLocked adds to the serving certificate the routes of rows it does
-// not hold yet and verifies the grown graph.
-func (f *Fabric) addDeltaLocked(base *table, rows [][]uint64, cloned []int) (added int, err error) {
+// addDeltaLocked adds to the serving certificate the routes of gen it
+// does not hold yet and verifies the grown graph.
+func (f *Fabric) addDeltaLocked(base *table, gen *Generation, changed [][2]int) (added int, err error) {
 	if base.cert != f.cert {
-		if added, err = addRows(f.cert, base.rows); err != nil {
+		if added, err = addRoutes(f.cert, &base.routes); err != nil {
 			return 0, err
 		}
 	}
-	for _, s := range cloned {
-		n, err := addRow(f.cert, s, rows[s], base.rows[s])
-		if err != nil {
-			return 0, err
+	var buf [maxHeight]int
+	for _, p := range changed {
+		s, d := p[0], p[1]
+		if word := gen.word(s, d); word != PackedUnreachable {
+			if err := f.cert.Add(s, d, AppendPackedUp(word, buf[:0])); err != nil {
+				return 0, err
+			}
+			added++
 		}
-		added += n
 	}
 	return added, f.cert.Verify()
 }
 
-// addRows feeds c every route of a table.
-func addRows(c *contention.Certifier, rows [][]uint64) (added int, err error) {
-	for s, row := range rows {
-		n, err := addRow(c, s, row, nil)
-		if err != nil {
-			return 0, err
+// addRoutes feeds c every route r serves, straight from the packed
+// words about to be served and decoded through one reused ascent
+// buffer.
+func addRoutes(c *contention.Certifier, r *routes) (added int, err error) {
+	var up [maxHeight]int
+	buf := make([]uint64, len(r.rows))
+	for s := range r.rows {
+		for d, word := range r.rowOf(s, buf) {
+			if s == d || word == PackedUnreachable {
+				continue
+			}
+			if err := c.Add(s, d, AppendPackedUp(word, up[:0])); err != nil {
+				return added, err
+			}
+			added++
 		}
-		added += n
-	}
-	return added, nil
-}
-
-// addRow feeds c the routes of source s, straight from the packed words
-// about to be served and decoded through one reused ascent buffer. With
-// a known row given, only the words that differ from it are fed.
-func addRow(c *contention.Certifier, s int, row, known []uint64) (added int, err error) {
-	var buf [maxHeight]int
-	for d, word := range row {
-		if s == d || word == PackedUnreachable || (known != nil && word == known[d]) {
-			continue
-		}
-		if err := c.Add(s, d, AppendPackedUp(word, buf[:0])); err != nil {
-			return added, err
-		}
-		added++
 	}
 	return added, nil
 }
@@ -808,9 +896,9 @@ func (f *Fabric) degrade(fail func(*xgft.View) bool, op, what string) (Stats, er
 	}
 	// The serving rows as a table: every route avoids cur's view and is
 	// in the certificate already.
-	serving := &table{rows: cur.shards, view: cur.view, unreachable: cur.stats.Unreachable, cert: f.cert}
+	serving := &table{routes: cur.routes, view: cur.view, unreachable: cur.stats.Unreachable, cert: f.cert}
 	start := buildClock()
-	gen, _, err := f.derive(start, serving, nil, view, cur, cur.stats.Algo)
+	gen, err := f.derive(start, serving, nil, view, cur, cur.stats.Algo)
 	if err != nil {
 		err = fmt.Errorf("fabric: patched table rejected, keeping generation %d: %w", cur.stats.Seq, err)
 		f.reject(op, what, err)
@@ -837,7 +925,7 @@ func (f *Fabric) Heal() (Stats, error) {
 	defer f.mu.Unlock()
 	cur := f.gen.Load()
 	start := buildClock()
-	gen, _, err := f.derive(start, f.configured, nil, xgft.NewView(f.topo), cur, f.algo.Name())
+	gen, err := f.derive(start, f.configured, nil, xgft.NewView(f.topo), cur, f.algo.Name())
 	if err != nil {
 		err = fmt.Errorf("fabric: healthy table rejected: %w", err)
 		f.reject("heal", "healthy rebuild", err)

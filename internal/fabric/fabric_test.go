@@ -314,7 +314,7 @@ func TestPackedRouteOKMatchesView(t *testing.T) {
 				continue
 			}
 			r, _ := gen.Resolve(s, d)
-			if got, want := packedRouteOK(v, tp, s, d, gen.shards[s][d]), v.RouteOK(r); got != want {
+			if got, want := packedRouteOK(v, tp, s, d, gen.lookup(uint64(s), uint64(d))), v.RouteOK(r); got != want {
 				t.Fatalf("packedRouteOK(%d,%d) = %v, RouteOK = %v for %v", s, d, got, want, r)
 			}
 		}
@@ -324,7 +324,7 @@ func TestPackedRouteOKMatchesView(t *testing.T) {
 // TestCertifyReadsThePackedRows pins what the publish gate certifies:
 // the words about to be served. A published generation's materialized
 // route set certifies from scratch, every one of its routes is in the
-// fabric's certificate, and one malformed word in a cloned row refuses
+// fabric's certificate, and one malformed changed word refuses
 // the whole generation — without poisoning the certificate: it is left
 // as it was, and the next valid FailLink publishes.
 func TestCertifyReadsThePackedRows(t *testing.T) {
@@ -343,10 +343,12 @@ func TestCertifyReadsThePackedRows(t *testing.T) {
 
 	n := f.topo.Leaves()
 	mark, cert := f.cert.Mark(), f.cert
-	bad := append([][]uint64(nil), gen.shards...)
-	bad[n-1] = append([]uint64(nil), gen.shards[n-1]...)
-	bad[n-1][0] = 2<<levelShift | 200<<8 // top-level port 200 of 8
-	_, err := f.certifyLocked(&table{rows: gen.shards, cert: f.cert}, bad, []int{n - 1})
+	bad := &Generation{routes: gen.routes}
+	bad.held = true
+	bad.rows = append([][]uint64(nil), gen.rows...)
+	bad.rows[n-1] = gen.heldRow(n - 1)
+	bad.rows[n-1][0] = 2<<levelShift | 200<<8 // top-level port 200 of 8
+	_, err := f.certifyLocked(&table{routes: gen.routes, cert: f.cert}, bad, [][2]int{{n - 1, 0}})
 	const want = "contention: route 63->0 up-port 200 at level 1 out of range [0,8)"
 	if err == nil || err.Error() != want {
 		t.Errorf("certify(malformed last row) = %v, want %q", err, want)
@@ -366,10 +368,8 @@ func TestCertifyReadsThePackedRows(t *testing.T) {
 func assertCertificateCovers(t *testing.T, f *Fabric, gen *Generation) {
 	t.Helper()
 	mark := f.cert.Mark()
-	for s, row := range gen.shards {
-		if _, err := addRow(f.cert, s, row, nil); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := addRoutes(f.cert, &gen.routes); err != nil {
+		t.Fatal(err)
 	}
 	if got := f.cert.Mark(); got != mark {
 		f.cert.Rollback(mark)
@@ -442,12 +442,14 @@ func TestRoutesAllocatesTwice(t *testing.T) {
 	}
 }
 
-// TestPinPacksStraightIntoRows: a healthy table is routed a row at a
-// time into its packed rows and held nowhere else. At 256 leaves,
-// pinning a scheme the fabric has not installed allocates less than
-// 1 MB, of which the packed rows are 0.52 MB (routing an unpacked
-// 65 280-route table first and packing it took 4.2 MB); and a table
-// cache shared with the fabric
+// TestPinPacksStraightIntoRows: a healthy table is built straight into
+// its serving form and held nowhere else. At 256 leaves, pinning a
+// guided scheme the fabric has not installed (r-NCA-d) allocates under
+// 64 KB — its guided base of 256·8 word slots and a row index holding no row,
+// where its packed rows were 0.52 MB — and serves every pair's route; a
+// scheme that is not guided (Random) is routed a row at a time into
+// packed rows, under 1 MB (routing an unpacked 65 280-route table first
+// and packing it took 4.2 MB). And a table cache shared with the fabric
 // serves no table build through New and an optimize swap to r-NCA-u —
 // its table half reads 0 hits and 0 misses.
 func TestPinPacksStraightIntoRows(t *testing.T) {
@@ -477,21 +479,35 @@ func TestPinPacksStraightIntoRows(t *testing.T) {
 
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	tbl, hit, err := f.pinLocked(core.NewRandomNCADown(tp, 7))
-	runtime.ReadMemStats(&after)
-	if err != nil || hit {
-		t.Fatalf("pinning r-NCA-d: hit %v, err %v", hit, err)
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-		t.Errorf("pinning a new scheme at %d leaves allocated %d B, want < 1 MB", tp.Leaves(), got)
-	}
-	want := core.NewRandomNCADown(tp, 7)
-	for s, row := range tbl.rows {
-		for d, word := range row {
-			if s != d && word != packRoute(want.Route(s, d)) {
-				t.Fatalf("pinned (%d,%d) = %#x, want %#x", s, d, word, packRoute(want.Route(s, d)))
+	for _, tc := range []struct {
+		algo  core.Algorithm
+		bound uint64
+		held  bool
+	}{
+		{core.NewRandomNCADown(tp, 7), 64 << 10, false},
+		{core.NewRandom(tp, 7), 1 << 20, true},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tbl, hit, err := f.pinLocked(tc.algo)
+		runtime.ReadMemStats(&after)
+		if err != nil || hit {
+			t.Fatalf("pinning %s: hit %v, err %v", tc.algo.Name(), hit, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= tc.bound {
+			t.Errorf("pinning %s at %d leaves allocated %d B, want < %d", tc.algo.Name(), tp.Leaves(), got, tc.bound)
+		}
+		if tbl.held != tc.held || (tbl.guided == nil) == !tc.held {
+			t.Errorf("%s pinned with held rows %v and a guided base %v, want rows held %v", tc.algo.Name(), tbl.held, tbl.guided != nil, tc.held)
+		}
+		for s := range tbl.rows {
+			if (tbl.rows[s] != nil) != tc.held {
+				t.Fatalf("%s: source %d holds a row: %v, want %v", tc.algo.Name(), s, tbl.rows[s] != nil, tc.held)
+			}
+			for d := range tbl.rows {
+				if word, want := tbl.word(s, d), packRoute(tc.algo.Route(s, d)); word != want {
+					t.Fatalf("%s pinned (%d,%d) = %#x, want %#x", tc.algo.Name(), s, d, word, want)
+				}
 			}
 		}
 	}

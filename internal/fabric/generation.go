@@ -16,10 +16,15 @@ import (
 // need the sentinel to tell "unreachable" from a route.
 const PackedUnreachable = ^uint64(0)
 
+// guidedStride is the guided base's slots a leaf: one per level 0..h
+// for any height a fabric accepts, and a power of two, so a lookup
+// indexes by a shift and a leaf's words share one 64-byte line.
+const guidedStride = maxHeight + 1
+
 // levelShift positions the NCA level in the top byte of a packed
 // route, so resolution reads the ascent length straight from the
-// word instead of recomputing it from the leaf labels (h integer
-// divisions per endpoint) on every lookup.
+// word, and a guided base indexes its words by the level instead of
+// decoding it.
 const levelShift = 56
 
 // Stats describes one generation of the route store.
@@ -49,10 +54,11 @@ type Stats struct {
 	CacheHit bool
 	// CertifiedRoutes counts the routes added to the fabric's
 	// certificate for this publish: the ones no earlier generation
-	// served. SharedRows counts the source rows that are the same arrays
-	// as the table the generation was derived from or as its
-	// predecessor's (the rest were cloned to take an override or a
-	// reroute).
+	// served. SharedRows counts the source rows the generation holds no
+	// copy of: served from the guided base (no row at all), or the same
+	// arrays as the table it was derived from or as its predecessor's.
+	// The rest were materialized or cloned to take an override or a
+	// reroute.
 	CertifiedRoutes int
 	SharedRows      int
 	// BuildTime is the wall time spent deriving and certifying the
@@ -64,15 +70,83 @@ type Stats struct {
 }
 
 // Generation is one immutable epoch of the fabric's route store: an
-// all-pairs route table sharded by source leaf, each shard one packed
-// word per destination. Generations are never mutated after
-// construction, so any number of Resolve calls can read one while the
-// fabric compiles its successor.
+// all-pairs route table in serving form (see routes). Generations are
+// never mutated after construction, so any number of Resolve calls can
+// read one while the fabric compiles its successor.
 type Generation struct {
-	topo   *xgft.Topology
-	view   *xgft.View
-	shards [][]uint64 // [src][dst]: ascent digits packed a byte per level
-	stats  Stats
+	routes
+	view  *xgft.View
+	stats Stats
+}
+
+// routes is an all-pairs table in the form generations serve, one packed
+// word per (src, dst). A guided scheme (S-/D-mod-k and the relabeling
+// family, see core.GuideAscent) routes a pair by its guide leaf and NCA
+// level alone, so its table is a guided base of h+1 words a leaf, and a
+// source holds a row of its own only where a reroute or an override
+// made it differ. Any other scheme holds every row.
+type routes struct {
+	// rows[src][dst] is a held row's packed word; a nil row is the guided
+	// base's. A held row's self word is 0, like the base's. held reports
+	// that some source holds one, so a lookup in a table that holds none
+	// never reads rows.
+	rows [][]uint64
+	held bool
+	// guided[leaf*guidedStride+l] is the packed first l ports of the
+	// guide leaf's full-height ascent, level 0 being the empty route a
+	// self pair resolves to. nil when the scheme is not guided.
+	guided   []uint64
+	bySource bool     // the guide is the source, else the destination
+	nca      xgft.NCA // the topology's NCA rule, held here for lookup
+	topo     *xgft.Topology
+}
+
+// word is the packed route s->d of the table: the held row's word, or
+// the guide's at the pair's NCA level. s and d must be leaves.
+//
+//repro:hotpath
+func (r *routes) word(s, d int) uint64 {
+	if r.held {
+		if row := r.rows[s]; row != nil {
+			return row[d]
+		}
+	}
+	guide := d
+	if r.bySource {
+		guide = s
+	}
+	return r.guided[guide*guidedStride+r.nca.Level(s, d)]
+}
+
+// rowOf returns source s's words: its held row, or the guided base's
+// laid out in buf (len N), a range of destinations at a time
+// (Topology.NCARanges) rather than a level computation a word.
+func (r *routes) rowOf(s int, buf []uint64) []uint64 {
+	if row := r.rows[s]; row != nil {
+		return row
+	}
+	r.topo.NCARanges(s, func(lo, hi, l int) {
+		if r.bySource {
+			for d, word := lo, r.guided[s*guidedStride+l]; d < hi; d++ {
+				buf[d] = word
+			}
+			return
+		}
+		for d := lo; d < hi; d++ {
+			buf[d] = r.guided[d*guidedStride+l]
+		}
+	})
+	return buf
+}
+
+// heldRow returns a row of source s's words that the caller owns.
+func (r *routes) heldRow(s int) []uint64 {
+	row := make([]uint64, len(r.rows))
+	if held := r.rows[s]; held != nil {
+		copy(row, held)
+		return row
+	}
+	return r.rowOf(s, row)
 }
 
 // packRoute packs the ascent digits a byte per level with the NCA
@@ -135,25 +209,20 @@ func (g *Generation) Stats() Stats { return g.stats }
 func (g *Generation) View() *xgft.View { return g.view }
 
 // lookup is the per-pair rule, written once: an endpoint outside the
-// leaves → PackedUnreachable, a self pair → 0 (the empty ascent), else
-// the shard word, itself PackedUnreachable when the fault view left no
+// leaves → PackedUnreachable, else the table's word — 0 (the empty
+// ascent) for a self pair, PackedUnreachable when the fault view left no
 // minimal path. Endpoints arrive as uint64 so one compare rejects
-// negative ints and the wire's 32-bit values alike. Besides Routes and
-// the fabric's derive nothing else reads shards. A resolved non-self
+// negative ints and the wire's 32-bit values alike. A resolved non-self
 // pair — what telemetry counts — is a word neither PackedUnreachable
 // nor 0: distinct leaves meet at level >= 1, so a real route's level
 // byte is never zero.
 //
 //repro:hotpath
 func (g *Generation) lookup(src, dst uint64) uint64 {
-	n := uint64(len(g.shards))
-	switch {
-	case src >= n || dst >= n:
+	if max(src, dst) >= uint64(len(g.rows)) {
 		return PackedUnreachable
-	case src == dst:
-		return 0
 	}
-	return g.shards[src][dst]
+	return g.word(int(src), int(dst))
 }
 
 // Resolve returns the installed route for the pair, decoded. ok is
@@ -254,8 +323,9 @@ func (g *Generation) appendResolveWire(tel *Telemetry, pairs, dst []byte) (out [
 func (g *Generation) Routes() []xgft.Route {
 	out := make([]xgft.Route, 0, g.stats.Routes)
 	arena := make([]int, 0, g.stats.Routes*g.topo.Height())
-	for s, row := range g.shards {
-		for d, packed := range row {
+	for s := range g.rows {
+		for d := range g.rows {
+			packed := g.word(s, d)
 			if s == d || packed == PackedUnreachable {
 				continue
 			}

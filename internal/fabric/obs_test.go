@@ -138,8 +138,8 @@ func TestFabricMetricsAndJournal(t *testing.T) {
 		}
 	}
 	// And what it cost: the initial build certifies the whole table and
-	// shares every row with the pinned one; a fault certifies exactly the
-	// routes it rerouted.
+	// holds no row (every source serves the pinned guided base); a fault
+	// certifies exactly the routes it rerouted.
 	for i, ev := range jnl.Tail(0) {
 		if ev.Type != "generation.swap" {
 			continue

@@ -185,13 +185,13 @@ func (f *Fabric) Optimize(cfg OptimizeConfig) (res OptimizeResult, err error) {
 	if err != nil {
 		return res, fmt.Errorf("fabric: candidate %s: %w", res.Best, err)
 	}
-	gen, touched, err := f.derive(buildStart, base, overrides, view, cur, res.Best)
+	gen, err := f.derive(buildStart, base, overrides, view, cur, res.Best)
 	if err != nil {
 		return res, fmt.Errorf("fabric: candidate table rejected: %w", err)
 	}
 	gen.stats.CacheHit = hit
 	f.publish(gen, "optimize")
-	res.Swapped, res.SwapTouched = true, touched
+	res.Swapped, res.SwapTouched = true, wordsChanged(gen, cur)
 	res.Stats = gen.stats
 	return res, nil
 }

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 )
 
@@ -37,7 +38,6 @@ type Topology struct {
 	w []int // w[i] = paper w_{i+1}: parents per node at level i
 
 	leaves     int   // product of all m[i]
-	below      []int // below[j] = m[0]*...*m[j-1]: place value of leaf digit j
 	nodesAt    []int // nodesAt[l] = number of nodes at level l
 	upChanAt   []int // upChanAt[l] = number of up channels leaving level l
 	upChanBase []int // prefix sums of upChanAt for flat channel IDs
@@ -46,12 +46,15 @@ type Topology struct {
 	// c arrives at. Route walks ask for it once per hop, so it is a table
 	// read instead of parentIndex's three divisions.
 	parentOf []int32
+	// nca is the leaves' NCA rule, tabulated once (see NCA).
+	nca NCA
 }
 
 // New validates the parameter vectors and constructs the topology.
 // m and w must both have length h; every m_i >= 1 and w_i >= 1. It
-// tabulates the parent of every up channel, so it takes time and memory
-// proportional to TotalChannels (four bytes a channel).
+// tabulates the parent of every up channel and the bit-field label of
+// every leaf, so it takes time and memory proportional to
+// TotalChannels (four bytes a channel) plus Leaves (eight bytes a leaf).
 func New(h int, m, w []int) (*Topology, error) {
 	if h < 1 || h > MaxHeight {
 		return nil, fmt.Errorf("xgft: height %d out of range [1,%d]", h, MaxHeight)
@@ -59,7 +62,7 @@ func New(h int, m, w []int) (*Topology, error) {
 	if len(m) != h || len(w) != h {
 		return nil, fmt.Errorf("xgft: need %d m-parameters and %d w-parameters, got %d and %d", h, h, len(m), len(w))
 	}
-	leaves, below := 1, make([]int, h)
+	leaves := 1
 	for i, mi := range m {
 		if mi < 1 {
 			return nil, fmt.Errorf("xgft: m[%d]=%d must be >= 1", i, mi)
@@ -67,7 +70,6 @@ func New(h int, m, w []int) (*Topology, error) {
 		if leaves > (1<<31)/mi {
 			return nil, errors.New("xgft: too many leaves (overflow)")
 		}
-		below[i] = leaves
 		leaves *= mi
 	}
 	for i, wi := range w {
@@ -80,7 +82,6 @@ func New(h int, m, w []int) (*Topology, error) {
 		m:      append([]int(nil), m...),
 		w:      append([]int(nil), w...),
 		leaves: leaves,
-		below:  below,
 	}
 	t.nodesAt = make([]int, h+1)
 	for l := 0; l <= h; l++ {
@@ -111,7 +112,56 @@ func New(h int, m, w []int) (*Topology, error) {
 			}
 		}
 	}
+	t.nca = newNCA(t)
 	return t, nil
+}
+
+// NCA is a topology's nearest-common-ancestor rule over its leaves, in
+// a value small enough to copy into a structure that asks it once per
+// pair (a route store's lookup reads it without reaching through the
+// topology). leafBits[x] is leaf x's label with every M-digit in a bit
+// field of its own, ceil(log2 m_j) bits wide, digit 0 lowest; ofLen[b]
+// is the level whose digit owns bit b-1 (0 for b = 0). Two leaves' NCA
+// level is then one XOR, one bit length and one table read: the highest
+// differing bit lies in the highest differing digit. The fields take
+// fewer than 64 bits because leaves <= 2^31 and ceil(log2 m) <=
+// 1.3 log2 m for m >= 2. A digit with m_j = 1 gets no bits: it never
+// differs.
+type NCA struct {
+	leafBits []uint64
+	ofLen    [65]uint8
+}
+
+// newNCA tabulates the rule for t's leaves.
+func newNCA(t *Topology) NCA {
+	var r NCA
+	var offset [MaxHeight + 1]int
+	for j := 0; j < t.h; j++ {
+		width := bits.Len(uint(t.m[j] - 1))
+		offset[j+1] = offset[j] + width
+		for b := offset[j] + 1; b <= offset[j+1]; b++ {
+			r.ofLen[b] = uint8(j + 1)
+		}
+	}
+	r.leafBits = make([]uint64, t.leaves)
+	for x := range r.leafBits {
+		word, rest := uint64(0), x
+		for j := 0; j < t.h; j++ {
+			word |= uint64(rest%t.m[j]) << offset[j]
+			rest /= t.m[j]
+		}
+		r.leafBits[x] = word
+	}
+	return r
+}
+
+// Level is Topology.NCALevel: the level of the nearest common ancestors
+// of leaves s and d, 0 when s == d. Both must be leaves, in
+// [0, Leaves()): callers check the range (an index past it panics).
+//
+//repro:hotpath
+func (r *NCA) Level(s, d int) int {
+	return int(r.ofLen[bits.Len64(r.leafBits[s]^r.leafBits[d])])
 }
 
 // MustNew is New that panics on error; intended for tests and literals
@@ -376,18 +426,42 @@ func (t *Topology) DownPortOf(level, childIndex int) int {
 
 // NCALevel returns the level of the nearest common ancestors of two
 // distinct leaves: one plus the highest digit position at which their
-// labels differ. For s == d it returns 0. Digits are compared from the
-// top down, a whole prefix at a time: s/below[j] is the label's digits
-// j..h-1, so the first j from the top where the prefixes differ is the
-// highest differing digit. Most pairs of a wide tree part at the top,
-// after one comparison.
-func (t *Topology) NCALevel(s, d int) int {
-	for j := t.h - 1; j >= 0; j-- {
-		if s/t.below[j] != d/t.below[j] {
-			return j + 1
+// labels differ. For s == d it returns 0. Both must be leaves, in
+// [0, Leaves()): callers check the range (an index past it panics).
+// The rule is division-free — the XOR of the two leaves' bit-field
+// labels, its bit length, and the level that bit belongs to (see NCA)
+// — because a census, a table build and every resolve of a guided
+// route store ask it once per pair.
+//
+//repro:hotpath
+func (t *Topology) NCALevel(s, d int) int { return t.nca.Level(s, d) }
+
+// NCA returns the topology's NCA rule as a value of its own, for the
+// structures that ask it per pair; Level of it is NCALevel.
+func (t *Topology) NCA() NCA { return t.nca }
+
+// NCARanges calls fn(lo, hi, level) for every range [lo, hi) of
+// leaves that meet s at one NCA level: s itself at level 0 first, then
+// for each level l = 1..h the leaves under s's level-l ancestor outside
+// its level-(l-1) subtree, at most two ranges a level (a level with
+// m = 1 has none). It is NCALevel over a whole row — NCALevel(s, d) is
+// the level of the range holding d — for callers that visit every
+// destination of a source. s must be a leaf.
+func (t *Topology) NCARanges(s int, fn func(lo, hi, level int)) {
+	lo, hi := s, s+1
+	fn(lo, hi, 0)
+	span := 1
+	for l := 1; l <= t.h; l++ {
+		span *= t.m[l-1]
+		start := s - s%span
+		if start < lo {
+			fn(start, lo, l)
 		}
+		if end := start + span; hi < end {
+			fn(hi, end, l)
+		}
+		lo, hi = start, start+span
 	}
-	return 0
 }
 
 // NCACount returns how many distinct NCAs a pair with NCA level l can

@@ -1,6 +1,7 @@
 package xgft
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -272,6 +273,63 @@ func TestNCALevelMatchesDigitwiseReference(t *testing.T) {
 				if got, want := tp.NCALevel(s, d), ncaLevelByDigits(tp, s, d); got != want {
 					t.Fatalf("%s: NCALevel(%d,%d) = %d, digit-wise reference %d", tp, s, d, got, want)
 				}
+			}
+		}
+	}
+}
+
+// ncaLevelByDivision is the prefix rule NCALevel used before it read
+// bit-field labels: s/below[j] is the leaf's digits j..h-1, so the
+// first j from the top where the two prefixes differ is the highest
+// differing digit.
+func ncaLevelByDivision(tp *Topology, s, d int) int {
+	below := 1
+	for j := 0; j < tp.Height()-1; j++ {
+		below *= tp.M(j)
+	}
+	for j := tp.Height() - 1; j >= 0; j-- {
+		if s/below != d/below {
+			return j + 1
+		}
+		if j > 0 {
+			below /= tp.M(j - 1)
+		}
+	}
+	return 0
+}
+
+// TestNCALevelMatchesDivisionRule holds the bit-field rule, and
+// NCARanges, to the division rule on every pair of trees whose digit
+// fields it could get wrong: one level, four levels, arities that are not powers of two
+// (fields with unused codes), w_1 > 1, slimmed trees and m_j = 1.
+func TestNCALevelMatchesDivisionRule(t *testing.T) {
+	for _, tp := range []*Topology{
+		MustNew(1, []int{7}, []int{1}),                   // h = 1
+		MustNew(1, []int{16}, []int{3}),                  // h = 1, w_1 > 1
+		MustNew(4, []int{3, 2, 5, 3}, []int{1, 2, 3, 2}), // h = 4
+		MustNew(4, []int{4, 4, 4, 4}, []int{1, 4, 4, 4}), // 4-ary 4-tree
+		MustNew(3, []int{3, 5, 7}, []int{2, 3, 4}),       // odd arities, w_1 > 1
+		MustNew(2, []int{16, 16}, []int{1, 10}),          // the paper's slimmed tree
+		MustNew(3, []int{6, 1, 9}, []int{1, 1, 3}),       // a level with m_j = 1, slimmed
+		MustNew(2, []int{17, 15}, []int{3, 2}),           // 5- and 4-bit fields, slimmed
+	} {
+		for s := 0; s < tp.Leaves(); s++ {
+			for d := 0; d < tp.Leaves(); d++ {
+				if got, want := tp.NCALevel(s, d), ncaLevelByDivision(tp, s, d); got != want {
+					t.Fatalf("%s: NCALevel(%d,%d) = %d, division rule %d", tp, s, d, got, want)
+				}
+			}
+			// NCARanges covers every destination once, each at its level.
+			seen := make([]int, tp.Leaves())
+			tp.NCARanges(s, func(lo, hi, level int) {
+				for d := lo; d < hi; d++ {
+					if seen[d]++; seen[d] > 1 || level != ncaLevelByDivision(tp, s, d) {
+						t.Fatalf("%s: NCARanges(%d) puts %d at level %d (visit %d), division rule %d", tp, s, d, level, seen[d], ncaLevelByDivision(tp, s, d))
+					}
+				}
+			})
+			if i := slices.Index(seen, 0); i >= 0 {
+				t.Fatalf("%s: NCARanges(%d) skips leaf %d", tp, s, i)
 			}
 		}
 	}
