@@ -4,16 +4,17 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/contention/oracle"
 	"repro/internal/hashutil"
 	"repro/internal/pattern"
 	"repro/internal/xgft"
 )
 
-// analyzeOracle is the census as it was before it went dense — a
-// callback walk per route and a (channel, endpoint) hash set per
-// direction for the group counts. It trusts its input (no validation)
-// and survives only as the reference the flat-array census is checked
-// against.
+// analyzeOracle is the census as it was before it went dense — the
+// routes lowered by the oracle package's own walk (oracle.Lower) and a
+// (channel, endpoint) hash set per direction for the group counts. It
+// trusts its input (no validation) and survives only as the reference
+// the flat-array census is checked against.
 func analyzeOracle(t *xgft.Topology, p *pattern.Pattern, routes []xgft.Route) *Analysis {
 	n, c := t.Leaves(), t.TotalChannels()
 	a := &Analysis{
@@ -42,8 +43,9 @@ func analyzeOracle(t *xgft.Topology, p *pattern.Pattern, routes []xgft.Route) *A
 		a.EjectBytes[f.Dst] += f.Bytes
 		a.OutDegree[f.Src]++
 		a.InDegree[f.Dst]++
-		routes[i].Walk(t, func(_, _, _, ch int, up bool) {
-			if up {
+		for _, c := range oracle.Lower(t, routes[i]) {
+			ch := c.Wire
+			if c.Up {
 				a.UpBytes[ch] += f.Bytes
 				a.UpFlows[ch]++
 				if k := (groupKey{ch, f.Src}); !upSeen[k] {
@@ -58,7 +60,7 @@ func analyzeOracle(t *xgft.Topology, p *pattern.Pattern, routes []xgft.Route) *A
 					a.DownGroups[ch]++
 				}
 			}
-		})
+		}
 	}
 	return a
 }

@@ -81,17 +81,14 @@ func (l *Loads) refill(t *xgft.Topology, p *pattern.Pattern, routes []xgft.Route
 		}
 		l.InjectBytes[f.Src] += f.Bytes
 		l.EjectBytes[f.Dst] += f.Bytes
-		// The descent visits the ancestors of Dst below the NCA, so both
-		// halves climb with the same ports; a wire is numbered by its
-		// child-side node (xgft.Route.Walk's convention).
-		up, dn := f.Src, f.Dst
+		c := t.Climb(f.Src, f.Dst)
 		for lv, port := range r.Up {
 			if port < 0 || port >= t.W(lv) {
 				return fmt.Errorf("contention: route %d up-port %d at level %d out of range [0,%d)", i, port, lv, t.W(lv))
 			}
-			l.UpBytes[t.UpChannelID(lv, up, port)] += f.Bytes
-			l.DownBytes[t.UpChannelID(lv, dn, port)] += f.Bytes
-			up, dn = t.Parent(lv, up, port), t.Parent(lv, dn, port)
+			up, down := c.Step(lv, port)
+			l.UpBytes[up] += f.Bytes
+			l.DownBytes[down] += f.Bytes
 		}
 	}
 	return nil
@@ -154,15 +151,14 @@ func countGroups(t *xgft.Topology, p *pattern.Pattern, routes []xgft.Route, up b
 	stamp := make([]int, c) // last endpoint seen on the channel, plus one
 	for _, i := range order {
 		e := end(p.Flows[i])
-		node := e
+		walk := t.Climb(e, e)
 		for lv, port := range routes[i].Up {
-			ch := t.UpChannelID(lv, node, port)
+			ch, _ := walk.Step(lv, port)
 			flows[ch]++
 			if stamp[ch] != e+1 {
 				stamp[ch] = e + 1
 				groups[ch]++
 			}
-			node = t.Parent(lv, node, port)
 		}
 	}
 	return flows, groups, degree

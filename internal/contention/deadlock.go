@@ -242,20 +242,17 @@ func (c *Certifier) Add(src, dst int, up []int) error {
 	}
 	var down [xgft.MaxHeight]int32
 	prev := int32(-1)
-	a, b := src, dst // the nodes the ascent and the descent pass at level l
+	walk := t.Climb(src, dst)
 	for l, p := range up {
 		if p < 0 || p >= t.W(l) {
 			return fmt.Errorf("contention: route %d->%d up-port %d at level %d out of range [0,%d)", src, dst, p, l, t.W(l))
 		}
-		ch := t.UpChannelID(l, a, p)
+		u, d := walk.Step(l, p)
 		if prev >= 0 {
-			c.g.addEdge(prev, int32(2*ch+1))
+			c.g.addEdge(prev, int32(2*u+1))
 		}
-		prev = int32(2*ch + 1)
-		a = t.ChannelParent(ch)
-		ch = t.UpChannelID(l, b, p)
-		down[l] = int32(2 * ch)
-		b = t.ChannelParent(ch)
+		prev = int32(2*u + 1)
+		down[l] = int32(2 * d)
 	}
 	for l := len(up) - 1; l >= 0; l-- {
 		c.g.addEdge(prev, down[l])

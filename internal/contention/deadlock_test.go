@@ -267,3 +267,65 @@ func TestCertifierRollback(t *testing.T) {
 		t.Fatalf("acyclic addition after rollback: %v", err)
 	}
 }
+
+// TestAddOnlyClimbsRanks: every dependency Add records leads to a
+// higher rank, where an up wire at level l has rank l and a down wire
+// at level l has rank 2h-1-l. Checked exhaustively on small trees —
+// every pair, every valid ascent — into one certificate, it shows a
+// certificate fed only through Add is acyclic and never fails Verify:
+// the fabric's from-scratch fallback is reached only through a
+// malformed route Add refuses or through AddPath.
+func TestAddOnlyClimbsRanks(t *testing.T) {
+	trees := []*xgft.Topology{
+		xgft.MustNew(1, []int{4}, []int{3}),
+		xgft.MustNew(2, []int{6, 5}, []int{1, 3}), // slimmed
+		xgft.MustNew(3, []int{3, 5, 7}, []int{2, 3, 4}),
+		xgft.MustNew(4, []int{2, 3, 2, 3}, []int{2, 1, 3, 2}),
+	}
+	for _, tp := range trees {
+		c, err := NewCertifier(tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, h := tp.Leaves(), tp.Height()
+		var up [xgft.MaxHeight]int
+		var each func(s, d, l int)
+		each = func(s, d, l int) {
+			if l == tp.NCALevel(s, d) {
+				if err := c.Add(s, d, up[:l]); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			for p := 0; p < tp.W(l); p++ {
+				up[l] = p
+				each(s, d, l+1)
+			}
+		}
+		for s := 0; s < n; s++ {
+			for d := 0; d < n; d++ {
+				each(s, d, 0)
+			}
+		}
+		if c.Mark() == 0 {
+			t.Fatalf("%v: no dependency recorded", tp)
+		}
+		rank := func(ch int32) int {
+			l, _, _ := tp.ChannelOf(int(ch >> 1))
+			if ch&1 == 1 {
+				return l
+			}
+			return 2*h - 1 - l
+		}
+		for from, e := range c.g.head {
+			for ; e >= 0; e = c.g.next[e] {
+				if to := c.g.to[e]; rank(int32(from)) >= rank(to) {
+					t.Fatalf("%v: dependency %d -> %d goes from rank %d to %d", tp, from, to, rank(int32(from)), rank(to))
+				}
+			}
+		}
+		if err := c.Verify(); err != nil {
+			t.Fatalf("%v: %v", tp, err)
+		}
+	}
+}

@@ -89,14 +89,43 @@ func dirName(up bool) string {
 	return "down"
 }
 
-// VerifyRoutes is Verify over the routes lowered to channel paths
-// through Route.Walk, the way the map verifier read them.
+// VerifyRoutes is Verify over the routes lowered to channel paths by
+// Lower.
 func VerifyRoutes(t *xgft.Topology, routes []xgft.Route) error {
 	paths := make([][]Channel, len(routes))
 	for i, r := range routes {
-		r.Walk(t, func(_, _, _, wire int, up bool) {
-			paths[i] = append(paths[i], Channel{Wire: wire, Up: up})
-		})
+		paths[i] = Lower(t, r)
 	}
 	return Verify(paths)
+}
+
+// Lower returns the directed channels the route traverses, in path
+// order, by a lowering of its own that shares no walk with the code
+// the oracles check: it names the NCA by the source's label with the
+// ascent's W-digits swapped in, descends from it towards both
+// endpoints through Child, and numbers each wire by its child-side
+// node and the up-port UpPortOf finds towards the parent. It uses
+// neither Parent nor the rule that the descent climbs from the
+// destination through the same ports.
+func Lower(t *xgft.Topology, r xgft.Route) []Channel {
+	top := len(r.Up)
+	label := t.Label(0, r.Src)
+	copy(label, r.Up)
+	nca := t.Index(top, label)
+	path := make([]Channel, 2*top)
+	for i, end := range [2]int{r.Src, r.Dst} {
+		digits := t.Label(0, end)
+		node := nca
+		for l := top; l > 0; l-- {
+			child := t.Child(l, node, digits[l-1])
+			wire := t.UpChannelID(l-1, child, t.UpPortOf(l-1, node))
+			if i == 0 {
+				path[l-1] = Channel{Wire: wire, Up: true}
+			} else {
+				path[2*top-l] = Channel{Wire: wire}
+			}
+			node = child
+		}
+	}
+	return path
 }

@@ -176,23 +176,19 @@ func (st *phaseState) onTree(f pattern.Flow) bool {
 	return f.Src >= 0 && f.Src < n && f.Dst >= 0 && f.Dst < n
 }
 
-// apply and cost visit the channels xgft.Route.Walk would — the ascent
-// from the source, the descent towards the destination — but inline,
-// level by level, with no Route value and no callback: they are the
-// optimizer's inner loop, called once per candidate per flow per
-// sweep. No two of those channels are the same, so the order is free.
+// apply and cost visit the channels of the flow's route — the ascent
+// climbs from the source, the descent from the destination, through
+// the same ports — with no Route value: they are the optimizer's inner
+// loop, called once per candidate per flow per sweep. No two of those
+// channels are the same, so the order is free.
 
 //repro:hotpath
 func (st *phaseState) apply(f pattern.Flow, up []int, delta int32) {
-	t := st.topo
-	a, b := f.Src, f.Dst // the nodes the ascent and the descent pass at level l
+	c := st.topo.Climb(f.Src, f.Dst)
 	for l, p := range up {
-		ch := t.UpChannelID(l, a, p)
-		bump(st.upCounts, st.upGroups, ch, int(st.slot[ch])+f.Src, delta)
-		a = t.ChannelParent(ch)
-		ch = t.UpChannelID(l, b, p)
-		bump(st.downCounts, st.downGroups, ch, int(st.slot[ch])+f.Dst, delta)
-		b = t.ChannelParent(ch)
+		u, d := c.Step(l, p)
+		bump(st.upCounts, st.upGroups, u, int(st.slot[u])+f.Src, delta)
+		bump(st.downCounts, st.downGroups, d, int(st.slot[d])+f.Dst, delta)
 	}
 }
 
@@ -216,20 +212,16 @@ func bump(counts, groups []int32, ch, cell int, delta int32) {
 //
 //repro:hotpath
 func (st *phaseState) cost(f pattern.Flow, up []int) int64 {
-	t := st.topo
 	var delta int64
-	a, b := f.Src, f.Dst
+	c := st.topo.Climb(f.Src, f.Dst)
 	for l, p := range up {
-		ch := t.UpChannelID(l, a, p)
-		if st.upCounts[int(st.slot[ch])+f.Src] == 0 {
-			delta += 2*int64(st.upGroups[ch]) + 1
+		u, d := c.Step(l, p)
+		if st.upCounts[int(st.slot[u])+f.Src] == 0 {
+			delta += 2*int64(st.upGroups[u]) + 1
 		}
-		a = t.ChannelParent(ch)
-		ch = t.UpChannelID(l, b, p)
-		if st.downCounts[int(st.slot[ch])+f.Dst] == 0 {
-			delta += 2*int64(st.downGroups[ch]) + 1
+		if st.downCounts[int(st.slot[d])+f.Dst] == 0 {
+			delta += 2*int64(st.downGroups[d]) + 1
 		}
-		b = t.ChannelParent(ch)
 	}
 	return delta
 }

@@ -71,30 +71,15 @@ func newRefPhaseState(t *xgft.Topology) *refPhaseState {
 	}
 }
 
-// apply and cost visit the channels xgft.Route.Walk would — the ascent
-// from the source, the descent towards the destination — but inline,
-// with no Route value and no callback: they are the optimizer's inner
-// loop, called once per candidate per flow per sweep. apply keeps
-// Walk's order (up, then down from the NCA); cost only sums integers
-// over channels no two of which are the same, so it takes both halves
-// level by level.
+// apply and cost visit the channels of the flow's route, both halves
+// level by level: no two of them are the same, so the order is free.
 
 func (st *refPhaseState) apply(f pattern.Flow, up []int, delta int) {
-	t := st.topo
-	idx := f.Src
+	c := st.topo.Climb(f.Src, f.Dst)
 	for l, p := range up {
-		ch := t.UpChannelID(l, idx, p)
-		st.bump(st.upCounts, st.upGroups, ch, f.Src, delta)
-		idx = t.ChannelParent(ch)
-	}
-	var down [xgft.MaxHeight]int
-	idx = f.Dst
-	for l, p := range up {
-		down[l] = t.UpChannelID(l, idx, p)
-		idx = t.ChannelParent(down[l])
-	}
-	for l := len(up) - 1; l >= 0; l-- {
-		st.bump(st.downCounts, st.downGroups, down[l], f.Dst, delta)
+		u, d := c.Step(l, p)
+		st.bump(st.upCounts, st.upGroups, u, f.Src, delta)
+		st.bump(st.downCounts, st.downGroups, d, f.Dst, delta)
 	}
 }
 
@@ -124,22 +109,18 @@ func (st *refPhaseState) bump(counts []map[int]int, groups []int, ch, key, delta
 // cost evaluates the potential delta of adding the flow with the given
 // ascent without mutating state.
 func (st *refPhaseState) cost(f pattern.Flow, up []int) int64 {
-	t := st.topo
 	var delta int64
-	a, b := f.Src, f.Dst // the nodes the ascent and the descent pass at level l
+	c := st.topo.Climb(f.Src, f.Dst)
 	for l, p := range up {
-		ch := t.UpChannelID(l, a, p)
-		if st.upCounts[ch][f.Src] == 0 {
-			g := int64(st.upGroups[ch])
+		u, d := c.Step(l, p)
+		if st.upCounts[u][f.Src] == 0 {
+			g := int64(st.upGroups[u])
 			delta += (g+1)*(g+1) - g*g
 		}
-		a = t.ChannelParent(ch)
-		ch = t.UpChannelID(l, b, p)
-		if st.downCounts[ch][f.Dst] == 0 {
-			g := int64(st.downGroups[ch])
+		if st.downCounts[d][f.Dst] == 0 {
+			g := int64(st.downGroups[d])
 			delta += (g+1)*(g+1) - g*g
 		}
-		b = t.ChannelParent(ch)
 	}
 	return delta
 }

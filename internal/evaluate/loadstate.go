@@ -239,31 +239,21 @@ func (ls *LoadState) applyFlow(r xgft.Route, bytes int64) {
 	ls.walkRoute(r, bytes)
 }
 
-// walkRoute adds bytes to every channel the route traverses, ascent
-// then descent — Route.Walk inlined (the callback would be a closure,
-// which the hot path bans). The descent visits the ancestors of Dst
-// below the NCA; the wire between levels i and i+1 is identified by
-// its child-side node, exactly as Route.Walk numbers it.
+// walkRoute adds bytes to every channel the route traverses: the
+// ascent climbs from the source, the descent from the destination,
+// through the same ports.
 //
 //repro:hotpath
 func (ls *LoadState) walkRoute(r xgft.Route, bytes int64) {
-	idx := r.Src
-	for l := 0; l < len(r.Up); l++ {
-		p := r.Up[l]
-		ch := ls.topo.UpChannelID(l, idx, p)
-		old := ls.up[ch]
-		ls.up[ch] = old + bytes
+	c := ls.topo.Climb(r.Src, r.Dst)
+	for l, p := range r.Up {
+		up, down := c.Step(l, p)
+		old := ls.up[up]
+		ls.up[up] = old + bytes
 		ls.network.update(old, old+bytes)
-		idx = ls.topo.Parent(l, idx, p)
-	}
-	dn := r.Dst
-	for l := 0; l < len(r.Up); l++ {
-		p := r.Up[l]
-		ch := ls.topo.UpChannelID(l, dn, p)
-		old := ls.down[ch]
-		ls.down[ch] = old + bytes
+		old = ls.down[down]
+		ls.down[down] = old + bytes
 		ls.network.update(old, old+bytes)
-		dn = ls.topo.Parent(l, dn, p)
 	}
 	ls.touched += uint64(2 * len(r.Up))
 }

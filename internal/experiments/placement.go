@@ -111,13 +111,12 @@ func perJobSlowdown(tp *xgft.Topology, gen *fabric.Generation, combined, job *pa
 		if !ok {
 			return 0, fmt.Errorf("experiments: job pair (%d,%d) did not resolve", fl.Src, fl.Dst)
 		}
-		r.Walk(tp, func(_, _, _, ch int, up bool) {
-			if up {
-				max(a.UpBytes[ch])
-			} else {
-				max(a.DownBytes[ch])
-			}
-		})
+		c := tp.Climb(fl.Src, fl.Dst)
+		for l, p := range r.Up {
+			up, down := c.Step(l, p)
+			max(a.UpBytes[up])
+			max(a.DownBytes[down])
+		}
 	}
 	return contention.Ratio(bound, contention.CrossbarBound(job)), nil
 }

@@ -80,15 +80,6 @@ func ShiftSweep(opt Options) ([]ShiftRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opt.Cache == nil {
-		// Sweep-local, as ChurnSweep's is cell-local: the bit-reversal
-		// phase (hence its Colored and its scored tables) is one
-		// pattern for every seed. At -seeds 12: 11 table hits / 37
-		// misses and 11 / 37 on the memo. Since fabrics stopped building
-		// their tables through it, the CPU it saves is within noise
-		// (0.29 s against 0.26 s without, medians of 7 at -parallel 1).
-		opt.Cache = core.NewTableCache(64)
-	}
 	eval := evaluate.NewAnalytic(opt.Cache)
 	type step struct {
 		static, online float64
@@ -120,7 +111,7 @@ func ShiftSweep(opt Options) ([]ShiftRow, error) {
 			if err != nil {
 				return err
 			}
-			// Static baseline on the phase pattern (cache-served).
+			// Static baseline on the phase pattern.
 			st, err := eval.Score(tp, core.NewDModK(tp), []*pattern.Pattern{p})
 			if err != nil {
 				return err

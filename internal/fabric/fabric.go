@@ -639,7 +639,7 @@ func (f *Fabric) derive(start time.Time, base *table, overrides []xgft.Route, vi
 	gen.rows = make([][]uint64, n)
 	var changed [][2]int    // the (src, dst) pairs whose word differs from base's
 	var written []int       // the destinations the current source wrote
-	var up [maxHeight]int   // the broken route being rerouted, decoded
+	var up [maxHeight]int   // the route being checked and rerouted, decoded
 	var bufA, bufB []uint64 // countDiff's, made at its first call
 	patched, unreachable, shared := 0, base.unreachable, 0
 	for s := 0; s < n; s++ {
@@ -667,10 +667,14 @@ func (f *Fabric) derive(start time.Time, base *table, overrides []xgft.Route, vi
 		}
 		for _, d := range scan {
 			word := gen.word(s, d)
-			if s == d || word == PackedUnreachable || packedRouteOK(view, f.topo, s, d, word) {
+			if s == d || word == PackedUnreachable {
 				continue
 			}
-			if nr, ok := core.RerouteAvoiding(view, xgft.Route{Src: s, Dst: d, Up: AppendPackedUp(word, up[:0])}); ok {
+			r := xgft.Route{Src: s, Dst: d, Up: AppendPackedUp(word, up[:0])}
+			if view.RouteOK(r) {
+				continue
+			}
+			if nr, ok := core.RerouteAvoiding(view, r); ok {
 				set(d, packRoute(nr))
 				patched++
 			} else {
@@ -799,7 +803,12 @@ func isSameRow(a, b []uint64) bool {
 // Should the union fail, the certificate is rolled back and the
 // candidate is certified alone and from scratch, as every generation
 // once was: passing, it is published and the certificate restarts from
-// it; failing, it is refused. Callers hold f.mu.
+// it; failing, it is refused. Callers hold f.mu. A certificate fed
+// only through Certifier.Add never fails Verify — every dependency Add
+// records leads to a higher rank (contention's TestAddOnlyClimbsRanks)
+// — so outside tests, which poison it through AddPath, the fallback
+// runs only after Add refused a malformed word, and then refuses the
+// candidate too. It stays as the gate's recovery path.
 func (f *Fabric) certifyLocked(base *table, gen *Generation, changed [][2]int) (added int, err error) {
 	mark := f.cert.Mark()
 	if added, err = f.addDeltaLocked(base, gen, changed); err == nil {

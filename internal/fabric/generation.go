@@ -160,23 +160,6 @@ func packRoute(r xgft.Route) uint64 {
 	return p
 }
 
-// packedRouteOK is View.RouteOK over a packed route without
-// materializing it — the fault-repair path checks every pair, so the
-// common (healthy-route) case must not allocate.
-func packedRouteOK(v *xgft.View, t *xgft.Topology, src, dst int, packed uint64) bool {
-	l := int(packed >> levelShift)
-	for _, idx := range [2]int{src, dst} { // the ascent, then the descent read upwards
-		for i := 0; i < l; i++ {
-			ch := t.UpChannelID(i, idx, int(packed>>(8*uint(i))&0xff))
-			if v.WireFailed(ch) {
-				return false
-			}
-			idx = t.ChannelParent(ch)
-		}
-	}
-	return true
-}
-
 // PackedNCALevel returns the ascent length (the NCA level) encoded in
 // a packed route. 0 is the empty route of a self pair; callers must
 // check PackedUnreachable first.

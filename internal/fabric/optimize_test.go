@@ -229,11 +229,9 @@ func TestOptimizeComposesWithFaults(t *testing.T) {
 		t.Errorf("single failed link severed pairs: %+v", st)
 	}
 	for _, r := range f.Generation().Routes() {
-		r.Walk(tp, func(_, _, _, wire int, _ bool) {
-			if wire == failed {
-				t.Fatalf("optimized route %v rides the failed wire", r)
-			}
-		})
+		if rides(tp, r, failed) {
+			t.Fatalf("optimized route %v rides the failed wire", r)
+		}
 	}
 	// Heal discards both the fault and the optimized choice, back to
 	// the configured scheme.

@@ -247,16 +247,16 @@ func (s *Sim) dispatch(op uint32) {
 func (s *Sim) upID(wire int) int   { return wire }
 func (s *Sim) downID(wire int) int { return s.Topo.TotalChannels() + wire }
 
-// pathOf compiles a route into its directed channel sequence.
+// pathOf compiles a route into its directed channel sequence: the
+// ascent from the source, then the descent read top-down from the
+// destination's climb.
 func (s *Sim) pathOf(r xgft.Route) []int {
-	path := make([]int, 0, r.Hops())
-	r.Walk(s.Topo, func(_, _, _, wire int, up bool) {
-		if up {
-			path = append(path, s.upID(wire))
-		} else {
-			path = append(path, s.downID(wire))
-		}
-	})
+	path := make([]int, r.Hops())
+	c := s.Topo.Climb(r.Src, r.Dst)
+	for l, p := range r.Up {
+		up, down := c.Step(l, p)
+		path[l], path[len(path)-1-l] = s.upID(up), s.downID(down)
+	}
 	return path
 }
 

@@ -49,6 +49,24 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRefusesOverflow: a spec whose node or channel count
+// overflows, or passes the int32 bound the parent table needs, is an
+// error before anything is allocated, not a panic in make.
+func TestParseRefusesOverflow(t *testing.T) {
+	for _, spec := range []string{
+		"2;1,1;2147483648,4294967296",
+		"2;1,1;3037000500,3037000500",
+		"3;1,1,1;2097152,2097152,2097152",
+		"2;2,2;4611686018427387904,2",
+		"1;1;2147483648",
+		"4;1,1,1,1;65536,65536,65536,65536",
+	} {
+		if tp, err := Parse(spec); err == nil {
+			t.Errorf("Parse(%q) = %v, want an error", spec, tp)
+		}
+	}
+}
+
 func TestParseQuickRoundTrip(t *testing.T) {
 	// Parse is the inverse of the String notation minus decoration.
 	f := func(seed int64) bool {

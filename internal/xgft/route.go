@@ -2,15 +2,57 @@ package xgft
 
 import "fmt"
 
-// Route is a minimal deadlock-free path between two leaves: the
-// ascending half is the sequence of up-ports to the chosen NCA
-// (Up[l] is the port taken at level l, equivalently the W_{l+1} digit
-// of the NCA); the descending half is uniquely determined by the
-// destination label (paper §V).
+// Route is a minimal deadlock-free path between two leaves, fixed by
+// its up-ports alone (paper §V): Up[l] is the port taken at level l,
+// equivalently the W_{l+1} digit of the NCA. The ascent climbs from
+// Src through those ports; the descent is the climb from Dst through
+// the same ports, read top-down. Every walk of a route's wires is a
+// Climb, which advances both climbs a level at a time:
+//
+//	c := t.Climb(r.Src, r.Dst)
+//	for l, p := range r.Up {
+//		up, down := c.Step(l, p) // down is hop 2*len(r.Up)-1-l
+//	}
+//
+// A wire carries one up and one down channel and is numbered by its
+// child-side node (UpChannelID); the caller knows which direction it
+// crossed.
 type Route struct {
 	Src, Dst int
 	Up       []int
 }
+
+// Climb is a route walk in progress: the nodes the climbs from the
+// route's two endpoints have reached. Walkers advance it with Step; it
+// is a value, so a walk allocates nothing. A walk of one end passes
+// the same leaf twice.
+type Climb struct {
+	t        *Topology
+	src, dst int
+}
+
+// Climb starts the climbs of a route from src to dst.
+//
+//repro:hotpath
+func (t *Topology) Climb(src, dst int) Climb { return Climb{t: t, src: src, dst: dst} }
+
+// Step takes up-port p on both climbs, whose nodes are at level l, and
+// returns the flat IDs of the wires crossed: up from the source's
+// climb, down from the destination's. p must be in [0, W(l)): callers
+// that take ports from outside check them first.
+//
+//repro:hotpath
+func (c *Climb) Step(l, p int) (up, down int) {
+	t := c.t
+	base, w := t.upChanBase[l], t.w[l]
+	up, down = base+c.src*w+p, base+c.dst*w+p
+	c.src, c.dst = int(t.parentOf[up]), int(t.parentOf[down])
+	return up, down
+}
+
+// Nodes returns the indices of the nodes the two climbs have reached;
+// after a minimal route's last step both are its NCA.
+func (c Climb) Nodes() (src, dst int) { return c.src, c.dst }
 
 // NCA returns the (level, index) of the route's nearest common
 // ancestor switch.
@@ -20,43 +62,6 @@ func (r Route) NCA(t *Topology) (level, index int) {
 
 // Hops returns the total number of channel traversals (up + down).
 func (r Route) Hops() int { return 2 * len(r.Up) }
-
-// UpChannels appends the flat channel IDs of the ascending half to dst
-// and returns it.
-func (r Route) UpChannels(t *Topology, dst []int) []int {
-	idx := r.Src
-	for l, p := range r.Up {
-		dst = append(dst, t.UpChannelID(l, idx, p))
-		idx = t.Parent(l, idx, p)
-	}
-	return dst
-}
-
-// DownChannels appends the flat channel IDs of the descending half to
-// dst (ordered from the NCA towards the destination) and returns it.
-// Down channels share IDs with their paired up channels; the caller
-// distinguishes direction.
-func (r Route) DownChannels(t *Topology, dst []int) []int {
-	l := len(r.Up)
-	// Walk up from Dst: the descending path visits exactly the
-	// ancestors of Dst below the NCA, and the channel between level i
-	// and i+1 is identified by the child-side node at level i.
-	idx := r.Dst
-	var ids [MaxHeight]int
-	for i := 0; i < l; i++ {
-		p := r.upPortTowardsNCA(t, i)
-		ids[i] = t.UpChannelID(i, idx, p)
-		idx = t.Parent(i, idx, p)
-	}
-	for i := l - 1; i >= 0; i-- {
-		dst = append(dst, ids[i])
-	}
-	return dst
-}
-
-// upPortTowardsNCA returns the W-digit the NCA has at position i,
-// which is Up[i] by construction.
-func (r Route) upPortTowardsNCA(_ *Topology, i int) int { return r.Up[i] }
 
 // Validate checks that the route is well formed for the topology:
 // endpoints in range, correct ascent length (at least the NCA level of
@@ -81,33 +86,10 @@ func (r Route) Validate(t *Topology) error {
 	return nil
 }
 
-// Walk calls fn for every directed channel traversal of the route in
-// path order: first the ascent (up=true), then the descent (up=false).
-// The channel argument is the flat wire ID; node is the child-side
-// node index of that wire.
-func (r Route) Walk(t *Topology, fn func(level, node, port, channel int, up bool)) {
-	idx := r.Src
-	for l, p := range r.Up {
-		fn(l, idx, p, t.UpChannelID(l, idx, p), true)
-		idx = t.Parent(l, idx, p)
-	}
-	l := len(r.Up)
-	var nodes [MaxHeight]int
-	var ports [MaxHeight]int
-	dn := r.Dst
-	for i := 0; i < l; i++ {
-		nodes[i] = dn
-		ports[i] = r.Up[i]
-		dn = t.Parent(i, dn, r.Up[i])
-	}
-	for i := l - 1; i >= 0; i-- {
-		fn(i, nodes[i], ports[i], t.UpChannelID(i, nodes[i], ports[i]), false)
-	}
-}
-
 // VerifyConnects replays the route hop by hop through the adjacency
-// relations and reports whether it really leads from Src to Dst. This
-// is the strong correctness check used by tests: Validate checks
+// relations and reports whether it really leads from Src to Dst: up
+// through Parent, then down through Child by the destination's label.
+// This is the strong correctness check used by tests: Validate checks
 // shape, VerifyConnects checks semantics.
 func (r Route) VerifyConnects(t *Topology) bool {
 	idx := r.Src

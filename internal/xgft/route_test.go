@@ -76,70 +76,111 @@ func TestRouteNCA(t *testing.T) {
 	}
 }
 
+// climbWires walks the route the way production code does, as two
+// climbs in one loop, and returns its wires in path order: the ascent
+// from the source, then the descent read top-down.
+func climbWires(t *Topology, r Route) (up, down []int) {
+	l := len(r.Up)
+	up, down = make([]int, l), make([]int, l)
+	c := t.Climb(r.Src, r.Dst)
+	for i, p := range r.Up {
+		up[i], down[l-1-i] = c.Step(i, p)
+	}
+	return up, down
+}
+
+// referenceWires lowers the route without Parent, the parent table or
+// the rule that the descent climbs from the destination: the NCA is
+// the source's label with the ascent's W-digits swapped in, each half
+// descends from it through Child towards its endpoint, and each wire
+// is numbered by its child-side node and the port UpPortOf finds.
+func referenceWires(t *Topology, r Route) (up, down []int) {
+	top := len(r.Up)
+	label := t.Label(0, r.Src)
+	copy(label, r.Up)
+	nca := t.Index(top, label)
+	up, down = make([]int, top), make([]int, top)
+	for i, end := range [2]int{r.Src, r.Dst} {
+		digits := t.Label(0, end)
+		node := nca
+		for l := top; l > 0; l-- {
+			child := t.Child(l, node, digits[l-1])
+			wire := t.UpChannelID(l-1, child, t.UpPortOf(l-1, node))
+			if i == 0 {
+				up[l-1] = wire
+			} else {
+				down[top-l] = wire
+			}
+			node = child
+		}
+	}
+	return up, down
+}
+
+// forEachAscent calls fn with every valid ascent of a pair whose NCA
+// is at level len(up), reusing up.
+func forEachAscent(t *Topology, up []int, fn func()) {
+	var rec func(l int)
+	rec = func(l int) {
+		if l == len(up) {
+			fn()
+			return
+		}
+		for p := 0; p < t.W(l); p++ {
+			up[l] = p
+			rec(l + 1)
+		}
+	}
+	rec(0)
+}
+
+// TestClimbMatchesReferenceLowering: on trees of height 1 to 4, with
+// non-power-of-two arities, w1 > 1 and the paper's slimmed tree, every
+// pair's every valid ascent walks the wires the reference lowering
+// names, in path order.
+func TestClimbMatchesReferenceLowering(t *testing.T) {
+	trees := []*Topology{
+		MustNew(1, []int{5}, []int{1}),
+		MustNew(1, []int{4}, []int{3}),
+		MustNew(2, []int{16, 16}, []int{1, 10}), // the paper's slimmed tree
+		MustNew(3, []int{3, 5, 7}, []int{2, 3, 4}),
+		MustNew(3, []int{4, 4, 4}, []int{1, 4, 4}),
+		MustNew(4, []int{2, 3, 2, 3}, []int{2, 1, 3, 2}),
+	}
+	for _, tp := range trees {
+		n := tp.Leaves()
+		var buf [MaxHeight]int
+		for s := 0; s < n; s++ {
+			for d := 0; d < n; d++ {
+				r := Route{Src: s, Dst: d, Up: buf[:tp.NCALevel(s, d)]}
+				forEachAscent(tp, r.Up, func() {
+					gotUp, gotDown := climbWires(tp, r)
+					wantUp, wantDown := referenceWires(tp, r)
+					if !equalInts(gotUp, wantUp) || !equalInts(gotDown, wantDown) {
+						t.Fatalf("%v: route %d->%d up %v: climbs walk %v then %v, reference %v then %v",
+							tp, s, d, r.Up, gotUp, gotDown, wantUp, wantDown)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRouteChannelsDisjointHalves: the ascent leaves from the source's
+// subtree and the descent enters the destination's, so with distinct
+// first-level switches the two halves share no wire.
 func TestRouteChannelsDisjointHalves(t *testing.T) {
 	tp := MustNew(2, []int{16, 16}, []int{1, 16})
-	r := Route{Src: 5, Dst: 37, Up: []int{0, 9}}
-	up := r.UpChannels(tp, nil)
-	down := r.DownChannels(tp, nil)
+	up, down := climbWires(tp, Route{Src: 5, Dst: 37, Up: []int{0, 9}})
 	if len(up) != 2 || len(down) != 2 {
 		t.Fatalf("channel counts = %d,%d, want 2,2", len(up), len(down))
 	}
-	// The ascent leaves from src's subtree, the descent enters dst's:
-	// with distinct first-level switches the wire sets are disjoint.
 	for _, u := range up {
 		for _, d := range down {
 			if u == d {
 				t.Fatalf("up and down halves share wire %d", u)
 			}
 		}
-	}
-}
-
-func TestRouteWalkOrder(t *testing.T) {
-	tp := MustNew(2, []int{16, 16}, []int{1, 16})
-	r := Route{Src: 5, Dst: 37, Up: []int{0, 9}}
-	var ups, downs int
-	var order []bool
-	r.Walk(tp, func(level, node, port, channel int, up bool) {
-		order = append(order, up)
-		if up {
-			ups++
-		} else {
-			downs++
-		}
-	})
-	if ups != 2 || downs != 2 {
-		t.Fatalf("walk visited %d up, %d down, want 2,2", ups, downs)
-	}
-	// Ascent strictly precedes descent.
-	seenDown := false
-	for _, u := range order {
-		if !u {
-			seenDown = true
-		} else if seenDown {
-			t.Fatal("ascent hop after descent hop")
-		}
-	}
-}
-
-func TestRouteWalkMatchesChannelLists(t *testing.T) {
-	tp := MustNew(3, []int{3, 4, 2}, []int{1, 2, 3})
-	r := modKRoute(tp, 1, 23)
-	wantUp := r.UpChannels(tp, nil)
-	wantDown := r.DownChannels(tp, nil)
-	var gotUp, gotDown []int
-	r.Walk(tp, func(_, _, _, ch int, up bool) {
-		if up {
-			gotUp = append(gotUp, ch)
-		} else {
-			gotDown = append(gotDown, ch)
-		}
-	})
-	if !equalInts(gotUp, wantUp) {
-		t.Errorf("walk up channels %v, want %v", gotUp, wantUp)
-	}
-	if !equalInts(gotDown, wantDown) {
-		t.Errorf("walk down channels %v, want %v", gotDown, wantDown)
 	}
 }
 
@@ -162,21 +203,28 @@ func TestQuickRandomRoutesConnect(t *testing.T) {
 	}
 }
 
+// TestQuickWalkChannelCount: the two climbs of a random route cross
+// one in-range wire a level each and meet at the route's NCA.
 func TestQuickWalkChannelCount(t *testing.T) {
 	f := func(seed int64) bool {
 		r := newRand(seed)
 		tp := randomTopology(r)
 		n := tp.Leaves()
-		s, d := r.Intn(n), r.Intn(n)
-		rt := modKRoute(tp, s, d)
-		count := 0
-		rt.Walk(tp, func(_, _, _, ch int, _ bool) {
-			if ch < 0 || ch >= tp.TotalChannels() {
-				count = -1 << 30
+		rt := modKRoute(tp, r.Intn(n), r.Intn(n))
+		c := tp.Climb(rt.Src, rt.Dst)
+		for l, p := range rt.Up {
+			up, down := c.Step(l, p)
+			for _, wire := range [2]int{up, down} {
+				if wire < 0 || wire >= tp.TotalChannels() {
+					return false
+				}
 			}
-			count++
-		})
-		return count == rt.Hops()
+		}
+		label := tp.Label(0, rt.Src)
+		copy(label, rt.Up)
+		nca := tp.Index(len(rt.Up), label)
+		a, b := c.Nodes()
+		return a == nca && b == nca
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -43,8 +43,8 @@ type Topology struct {
 	upChanBase []int // prefix sums of upChanAt for flat channel IDs
 	totalUp    int
 	// parentOf[c] is the index (one level up) of the node the up channel
-	// c arrives at. Route walks ask for it once per hop, so it is a table
-	// read instead of parentIndex's three divisions.
+	// c arrives at. Climb.Step, every route walk's hop, reads it instead
+	// of computing parentIndex's three divisions.
 	parentOf []int32
 	// nca is the leaves' NCA rule, tabulated once (see NCA).
 	nca NCA
@@ -83,22 +83,22 @@ func New(h int, m, w []int) (*Topology, error) {
 		w:      append([]int(nil), w...),
 		leaves: leaves,
 	}
+	// Every count is checked against the int32 bound before anything
+	// is allocated: a spec comes from outside the program, and an
+	// overflowing product would wrap to a length make refuses.
 	t.nodesAt = make([]int, h+1)
-	for l := 0; l <= h; l++ {
-		n := 1
-		for j := l; j < h; j++ {
-			n *= t.m[j]
-		}
-		for j := 0; j < l; j++ {
-			n *= t.w[j]
-		}
-		t.nodesAt[l] = n
-	}
 	t.upChanAt = make([]int, h)
 	t.upChanBase = make([]int, h+1)
-	for l := 0; l < h; l++ {
-		t.upChanAt[l] = t.nodesAt[l] * t.w[l]
-		t.upChanBase[l+1] = t.upChanBase[l] + t.upChanAt[l]
+	for l := 0; l <= h; l++ {
+		n := 1
+		for j := 0; j < h; j++ {
+			n = boundedMul(n, t.digitBase(l, j))
+		}
+		t.nodesAt[l] = n
+		if l < h {
+			t.upChanAt[l] = boundedMul(n, t.w[l])
+			t.upChanBase[l+1] = min(t.upChanBase[l]+t.upChanAt[l], math.MaxInt32+1)
+		}
 	}
 	t.totalUp = t.upChanBase[h]
 	if t.totalUp > math.MaxInt32 || t.nodesAt[h] > math.MaxInt32 {
@@ -130,6 +130,15 @@ func New(h int, m, w []int) (*Topology, error) {
 type NCA struct {
 	leafBits []uint64
 	ofLen    [65]uint8
+}
+
+// boundedMul returns a*b for positive a and b, saturated at
+// math.MaxInt32+1 so that a product past the int32 bound stays past it.
+func boundedMul(a, b int) int {
+	if a > math.MaxInt32/b {
+		return math.MaxInt32 + 1
+	}
+	return a * b
 }
 
 // newNCA tabulates the rule for t's leaves.
@@ -350,13 +359,6 @@ func (t *Topology) Parent(level, index, p int) int {
 	return int(t.parentOf[t.upChanBase[level]+index*t.w[level]+p])
 }
 
-// ChannelParent is Parent for a caller that already holds the up
-// channel's flat ID (UpChannelID of the same level, index and port):
-// the index, one level up, of the node the channel arrives at.
-//
-//repro:hotpath
-func (t *Topology) ChannelParent(channel int) int { return int(t.parentOf[channel]) }
-
 // parentIndex is Parent's arithmetic definition, which New tabulates
 // into parentOf.
 func (t *Topology) parentIndex(level, index, p int) int {
@@ -477,18 +479,14 @@ func (t *Topology) NCACount(l int) int {
 // NCAIndex returns the index (at level l = len(up) = NCALevel) of the
 // NCA reached from leaf s by taking up-ports up[0..l-1].
 func (t *Topology) NCAIndex(s int, up []int) int {
-	idx := s
+	c := t.Climb(s, s)
 	for l, p := range up {
-		idx = t.Parent(l, idx, p)
+		c.Step(l, p)
 	}
-	return idx
+	nca, _ := c.Nodes()
+	return nca
 }
 
-// RootOfRoute returns, for two-level trees and higher, the index of
-// the top-level ancestor a route through the given NCA would use if
-// extended; for the common h=2 evaluation topologies the NCA at level
-// 2 is itself a root.
-//
 // UpChannelID flat-numbers the up channel leaving (level, index)
 // through port p; the same ID also identifies the paired down channel
 // (parent -> child over the same wire). IDs are dense in

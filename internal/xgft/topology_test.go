@@ -539,8 +539,10 @@ func TestParentTableMatchesArithmetic(t *testing.T) {
 					if want := tp.parentIndex(l, idx, p); parent != want {
 						t.Fatalf("%v: Parent(%d,%d,%d) = %d, arithmetic definition %d", tp, l, idx, p, parent, want)
 					}
-					if got := tp.ChannelParent(tp.UpChannelID(l, idx, p)); got != parent {
-						t.Fatalf("%v: ChannelParent of channel (%d,%d,%d) = %d, Parent %d", tp, l, idx, p, got, parent)
+					c := Climb{t: tp, src: idx, dst: idx}
+					wire, _ := c.Step(l, p)
+					if next, _ := c.Nodes(); wire != tp.UpChannelID(l, idx, p) || next != parent {
+						t.Fatalf("%v: Step(%d,%d) from node %d crossed wire %d to node %d, want %d to %d", tp, l, p, idx, wire, next, tp.UpChannelID(l, idx, p), parent)
 					}
 					if parent < 0 || parent >= tp.NodesAt(l+1) {
 						t.Fatalf("%v: Parent(%d,%d,%d) = %d outside level %d", tp, l, idx, p, parent, l+1)

@@ -145,30 +145,17 @@ func (v *View) FailedSwitches() []SwitchID {
 func (v *View) Healthy() bool { return v.nFailed == 0 }
 
 // RouteOK reports whether the route traverses only healthy wires.
-// Both halves are checked: the ascent through r.Up and the descent
-// the destination label determines.
+// Both halves are checked: the ascent climbs from r.Src, the descent
+// from r.Dst, through the same ports.
 func (v *View) RouteOK(r Route) bool {
 	if v.nFailed == 0 {
 		return true
 	}
-	t := v.topo
-	idx := r.Src
+	c := v.topo.Climb(r.Src, r.Dst)
 	for l, p := range r.Up {
-		ch := t.UpChannelID(l, idx, p)
-		if v.WireFailed(ch) {
+		if up, down := c.Step(l, p); v.WireFailed(up) || v.WireFailed(down) {
 			return false
 		}
-		idx = t.ChannelParent(ch)
-	}
-	// The descent visits the ancestors of Dst below the NCA; the wire
-	// between levels i and i+1 is identified by its child-side node.
-	idx = r.Dst
-	for l, p := range r.Up {
-		ch := t.UpChannelID(l, idx, p)
-		if v.WireFailed(ch) {
-			return false
-		}
-		idx = t.ChannelParent(ch)
 	}
 	return true
 }
