@@ -166,6 +166,64 @@ func TestClimbMatchesReferenceLowering(t *testing.T) {
 	}
 }
 
+// TestRouteWalkOrder: each Step crosses level l's wire out of the node
+// each climb has reached, through the route's port, and moves both
+// climbs to that wire's parent; the climbs meet at the route's NCA, so
+// the source's wires read bottom-up then the destination's read
+// top-down are one path.
+func TestRouteWalkOrder(t *testing.T) {
+	tp := MustNew(2, []int{16, 16}, []int{1, 16})
+	r := Route{Src: 5, Dst: 37, Up: []int{0, 9}}
+	c := tp.Climb(r.Src, r.Dst)
+	for l, p := range r.Up {
+		src, dst := c.Nodes()
+		up, down := c.Step(l, p)
+		for _, hop := range []struct {
+			name       string
+			wire, from int
+		}{{"up", up, src}, {"down", down, dst}} {
+			wl, wi, wp := tp.ChannelOf(hop.wire)
+			if wl != l || wi != hop.from || wp != p {
+				t.Fatalf("step %d %s wire %d is (%d,%d,%d), want (%d,%d,%d)",
+					l, hop.name, hop.wire, wl, wi, wp, l, hop.from, p)
+			}
+		}
+		a, b := c.Nodes()
+		if a != tp.Parent(l, src, p) || b != tp.Parent(l, dst, p) {
+			t.Fatalf("after step %d the climbs are at %d,%d, want %d,%d",
+				l, a, b, tp.Parent(l, src, p), tp.Parent(l, dst, p))
+		}
+	}
+	level, idx := r.NCA(tp)
+	if a, b := c.Nodes(); level != len(r.Up) || a != idx || b != idx {
+		t.Fatalf("climbs end at %d,%d, want NCA %d at level %d", a, b, idx, level)
+	}
+}
+
+// TestRouteWalkMatchesChannelLists: the climbs' wires match channel
+// lists built level by level with the parent arithmetic (not the
+// parent table Climb reads), the ascent bottom-up and the descent
+// top-down.
+func TestRouteWalkMatchesChannelLists(t *testing.T) {
+	tp := MustNew(3, []int{3, 4, 2}, []int{1, 2, 3})
+	r := modKRoute(tp, 1, 23)
+	l := len(r.Up)
+	wantUp, wantDown := make([]int, l), make([]int, l)
+	src, dst := r.Src, r.Dst
+	for i, p := range r.Up {
+		wantUp[i] = tp.UpChannelID(i, src, p)
+		wantDown[l-1-i] = tp.UpChannelID(i, dst, p)
+		src, dst = tp.parentIndex(i, src, p), tp.parentIndex(i, dst, p)
+	}
+	gotUp, gotDown := climbWires(tp, r)
+	if !equalInts(gotUp, wantUp) {
+		t.Errorf("walk up channels %v, want %v", gotUp, wantUp)
+	}
+	if !equalInts(gotDown, wantDown) {
+		t.Errorf("walk down channels %v, want %v", gotDown, wantDown)
+	}
+}
+
 // TestRouteChannelsDisjointHalves: the ascent leaves from the source's
 // subtree and the descent enters the destination's, so with distinct
 // first-level switches the two halves share no wire.
