@@ -45,7 +45,7 @@
 //	                               last optimize outcome, wire listener; 503
 //	                               until a generation is published)
 //	GET  /metrics                  Prometheus text exposition (internal/obs)
-//	GET  /events?n=                control-plane event journal tail
+//	GET  /events?n=&since=         control-plane event journal tail
 //	GET  /wire                     binary-listener per-connection stats
 //
 // With -pprof the net/http/pprof handlers are additionally served
@@ -59,10 +59,16 @@
 // lines ("binary resolve protocol on ...", "serving ... on ...") are
 // plain prints — scripted clients parse them.
 //
-// Query parameters are bounds-checked against the topology: negative
-// or out-of-range src/dst/level/index/port/n values are rejected with
-// 400 and a structured error body; a job that does not fit the free
-// pool is 409.
+// One input rule covers every request value, and one reader applies
+// it (request.go): a missing, malformed or out-of-range value is
+// refused with 400 and a structured error body naming the first bad
+// parameter, and a refused request changes nothing. src, dst, level,
+// index, port and n are bounded by the topology; threshold must be a
+// finite non-negative float (NaN and Inf are refused, and fabricd
+// exits 2 at startup on such a -threshold); bytes is at most
+// MaxInt64/N² on an N-leaf tree, so the byte sums a tenant mix feeds
+// into telemetry and link loads fit int64; name and app are at most
+// 256 bytes. A job that does not fit the free pool is 409.
 //
 // -listen-binary additionally serves the wire-speed binary resolve
 // protocol (internal/wire: length-prefixed frames, batched pairs in,
@@ -82,11 +88,11 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -143,6 +149,9 @@ func main() {
 	num, den, err := trace.ParseRate(*sample)
 	if err != nil {
 		fatal("bad -trace-sample", err)
+	}
+	if err := fabric.CheckThreshold(*threshold); err != nil {
+		fatal("bad -threshold", err)
 	}
 	d, err := build(options{
 		spec: *spec, algo: *algo, policy: *policy, evaluator: *backend,
@@ -329,9 +338,6 @@ func build(o options, logger *slog.Logger) (*daemon, error) {
 // jobSpec builds a submission from the job endpoint's parameters: a
 // size plus one of the canned application profiles.
 func jobSpec(name, app string, n int, bytes int64, seed uint64) (sched.JobSpec, error) {
-	if bytes <= 0 {
-		bytes = 64 * 1024
-	}
 	var phases []*pattern.Pattern
 	switch app {
 	case "", "perm", "permutation":
@@ -495,28 +501,24 @@ func snapshotToJSON(snap sched.Snapshot) snapshotJSON {
 	return out
 }
 
-// intArgIn parses query parameter name as an integer in [lo, hi]; a
-// missing, malformed or out-of-range value is a client error.
-func intArgIn(r *http.Request, name string, lo, hi int) (int, error) {
-	v, err := strconv.Atoi(r.URL.Query().Get(name))
-	if err != nil {
-		return 0, fmt.Errorf("bad or missing %q: %v", name, err)
-	}
-	if v < lo || v > hi {
-		return 0, fmt.Errorf("%q=%d out of range [%d,%d]", name, v, lo, hi)
-	}
-	return v, nil
+// reply answers code with v as the JSON body.
+func reply(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(v)
 }
+
+// maxJobBytes bounds a job's message size on a tree of n leaves. Jobs
+// hold disjoint leaves and all-to-all is the densest app, so a tenant
+// mix is at most n(n−1) flows: at n² times the bound, the sums it feeds
+// into telemetry, link loads and an optimize pass's resolves stay
+// inside int64, with room for resolve counts on top.
+func maxJobBytes(n int) int64 { return math.MaxInt64 / int64(n*n) }
 
 func newMux(d *daemon, threshold float64, pprofOn bool) *http.ServeMux {
 	f, s := d.f, d.s
 	tp := f.Topology()
 	mux := http.NewServeMux()
-	reply := func(w http.ResponseWriter, code int, v any) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(code)
-		json.NewEncoder(w).Encode(v)
-	}
 	// reoptimize runs the threshold-gated pass over the combined
 	// tenant pattern after a placement change and returns the fields
 	// to merge into the response: the pass result, or nil when
@@ -526,49 +528,27 @@ func newMux(d *daemon, threshold float64, pprofOn bool) *http.ServeMux {
 	// routing table serving, it does not undo the allocation.
 	reoptimize := func(resp map[string]any) {
 		res, ran, err := s.Reoptimize(threshold)
-		if ran || err != nil {
-			d.recordOptimize(res, err)
-		}
+		resp["optimize"] = nil
 		switch {
 		case err != nil:
-			resp["optimize"] = nil
+			d.recordOptimize(res, err)
 			resp["optimize_error"] = err.Error()
 		case ran:
+			d.recordOptimize(res, err)
 			resp["optimize"] = optimizeToJSON(res)
-		default:
-			resp["optimize"] = nil
 		}
 	}
 	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
 		reply(w, http.StatusOK, snapshotToJSON(s.Snapshot()))
 	})
+	maxBytes := maxJobBytes(tp.Leaves())
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
-		n, err := intArgIn(r, "n", 1, tp.Leaves())
-		if err != nil {
-			reply(w, http.StatusBadRequest, errJSON{err.Error()})
-			return
-		}
-		var bytes int64
-		if v := r.URL.Query().Get("bytes"); v != "" {
-			b, err := strconv.ParseInt(v, 10, 64)
-			if err != nil || b < 1 {
-				reply(w, http.StatusBadRequest, errJSON{fmt.Sprintf("bad %q: want a positive integer", "bytes")})
-				return
-			}
-			bytes = b
-		}
-		var seed uint64 = 1
-		if v := r.URL.Query().Get("seed"); v != "" {
-			sd, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				reply(w, http.StatusBadRequest, errJSON{fmt.Sprintf("bad %q: want an unsigned integer", "seed")})
-				return
-			}
-			seed = sd
-		}
-		spec, err := jobSpec(r.URL.Query().Get("name"), r.URL.Query().Get("app"), n, bytes, seed)
-		if err != nil {
-			reply(w, http.StatusBadRequest, errJSON{err.Error()})
+		q := read(r)
+		n := q.intIn("n", 1, tp.Leaves())
+		bytes, seed := q.positive("bytes", 64*1024, maxBytes), q.unsigned("seed", 1)
+		name, app := q.text("name"), q.text("app")
+		spec, err := jobSpec(name, app, n, bytes, seed)
+		if q.keep(err); q.refused(w) {
 			return
 		}
 		job, err := s.Submit(spec)
@@ -585,9 +565,9 @@ func newMux(d *daemon, threshold float64, pprofOn bool) *http.ServeMux {
 		reply(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("DELETE /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
-		if err != nil {
-			reply(w, http.StatusBadRequest, errJSON{fmt.Sprintf("bad job id %q", r.PathValue("id"))})
+		q := read(r)
+		id := q.id()
+		if q.refused(w) {
 			return
 		}
 		if err := s.Release(id); err != nil {
@@ -618,11 +598,7 @@ func newMux(d *daemon, threshold float64, pprofOn bool) *http.ServeMux {
 			"uptime_ms":         float64(time.Since(d.started).Microseconds()) / 1000,
 			"journal_seq":       d.jnl.Seq(),
 		}
-		if out := d.lastOpt.Load(); out != nil {
-			resp["last_optimize"] = out
-		} else {
-			resp["last_optimize"] = nil
-		}
+		resp["last_optimize"] = d.lastOpt.Load() // a nil pointer encodes as null
 		if d.wsrv != nil {
 			resp["wire_listener"] = map[string]any{
 				"addr": d.wireAddr, "conns": len(d.wsrv.ConnStats()),
@@ -641,39 +617,25 @@ func newMux(d *daemon, threshold float64, pprofOn bool) *http.ServeMux {
 		// sequence S, oldest first. A client that tails with the last
 		// seq it saw detects ring overruns by comparing the first
 		// returned Seq against since+1. ?n= is the plain tail.
-		if v := r.URL.Query().Get("since"); v != "" {
-			since, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				reply(w, http.StatusBadRequest, errJSON{fmt.Sprintf("bad %q: want an unsigned integer", "since")})
-				return
-			}
-			reply(w, http.StatusOK, map[string]any{
-				"seq": d.jnl.Seq(), "events": d.jnl.Since(since),
-			})
+		q := read(r)
+		since, n := q.unsigned("since", 0), q.count("n", 32)
+		if q.refused(w) {
 			return
 		}
-		n := 32
-		if v := r.URL.Query().Get("n"); v != "" {
-			parsed, err := strconv.Atoi(v)
-			if err != nil || parsed < 0 {
-				reply(w, http.StatusBadRequest, errJSON{fmt.Sprintf("bad %q: want a non-negative integer", "n")})
-				return
-			}
-			n = parsed
+		seq := d.jnl.Seq()
+		var events []obs.Event
+		if q.has("since") {
+			events = d.jnl.Since(since)
+		} else {
+			events = d.jnl.Tail(n)
 		}
-		reply(w, http.StatusOK, map[string]any{
-			"seq": d.jnl.Seq(), "events": d.jnl.Tail(n),
-		})
+		reply(w, http.StatusOK, map[string]any{"seq": seq, "events": events})
 	})
 	mux.HandleFunc("GET /trace", func(w http.ResponseWriter, r *http.Request) {
-		n := 64
-		if v := r.URL.Query().Get("n"); v != "" {
-			parsed, err := strconv.Atoi(v)
-			if err != nil || parsed < 0 {
-				reply(w, http.StatusBadRequest, errJSON{fmt.Sprintf("bad %q: want a non-negative integer", "n")})
-				return
-			}
-			n = parsed
+		q := read(r)
+		n := q.count("n", 64)
+		if q.refused(w) {
+			return
 		}
 		num, den := d.tracer.SampleRate()
 		reply(w, http.StatusOK, map[string]any{
@@ -730,14 +692,9 @@ func newMux(d *daemon, threshold float64, pprofOn bool) *http.ServeMux {
 		reply(w, http.StatusOK, toJSON(f.Stats()))
 	})
 	mux.HandleFunc("GET /resolve", func(w http.ResponseWriter, r *http.Request) {
-		src, err := intArgIn(r, "src", 0, tp.Leaves()-1)
-		if err != nil {
-			reply(w, http.StatusBadRequest, errJSON{err.Error()})
-			return
-		}
-		dst, err := intArgIn(r, "dst", 0, tp.Leaves()-1)
-		if err != nil {
-			reply(w, http.StatusBadRequest, errJSON{err.Error()})
+		q := read(r)
+		src, dst := q.intIn("src", 0, tp.Leaves()-1), q.intIn("dst", 0, tp.Leaves()-1)
+		if q.refused(w) {
 			return
 		}
 		// A debug shim over the packed resolve: a batch of one, counted
@@ -779,22 +736,10 @@ func newMux(d *daemon, threshold float64, pprofOn bool) *http.ServeMux {
 		})
 	})
 	mux.HandleFunc("POST /optimize", func(w http.ResponseWriter, r *http.Request) {
-		cfg := fabric.OptimizeConfig{Threshold: threshold, Reset: true}
-		if v := r.URL.Query().Get("threshold"); v != "" {
-			t, err := strconv.ParseFloat(v, 64)
-			if err != nil || t < 0 {
-				reply(w, http.StatusBadRequest, errJSON{fmt.Sprintf("bad %q: want a non-negative float", "threshold")})
-				return
-			}
-			cfg.Threshold = t
-		}
-		if v := r.URL.Query().Get("reset"); v != "" {
-			keep, err := strconv.ParseBool(v)
-			if err != nil {
-				reply(w, http.StatusBadRequest, errJSON{fmt.Sprintf("bad %q: want a boolean", "reset")})
-				return
-			}
-			cfg.Reset = keep
+		q := read(r)
+		cfg := fabric.OptimizeConfig{Threshold: q.finite("threshold", threshold), Reset: q.boolean("reset", true)}
+		if q.refused(w) {
+			return
 		}
 		if f.Telemetry() == nil {
 			reply(w, http.StatusConflict, errJSON{"telemetry is disabled (-telemetry=false)"})
@@ -821,33 +766,22 @@ func newMux(d *daemon, threshold float64, pprofOn bool) *http.ServeMux {
 			reply(w, http.StatusOK, toJSON(st))
 		}
 	}
+	// A refused level reads as its low bound, so index's and port's
+	// bounds are always a real level's.
 	mux.HandleFunc("POST /fail-link", func(w http.ResponseWriter, r *http.Request) {
-		level, err := intArgIn(r, "level", 0, tp.Height()-1)
-		if err != nil {
-			reply(w, http.StatusBadRequest, errJSON{err.Error()})
-			return
-		}
-		index, err := intArgIn(r, "index", 0, tp.NodesAt(level)-1)
-		if err != nil {
-			reply(w, http.StatusBadRequest, errJSON{err.Error()})
-			return
-		}
-		port, err := intArgIn(r, "port", 0, tp.W(level)-1)
-		if err != nil {
-			reply(w, http.StatusBadRequest, errJSON{err.Error()})
+		q := read(r)
+		level := q.intIn("level", 0, tp.Height()-1)
+		index, port := q.intIn("index", 0, tp.NodesAt(level)-1), q.intIn("port", 0, tp.W(level)-1)
+		if q.refused(w) {
 			return
 		}
 		admin(func() (fabric.Stats, error) { return f.FailLink(level, index, port) })(w, r)
 	})
 	mux.HandleFunc("POST /fail-switch", func(w http.ResponseWriter, r *http.Request) {
-		level, err := intArgIn(r, "level", 1, tp.Height())
-		if err != nil {
-			reply(w, http.StatusBadRequest, errJSON{err.Error()})
-			return
-		}
-		index, err := intArgIn(r, "index", 0, tp.NodesAt(level)-1)
-		if err != nil {
-			reply(w, http.StatusBadRequest, errJSON{err.Error()})
+		q := read(r)
+		level := q.intIn("level", 1, tp.Height())
+		index := q.intIn("index", 0, tp.NodesAt(level)-1)
+		if q.refused(w) {
 			return
 		}
 		admin(func() (fabric.Stats, error) { return f.FailSwitch(level, index) })(w, r)

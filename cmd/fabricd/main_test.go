@@ -12,13 +12,18 @@ import (
 	"testing"
 )
 
-func testMux(t *testing.T, spec string) *http.ServeMux {
+func newDaemon(t *testing.T, spec string) *daemon {
 	t.Helper()
 	d, err := build(options{spec: spec, algo: "d-mod-k", policy: "balanced", evaluator: "analytic", seed: 1, telemetry: true, journalCap: 64}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newMux(d, 0, false)
+	return d
+}
+
+func testMux(t *testing.T, spec string) *http.ServeMux {
+	t.Helper()
+	return newMux(newDaemon(t, spec), 0, false)
 }
 
 func do(t *testing.T, mux *http.ServeMux, method, target string) (int, map[string]any) {

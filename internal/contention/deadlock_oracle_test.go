@@ -1,6 +1,7 @@
 package contention
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/contention/oracle"
@@ -15,11 +16,45 @@ func sameVerdict(a, b error) bool {
 	return a.Error() == b.Error()
 }
 
+// edgesOf lists the graph's dependencies as (from, to) directed
+// channels, 2*wire+1 for up.
+func edgesOf(g *cdg) map[[2]int32]bool {
+	out := map[[2]int32]bool{}
+	for a := range g.head {
+		for e := g.head[a]; e >= 0; e = g.next[e] {
+			out[[2]int32{int32(a), g.to[e]}] = true
+		}
+	}
+	return out
+}
+
+// oracleEdges lists the dependencies of the routes as the oracle lowers
+// them, in edgesOf's numbering.
+func oracleEdges(tp *xgft.Topology, routes []xgft.Route) map[[2]int32]bool {
+	dense := func(c oracle.Channel) int32 {
+		if c.Up {
+			return int32(2*c.Wire + 1)
+		}
+		return int32(2 * c.Wire)
+	}
+	out := map[[2]int32]bool{}
+	for _, r := range routes {
+		path := oracle.Lower(tp, r)
+		for i := 1; i < len(path); i++ {
+			out[[2]int32{dense(path[i-1]), dense(path[i])}] = true
+		}
+	}
+	return out
+}
+
 // TestDenseVerifierMatchesMapOracle drives both implementations with
 // the same keyed-random inputs: route sets on random XGFTs (always
 // acyclic) through the public entry point, and random channel paths
 // (mostly cyclic) through the path entry point. Verdict and error text
-// must agree on every one.
+// must agree on every one, and on the route sets the dense graph must
+// hold exactly the dependencies the oracle's own lowering names: an
+// acyclic verdict alone does not see a descent linked in the wrong
+// order.
 func TestDenseVerifierMatchesMapOracle(t *testing.T) {
 	for seed := uint64(0); seed < 60; seed++ {
 		rng := hashutil.NewStream(hashutil.Mix(0xcd9, seed))
@@ -45,6 +80,20 @@ func TestDenseVerifierMatchesMapOracle(t *testing.T) {
 		got, want := VerifyDeadlockFree(tp, routes), oracle.VerifyRoutes(tp, routes)
 		if want != nil || !sameVerdict(got, want) {
 			t.Fatalf("seed %d, %s, %d routes: dense %v, oracle %v (want both nil)", seed, tp, len(routes), got, want)
+		}
+		c, err := NewCertifier(tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range routes {
+			if err := c.Add(r.Src, r.Dst, r.Up); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gotEdges, wantEdges := edgesOf(c.g), oracleEdges(tp, routes)
+		if !maps.Equal(gotEdges, wantEdges) {
+			t.Fatalf("seed %d, %s, %d routes: the dense graph has %d dependencies, the oracle's lowering %d, and they differ",
+				seed, tp, len(routes), len(gotEdges), len(wantEdges))
 		}
 	}
 	cyclic := 0

@@ -19,6 +19,10 @@ import (
 const (
 	traceFormat  = "xgft-trace"
 	traceVersion = 1
+	// maxTraceRanks bounds the rank count a header may declare. ReadTrace
+	// allocates a slice per declared rank before it reads one line, so
+	// an unbounded header could allocate gigabytes or panic.
+	maxTraceRanks = 1 << 20
 )
 
 type traceHeader struct {
@@ -103,8 +107,8 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if hdr.Version != traceVersion {
 		return nil, fmt.Errorf("dimemas: unsupported trace version %d (want %d)", hdr.Version, traceVersion)
 	}
-	if hdr.Ranks <= 0 {
-		return nil, fmt.Errorf("dimemas: trace declares %d ranks", hdr.Ranks)
+	if hdr.Ranks <= 0 || hdr.Ranks > maxTraceRanks {
+		return nil, fmt.Errorf("dimemas: trace declares %d ranks (want 1 to %d)", hdr.Ranks, maxTraceRanks)
 	}
 	t := &Trace{Ranks: make([][]Op, hdr.Ranks)}
 	for {

@@ -82,6 +82,11 @@ func TestCodecReadErrors(t *testing.T) {
 		"missing dur":     `{"format":"xgft-trace","version":1,"ranks":1}` + "\n" + `{"rank":0,"op":"compute"}`,
 		"invalid content": `{"format":"xgft-trace","version":1,"ranks":1}` + "\n" + `{"rank":0,"op":"send","dst":7,"bytes":10}`,
 		"garbage line":    `{"format":"xgft-trace","version":1,"ranks":1}` + "\n" + `not json`,
+		// A header's rank count is bounded before anything is allocated:
+		// 2^62 ranks used to panic in makeslice, and smaller huge counts
+		// allocated 24 bytes a rank before the first line was read.
+		"2^62 ranks":     `{"format":"xgft-trace","version":1,"ranks":4611686018427387904}`,
+		"too many ranks": `{"format":"xgft-trace","version":1,"ranks":1048577}`,
 	}
 	for name, text := range cases {
 		if _, err := ReadTrace(strings.NewReader(text)); err == nil {

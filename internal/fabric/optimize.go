@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -34,7 +35,7 @@ type OptimizeConfig struct {
 	// Threshold is the minimum relative improvement of the best
 	// candidate over the current generation required to swap: 0.05
 	// demands 5% lower analytic slowdown. 0 swaps on any strict
-	// improvement.
+	// improvement. Optimize refuses a threshold CheckThreshold refuses.
 	Threshold float64
 	// Seed feeds the randomized candidates (r-NCA-u/d) and the
 	// Colored sampler. Defaults to 1, so passes are reproducible.
@@ -43,6 +44,16 @@ type OptimizeConfig struct {
 	// pass; no resolve falls between the two), making each pass observe
 	// exactly the traffic since the previous one.
 	Reset bool
+}
+
+// CheckThreshold refuses a swap threshold the gate cannot compare
+// against: NaN, against which every comparison is false, so the gate
+// would never hold a swap back; an infinity; or a negative value.
+func CheckThreshold(t float64) error {
+	if !(t >= 0) || math.IsInf(t, 1) {
+		return fmt.Errorf("fabric: threshold %v is not a finite non-negative number", t)
+	}
+	return nil
 }
 
 func (c OptimizeConfig) withDefaults() OptimizeConfig {
@@ -103,6 +114,9 @@ type OptimizeResult struct {
 func (f *Fabric) Optimize(cfg OptimizeConfig) (res OptimizeResult, err error) {
 	if f.tel == nil {
 		return OptimizeResult{}, fmt.Errorf("fabric: telemetry is disabled (enable Config.Telemetry)")
+	}
+	if err := CheckThreshold(cfg.Threshold); err != nil {
+		return OptimizeResult{}, err
 	}
 	cfg = cfg.withDefaults()
 	start := time.Now() //lint:allow nondeterminism optimizer wall time is observational (journal only)

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -181,6 +182,30 @@ func TestOptimizeThresholdBlocksSmallGains(t *testing.T) {
 	}
 	if res.Swapped || f.Stats().Seq != 0 {
 		t.Errorf("swap crossed an unreachable threshold: %+v", res)
+	}
+}
+
+// TestOptimizeRefusesBadThresholds: a NaN threshold used to swap on
+// every pass (no comparison with NaN holds a swap back). NaN, +Inf and
+// a negative threshold are refused before the pass reads or resets
+// the counters, and publish nothing.
+func TestOptimizeRefusesBadThresholds(t *testing.T) {
+	tp := xgft.MustNew(2, []int{8, 8}, []int{1, 4})
+	f := telemetryFabric(t, tp, core.NewDModK(tp))
+	adv := adversarialPattern(tp)
+	drive(t, f, adv)
+	for _, th := range []float64{math.NaN(), math.Inf(1), -1} {
+		res, err := f.Optimize(OptimizeConfig{Threshold: th, Reset: true})
+		if err == nil || res.Swapped || f.Stats().Seq != 0 {
+			t.Errorf("threshold %v: err %v, swapped %v, generation %d", th, err, res.Swapped, f.Stats().Seq)
+		}
+		if c := f.Telemetry().Count(0, 8); c != 1 {
+			t.Errorf("threshold %v: pass reset the counters (count(0,8) = %d)", th, c)
+		}
+	}
+	// The same traffic under a valid threshold still swaps.
+	if res, err := f.Optimize(OptimizeConfig{Reset: true}); err != nil || !res.Swapped {
+		t.Fatalf("threshold 0 after refusals: %+v, %v", res, err)
 	}
 }
 
