@@ -40,15 +40,19 @@ func TestCLISmoke(t *testing.T) {
 		{"experiments", []string{"-adaptive", "-bytes", "2048"}},
 		{"experiments", []string{"-fig2b", "-fig5b", "-engine", "simulated", "-bytes", "2048", "-seeds", "2"}},
 		{"subnetmgr", nil},
-		{"routegen", []string{"-xgft", "2;8,8;1,8", "-algo", "r-NCA-d", "-pattern", "shift:1"}},
-		{"routegen", []string{"-xgft", "2;8,8;1,8", "-pattern", "random-perm", "-seed", "3"}},
-		{"xgftgen", []string{"-xgft", "2;4,4;1,4"}},
-		{"xgftsim", []string{"-xgft", "2;16,8;1,8", "-algo", "d-mod-k", "-app", "cg", "-engine", "analytic"}},
-		{"xgftsim", []string{"-xgft", "2;16,8;1,4", "-algo", "r-NCA-u", "-app", "cg", "-engine", "venus", "-bytes", "2048"}},
+		{"experiments", []string{"routes", "-xgft", "2;8,8;1,8", "-algo", "r-NCA-d", "-pattern", "shift:1"}},
+		{"experiments", []string{"routes", "-xgft", "2;8,8;1,8", "-pattern", "permutation", "-seed", "3"}},
+		{"experiments", []string{"topo", "-xgft", "2;4,4;1,4"}},
+		{"experiments", []string{"point", "-xgft", "2;16,8;1,8", "-algo", "d-mod-k", "-app", "cg", "-engine", "analytic"}},
+		{"experiments", []string{"point", "-xgft", "2;16,8;1,4", "-algo", "r-NCA-u", "-app", "cg", "-engine", "venus", "-bytes", "2048"}},
 	}
 	for _, c := range cases {
 		c := c
-		t.Run(c.name, func(t *testing.T) {
+		label := c.name
+		if len(c.args) > 0 && !strings.HasPrefix(c.args[0], "-") {
+			label += " " + c.args[0] // a mode
+		}
+		t.Run(label, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			cmd := exec.Command(filepath.Join(bin, c.name), c.args...)
 			cmd.Stdout = &stdout
@@ -61,6 +65,26 @@ func TestCLISmoke(t *testing.T) {
 			}
 		})
 	}
+
+	// Neither a mode nor a section, or an unknown mode: one usage that
+	// lists both, on stderr, and exit 2.
+	t.Run("experiments usage", func(t *testing.T) {
+		for _, args := range [][]string{nil, {"bogus"}} {
+			var stdout, stderr bytes.Buffer
+			cmd := exec.Command(filepath.Join(bin, "experiments"), args...)
+			cmd.Stdout = &stdout
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			if code := cmd.ProcessState.ExitCode(); err == nil || code != 2 || stdout.Len() != 0 {
+				t.Fatalf("experiments %v: exit %d (%v), stdout %q; want exit 2 and no stdout", args, code, err, stdout.String())
+			}
+			for _, want := range []string{"experiments topo", "experiments routes", "experiments point", "section flags:", "-table1", "-fig5b"} {
+				if !strings.Contains(stderr.String(), want) {
+					t.Fatalf("experiments %v usage lacks %q:\n%s", args, want, stderr.String())
+				}
+			}
+		}
+	})
 
 	// -progress reports cell completion and nothing else: figures in
 	// one process share cells, not a table cache, so there are no cache
@@ -427,17 +451,17 @@ func TestCLISmoke(t *testing.T) {
 	}
 
 	// Determinism ride-along for the keyed CLI randomness: the same
-	// -seed prints the same random-perm table twice.
+	// -seed prints the same permutation table twice.
 	run := func() string {
-		out, err := exec.Command(filepath.Join(bin, "routegen"),
-			"-xgft", "2;8,8;1,8", "-pattern", "random-perm", "-seed", "9", "-routes").Output()
+		out, err := exec.Command(filepath.Join(bin, "experiments"), "routes",
+			"-xgft", "2;8,8;1,8", "-pattern", "permutation", "-seed", "9", "-routes").Output()
 		if err != nil {
-			t.Fatalf("routegen: %v", err)
+			t.Fatalf("experiments routes: %v", err)
 		}
 		return string(out)
 	}
 	if a, b := run(), run(); a != b {
-		t.Fatalf("routegen -pattern random-perm not deterministic per seed:\n%s\nvs\n%s", a, b)
+		t.Fatalf("experiments routes -pattern permutation not deterministic per seed:\n%s\nvs\n%s", a, b)
 	}
 }
 

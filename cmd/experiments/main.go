@@ -24,6 +24,13 @@
 // cell threads fabric and scheduler state from one step to the next,
 // which no grid cell holds. -progress reports cell completion on
 // stderr: one count for the grid, then one per stateful sweep.
+//
+// A mode named by the first argument prints one artifact for one tree
+// instead (modes.go): topo, routes and point.
+//
+//	experiments topo -xgft "3;4,4,4;1,2,2" -labels 1
+//	experiments routes -xgft "2;16,16;1,10" -pattern cg-transpose -routes
+//	experiments point -xgft "2;16,16;1,8" -app cg -engine analytic
 package main
 
 import (
@@ -65,7 +72,44 @@ func show[T any](write func(io.Writer, T)) func(T, error) error {
 	}
 }
 
+// usage heads the flag list that -h and a refused invocation print.
+const usage = `usage: experiments [section flags]   regenerate the report's sections
+       experiments topo [flags]       describe one XGFT: Table I labels, counts
+       experiments routes [flags]     one scheme's routing table and contention census
+       experiments point [flags]      one Fig. 2/5 slowdown data point
+"experiments <mode> -h" lists a mode's flags.
+
+section flags:
+`
+
 func main() {
+	var mode func([]string, io.Writer) error
+	if len(os.Args) > 1 {
+		switch os.Args[1] {
+		case "topo":
+			mode = topo
+		case "routes":
+			mode = routes
+		case "point":
+			mode = point
+		}
+	}
+	if mode == nil {
+		report()
+	} else if err := mode(os.Args[2:], os.Stdout); err != nil {
+		exit(err)
+	}
+}
+
+// exit reports err and exits 2: the one failure path of the report and
+// every mode.
+func exit(err error) {
+	fmt.Fprintln(os.Stderr, "experiments:", err)
+	os.Exit(2)
+}
+
+// report prints the sections its flags select.
+func report() {
 	var (
 		all      = flag.Bool("all", false, "run every experiment")
 		engine   = flag.String("engine", "analytic", "analytic or simulated")
@@ -141,7 +185,15 @@ func main() {
 	for i, s := range sections {
 		chosen[i] = flag.Bool(s.flag, false, s.title)
 	}
+	flag.Usage = func() {
+		fmt.Fprint(flag.CommandLine.Output(), usage)
+		flag.PrintDefaults()
+	}
 	flag.Parse()
+	if flag.NArg() > 0 { // an unknown mode, or arguments after the flags
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	opt = experiments.Options{Engine: experiments.Engine(*engine), Seeds: *seeds, MessageBytes: *bytes, Parallelism: *par}
 	if *progress {
@@ -158,8 +210,7 @@ func main() {
 			// error starts on its own line.
 			fmt.Fprintln(os.Stderr)
 		}
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
+		exit(err)
 	}
 
 	// Declare every selected grid section, score the batch once, then

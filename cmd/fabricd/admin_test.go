@@ -252,3 +252,35 @@ func checkReply(t *testing.T, line string, v any) {
 		}
 	}
 }
+
+// TestVenusRefusesOversizedJob: under -evaluator venus a job whose
+// phase is over evaluate.MaxVenusSegments is refused before anything
+// simulates. The balanced policy places it and reports the refused
+// pass as optimize_error; the telemetry policy scores placements, so
+// the refusal is the placement error and no job is placed.
+func TestVenusRefusesOversizedJob(t *testing.T) {
+	const target, refusal = "/jobs?n=8&app=perm&bytes=2000000000", "segments a simulation may inject"
+	for _, c := range []struct {
+		policy, field string
+		code, jobs    int
+	}{
+		{"balanced", "optimize_error", http.StatusOK, 1},
+		{"telemetry", "error", http.StatusInternalServerError, 0},
+	} {
+		d, err := build(options{spec: "2;8,8;1,4", algo: "d-mod-k", policy: c.policy, evaluator: "venus", seed: 1, telemetry: true, journalCap: 64}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		code, body := do(t, newMux(d, 0, false), "POST", target)
+		if msg, _ := body[c.field].(string); code != c.code || !strings.Contains(msg, refusal) {
+			t.Errorf("-sched %s: POST %s: %d %v, want %d and %q in %q", c.policy, target, code, body, c.code, refusal, c.field)
+		}
+		if took := time.Since(start); took > 2*time.Second {
+			t.Errorf("-sched %s: the refusal took %v", c.policy, took)
+		}
+		if seq, ids := d.f.Stats().Seq, jobIDs(d); seq != 0 || len(ids) != c.jobs {
+			t.Errorf("-sched %s: published generation %d, jobs %v; want none and %d job(s)", c.policy, seq, ids, c.jobs)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package evaluate
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/contention"
@@ -250,5 +251,25 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := New("flip-a-coin", Options{}); err == nil {
 		t.Error("unknown backend did not error")
+	}
+}
+
+// A phase over MaxVenusSegments is refused before anything simulates:
+// two 10⁹-byte flows are about 1.95M segments of 1 KiB.
+func TestVenusRefusesOversizedPhase(t *testing.T) {
+	tp := mustTree(t, 4, 4, 4)
+	p := pattern.New(tp.Leaves())
+	p.Add(0, 5, 1e9)
+	p.Add(1, 9, 1e9)
+	tbl, err := core.BuildTable(tp, core.NewDModK(tp), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := NewVenus(nil, venus0()).ScoreRoutes(tp, p, tbl.Routes)
+	if err == nil || !strings.Contains(err.Error(), "segments a simulation may inject") || res.Cost.SimEvents != 0 {
+		t.Fatalf("ScoreRoutes over %d-byte flows = %+v, %v; want the segment refusal", p.Flows[0].Bytes, res, err)
+	}
+	if _, err := NewVenus(nil, venus0()).Score(tp, core.NewDModK(tp), []*pattern.Pattern{p}); err == nil {
+		t.Fatal("Score simulated the oversized phase")
 	}
 }

@@ -30,6 +30,14 @@ type venusEval struct {
 	crossbar *memo.Cache[core.PatternKey, eventq.Time]
 }
 
+// MaxVenusSegments caps the segments one simulated phase may inject,
+// Σ⌈bytes/SegmentBytes⌉ over its flows: a simulation runs in time
+// linear in them, and fabricd scores while it holds its scheduler's and
+// fabric's locks. The largest phase a sweep or an experiments mode
+// scores through this backend, WRF-256 at its 512 KiB paper size
+// (`experiments point -app wrf -engine venus`), is 245 760 segments.
+const MaxVenusSegments = 1 << 20
+
 // NewVenus returns the simulation backend. cfg's zero value selects
 // venus.DefaultConfig(); the cache serves routing-table builds for
 // algorithm-based scoring.
@@ -82,6 +90,13 @@ func (v *venusEval) ScoreRoutes(t *xgft.Topology, p *pattern.Pattern, routes []x
 // memoized on the pattern's content; a call served from the memo adds
 // no events (no simulation ran in it).
 func (v *venusEval) phaseTimes(t *xgft.Topology, p *pattern.Pattern, routes []xgft.Route, cost *Cost) (net, ref eventq.Time, err error) {
+	seg, segs := int64(v.cfg.SegmentBytes), int64(0)
+	for _, f := range p.Flows {
+		// A zero-byte message still sends a header segment.
+		if segs += max(1, f.Bytes/seg+min(1, f.Bytes%seg)); segs > MaxVenusSegments {
+			return 0, 0, fmt.Errorf("over the %d segments a simulation may inject", MaxVenusSegments)
+		}
+	}
 	net, events, err := venus.RunRoutes(t, p, routes, v.cfg)
 	if err != nil {
 		return 0, 0, err

@@ -10,6 +10,9 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"strconv"
+	"strings"
 
 	"repro/internal/dimemas"
 	"repro/internal/pattern"
@@ -85,4 +88,74 @@ func AppByName(name string) (*App, error) {
 	default:
 		return nil, fmt.Errorf("experiments: unknown application %q (want wrf or cg)", name)
 	}
+}
+
+// TrafficNames lists the names the traffic table resolves, for flag
+// help.
+const TrafficNames = "wrf, cg, cg-transpose, permutation, uniform, bit-reversal, transpose, tornado, alltoall, shift:K"
+
+// Traffic resolves a traffic name on an n-leaf tree through the table
+// the sweep grid draws its cells from: TrafficNames, bytes per flow (0
+// selects an application's paper size), seed keying the random draws.
+func Traffic(name string, n int, bytes int64, seed uint64) ([]*pattern.Pattern, error) {
+	return workload{name, bytes, seed}.phases(n)
+}
+
+// workload is a cell's traffic: an application ("wrf", "cg" or its App
+// name), CG's 128-rank transpose phase ("cg-transpose"), a schedule
+// drawn from draw ("permutation", "uniform") or a fixed one
+// ("bit-reversal", "transpose", "tornado", "alltoall", "shift:K"). The
+// zero workload is the census's.
+type workload struct {
+	name  string
+	bytes int64
+	draw  uint64
+}
+
+// phases builds the workload on an n-leaf tree; an application keeps
+// its own rank count and must fit the tree.
+func (w workload) phases(n int) ([]*pattern.Pattern, error) {
+	one := func(p *pattern.Pattern) []*pattern.Pattern { return []*pattern.Pattern{p} }
+	switch w.name {
+	case "permutation":
+		return one(pattern.KeyedRandomPermutation(n, w.bytes, w.draw)), nil
+	case "uniform":
+		return one(pattern.UniformRandom(n, 1, w.bytes, w.draw)), nil
+	case "bit-reversal":
+		p, err := pattern.BitReversal(n, w.bytes)
+		return one(p), err
+	case "transpose":
+		side := int(math.Sqrt(float64(n)))
+		if side*side != n {
+			return nil, fmt.Errorf("experiments: transpose needs a square node count, got %d", n)
+		}
+		return one(pattern.Transpose(side, side, w.bytes)), nil
+	case "tornado":
+		return one(pattern.Tornado(n, w.bytes)), nil
+	case "alltoall":
+		return one(pattern.AllToAll(n, w.bytes)), nil
+	}
+	if k, ok := strings.CutPrefix(w.name, "shift:"); ok {
+		d, err := strconv.Atoi(k)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: bad shift distance: %v", err)
+		}
+		return one(pattern.Shift(n, d, w.bytes)), nil
+	}
+	name := w.name
+	if name == "cg-transpose" {
+		name = "cg"
+	}
+	app, err := AppByName(name)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: unknown traffic %q (want %s)", w.name, TrafficNames)
+	}
+	if app.Ranks > n {
+		return nil, fmt.Errorf("experiments: %s needs %d leaves, topology has %d", w.name, app.Ranks, n)
+	}
+	phases := app.Phases(w.bytes)
+	if w.name == "cg-transpose" {
+		phases = phases[len(phases)-1:]
+	}
+	return phases, nil
 }

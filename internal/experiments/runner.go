@@ -34,38 +34,6 @@ const (
 	measureAdaptive                // venus makespan slowdown under per-segment adaptive routing; builds no scheme
 )
 
-// workload is a cell's traffic: an application by its App name, CG's
-// 128-rank transpose phase ("cg-transpose"), or a synthetic schedule
-// ("permutation", "uniform", "bit-reversal") drawn from draw. The zero
-// workload is the census's.
-type workload struct {
-	name  string
-	bytes int64
-	draw  uint64
-}
-
-// phases builds the workload on an n-leaf tree (applications keep
-// their own rank count).
-func (w workload) phases(n int) ([]*pattern.Pattern, error) {
-	switch w.name {
-	case "permutation":
-		return []*pattern.Pattern{pattern.KeyedRandomPermutation(n, w.bytes, w.draw)}, nil
-	case "uniform":
-		return []*pattern.Pattern{pattern.UniformRandom(n, 1, w.bytes, w.draw)}, nil
-	case "bit-reversal":
-		p, err := pattern.BitReversal(n, w.bytes)
-		return []*pattern.Pattern{p}, err
-	case "cg-transpose":
-		p, err := pattern.CGTransposePhase(128, w.bytes)
-		return []*pattern.Pattern{p}, err
-	}
-	app, err := AppByName(w.name)
-	if err != nil {
-		return nil, err
-	}
-	return app.Phases(w.bytes), nil
-}
-
 // unbalancedNCAUp names the ablation's naive relabeling, the one
 // scheme core's registry does not build.
 const unbalancedNCAUp = "unbalanced-r-NCA-u"

@@ -44,7 +44,6 @@ var obsNameFuncs = map[string]obsNameFunc{
 	"StartSpan":    {pkg: "/internal/trace", arg: 1},
 	"StartChild":   {pkg: "/internal/trace", arg: 1},
 	"StartRequest": {pkg: "/internal/trace", arg: 1},
-	"SetBudget":    {pkg: "/internal/trace", arg: 0},
 }
 
 var (

@@ -11,9 +11,9 @@
 // (StartSpan: fabric.optimize, sched.place, evaluate.score) record at
 // any sampling rate. Per-request data-plane spans (StartRequest:
 // wire.request, fabric.resolve_batch_packed) record only for sampled
-// traces, or, when a latency budget applies to the name, when they
-// breach it. An unsampled request does no tracing work at all — no
-// clock read, no span id, no recorder write — so the recorder holds
+// traces, or, when the tracer has a latency budget, when they breach
+// it. An unsampled request under no budget does no tracing work at all
+// — no clock read, no span id, no recorder write — so the recorder holds
 // sampled traces, budget breaches and the control plane's recent past
 // rather than the last fraction of a millisecond of resolve frames.
 //
@@ -113,9 +113,8 @@ type Config struct {
 	// RecorderCap is the flight-recorder capacity in spans, rounded up
 	// to a power of two; <= 0 selects 4096.
 	RecorderCap int
-	// Budget is the default per-span latency budget; spans lasting
-	// longer trigger the anomaly hook. 0 disables the default (per-name
-	// budgets via SetBudget still apply).
+	// Budget is the per-span latency budget; spans lasting longer
+	// trigger the anomaly hook. 0 disables it.
 	Budget time.Duration
 	// AnomalyCooldown is the minimum spacing between OnAnomaly
 	// invocations (anomalies inside the window are still counted).
@@ -147,14 +146,9 @@ type tracerMetrics struct {
 // one atomic pointer and index with plain map/slice reads (no
 // boxing, no locks); writers copy-on-write under the tracer mutex.
 type nameTable struct {
-	ids     map[string]uint32
-	strs    []string
-	span    []bool  // strs[i] was interned as a span name (vs attr key)
-	budgets []int64 // per-name latency budget in ns; 0 = tracer default
-	// watched reports whether some name has a budget of its own, so an
-	// unsampled request under a zero tracer default skips the name
-	// lookup entirely.
-	watched bool
+	ids  map[string]uint32
+	strs []string
+	span []bool // strs[i] was interned as a span name (vs attr key)
 }
 
 // Tracer mints spans. The zero *Tracer (nil) is a valid no-op: every
@@ -164,7 +158,7 @@ type Tracer struct {
 	clock    func() int64
 	key      uint64
 	num, den uint64
-	budget   int64 // default per-span budget, ns
+	budget   int64 // per-span budget, ns; 0 none
 	cooldown int64 // ns between OnAnomaly firings; <= 0 none
 
 	rec       *Recorder
@@ -253,11 +247,9 @@ func (t *Tracer) mutate(fn func(nt *nameTable)) {
 	defer t.mu.Unlock()
 	old := t.names.Load()
 	nt := &nameTable{
-		ids:     make(map[string]uint32, len(old.ids)+1),
-		strs:    append([]string(nil), old.strs...),
-		span:    append([]bool(nil), old.span...),
-		budgets: append([]int64(nil), old.budgets...),
-		watched: old.watched,
+		ids:  make(map[string]uint32, len(old.ids)+1),
+		strs: append([]string(nil), old.strs...),
+		span: append([]bool(nil), old.span...),
 	}
 	for k, v := range old.ids {
 		nt.ids[k] = v
@@ -278,7 +270,6 @@ func (nt *nameTable) internLocked(s string, isSpan bool) uint32 {
 	nt.ids[s] = id
 	nt.strs = append(nt.strs, s)
 	nt.span = append(nt.span, isSpan)
-	nt.budgets = append(nt.budgets, 0)
 	return id
 }
 
@@ -288,21 +279,6 @@ func (t *Tracer) intern(s string, isSpan bool) uint32 {
 	var id uint32
 	t.mutate(func(nt *nameTable) { id = nt.internLocked(s, isSpan) })
 	return id
-}
-
-// SetBudget sets name's latency budget, overriding the tracer
-// default. 0 restores the default.
-func (t *Tracer) SetBudget(name string, d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.mutate(func(nt *nameTable) {
-		nt.budgets[nt.internLocked(name, true)] = int64(d)
-		nt.watched = false
-		for _, b := range nt.budgets {
-			nt.watched = nt.watched || b != 0
-		}
-	})
 }
 
 // Names returns every interned span name, sorted — the machine-read
@@ -389,9 +365,9 @@ func (t *Tracer) StartSpan(parent SpanContext, name string) Span {
 // attribute and writes nothing at End; its Context is parent, so
 // callees join the same (unsampled) trace instead of minting a root of
 // their own, and a trace is always complete or absent. The one
-// exception is a latency budget: when the tracer default or a
-// SetBudget for name applies, the unsampled span is timed, and it is
-// recorded — and fires the anomaly — only if it breaches.
+// exception is the latency budget: when the tracer has one, the
+// unsampled span is timed, and it is recorded — and fires the anomaly —
+// only if it breaches.
 //
 //repro:hotpath
 func (t *Tracer) StartRequest(parent SpanContext, name string) Span {
@@ -404,14 +380,10 @@ func (t *Tracer) StartRequest(parent SpanContext, name string) Span {
 	if parent.Flags&FlagSampled != 0 {
 		return t.start(parent, t.nameID(name))
 	}
-	if t.budget == 0 && !t.names.Load().watched {
+	if t.budget <= 0 {
 		return Span{sc: parent}
 	}
-	id := t.nameID(name)
-	if t.budgetFor(id) <= 0 {
-		return Span{sc: parent}
-	}
-	sp := t.start(parent, id)
+	sp := t.start(parent, t.nameID(name))
 	sp.watch = true
 	return sp
 }
@@ -528,8 +500,7 @@ func (s *Span) End() {
 	}
 	end := t.clock() //lint:allow hotpath the clock is a seam (tests inject fixed clocks for byte-identical bundles); one dynamic call per span
 	dur := end - s.start
-	bud := t.budgetFor(s.nameID)
-	breach := bud > 0 && dur >= bud
+	breach := t.budget > 0 && dur >= t.budget
 	if s.watch && !breach {
 		return
 	}
@@ -560,20 +531,6 @@ func (s *Span) raw(dur int64) rawSpan {
 		dur:    dur,
 		attrs:  s.attrs,
 	}
-}
-
-// budgetFor returns name id's latency budget: the per-name override
-// when set, else the tracer default.
-//
-//repro:hotpath
-func (t *Tracer) budgetFor(id uint32) int64 {
-	tbl := t.names.Load()
-	if int(id) < len(tbl.budgets) {
-		if b := tbl.budgets[id]; b != 0 {
-			return b
-		}
-	}
-	return t.budget
 }
 
 // claimAnomaly applies the cooldown: one OnAnomaly per window.

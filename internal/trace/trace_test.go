@@ -210,9 +210,10 @@ func TestStartRequestRule(t *testing.T) {
 		t.Errorf("unsampled request: %v allocs, want 0", allocs)
 	}
 
-	// A budget on test.req: within it nothing is recorded; a breach is,
-	// and fires. test.batch has no budget and stays free.
-	tr.SetBudget("test.req", 15)
+	// Under a budget: within it nothing is recorded; a breach is, and
+	// fires. test.batch ends within it and stays free.
+	tr = New(Config{Clock: clock, SampleNum: 0, SampleDen: 1, RecorderCap: 16, Budget: 15,
+		AnomalyCooldown: -1, OnAnomaly: func(a Anomaly) { fired = append(fired, a) }})
 	for _, dur := range []int64{5, 20} {
 		req := tr.StartRequest(root, "test.req")
 		inner := tr.StartRequest(req.Context(), "test.batch")
@@ -286,9 +287,8 @@ func TestNamesInventory(t *testing.T) {
 	s.SetAttr("attrkey", 1)
 	s.End()
 	finish(tr.StartSpan(tr.Root(0, 2), "test.a"))
-	tr.SetBudget("test.budgeted", time.Second)
 	got := tr.Names()
-	want := []string{"test.a", "test.b", "test.budgeted"}
+	want := []string{"test.a", "test.b"}
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v, want %v (attr keys excluded)", got, want)
 	}
@@ -330,13 +330,11 @@ func TestBudgetAnomalyAndCooldown(t *testing.T) {
 		t.Errorf("anomaly = %+v", a)
 	}
 
-	// A per-name budget overrides the default: raise it and the spans
-	// stop breaching.
-	before := tr.Anomalies()
-	tr.SetBudget("test.slow", time.Millisecond)
-	finish(tr.StartSpan(tr.Root(0, 99), "test.slow"))
-	if tr.Anomalies() != before {
-		t.Error("span within its per-name budget still flagged")
+	// Under a longer budget the same spans stop breaching.
+	roomy := New(Config{Clock: fixedClock(100), RecorderCap: 16, Budget: time.Millisecond})
+	finish(roomy.StartSpan(roomy.Root(0, 99), "test.slow"))
+	if roomy.Anomalies() != 0 {
+		t.Error("span within its budget still flagged")
 	}
 }
 
@@ -361,7 +359,6 @@ func TestNilTracerAndZeroSpanAreNoops(t *testing.T) {
 	s.End()
 	c := tr.StartChild(SpanContext{}, "x")
 	c.End()
-	tr.SetBudget("x", 1)
 	tr.ReportAnomaly("x")
 	if tr.Names() != nil || tr.Spans(1) != nil || tr.SpanCount() != 0 || tr.Anomalies() != 0 {
 		t.Error("nil tracer leaked state")
@@ -521,7 +518,7 @@ func TestBlackboxDeterministicBytes(t *testing.T) {
 }
 
 // Churn under the race detector: concurrent span traffic, flight
-// recorder scrapes, budget mutation and blackbox dumps.
+// recorder scrapes and blackbox dumps.
 func TestChurnRace(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
@@ -572,18 +569,6 @@ func TestChurnRace(t *testing.T) {
 			}
 		}()
 	}
-	readers.Add(1)
-	go func() {
-		defer readers.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			tr.SetBudget("churn.op", time.Duration(i%3)*time.Second)
-		}
-	}()
 	wg.Wait()
 	close(stop)
 	readers.Wait()

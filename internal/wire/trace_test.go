@@ -472,14 +472,13 @@ func (sleepResolver) ResolveBatchPacked(pairs [][2]int, out []uint64) (int, uint
 	return len(pairs), 1
 }
 
-// TestUnsampledBudgetBreachStillFires: at 0/1 a wire.request budget
+// TestUnsampledBudgetBreachStillFires: at 0/1 the tracer's budget
 // still watches every frame; a breach fires the anomaly and leaves the
 // breaching span in the recorder.
 func TestUnsampledBudgetBreachStillFires(t *testing.T) {
 	var fired []trace.Anomaly
-	tr := trace.New(trace.Config{SampleNum: 0, SampleDen: 1, RecorderCap: 64, AnomalyCooldown: -1,
+	tr := trace.New(trace.Config{SampleNum: 0, SampleDen: 1, RecorderCap: 64, Budget: time.Nanosecond, AnomalyCooldown: -1,
 		OnAnomaly: func(a trace.Anomaly) { fired = append(fired, a) }})
-	tr.SetBudget("wire.request", time.Nanosecond)
 	serveOnce(t, &Server{Resolver: sleepResolver{}, Tracer: tr}, burstFrames(t, 64, 1, false))
 	if len(fired) != 1 || fired[0].Reason != trace.ReasonBudget || fired[0].Span.Name != "wire.request" {
 		t.Fatalf("anomalies = %+v, want one wire.request budget breach", fired)
