@@ -255,32 +255,33 @@ func checkReply(t *testing.T, line string, v any) {
 
 // TestVenusRefusesOversizedJob: under -evaluator venus a job whose
 // phase is over evaluate.MaxVenusSegments is refused before anything
-// simulates. The balanced policy places it and reports the refused
-// pass as optimize_error; the telemetry policy scores placements, so
-// the refusal is the placement error and no job is placed.
+// simulates, with 422 under every policy, and no job stays placed: the
+// telemetry policy scores placements and refuses before placing, the
+// others place, then release the job when the pass that follows is
+// refused. A 64 KiB job submitted next is placed and re-optimized; it
+// would inherit the refusal if the oversized job had stayed placed.
 func TestVenusRefusesOversizedJob(t *testing.T) {
 	const target, refusal = "/jobs?n=8&app=perm&bytes=2000000000", "segments a simulation may inject"
-	for _, c := range []struct {
-		policy, field string
-		code, jobs    int
-	}{
-		{"balanced", "optimize_error", http.StatusOK, 1},
-		{"telemetry", "error", http.StatusInternalServerError, 0},
-	} {
-		d, err := build(options{spec: "2;8,8;1,4", algo: "d-mod-k", policy: c.policy, evaluator: "venus", seed: 1, telemetry: true, journalCap: 64}, nil)
+	for _, policy := range []string{"linear", "balanced", "telemetry"} {
+		d, err := build(options{spec: "2;8,8;1,4", algo: "d-mod-k", policy: policy, evaluator: "venus", seed: 1, telemetry: true, journalCap: 64}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		mux := newMux(d, 0, false)
 		start := time.Now()
-		code, body := do(t, newMux(d, 0, false), "POST", target)
-		if msg, _ := body[c.field].(string); code != c.code || !strings.Contains(msg, refusal) {
-			t.Errorf("-sched %s: POST %s: %d %v, want %d and %q in %q", c.policy, target, code, body, c.code, refusal, c.field)
+		code, body := do(t, mux, "POST", target)
+		if msg, _ := body["error"].(string); code != http.StatusUnprocessableEntity || !strings.Contains(msg, refusal) {
+			t.Errorf("-sched %s: POST %s: %d %v, want 422 and %q in the error", policy, target, code, body, refusal)
 		}
 		if took := time.Since(start); took > 2*time.Second {
-			t.Errorf("-sched %s: the refusal took %v", c.policy, took)
+			t.Errorf("-sched %s: the refusal took %v", policy, took)
 		}
-		if seq, ids := d.f.Stats().Seq, jobIDs(d); seq != 0 || len(ids) != c.jobs {
-			t.Errorf("-sched %s: published generation %d, jobs %v; want none and %d job(s)", c.policy, seq, ids, c.jobs)
+		if seq, ids := d.f.Stats().Seq, jobIDs(d); seq != 0 || len(ids) != 0 {
+			t.Errorf("-sched %s: published generation %d, jobs %v; want none", policy, seq, ids)
+		}
+		code, body = do(t, mux, "POST", "/jobs?n=8&app=perm")
+		if _, failed := body["optimize_error"]; code != http.StatusOK || body["optimize"] == nil || failed {
+			t.Errorf("-sched %s: a 64 KiB job after the refusal: %d %v, want 200 with an optimize pass", policy, code, body)
 		}
 	}
 }

@@ -68,7 +68,9 @@
 // exits 2 at startup on such a -threshold); bytes is at most
 // MaxInt64/N² on an N-leaf tree, so the byte sums a tenant mix feeds
 // into telemetry and link loads fit int64; name and app are at most
-// 256 bytes. A job that does not fit the free pool is 409.
+// 256 bytes. A job that does not fit the free pool is 409, and one whose
+// tenant mix is over evaluate.MaxVenusSegments under -evaluator venus
+// is 422, placed under no -sched policy.
 //
 // -listen-binary additionally serves the wire-speed binary resolve
 // protocol (internal/wire: length-prefixed frames, batched pairs in,
@@ -391,9 +393,10 @@ func (d *daemon) reoptimizeLoop(every time.Duration, threshold float64) {
 
 // statsJSON is the wire form of fabric.Stats (BuildTime in
 // milliseconds instead of opaque nanoseconds). certified_routes is how
-// many routes the generation added to the fabric's deadlock
-// certificate, shared_rows how many source rows it shares with the
-// table it was derived from or with its predecessor.
+// many routes the fabric's deadlock gate checked for the generation
+// (the ones no earlier generation served), shared_rows how many source
+// rows it shares with the table it was derived from or with its
+// predecessor.
 type statsJSON struct {
 	Seq             uint64  `json:"seq"`
 	Algo            string  `json:"algo"`
@@ -520,13 +523,12 @@ func newMux(d *daemon, threshold float64, pprofOn bool) *http.ServeMux {
 	tp := f.Topology()
 	mux := http.NewServeMux()
 	// reoptimize runs the threshold-gated pass over the combined
-	// tenant pattern after a placement change and returns the fields
-	// to merge into the response: the pass result, or nil when
-	// telemetry is off, or an "optimize_error" when the pass itself
-	// failed. The placement has already committed either way, so the
-	// handler must still report it — a pass failure keeps the old
-	// routing table serving, it does not undo the allocation.
-	reoptimize := func(resp map[string]any) {
+	// tenant pattern after a placement change and merges its fields into
+	// the response: the pass result, or nil when telemetry is off, or an
+	// "optimize_error" when the pass itself failed, which it returns. A
+	// pass failure keeps the old routing table serving; it does not undo
+	// the placement change.
+	reoptimize := func(resp map[string]any) error {
 		res, ran, err := s.Reoptimize(threshold)
 		resp["optimize"] = nil
 		switch {
@@ -537,6 +539,7 @@ func newMux(d *daemon, threshold float64, pprofOn bool) *http.ServeMux {
 			d.recordOptimize(res, err)
 			resp["optimize"] = optimizeToJSON(res)
 		}
+		return err
 	}
 	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
 		reply(w, http.StatusOK, snapshotToJSON(s.Snapshot()))
@@ -551,17 +554,27 @@ func newMux(d *daemon, threshold float64, pprofOn bool) *http.ServeMux {
 		if q.keep(err); q.refused(w) {
 			return
 		}
+		// A tenant mix too large to score is 422, and no job stays placed:
+		// the telemetry policy refuses before placing, the others' pass
+		// after it, and the job is released (unless a DELETE was first).
 		job, err := s.Submit(spec)
 		switch {
 		case errors.Is(err, sched.ErrNoCapacity):
 			reply(w, http.StatusConflict, errJSON{err.Error()})
+			return
+		case errors.Is(err, evaluate.ErrTooManySegments):
+			reply(w, http.StatusUnprocessableEntity, errJSON{err.Error()})
 			return
 		case err != nil:
 			reply(w, http.StatusInternalServerError, errJSON{err.Error()})
 			return
 		}
 		resp := map[string]any{"job": jobToJSON(job)}
-		reoptimize(resp)
+		if err := reoptimize(resp); errors.Is(err, evaluate.ErrTooManySegments) {
+			_ = s.Release(job.ID)
+			reply(w, http.StatusUnprocessableEntity, errJSON{err.Error()})
+			return
+		}
 		reply(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("DELETE /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {

@@ -54,3 +54,18 @@ func BenchmarkVerifyDeadlockFree(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCheckRoute runs the stateless deadlock gate over every route
+// of the all-pairs table, as the fabric does at a table's first install.
+func BenchmarkCheckRoute(b *testing.B) {
+	tp, _, tbl := allPairsTable(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range tbl.Routes {
+			if err := CheckRoute(tp, r.Src, r.Dst, r.Up); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

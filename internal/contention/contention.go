@@ -3,7 +3,10 @@
 // the endpoint-vs-network contention distinction, the grouped
 // contention metric of the authors' ICS'09 work (flows serialized at
 // an endpoint share channels for free), and analytic completion-time
-// bounds that normalize against the ideal full crossbar.
+// bounds that normalize against the ideal full crossbar. It also holds
+// the §V deadlock checks: CheckRoute, the stateless per-route gate that
+// a route climbs the up*/down* rank order, and VerifyDeadlockFree, the
+// channel-dependency-graph certificate of a whole route set.
 package contention
 
 import (

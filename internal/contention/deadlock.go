@@ -11,8 +11,9 @@ import (
 // Up*/down* routing on a fat tree is deadlock-free because the
 // channel dependency graph (Dally & Seitz) is acyclic: ascending
 // channels only depend on higher ascending channels or on descending
-// ones, and descending channels only on lower descending channels.
-// VerifyDeadlockFree checks that property constructively for an
+// ones, and descending channels only on lower descending channels:
+// every dependency climbs one rank order, which CheckRoute checks route
+// by route. VerifyDeadlockFree checks acyclicity constructively for an
 // arbitrary route set, so route tables loaded from files (or produced
 // by future non-minimal schemes) can be certified before simulation.
 //
@@ -78,34 +79,6 @@ func (g *cdg) addPath(path []int32) error {
 		g.addEdge(path[i-1], path[i])
 	}
 	return nil
-}
-
-// truncate drops every edge added after the first edges ones, leaving
-// the graph it was then: the adjacency lists are cut where they cross
-// the mark (a channel's out-edges are linked in ascending edge order),
-// the edge set is rebuilt from what remains, and lastFrom — only a
-// shortcut for "already have it" — is forgotten. It costs a pass over
-// the graph, paid only when a candidate is refused.
-func (g *cdg) truncate(edges int) {
-	if edges >= len(g.to) {
-		return
-	}
-	g.to, g.next = g.to[:edges], g.next[:edges]
-	g.seen = edgeSet{}
-	for a := range g.head {
-		g.lastFrom[a] = -1
-		last := int32(-1)
-		for e := g.head[a]; e >= 0 && int(e) < edges; e = g.next[e] {
-			g.seen.add(uint64(a)<<32 | uint64(g.to[e]))
-			last = e
-		}
-		if last < 0 {
-			g.head[a] = -1
-		} else {
-			g.next[last] = -1
-		}
-		g.tail[a] = last
-	}
 }
 
 // verify reports the first dependency cycle an iterative three-colour
@@ -204,15 +177,9 @@ func edgeHash(key uint64) uint64 { return key * 0x9e3779b97f4a7c15 >> 32 }
 
 // Certifier accumulates the channel dependency graph of a route set
 // fed one route at a time, so a caller holding routes in another form
-// (the fabric's packed rows) certifies them without materializing
-// xgft.Route values. Feed every route with Add, then call Verify.
-//
-// A certifier may also be kept and grown: the graph of a route set's
-// union with everything added before it is acyclic only if the route
-// set's own graph is (a subgraph of an acyclic graph is acyclic), so a
-// caller that certifies a sequence of overlapping route sets adds only
-// the routes it has not added before. Mark and Rollback bracket such an
-// addition, so a set that fails Verify leaves nothing behind.
+// certifies them without materializing xgft.Route values. Feed every
+// route with Add, then call Verify. It is the reference CheckRoute is
+// tested against.
 type Certifier struct {
 	topo *xgft.Topology
 	g    *cdg
@@ -229,24 +196,16 @@ func NewCertifier(t *xgft.Topology) (*Certifier, error) {
 
 // Add records the dependencies of the route from src to dst whose
 // ascent takes up-port up[l] at level l (the descent mirrors it from
-// dst, as in xgft.Route). up is not retained. A route with an endpoint
-// or a port outside the topology is an error: its channel IDs would
-// alias other wires or fall outside [0, TotalChannels).
+// dst, as in xgft.Route). up is not retained. A route validate refuses
+// is an error, and records nothing.
 func (c *Certifier) Add(src, dst int, up []int) error {
-	t := c.topo
-	if src < 0 || src >= t.Leaves() || dst < 0 || dst >= t.Leaves() {
-		return fmt.Errorf("contention: route %d->%d has an endpoint out of range [0,%d)", src, dst, t.Leaves())
-	}
-	if len(up) > t.Height() {
-		return fmt.Errorf("contention: route %d->%d climbs %d levels on a tree of height %d", src, dst, len(up), t.Height())
+	if err := validate(c.topo, src, dst, up); err != nil {
+		return err
 	}
 	var down [xgft.MaxHeight]int32
 	prev := int32(-1)
-	walk := t.Climb(src, dst)
+	walk := c.topo.Climb(src, dst)
 	for l, p := range up {
-		if p < 0 || p >= t.W(l) {
-			return fmt.Errorf("contention: route %d->%d up-port %d at level %d out of range [0,%d)", src, dst, p, l, t.W(l))
-		}
 		u, d := walk.Step(l, p)
 		if prev >= 0 {
 			c.g.addEdge(prev, int32(2*u+1))
@@ -261,24 +220,78 @@ func (c *Certifier) Add(src, dst int, up []int) error {
 	return nil
 }
 
-// AddPath records the dependencies of one route given as the directed
-// channels it traverses in path order, 2*wire+1 for a wire's up channel
-// and 2*wire for its down channel — the form Add lowers a route to.
-// Any sequence is accepted, not only the up*/down* ones Add can express.
-func (c *Certifier) AddPath(path []int32) error { return c.g.addPath(path) }
-
 // Verify reports an error describing a cycle if the dependencies of
 // the routes added so far contain one.
 func (c *Certifier) Verify() error { return c.g.verify() }
 
-// Mark returns the graph's position: the number of distinct
-// dependencies recorded so far. Adding routes whose dependencies are
-// all present leaves it unchanged.
-func (c *Certifier) Mark() int { return len(c.g.to) }
+// validate refuses a route whose channel IDs would alias other wires or
+// leave [0, TotalChannels): an endpoint off the tree, an ascent taller
+// than the tree, a port outside its radix. Add and CheckRoute both call
+// it, so they refuse the same routes with the same texts.
+func validate(t *xgft.Topology, src, dst int, up []int) error {
+	if src < 0 || src >= t.Leaves() || dst < 0 || dst >= t.Leaves() {
+		return fmt.Errorf("contention: route %d->%d has an endpoint out of range [0,%d)", src, dst, t.Leaves())
+	}
+	if len(up) > t.Height() {
+		return fmt.Errorf("contention: route %d->%d climbs %d levels on a tree of height %d", src, dst, len(up), t.Height())
+	}
+	for l, p := range up {
+		if p < 0 || p >= t.W(l) {
+			return fmt.Errorf("contention: route %d->%d up-port %d at level %d out of range [0,%d)", src, dst, p, l, t.W(l))
+		}
+	}
+	return nil
+}
 
-// Rollback returns the graph to what it was when Mark returned mark,
-// dropping every dependency recorded since.
-func (c *Certifier) Rollback(mark int) { c.g.truncate(mark) }
+// CheckRoute is the deadlock gate for one route, in Add's form: it
+// refuses what Add refuses, then walks the route with xgft.Climb and
+// refuses it unless each dependency leads to a higher rank — up wire
+// l-1 to up wire l, down wire l to down wire l-1, and the turn at the
+// top. Any set of routes it accepts, such as every table ever published
+// with packets in flight across a swap, then has an acyclic channel
+// dependency graph, and nothing has to be kept between calls.
+func CheckRoute(t *xgft.Topology, src, dst int, up []int) error {
+	if err := validate(t, src, dst, up); err != nil {
+		return err
+	}
+	var u, d int32                       // the wires of the step just taken
+	upRank, downRank := -1, 2*t.Height() // below and above every rank before the first step
+	walk := t.Climb(src, dst)
+	for l, p := range up {
+		wu, wd := walk.Step(l, p)
+		pu, pd := u, d
+		u, d = int32(2*wu+1), int32(2*wd)
+		ru, rd := rank(t, u), rank(t, d)
+		if ru <= upRank {
+			return rankError(t, src, dst, pu, u)
+		}
+		if rd >= downRank {
+			return rankError(t, src, dst, d, pd)
+		}
+		upRank, downRank = ru, rd
+	}
+	if len(up) > 0 && upRank >= downRank {
+		return rankError(t, src, dst, u, d)
+	}
+	return nil
+}
+
+// rank places a directed channel in the order up*/down* dependencies
+// climb: the up channel of a wire leaving level l has rank l, its down
+// channel 2h-1-l, the level read from the topology's channel numbering.
+func rank(t *xgft.Topology, ch int32) int {
+	l := t.ChannelLevel(int(ch >> 1))
+	if ch&1 == 1 {
+		return l
+	}
+	return 2*t.Height() - 1 - l
+}
+
+// rankError refuses a route for its dependency from channel a to b.
+func rankError(t *xgft.Topology, src, dst int, a, b int32) error {
+	return fmt.Errorf("contention: route %d->%d holds wire %d (%s, rank %d) while requesting wire %d (%s, rank %d), against the up*/down* rank order",
+		src, dst, a>>1, dirName(a&1 == 1), rank(t, a), b>>1, dirName(b&1 == 1), rank(t, b))
+}
 
 // VerifyDeadlockFree builds the channel dependency graph induced by
 // the routes (an edge from channel A to channel B wherever some route

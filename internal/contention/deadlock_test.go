@@ -2,7 +2,6 @@ package contention
 
 import (
 	"repro/internal/hashutil"
-	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -169,102 +168,37 @@ func TestDeadlockFreeTheoremQuick(t *testing.T) {
 	}
 }
 
-// graphOf renders a graph's edges per channel, in adjacency order — the
-// form two graphs are compared in edge for edge.
-func graphOf(g *cdg) [][]int32 {
-	out := make([][]int32, len(g.head))
-	for a := range g.head {
-		for e := g.head[a]; e >= 0; e = g.next[e] {
-			out[a] = append(out[a], g.to[e])
-		}
+// rankTrees are the small trees the rank-order tests walk exhaustively:
+// every pair, every valid ascent.
+func rankTrees() []*xgft.Topology {
+	return []*xgft.Topology{
+		xgft.MustNew(1, []int{4}, []int{3}),
+		xgft.MustNew(2, []int{6, 5}, []int{1, 3}), // slimmed
+		xgft.MustNew(3, []int{3, 5, 7}, []int{2, 3, 4}),
+		xgft.MustNew(4, []int{2, 3, 2, 3}, []int{2, 1, 3, 2}),
 	}
-	return out
 }
 
-// TestCertifierRollback: a rejected addition cannot poison a growing
-// certificate. An acyclic route set goes in and is marked; a raw path
-// (the only way to express a cycle) closes one through edges the set
-// already has, so Verify fails; Rollback leaves exactly the marked graph
-// — same edges in the same adjacency order, same tails, an edge set
-// that still dedups the old edges and no longer knows the dropped ones
-// — and a following acyclic addition verifies.
-func TestCertifierRollback(t *testing.T) {
-	tp := paperTree(t, 10)
-	c, err := NewCertifier(tp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	add := func(algo core.Algorithm, pairs int, key uint64) {
-		t.Helper()
-		for i := 0; i < pairs; i++ {
-			s := int(hashutil.Mix(key, 1, uint64(i)) % 256)
-			d := int(hashutil.Mix(key, 2, uint64(i)) % 256)
-			if err := c.Add(s, d, algo.Route(s, d).Up); err != nil {
-				t.Fatal(err)
-			}
+// eachMinimalRoute calls fn with every minimal route on tp: every
+// (src, dst) pair, self pairs included, under every ascent to its NCA
+// level. up is reused between calls.
+func eachMinimalRoute(tp *xgft.Topology, fn func(s, d int, up []int)) {
+	var up [xgft.MaxHeight]int
+	var each func(s, d, l int)
+	each = func(s, d, l int) {
+		if l == tp.NCALevel(s, d) {
+			fn(s, d, up[:l])
+			return
+		}
+		for p := 0; p < tp.W(l); p++ {
+			up[l] = p
+			each(s, d, l+1)
 		}
 	}
-	add(core.NewDModK(tp), 3000, 7)
-	if err := c.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	mark := c.Mark()
-	want := graphOf(c.g)
-	wantTail := append([]int32(nil), c.g.tail...)
-
-	// 0 -> 16 under d-mod-k holds leaf 0's up channel, then switch 0's
-	// up channel to root 0, then descends; the raw path closes the ring
-	// from the last descent channel back to the first ascent channel.
-	r := core.NewDModK(tp).Route(0, 16)
-	if err := c.Add(0, 16, r.Up); err != nil {
-		t.Fatal(err)
-	}
-	first := int32(2*tp.UpChannelID(0, 0, r.Up[0]) + 1)
-	last := int32(2 * tp.UpChannelID(0, 16, r.Up[0]))
-	add(core.NewRandomNCAUp(tp, 3), 500, 9) // more edges, on top of old adjacency lists
-	if err := c.AddPath([]int32{last, first}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Mark() <= mark {
-		t.Fatalf("the additions recorded no new dependency (%d edges before, %d after)", mark, c.Mark())
-	}
-	if err := c.Verify(); err == nil {
-		t.Fatal("Verify passed a graph with a dependency ring")
-	}
-
-	c.Rollback(mark)
-	if c.Mark() != mark {
-		t.Fatalf("%d edges after rollback, want the marked %d", c.Mark(), mark)
-	}
-	got := graphOf(c.g)
-	for a := range want {
-		if !slices.Equal(got[a], want[a]) {
-			t.Fatalf("channel %d: edges %v after rollback, %v when marked", a, got[a], want[a])
+	for s := 0; s < tp.Leaves(); s++ {
+		for d := 0; d < tp.Leaves(); d++ {
+			each(s, d, 0)
 		}
-	}
-	for a, head := range c.g.head {
-		if head >= 0 && c.g.tail[a] != wantTail[a] { // a tail means something only past a head
-			t.Fatalf("channel %d: tail edge %d after rollback, %d when marked", a, c.g.tail[a], wantTail[a])
-		}
-	}
-	if c.g.seen.n != mark {
-		t.Errorf("edge set holds %d edges after rollback, want %d", c.g.seen.n, mark)
-	}
-	if err := c.Verify(); err != nil {
-		t.Fatalf("rolled-back graph: %v", err)
-	}
-	// Old edges still dedup, dropped ones are new again, and the next
-	// acyclic addition verifies.
-	add(core.NewDModK(tp), 3000, 7)
-	if c.Mark() != mark {
-		t.Errorf("re-adding the marked routes grew the graph from %d to %d edges", mark, c.Mark())
-	}
-	add(core.NewRandomNCAUp(tp, 3), 500, 9)
-	if c.Mark() <= mark {
-		t.Error("re-adding the dropped routes recorded nothing")
-	}
-	if err := c.Verify(); err != nil {
-		t.Fatalf("acyclic addition after rollback: %v", err)
 	}
 }
 
@@ -272,55 +206,27 @@ func TestCertifierRollback(t *testing.T) {
 // higher rank, where an up wire at level l has rank l and a down wire
 // at level l has rank 2h-1-l. Checked exhaustively on small trees —
 // every pair, every valid ascent — into one certificate, it shows a
-// certificate fed only through Add is acyclic and never fails Verify:
-// the fabric's from-scratch fallback is reached only through a
-// malformed route Add refuses or through AddPath.
+// certificate fed only through Add is acyclic and never fails Verify,
+// which is why a gate that checks the rank order route by route
+// (CheckRoute) needs no certificate.
 func TestAddOnlyClimbsRanks(t *testing.T) {
-	trees := []*xgft.Topology{
-		xgft.MustNew(1, []int{4}, []int{3}),
-		xgft.MustNew(2, []int{6, 5}, []int{1, 3}), // slimmed
-		xgft.MustNew(3, []int{3, 5, 7}, []int{2, 3, 4}),
-		xgft.MustNew(4, []int{2, 3, 2, 3}, []int{2, 1, 3, 2}),
-	}
-	for _, tp := range trees {
+	for _, tp := range rankTrees() {
 		c, err := NewCertifier(tp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, h := tp.Leaves(), tp.Height()
-		var up [xgft.MaxHeight]int
-		var each func(s, d, l int)
-		each = func(s, d, l int) {
-			if l == tp.NCALevel(s, d) {
-				if err := c.Add(s, d, up[:l]); err != nil {
-					t.Fatal(err)
-				}
-				return
+		eachMinimalRoute(tp, func(s, d int, up []int) {
+			if err := c.Add(s, d, up); err != nil {
+				t.Fatal(err)
 			}
-			for p := 0; p < tp.W(l); p++ {
-				up[l] = p
-				each(s, d, l+1)
-			}
-		}
-		for s := 0; s < n; s++ {
-			for d := 0; d < n; d++ {
-				each(s, d, 0)
-			}
-		}
-		if c.Mark() == 0 {
+		})
+		if len(c.g.to) == 0 {
 			t.Fatalf("%v: no dependency recorded", tp)
-		}
-		rank := func(ch int32) int {
-			l, _, _ := tp.ChannelOf(int(ch >> 1))
-			if ch&1 == 1 {
-				return l
-			}
-			return 2*h - 1 - l
 		}
 		for from, e := range c.g.head {
 			for ; e >= 0; e = c.g.next[e] {
-				if to := c.g.to[e]; rank(int32(from)) >= rank(to) {
-					t.Fatalf("%v: dependency %d -> %d goes from rank %d to %d", tp, from, to, rank(int32(from)), rank(to))
+				if to := c.g.to[e]; rank(tp, int32(from)) >= rank(tp, to) {
+					t.Fatalf("%v: dependency %d -> %d goes from rank %d to %d", tp, from, to, rank(tp, int32(from)), rank(tp, to))
 				}
 			}
 		}
@@ -328,4 +234,134 @@ func TestAddOnlyClimbsRanks(t *testing.T) {
 			t.Fatalf("%v: %v", tp, err)
 		}
 	}
+}
+
+// TestCheckRouteEveryMinimalRoute: on the rank trees the gate accepts
+// every valid minimal route, and refuses every malformed form — an
+// endpoint off the tree, an ascent taller than the tree, a port outside
+// its radix at any level — with the text Certifier.Add refuses it with.
+func TestCheckRouteEveryMinimalRoute(t *testing.T) {
+	for _, tp := range rankTrees() {
+		routes := 0
+		eachMinimalRoute(tp, func(s, d int, up []int) {
+			if err := CheckRoute(tp, s, d, up); err != nil {
+				t.Fatalf("%v: valid route %d->%d %v: %v", tp, s, d, up, err)
+			}
+			routes++
+		})
+		if routes < tp.Leaves()*tp.Leaves() {
+			t.Fatalf("%v: %d routes walked", tp, routes)
+		}
+		n, h := tp.Leaves(), tp.Height()
+		full := make([]int, h) // a valid full-height ascent: port 0 at every level
+		malformed := []xgft.Route{
+			{Src: -1, Dst: 0, Up: full}, {Src: n, Dst: 0, Up: full},
+			{Src: 0, Dst: -1, Up: full}, {Src: 0, Dst: n, Up: full},
+			{Src: 0, Dst: n - 1, Up: make([]int, h+1)},
+		}
+		for l := 0; l < h; l++ {
+			for _, p := range []int{-1, tp.W(l), 255} {
+				up := make([]int, h)
+				up[l] = p
+				malformed = append(malformed, xgft.Route{Src: 0, Dst: n - 1, Up: up})
+			}
+		}
+		for _, r := range malformed {
+			c, err := NewCertifier(tp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := c.Add(r.Src, r.Dst, r.Up)
+			if got := CheckRoute(tp, r.Src, r.Dst, r.Up); want == nil || got == nil || got.Error() != want.Error() {
+				t.Errorf("%v: route %d->%d %v: CheckRoute %v, Add %v; want the same refusal", tp, r.Src, r.Dst, r.Up, got, want)
+			}
+		}
+	}
+}
+
+// climbs is the rank rule CheckRoute applies to a route's dependencies,
+// applied to an arbitrary path in path form: it returns the first hop
+// i whose dependency path[i-1] -> path[i] does not lead to a higher
+// rank, or 0 when every one does.
+func climbs(tp *xgft.Topology, path []int32) int {
+	for i := 1; i < len(path); i++ {
+		if rank(tp, path[i-1]) >= rank(tp, path[i]) {
+			return i
+		}
+	}
+	return 0
+}
+
+// TestRankRuleRefusesADescentThenAnAscent: a path that turns back up
+// after descending, or repeats a channel, does not climb the rank order,
+// and a refusal names the dependency and both ranks.
+func TestRankRuleRefusesADescentThenAnAscent(t *testing.T) {
+	tp := xgft.MustNew(2, []int{4, 4}, []int{1, 2})
+	up0, up1 := int32(2*tp.UpChannelID(0, 0, 0)+1), int32(2*tp.UpChannelID(1, 0, 1)+1)
+	down1, down0 := int32(2*tp.UpChannelID(1, 1, 1)), int32(2*tp.UpChannelID(0, 5, 0))
+	for _, c := range []struct {
+		path []int32
+		want int
+	}{
+		{[]int32{up0, up1, down1, down0}, 0},
+		{[]int32{up0, down0}, 0},
+		{[]int32{up0, down0, up1}, 2},
+		{[]int32{down1, up1}, 1},
+		{[]int32{up1, up0}, 1},
+		{[]int32{up0, up0}, 1},
+		{[]int32{down0, down1}, 1},
+	} {
+		if got := climbs(tp, c.path); got != c.want {
+			t.Errorf("climbs(%v) = %d, want %d", c.path, got, c.want)
+		}
+	}
+	const want = "contention: route 0->5 holds wire 5 (down, rank 3) while requesting wire 17 (up, rank 1), against the up*/down* rank order"
+	if err := rankError(tp, 0, 5, down0, up1); err == nil || err.Error() != want {
+		t.Errorf("rankError = %v, want %q", err, want)
+	}
+}
+
+// FuzzRankGateSound: the rank rule is sound. The input decodes to a
+// small tree and a list of arbitrary directed-channel sequences (2*wire+1
+// for a wire's up channel, 2*wire for its down); every sequence the rule
+// accepts goes into one certificate, which must then verify acyclic.
+func FuzzRankGateSound(f *testing.F) {
+	f.Add(uint8(1), uint16(0x044), uint16(0x021), []byte{4, 0, 1, 0, 9, 0, 12, 0, 2, 2, 0, 7, 0, 3})
+	f.Add(uint8(2), uint16(0x234), uint16(0x321), []byte{3, 0, 1, 0, 40, 0, 2, 3, 0, 2, 0, 41, 0, 3})
+	f.Fuzz(func(t *testing.T, h uint8, ms, ws uint16, paths []byte) {
+		height := 1 + int(h%3)
+		m, w := make([]int, height), make([]int, height)
+		for j := range m {
+			m[j] = 1 + int(ms>>(4*j)&0xf)%6
+			w[j] = 1 + int(ws>>(4*j)&0xf)%6
+		}
+		tp, err := xgft.New(height, m, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		channels := 2 * tp.TotalChannels()
+		c, err := NewCertifier(tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each sequence is a length byte, then that many big-endian
+		// uint16 channels, reduced into range.
+		for len(paths) > 0 {
+			n := 1 + int(paths[0])%(2*xgft.MaxHeight)
+			paths = paths[1:]
+			var path []int32
+			for ; n > 0 && len(paths) >= 2; n, paths = n-1, paths[2:] {
+				path = append(path, int32((int(paths[0])<<8|int(paths[1]))%channels))
+			}
+			if climbs(tp, path) != 0 {
+				continue
+			}
+			if err := c.g.addPath(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Verify(); err != nil {
+			t.Fatalf("%v: rank-climbing paths close a cycle: %v", tp, err)
+		}
+	})
 }

@@ -38,6 +38,10 @@ type venusEval struct {
 // (`experiments point -app wrf -engine venus`), is 245 760 segments.
 const MaxVenusSegments = 1 << 20
 
+// ErrTooManySegments, wrapped, refuses a phase over MaxVenusSegments:
+// the size of what was asked for, not a fault of the scorer.
+var ErrTooManySegments = fmt.Errorf("over the %d segments a simulation may inject", MaxVenusSegments)
+
 // NewVenus returns the simulation backend. cfg's zero value selects
 // venus.DefaultConfig(); the cache serves routing-table builds for
 // algorithm-based scoring.
@@ -94,7 +98,7 @@ func (v *venusEval) phaseTimes(t *xgft.Topology, p *pattern.Pattern, routes []xg
 	for _, f := range p.Flows {
 		// A zero-byte message still sends a header segment.
 		if segs += max(1, f.Bytes/seg+min(1, f.Bytes%seg)); segs > MaxVenusSegments {
-			return 0, 0, fmt.Errorf("over the %d segments a simulation may inject", MaxVenusSegments)
+			return 0, 0, ErrTooManySegments
 		}
 	}
 	net, events, err := venus.RunRoutes(t, p, routes, v.cfg)

@@ -39,18 +39,15 @@
 // table — Colored's is its d-mod-k fallback's guided base, with its
 // assignments as overrides — under the serving view.
 //
-// Every generation is certified deadlock-free before it is published,
-// against one growing certificate: the channel-dependency graph of
-// every route the fabric has ever published. A generation passes if the
-// graph is still acyclic with its routes added, which implies its own
-// graph is acyclic (a subgraph of an acyclic graph is) and also covers
-// packets of the old and the new table in flight across the swap; only
-// the routes the certificate has not seen — rerouted cells, overrides, a
-// pinned table's routes at its first install (a guided base's read off
-// its words pair by pair) — are added. If the union
-// ever fails, the certificate is rolled back and the candidate is
-// certified alone and from scratch, so the accept/reject set is that of
-// from-scratch certification.
+// Every generation passes a deadlock gate before it is published, and
+// the gate keeps no state: each route it checks must climb the
+// up*/down* rank order (contention.CheckRoute). Every route ever
+// published climbs that one order, so the channel-dependency graph of
+// any union of published tables is acyclic — the generation's own, and
+// the old and the new table's with packets in flight across a swap. The
+// gate checks only routes that were never checked: a pinned table's at
+// its first install (a guided base's read off its words pair by pair),
+// then each generation's changed pairs — rerouted cells and overrides.
 package fabric
 
 import (
@@ -154,9 +151,6 @@ type Fabric struct {
 	// key, and Heal always returns to it).
 	pinned     map[string]*table // guarded by mu
 	configured *table            // set by New, then only read
-	// cert is the certificate: the channel-dependency graph of every
-	// route the fabric has ever published.
-	cert *contention.Certifier // guarded by mu
 }
 
 // fabricMetrics is the fabric's instrument set; one per fabric, named
@@ -168,8 +162,8 @@ type fabricMetrics struct {
 	packedNS   *obs.Histogram // resolve call latency
 	generation *obs.Gauge     // serving generation sequence
 	swaps      *obs.Counter   // generation hot-swaps installed
-	swapNS     *obs.Histogram // deriving a published generation, certification included
-	verifyNS   *obs.Histogram // the incremental certification gate of a published generation
+	swapNS     *obs.Histogram // deriving a published generation, the deadlock gate included
+	verifyNS   *obs.Histogram // the deadlock gate of a published generation
 }
 
 // Metric and journal-event names. Constants — not literals at the
@@ -185,8 +179,8 @@ const (
 	metricRoutesServed = "fabric_routes_served"
 	// metricSwapBuildNS and metricVerifyNS split time-to-new-generation:
 	// the whole derivation of each published generation, and the part of
-	// it spent in the certification gate (adding the generation's new
-	// routes to the certificate and checking the graph acyclic).
+	// it spent in the deadlock gate (checking the generation's routes that
+	// were never checked against the up*/down* rank order).
 	metricSwapBuildNS = "fabric_swap_build_ns"
 	metricVerifyNS    = "fabric_verify_ns"
 	// What telemetry's count shards cost, sampled at scrape time: shards
@@ -198,7 +192,7 @@ const (
 
 	eventGenerationSwap = "generation.swap"
 	// keyCertified and keySharedRows are the generation.swap fields that
-	// say what the swap cost: routes added to the certificate, and rows
+	// say what the swap cost: routes the deadlock gate checked, and rows
 	// shared rather than cloned.
 	keyCertified       = "certified_routes"
 	keySharedRows      = "shared_rows"
@@ -243,8 +237,8 @@ func newFabricMetrics(reg *obs.Registry) *fabricMetrics {
 		packedNS:   reg.Histogram(metricPackedNS, "whole-call latency of a resolve, in any form"),
 		generation: reg.Gauge(metricGeneration, "serving generation sequence number"),
 		swaps:      reg.Counter(metricSwaps, "generation hot-swaps installed after the initial build", 1),
-		swapNS:     reg.Histogram(metricSwapBuildNS, "deriving a published generation (row sharing, overrides, reroutes, certification)"),
-		verifyNS:   reg.Histogram(metricVerifyNS, "certifying a published generation: adding its new routes to the certificate and checking it acyclic"),
+		swapNS:     reg.Histogram(metricSwapBuildNS, "deriving a published generation (row sharing, overrides, reroutes, the deadlock gate)"),
+		verifyNS:   reg.Histogram(metricVerifyNS, "the deadlock gate of a published generation: its routes never checked before, each against the up*/down* rank order"),
 	}
 }
 
@@ -301,9 +295,6 @@ func New(cfg Config) (f *Fabric, err error) {
 	f.tracer = cfg.Tracer
 	f.flips = trace.NewFlipDetector(0)
 	start := buildClock()
-	if f.cert, err = contention.NewCertifier(cfg.Topo); err != nil {
-		return nil, err
-	}
 	if f.configured, _, err = f.pinLocked(cfg.Algo); err != nil {
 		return nil, err
 	}
@@ -476,7 +467,7 @@ func (f *Fabric) ResolveWire(parent trace.SpanContext, pairs, dst []byte) (out [
 
 // table is an all-pairs route table in the form generations serve (see
 // routes), together with the fault view its routes are known to survive
-// and the certificate that already holds every one of them. The healthy
+// and whether the deadlock gate has checked them. The healthy
 // table of a static scheme is built once and pinned: its guided base and
 // rows are never written again, so any number of generations share them.
 type table struct {
@@ -486,10 +477,9 @@ type table struct {
 	// the pairs it left without a route.
 	view        *xgft.View
 	unreachable int
-	// cert is the certificate covering every route; nil, or a certificate
-	// the fabric has since restarted, when they still have to be added to
-	// the serving one.
-	cert *contention.Certifier
+	// checked is set once a generation derived from the table is
+	// accepted: the gate has checked every one of its routes.
+	checked bool
 }
 
 // maxPinned bounds the pinned tables a fabric keeps besides the
@@ -786,94 +776,49 @@ func isSameRow(a, b []uint64) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// certifyLocked is the gate every generation passes before it is published:
-// the channel-dependency graph of its route set must be acyclic. The
-// fabric keeps one growing certificate, the graph of every route it has
-// ever published, and a generation passes if that graph is still
-// acyclic with its routes added. That implies the generation's own
-// graph is acyclic — a subgraph of an acyclic graph is — and it also
-// covers packets of the old and the new table in flight across a swap.
-// Only routes the certificate does not hold yet are added: every route
-// of base the first time that table is installed (a guided base's read
-// from its words, pair by pair), and the changed pairs — the words
-// derive wrote that differ from base's (overrides and reroutes) — so
-// the gate costs what the swap changes. It returns how many routes it
-// added.
-//
-// Should the union fail, the certificate is rolled back and the
-// candidate is certified alone and from scratch, as every generation
-// once was: passing, it is published and the certificate restarts from
-// it; failing, it is refused. Callers hold f.mu. A certificate fed
-// only through Certifier.Add never fails Verify — every dependency Add
-// records leads to a higher rank (contention's TestAddOnlyClimbsRanks)
-// — so outside tests, which poison it through AddPath, the fallback
-// runs only after Add refused a malformed word, and then refuses the
-// candidate too. It stays as the gate's recovery path.
-func (f *Fabric) certifyLocked(base *table, gen *Generation, changed [][2]int) (added int, err error) {
-	mark := f.cert.Mark()
-	if added, err = f.addDeltaLocked(base, gen, changed); err == nil {
-		base.cert = f.cert
-		return added, nil
-	}
-	f.cert.Rollback(mark)
-	alone, err := contention.NewCertifier(f.topo)
-	if err != nil {
-		return 0, err
-	}
-	if added, err = addRoutes(alone, &gen.routes); err != nil {
-		return 0, err
-	}
-	if err := alone.Verify(); err != nil {
-		return 0, err
-	}
-	f.cert = alone
-	return added, nil
-}
-
-// addDeltaLocked adds to the serving certificate the routes of gen it
-// does not hold yet and verifies the grown graph.
-func (f *Fabric) addDeltaLocked(base *table, gen *Generation, changed [][2]int) (added int, err error) {
-	if base.cert != f.cert {
-		if added, err = addRoutes(f.cert, &base.routes); err != nil {
-			return 0, err
+// certifyLocked is the deadlock gate every generation passes before it
+// is published: each of its routes the gate has not checked before must
+// climb the up*/down* rank order (contention.CheckRoute). Those are
+// every route of base the first time that table is installed (a guided
+// base's read from its words, pair by pair), and the changed pairs —
+// the words derive wrote that differ from base's (overrides and
+// reroutes) — so the gate costs what the swap changes. Any other route
+// was checked when it was first published, and since every checked
+// route climbs the same order, no union of published tables can close
+// a dependency cycle. It returns how many routes it checked; a refusal
+// leaves base unchecked. Callers hold f.mu.
+func (f *Fabric) certifyLocked(base *table, gen *Generation, changed [][2]int) (checked int, err error) {
+	var up [maxHeight]int
+	if !base.checked {
+		buf := make([]uint64, len(base.rows))
+		for s := range base.rows {
+			for d, word := range base.rowOf(s, buf) {
+				if s == d || word == PackedUnreachable {
+					continue
+				}
+				if err := contention.CheckRoute(f.topo, s, d, AppendPackedUp(word, up[:0])); err != nil {
+					return 0, err
+				}
+				checked++
+			}
 		}
 	}
-	var buf [maxHeight]int
 	for _, p := range changed {
 		s, d := p[0], p[1]
 		if word := gen.word(s, d); word != PackedUnreachable {
-			if err := f.cert.Add(s, d, AppendPackedUp(word, buf[:0])); err != nil {
+			if err := contention.CheckRoute(f.topo, s, d, AppendPackedUp(word, up[:0])); err != nil {
 				return 0, err
 			}
-			added++
+			checked++
 		}
 	}
-	return added, f.cert.Verify()
-}
-
-// addRoutes feeds c every route r serves, straight from the packed
-// words about to be served and decoded through one reused ascent
-// buffer.
-func addRoutes(c *contention.Certifier, r *routes) (added int, err error) {
-	var up [maxHeight]int
-	buf := make([]uint64, len(r.rows))
-	for s := range r.rows {
-		for d, word := range r.rowOf(s, buf) {
-			if s == d || word == PackedUnreachable {
-				continue
-			}
-			if err := c.Add(s, d, AppendPackedUp(word, up[:0])); err != nil {
-				return added, err
-			}
-			added++
-		}
-	}
-	return added, nil
+	base.checked = true
+	return checked, nil
 }
 
 // FailLink fails the wire leaving switch (level, index) through
 // up-port p (and its paired down channel), reroutes the affected
-// routes, certifies the result deadlock-free, and swaps in the new
+// routes, checks the rerouted ones deadlock-free, and swaps in the new
 // generation. The returned stats describe the swapped-in generation.
 func (f *Fabric) FailLink(level, index, p int) (Stats, error) {
 	return f.degrade(func(v *xgft.View) bool { return v.FailLink(level, index, p) },
@@ -881,7 +826,7 @@ func (f *Fabric) FailLink(level, index, p int) (Stats, error) {
 }
 
 // FailSwitch fails the switch (level, index) with every adjacent
-// wire, reroutes the affected routes, certifies, and swaps.
+// wire, reroutes the affected routes, checks them, and swaps.
 func (f *Fabric) FailSwitch(level, index int) (Stats, error) {
 	return f.degrade(func(v *xgft.View) bool { return v.FailSwitch(level, index) },
 		"fail.switch", fmt.Sprintf("switch (%d,%d)", level, index))
@@ -891,7 +836,7 @@ func (f *Fabric) FailSwitch(level, index int) (Stats, error) {
 // the successor from the serving rows under it — only routes that
 // traverse a newly failed wire are recomputed, untouched rows are
 // shared — and publishes the result. Rejected operations (bad target,
-// failed certification) are journaled under "<op>.rejected" so the
+// refused by the deadlock gate) are journaled under "<op>.rejected" so the
 // event stream explains why no swap happened.
 func (f *Fabric) degrade(fail func(*xgft.View) bool, op, what string) (Stats, error) {
 	f.mu.Lock()
@@ -903,9 +848,9 @@ func (f *Fabric) degrade(fail func(*xgft.View) bool, op, what string) (Stats, er
 		f.reject(op, what, err)
 		return cur.stats, err
 	}
-	// The serving rows as a table: every route avoids cur's view and is
-	// in the certificate already.
-	serving := &table{routes: cur.routes, view: cur.view, unreachable: cur.stats.Unreachable, cert: f.cert}
+	// The serving rows as a table: every route avoids cur's view and was
+	// checked when it was published.
+	serving := &table{routes: cur.routes, view: cur.view, unreachable: cur.stats.Unreachable, checked: true}
 	start := buildClock()
 	gen, err := f.derive(start, serving, nil, view, cur, cur.stats.Algo)
 	if err != nil {
@@ -927,7 +872,7 @@ func (f *Fabric) reject(op, what string, err error) {
 
 // Heal returns to the configured scheme's healthy table, discarding
 // every recorded fault (and any optimized choice), and swaps it in as
-// the next generation. The table was pinned and certified when the
+// the next generation. The table was pinned and checked when the
 // fabric was built, so the swap is row sharing.
 func (f *Fabric) Heal() (Stats, error) {
 	f.mu.Lock()

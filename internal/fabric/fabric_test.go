@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -10,7 +11,9 @@ import (
 	"repro/internal/contention"
 	"repro/internal/contention/oracle"
 	"repro/internal/core"
+	"repro/internal/evaluate"
 	"repro/internal/hashutil"
+	"repro/internal/pattern"
 	"repro/internal/xgft"
 )
 
@@ -302,12 +305,11 @@ type errItem struct {
 
 func (e errItem) Error() string { return e.s }
 
-// TestCertifyReadsThePackedRows pins what the publish gate certifies:
-// the words about to be served. A published generation's materialized
-// route set certifies from scratch, every one of its routes is in the
-// fabric's certificate, and one malformed changed word refuses
-// the whole generation — without poisoning the certificate: it is left
-// as it was, and the next valid FailLink publishes.
+// TestCertifyReadsThePackedRows pins what the publish gate checks: the
+// words about to be served. A published generation's materialized route
+// set certifies from scratch, and one malformed changed word refuses the
+// whole generation with the gate's text; the next valid FailLink
+// publishes.
 func TestCertifyReadsThePackedRows(t *testing.T) {
 	f := testFabric(t, core.NewDModK)
 	if _, err := f.FailLink(1, 2, 3); err != nil {
@@ -320,82 +322,99 @@ func TestCertifyReadsThePackedRows(t *testing.T) {
 	if gen.stats.VerifyTime <= 0 || gen.stats.VerifyTime > gen.stats.BuildTime {
 		t.Errorf("VerifyTime %v outside BuildTime %v", gen.stats.VerifyTime, gen.stats.BuildTime)
 	}
-	assertCertificateCovers(t, f, gen)
 
 	n := f.topo.Leaves()
-	mark, cert := f.cert.Mark(), f.cert
 	bad := &Generation{routes: gen.routes}
 	bad.held = true
 	bad.rows = append([][]uint64(nil), gen.rows...)
 	bad.rows[n-1] = gen.heldRow(n - 1)
 	bad.rows[n-1][0] = 2<<levelShift | 200<<8 // top-level port 200 of 8
-	_, err := f.certifyLocked(&table{routes: gen.routes, cert: f.cert}, bad, [][2]int{{n - 1, 0}})
+	_, err := f.certifyLocked(&table{routes: gen.routes, checked: true}, bad, [][2]int{{n - 1, 0}})
 	const want = "contention: route 63->0 up-port 200 at level 1 out of range [0,8)"
 	if err == nil || err.Error() != want {
 		t.Errorf("certify(malformed last row) = %v, want %q", err, want)
 	}
-	if f.cert != cert || f.cert.Mark() != mark {
-		t.Errorf("a refused generation changed the certificate (%d dependencies before, %d after)", mark, f.cert.Mark())
-	}
 	if _, err := f.FailLink(1, 5, 1); err != nil {
 		t.Fatalf("FailLink after a refused generation: %v", err)
 	}
-	assertCertificateCovers(t, f, f.Generation())
-}
-
-// assertCertificateCovers checks the certificate invariant: adding every
-// route of a published generation records no dependency the certificate
-// does not already hold.
-func assertCertificateCovers(t *testing.T, f *Fabric, gen *Generation) {
-	t.Helper()
-	mark := f.cert.Mark()
-	if _, err := addRoutes(f.cert, &gen.routes); err != nil {
+	if err := contention.VerifyDeadlockFree(f.topo, f.Generation().Routes()); err != nil {
 		t.Fatal(err)
-	}
-	if got := f.cert.Mark(); got != mark {
-		f.cert.Rollback(mark)
-		t.Fatalf("generation %d serves routes with %d dependencies its certificate lacks", gen.stats.Seq, got-mark)
 	}
 }
 
-// TestCertifyFallsBackToScratch: when the union with everything ever
-// published does not verify — here because the certificate was handed
-// a dependency ring no route set can produce — the candidate is
-// certified alone and from scratch, published, and the certificate
-// restarts from it, so the accept/reject set is the from-scratch one.
-func TestCertifyFallsBackToScratch(t *testing.T) {
-	f := testFabric(t, core.NewDModK)
-	tp := f.topo
-	up := int32(2*tp.UpChannelID(0, 0, 0) + 1)
-	if err := f.cert.AddPath([]int32{up, int32(2 * tp.UpChannelID(0, 8, 0)), up}); err != nil {
-		t.Fatal(err)
+// steeredEvaluator makes an Optimize pass pick one candidate: a pass
+// scores the serving generation, then its four candidates in
+// candidates' order (d-mod-k, r-NCA-u, r-NCA-d, Colored), and the
+// candidate at index win scores best.
+type steeredEvaluator struct {
+	win, calls int
+}
+
+func (*steeredEvaluator) Name() string { return "steered" }
+
+func (e *steeredEvaluator) Score(*xgft.Topology, core.Algorithm, []*pattern.Pattern) (evaluate.Result, error) {
+	return evaluate.Result{}, fmt.Errorf("steered: Score is not used by Optimize")
+}
+
+func (e *steeredEvaluator) ScoreRoutes(*xgft.Topology, *pattern.Pattern, []xgft.Route) (evaluate.Result, error) {
+	slot := e.calls % 5
+	e.calls++
+	score := 9.0
+	switch {
+	case slot == 0:
+		score = 10 // the serving generation
+	case slot-1 == e.win:
+		score = 1
 	}
-	if err := f.cert.Verify(); err == nil {
-		t.Fatal("the poisoned certificate verifies")
-	}
-	poisoned := f.cert
-	st, err := f.FailLink(1, 2, 3)
-	if err != nil {
-		t.Fatalf("FailLink over a failing union: %v (the candidate alone is deadlock-free)", err)
-	}
-	if f.cert == poisoned {
-		t.Fatal("the certificate did not restart from the published generation")
-	}
-	if st.CertifiedRoutes != st.Routes {
-		t.Errorf("restart certified %d routes, the generation serves %d", st.CertifiedRoutes, st.Routes)
-	}
-	assertCertificateCovers(t, f, f.Generation())
-	// The configured table's pin predates the restart: Heal adds it to
-	// the new certificate again rather than trusting the old one.
-	if st, err = f.Heal(); err != nil {
-		t.Fatal(err)
-	}
-	if st.CertifiedRoutes != st.Routes {
-		t.Errorf("heal after a restart certified %d routes, want all %d", st.CertifiedRoutes, st.Routes)
-	}
-	assertCertificateCovers(t, f, f.Generation())
-	if st, err = f.FailLink(1, 2, 3); err != nil || st.CertifiedRoutes != st.Patched {
-		t.Errorf("steady state: FailLink certified %d routes for %d patched (err %v)", st.CertifiedRoutes, st.Patched, err)
+	return evaluate.Result{Slowdown: score}, nil
+}
+
+// TestPublishedUnionIsDeadlockFree: the gate keeps no certificate, yet
+// the union of every generation a fabric publishes — the table set with
+// packets in flight across each swap — is deadlock-free. One fabric per
+// configured scheme runs initial, FailLink, FailSwitch, an optimize swap
+// to Colored, an optimize swap to r-NCA-u, Heal and FailLink again, and
+// VerifyDeadlockFree certifies the union of every published route set.
+func TestPublishedUnionIsDeadlockFree(t *testing.T) {
+	tp := xgft.MustNew(2, []int{8, 8}, []int{1, 8})
+	for _, algo := range []core.Algorithm{core.NewDModK(tp), core.NewRandomNCAUp(tp, 3)} {
+		ev := &steeredEvaluator{}
+		f, err := New(Config{Topo: tp, Algo: algo, Telemetry: true, Evaluator: ev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		union := f.Generation().Routes()
+		optimizeTo := func(win int, want string) error {
+			ev.win = win
+			feedTelemetry(t, f, churnPattern(tp, 100, uint64(win)))
+			res, err := f.Optimize(OptimizeConfig{Reset: true})
+			if err == nil && (!res.Swapped || res.Best != want) {
+				err = fmt.Errorf("swapped %v to %s, want a swap to %s", res.Swapped, res.Best, want)
+			}
+			return err
+		}
+		for i, step := range []struct {
+			what string
+			do   func() error
+		}{
+			{"fail-link", func() error { _, err := f.FailLink(1, 2, 3); return err }},
+			{"fail-switch", func() error { _, err := f.FailSwitch(2, 5); return err }},
+			{"optimize to colored", func() error { return optimizeTo(3, "colored") }},
+			{"optimize to r-NCA-u", func() error { return optimizeTo(1, "r-NCA-u") }},
+			{"heal", func() error { _, err := f.Heal(); return err }},
+			{"fail-link again", func() error { _, err := f.FailLink(1, 2, 3); return err }},
+		} {
+			if err := step.do(); err != nil {
+				t.Fatalf("%s: %s: %v", algo.Name(), step.what, err)
+			}
+			if seq := f.Stats().Seq; seq != uint64(i+1) {
+				t.Fatalf("%s: %s left generation %d, want %d", algo.Name(), step.what, seq, i+1)
+			}
+			union = append(union, f.Generation().Routes()...)
+		}
+		if err := contention.VerifyDeadlockFree(tp, union); err != nil {
+			t.Errorf("%s: the union of the published generations: %v", algo.Name(), err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/contention"
 	"repro/internal/core"
 	"repro/internal/hashutil"
 	"repro/internal/pattern"
@@ -45,9 +46,10 @@ func fuzzScheme(tp *xgft.Topology, scheme uint8, seed uint64) core.Algorithm {
 // reference of TestDerivedMatchesFromScratch (every table built for all
 // pairs, patched wholesale and certified alone) run the same
 // FailLink/FailSwitch/Heal/Optimize script, three bytes a step, on a
-// small tree; after every step both accept or both refuse, and every
+// small tree; after every step both accept or both refuse, every
 // pair's served word is packRoute of the reference's route
-// (PackedUnreachable where it has none).
+// (PackedUnreachable where it has none), and the serving generation's
+// route set certifies deadlock-free.
 func FuzzGuidedMatchesPacked(f *testing.F) {
 	f.Add(uint8(1), uint16(0x044), uint16(0x021), uint8(1), uint64(1), []byte{0, 1, 2, 3, 0, 0, 2, 0, 0, 1, 1, 0})
 	f.Add(uint8(2), uint16(0x234), uint16(0x321), uint8(2), uint64(5), []byte{3, 7, 1, 0, 2, 9, 1, 4, 0, 3, 1, 1})
@@ -117,6 +119,9 @@ func FuzzGuidedMatchesPacked(f *testing.F) {
 				if got := gen.lookup(uint64(fl.Src), uint64(fl.Dst)); got != want {
 					t.Fatalf("step %d (%s) on %s: pair (%d,%d) serves %#x, the from-scratch table has %#x", step, what, tp, fl.Src, fl.Dst, got, want)
 				}
+			}
+			if err := contention.VerifyDeadlockFree(tp, gen.Routes()); err != nil {
+				t.Fatalf("step %d (%s) on %s: %v", step, what, tp, err)
 			}
 		}
 	})

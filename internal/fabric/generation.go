@@ -52,20 +52,18 @@ type Stats struct {
 	// installs had been packed by an earlier generation (always false for
 	// faults, which derive from the serving rows).
 	CacheHit bool
-	// CertifiedRoutes counts the routes added to the fabric's
-	// certificate for this publish: the ones no earlier generation
-	// served. SharedRows counts the source rows the generation holds no
+	// CertifiedRoutes counts the routes the deadlock gate checked for
+	// this publish: the ones no earlier generation served. SharedRows counts the source rows the generation holds no
 	// copy of: served from the guided base (no row at all), or the same
 	// arrays as the table it was derived from or as its predecessor's.
 	// The rest were materialized or cloned to take an override or a
 	// reroute.
 	CertifiedRoutes int
 	SharedRows      int
-	// BuildTime is the wall time spent deriving and certifying the
+	// BuildTime is the wall time spent deriving and checking the
 	// generation before it was swapped in.
 	BuildTime time.Duration
-	// VerifyTime is the part of BuildTime spent in the certification
-	// gate.
+	// VerifyTime is the part of BuildTime spent in the deadlock gate.
 	VerifyTime time.Duration
 }
 

@@ -500,12 +500,20 @@ func (t *Topology) UpChannelID(level, index, p int) int {
 // ChannelOf decodes a flat channel ID back into (level, index, port)
 // where index is the lower (child-side) endpoint.
 func (t *Topology) ChannelOf(id int) (level, index, p int) {
-	level = 0
+	level = t.ChannelLevel(id)
+	id -= t.upChanBase[level]
+	return level, id / t.w[level], id % t.w[level]
+}
+
+// ChannelLevel returns ChannelOf's level without its divisions.
+//
+//repro:hotpath
+func (t *Topology) ChannelLevel(id int) int {
+	level := 0
 	for level+1 < t.h && id >= t.upChanBase[level+1] {
 		level++
 	}
-	id -= t.upChanBase[level]
-	return level, id / t.w[level], id % t.w[level]
+	return level
 }
 
 // TotalChannels returns the number of distinct child-parent wire pairs
