@@ -393,8 +393,9 @@ func (d *daemon) reoptimizeLoop(every time.Duration, threshold float64) {
 
 // statsJSON is the wire form of fabric.Stats (BuildTime in
 // milliseconds instead of opaque nanoseconds). certified_routes is how
-// many routes the fabric's deadlock gate checked for the generation
-// (the ones no earlier generation served), shared_rows how many source
+// many routes the fabric's deadlock gate vouched for in the generation
+// (the ones no earlier generation served; a guided base's are checked
+// once per guide leaf and NCA level), shared_rows how many source
 // rows it shares with the table it was derived from or with its
 // predecessor.
 type statsJSON struct {

@@ -323,8 +323,12 @@ func BenchmarkOptimize(b *testing.B) {
 // with telemetry off and a private cache, at 256 leaves and at 4 096. It
 // reports what one build allocates (B/op) and the heap the built fabric
 // keeps (retained-MB: live heap after a GC with the fabric held, less
-// the live heap before it was built); the packed rows alone are
-// leaves² × 8 B.
+// the live heap before it was built). A d-mod-k table is a guided base
+// of h+1 words a leaf and holds no row, so a fabric keeps about 0.47 MB
+// at 4 096 leaves, and the gate checks the base once per (guide leaf,
+// NCA level) slot, so the build grows about linearly in the leaves:
+// scripts/bench.sh gates the 4 096 / 256 ratio, which the per-pair gate
+// put in the hundreds.
 func BenchmarkNew(b *testing.B) {
 	for _, tp := range []*xgft.Topology{
 		xgft.MustNew(2, []int{16, 16}, []int{1, 16}),

@@ -46,8 +46,12 @@
 // any union of published tables is acyclic — the generation's own, and
 // the old and the new table's with packets in flight across a swap. The
 // gate checks only routes that were never checked: a pinned table's at
-// its first install (a guided base's read off its words pair by pair),
-// then each generation's changed pairs — rerouted cells and overrides.
+// its first install, then each generation's changed pairs — rerouted
+// cells and overrides. A pinned guided base is checked once per (guide
+// leaf, NCA level) slot, on one pair the slot serves: every pair it
+// serves gets that one word, and the rank check reads only the word and
+// the level of each wire the climb crosses, which is the same for all of
+// them. Held rows are checked a route at a time.
 package fabric
 
 import (
@@ -238,7 +242,7 @@ func newFabricMetrics(reg *obs.Registry) *fabricMetrics {
 		generation: reg.Gauge(metricGeneration, "serving generation sequence number"),
 		swaps:      reg.Counter(metricSwaps, "generation hot-swaps installed after the initial build", 1),
 		swapNS:     reg.Histogram(metricSwapBuildNS, "deriving a published generation (row sharing, overrides, reroutes, the deadlock gate)"),
-		verifyNS:   reg.Histogram(metricVerifyNS, "the deadlock gate of a published generation: its routes never checked before, each against the up*/down* rank order"),
+		verifyNS:   reg.Histogram(metricVerifyNS, "the deadlock gate of a published generation: its routes never checked before against the up*/down* rank order, a pinned guided base once per (guide leaf, NCA level) slot"),
 	}
 }
 
@@ -478,7 +482,8 @@ type table struct {
 	view        *xgft.View
 	unreachable int
 	// checked is set once a generation derived from the table is
-	// accepted: the gate has checked every one of its routes.
+	// accepted: the gate has vouched for every one of its routes, a
+	// guided base's through its slots (checkBase).
 	checked bool
 }
 
@@ -779,34 +784,24 @@ func isSameRow(a, b []uint64) bool {
 // certifyLocked is the deadlock gate every generation passes before it
 // is published: each of its routes the gate has not checked before must
 // climb the up*/down* rank order (contention.CheckRoute). Those are
-// every route of base the first time that table is installed (a guided
-// base's read from its words, pair by pair), and the changed pairs —
-// the words derive wrote that differ from base's (overrides and
-// reroutes) — so the gate costs what the swap changes. Any other route
-// was checked when it was first published, and since every checked
-// route climbs the same order, no union of published tables can close
-// a dependency cycle. It returns how many routes it checked; a refusal
-// leaves base unchecked. Callers hold f.mu.
+// every route of base the first time that table is installed
+// (checkBase), and the changed pairs — the words derive wrote that
+// differ from base's (overrides and reroutes) — so the gate costs what
+// the swap changes. Any other route was checked when it was first
+// published, and since every checked route climbs the same order, no
+// union of published tables can close a dependency cycle. It returns
+// how many routes it vouched for; a refusal leaves base unchecked.
+// Callers hold f.mu.
 func (f *Fabric) certifyLocked(base *table, gen *Generation, changed [][2]int) (checked int, err error) {
-	var up [maxHeight]int
 	if !base.checked {
-		buf := make([]uint64, len(base.rows))
-		for s := range base.rows {
-			for d, word := range base.rowOf(s, buf) {
-				if s == d || word == PackedUnreachable {
-					continue
-				}
-				if err := contention.CheckRoute(f.topo, s, d, AppendPackedUp(word, up[:0])); err != nil {
-					return 0, err
-				}
-				checked++
-			}
+		if checked, err = checkBase(f.topo, &base.routes); err != nil {
+			return 0, err
 		}
 	}
 	for _, p := range changed {
 		s, d := p[0], p[1]
 		if word := gen.word(s, d); word != PackedUnreachable {
-			if err := contention.CheckRoute(f.topo, s, d, AppendPackedUp(word, up[:0])); err != nil {
+			if err := checkWord(f.topo, s, d, word); err != nil {
 				return 0, err
 			}
 			checked++
@@ -814,6 +809,65 @@ func (f *Fabric) certifyLocked(base *table, gen *Generation, changed [][2]int) (
 	}
 	base.checked = true
 	return checked, nil
+}
+
+// checkBase is the gate over a pinned table, which is in one of two
+// forms: held rows alone, each route checked on its own, or a guided
+// base alone, checked a slot at a time. Every pair with guide leaf g
+// and NCA level l is served the one word guided[g*guidedStride+l], and
+// CheckRoute's verdict on a word reads only its ports and the level of
+// each wire the climb crosses — l for the step at level l, whatever
+// the pair — so the verdict on the slot's representative pair (the
+// first leaf of the slot's first range: g to it under a source-guided
+// scheme, it to g under a destination-guided one) is the verdict on
+// every pair the slot serves. It returns how many routes it vouched
+// for: the non-self pairs served a word other than PackedUnreachable.
+func checkBase(t *xgft.Topology, r *routes) (checked int, err error) {
+	for s, row := range r.rows {
+		for d, word := range row {
+			if s == d || word == PackedUnreachable {
+				continue
+			}
+			if err := checkWord(t, s, d, word); err != nil {
+				return 0, err
+			}
+			checked++
+		}
+	}
+	if r.guided == nil {
+		return checked, nil
+	}
+	for g := range r.rows {
+		done := 0 // the highest level checked; level 0 serves only the self pair
+		t.NCARanges(g, func(lo, hi, l int) {
+			word := r.guided[g*guidedStride+l]
+			if err != nil || l == 0 || word == PackedUnreachable {
+				return
+			}
+			if l > done {
+				s, d := g, lo
+				if !r.bySource {
+					s, d = lo, g
+				}
+				if err = checkWord(t, s, d, word); err != nil {
+					return
+				}
+				done = l
+			}
+			checked += hi - lo
+		})
+		if err != nil {
+			return 0, err
+		}
+	}
+	return checked, nil
+}
+
+// checkWord checks the packed route word serves s->d against the
+// up*/down* rank order.
+func checkWord(t *xgft.Topology, s, d int, word uint64) error {
+	var up [maxHeight]int
+	return contention.CheckRoute(t, s, d, AppendPackedUp(word, up[:0]))
 }
 
 // FailLink fails the wire leaving switch (level, index) through

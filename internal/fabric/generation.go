@@ -52,8 +52,10 @@ type Stats struct {
 	// installs had been packed by an earlier generation (always false for
 	// faults, which derive from the serving rows).
 	CacheHit bool
-	// CertifiedRoutes counts the routes the deadlock gate checked for
-	// this publish: the ones no earlier generation served. SharedRows counts the source rows the generation holds no
+	// CertifiedRoutes counts the routes the deadlock gate vouched for
+	// in this publish: the ones no earlier generation served, a pinned
+	// guided base's counted pair by pair though checked a slot at a
+	// time. SharedRows counts the source rows the generation holds no
 	// copy of: served from the guided base (no row at all), or the same
 	// arrays as the table it was derived from or as its predecessor's.
 	// The rest were materialized or cloned to take an override or a

@@ -18,20 +18,21 @@
 # (the figures' CG phases and the daemon's 1 024-flow observed phase),
 # delta-scored placement, and the control plane's
 # time-to-new-generation: FailLink swap, Heal, a whole churn cycle
-# (feed, Optimize, FailLink, Heal) and the from-scratch deadlock
-# certification; and what the simulated and census figures
-# of the paper are made of: the network simulator's event loop, trace
-# replay over it, one simulated Fig. 2b point, and the Fig. 4 NCA
-# census: Random's over all pairs, r-NCA-u's per guide leaf) with
-# -count=5 and commits the min-of-runs ns/op per benchmark to
-# scripts/bench_baseline.json; `gate` repeats the run and fails (via
-# cmd/benchgate) when any gated benchmark regressed more than 10%
-# against that committed baseline, or when a same-run ratio listed under
-# "ratios" in that file (what telemetry + metrics cost over the bare
-# lookup, what the tracer costs over that, in process and per pipelined
-# frame, and what the guided census costs over the all-pairs one) is
-# above its bound. CI runs
-# `gate` on every push.
+# (feed, Optimize, FailLink, Heal), a fabric built from nothing at 256
+# and 4 096 leaves, and the from-scratch deadlock certification; and
+# what the simulated and census figures of the paper are made of: the
+# network simulator's event loop, trace replay over it, one simulated
+# Fig. 2b point, and the Fig. 4 NCA census: Random's over all pairs,
+# r-NCA-u's per guide leaf) with -count=5 and commits the min-of-runs
+# ns/op per benchmark to scripts/bench_baseline.json; `gate` repeats
+# the run and fails (via cmd/benchgate) when any gated benchmark
+# regressed more than 10% against that committed baseline, or when a
+# same-run ratio listed under "ratios" in that file (what telemetry +
+# metrics cost over the bare lookup, what the tracer costs over that, in
+# process and per pipelined frame, what the guided census costs over
+# the all-pairs one, and how a fabric's build grows from 256 leaves to
+# 4 096, which the deadlock gate's guided slot walk keeps near linear)
+# is above its bound. CI runs `gate` on every push.
 #
 # Usage:
 #   ./scripts/bench.sh                 # -benchtime=1x smoke run
@@ -46,7 +47,7 @@ cd "$(dirname "$0")/.."
 # (internal/benchcal) that benchgate divides out. Anchored so e.g.
 # ResolveBatchPacked does not also pull in every sized variant that
 # may appear later.
-gate_bench='^(BenchmarkResolveBatchPackedTraced|BenchmarkResolveBatchPacked|BenchmarkResolveBatchPackedObserved|BenchmarkResolveWire|BenchmarkResolveWireCold|BenchmarkResolveWireParallel|BenchmarkWireEncodeRequest|BenchmarkWireDecodeRequest|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkWireResolveEndToEnd|BenchmarkWireResolvePipelined|BenchmarkWireResolvePipelinedObserved|BenchmarkWireResolvePipelinedTraced|BenchmarkCachedScoreHit|BenchmarkCachedScoreRoutesHit|BenchmarkApplyRouteDelta|BenchmarkOptimize|BenchmarkColoredOptimizer|BenchmarkPlaceIncremental|BenchmarkFailLinkSwap|BenchmarkHeal|BenchmarkChurnCycle|BenchmarkAnalyze|BenchmarkVerifyDeadlockFree|BenchmarkSimulatorThroughput|BenchmarkTraceReplayWRF|BenchmarkFig2bSimulated|BenchmarkNCACensus|BenchmarkNCACensusGuided|BenchmarkCalibration)$'
+gate_bench='^(BenchmarkResolveBatchPackedTraced|BenchmarkResolveBatchPacked|BenchmarkResolveBatchPackedObserved|BenchmarkResolveWire|BenchmarkResolveWireCold|BenchmarkResolveWireParallel|BenchmarkWireEncodeRequest|BenchmarkWireDecodeRequest|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkWireResolveEndToEnd|BenchmarkWireResolvePipelined|BenchmarkWireResolvePipelinedObserved|BenchmarkWireResolvePipelinedTraced|BenchmarkCachedScoreHit|BenchmarkCachedScoreRoutesHit|BenchmarkApplyRouteDelta|BenchmarkOptimize|BenchmarkColoredOptimizer|BenchmarkPlaceIncremental|BenchmarkFailLinkSwap|BenchmarkHeal|BenchmarkChurnCycle|BenchmarkNew|BenchmarkAnalyze|BenchmarkVerifyDeadlockFree|BenchmarkSimulatorThroughput|BenchmarkTraceReplayWRF|BenchmarkFig2bSimulated|BenchmarkNCACensus|BenchmarkNCACensusGuided|BenchmarkCalibration)$'
 gate_pkgs='./internal/fabric ./internal/wire ./internal/evaluate ./internal/sched ./internal/contention .'
 
 run_gated() {
