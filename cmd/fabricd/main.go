@@ -395,9 +395,9 @@ func (d *daemon) reoptimizeLoop(every time.Duration, threshold float64) {
 // milliseconds instead of opaque nanoseconds). certified_routes is how
 // many routes the fabric's deadlock gate vouched for in the generation
 // (the ones no earlier generation served; a guided base's are checked
-// once per guide leaf and NCA level), shared_rows how many source
-// rows it shares with the table it was derived from or with its
-// predecessor.
+// once per guide leaf and NCA level), exception_words how many words
+// it holds apart from its rule, the guided base or held rows of the
+// pinned table it was derived from.
 type statsJSON struct {
 	Seq             uint64  `json:"seq"`
 	Algo            string  `json:"algo"`
@@ -408,7 +408,7 @@ type statsJSON struct {
 	FailedSwitches  int     `json:"failed_switches"`
 	CacheHit        bool    `json:"cache_hit"`
 	CertifiedRoutes int     `json:"certified_routes"`
-	SharedRows      int     `json:"shared_rows"`
+	ExceptionWords  int     `json:"exception_words"`
 	BuildMillis     float64 `json:"build_ms"`
 }
 
@@ -423,7 +423,7 @@ func toJSON(st fabric.Stats) statsJSON {
 		FailedSwitches:  st.FailedSwitches,
 		CacheHit:        st.CacheHit,
 		CertifiedRoutes: st.CertifiedRoutes,
-		SharedRows:      st.SharedRows,
+		ExceptionWords:  st.ExceptionWords,
 		BuildMillis:     float64(st.BuildTime.Microseconds()) / 1000,
 	}
 }

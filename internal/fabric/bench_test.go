@@ -324,8 +324,8 @@ func BenchmarkOptimize(b *testing.B) {
 // reports what one build allocates (B/op) and the heap the built fabric
 // keeps (retained-MB: live heap after a GC with the fabric held, less
 // the live heap before it was built). A d-mod-k table is a guided base
-// of h+1 words a leaf and holds no row, so a fabric keeps about 0.47 MB
-// at 4 096 leaves, and the gate checks the base once per (guide leaf,
+// of h+1 words a leaf and holds no exception, so a fabric keeps about
+// 0.29 MB at 4 096 leaves, and the gate checks the base once per (guide leaf,
 // NCA level) slot, so the build grows about linearly in the leaves:
 // scripts/bench.sh gates the 4 096 / 256 ratio, which the per-pair gate
 // put in the hundreds.
@@ -375,6 +375,43 @@ func BenchmarkFailLinkSwap(b *testing.B) {
 			continue
 		}
 	}
+}
+
+// BenchmarkFailLinkSwap4096 measures one top-level fault at scale:
+// d-mod-k on XGFT(3;16,16,16;1,16,16), each op failing another
+// top-level link of a healed fabric (the heal is off the clock). Every
+// source has a destination whose guide ascent crosses the link, so a
+// row per touched source would be every row; the generation instead
+// holds the rerouted words apart from the guided base. retained-MB is
+// the heap the faulted generation keeps beyond the healthy one.
+func BenchmarkFailLinkSwap4096(b *testing.B) {
+	tp := xgft.MustNew(3, []int{16, 16, 16}, []int{1, 16, 16})
+	f, err := New(Config{Topo: tp, Algo: core.NewDModK(tp)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var retained uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if _, err := f.Heal(); err != nil {
+			b.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		if _, err := f.FailLink(2, (5+i)%tp.NodesAt(2), (3+i/tp.NodesAt(2))%tp.W(2)); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		retained += after.HeapAlloc - min(before.HeapAlloc, after.HeapAlloc)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(retained)/float64(b.N)/(1<<20), "retained-MB")
 }
 
 // BenchmarkHeal measures the hot-swap back to the configured scheme's

@@ -120,15 +120,14 @@ func TestOptimizeIncrementalMatchesFull(t *testing.T) {
 	}
 }
 
-// TestDeriveSharesUntouchedRows pins derive's memory discipline:
-// installing a table that changes a handful of routes gives a row only
-// to the sources those routes leave from — every other source holds no
-// row and serves the guided base the pinned table and the predecessor
-// generation share, exactly as under FailLink — and certifies only the
-// changed routes. (A real optimize winner may legitimately differ on
-// every row, so this is tested with crafted overrides on the serving
-// scheme's own table.)
-func TestDeriveSharesUntouchedRows(t *testing.T) {
+// TestDeriveHoldsOnlyChangedWords pins derive's memory discipline:
+// installing a table that changes a handful of routes holds exactly
+// those words as exceptions, over the rule the pinned table and the
+// predecessor generation share — no row is materialized, exactly as
+// under FailLink — and certifies only the changed routes. (A real
+// optimize winner may legitimately differ on every row, so this is
+// tested with crafted overrides on the serving scheme's own table.)
+func TestDeriveHoldsOnlyChangedWords(t *testing.T) {
 	tp := xgft.MustNew(2, []int{8, 8}, []int{1, 4})
 	f := telemetryFabric(t, tp, core.NewDModK(tp))
 	cur := f.Generation()
@@ -137,8 +136,8 @@ func TestDeriveSharesUntouchedRows(t *testing.T) {
 		t.Fatalf("pinLocked(d-mod-k) = %p, hit %v, err %v; want the configured scheme's pinned table %p", base, hit, err, f.configured)
 	}
 	// Move three routes of source 0 and one of source 5 to a
-	// different root: four touched routes across two rows.
-	perSrc := map[int]int{0: 3, 5: 1} // rows to touch and how many routes in each
+	// different root: four touched routes across two sources.
+	perSrc := map[int]int{0: 3, 5: 1} // sources to touch and how many routes of each
 	var moved []xgft.Route
 	for _, r := range cur.Routes() {
 		if perSrc[r.Src] == 0 || len(r.Up) < 2 {
@@ -152,7 +151,7 @@ func TestDeriveSharesUntouchedRows(t *testing.T) {
 	if len(moved) != 4 {
 		t.Fatalf("crafted %d overrides, want 4", len(moved))
 	}
-	gen, err := f.derive(time.Now(), base, moved, cur.view, cur, "crafted")
+	gen, err := f.derive(time.Now(), base, moved, cur.view, cur.stats.Seq+1, "crafted")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,18 +161,16 @@ func TestDeriveSharesUntouchedRows(t *testing.T) {
 	if gen.stats.CertifiedRoutes != 4 {
 		t.Errorf("derive certified %d routes, want the 4 moved ones", gen.stats.CertifiedRoutes)
 	}
-	cloned := 0
-	for s := range gen.rows {
-		switch {
-		case gen.rows[s] == nil && cur.rows[s] == nil && base.rows[s] == nil:
-		case s == 0 || s == 5:
-			cloned++
-		default:
-			t.Errorf("row %d was cloned; no route of it changed", s)
+	if len(gen.exc) != 4 || gen.stats.ExceptionWords != 4 {
+		t.Errorf("derive holds %d exception words (ExceptionWords %d), want the 4 moved ones", len(gen.exc), gen.stats.ExceptionWords)
+	}
+	for s, want := 0, map[int]int{0: 3, 5: 1}; s < gen.n; s++ {
+		if len(gen.run(s)) != want[s] {
+			t.Errorf("source %d holds %d exceptions, want %d", s, len(gen.run(s)), want[s])
 		}
 	}
-	if cloned != 2 || gen.stats.SharedRows != tp.Leaves()-2 {
-		t.Errorf("%d rows cloned, SharedRows %d; want exactly the 2 touched sources cloned", cloned, gen.stats.SharedRows)
+	if !sameRule(&gen.routes, &base.routes) || !sameRule(&cur.routes, &base.routes) {
+		t.Fatal("the generations do not share the pinned guided base")
 	}
 	// The derived generation resolves the moved routes, not the old
 	// ones, and everything else as before.
@@ -190,16 +187,10 @@ func TestDeriveSharesUntouchedRows(t *testing.T) {
 			t.Fatalf("pair %v resolves %v/%v, want %v", pair, got, ok, up)
 		}
 	}
-	// The pinned table itself was not written to: a guided scheme's
-	// holds no row at all, only its guided base, which generation 0 and
-	// the derived one share.
-	for s, row := range base.rows {
-		if row != nil || cur.rows[s] != nil {
-			t.Fatalf("source %d holds a row in the pinned d-mod-k table or generation 0", s)
-		}
-	}
-	if !isSameRow(gen.guided, base.guided) || !isSameRow(cur.guided, base.guided) {
-		t.Fatal("the generations do not share the pinned guided base")
+	// The pinned table itself was not written to: a guided scheme's is
+	// its guided base alone, and generation 0 holds no exception.
+	if base.held != nil || base.excAt != nil || cur.excAt != nil {
+		t.Fatal("the pinned d-mod-k table or generation 0 holds words beyond the guided base")
 	}
 	if got := cur.Routes(); len(got) != len(want) {
 		t.Fatal("the predecessor's routes changed")
@@ -207,11 +198,11 @@ func TestDeriveSharesUntouchedRows(t *testing.T) {
 
 	// Overrides out of (src, dst) order, or invalid, refuse the
 	// generation, and nothing is published.
-	if _, err := f.derive(time.Now(), base, []xgft.Route{moved[3], moved[0]}, cur.view, cur, "crafted"); err == nil {
+	if _, err := f.derive(time.Now(), base, []xgft.Route{moved[3], moved[0]}, cur.view, cur.stats.Seq+1, "crafted"); err == nil {
 		t.Error("derive accepted overrides out of order")
 	}
 	bad := xgft.Route{Src: 7, Dst: 60, Up: []int{0, tp.W(1)}}
-	if _, err := f.derive(time.Now(), base, []xgft.Route{moved[0], bad}, cur.view, cur, "crafted"); err == nil {
+	if _, err := f.derive(time.Now(), base, []xgft.Route{moved[0], bad}, cur.view, cur.stats.Seq+1, "crafted"); err == nil {
 		t.Error("derive accepted an override with a port past its radix")
 	}
 	if f.Generation() != cur {
@@ -219,9 +210,35 @@ func TestDeriveSharesUntouchedRows(t *testing.T) {
 	}
 }
 
+// TestFailLinkHoldsOnlyReroutedWords is the scale guard of the serving
+// form: on 4 096 leaves, one top-level fault under d-mod-k — which
+// reroutes words of every source, since every source has a destination
+// whose guide ascent crosses the failed wire — holds exactly the
+// rerouted words as exceptions and serves the configured guided base,
+// where a row per touched source would be 4 096 rows and 128 MB.
+func TestFailLinkHoldsOnlyReroutedWords(t *testing.T) {
+	tp := xgft.MustNew(3, []int{16, 16, 16}, []int{1, 16, 16})
+	f, err := New(Config{Topo: tp, Algo: core.NewDModK(tp)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := f.FailLink(2, 5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := f.Generation()
+	if st.Patched == 0 || st.Unreachable != 0 || st.ExceptionWords != st.Patched || len(gen.exc) != st.Patched {
+		t.Errorf("FailLink(2,5,3) patched %d, left %d unreachable and holds %d exception words (%d kept); want exactly the patched words",
+			st.Patched, st.Unreachable, st.ExceptionWords, len(gen.exc))
+	}
+	if !sameRule(&gen.routes, &f.configured.routes) {
+		t.Error("the faulted generation does not serve the configured guided base")
+	}
+}
+
 // TestOptimizeIncrementalRace runs optimize passes (scoring plus the
-// derive install, which shares rows with the serving generation and the
-// pinned tables) and fault churn while readers hammer packed batch
+// derive install, which shares the pinned tables' rules and the serving
+// generation's exceptions) and fault churn while readers hammer packed batch
 // resolves — a pass must never perturb what concurrent readers observe
 // (generations stay immutable).
 // Run with -race.

@@ -154,7 +154,7 @@ func (r *refFabric) optimize(obs *pattern.Pattern, cfg OptimizeConfig) (Optimize
 // commonStats strips what only a derived generation has (how it was
 // built and how long that took) from its stats.
 func commonStats(st Stats) Stats {
-	st.CacheHit, st.CertifiedRoutes, st.SharedRows, st.BuildTime, st.VerifyTime = false, 0, 0, 0, 0
+	st.CacheHit, st.CertifiedRoutes, st.ExceptionWords, st.BuildTime, st.VerifyTime = false, 0, 0, 0, 0
 	return st
 }
 

@@ -8,36 +8,40 @@
 // role.
 //
 // What a pair resolves to is one rule, Generation.lookup: out of range →
-// PackedUnreachable, else the table's word — a held row's, or the guided
-// base's at the pair's NCA level, which is the empty route for a self
-// pair. The resolve forms are passes over their own encodings around it
+// PackedUnreachable, else the table's word — the pair's exception, or
+// its rule's: a held row's, or the guided base's at the pair's NCA
+// level, which is the empty route for a self pair. A pass over a
+// generation that serves its guided base alone reads the base without
+// the exception test (lookupGuided), chosen once a batch. The resolve
+// forms are passes over their own encodings around the rule
 // — ResolveBatchPacked over []pair/[]word, ResolveWire over the binary
 // protocol's bytes, Resolve decoding one word into an xgft.Route — all
 // counted, timed and traced in one place, startPacked/endPacked.
 //
-// A table in serving form is a guided base plus held rows. S-/D-mod-k
-// and the relabeling family (r-NCA-u/d) route every pair by its guide
-// leaf and NCA level alone (core.GuideAscent), so their healthy table is
-// h+1 words a leaf — its ascent packed once per prefix length — and
-// holds no row. A source holds a row of its own only where a reroute or
-// an override made it differ; a scheme that is not guided (Random,
-// LevelWise, a loaded table) holds every row.
+// A table in serving form is a rule plus the words that differ from it.
+// The rule is a pinned healthy table. S-/D-mod-k and the relabeling
+// family (r-NCA-u/d) route every pair by its guide leaf and NCA level
+// alone (core.GuideAscent), so their rule is a guided base of h+1 words a
+// leaf — its ascent packed once per prefix length; a scheme that is not
+// guided (Random, LevelWise, a loaded table) has held rows, every word.
+// The exception words are the ones a reroute, an unreachable mark or an
+// override made differ from the rule, held pointer-free by source and
+// destination, in memory proportional to their count.
 //
 // A generation change costs in proportion to what it changes. Every
 // generation is made by one function, derive, from three things: a base
 // table in serving form, a list of override routes, and a fault view.
 // The healthy table of each static scheme the fabric has installed — the
 // configured one, and d-mod-k and r-NCA-u/d as they win optimize passes
-// — is built once and pinned; its guided base and rows are never
+// — is built once and pinned; its guided base or held rows are never
 // written again, so generations share them. FailLink/FailSwitch derive
 // from the serving table under a larger view: only pairs with an
 // endpoint under a newly failed wire are even looked at, and only the
-// routes that ride one are recomputed, in copy-on-write rows of the
-// sources they leave from. Heal derives from the configured scheme's
-// pinned table under no faults: no row held for a guided scheme, all row
-// sharing for another. An optimize swap derives from the winner's pinned
-// table — Colored's is its d-mod-k fallback's guided base, with its
-// assignments as overrides — under the serving view.
+// routes that ride one are recomputed, as exceptions. Heal derives from
+// the configured scheme's pinned table under no faults: its rule and no
+// exception. An optimize swap derives from the winner's pinned table —
+// Colored's is its d-mod-k fallback's guided base, with its assignments
+// as overrides — under the serving view.
 //
 // Every generation passes a deadlock gate before it is published, and
 // the gate keeps no state: each route it checks must climb the
@@ -55,6 +59,7 @@
 package fabric
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -155,6 +160,10 @@ type Fabric struct {
 	// key, and Heal always returns to it).
 	pinned     map[string]*table // guarded by mu
 	configured *table            // set by New, then only read
+	// An optimize pass's scoring scratch: the observed flows that have a
+	// route, and those routes (scoreRoutesLocked).
+	scored       pattern.Pattern // guarded by mu
+	scoredRoutes []xgft.Route    // guarded by mu
 }
 
 // fabricMetrics is the fabric's instrument set; one per fabric, named
@@ -195,11 +204,11 @@ const (
 	metricTelFoldedCells = "fabric_telemetry_folded_cells_total"
 
 	eventGenerationSwap = "generation.swap"
-	// keyCertified and keySharedRows are the generation.swap fields that
-	// say what the swap cost: routes the deadlock gate checked, and rows
-	// shared rather than cloned.
+	// keyCertified and keyExceptionWords are the generation.swap fields
+	// that say what the swap cost: routes the deadlock gate checked, and
+	// the words the generation holds apart from its rule.
 	keyCertified       = "certified_routes"
-	keySharedRows      = "shared_rows"
+	keyExceptionWords  = "exception_words"
 	eventOptimize      = "optimize"
 	eventOptimizeError = "optimize.error"
 )
@@ -231,7 +240,7 @@ func SwapObsNames() []string { return []string{metricSwapBuildNS, metricVerifyNS
 
 // SwapEventKeys lists the generation.swap journal fields that say what
 // a swap cost, for the documentation drift test.
-func SwapEventKeys() []string { return []string{keyCertified, keySharedRows} }
+func SwapEventKeys() []string { return []string{keyCertified, keyExceptionWords} }
 
 func newFabricMetrics(reg *obs.Registry) *fabricMetrics {
 	return &fabricMetrics{
@@ -241,7 +250,7 @@ func newFabricMetrics(reg *obs.Registry) *fabricMetrics {
 		packedNS:   reg.Histogram(metricPackedNS, "whole-call latency of a resolve, in any form"),
 		generation: reg.Gauge(metricGeneration, "serving generation sequence number"),
 		swaps:      reg.Counter(metricSwaps, "generation hot-swaps installed after the initial build", 1),
-		swapNS:     reg.Histogram(metricSwapBuildNS, "deriving a published generation (row sharing, overrides, reroutes, the deadlock gate)"),
+		swapNS:     reg.Histogram(metricSwapBuildNS, "deriving a published generation (overrides, reroutes, the deadlock gate)"),
 		verifyNS:   reg.Histogram(metricVerifyNS, "the deadlock gate of a published generation: its routes never checked before against the up*/down* rank order, a pinned guided base once per (guide leaf, NCA level) slot"),
 	}
 }
@@ -302,7 +311,7 @@ func New(cfg Config) (f *Fabric, err error) {
 	if f.configured, _, err = f.pinLocked(cfg.Algo); err != nil {
 		return nil, err
 	}
-	gen, err := f.derive(start, f.configured, nil, xgft.NewView(cfg.Topo), nil, cfg.Algo.Name())
+	gen, err := f.derive(start, f.configured, nil, xgft.NewView(cfg.Topo), 0, cfg.Algo.Name())
 	if err != nil {
 		return nil, fmt.Errorf("fabric: healthy table rejected: %w", err)
 	}
@@ -336,7 +345,7 @@ func (f *Fabric) publish(gen *Generation, reason string) {
 			"served_prev": servedPrev,
 			"build_ns":    (st.BuildTime - st.VerifyTime).Nanoseconds(),
 			"verify_ns":   st.VerifyTime.Nanoseconds(),
-			keyCertified:  st.CertifiedRoutes, keySharedRows: st.SharedRows,
+			keyCertified:  st.CertifiedRoutes, keyExceptionWords: st.ExceptionWords,
 		})
 	}
 }
@@ -472,8 +481,9 @@ func (f *Fabric) ResolveWire(parent trace.SpanContext, pairs, dst []byte) (out [
 // table is an all-pairs route table in the form generations serve (see
 // routes), together with the fault view its routes are known to survive
 // and whether the deadlock gate has checked them. The healthy
-// table of a static scheme is built once and pinned: its guided base and
-// rows are never written again, so any number of generations share them.
+// table of a static scheme is built once and pinned, a rule and no
+// exception: its guided base or held rows are never written again, so
+// any number of generations share them.
 type table struct {
 	routes
 	// view is the fault view every route avoids (nil: the healthy view,
@@ -497,7 +507,7 @@ const maxPinned = 8
 // it was pinned already. A guided scheme's table is its guided base
 // alone: each leaf's full-height ascent (core.GuideAscent), its ports
 // checked against their radices, packed once per prefix length — h+1
-// words a leaf and no row. Any other scheme is routed straight into packed
+// words a leaf. Any other scheme is routed straight into held packed
 // rows, a source at a time: core.RouteFlows — which validates every
 // non-self route — routes the row's n-1 pairs into scratch reused across
 // rows, so the table is never held unpacked. Tables are pinned under the
@@ -511,7 +521,7 @@ func (f *Fabric) pinLocked(algo core.Algorithm) (tbl *table, hit bool, err error
 		}
 	}
 	n := f.topo.Leaves()
-	tbl = &table{routes: routes{rows: make([][]uint64, n), nca: f.topo.NCA(), topo: f.topo}}
+	tbl = &table{routes: routes{n: n, nca: f.topo.NCA(), topo: f.topo}}
 	var buf [maxHeight]int
 	if _, bySource, guided := core.GuideAscent(algo, 0, buf[:0]); guided {
 		err = f.packGuided(tbl, algo, bySource)
@@ -534,7 +544,7 @@ func (f *Fabric) pinLocked(algo core.Algorithm) (tbl *table, hit bool, err error
 func (f *Fabric) packGuided(tbl *table, algo core.Algorithm, bySource bool) error {
 	tbl.guided, tbl.bySource = make([]uint64, f.topo.Leaves()*guidedStride), bySource
 	var buf [maxHeight]int
-	for leaf := range tbl.rows {
+	for leaf := 0; leaf < tbl.n; leaf++ {
 		up, _, _ := core.GuideAscent(algo, leaf, buf[:0])
 		if len(up) != f.topo.Height() {
 			return fmt.Errorf("fabric: %s guide leaf %d ascends %d levels, want %d", algo.Name(), leaf, len(up), f.topo.Height())
@@ -552,16 +562,14 @@ func (f *Fabric) packGuided(tbl *table, algo core.Algorithm, bySource bool) erro
 }
 
 // packRows routes every source's row of a scheme that is not guided
-// into one pointer-free block of packed words.
+// into one pointer-free block of packed words, the table's held rows.
 func (f *Fabric) packRows(tbl *table, algo core.Algorithm) (err error) {
 	n := f.topo.Leaves()
-	tbl.held = true
-	words := make([]uint64, n*n)
+	tbl.held = make([]uint64, n*n)
 	row := &pattern.Pattern{N: n, Flows: make([]pattern.Flow, n-1)}
 	var routes []xgft.Route
 	var arena []int
-	for s := range tbl.rows {
-		tbl.rows[s] = words[s*n : (s+1)*n : (s+1)*n]
+	for s := 0; s < n; s++ {
 		for i := range row.Flows {
 			d := i
 			if d >= s {
@@ -573,44 +581,38 @@ func (f *Fabric) packRows(tbl *table, algo core.Algorithm) (err error) {
 			return err
 		}
 		for _, r := range routes {
-			tbl.rows[s][r.Dst] = packRoute(r)
+			tbl.held[s*n+r.Dst] = packRoute(r)
 		}
 	}
 	return nil
 }
 
-// derive builds cur's successor — the one way a generation comes to
-// be. The successor serves base's routes with the override routes (in
-// (src, dst) order) written over them, under the fault view: a route
-// riding a failed wire is rerouted (core.RerouteAvoiding) or, with no
-// surviving minimal path, marked unreachable. Base's routes already
+// derive builds the next generation — the one way a generation comes
+// to be. The successor serves base's routes with the override routes (in
+// strict (src, dst) order) written over them, under the fault view: a
+// route riding a failed wire is rerouted (core.RerouteAvoiding) or, with
+// no surviving minimal path, marked unreachable. Base's routes already
 // avoid base.view, so only the wires view fails beyond it can break
 // one, and a minimal route crosses a wire only on its source's or its
 // destination's ancestor chain: the scan visits the pairs with an
 // endpoint under a newly failed wire and no others — none at all when
-// view adds nothing. The successor shares base's guided base; a source
-// nothing was written to serves base's row (or none, the guided base's),
-// a source is given a row of its own at its first differing word, and
-// a row that ends up equal to cur's is cur's again. So FailLink is
-// derive over cur's routes and a larger view, Heal is derive over the
-// configured scheme's pinned table and a healthy view (no row at all for
-// a guided scheme), and an optimize swap is derive over the winner's
-// pinned table and its overrides under cur's view.
+// view adds nothing. The successor serves base's rule, and every word
+// it writes is an exception (write); no row is materialized, so a
+// derive costs the scan and the words it writes. FailLink is derive over
+// the serving table and a larger view, Heal is derive over the
+// configured scheme's pinned table and a healthy view (no exception at
+// all), and an optimize swap is derive over the winner's pinned table
+// and its overrides under the serving view.
 //
-// The successor must pass certifyLocked or it is refused. cur is nil
-// only for generation 0.
-// start opens the generation's build clock (before the base table was
-// pinned, when it had to be). Callers hold f.mu.
-func (f *Fabric) derive(start time.Time, base *table, overrides []xgft.Route, view *xgft.View, cur *Generation, algoName string) (gen *Generation, err error) {
+// The successor, generation seq, must pass certifyLocked or it is
+// refused. start opens the generation's build clock (before the base
+// table was pinned, when it had to be). Callers hold f.mu.
+func (f *Fabric) derive(start time.Time, base *table, overrides []xgft.Route, view *xgft.View, seq uint64, algoName string) (gen *Generation, err error) {
 	n := f.topo.Leaves()
-	seq := uint64(0)
-	if cur != nil {
-		seq = cur.stats.Seq + 1
-	}
 	// suspect[x]: leaf x lies under a wire that failed since base's
-	// routes were checked. A suspect source's row is scanned whole, any
-	// other row only at the suspect destinations; with no new failure
-	// there is nothing to scan.
+	// routes were checked. A suspect source's words are scanned whole,
+	// any other source's only at the suspect destinations; with no new
+	// failure there is nothing to scan.
 	var suspect []bool
 	var all, suspects []int
 	if failed := view.FailedSince(base.view); len(failed) > 0 {
@@ -629,39 +631,42 @@ func (f *Fabric) derive(start time.Time, base *table, overrides []xgft.Route, vi
 		}
 	}
 	gen = &Generation{routes: base.routes, view: view}
-	// gen.held is base's until a source is given a row of its own, and
-	// exact once every source has been visited.
-	gen.rows = make([][]uint64, n)
-	var changed [][2]int    // the (src, dst) pairs whose word differs from base's
-	var written []int       // the destinations the current source wrote
-	var up [maxHeight]int   // the route being checked and rerouted, decoded
-	var bufA, bufB []uint64 // countDiff's, made at its first call
-	patched, unreachable, shared := 0, base.unreachable, 0
+	// The words derive gives source s — its overrides, then its reroutes —
+	// are written[at[s]:at[s+1]], in destination order.
+	var written []exception
+	at := make([]int32, n+1)
+	var up [maxHeight]int // the route being checked and rerouted, decoded
+	patched, unreachable := 0, base.unreachable
 	for s := 0; s < n; s++ {
-		from := base.rows[s]
-		gen.rows[s], written = from, written[:0]
-		set := func(d int, word uint64) {
-			if isSameRow(gen.rows[s], from) {
-				gen.rows[s], gen.held = base.heldRow(s), true
-			}
-			gen.rows[s][d] = word
-			written = append(written, d)
-		}
+		start := len(written)
 		for ; len(overrides) > 0 && overrides[0].Src == s; overrides = overrides[1:] {
 			r := overrides[0]
 			if err := r.Validate(f.topo); err != nil {
 				return nil, fmt.Errorf("fabric: %s assigned an invalid route: %w", algoName, err)
 			}
-			if word := packRoute(r); word != gen.word(s, r.Dst) {
-				set(r.Dst, word)
+			if len(written) > start && r.Dst <= int(written[len(written)-1].dst) {
+				return nil, fmt.Errorf("fabric: %s assigned routes out of (src, dst) order or out of range", algoName)
 			}
+			written = append(written, exception{int32(r.Dst), packRoute(r)})
 		}
+		assigned := len(written)
 		scan := suspects
 		if suspect != nil && suspect[s] {
 			scan = all
 		}
+		run, k := base.run(s), 0 // base's exceptions, read in step with scan
 		for _, d := range scan {
-			word := gen.word(s, d)
+			for k < len(run) && int(run[k].dst) < d {
+				k++
+			}
+			word := base.ruleWord(s, d)
+			if k < len(run) && int(run[k].dst) == d {
+				word = run[k].word
+			}
+			i, mine := search(written[start:assigned], d)
+			if mine {
+				word = written[start+i].word
+			}
 			if s == d || word == PackedUnreachable {
 				continue
 			}
@@ -669,48 +674,30 @@ func (f *Fabric) derive(start time.Time, base *table, overrides []xgft.Route, vi
 			if view.RouteOK(r) {
 				continue
 			}
+			moved := PackedUnreachable
 			if nr, ok := core.RerouteAvoiding(view, r); ok {
-				set(d, packRoute(nr))
+				moved = packRoute(nr)
 				patched++
 			} else {
-				set(d, PackedUnreachable)
 				unreachable++
 			}
-		}
-		// The words that differ from base's are among the ones written; a
-		// word written twice (an override, then its reroute) can end where
-		// base's was, and a source all of whose words did serves base's
-		// row again.
-		fromChanged := len(changed)
-		slices.Sort(written)
-		for _, d := range slices.Compact(written) {
-			if gen.rows[s][d] != base.word(s, d) {
-				changed = append(changed, [2]int{s, d})
+			if mine {
+				written[start+i].word = moved
+			} else {
+				written = append(written, exception{int32(d), moved})
 			}
 		}
-		if len(changed) == fromChanged {
-			gen.rows[s] = from
+		if assigned > start && len(written) > assigned {
+			// A rerouted assigned word was rewritten in place; the other
+			// reroutes go between the assigned words.
+			slices.SortFunc(written[start:], func(a, b exception) int { return cmp.Compare(a.dst, b.dst) })
 		}
-		// A row given to s that ends up equal to cur's is cur's again. It
-		// differs from base's, so only where base's row is not cur's can
-		// it be.
-		if cur != nil && !isSameRow(gen.rows[s], from) && !sameRow(&base.routes, &cur.routes, s) &&
-			(cur.rows[s] != nil || isSameRow(gen.guided, cur.guided)) {
-			if bufA == nil {
-				bufA, bufB = make([]uint64, n), make([]uint64, n)
-			}
-			if countDiff(&gen.routes, &cur.routes, s, bufA, bufB) == 0 {
-				gen.rows[s] = cur.rows[s]
-			}
-		}
-		if isSameRow(gen.rows[s], from) || (cur != nil && sameRow(&gen.routes, &cur.routes, s)) {
-			shared++
-		}
+		at[s+1] = int32(len(written))
 	}
 	if len(overrides) > 0 {
 		return nil, fmt.Errorf("fabric: %s assigned routes out of (src, dst) order or out of range", algoName)
 	}
-	gen.held = slices.ContainsFunc(gen.rows, func(row []uint64) bool { return row != nil })
+	changed := gen.write(written, at)
 	gen.stats = Stats{
 		Seq:            seq,
 		Algo:           algoName,
@@ -719,7 +706,7 @@ func (f *Fabric) derive(start time.Time, base *table, overrides []xgft.Route, vi
 		Unreachable:    unreachable,
 		FailedWires:    view.FailedWires(),
 		FailedSwitches: len(view.FailedSwitches()),
-		SharedRows:     shared,
+		ExceptionWords: len(gen.exc),
 	}
 	verifyStart := buildClock()
 	if gen.stats.CertifiedRoutes, err = f.certifyLocked(base, gen, changed); err != nil {
@@ -738,47 +725,82 @@ func buildClock() time.Time {
 	return time.Now() //lint:allow nondeterminism generation build and certification times are observational (journal/metrics only)
 }
 
-// sameRow reports whether source s serves one set of words in a and b
-// without reading them: the same held array, or no row in either over
-// the same guided base.
-func sameRow(a, b *routes, s int) bool {
-	ra, rb := a.rows[s], b.rows[s]
-	if ra == nil && rb == nil {
-		return isSameRow(a.guided, b.guided)
+// write gives r — base's routes as derive found them — the words derive
+// wrote, source s's being written[at[s]:at[s+1]] in destination order:
+// each an exception where it differs from the rule, dropped where it
+// equals it, in place of base's. It returns the written pairs whose word
+// differs from base's.
+func (r *routes) write(written []exception, at []int32) (changed [][2]int) {
+	if len(written) == 0 {
+		return nil
 	}
-	return isSameRow(ra, rb)
+	base := *r
+	r.excAt, r.exc = make([]int32, r.n+1), make([]exception, 0, len(base.exc)+len(written))
+	changed = make([][2]int, 0, len(written))
+	for s := 0; s < r.n; s++ {
+		run := base.run(s)
+		for _, w := range written[at[s]:at[s+1]] {
+			for ; len(run) > 0 && run[0].dst < w.dst; run = run[1:] {
+				r.exc = append(r.exc, run[0])
+			}
+			rule := r.ruleWord(s, int(w.dst))
+			was := rule
+			if len(run) > 0 && run[0].dst == w.dst {
+				was, run = run[0].word, run[1:]
+			}
+			if w.word != was {
+				changed = append(changed, [2]int{s, int(w.dst)})
+			}
+			if w.word != rule {
+				r.exc = append(r.exc, w)
+			}
+		}
+		r.exc = append(r.exc, run...)
+		r.excAt[s+1] = int32(len(r.exc))
+	}
+	if len(r.exc) == 0 {
+		r.excAt, r.exc = nil, nil
+	}
+	return changed
 }
 
-// wordsChanged counts the words gen serves differently from cur.
-func wordsChanged(gen, cur *Generation) int {
-	n := len(gen.rows)
-	bufA, bufB := make([]uint64, n), make([]uint64, n)
-	changed := 0
-	for s := range gen.rows {
-		if !sameRow(&gen.routes, &cur.routes, s) {
-			changed += countDiff(&gen.routes, &cur.routes, s, bufA, bufB)
+// wordsChanged counts the words gen serves differently from cur: over
+// one rule, the exceptions of either that the other does not hold alike;
+// over two, every source's words compared.
+func wordsChanged(gen, cur *Generation) (changed int) {
+	var rows [2][]uint64
+	if !sameRule(&gen.routes, &cur.routes) {
+		rows = [2][]uint64{make([]uint64, gen.n), make([]uint64, gen.n)}
+	}
+	for s := 0; s < gen.n; s++ {
+		if rows[0] != nil {
+			a, b := gen.rowOf(s, rows[0]), cur.rowOf(s, rows[1])
+			for d := range a {
+				if a[d] != b[d] {
+					changed++
+				}
+			}
+			continue
+		}
+		a, b := gen.run(s), cur.run(s)
+		changed += len(a) + len(b)
+		for _, e := range a {
+			if i, ok := search(b, int(e.dst)); ok {
+				changed-- // a word both hold
+				if b[i].word == e.word {
+					changed--
+				}
+			}
 		}
 	}
 	return changed
 }
 
-// countDiff returns how many of source s's words differ between a and
-// b; bufA and bufB (len N) lay out a guided base's.
-func countDiff(a, b *routes, s int, bufA, bufB []uint64) int {
-	diff := 0
-	wb := b.rowOf(s, bufB)
-	for d, w := range a.rowOf(s, bufA) {
-		if w != wb[d] {
-			diff++
-		}
-	}
-	return diff
-}
-
-// isSameRow reports whether two slices are the same array (the
-// copy-on-write "not yet cloned" test); two nil slices are.
-func isSameRow(a, b []uint64) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+// sameRule reports whether a and b serve one rule: the same guided base
+// or the same held rows.
+func sameRule(a, b *routes) bool {
+	return len(a.guided) == len(b.guided) && len(a.held) == len(b.held) &&
+		(a.guided == nil || &a.guided[0] == &b.guided[0]) && (a.held == nil || &a.held[0] == &b.held[0])
 }
 
 // certifyLocked is the deadlock gate every generation passes before it
@@ -823,21 +845,20 @@ func (f *Fabric) certifyLocked(base *table, gen *Generation, changed [][2]int) (
 // every pair the slot serves. It returns how many routes it vouched
 // for: the non-self pairs served a word other than PackedUnreachable.
 func checkBase(t *xgft.Topology, r *routes) (checked int, err error) {
-	for s, row := range r.rows {
-		for d, word := range row {
-			if s == d || word == PackedUnreachable {
-				continue
-			}
-			if err := checkWord(t, s, d, word); err != nil {
-				return 0, err
-			}
-			checked++
+	for i, word := range r.held {
+		s, d := i/r.n, i%r.n
+		if s == d || word == PackedUnreachable {
+			continue
 		}
+		if err := checkWord(t, s, d, word); err != nil {
+			return 0, err
+		}
+		checked++
 	}
 	if r.guided == nil {
 		return checked, nil
 	}
-	for g := range r.rows {
+	for g := 0; g < r.n; g++ {
 		done := 0 // the highest level checked; level 0 serves only the self pair
 		t.NCARanges(g, func(lo, hi, l int) {
 			word := r.guided[g*guidedStride+l]
@@ -887,9 +908,9 @@ func (f *Fabric) FailSwitch(level, index int) (Stats, error) {
 }
 
 // degrade applies one fault to a clone of the current view, derives
-// the successor from the serving rows under it — only routes that
-// traverse a newly failed wire are recomputed, untouched rows are
-// shared — and publishes the result. Rejected operations (bad target,
+// the successor from the serving table under it — only routes that
+// traverse a newly failed wire are recomputed, as exceptions over the
+// same rule — and publishes the result. Rejected operations (bad target,
 // refused by the deadlock gate) are journaled under "<op>.rejected" so the
 // event stream explains why no swap happened.
 func (f *Fabric) degrade(fail func(*xgft.View) bool, op, what string) (Stats, error) {
@@ -902,11 +923,11 @@ func (f *Fabric) degrade(fail func(*xgft.View) bool, op, what string) (Stats, er
 		f.reject(op, what, err)
 		return cur.stats, err
 	}
-	// The serving rows as a table: every route avoids cur's view and was
-	// checked when it was published.
+	// The serving table: every route avoids cur's view and was checked
+	// when it was published.
 	serving := &table{routes: cur.routes, view: cur.view, unreachable: cur.stats.Unreachable, checked: true}
 	start := buildClock()
-	gen, err := f.derive(start, serving, nil, view, cur, cur.stats.Algo)
+	gen, err := f.derive(start, serving, nil, view, cur.stats.Seq+1, cur.stats.Algo)
 	if err != nil {
 		err = fmt.Errorf("fabric: patched table rejected, keeping generation %d: %w", cur.stats.Seq, err)
 		f.reject(op, what, err)
@@ -927,13 +948,13 @@ func (f *Fabric) reject(op, what string, err error) {
 // Heal returns to the configured scheme's healthy table, discarding
 // every recorded fault (and any optimized choice), and swaps it in as
 // the next generation. The table was pinned and checked when the
-// fabric was built, so the swap is row sharing.
+// fabric was built, so the swap serves its rule and no exception.
 func (f *Fabric) Heal() (Stats, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	cur := f.gen.Load()
 	start := buildClock()
-	gen, err := f.derive(start, f.configured, nil, xgft.NewView(f.topo), cur, f.algo.Name())
+	gen, err := f.derive(start, f.configured, nil, xgft.NewView(f.topo), cur.stats.Seq+1, f.algo.Name())
 	if err != nil {
 		err = fmt.Errorf("fabric: healthy table rejected: %w", err)
 		f.reject("heal", "healthy rebuild", err)

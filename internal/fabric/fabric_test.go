@@ -325,10 +325,9 @@ func TestCertifyReadsThePackedRows(t *testing.T) {
 
 	n := f.topo.Leaves()
 	bad := &Generation{routes: gen.routes}
-	bad.held = true
-	bad.rows = append([][]uint64(nil), gen.rows...)
-	bad.rows[n-1] = gen.heldRow(n - 1)
-	bad.rows[n-1][0] = 2<<levelShift | 200<<8 // top-level port 200 of 8
+	bad.excAt = make([]int32, n+1)
+	bad.excAt[n] = 1
+	bad.exc = []exception{{dst: 0, word: 2<<levelShift | 200<<8}} // (n-1, 0): top-level port 200 of 8
 	_, err := f.certifyLocked(&table{routes: gen.routes, checked: true}, bad, [][2]int{{n - 1, 0}})
 	const want = "contention: route 63->0 up-port 200 at level 1 out of range [0,8)"
 	if err == nil || err.Error() != want {
@@ -497,14 +496,11 @@ func TestPinPacksStraightIntoRows(t *testing.T) {
 		if got := after.TotalAlloc - before.TotalAlloc; got >= tc.bound {
 			t.Errorf("pinning %s at %d leaves allocated %d B, want < %d", tc.algo.Name(), tp.Leaves(), got, tc.bound)
 		}
-		if tbl.held != tc.held || (tbl.guided == nil) == !tc.held {
-			t.Errorf("%s pinned with held rows %v and a guided base %v, want rows held %v", tc.algo.Name(), tbl.held, tbl.guided != nil, tc.held)
+		if (tbl.held != nil) != tc.held || (tbl.guided == nil) == !tc.held || tbl.excAt != nil {
+			t.Errorf("%s pinned with held rows %v, a guided base %v and exceptions %v, want rows held %v", tc.algo.Name(), tbl.held != nil, tbl.guided != nil, tbl.excAt != nil, tc.held)
 		}
-		for s := range tbl.rows {
-			if (tbl.rows[s] != nil) != tc.held {
-				t.Fatalf("%s: source %d holds a row: %v, want %v", tc.algo.Name(), s, tbl.rows[s] != nil, tc.held)
-			}
-			for d := range tbl.rows {
+		for s := 0; s < tbl.n; s++ {
+			for d := 0; d < tbl.n; d++ {
 				if word, want := tbl.word(s, d), packRoute(tc.algo.Route(s, d)); word != want {
 					t.Fatalf("%s pinned (%d,%d) = %#x, want %#x", tc.algo.Name(), s, d, word, want)
 				}

@@ -41,15 +41,35 @@ func fuzzScheme(tp *xgft.Topology, scheme uint8, seed uint64) core.Algorithm {
 	}
 }
 
-// FuzzGuidedMatchesPacked holds the guided serving form to the packed
-// table it replaced: a fabric over a guided scheme and the from-scratch
-// reference of TestDerivedMatchesFromScratch (every table built for all
-// pairs, patched wholesale and certified alone) run the same
-// FailLink/FailSwitch/Heal/Optimize script, three bytes a step, on a
-// small tree; after every step both accept or both refuse, every
-// pair's served word is packRoute of the reference's route
-// (PackedUnreachable where it has none), and the serving generation's
-// route set certifies deadlock-free.
+// fuzzRuleScheme picks a scheme of either rule form: a guided scheme
+// (fuzzScheme), whose rule is a guided base, or Random or LevelWise (a
+// keyed permutation's phase over its d-mod-k fallback), whose rule is
+// held rows.
+func fuzzRuleScheme(t *testing.T, tp *xgft.Topology, scheme uint8, seed uint64) core.Algorithm {
+	switch scheme % 8 {
+	case 6:
+		return core.NewRandom(tp, seed)
+	case 7:
+		lw, err := core.NewLevelWise(tp, []*pattern.Pattern{pattern.KeyedRandomPermutation(tp.Leaves(), 1, seed)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lw
+	}
+	return fuzzScheme(tp, scheme, seed)
+}
+
+// FuzzGuidedMatchesPacked holds the serving form — a rule plus the
+// words that differ from it — to the packed table it replaced: a fabric
+// over a scheme of either rule form (fuzzRuleScheme) and the
+// from-scratch reference of TestDerivedMatchesFromScratch (every table
+// built for all pairs, patched wholesale and certified alone) run the
+// same FailLink/FailSwitch/Heal/Optimize script, three bytes a step, on
+// a small tree, whose optimize passes may install Colored's overrides
+// over its d-mod-k fallback; after every step both accept or both
+// refuse, every pair's served word is packRoute of the reference's
+// route (PackedUnreachable where it has none), and the serving
+// generation's route set certifies deadlock-free.
 func FuzzGuidedMatchesPacked(f *testing.F) {
 	f.Add(uint8(1), uint16(0x044), uint16(0x021), uint8(1), uint64(1), []byte{0, 1, 2, 3, 0, 0, 2, 0, 0, 1, 1, 0})
 	f.Add(uint8(2), uint16(0x234), uint16(0x321), uint8(2), uint64(5), []byte{3, 7, 1, 0, 2, 9, 1, 4, 0, 3, 1, 1})
@@ -65,8 +85,8 @@ func FuzzGuidedMatchesPacked(f *testing.F) {
 		if len(script) > 24 {
 			script = script[:24]
 		}
-		fab := telemetryFabric(t, tp, fuzzScheme(tp, scheme, seed))
-		ref := newRefFabric(t, tp, fuzzScheme(tp, scheme, seed))
+		fab := telemetryFabric(t, tp, fuzzRuleScheme(t, tp, scheme, seed))
+		ref := newRefFabric(t, tp, fuzzRuleScheme(t, tp, scheme, seed))
 		for step := 0; len(script) >= 3; step, script = step+1, script[3:] {
 			op, a, b := script[0], int(script[1]), int(script[2])
 			var what string

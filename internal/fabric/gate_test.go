@@ -14,8 +14,8 @@ import (
 // the gate a guided base passed before it was checked a slot at a time.
 func pairGate(t *xgft.Topology, r *routes) (checked int, err error) {
 	var up [maxHeight]int
-	buf := make([]uint64, len(r.rows))
-	for s := range r.rows {
+	buf := make([]uint64, r.n)
+	for s := 0; s < r.n; s++ {
 		for d, word := range r.rowOf(s, buf) {
 			if s == d || word == PackedUnreachable {
 				continue
@@ -37,7 +37,7 @@ func guidedBase(tb testing.TB, tp *xgft.Topology, algo core.Algorithm) *table {
 	if !guided {
 		tb.Fatalf("%s is not guided", algo.Name())
 	}
-	tbl := &table{routes: routes{rows: make([][]uint64, tp.Leaves()), nca: tp.NCA(), topo: tp}}
+	tbl := &table{routes: routes{n: tp.Leaves(), nca: tp.NCA(), topo: tp}}
 	if err := (&Fabric{topo: tp}).packGuided(tbl, algo, bySource); err != nil {
 		tb.Fatal(err)
 	}

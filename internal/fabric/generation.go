@@ -50,18 +50,17 @@ type Stats struct {
 	// CacheHit reports that the generation was served from a pinned
 	// table without rebuilding it: the healthy table of the scheme it
 	// installs had been packed by an earlier generation (always false for
-	// faults, which derive from the serving rows).
+	// faults, which derive from the serving table).
 	CacheHit bool
 	// CertifiedRoutes counts the routes the deadlock gate vouched for
 	// in this publish: the ones no earlier generation served, a pinned
 	// guided base's counted pair by pair though checked a slot at a
-	// time. SharedRows counts the source rows the generation holds no
-	// copy of: served from the guided base (no row at all), or the same
-	// arrays as the table it was derived from or as its predecessor's.
-	// The rest were materialized or cloned to take an override or a
-	// reroute.
+	// time. ExceptionWords counts the words the generation holds apart
+	// from its rule (the guided base or held rows of the pinned table it
+	// was derived from): the overrides, reroutes and unreachable marks
+	// that made them differ.
 	CertifiedRoutes int
-	SharedRows      int
+	ExceptionWords  int
 	// BuildTime is the wall time spent deriving and checking the
 	// generation before it was swapped in.
 	BuildTime time.Duration
@@ -80,37 +79,90 @@ type Generation struct {
 }
 
 // routes is an all-pairs table in the form generations serve, one packed
-// word per (src, dst). A guided scheme (S-/D-mod-k and the relabeling
-// family, see core.GuideAscent) routes a pair by its guide leaf and NCA
-// level alone, so its table is a guided base of h+1 words a leaf, and a
-// source holds a row of its own only where a reroute or an override
-// made it differ. Any other scheme holds every row.
+// word per (src, dst): a pinned table's rule, and the words that differ
+// from it. A guided scheme (S-/D-mod-k and the relabeling family, see
+// core.GuideAscent) routes a pair by its guide leaf and NCA level alone,
+// so its rule is a guided base of h+1 words a leaf; any other scheme's
+// is held rows, every word.
 type routes struct {
-	// rows[src][dst] is a held row's packed word; a nil row is the guided
-	// base's. A held row's self word is 0, like the base's. held reports
-	// that some source holds one, so a lookup in a table that holds none
-	// never reads rows.
-	rows [][]uint64
-	held bool
+	n int // leaves
 	// guided[leaf*guidedStride+l] is the packed first l ports of the
 	// guide leaf's full-height ascent, level 0 being the empty route a
-	// self pair resolves to. nil when the scheme is not guided.
+	// self pair resolves to. nil when the rule is held rows.
 	guided   []uint64
-	bySource bool     // the guide is the source, else the destination
-	nca      xgft.NCA // the topology's NCA rule, held here for lookup
-	topo     *xgft.Topology
+	bySource bool // the guide is the source, else the destination
+	// held[s*n+d] is the pair's word under a scheme that is not guided
+	// (a self word is 0, like the base's); nil over a guided base.
+	held []uint64
+	// exc[excAt[s]:excAt[s+1]] are source s's exceptions — words a
+	// reroute, an unreachable mark or an override made differ from the
+	// rule — in destination order; excAt is nil when there are none.
+	excAt []int32
+	exc   []exception
+	nca   xgft.NCA // the topology's NCA rule, held here for lookup
+	topo  *xgft.Topology
 }
 
-// word is the packed route s->d of the table: the held row's word, or
-// the guide's at the pair's NCA level. s and d must be leaves.
+// exception is a word a table serves in place of its rule's.
+type exception struct {
+	dst  int32
+	word uint64
+}
+
+// word is the packed route s->d of the table: its exception, or the
+// rule's word. s and d must be leaves.
 //
 //repro:hotpath
 func (r *routes) word(s, d int) uint64 {
-	if r.held {
-		if row := r.rows[s]; row != nil {
-			return row[d]
+	run := r.run(s)
+	if i, ok := search(run, d); ok {
+		return run[i].word
+	}
+	return r.ruleWord(s, d)
+}
+
+// search returns where destination d is, or would go, in run — sorted
+// by destination — and whether it is there.
+//
+//repro:hotpath
+func search(run []exception, d int) (int, bool) {
+	i, j := 0, len(run)
+	for i < j {
+		if h := int(uint(i+j) >> 1); int(run[h].dst) < d {
+			i = h + 1
+		} else {
+			j = h
 		}
 	}
+	return i, i < len(run) && int(run[i].dst) == d
+}
+
+// run returns source s's exceptions.
+//
+//repro:hotpath
+func (r *routes) run(s int) []exception {
+	if r.excAt == nil {
+		return nil
+	}
+	return r.exc[r.excAt[s]:r.excAt[s+1]]
+}
+
+// ruleWord is the rule's word for s->d: the held row's, or the guide's
+// at the pair's NCA level.
+//
+//repro:hotpath
+func (r *routes) ruleWord(s, d int) uint64 {
+	if r.held != nil {
+		return r.held[s*r.n+d]
+	}
+	return r.guidedWord(s, d)
+}
+
+// guidedWord is the guided base's word for s->d: the guide leaf's at
+// the pair's NCA level.
+//
+//repro:hotpath
+func (r *routes) guidedWord(s, d int) uint64 {
 	guide := d
 	if r.bySource {
 		guide = s
@@ -118,35 +170,36 @@ func (r *routes) word(s, d int) uint64 {
 	return r.guided[guide*guidedStride+r.nca.Level(s, d)]
 }
 
-// rowOf returns source s's words: its held row, or the guided base's
-// laid out in buf (len N), a range of destinations at a time
-// (Topology.NCARanges) rather than a level computation a word.
-func (r *routes) rowOf(s int, buf []uint64) []uint64 {
-	if row := r.rows[s]; row != nil {
-		return row
-	}
-	r.topo.NCARanges(s, func(lo, hi, l int) {
-		if r.bySource {
-			for d, word := lo, r.guided[s*guidedStride+l]; d < hi; d++ {
-				buf[d] = word
-			}
-			return
-		}
-		for d := lo; d < hi; d++ {
-			buf[d] = r.guided[d*guidedStride+l]
-		}
-	})
-	return buf
-}
+// guidedOnly reports that the table serves its guided base and nothing
+// else, so a resolve pass need not ask a pair for an exception.
+//
+//repro:hotpath
+func (r *routes) guidedOnly() bool { return r.held == nil && r.excAt == nil }
 
-// heldRow returns a row of source s's words that the caller owns.
-func (r *routes) heldRow(s int) []uint64 {
-	row := make([]uint64, len(r.rows))
-	if held := r.rows[s]; held != nil {
-		copy(row, held)
-		return row
+// rowOf returns source s's words laid out in buf (len N): the rule's —
+// the held row, or the guided base's a range of destinations at a time
+// (Topology.NCARanges) rather than a level computation a word — with
+// s's exceptions written over them.
+func (r *routes) rowOf(s int, buf []uint64) []uint64 {
+	if r.held != nil {
+		copy(buf, r.held[s*r.n:(s+1)*r.n])
+	} else {
+		r.topo.NCARanges(s, func(lo, hi, l int) {
+			if r.bySource {
+				for d, word := lo, r.guided[s*guidedStride+l]; d < hi; d++ {
+					buf[d] = word
+				}
+				return
+			}
+			for d := lo; d < hi; d++ {
+				buf[d] = r.guided[d*guidedStride+l]
+			}
+		})
 	}
-	return r.rowOf(s, row)
+	for _, e := range r.run(s) {
+		buf[e.dst] = e.word
+	}
+	return buf
 }
 
 // packRoute packs the ascent digits a byte per level with the NCA
@@ -202,10 +255,23 @@ func (g *Generation) View() *xgft.View { return g.view }
 //
 //repro:hotpath
 func (g *Generation) lookup(src, dst uint64) uint64 {
-	if max(src, dst) >= uint64(len(g.rows)) {
+	if max(src, dst) >= uint64(g.n) {
 		return PackedUnreachable
 	}
 	return g.word(int(src), int(dst))
+}
+
+// lookupGuided is lookup over a generation that serves its guided base
+// and nothing else (guidedOnly): the resolve passes choose it once a
+// batch, so the pair loop of a healthy guided table stays inlined and
+// tests no exception.
+//
+//repro:hotpath
+func (g *Generation) lookupGuided(src, dst uint64) uint64 {
+	if max(src, dst) >= uint64(g.n) {
+		return PackedUnreachable
+	}
+	return g.guidedWord(int(src), int(dst))
 }
 
 // Resolve returns the installed route for the pair, decoded. ok is
@@ -244,27 +310,47 @@ func (g *Generation) ResolveBatchPacked(pairs [][2]int, out []uint64) (resolved 
 	return g.resolvePacked(nil, pairs, out)
 }
 
-// resolvePacked is the in-process packed pass: one lookup per pair,
-// its word stored, and — in the same iteration — the pair counted as
-// resolved and, when tel is non-nil and the pair is not a self pair,
-// in the count shard the pass holds from its first pair to its last.
+// resolvePacked is the in-process packed pass: one lookup per pair —
+// lookupGuided over a generation that serves its guided base alone,
+// lookup otherwise, chosen once for the batch — its word stored, and —
+// in the same iteration — the pair counted as resolved and, when tel is
+// non-nil and the pair is not a self pair, in the count shard the pass
+// holds from its first pair to its last (tally).
 //
 //repro:hotpath
 func (g *Generation) resolvePacked(tel *Telemetry, pairs [][2]int, out []uint64) (resolved int) {
 	out = out[:len(pairs)]
 	counts := tel.acquire()
-	for i, p := range pairs {
-		packed := g.lookup(uint64(p[0]), uint64(p[1]))
-		out[i] = packed
-		if packed != PackedUnreachable {
-			resolved++
-			if packed != 0 && counts != nil {
-				counts.add(p[0], p[1])
-			}
+	if g.guidedOnly() {
+		for i, p := range pairs {
+			packed := g.lookupGuided(uint64(p[0]), uint64(p[1]))
+			out[i] = packed
+			resolved += tally(counts, packed, p[0], p[1])
+		}
+	} else {
+		for i, p := range pairs {
+			packed := g.lookup(uint64(p[0]), uint64(p[1]))
+			out[i] = packed
+			resolved += tally(counts, packed, p[0], p[1])
 		}
 	}
 	tel.release(counts, resolved)
 	return resolved
+}
+
+// tally is a resolve pass's per-pair count: 1 when packed resolved,
+// and — when counts is non-nil and the pair is not a self pair — the
+// pair counted in the pass's shard.
+//
+//repro:hotpath
+func tally(counts *countShard, packed uint64, src, dst int) int {
+	if packed == PackedUnreachable {
+		return 0
+	}
+	if packed != 0 && counts != nil {
+		counts.add(src, dst)
+	}
+	return 1
 }
 
 // appendResolveWire is the same pass in the binary protocol's own byte
@@ -282,20 +368,31 @@ func (g *Generation) appendResolveWire(tel *Telemetry, pairs, dst []byte) (out [
 	dst = dst[:end]
 	words := dst[at:]
 	counts := tel.acquire()
-	for i := 0; i < count; i++ {
-		p := pairs[8*i : 8*i+8 : 8*i+8]
-		src, d := uint64(binary.BigEndian.Uint32(p[0:4])), uint64(binary.BigEndian.Uint32(p[4:8]))
-		packed := g.lookup(src, d)
-		binary.BigEndian.PutUint64(words[8*i:8*i+8:8*i+8], packed)
-		if packed != PackedUnreachable {
-			resolved++
-			if packed != 0 && counts != nil {
-				counts.add(int(src), int(d))
-			}
+	if g.guidedOnly() {
+		for i := 0; i < count; i++ {
+			src, d := wirePair(pairs, i)
+			packed := g.lookupGuided(src, d)
+			binary.BigEndian.PutUint64(words[8*i:8*i+8:8*i+8], packed)
+			resolved += tally(counts, packed, int(src), int(d))
+		}
+	} else {
+		for i := 0; i < count; i++ {
+			src, d := wirePair(pairs, i)
+			packed := g.lookup(src, d)
+			binary.BigEndian.PutUint64(words[8*i:8*i+8:8*i+8], packed)
+			resolved += tally(counts, packed, int(src), int(d))
 		}
 	}
 	tel.release(counts, resolved)
 	return dst, resolved
+}
+
+// wirePair decodes pair i of a binary resolve batch.
+//
+//repro:hotpath
+func wirePair(pairs []byte, i int) (src, dst uint64) {
+	p := pairs[8*i : 8*i+8 : 8*i+8]
+	return uint64(binary.BigEndian.Uint32(p[0:4])), uint64(binary.BigEndian.Uint32(p[4:8]))
 }
 
 // Routes decodes every resolvable non-self route of the generation,
@@ -306,9 +403,13 @@ func (g *Generation) appendResolveWire(tel *Telemetry, pairs, dst []byte) (out [
 func (g *Generation) Routes() []xgft.Route {
 	out := make([]xgft.Route, 0, g.stats.Routes)
 	arena := make([]int, 0, g.stats.Routes*g.topo.Height())
-	for s := range g.rows {
-		for d := range g.rows {
-			packed := g.word(s, d)
+	for s := 0; s < g.n; s++ {
+		run := g.run(s)
+		for d := 0; d < g.n; d++ {
+			packed := g.ruleWord(s, d)
+			if len(run) > 0 && int(run[0].dst) == d {
+				packed, run = run[0].word, run[1:]
+			}
 			if s == d || packed == PackedUnreachable {
 				continue
 			}

@@ -138,19 +138,19 @@ func TestFabricMetricsAndJournal(t *testing.T) {
 		}
 	}
 	// And what it cost: the initial build certifies the whole table and
-	// holds no row (every source serves the pinned guided base); a fault
-	// certifies exactly the routes it rerouted.
+	// holds no exception (every pair serves the pinned guided base); a
+	// fault certifies exactly the routes it rerouted.
 	for i, ev := range jnl.Tail(0) {
 		if ev.Type != "generation.swap" {
 			continue
 		}
 		certified, okC := ev.Fields["certified_routes"].(int)
-		shared, okS := ev.Fields["shared_rows"].(int)
+		exceptions, okE := ev.Fields["exception_words"].(int)
 		switch {
-		case !okC || !okS:
+		case !okC || !okE:
 			t.Errorf("swap event %d lacks %v: %+v", ev.Seq, SwapEventKeys(), ev.Fields)
-		case i == 0 && (certified != n*(n-1) || shared != n):
-			t.Errorf("initial swap certified %d routes over %d shared rows, want %d and %d", certified, shared, n*(n-1), n)
+		case i == 0 && (certified != n*(n-1) || exceptions != 0):
+			t.Errorf("initial swap certified %d routes holding %d exception words, want %d and 0", certified, exceptions, n*(n-1))
 		case i > 0 && certified != ev.Fields["patched"]:
 			t.Errorf("swap event %d certified %d routes, rerouted %v", ev.Seq, certified, ev.Fields["patched"])
 		}

@@ -24,11 +24,12 @@ import (
 // One scoring path serves the serving generation and every candidate:
 // ask it for its routes on the observed pairs — nothing else; no
 // all-pairs table is built for a candidate that does not win — and hand
-// them to the fabric's evaluator (scoreRoutes): a handful of flat
-// censuses per pass under the analytic default. The winner installs
-// through derive, the one way any generation is made: its static
-// scheme's pinned table (Colored's is its d-mod-k fallback's, with its
-// assignments as overrides), rows shared wherever nothing differs.
+// them to the fabric's evaluator (scoreRoutesLocked): a handful of flat
+// censuses per pass under the analytic default, into scratch the fabric
+// keeps across calls. The winner installs through derive, the one way
+// any generation is made: its static scheme's pinned table (Colored's is
+// its d-mod-k fallback's, with its assignments as overrides) as the
+// rule, and only the words that differ from it held apart.
 
 // OptimizeConfig parameterizes one re-optimization pass.
 type OptimizeConfig struct {
@@ -160,14 +161,14 @@ func (f *Fabric) Optimize(cfg OptimizeConfig) (res OptimizeResult, err error) {
 	// scored pattern; every candidate's routes go through the same view
 	// with the same reroute search, so the surviving flow set — and with
 	// it the comparison — is identical across candidates.
-	if res.Current, err = f.scoreRoutes(obs, cur.Resolve); err != nil {
+	if res.Current, err = f.scoreRoutesLocked(obs, cur.Resolve); err != nil {
 		return res, err
 	}
 
 	var best core.Algorithm
 	for _, cand := range f.candidates(obs, cfg.Seed) {
 		cs := f.tracer.StartChild(sp.Context(), spanCandidate)
-		score, err := f.scoreRoutes(obs, func(s, d int) (xgft.Route, bool) {
+		score, err := f.scoreRoutesLocked(obs, func(s, d int) (xgft.Route, bool) {
 			return core.RerouteAvoiding(view, cand.Route(s, d))
 		})
 		if err != nil {
@@ -199,7 +200,7 @@ func (f *Fabric) Optimize(cfg OptimizeConfig) (res OptimizeResult, err error) {
 	if err != nil {
 		return res, fmt.Errorf("fabric: candidate %s: %w", res.Best, err)
 	}
-	gen, err := f.derive(buildStart, base, overrides, view, cur, res.Best)
+	gen, err := f.derive(buildStart, base, overrides, view, cur.stats.Seq+1, res.Best)
 	if err != nil {
 		return res, fmt.Errorf("fabric: candidate table rejected: %w", err)
 	}
@@ -251,21 +252,23 @@ func (f *Fabric) candidates(obs *pattern.Pattern, seed uint64) []core.Algorithm 
 	}
 }
 
-// scoreRoutes scores the observed pattern under the per-pair route
-// function with the fabric's evaluator, dropping unreachable pairs
-// from both the pattern and the normalization.
-func (f *Fabric) scoreRoutes(obs *pattern.Pattern, route func(s, d int) (xgft.Route, bool)) (float64, error) {
-	q := &pattern.Pattern{N: obs.N, Flows: make([]pattern.Flow, 0, len(obs.Flows))}
-	routes := make([]xgft.Route, 0, len(obs.Flows))
+// scoreRoutesLocked scores the observed pattern under the per-pair
+// route function with the fabric's evaluator, dropping unreachable
+// pairs from both the pattern and the normalization. The scored pattern
+// and its routes are the fabric's scratch, reused by every call; no
+// evaluator keeps either past the call. Callers hold f.mu.
+func (f *Fabric) scoreRoutesLocked(obs *pattern.Pattern, route func(s, d int) (xgft.Route, bool)) (float64, error) {
+	q := &f.scored
+	q.N, q.Flows, f.scoredRoutes = obs.N, q.Flows[:0], f.scoredRoutes[:0]
 	for _, fl := range obs.Flows {
 		r, ok := route(fl.Src, fl.Dst)
 		if !ok {
 			continue
 		}
 		q.Add(fl.Src, fl.Dst, fl.Bytes)
-		routes = append(routes, r)
+		f.scoredRoutes = append(f.scoredRoutes, r)
 	}
-	res, err := f.eval.ScoreRoutes(f.topo, q, routes)
+	res, err := f.eval.ScoreRoutes(f.topo, q, f.scoredRoutes)
 	if err != nil {
 		return 0, err
 	}
